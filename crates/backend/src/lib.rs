@@ -15,10 +15,17 @@
 //!   rollback-recovery ([`BackendKind::Vcl`], `failmpi-mpichv`),
 //!   shrink-and-continue ([`BackendKind::Ulfm`], `failmpi-ulfm`), and
 //!   replication-failover ([`BackendKind::Replica`], `failmpi-replica`).
+//! * [`light`] — the one runtime skeleton behind every dispatcher-less
+//!   backend: [`light::LightRuntime`] owns the process table, op-streams,
+//!   boot/init/breakpoint ladder and process-control surface and
+//!   implements [`ProtocolBackend`] once; a [`light::RecoveryPolicy`]
+//!   (ULFM's shrink, replication's promotion) supplies only the reaction
+//!   to a lost process.
 //! * The shared **abstract-model vocabulary** ([`AbstractPhase`],
 //!   [`AbstractRank`], [`AbstractStep`], [`AbstractEvent`]) that every
 //!   backend's finite abstraction speaks, so `failck --model-check`
-//!   stays cross-layer and backend-tagged.
+//!   stays cross-layer and backend-tagged — and, in [`vocab`], the boot
+//!   ladder and slot-relabelling helpers all three models share.
 //!
 //! The trace vocabulary keeps its historical name (`VclEvent`) because it
 //! was extracted from the reference Vcl runtime; each backend maps its own
@@ -30,9 +37,10 @@
 #![warn(missing_docs)]
 
 mod kind;
+pub mod light;
 mod trace;
 mod traffic;
-mod vocab;
+pub mod vocab;
 
 pub use kind::BackendKind;
 pub use trace::{Hook, InstrumentedFn, VclEvent};

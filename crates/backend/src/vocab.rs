@@ -9,6 +9,14 @@
 //!
 //! Every type derives `Hash`/`Ord` so product states can be interned
 //! canonically.
+//!
+//! The part of every model that is *not* protocol-specific lives here too,
+//! as free functions over a slot slice: the boot-ladder step enumeration
+//! ([`protocol_steps`]) and transitions ([`spawn`], [`register`],
+//! [`ack_ready`]), and the slot side of symmetry reduction
+//! ([`host_content`], [`relabel_slots`], [`live_slot_on_host`]). They take
+//! `&[AbstractRank]` rather than a wrapper state type because each model's
+//! own field layout feeds its derived `Hash` — the persisted state digest.
 
 /// Saturation cap for the abstract epoch counter (recoveries so far).
 pub const EPOCH_CAP: u8 = 8;
@@ -148,4 +156,102 @@ pub enum AbstractEvent {
         /// The forgotten rank.
         rank: u8,
     },
+}
+
+/// `n` slots launching on hosts `0..n`, incarnation 0 — every model's
+/// initial slot table.
+pub fn launch_slots(n: usize) -> Vec<AbstractRank> {
+    (0..n)
+        .map(|s| AbstractRank {
+            phase: AbstractPhase::Launched,
+            host: s as u8,
+            incarnation: 0,
+        })
+        .collect()
+}
+
+/// Every enabled protocol-internal step, in canonical slot order: the boot
+/// ladder, plus the stop closure of a terminate-ordered slot (a phase only
+/// relaunch-based protocols ever enter).
+pub fn protocol_steps(slots: &[AbstractRank]) -> Vec<AbstractStep> {
+    let mut out = Vec::new();
+    for (i, r) in slots.iter().enumerate() {
+        let i = i as u8;
+        match r.phase {
+            AbstractPhase::Launched => out.push(AbstractStep::Spawn(i)),
+            AbstractPhase::Booted => out.push(AbstractStep::Register(i)),
+            AbstractPhase::Registered => out.push(AbstractStep::Ready(i)),
+            AbstractPhase::Stopping => out.push(AbstractStep::StopClosure(i)),
+            _ => {}
+        }
+    }
+    out
+}
+
+fn climb(slot: &mut AbstractRank, from: AbstractPhase, to: AbstractPhase) {
+    assert_eq!(slot.phase, from);
+    slot.phase = to;
+}
+
+/// [`AbstractStep::Spawn`]: the slot's process starts (`onload` fires on
+/// its host). Panics if the step is not enabled.
+pub fn spawn(slots: &mut [AbstractRank], s: u8, events: &mut Vec<AbstractEvent>) {
+    let slot = &mut slots[s as usize];
+    climb(slot, AbstractPhase::Launched, AbstractPhase::Booted);
+    events.push(AbstractEvent::OnLoad { host: slot.host });
+}
+
+/// [`AbstractStep::Register`]: the booted slot registers. Panics if the
+/// step is not enabled.
+pub fn register(slots: &mut [AbstractRank], s: u8) {
+    climb(&mut slots[s as usize], AbstractPhase::Booted, AbstractPhase::Registered);
+}
+
+/// The slot half of [`AbstractStep::Ready`]: the registered slot acks.
+/// The start barrier that follows is the protocol's own. Panics if the
+/// step is not enabled.
+pub fn ack_ready(slots: &mut [AbstractRank], s: u8) {
+    climb(&mut slots[s as usize], AbstractPhase::Registered, AbstractPhase::Ready);
+}
+
+/// Orbit metadata for symmetry reduction: the slot content visible on
+/// machine `host`, independent of the host's numeric label and of slot
+/// identities (sorted `(phase, incarnation)` pairs).
+pub fn host_content(slots: &[AbstractRank], host: u8) -> Vec<(AbstractPhase, u8)> {
+    let mut content: Vec<(AbstractPhase, u8)> = slots
+        .iter()
+        .filter(|r| r.host == host)
+        .map(|r| (r.phase, r.incarnation))
+        .collect();
+    content.sort_unstable();
+    content
+}
+
+/// Relabels machines and slots (the orbit action): `host_map[h]` is the
+/// new label of host `h`, `slot_map[s]` the new index of slot `s` (both
+/// must be permutations).
+pub fn relabel_slots(slots: &[AbstractRank], host_map: &[u8], slot_map: &[u8]) -> Vec<AbstractRank> {
+    debug_assert_eq!(slot_map.len(), slots.len());
+    let mut out = slots.to_vec();
+    for (s, old) in slots.iter().enumerate() {
+        out[slot_map[s] as usize] = AbstractRank {
+            host: host_map[old.host as usize],
+            ..*old
+        };
+    }
+    out
+}
+
+/// The first slot on `host` whose process is alive under the protocol's
+/// reading of liveness (`Done` is finalized-but-alive under Vcl, dead
+/// elsewhere).
+pub fn live_slot_on_host(
+    slots: &[AbstractRank],
+    host: u8,
+    live: impl Fn(AbstractPhase) -> bool,
+) -> Option<u8> {
+    slots
+        .iter()
+        .position(|r| r.host == host && live(r.phase))
+        .map(|s| s as u8)
 }

@@ -7,7 +7,7 @@
 //! > execution trace."
 
 use failmpi_sim::{RunOutcome, SimDuration, SimTime, TraceEntry};
-use failmpi_mpichv::{Cluster, VclEvent};
+use failmpi_mpichv::VclEvent;
 
 /// The silence threshold: a run that reached its timeout without any
 /// recovery/restart/progress activity in this final window is *frozen*
@@ -65,28 +65,10 @@ fn is_liveness_event(k: &VclEvent) -> bool {
     )
 }
 
-/// Classifies a finished engine run over `cluster`, using `freeze_window`
-/// as the silence threshold (see [`FREEZE_WINDOW`] for the paper scale).
-pub fn classify(
-    cluster: &Cluster,
-    engine_outcome: RunOutcome,
-    end: SimTime,
-    timeout: SimTime,
-    freeze_window: SimDuration,
-) -> Outcome {
-    classify_entries(
-        cluster.trace().entries(),
-        cluster.is_complete(),
-        engine_outcome,
-        end,
-        timeout,
-        freeze_window,
-    )
-}
-
-/// The trace-level core of [`classify`] — the same analysis over bare
-/// entries, so tests can classify hand-built traces without running a
-/// cluster.
+/// Classifies a finished engine run from its lifecycle trace, using
+/// `freeze_window` as the silence threshold (see [`FREEZE_WINDOW`] for the
+/// paper scale). Works over bare entries, so every backend shares it and
+/// tests can classify hand-built traces without running a cluster.
 pub fn classify_entries(
     entries: &[TraceEntry<VclEvent>],
     complete: bool,

@@ -44,7 +44,7 @@ impl Workload {
     }
 }
 
-use crate::classify::{classify, classify_entries, Outcome};
+use crate::classify::{classify_entries, Outcome};
 
 /// How the harness treats static-analysis findings on a spec's scenario
 /// (see `failmpi-analyze`): ignore them, print them once per distinct
@@ -419,8 +419,8 @@ struct FailSide {
 
 /// One simulation world: any [`ProtocolBackend`] under an optional FAIL
 /// deployment. The harness's binding logic — action application, hook and
-/// probe pumping, fingerprinting — is backend-generic; only construction
-/// and the Vcl-specific instrumentation paths below are concrete.
+/// probe pumping, fingerprinting, and the driver below — is
+/// backend-generic; only construction is concrete.
 struct World<C: ProtocolBackend> {
     cluster: C,
     fail: Option<FailSide>,
@@ -712,24 +712,11 @@ pub fn run_one(spec: &ExperimentSpec) -> RunRecord {
 /// suite recounts metrics from it without needing the backend-specific
 /// cluster back.
 pub fn run_one_with_trace(spec: &ExperimentSpec) -> (RunRecord, Vec<TraceEntry<VclEvent>>) {
-    match spec.backend {
-        BackendKind::Vcl => {
-            let (record, cluster) = run_one_keeping_cluster(spec);
-            let entries = cluster.trace().entries().to_vec();
-            (record, entries)
-        }
-        BackendKind::Ulfm => {
-            let (cfg, ops) = backend_runtime_inputs(spec);
-            run_backend(spec, UlfmCluster::new(cfg, ops, spec.seed))
-        }
-        BackendKind::Replica => {
-            let (cfg, ops) = backend_runtime_inputs(spec);
-            run_backend(spec, ReplicaCluster::new(cfg, ops, spec.seed))
-        }
-    }
+    let out = run_any(spec, false, false, false);
+    (out.record, out.cluster)
 }
 
-/// Derives the generic backends' runtime inputs from a spec. The
+/// Derives the light backends' runtime inputs from a spec. The
 /// [`BackendConfig`] timing surface maps the Vcl deployment constants
 /// (ssh spawn/stagger, init handshake, closure detection); each rank's op
 /// count is its program's progress-marker count — the same iterations the
@@ -779,103 +766,6 @@ fn backend_runtime_inputs(spec: &ExperimentSpec) -> (BackendConfig, Vec<u32>) {
     (cfg, ops)
 }
 
-/// Runs a constructed non-Vcl backend under the spec's scenario, timeout
-/// and classification, producing the same [`RunRecord`] surface as the
-/// Vcl path. The Vcl-only instrumentation modes (trace sink, fingerprint
-/// journal, wall profile, causal export) do not apply here.
-fn run_backend<C: ProtocolBackend>(
-    spec: &ExperimentSpec,
-    cluster: C,
-) -> (RunRecord, Vec<TraceEntry<VclEvent>>) {
-    let fail = spec.injection.as_ref().map(|inj| {
-        let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
-            .map(|i| cluster.compute_host(i))
-            .collect();
-        build_fail_side(inj, spec.seed, &hosts)
-    });
-    let mut engine = Engine::with_tie_break(World { cluster, fail }, spec.tie_break);
-    // Deep profiling covers the whole schedule, including the boot
-    // events pushed below, so the context opens before the first push.
-    let deep_profile = crate::profsink::armed();
-    if deep_profile {
-        failmpi_obs::prof::start_run(spec.backend.name());
-    }
-    for (t, e) in engine.model_mut().cluster.take_outputs() {
-        engine.schedule(t, WEv::C(e));
-    }
-    if engine.model().fail.is_some() {
-        let start_actions = {
-            let fail = engine.model_mut().fail.as_mut().expect("checked");
-            fail.rt.start(&mut fail.rng)
-        };
-        for a in start_actions {
-            match a {
-                FailAction::ArmTimer {
-                    instance,
-                    timer,
-                    gen,
-                    delay,
-                } => engine.schedule(
-                    SimTime::ZERO + delay,
-                    WEv::FailTimer {
-                        instance,
-                        timer,
-                        gen,
-                    },
-                ),
-                FailAction::SendMsg { from, to, msg } => {
-                    engine.schedule(SimTime::ZERO, WEv::FailMsg { from, to, msg })
-                }
-                other => panic!("unexpected start action {other:?}"),
-            }
-        }
-    }
-
-    let engine_outcome = engine.run(spec.timeout);
-    if deep_profile {
-        if let Some(p) = failmpi_obs::prof::finish_run() {
-            crate::profsink::submit(p);
-        }
-    }
-    let end = engine.now();
-    let fingerprint = engine.fingerprint();
-    let events = engine.events_handled();
-    let queue_hwm = engine.queue_depth_hwm();
-    let world = engine.into_model();
-    let outcome = classify_entries(
-        world.cluster.trace().entries(),
-        world.cluster.is_complete(),
-        engine_outcome,
-        end,
-        spec.timeout,
-        spec.freeze_window,
-    );
-    let faults_injected = world.fail.as_ref().map_or(0, |f| f.halts);
-
-    let mut metrics = MetricsSnapshot::new();
-    metrics.set_backend(spec.backend.name());
-    world.cluster.contribute_metrics(&mut metrics);
-    metrics.set_counter("sim.events_handled", events);
-    metrics.set_counter("sim.queue_depth_hwm", queue_hwm as u64);
-    metrics.set_counter("sim.end_micros", end.as_micros());
-    metrics.set_counter("harness.faults_injected", u64::from(faults_injected));
-    crate::metrics::submit(&metrics);
-
-    let record = RunRecord {
-        outcome,
-        end,
-        faults_injected,
-        recoveries: world.cluster.recoveries_started() as usize,
-        waves_committed: world.cluster.waves_committed() as usize,
-        max_progress: world.cluster.max_progress(),
-        traffic: world.cluster.traffic(),
-        fingerprint,
-        events,
-        metrics,
-    };
-    (record, world.cluster.trace().entries().to_vec())
-}
-
 /// Like [`run_one`], but lints the scenario at strict severity first
 /// (whatever the spec's own [`LintMode`]) and returns the report instead
 /// of running when it has `Error`-level findings.
@@ -890,22 +780,32 @@ pub fn try_run_one(spec: &ExperimentSpec) -> Result<RunRecord, Report> {
     Ok(run_one(spec))
 }
 
-/// Like [`run_one`], additionally returning the final cluster state (for
-/// trace validation and post-mortem inspection).
+/// Like [`run_one`], additionally returning the final Vcl cluster state
+/// (for trace validation and post-mortem inspection). Vcl specs only.
 pub fn run_one_keeping_cluster(spec: &ExperimentSpec) -> (RunRecord, Cluster) {
-    let (record, cluster, _) = run_one_instrumented(spec, false);
-    (record, cluster)
+    let out = run_vcl(spec, false, false, false);
+    (out.record, out.cluster)
 }
 
-/// The fully instrumented run: like [`run_one_keeping_cluster`], but with
-/// optional per-event fingerprint-journal capture (the expensive mode the
-/// determinism harness only pays for after a mismatch).
+/// The fully instrumented Vcl run: like [`run_one_keeping_cluster`], but
+/// with optional per-event fingerprint-journal capture (the expensive mode
+/// the determinism harness only pays for after a mismatch).
 pub fn run_one_instrumented(
     spec: &ExperimentSpec,
     capture_journal: bool,
 ) -> (RunRecord, Cluster, Option<Vec<JournalEntry>>) {
-    let out = run_inner(spec, capture_journal, false, false);
+    let out = run_vcl(spec, capture_journal, false, false);
     (out.record, out.cluster, out.journal)
+}
+
+/// [`run_one`] on any backend, with optional per-event fingerprint-journal
+/// capture (what [`crate::robustness::det_run`] packages).
+pub(crate) fn run_one_journaled(
+    spec: &ExperimentSpec,
+    capture_journal: bool,
+) -> (RunRecord, Option<Vec<JournalEntry>>) {
+    let out = run_any(spec, capture_journal, false, false);
+    (out.record, out.journal)
 }
 
 /// Like [`run_one`], with the engine's wall-clock handler profiling on:
@@ -913,7 +813,7 @@ pub fn run_one_instrumented(
 /// `bench-report`; the profile is wall-clock data and must never be mixed
 /// into the deterministic [`RunRecord::metrics`] snapshot.
 pub fn run_one_profiled(spec: &ExperimentSpec) -> (RunRecord, WallProfile) {
-    let out = run_inner(spec, false, true, false);
+    let out = run_any(spec, false, true, false);
     (out.record, out.profile)
 }
 
@@ -935,7 +835,7 @@ pub struct TracedRun {
 /// [`failmpi_mpichv::VclEvent`] records the engine event it was emitted
 /// under. The input to `failmpi-trace` exports and explanations.
 pub fn run_one_traced(spec: &ExperimentSpec) -> TracedRun {
-    let out = run_inner(spec, false, false, true);
+    let out = run_vcl(spec, false, false, true);
     let track_names = world_track_names(&out.cluster);
     TracedRun {
         record: out.record,
@@ -995,28 +895,75 @@ fn build_fail_side(inj: &InjectionSpec, seed: u64, compute_hosts: &[HostId]) -> 
     }
 }
 
-struct InnerRun {
+/// Everything one driven run leaves behind; `C` is the final cluster, or
+/// what the caller reduced it to.
+struct InnerRun<C> {
     record: RunRecord,
-    cluster: Cluster,
+    cluster: C,
     journal: Option<Vec<JournalEntry>>,
     profile: WallProfile,
     causal: CausalLog,
 }
 
-fn run_inner(spec: &ExperimentSpec, capture_journal: bool, profile: bool, causal: bool) -> InnerRun {
+/// Drives a Vcl spec, handing the final [`Cluster`] back. The flags are
+/// [`run_inner`]'s.
+fn run_vcl(spec: &ExperimentSpec, journal: bool, profile: bool, causal: bool) -> InnerRun<Cluster> {
     assert_eq!(
         spec.backend,
         BackendKind::Vcl,
-        "the instrumented run paths (keeping-cluster/journal/profile/causal) \
-         are Vcl-only; route other backends through run_one"
+        "this run path hands back the Vcl cluster"
     );
+    let cluster = Cluster::new(spec.cluster.clone(), programs_for(spec), spec.seed);
+    run_inner(spec, cluster, journal, profile, causal)
+}
+
+/// Drives a spec on whichever backend it names, keeping only the
+/// lifecycle trace of the final cluster. The flags are [`run_inner`]'s.
+fn run_any(
+    spec: &ExperimentSpec,
+    journal: bool,
+    profile: bool,
+    causal: bool,
+) -> InnerRun<Vec<TraceEntry<VclEvent>>> {
+    fn keep_trace<C: ProtocolBackend>(out: InnerRun<C>) -> InnerRun<Vec<TraceEntry<VclEvent>>> {
+        InnerRun {
+            cluster: out.cluster.trace().entries().to_vec(),
+            record: out.record,
+            journal: out.journal,
+            profile: out.profile,
+            causal: out.causal,
+        }
+    }
+    match spec.backend {
+        BackendKind::Vcl => keep_trace(run_vcl(spec, journal, profile, causal)),
+        BackendKind::Ulfm => {
+            let (cfg, ops) = backend_runtime_inputs(spec);
+            let cluster = UlfmCluster::new(cfg, ops, spec.seed);
+            keep_trace(run_inner(spec, cluster, journal, profile, causal))
+        }
+        BackendKind::Replica => {
+            let (cfg, ops) = backend_runtime_inputs(spec);
+            let cluster = ReplicaCluster::new(cfg, ops, spec.seed);
+            keep_trace(run_inner(spec, cluster, journal, profile, causal))
+        }
+    }
+}
+
+/// The one driver: runs a constructed backend under the spec's scenario,
+/// tie-break, timeout and classification, with the engine's optional
+/// instruments on request — the per-event fingerprint `journal`, the
+/// wall-clock handler `profile`, the happens-before (`causal`) log.
+fn run_inner<C: ProtocolBackend>(
+    spec: &ExperimentSpec,
+    cluster: C,
+    journal: bool,
+    profile: bool,
+    causal: bool,
+) -> InnerRun<C> {
     // The `--trace-out` sink claims exactly one run per invocation; the
     // claimed run pays for causal tracing, every other run keeps the
     // zero-overhead disabled path (see `crate::tracesink`).
     let trace_claimed = crate::tracesink::claim();
-    let causal = causal || trace_claimed;
-    let programs = programs_for(spec);
-    let cluster = Cluster::new(spec.cluster.clone(), programs, spec.seed);
 
     let fail = spec.injection.as_ref().map(|inj| {
         let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
@@ -1026,13 +973,13 @@ fn run_inner(spec: &ExperimentSpec, capture_journal: bool, profile: bool, causal
     });
 
     let mut engine = Engine::with_tie_break(World { cluster, fail }, spec.tie_break);
-    if capture_journal {
+    if journal {
         engine.enable_fingerprint_journal();
     }
     if profile {
         engine.enable_profiling();
     }
-    if causal {
+    if causal || trace_claimed {
         engine.enable_causal_trace();
     }
     // Deep profiling covers the whole schedule, including the boot
@@ -1085,22 +1032,17 @@ fn run_inner(spec: &ExperimentSpec, capture_journal: bool, profile: bool, causal
     let events = engine.events_handled();
     let queue_hwm = engine.queue_depth_hwm();
     let wall_profile = engine.profile().clone();
-    let journal = capture_journal.then(|| engine.take_fingerprint_journal());
+    let journal = journal.then(|| engine.take_fingerprint_journal());
     let causal_log = engine.take_causal_log();
     let world = engine.into_model();
-    let outcome = classify(
-        &world.cluster,
+    let outcome = classify_entries(
+        world.cluster.trace().entries(),
+        world.cluster.is_complete(),
         engine_outcome,
         end,
         spec.timeout,
         spec.freeze_window,
     );
-    // Run summary counts come from the cluster's metrics registry rather
-    // than the trace, so they survive `record_trace = false`.
-    let cm = world.cluster.metrics();
-    let recoveries = cm.recoveries_started.get() as usize;
-    let waves_committed = cm.waves_committed.get() as usize;
-    let max_progress = cm.max_progress;
     let faults_injected = world.fail.as_ref().map_or(0, |f| f.halts);
 
     let mut metrics = MetricsSnapshot::new();
@@ -1112,13 +1054,15 @@ fn run_inner(spec: &ExperimentSpec, capture_journal: bool, profile: bool, causal
     metrics.set_counter("harness.faults_injected", u64::from(faults_injected));
     crate::metrics::submit(&metrics);
 
+    // Run summary counts come from the backend's counters rather than the
+    // trace, so they survive `record_trace = false`.
     let record = RunRecord {
         outcome,
         end,
         faults_injected,
-        recoveries,
-        waves_committed,
-        max_progress,
+        recoveries: world.cluster.recoveries_started() as usize,
+        waves_committed: world.cluster.waves_committed() as usize,
+        max_progress: world.cluster.max_progress(),
         traffic: world.cluster.traffic(),
         fingerprint,
         events,
@@ -1130,7 +1074,7 @@ fn run_inner(spec: &ExperimentSpec, capture_journal: bool, profile: bool, causal
             spec.seed,
             &record.outcome,
             end.as_micros(),
-            &world.cluster,
+            world.cluster.trace().entries(),
             &causal_log,
             &world_track_names(&world.cluster),
         ));

@@ -18,7 +18,7 @@ use failmpi_workloads::BtClass;
 use crate::classify::Outcome;
 use crate::figures::{self, DELAY_SRC, FIG10_SRC, FIG5_SRC, FIG7_SRC, FIG8_SRC};
 use crate::harness::{
-    run_one_instrumented, run_one_keeping_cluster, ExperimentSpec, InjectionSpec,
+    run_one_journaled, run_one_keeping_cluster, ExperimentSpec, InjectionSpec,
 };
 use crate::invariants::validate_trace;
 
@@ -91,10 +91,10 @@ pub fn fault_free_smoke_spec(seed: u64) -> ExperimentSpec {
 }
 
 /// One run of `spec` packaged for the double-run determinism harness
-/// ([`failmpi_testkit::assert_deterministic`]); `capture` turns on the
-/// per-event fingerprint journal.
+/// ([`failmpi_testkit::assert_deterministic`]), on whichever backend the
+/// spec names; `capture` turns on the per-event fingerprint journal.
 pub fn det_run(spec: &ExperimentSpec, capture: bool) -> DetRun {
-    let (record, _, journal) = run_one_instrumented(spec, capture);
+    let (record, journal) = run_one_journaled(spec, capture);
     DetRun {
         fingerprint: record.fingerprint,
         events: record.events,

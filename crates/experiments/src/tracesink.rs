@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use failmpi_sim::{CausalLog, TraceEntry};
-use failmpi_mpichv::{Cluster, VclEvent};
+use failmpi_mpichv::VclEvent;
 use failmpi_trace::{Mark, TraceFile};
 
 use crate::classify::Outcome;
@@ -136,7 +136,7 @@ pub fn mark_of(entry: &TraceEntry<VclEvent>) -> Mark {
 }
 
 /// Assembles the exported trace of one run: the engine's happens-before
-/// DAG as nodes, the cluster's semantic [`VclEvent`] records as anchored
+/// DAG as nodes, the backend's semantic [`VclEvent`] records as anchored
 /// marks, plus run identity (name, seed, classified outcome, end instant,
 /// track names).
 pub fn build_trace_file(
@@ -144,7 +144,7 @@ pub fn build_trace_file(
     seed: u64,
     outcome: &Outcome,
     end_micros: u64,
-    cluster: &Cluster,
+    entries: &[TraceEntry<VclEvent>],
     causal: &CausalLog,
     track_names: &[String],
 ) -> TraceFile {
@@ -154,7 +154,7 @@ pub fn build_trace_file(
     trace.outcome = outcome_class(outcome).to_string();
     trace.end_micros = end_micros;
     trace.tracks = track_names.to_vec();
-    trace.marks = cluster.trace().entries().iter().map(mark_of).collect();
+    trace.marks = entries.iter().map(mark_of).collect();
     trace
 }
 
@@ -165,7 +165,7 @@ pub fn trace_file_of(name: &str, seed: u64, traced: &TracedRun) -> TraceFile {
         seed,
         &traced.record.outcome,
         traced.record.end.as_micros(),
-        &traced.cluster,
+        traced.cluster.trace().entries(),
         &traced.causal,
         &traced.track_names,
     )

@@ -85,6 +85,32 @@ fn fig5_binary_smoke_runs_and_writes_json() {
     assert!(data["points"].as_array().expect("points").len() >= 2);
 }
 
+/// `--trace-out` claims a run on the light backends too (the sink claim
+/// lives in the one generic driver), and what it writes is what
+/// `failmpi-trace export` loads: a valid trace with the backend's lanes.
+#[test]
+fn fig5_trace_out_captures_a_light_backend_run() {
+    let dir = std::env::temp_dir().join("failmpi-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    for backend in ["ulfm", "replica"] {
+        let path = dir.join(format!("trace-{backend}.json"));
+        let _ = std::fs::remove_file(&path);
+        let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
+            .args(["--smoke", "--runs", "1", "--backend", backend, "--trace-out"])
+            .arg(&path)
+            .output()
+            .expect("fig5 runs");
+        assert!(out.status.success(), "{backend}: {out:?}");
+        let src = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{backend}: no trace written ({e}): {out:?}"));
+        let trace = failmpi_trace::TraceFile::from_json(&src).expect("trace loads");
+        trace.check_invariants().expect("trace is well-formed");
+        assert!(!trace.nodes.is_empty() && !trace.marks.is_empty(), "{backend}");
+        assert_eq!(trace.tracks[0], format!("{backend}-runtime"));
+        assert!(failmpi_trace::perfetto::export(&trace).contains("traceEvents"));
+    }
+}
+
 #[test]
 fn figure_binaries_reject_unknown_flags() {
     let out = Command::new(env!("CARGO_BIN_EXE_fig11"))

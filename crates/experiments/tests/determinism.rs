@@ -6,6 +6,7 @@
 //! across the whole interleaving sample: the Fig. 10 freeze is a property
 //! of the historical dispatcher, not of one lucky schedule.
 
+use failmpi_backend::BackendKind;
 use failmpi_experiments::robustness::{
     det_run, fig10_stress_spec, perturb, scenario_suite,
 };
@@ -23,6 +24,25 @@ fn every_scenario_is_deterministic() {
                 det_run(&spec, capture)
             });
             assert_ne!(fp, 0, "{name}: degenerate fingerprint");
+        }
+    }
+}
+
+/// The light backends run through the same driver: `det_run` double-runs
+/// them too, and hands back the per-event journal when asked.
+#[test]
+fn every_scenario_is_deterministic_on_the_light_backends() {
+    for backend in [BackendKind::Ulfm, BackendKind::Replica] {
+        for (name, spec) in scenario_suite(5) {
+            let spec = spec.with_backend(backend);
+            let fp = assert_deterministic(&format!("{name}/{backend}"), |capture| {
+                det_run(&spec, capture)
+            });
+            assert_ne!(fp, 0, "{name}/{backend}: degenerate fingerprint");
+            let journaled = det_run(&spec, true);
+            assert_eq!(journaled.fingerprint, fp);
+            let journal = journaled.journal.expect("capture returns the journal");
+            assert_eq!(journal.len() as u64, journaled.events, "{name}/{backend}");
         }
     }
 }

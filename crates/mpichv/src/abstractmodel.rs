@@ -21,6 +21,7 @@ use crate::config::DispatcherMode;
 // The phase/step/event vocabulary (and its saturation caps) is shared by
 // every protocol backend's abstract model; it lives in `failmpi-backend`
 // and is re-exported here so existing paths keep working.
+use failmpi_backend::vocab;
 pub use failmpi_backend::{
     AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
     WAVE_CAP,
@@ -54,13 +55,7 @@ impl AbstractVcl {
     pub fn new(mode: DispatcherMode, n_ranks: usize, n_hosts: usize) -> AbstractVcl {
         assert!(n_ranks >= 1 && n_hosts >= n_ranks && n_hosts <= 255);
         AbstractVcl {
-            ranks: (0..n_ranks)
-                .map(|r| AbstractRank {
-                    phase: AbstractPhase::Launched,
-                    host: r as u8,
-                    incarnation: 0,
-                })
-                .collect(),
+            ranks: vocab::launch_slots(n_ranks),
             free_hosts: (n_ranks..n_hosts).map(|h| h as u8).collect(),
             recovery_active: false,
             epoch: 0,
@@ -77,10 +72,7 @@ impl AbstractVcl {
 
     /// The rank whose live process runs on `host`, if any.
     pub fn live_rank_on_host(&self, host: u8) -> Option<u8> {
-        self.ranks
-            .iter()
-            .position(|r| r.host == host && r.phase.process_alive())
-            .map(|r| r as u8)
+        vocab::live_slot_on_host(&self.ranks, host, AbstractPhase::process_alive)
     }
 
     /// Whether every rank is computing (the steady quiescent state faults
@@ -108,15 +100,8 @@ impl AbstractVcl {
     /// interchangeable is the caller's question (`rank_map` in
     /// [`AbstractVcl::relabel`]), not the protocol state's.
     pub fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
-        let mut content: Vec<(AbstractPhase, u8)> = self
-            .ranks
-            .iter()
-            .filter(|r| r.host == host)
-            .map(|r| (r.phase, r.incarnation))
-            .collect();
-        content.sort_unstable();
         let free_pos = self.free_hosts.iter().position(|&h| h == host);
-        (content, free_pos)
+        (vocab::host_content(&self.ranks, host), free_pos)
     }
 
     /// Relabels machines and rank slots: `host_map[h]` is the new label of
@@ -130,17 +115,8 @@ impl AbstractVcl {
     /// the protocol treats host labels as opaque ids and rank slots
     /// uniformly.
     pub fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractVcl {
-        debug_assert_eq!(rank_map.len(), self.ranks.len());
-        let mut ranks = self.ranks.clone();
-        for (r, old) in self.ranks.iter().enumerate() {
-            ranks[rank_map[r] as usize] = AbstractRank {
-                phase: old.phase,
-                host: host_map[old.host as usize],
-                incarnation: old.incarnation,
-            };
-        }
         AbstractVcl {
-            ranks,
+            ranks: vocab::relabel_slots(&self.ranks, host_map, rank_map),
             free_hosts: self
                 .free_hosts
                 .iter()
@@ -159,18 +135,7 @@ impl AbstractVcl {
     /// the explorer's business: waves are quiescent-only and faults come
     /// from the FAIL side.
     pub fn protocol_steps(&self) -> Vec<AbstractStep> {
-        let mut out = Vec::new();
-        for (i, r) in self.ranks.iter().enumerate() {
-            let i = i as u8;
-            match r.phase {
-                AbstractPhase::Launched => out.push(AbstractStep::Spawn(i)),
-                AbstractPhase::Booted => out.push(AbstractStep::Register(i)),
-                AbstractPhase::Registered => out.push(AbstractStep::Ready(i)),
-                AbstractPhase::Stopping => out.push(AbstractStep::StopClosure(i)),
-                _ => {}
-            }
-        }
-        out
+        vocab::protocol_steps(&self.ranks)
     }
 
     /// Relaunch `rank` in place: new process incarnation, ssh issued.
@@ -236,23 +201,10 @@ impl AbstractVcl {
     /// [`AbstractVcl::protocol_steps`] / the explorer's fault routing).
     pub fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
         match step {
-            AbstractStep::Spawn(r) => {
-                let r = r as usize;
-                assert_eq!(self.ranks[r].phase, AbstractPhase::Launched);
-                self.ranks[r].phase = AbstractPhase::Booted;
-                events.push(AbstractEvent::OnLoad {
-                    host: self.ranks[r].host,
-                });
-            }
-            AbstractStep::Register(r) => {
-                let r = r as usize;
-                assert_eq!(self.ranks[r].phase, AbstractPhase::Booted);
-                self.ranks[r].phase = AbstractPhase::Registered;
-            }
+            AbstractStep::Spawn(r) => vocab::spawn(&mut self.ranks, r, events),
+            AbstractStep::Register(r) => vocab::register(&mut self.ranks, r),
             AbstractStep::Ready(r) => {
-                let r = r as usize;
-                assert_eq!(self.ranks[r].phase, AbstractPhase::Registered);
-                self.ranks[r].phase = AbstractPhase::Ready;
+                vocab::ack_ready(&mut self.ranks, r);
                 if self
                     .ranks
                     .iter()

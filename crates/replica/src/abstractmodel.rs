@@ -16,8 +16,21 @@
 //! interleaves the two faults in both orders.
 
 use failmpi_backend::{
-    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
+    vocab, AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
 };
+
+/// Whether a slot in `phase` has a live process. [`AbstractPhase::Done`]
+/// is a consumed/dead replica and [`AbstractPhase::Lost`] a dead primary —
+/// neither can be killed again.
+fn phase_live(phase: AbstractPhase) -> bool {
+    matches!(
+        phase,
+        AbstractPhase::Booted
+            | AbstractPhase::Registered
+            | AbstractPhase::Ready
+            | AbstractPhase::Running
+    )
+}
 
 /// The abstract replication protocol state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,13 +50,7 @@ impl AbstractReplica {
         assert!(n_ranks >= 1 && n_hosts >= n_ranks && n_hosts <= 255);
         let n_replicas = (n_hosts - n_ranks).min(n_ranks);
         AbstractReplica {
-            units: (0..n_ranks + n_replicas)
-                .map(|u| AbstractRank {
-                    phase: AbstractPhase::Launched,
-                    host: u as u8,
-                    incarnation: 0,
-                })
-                .collect(),
+            units: vocab::launch_slots(n_ranks + n_replicas),
             n_ranks: n_ranks as u8,
             epoch: 0,
         }
@@ -59,24 +66,14 @@ impl AbstractReplica {
         self.n_ranks as usize
     }
 
-    /// Whether unit `u` has a live process. [`AbstractPhase::Done`] is a
-    /// consumed/dead replica and [`AbstractPhase::Lost`] a dead primary —
-    /// neither can be killed again.
+    /// Whether unit `u` has a live process.
     pub fn unit_live(&self, u: usize) -> bool {
-        matches!(
-            self.units[u].phase,
-            AbstractPhase::Booted
-                | AbstractPhase::Registered
-                | AbstractPhase::Ready
-                | AbstractPhase::Running
-        )
+        phase_live(self.units[u].phase)
     }
 
     /// The unit whose live process runs on `host`, if any.
     pub fn live_rank_on_host(&self, host: u8) -> Option<u8> {
-        (0..self.units.len())
-            .find(|&u| self.units[u].host == host && self.unit_live(u))
-            .map(|u| u as u8)
+        vocab::live_slot_on_host(&self.units, host, phase_live)
     }
 
     /// The steady computing state: every unit computes or was consumed,
@@ -99,14 +96,7 @@ impl AbstractReplica {
     /// Orbit metadata for symmetry reduction: protocol content visible on
     /// machine `host`.
     pub fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
-        let mut content: Vec<(AbstractPhase, u8)> = self
-            .units
-            .iter()
-            .filter(|u| u.host == host)
-            .map(|u| (u.phase, u.incarnation))
-            .collect();
-        content.sort_unstable();
-        (content, None)
+        (vocab::host_content(&self.units, host), None)
     }
 
     /// Relabels machines and unit slots. Unit permutations must respect
@@ -114,17 +104,8 @@ impl AbstractReplica {
     /// disables rank symmetry for this backend, so `rank_map` is always
     /// the identity in practice.
     pub fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractReplica {
-        debug_assert_eq!(rank_map.len(), self.units.len());
-        let mut units = self.units.clone();
-        for (u, old) in self.units.iter().enumerate() {
-            units[rank_map[u] as usize] = AbstractRank {
-                phase: old.phase,
-                host: host_map[old.host as usize],
-                incarnation: old.incarnation,
-            };
-        }
         AbstractReplica {
-            units,
+            units: vocab::relabel_slots(&self.units, host_map, rank_map),
             n_ranks: self.n_ranks,
             epoch: self.epoch,
         }
@@ -132,39 +113,16 @@ impl AbstractReplica {
 
     /// Every enabled protocol-internal step, in canonical unit order.
     pub fn protocol_steps(&self) -> Vec<AbstractStep> {
-        let mut out = Vec::new();
-        for (i, u) in self.units.iter().enumerate() {
-            let i = i as u8;
-            match u.phase {
-                AbstractPhase::Launched => out.push(AbstractStep::Spawn(i)),
-                AbstractPhase::Booted => out.push(AbstractStep::Register(i)),
-                AbstractPhase::Registered => out.push(AbstractStep::Ready(i)),
-                _ => {}
-            }
-        }
-        out
+        vocab::protocol_steps(&self.units)
     }
 
     /// Applies `step`, appending the observable [`AbstractEvent`]s.
     pub fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
         match step {
-            AbstractStep::Spawn(u) => {
-                let u = u as usize;
-                assert_eq!(self.units[u].phase, AbstractPhase::Launched);
-                self.units[u].phase = AbstractPhase::Booted;
-                events.push(AbstractEvent::OnLoad {
-                    host: self.units[u].host,
-                });
-            }
-            AbstractStep::Register(u) => {
-                let u = u as usize;
-                assert_eq!(self.units[u].phase, AbstractPhase::Booted);
-                self.units[u].phase = AbstractPhase::Registered;
-            }
+            AbstractStep::Spawn(u) => vocab::spawn(&mut self.units, u, events),
+            AbstractStep::Register(u) => vocab::register(&mut self.units, u),
             AbstractStep::Ready(u) => {
-                let u = u as usize;
-                assert_eq!(self.units[u].phase, AbstractPhase::Registered);
-                self.units[u].phase = AbstractPhase::Ready;
+                vocab::ack_ready(&mut self.units, u);
                 // A unit starts computing once every other live slot is at
                 // least Ready: the initial start barrier, and — because a
                 // promoted unit rejoining a Running fleet also satisfies

@@ -19,16 +19,16 @@
 //!   each protected primary to its replica, visible in the
 //!   `ckpt_bytes` ledger that is zero under ULFM.
 //!
-//! Implements [`failmpi_backend::ProtocolBackend`]; run any FAIL scenario
-//! against it with `--backend replica`.
+//! The runtime is the shared [`failmpi_backend::light::LightRuntime`]
+//! skeleton under the [`Failover`] recovery policy — this crate holds only
+//! the policy and its abstract twin; run any FAIL scenario against it with
+//! `--backend replica`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod abstractmodel;
-mod cluster;
-mod event;
+mod policy;
 
 pub use abstractmodel::AbstractReplica;
-pub use cluster::ReplicaCluster;
-pub use event::ReplEv;
+pub use policy::{Failover, PromoteDone, ReplEv, ReplicaCluster};

@@ -14,7 +14,15 @@
 //! which is exactly why Fig. 10's stale-dispatcher freeze cannot occur
 //! here.
 
-use failmpi_backend::{AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP};
+use failmpi_backend::{
+    vocab, AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP,
+};
+
+/// Whether a slot in `phase` has a live process ([`AbstractPhase::Done`]
+/// means shrunk away here — dead, unlike Vcl's finalized-but-alive).
+fn phase_live(phase: AbstractPhase) -> bool {
+    phase.process_alive() && phase != AbstractPhase::Done
+}
 
 /// The abstract ULFM protocol state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,13 +41,7 @@ impl AbstractUlfm {
     pub fn new(n_ranks: usize, n_hosts: usize) -> AbstractUlfm {
         assert!(n_ranks >= 1 && n_hosts >= n_ranks && n_hosts <= 255);
         AbstractUlfm {
-            ranks: (0..n_ranks)
-                .map(|r| AbstractRank {
-                    phase: AbstractPhase::Launched,
-                    host: r as u8,
-                    incarnation: 0,
-                })
-                .collect(),
+            ranks: vocab::launch_slots(n_ranks),
             recovery_active: false,
             epoch: 0,
         }
@@ -50,17 +52,14 @@ impl AbstractUlfm {
         self.ranks.len()
     }
 
-    /// Whether rank `r` still has a live process ([`AbstractPhase::Done`]
-    /// means shrunk away here — dead, unlike Vcl's finalized-but-alive).
+    /// Whether rank `r` still has a live process.
     pub fn rank_live(&self, r: usize) -> bool {
-        self.ranks[r].phase.process_alive() && self.ranks[r].phase != AbstractPhase::Done
+        phase_live(self.ranks[r].phase)
     }
 
     /// The rank whose live process runs on `host`, if any.
     pub fn live_rank_on_host(&self, host: u8) -> Option<u8> {
-        (0..self.ranks.len())
-            .find(|&r| self.ranks[r].host == host && self.rank_live(r))
-            .map(|r| r as u8)
+        vocab::live_slot_on_host(&self.ranks, host, phase_live)
     }
 
     /// The steady computing state: every rank is either computing or
@@ -83,31 +82,15 @@ impl AbstractUlfm {
     /// Orbit metadata for symmetry reduction (see `AbstractVcl::host_key`):
     /// the protocol content visible on machine `host`.
     pub fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
-        let mut content: Vec<(AbstractPhase, u8)> = self
-            .ranks
-            .iter()
-            .filter(|r| r.host == host)
-            .map(|r| (r.phase, r.incarnation))
-            .collect();
-        content.sort_unstable();
-        (content, None)
+        (vocab::host_content(&self.ranks, host), None)
     }
 
     /// Relabels machines and rank slots (the orbit action; commutes with
     /// [`AbstractUlfm::apply`] because the protocol treats both labels as
     /// opaque).
     pub fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractUlfm {
-        debug_assert_eq!(rank_map.len(), self.ranks.len());
-        let mut ranks = self.ranks.clone();
-        for (r, old) in self.ranks.iter().enumerate() {
-            ranks[rank_map[r] as usize] = AbstractRank {
-                phase: old.phase,
-                host: host_map[old.host as usize],
-                incarnation: old.incarnation,
-            };
-        }
         AbstractUlfm {
-            ranks,
+            ranks: vocab::relabel_slots(&self.ranks, host_map, rank_map),
             recovery_active: self.recovery_active,
             epoch: self.epoch,
         }
@@ -116,17 +99,7 @@ impl AbstractUlfm {
     /// Every enabled protocol-internal step, in canonical rank order.
     /// There is no `StopClosure` — nothing is ever terminated on purpose.
     pub fn protocol_steps(&self) -> Vec<AbstractStep> {
-        let mut out = Vec::new();
-        for (i, r) in self.ranks.iter().enumerate() {
-            let i = i as u8;
-            match r.phase {
-                AbstractPhase::Launched => out.push(AbstractStep::Spawn(i)),
-                AbstractPhase::Booted => out.push(AbstractStep::Register(i)),
-                AbstractPhase::Registered => out.push(AbstractStep::Ready(i)),
-                _ => {}
-            }
-        }
-        out
+        vocab::protocol_steps(&self.ranks)
     }
 
     /// Applies `step`, appending the observable [`AbstractEvent`]s. Panics
@@ -134,23 +107,10 @@ impl AbstractUlfm {
     /// checkpoint scheduler).
     pub fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
         match step {
-            AbstractStep::Spawn(r) => {
-                let r = r as usize;
-                assert_eq!(self.ranks[r].phase, AbstractPhase::Launched);
-                self.ranks[r].phase = AbstractPhase::Booted;
-                events.push(AbstractEvent::OnLoad {
-                    host: self.ranks[r].host,
-                });
-            }
-            AbstractStep::Register(r) => {
-                let r = r as usize;
-                assert_eq!(self.ranks[r].phase, AbstractPhase::Booted);
-                self.ranks[r].phase = AbstractPhase::Registered;
-            }
+            AbstractStep::Spawn(r) => vocab::spawn(&mut self.ranks, r, events),
+            AbstractStep::Register(r) => vocab::register(&mut self.ranks, r),
             AbstractStep::Ready(r) => {
-                let r = r as usize;
-                assert_eq!(self.ranks[r].phase, AbstractPhase::Registered);
-                self.ranks[r].phase = AbstractPhase::Ready;
+                vocab::ack_ready(&mut self.ranks, r);
                 let live_ready = self
                     .ranks
                     .iter()

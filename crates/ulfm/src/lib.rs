@@ -23,17 +23,17 @@
 //!   collective over live processes, and a stopped process is alive —
 //!   which turns `stop`-based scenarios into recovery stalls.
 //!
-//! The runtime implements [`failmpi_backend::ProtocolBackend`], so every
-//! FAIL scenario, classifier, lint, model check, and fuzz campaign runs
-//! against it unchanged (`--backend ulfm`).
+//! The runtime is the shared [`failmpi_backend::light::LightRuntime`]
+//! skeleton under the [`Shrink`] recovery policy — this crate holds only
+//! the policy and its abstract twin — so every FAIL scenario, classifier,
+//! lint, model check, and fuzz campaign runs against it unchanged
+//! (`--backend ulfm`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod abstractmodel;
-mod cluster;
-mod event;
+mod policy;
 
 pub use abstractmodel::AbstractUlfm;
-pub use cluster::UlfmCluster;
-pub use event::UlfmEv;
+pub use policy::{Shrink, ShrinkDone, UlfmCluster, UlfmEv};

@@ -15,7 +15,10 @@
 //! | [`net`] | `failmpi-net` | simulated TCP-like cluster network |
 //! | [`core`](mod@core) | `failmpi-core` | the FAIL language + injection runtime |
 //! | [`mpi`] | `failmpi-mpi` | virtual MPI op-programs |
+//! | [`backend`] | `failmpi-backend` | the `ProtocolBackend` contract, the light-runtime skeleton, the abstract-model vocabulary |
 //! | [`mpichv`] | `failmpi-mpichv` | the MPICH-Vcl runtime under test |
+//! | [`ulfm`] | `failmpi-ulfm` | shrink-and-continue recovery policy + abstract model |
+//! | [`replica`] | `failmpi-replica` | replication-failover recovery policy + abstract model |
 //! | [`workloads`] | `failmpi-workloads` | NAS-BT-pattern generators |
 //! | [`experiments`] | `failmpi-experiments` | figure-by-figure evaluation |
 //! | [`analyze`] | `failmpi-analyze` | static verification of scenarios & op-programs (`failck`) |
@@ -54,13 +57,16 @@
 #![warn(missing_docs)]
 
 pub use failmpi_analyze as analyze;
+pub use failmpi_backend as backend;
 pub use failmpi_core as core;
 pub use failmpi_experiments as experiments;
 pub use failmpi_fuzz as fuzz;
 pub use failmpi_mpi as mpi;
 pub use failmpi_mpichv as mpichv;
 pub use failmpi_net as net;
+pub use failmpi_replica as replica;
 pub use failmpi_sim as sim;
+pub use failmpi_ulfm as ulfm;
 pub use failmpi_workloads as workloads;
 
 /// The names most programs need.
