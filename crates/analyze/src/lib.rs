@@ -35,5 +35,5 @@ pub use model::{
     ModelCheckResult, ModelSummary, StaticVerdict, Witness,
 };
 pub use ops::analyze_programs;
-pub use scenario::{analyze_scenario, check_source, compile_error_diag};
+pub use scenario::{analyze_scenario, check_source, compile_error_diag, deploy_error_diag};
 pub use src_lints::{check_src_paths, check_src_text};

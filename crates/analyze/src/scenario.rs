@@ -16,6 +16,7 @@
 //! | FA008 | error    | message sent to a class that never receives it |
 //! | FA009 | error    | `?msg` guard that no other daemon can ever satisfy |
 //! | FA010 | error    | constant group index outside the declared group bounds |
+//! | FA011 | error    | the scenario does not deploy (wrapped [`RuntimeError`]) |
 //!
 //! FA008/FA009 are the static shadow of a scenario *freeze*: a daemon
 //! parked forever in a node whose only exits wait for traffic that cannot
@@ -27,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 
 use failmpi_core::lang::ast::BinOp;
 use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Guard, Scenario};
-use failmpi_core::CompileError;
+use failmpi_core::{CompileError, RuntimeError};
 
 use crate::diag::{Diagnostic, Severity};
 
@@ -50,6 +51,20 @@ pub fn compile_error_diag(e: &CompileError) -> Diagnostic {
         e.line,
         format!("scenario does not compile: {}", e.message),
         "fix the compile error before running any other check",
+    )
+}
+
+/// Wraps a deployment [`RuntimeError`] — a daemon class or parameter the
+/// scenario does not declare, an unbound destination — as the `FA011`
+/// diagnostic. Deployments are built by whoever runs the scenario, so no
+/// pass here raises it; the experiment harness does.
+pub fn deploy_error_diag(e: &RuntimeError) -> Diagnostic {
+    Diagnostic::new(
+        Severity::Error,
+        "FA011",
+        0,
+        format!("scenario does not deploy: {e}"),
+        "name daemon classes and parameters the scenario declares",
     )
 }
 

@@ -71,9 +71,7 @@ struct Options {
     seed: u64,
     backend: failmpi_backend::BackendKind,
     json: Option<String>,
-    metrics: Option<String>,
-    trace_out: Option<String>,
-    profile: Option<String>,
+    telemetry: failmpi_experiments::telemetry::Outputs,
 }
 
 fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
@@ -82,9 +80,7 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
         seed: 0x50AC,
         backend: failmpi_backend::BackendKind::Vcl,
         json: None,
-        metrics: None,
-        trace_out: None,
-        profile: None,
+        telemetry: Default::default(),
     };
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -110,13 +106,7 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 o.backend = kind;
             }
             "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
-            "--metrics" => o.metrics = Some(args.next().ok_or("--metrics needs a path")?),
-            "--trace-out" => {
-                o.trace_out = Some(args.next().ok_or("--trace-out needs a path")?)
-            }
-            "--profile" => {
-                o.profile = Some(args.next().ok_or("--profile needs a path")?)
-            }
+            flag if o.telemetry.parse_flag(flag, &mut args)? => {}
             "--help" | "-h" => {
                 return Err(
                     "usage: soak [--runs N] [--seed S] [--backend vcl|ulfm|replica] \
@@ -145,18 +135,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if opts.metrics.is_some() {
-        failmpi_experiments::metrics::install_sink();
-    }
-    // The sink claims the first run to start — here the first FIFO
+    // `--trace-out` claims the first run to start — here the first FIFO
     // double-run of the first scenario, which runs before any perturbation
     // sweep, so the captured trace is deterministic.
-    if opts.trace_out.is_some() {
-        failmpi_experiments::tracesink::install_sink();
-    }
-    if opts.profile.is_some() {
-        failmpi_experiments::profsink::install_sink();
-    }
+    opts.telemetry.install();
 
     // The classification pins are protocol-specific: the Fig. 10 stress
     // freezes every Vcl schedule (the dispatcher bug), completes under
@@ -249,34 +231,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &opts.metrics {
-        match failmpi_experiments::metrics::write_sink(path) {
-            Ok(n) => eprintln!("metrics: wrote {n} run snapshots to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        match failmpi_experiments::tracesink::write_sink(path) {
-            Ok(true) => eprintln!("trace: wrote causal trace to {path}"),
-            Ok(false) => eprintln!("trace: no run executed, {path} not written"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &opts.profile {
-        match failmpi_experiments::profsink::write_sink(path) {
-            Ok(true) => eprintln!("profile: wrote merged run profile to {path}"),
-            Ok(false) => eprintln!("profile: no run executed, {path} not written"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(e) = opts.telemetry.write_all() {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     if passed {
         ExitCode::SUCCESS

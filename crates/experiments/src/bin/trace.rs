@@ -4,20 +4,22 @@
 //! ```sh
 //! trace <scenario.fail> [--adversary CLASS] [--machines CLASS]
 //!       [--ranks N] [--seed S] [--param NAME=VALUE]... [--lifecycle]
-//!       [--smoke] [--trace-out PATH]
+//!       [--smoke] [--backend vcl|ulfm|replica] [--trace-out PATH]
 //! ```
 //!
 //! The run always executes with causal tracing on, so timeline failure
 //! lines carry their immediate cause; `--trace-out PATH` additionally
 //! writes the full happens-before trace for `failmpi-trace`
-//! explain/export/diff.
+//! explain/export/diff. Input the run cannot use — an unreadable or
+//! non-compiling scenario, classes or parameters it does not declare, a
+//! non-square rank count — exits 2 with a diagnostic.
 
 use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpichv::VclConfig;
 use failmpi_workloads::BtClass;
 
-use failmpi_experiments::harness::{run_one_traced, ExperimentSpec, InjectionSpec, Workload};
-use failmpi_experiments::timeline::{render_caused, TimelineOptions};
+use failmpi_experiments::harness::{run, ExperimentSpec, InjectionSpec, Observe, Workload};
+use failmpi_experiments::timeline::{render, TimelineOptions};
 use failmpi_experiments::tracesink::trace_file_of;
 
 failmpi_experiments::install_alloc_profiler!();
@@ -30,7 +32,7 @@ fn die(msg: &str) -> ! {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(path) = args.next() else {
-        die("usage: trace <scenario.fail> [--adversary C] [--machines C] [--ranks N] [--seed S] [--param N=V]... [--lifecycle] [--smoke] [--trace-out PATH]");
+        die("usage: trace <scenario.fail> [--adversary C] [--machines C] [--ranks N] [--seed S] [--param N=V]... [--lifecycle] [--smoke] [--backend vcl|ulfm|replica] [--trace-out PATH]");
     };
     let mut adversary = "ADV1".to_string();
     let mut machines = "ADVnodes".to_string();
@@ -39,6 +41,7 @@ fn main() {
     let mut params: Vec<(String, i64)> = Vec::new();
     let mut lifecycle = false;
     let mut smoke = true;
+    let mut backend = failmpi_backend::BackendKind::Vcl;
     let mut trace_out: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -65,12 +68,21 @@ fn main() {
             "--lifecycle" => lifecycle = true,
             "--smoke" => smoke = true,
             "--paper" => smoke = false,
+            "--backend" => {
+                backend = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| die("--backend needs vcl|ulfm|replica"))
+            }
             "--trace-out" => {
                 trace_out =
                     Some(args.next().unwrap_or_else(|| die("--trace-out needs a path")))
             }
             other => die(&format!("unknown flag `{other}`")),
         }
+    }
+    if !failmpi_workloads::bt::is_valid_rank_count(ranks) {
+        die(&format!("--ranks must be a square number (4, 9, 16, ...), got {ranks}"));
     }
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
@@ -90,6 +102,7 @@ fn main() {
         (c, BtClass::B, 1500)
     };
     let mut inj = InjectionSpec::new(&src, &adversary, &machines);
+    inj.backend = backend;
     for (k, v) in &params {
         inj = inj.with_param(k, *v);
     }
@@ -101,14 +114,18 @@ fn main() {
         freeze_window: SimDuration::from_secs(timeout / 10),
         seed,
         tie_break: failmpi_sim::TieBreak::Fifo,
-        backend: failmpi_backend::BackendKind::Vcl,
+        backend,
     };
-    let traced = run_one_traced(&spec);
+    let observe = Observe {
+        causal: true,
+        ..Observe::default()
+    };
+    let traced = run(&spec, observe)
+        .unwrap_or_else(|report| die(&format!("cannot run {path}:\n{}", report.render_human())));
     print!(
         "{}",
-        render_caused(
-            &traced.cluster,
-            Some(&traced.causal),
+        render(
+            &traced,
             TimelineOptions {
                 collapse_progress: true,
                 lifecycle,

@@ -15,21 +15,12 @@ pub struct Options {
     pub threads: Option<usize>,
     /// Write the figure data as JSON to this path.
     pub json: Option<String>,
-    /// Write per-run metric snapshots (plus their aggregate) as JSON to
-    /// this path (see [`crate::metrics`]).
-    pub metrics: Option<String>,
+    /// Where `--metrics`, `--trace-out` and `--profile` write.
+    pub telemetry: crate::telemetry::Outputs,
     /// Scenario lint gate (`--lint off|warn|strict`); also installed as
     /// the process-wide default so every spec the binary builds picks it
     /// up.
     pub lint: Option<LintMode>,
-    /// Run the first experiment with causal tracing on and write its
-    /// happens-before trace as `failmpi-trace` JSON to this path (see
-    /// [`crate::tracesink`]).
-    pub trace_out: Option<String>,
-    /// Profile every run and write the merged deterministic
-    /// [`failmpi_obs::RunProfile`] JSON to this path (see
-    /// [`crate::profsink`]; inspect with `failmpi-prof`).
-    pub profile: Option<String>,
     /// Declare that the sweep hunts freezes: with `--lint strict`, run
     /// scenarios the model checker statically classifies as freezing
     /// instead of refusing them. Also installed as the process-wide
@@ -65,15 +56,7 @@ impl Options {
                     )
                 }
                 "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
-                "--metrics" => {
-                    o.metrics = Some(args.next().ok_or("--metrics needs a path")?)
-                }
-                "--trace-out" => {
-                    o.trace_out = Some(args.next().ok_or("--trace-out needs a path")?)
-                }
-                "--profile" => {
-                    o.profile = Some(args.next().ok_or("--profile needs a path")?)
-                }
+                flag if o.telemetry.parse_flag(flag, &mut args)? => {}
                 "--lint" => {
                     let mode = args
                         .next()
@@ -117,66 +100,6 @@ impl Options {
         }
         Ok(())
     }
-
-    /// Installs the process-wide metrics sink if `--metrics` was given.
-    /// Call before running any experiment.
-    pub fn install_metrics_sink(&self) {
-        if self.metrics.is_some() {
-            crate::metrics::install_sink();
-        }
-    }
-
-    /// Writes the collected run metrics if `--metrics` was given. Call
-    /// after the last experiment finished.
-    pub fn maybe_write_metrics(&self) -> std::io::Result<()> {
-        if let Some(path) = &self.metrics {
-            let n = crate::metrics::write_sink(path)?;
-            eprintln!("metrics: wrote {n} run snapshots to {path}");
-        }
-        Ok(())
-    }
-
-    /// Arms the process-wide run-profile sink if `--profile` was given.
-    /// Call before running any experiment.
-    pub fn install_profile_sink(&self) {
-        if self.profile.is_some() {
-            crate::profsink::install_sink();
-        }
-    }
-
-    /// Writes the merged run profile if `--profile` was given. Call after
-    /// the last experiment finished.
-    pub fn maybe_write_profile(&self) -> std::io::Result<()> {
-        if let Some(path) = &self.profile {
-            if crate::profsink::write_sink(path)? {
-                eprintln!("profile: wrote merged run profile to {path} (inspect with failmpi-prof)");
-            } else {
-                eprintln!("profile: no run executed, {path} not written");
-            }
-        }
-        Ok(())
-    }
-
-    /// Arms the process-wide causal-trace sink if `--trace-out` was given.
-    /// Call before running any experiment.
-    pub fn install_trace_sink(&self) {
-        if self.trace_out.is_some() {
-            crate::tracesink::install_sink();
-        }
-    }
-
-    /// Writes the captured causal trace if `--trace-out` was given. Call
-    /// after the last experiment finished.
-    pub fn maybe_write_trace(&self) -> std::io::Result<()> {
-        if let Some(path) = &self.trace_out {
-            if crate::tracesink::write_sink(path)? {
-                eprintln!("trace: wrote causal trace to {path} (inspect with failmpi-trace)");
-            } else {
-                eprintln!("trace: no run executed, {path} not written");
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -198,9 +121,9 @@ mod tests {
         assert_eq!(o.runs, Some(3));
         assert_eq!(o.threads, Some(2));
         assert_eq!(o.json.as_deref(), Some("x.json"));
-        assert_eq!(o.metrics.as_deref(), Some("m.json"));
-        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(o.profile.as_deref(), Some("p.json"));
+        assert_eq!(o.telemetry.metrics.as_deref(), Some("m.json"));
+        assert_eq!(o.telemetry.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(o.telemetry.profile.as_deref(), Some("p.json"));
     }
 
     #[test]

@@ -50,9 +50,8 @@ pub(crate) use figure_config;
 
 /// The shared `main` of every figure binary: parses the common CLI flags,
 /// picks the smoke or paper config, applies `--runs`/`--threads`, installs
-/// the `--metrics` and `--trace-out` sinks, runs the sweep, prints the
-/// rendered figure, and writes the `--json` / `--metrics` / `--trace-out`
-/// outputs. Exits with status 2 on a CLI error, so each binary's `main` is
+/// the telemetry sink, runs the sweep, prints the rendered figure, and
+/// writes the `--json` / `--metrics` / `--trace-out` / `--profile` outputs. Exits with status 2 on a CLI error, so each binary's `main` is
 /// a single call.
 pub fn run_figure_main<C: FigureConfig, D: serde::Serialize>(
     pick: impl FnOnce(bool) -> C,
@@ -73,15 +72,11 @@ pub fn run_figure_main<C: FigureConfig, D: serde::Serialize>(
     if let Some(t) = opts.threads {
         *cfg.threads_mut() = t;
     }
-    opts.install_metrics_sink();
-    opts.install_trace_sink();
-    opts.install_profile_sink();
+    opts.telemetry.install();
     let data = run(&cfg);
     print!("{}", render(&data));
     opts.maybe_write_json(&data).expect("write json");
-    opts.maybe_write_metrics().expect("write metrics");
-    opts.maybe_write_trace().expect("write trace");
-    opts.maybe_write_profile().expect("write profile");
+    opts.telemetry.write_all().expect("write telemetry");
 }
 
 /// The Fig. 5(a) fault-frequency scenario source.

@@ -14,9 +14,9 @@ use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime};
 use failmpi_replica::ReplicaCluster;
 use failmpi_ulfm::UlfmCluster;
 use failmpi_net::{HostId, ProcId};
-use failmpi_obs::{MetricsSnapshot, WallProfile};
+use failmpi_obs::{MetricsSnapshot, RunProfile, WallProfile};
 use failmpi_sim::{
-    CausalLog, Engine, Fingerprint, FingerprintEvent, JournalEntry, Model, RunOutcome, Scheduler,
+    CausalLog, Engine, Fingerprint, FingerprintEvent, JournalEntry, Model, Scheduler,
     SimDuration, SimRng, SimTime, TieBreak, TraceEntry,
 };
 use failmpi_mpi::Program;
@@ -32,16 +32,6 @@ pub enum Workload {
     Bt(BtClass),
     /// Caller-supplied per-rank programs (length must equal `n_ranks`).
     Fixed(Vec<Arc<Program>>),
-}
-
-impl Workload {
-    /// Iterations/progress ceiling, where known (diagnostics).
-    pub fn bt_class(&self) -> Option<&BtClass> {
-        match self {
-            Workload::Bt(c) => Some(c),
-            Workload::Fixed(_) => None,
-        }
-    }
 }
 
 use crate::classify::{classify_entries, Outcome};
@@ -674,14 +664,6 @@ impl<C: ProtocolBackend> Model for World<C> {
     }
 }
 
-/// Track names for the harness world: the backend's lanes plus the
-/// FAIL-MPI injection lane (matching [`Model::event_track`] on the world).
-pub fn world_track_names<C: ProtocolBackend>(cluster: &C) -> Vec<String> {
-    let mut names = cluster.track_names();
-    names.push("fail-mpi".to_string());
-    names
-}
-
 /// Relative compute noise baked into every experiment workload (models OS
 /// and cache jitter of real compute phases; see `bt_programs_noisy`).
 pub const COMPUTE_NOISE: f64 = 0.03;
@@ -697,23 +679,111 @@ pub fn programs_for(spec: &ExperimentSpec) -> Vec<Arc<Program>> {
     }
 }
 
-/// Runs one experiment to completion or timeout and classifies it,
-/// dispatching on [`ExperimentSpec::backend`].
+/// Which of the engine's optional instruments one [`run`] pays for; all
+/// off is the plain run every sweep uses.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Observe {
+    /// The per-event fingerprint journal (expensive: the determinism
+    /// harness only asks for it after a mismatch).
+    pub journal: bool,
+    /// Per-event-kind handler wall times. Wall-clock data: never mixed
+    /// into the deterministic [`RunRecord::metrics`] snapshot.
+    pub wall_profile: bool,
+    /// The happens-before DAG: every engine event records the event that
+    /// scheduled it, and every [`VclEvent`] the engine event it was
+    /// emitted under — the input to `failmpi-trace`.
+    pub causal: bool,
+    /// The deterministic [`RunProfile`] of a `failmpi_obs::prof` context
+    /// around the run (what `--profile` merges).
+    pub run_profile: bool,
+}
+
+/// Everything one [`run`] leaves behind, on any backend.
+#[derive(Clone, Debug)]
+pub struct RunArtifacts {
+    /// The classified run.
+    pub record: RunRecord,
+    /// The lifecycle trace in the shared [`VclEvent`] vocabulary — the
+    /// classifier's input (empty when `record_trace` is off).
+    pub trace: Vec<TraceEntry<VclEvent>>,
+    /// `Some` under [`Observe::journal`].
+    pub journal: Option<Vec<JournalEntry>>,
+    /// Empty unless [`Observe::wall_profile`].
+    pub wall_profile: WallProfile,
+    /// Disabled unless [`Observe::causal`]; `trace` entries are anchored
+    /// into it by their `cause`.
+    pub causal: CausalLog,
+    /// Names for the causal nodes' track indices: the backend's lanes plus
+    /// the FAIL-MPI injection lane. Empty unless [`Observe::causal`].
+    pub track_names: Vec<String>,
+    /// `Some` under [`Observe::run_profile`].
+    pub run_profile: Option<RunProfile>,
+}
+
+/// Runs one experiment to completion or timeout on the backend the spec
+/// names and classifies it — the only driver; everything else in this
+/// crate is a caller.
 ///
-/// Panics when the spec's scenario fails its [`LintMode::Strict`] gate;
-/// use [`try_run_one`] for a non-panicking strict check.
+/// `Err` carries the diagnostics when the scenario cannot run: it fails
+/// its [`LintMode::Strict`] gate, does not compile, or does not deploy on
+/// the spec's adversary/machine classes and parameters.
+pub fn run(spec: &ExperimentSpec, observe: Observe) -> Result<RunArtifacts, Report> {
+    match spec.backend {
+        BackendKind::Vcl => {
+            let cluster = Cluster::new(spec.cluster.clone(), programs_for(spec), spec.seed);
+            drive(spec, observe, cluster)
+        }
+        BackendKind::Ulfm => {
+            let (cfg, ops) = backend_runtime_inputs(spec);
+            drive(spec, observe, UlfmCluster::new(cfg, ops, spec.seed))
+        }
+        BackendKind::Replica => {
+            let (cfg, ops) = backend_runtime_inputs(spec);
+            drive(spec, observe, ReplicaCluster::new(cfg, ops, spec.seed))
+        }
+    }
+}
+
+// The four `run_one*` names below are the ones the frozen `benchmark/`
+// package imports: each is `run` with at most one instrument on, projected
+// onto what that caller reads, panicking where `run` returns `Err`.
+
+pub(crate) fn refuse(report: Report) -> ! {
+    panic!(
+        "refusing to run: scenario fails the strict lint gate \
+         (see failmpi-analyze):\n{}",
+        report.render_human()
+    );
+}
+
+/// [`run`] with no instrument on, keeping only the record.
 pub fn run_one(spec: &ExperimentSpec) -> RunRecord {
     run_one_with_trace(spec).0
 }
 
-/// Like [`run_one`], additionally returning the run's lifecycle trace in
-/// the shared [`VclEvent`] vocabulary — the classifier's input, available
-/// for every backend (empty when `record_trace` is off). The conformance
-/// suite recounts metrics from it without needing the backend-specific
-/// cluster back.
+/// [`run_one`], additionally returning the run's lifecycle trace.
 pub fn run_one_with_trace(spec: &ExperimentSpec) -> (RunRecord, Vec<TraceEntry<VclEvent>>) {
-    let out = run_any(spec, false, false, false);
-    (out.record, out.cluster)
+    let out = run(spec, Observe::default()).unwrap_or_else(|r| refuse(r));
+    (out.record, out.trace)
+}
+
+/// [`run_one`] with [`Observe::wall_profile`] on.
+pub fn run_one_profiled(spec: &ExperimentSpec) -> (RunRecord, WallProfile) {
+    let observe = Observe {
+        wall_profile: true,
+        ..Observe::default()
+    };
+    let out = run(spec, observe).unwrap_or_else(|r| refuse(r));
+    (out.record, out.wall_profile)
+}
+
+/// [`run`] with [`Observe::causal`] on.
+pub fn run_one_traced(spec: &ExperimentSpec) -> RunArtifacts {
+    let observe = Observe {
+        causal: true,
+        ..Observe::default()
+    };
+    run(spec, observe).unwrap_or_else(|r| refuse(r))
 }
 
 /// Derives the light backends' runtime inputs from a spec. The
@@ -766,98 +836,20 @@ fn backend_runtime_inputs(spec: &ExperimentSpec) -> (BackendConfig, Vec<u32>) {
     (cfg, ops)
 }
 
-/// Like [`run_one`], but lints the scenario at strict severity first
-/// (whatever the spec's own [`LintMode`]) and returns the report instead
-/// of running when it has `Error`-level findings.
-pub fn try_run_one(spec: &ExperimentSpec) -> Result<RunRecord, Report> {
-    if let Some(inj) = &spec.injection {
-        let strict = InjectionSpec {
-            lint: LintMode::Strict,
-            ..inj.clone()
-        };
-        lint_injection(&strict)?;
-    }
-    Ok(run_one(spec))
-}
-
-/// Like [`run_one`], additionally returning the final Vcl cluster state
-/// (for trace validation and post-mortem inspection). Vcl specs only.
-pub fn run_one_keeping_cluster(spec: &ExperimentSpec) -> (RunRecord, Cluster) {
-    let out = run_vcl(spec, false, false, false);
-    (out.record, out.cluster)
-}
-
-/// The fully instrumented Vcl run: like [`run_one_keeping_cluster`], but
-/// with optional per-event fingerprint-journal capture (the expensive mode
-/// the determinism harness only pays for after a mismatch).
-pub fn run_one_instrumented(
-    spec: &ExperimentSpec,
-    capture_journal: bool,
-) -> (RunRecord, Cluster, Option<Vec<JournalEntry>>) {
-    let out = run_vcl(spec, capture_journal, false, false);
-    (out.record, out.cluster, out.journal)
-}
-
-/// [`run_one`] on any backend, with optional per-event fingerprint-journal
-/// capture (what [`crate::robustness::det_run`] packages).
-pub(crate) fn run_one_journaled(
-    spec: &ExperimentSpec,
-    capture_journal: bool,
-) -> (RunRecord, Option<Vec<JournalEntry>>) {
-    let out = run_any(spec, capture_journal, false, false);
-    (out.record, out.journal)
-}
-
-/// Like [`run_one`], with the engine's wall-clock handler profiling on:
-/// additionally returns per-event-kind simulator self-times. Used by
-/// `bench-report`; the profile is wall-clock data and must never be mixed
-/// into the deterministic [`RunRecord::metrics`] snapshot.
-pub fn run_one_profiled(spec: &ExperimentSpec) -> (RunRecord, WallProfile) {
-    let out = run_any(spec, false, true, false);
-    (out.record, out.profile)
-}
-
-/// A run with the engine's happens-before log captured.
-pub struct TracedRun {
-    /// The classified run.
-    pub record: RunRecord,
-    /// Final cluster state (semantic [`failmpi_mpichv::VclEvent`] trace,
-    /// cause-anchored into the causal log).
-    pub cluster: Cluster,
-    /// The happens-before DAG over every handled engine event.
-    pub causal: CausalLog,
-    /// Track names matching the causal nodes' track indices.
-    pub track_names: Vec<String>,
-}
-
-/// Like [`run_one_keeping_cluster`], with causal (happens-before) tracing
-/// on: every engine event records the event that scheduled it, and every
-/// [`failmpi_mpichv::VclEvent`] records the engine event it was emitted
-/// under. The input to `failmpi-trace` exports and explanations.
-pub fn run_one_traced(spec: &ExperimentSpec) -> TracedRun {
-    let out = run_vcl(spec, false, false, true);
-    let track_names = world_track_names(&out.cluster);
-    TracedRun {
-        record: out.record,
-        cluster: out.cluster,
-        causal: out.causal,
-        track_names,
-    }
-}
-
 /// Builds the FAIL deployment of Fig. 3 — the coordinator `P1` plus one
 /// controller per compute machine (`G1`) — against any backend's host
 /// roster, and wires up every declared probe the harness knows how to
-/// feed. Panics when the scenario fails its lint gate or does not deploy.
-fn build_fail_side(inj: &InjectionSpec, seed: u64, compute_hosts: &[HostId]) -> FailSide {
-    if let Err(report) = lint_injection(inj) {
-        panic!(
-            "refusing to run: scenario fails the strict lint gate \
-             (see failmpi-analyze):\n{}",
-            report.render_human()
-        );
-    }
-    let scenario = compile(&inj.scenario_src).expect("scenario in spec must compile");
+/// feed. `Err` when the scenario fails its lint gate, does not compile or
+/// does not deploy.
+fn build_fail_side(
+    inj: &InjectionSpec,
+    seed: u64,
+    compute_hosts: &[HostId],
+) -> Result<FailSide, Report> {
+    let refused = |d| Report::new("injection scenario", vec![d]);
+    let scenario = compile(&inj.scenario_src)
+        .map_err(|e| refused(failmpi_analyze::compile_error_diag(&e)))?;
+    lint_injection(inj)?;
     let mut deployment = Deployment::new();
     deployment
         .add_instance("P1", &inj.adversary_class)
@@ -874,7 +866,8 @@ fn build_fail_side(inj: &InjectionSpec, seed: u64, compute_hosts: &[HostId]) -> 
     deployment.add_group("G1", members).expect("fresh group");
     let params: Vec<(&str, i64)> =
         inj.params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let rt = FailRuntime::new(&scenario, deployment, &params).expect("scenario deploys");
+    let rt = FailRuntime::new(&scenario, deployment, &params)
+        .map_err(|e| refused(failmpi_analyze::deploy_error_diag(&e)))?;
     let mut probes = Vec::new();
     for instance in 0..rt.len() {
         for kind_name in ["committed_wave", "epoch"] {
@@ -884,7 +877,7 @@ fn build_fail_side(inj: &InjectionSpec, seed: u64, compute_hosts: &[HostId]) -> 
             }
         }
     }
-    FailSide {
+    Ok(FailSide {
         rt,
         rng: SimRng::new(seed).derive(0xFA11),
         latency: inj.fail_latency,
@@ -892,100 +885,46 @@ fn build_fail_side(inj: &InjectionSpec, seed: u64, compute_hosts: &[HostId]) -> 
         host_instance,
         halts: 0,
         probes,
-    }
+    })
 }
 
-/// Everything one driven run leaves behind; `C` is the final cluster, or
-/// what the caller reduced it to.
-struct InnerRun<C> {
-    record: RunRecord,
-    cluster: C,
-    journal: Option<Vec<JournalEntry>>,
-    profile: WallProfile,
-    causal: CausalLog,
-}
-
-/// Drives a Vcl spec, handing the final [`Cluster`] back. The flags are
-/// [`run_inner`]'s.
-fn run_vcl(spec: &ExperimentSpec, journal: bool, profile: bool, causal: bool) -> InnerRun<Cluster> {
-    assert_eq!(
-        spec.backend,
-        BackendKind::Vcl,
-        "this run path hands back the Vcl cluster"
-    );
-    let cluster = Cluster::new(spec.cluster.clone(), programs_for(spec), spec.seed);
-    run_inner(spec, cluster, journal, profile, causal)
-}
-
-/// Drives a spec on whichever backend it names, keeping only the
-/// lifecycle trace of the final cluster. The flags are [`run_inner`]'s.
-fn run_any(
+/// Drives a constructed backend under the spec's scenario, tie-break,
+/// timeout and classification, with the instruments `observe` and the
+/// telemetry sink ask for.
+fn drive<C: ProtocolBackend>(
     spec: &ExperimentSpec,
-    journal: bool,
-    profile: bool,
-    causal: bool,
-) -> InnerRun<Vec<TraceEntry<VclEvent>>> {
-    fn keep_trace<C: ProtocolBackend>(out: InnerRun<C>) -> InnerRun<Vec<TraceEntry<VclEvent>>> {
-        InnerRun {
-            cluster: out.cluster.trace().entries().to_vec(),
-            record: out.record,
-            journal: out.journal,
-            profile: out.profile,
-            causal: out.causal,
-        }
-    }
-    match spec.backend {
-        BackendKind::Vcl => keep_trace(run_vcl(spec, journal, profile, causal)),
-        BackendKind::Ulfm => {
-            let (cfg, ops) = backend_runtime_inputs(spec);
-            let cluster = UlfmCluster::new(cfg, ops, spec.seed);
-            keep_trace(run_inner(spec, cluster, journal, profile, causal))
-        }
-        BackendKind::Replica => {
-            let (cfg, ops) = backend_runtime_inputs(spec);
-            let cluster = ReplicaCluster::new(cfg, ops, spec.seed);
-            keep_trace(run_inner(spec, cluster, journal, profile, causal))
-        }
-    }
-}
-
-/// The one driver: runs a constructed backend under the spec's scenario,
-/// tie-break, timeout and classification, with the engine's optional
-/// instruments on request — the per-event fingerprint `journal`, the
-/// wall-clock handler `profile`, the happens-before (`causal`) log.
-fn run_inner<C: ProtocolBackend>(
-    spec: &ExperimentSpec,
+    observe: Observe,
     cluster: C,
-    journal: bool,
-    profile: bool,
-    causal: bool,
-) -> InnerRun<C> {
-    // The `--trace-out` sink claims exactly one run per invocation; the
+) -> Result<RunArtifacts, Report> {
+    let fail = match &spec.injection {
+        Some(inj) => {
+            let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
+                .map(|i| cluster.compute_host(i))
+                .collect();
+            Some(build_fail_side(inj, spec.seed, &hosts)?)
+        }
+        None => None,
+    };
+    // A `--trace-out` sink claims exactly one run per invocation; the
     // claimed run pays for causal tracing, every other run keeps the
-    // zero-overhead disabled path (see `crate::tracesink`).
-    let trace_claimed = crate::tracesink::claim();
-
-    let fail = spec.injection.as_ref().map(|inj| {
-        let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
-            .map(|i| cluster.compute_host(i))
-            .collect();
-        build_fail_side(inj, spec.seed, &hosts)
-    });
+    // zero-overhead disabled path (see `crate::telemetry`).
+    let owed = crate::telemetry::SINK.owed();
+    let causal = observe.causal || owed.trace;
+    let run_profile = observe.run_profile || owed.profile;
 
     let mut engine = Engine::with_tie_break(World { cluster, fail }, spec.tie_break);
-    if journal {
+    if observe.journal {
         engine.enable_fingerprint_journal();
     }
-    if profile {
+    if observe.wall_profile {
         engine.enable_profiling();
     }
-    if causal || trace_claimed {
+    if causal {
         engine.enable_causal_trace();
     }
     // Deep profiling covers the whole schedule, including the boot
     // events pushed below, so the context opens before the first push.
-    let deep_profile = crate::profsink::armed();
-    if deep_profile {
+    if run_profile {
         failmpi_obs::prof::start_run(spec.backend.name());
     }
     // Initial cluster events.
@@ -1022,71 +961,72 @@ fn run_inner<C: ProtocolBackend>(
     }
 
     let engine_outcome = engine.run(spec.timeout);
-    if deep_profile {
-        if let Some(p) = failmpi_obs::prof::finish_run() {
-            crate::profsink::submit(p);
-        }
-    }
+    let run_profile = run_profile
+        .then(failmpi_obs::prof::finish_run)
+        .flatten();
     let end = engine.now();
     let fingerprint = engine.fingerprint();
     let events = engine.events_handled();
     let queue_hwm = engine.queue_depth_hwm();
     let wall_profile = engine.profile().clone();
-    let journal = journal.then(|| engine.take_fingerprint_journal());
+    let journal = observe.journal.then(|| engine.take_fingerprint_journal());
     let causal_log = engine.take_causal_log();
-    let world = engine.into_model();
+    let World { cluster, fail } = engine.into_model();
     let outcome = classify_entries(
-        world.cluster.trace().entries(),
-        world.cluster.is_complete(),
+        cluster.trace().entries(),
+        cluster.is_complete(),
         engine_outcome,
         end,
         spec.timeout,
         spec.freeze_window,
     );
-    let faults_injected = world.fail.as_ref().map_or(0, |f| f.halts);
+    let faults_injected = fail.as_ref().map_or(0, |f| f.halts);
 
     let mut metrics = MetricsSnapshot::new();
     metrics.set_backend(spec.backend.name());
-    world.cluster.contribute_metrics(&mut metrics);
+    cluster.contribute_metrics(&mut metrics);
     metrics.set_counter("sim.events_handled", events);
     metrics.set_counter("sim.queue_depth_hwm", queue_hwm as u64);
     metrics.set_counter("sim.end_micros", end.as_micros());
     metrics.set_counter("harness.faults_injected", u64::from(faults_injected));
-    crate::metrics::submit(&metrics);
 
-    // Run summary counts come from the backend's counters rather than the
-    // trace, so they survive `record_trace = false`.
-    let record = RunRecord {
-        outcome,
-        end,
-        faults_injected,
-        recoveries: world.cluster.recoveries_started() as usize,
-        waves_committed: world.cluster.waves_committed() as usize,
-        max_progress: world.cluster.max_progress(),
-        traffic: world.cluster.traffic(),
-        fingerprint,
-        events,
-        metrics,
-    };
-    if trace_claimed {
-        crate::tracesink::submit(crate::tracesink::build_trace_file(
-            &format!("seed-{}", spec.seed),
-            spec.seed,
-            &record.outcome,
-            end.as_micros(),
-            world.cluster.trace().entries(),
-            &causal_log,
-            &world_track_names(&world.cluster),
-        ));
+    // The FAIL-MPI injection side gets its own lane after every cluster
+    // lane (matching `Model::event_track` on the world).
+    let mut track_names = Vec::new();
+    if causal {
+        track_names = cluster.track_names();
+        track_names.push("fail-mpi".to_string());
     }
-    InnerRun {
-        record,
-        cluster: world.cluster,
+    let artifacts = RunArtifacts {
+        // Run summary counts come from the backend's counters rather than
+        // the trace, so they survive `record_trace = false`.
+        record: RunRecord {
+            outcome,
+            end,
+            faults_injected,
+            recoveries: cluster.recoveries_started() as usize,
+            waves_committed: cluster.waves_committed() as usize,
+            max_progress: cluster.max_progress(),
+            traffic: cluster.traffic(),
+            fingerprint,
+            events,
+            metrics,
+        },
+        trace: cluster.trace().entries().to_vec(),
         journal,
-        profile: wall_profile,
+        wall_profile,
         causal: causal_log,
-    }
+        track_names,
+        run_profile,
+    };
+    let trace_file = owed.trace.then(|| {
+        crate::tracesink::trace_file_of(&format!("seed-{}", spec.seed), spec.seed, &artifacts)
+    });
+    crate::telemetry::SINK.submit(
+        owed,
+        &artifacts.record.metrics,
+        artifacts.run_profile.as_ref(),
+        trace_file,
+    );
+    Ok(artifacts)
 }
-
-/// The engine outcome of a run (exposed for tests that need raw outcomes).
-pub type EngineOutcome = RunOutcome;

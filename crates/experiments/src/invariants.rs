@@ -7,13 +7,14 @@
 //! protocol stack that garbles event ordering fails loudly.
 
 use failmpi_sim::TraceEntry;
-use failmpi_mpichv::{Cluster, VclEvent};
+use failmpi_mpichv::VclEvent;
 
-/// Checks the trace of a finished run. Returns a description of the first
-/// violated invariant, or `Ok(())`.
-pub fn validate_trace(cluster: &Cluster) -> Result<(), String> {
-    let complete = cluster.is_complete().then(|| cluster.config().n_ranks);
-    validate_entries(cluster.trace().entries(), complete)
+use crate::harness::RunArtifacts;
+
+/// Checks the trace of a finished `n_ranks`-rank Vcl run. Returns a
+/// description of the first violated invariant, or `Ok(())`.
+pub fn validate_trace(run: &RunArtifacts, n_ranks: u32) -> Result<(), String> {
+    validate_entries(&run.trace, run.record.outcome.time().map(|_| n_ranks))
 }
 
 /// The trace-level core of [`validate_trace`]: checks bare entries, with
@@ -159,11 +160,9 @@ mod tests {
         }
     }
 
-    /// `run_one` consumes the cluster; re-run via the harness internals to
-    /// get the final cluster for validation.
     fn validate_run(spec: &ExperimentSpec) {
-        let cluster = crate::harness::run_one_keeping_cluster(spec).1;
-        validate_trace(&cluster).expect("trace invariants");
+        let out = crate::harness::run(spec, Default::default()).expect("runs");
+        validate_trace(&out, spec.cluster.n_ranks).expect("trace invariants");
     }
 
     #[test]

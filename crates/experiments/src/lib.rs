@@ -17,7 +17,7 @@
 //!
 //! Each figure has a binary of the same name (`cargo run --release -p
 //! failmpi-experiments --bin fig5`) printing the series the paper plots,
-//! and a smoke-scale variant used by tests and criterion benches.
+//! and a smoke-scale variant used by tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,12 +29,11 @@ pub mod crosscheck;
 pub mod figures;
 pub mod harness;
 pub mod invariants;
-pub mod metrics;
-pub mod profsink;
 pub mod robustness;
 pub mod timeline;
 pub mod stats;
 pub mod sweep;
+pub mod telemetry;
 pub mod tracesink;
 
 /// Re-export for [`install_alloc_profiler`] expansions (feature
@@ -70,8 +69,8 @@ pub use crosscheck::{
     CrosscheckRow, MatrixRow,
 };
 pub use harness::{
-    default_backend, lint_injection, run_one, run_one_instrumented, run_one_keeping_cluster,
-    run_one_profiled, run_one_traced, run_one_with_trace, set_default_backend, set_default_expect_freeze, try_run_one,
-    ExperimentSpec, InjectionSpec, LintMode, RunRecord, TracedRun, Workload,
+    default_backend, lint_injection, run, run_one, run_one_profiled, run_one_traced,
+    run_one_with_trace, set_default_backend, set_default_expect_freeze, ExperimentSpec,
+    InjectionSpec, LintMode, Observe, RunArtifacts, RunRecord, Workload,
 };
 pub use invariants::{validate_entries, validate_trace};

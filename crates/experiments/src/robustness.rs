@@ -17,9 +17,7 @@ use failmpi_workloads::BtClass;
 
 use crate::classify::Outcome;
 use crate::figures::{self, DELAY_SRC, FIG10_SRC, FIG5_SRC, FIG7_SRC, FIG8_SRC};
-use crate::harness::{
-    run_one_journaled, run_one_keeping_cluster, ExperimentSpec, InjectionSpec,
-};
+use crate::harness::{refuse, run, ExperimentSpec, InjectionSpec, Observe};
 use crate::invariants::validate_trace;
 
 /// The histogram label of an [`Outcome`] (completion times vary across
@@ -33,29 +31,19 @@ pub fn outcome_class(outcome: &Outcome) -> &'static str {
 }
 
 /// Runs `spec` once under the tie-break seed `tie_seed`, validating the
-/// trace invariants on the way out.
+/// trace invariants on the way out. Only Vcl traces are validated: the
+/// light backends' lifecycle traces carry no wave/incarnation structure
+/// for [`validate_trace`] to check.
 pub fn perturbed_outcome(spec: &ExperimentSpec, tie_seed: u64) -> PerturbationOutcome {
     let perturbed = spec.clone().with_tie_break(TieBreak::Seeded(tie_seed));
-    // The Vcl path keeps the cluster back for the trace invariants; the
-    // generic backends run through the plain harness (their lifecycle
-    // traces carry no wave/incarnation structure for `validate_trace`
-    // to check).
-    if perturbed.backend == failmpi_backend::BackendKind::Vcl {
-        let (record, cluster) = run_one_keeping_cluster(&perturbed);
-        PerturbationOutcome {
-            seed: tie_seed,
-            classification: outcome_class(&record.outcome).to_string(),
-            fingerprint: record.fingerprint,
-            invariant_violation: validate_trace(&cluster).err(),
-        }
-    } else {
-        let record = crate::harness::run_one(&perturbed);
-        PerturbationOutcome {
-            seed: tie_seed,
-            classification: outcome_class(&record.outcome).to_string(),
-            fingerprint: record.fingerprint,
-            invariant_violation: None,
-        }
+    let out = run(&perturbed, Observe::default()).unwrap_or_else(|r| refuse(r));
+    PerturbationOutcome {
+        seed: tie_seed,
+        classification: outcome_class(&out.record.outcome).to_string(),
+        fingerprint: out.record.fingerprint,
+        invariant_violation: (perturbed.backend == failmpi_backend::BackendKind::Vcl)
+            .then(|| validate_trace(&out, perturbed.cluster.n_ranks).err())
+            .flatten(),
     }
 }
 
@@ -94,11 +82,15 @@ pub fn fault_free_smoke_spec(seed: u64) -> ExperimentSpec {
 /// ([`failmpi_testkit::assert_deterministic`]), on whichever backend the
 /// spec names; `capture` turns on the per-event fingerprint journal.
 pub fn det_run(spec: &ExperimentSpec, capture: bool) -> DetRun {
-    let (record, journal) = run_one_journaled(spec, capture);
+    let observe = Observe {
+        journal: capture,
+        ..Observe::default()
+    };
+    let out = run(spec, observe).unwrap_or_else(|r| refuse(r));
     DetRun {
-        fingerprint: record.fingerprint,
-        events: record.events,
-        journal,
+        fingerprint: out.record.fingerprint,
+        events: out.record.events,
+        journal: out.journal,
     }
 }
 

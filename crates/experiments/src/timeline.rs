@@ -7,8 +7,9 @@
 
 use std::fmt::Write;
 
-use failmpi_sim::CausalLog;
-use failmpi_mpichv::{Cluster, VclEvent};
+use failmpi_mpichv::VclEvent;
+
+use crate::harness::RunArtifacts;
 
 /// Rendering options.
 #[derive(Clone, Copy, Debug)]
@@ -45,19 +46,14 @@ fn flush_progress(
     }
 }
 
-/// Renders the cluster's trace as a timeline.
-pub fn render(cluster: &Cluster, opts: TimelineOptions) -> String {
-    render_caused(cluster, None, opts)
-}
-
-/// Like [`render`], annotating each failure line with its immediate cause
-/// from the happens-before log (the engine event whose handling detected
-/// the failure) — run the experiment through
-/// [`crate::harness::run_one_traced`] to capture one.
-pub fn render_caused(cluster: &Cluster, causal: Option<&CausalLog>, opts: TimelineOptions) -> String {
+/// Renders the run's lifecycle trace as a timeline. When the run was made
+/// with [`crate::harness::Observe::causal`] on, each failure line carries
+/// its immediate cause from the happens-before log (the engine event
+/// whose handling detected the failure).
+pub fn render(run: &RunArtifacts, opts: TimelineOptions) -> String {
     let mut out = String::new();
     let mut pending: Option<(f64, f64, u32, u32)> = None;
-    for entry in cluster.trace().entries() {
+    for entry in &run.trace {
         let (at, kind) = (&entry.at, &entry.kind);
         let t = at.as_secs_f64();
         if opts.collapse_progress {
@@ -107,8 +103,9 @@ pub fn render_caused(cluster: &Cluster, causal: Option<&CausalLog>, opts: Timeli
                 // Annotate the freeze-relevant line with its immediate
                 // cause: the engine event whose handling detected the
                 // failure (a socket closure, per the paper's detector).
-                let via = causal
-                    .and_then(|log| entry.cause.and_then(|id| log.node(id)))
+                let via = entry
+                    .cause
+                    .and_then(|id| run.causal.node(id))
                     .map(|n| format!("  [cause: {}]", n.label))
                     .unwrap_or_default();
                 if *during_recovery {
@@ -132,7 +129,7 @@ pub fn render_caused(cluster: &Cluster, causal: Option<&CausalLog>, opts: Timeli
         writeln!(out, "{t:10.3}s  {line}").unwrap();
     }
     flush_progress(&mut out, &mut pending);
-    if !cluster.is_complete() {
+    if run.record.outcome.time().is_none() {
         writeln!(
             out,
             "{:>10}   (run did not complete — see the classifier verdict)",
@@ -147,7 +144,7 @@ pub fn render_caused(cluster: &Cluster, causal: Option<&CausalLog>, opts: Timeli
 mod tests {
     use super::*;
     use crate::figures::{FIG10_SRC, FIG5_SRC};
-    use crate::harness::{run_one_keeping_cluster, ExperimentSpec, InjectionSpec, Workload};
+    use crate::harness::{run, ExperimentSpec, InjectionSpec, Observe, Workload};
     use failmpi_sim::{SimDuration, SimTime};
     use failmpi_mpichv::VclConfig;
     use failmpi_workloads::BtClass;
@@ -171,8 +168,8 @@ mod tests {
 
     #[test]
     fn clean_timeline_reads_start_to_complete() {
-        let (_, cluster) = run_one_keeping_cluster(&spec(1));
-        let text = render(&cluster, TimelineOptions::default());
+        let out = run(&spec(1), Observe::default()).expect("runs");
+        let text = render(&out, TimelineOptions::default());
         assert!(text.contains("run start     epoch 0"), "{text}");
         assert!(text.contains("wave commit"), "{text}");
         assert!(text.contains("JOB COMPLETE"), "{text}");
@@ -189,9 +186,9 @@ mod tests {
                 .with_param("T", 2)
                 .with_param("N", 5),
         );
-        let (rec, cluster) = run_one_keeping_cluster(&s);
-        assert!(rec.outcome.is_buggy());
-        let text = render(&cluster, TimelineOptions::default());
+        let out = run(&s, Observe::default()).expect("runs");
+        assert!(out.record.outcome.is_buggy());
+        let text = render(&out, TimelineOptions::default());
         assert!(text.contains("** during recovery: the bug window **"), "{text}");
         assert!(text.contains("did not complete"), "{text}");
         assert!(!text.contains("JOB COMPLETE"), "{text}");
@@ -205,15 +202,15 @@ mod tests {
                 .with_param("X", 4)
                 .with_param("N", 5),
         );
-        let (_, cluster) = run_one_keeping_cluster(&s);
+        let out = run(&s, Observe::default()).expect("runs");
         let with = render(
-            &cluster,
+            &out,
             TimelineOptions {
                 collapse_progress: true,
                 lifecycle: true,
             },
         );
-        let without = render(&cluster, TimelineOptions::default());
+        let without = render(&out, TimelineOptions::default());
         assert!(with.contains("spawn"), "{with}");
         assert!(with.lines().count() > without.lines().count());
     }

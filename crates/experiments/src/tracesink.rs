@@ -1,30 +1,17 @@
-//! The `--trace-out` sink: captures one run's causal trace per invocation
-//! and writes it as a schema-versioned [`failmpi_trace::TraceFile`].
+//! Assembling a run's exported causal trace: the
+//! [`failmpi_trace::TraceFile`] that `--trace-out` (through
+//! [`crate::telemetry`]), the `trace` binary and the fuzz oracle write.
 //!
-//! Mirrors the [`crate::metrics`] sink shape — a binary installs the sink,
-//! the harness feeds it, the binary writes the result — but where the
-//! metrics sink collects *every* run, causal tracing is per-run data
-//! measured in megabytes, so this sink claims exactly **one** run: the
-//! first to start after [`install_sink`]. With `--runs 1 --threads 1` (or
-//! the single-run `trace` binary) the pick is deterministic; in a parallel
-//! sweep it is whichever run the thread pool starts first.
-//!
-//! The claimed run is executed with the engine's causal tracing on (see
-//! [`failmpi_sim::CausalLog`]); every other run keeps the zero-overhead
-//! disabled path. This module also owns the [`VclEvent`] → [`Mark`]
-//! conversion — the semantic vocabulary `failmpi-trace explain` keys on
-//! (`failure_detected`, `recovery_started`, `daemon_spawned`, …), so the
-//! kind strings here are a compatibility contract with that crate.
+//! This module owns the [`VclEvent`] → [`Mark`] conversion — the semantic
+//! vocabulary `failmpi-trace explain` keys on (`failure_detected`,
+//! `recovery_started`, `daemon_spawned`, …), so the kind strings here are
+//! a compatibility contract with that crate.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
-
-use failmpi_sim::{CausalLog, TraceEntry};
+use failmpi_sim::TraceEntry;
 use failmpi_mpichv::VclEvent;
 use failmpi_trace::{Mark, TraceFile};
 
-use crate::classify::Outcome;
-use crate::harness::TracedRun;
+use crate::harness::RunArtifacts;
 use crate::robustness::outcome_class;
 
 /// Converts one semantic cluster-trace entry into a [`Mark`], anchored to
@@ -135,82 +122,20 @@ pub fn mark_of(entry: &TraceEntry<VclEvent>) -> Mark {
     m
 }
 
-/// Assembles the exported trace of one run: the engine's happens-before
+/// Assembles the exported trace of one run (made with
+/// [`crate::harness::Observe::causal`] on): the engine's happens-before
 /// DAG as nodes, the backend's semantic [`VclEvent`] records as anchored
 /// marks, plus run identity (name, seed, classified outcome, end instant,
 /// track names).
-pub fn build_trace_file(
-    name: &str,
-    seed: u64,
-    outcome: &Outcome,
-    end_micros: u64,
-    entries: &[TraceEntry<VclEvent>],
-    causal: &CausalLog,
-    track_names: &[String],
-) -> TraceFile {
-    let mut trace = TraceFile::from_causal(causal);
+pub fn trace_file_of(name: &str, seed: u64, run: &RunArtifacts) -> TraceFile {
+    let mut trace = TraceFile::from_causal(&run.causal);
     trace.name = name.to_string();
     trace.seed = seed;
-    trace.outcome = outcome_class(outcome).to_string();
-    trace.end_micros = end_micros;
-    trace.tracks = track_names.to_vec();
-    trace.marks = entries.iter().map(mark_of).collect();
+    trace.outcome = outcome_class(&run.record.outcome).to_string();
+    trace.end_micros = run.record.end.as_micros();
+    trace.tracks = run.track_names.clone();
+    trace.marks = run.trace.iter().map(mark_of).collect();
     trace
-}
-
-/// [`build_trace_file`] over a finished [`TracedRun`].
-pub fn trace_file_of(name: &str, seed: u64, traced: &TracedRun) -> TraceFile {
-    build_trace_file(
-        name,
-        seed,
-        &traced.record.outcome,
-        traced.record.end.as_micros(),
-        traced.cluster.trace().entries(),
-        &traced.causal,
-        &traced.track_names,
-    )
-}
-
-/// Sink states: no sink, armed (next run to start claims it), claimed.
-const OFF: u8 = 0;
-const ARMED: u8 = 1;
-const CLAIMED: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(OFF);
-static CAPTURED: Mutex<Option<TraceFile>> = Mutex::new(None);
-
-/// Arms the sink: the next run the harness starts is executed with causal
-/// tracing on and its trace captured. Called once by a binary when
-/// `--trace-out <path>` is given, before any experiment runs.
-pub fn install_sink() {
-    CAPTURED.lock().expect("trace sink lock").take();
-    STATE.store(ARMED, Ordering::Release);
-}
-
-/// Atomically claims the armed sink for the calling run. Only the harness
-/// calls this, once per run.
-pub(crate) fn claim() -> bool {
-    STATE
-        .compare_exchange(ARMED, CLAIMED, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-}
-
-/// Stores the claimed run's trace for [`write_sink`].
-pub(crate) fn submit(trace: TraceFile) {
-    CAPTURED.lock().expect("trace sink lock").replace(trace);
-}
-
-/// Writes the captured trace to `path`; `Ok(false)` when no run was
-/// captured (the sink was never installed, or no experiment ran).
-pub fn write_sink(path: &str) -> std::io::Result<bool> {
-    let trace = CAPTURED.lock().expect("trace sink lock").take();
-    match trace {
-        Some(t) => {
-            std::fs::write(path, t.to_json())?;
-            Ok(true)
-        }
-        None => Ok(false),
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use failmpi_backend::BackendKind;
 use failmpi_experiments::robustness::outcome_class;
 use failmpi_experiments::{
-    run_one, run_one_with_trace, smoke_spec_for, try_run_one, ExperimentSpec,
+    run, run_one, run_one_with_trace, smoke_spec_for, ExperimentSpec, LintMode, Observe,
 };
 use failmpi_mpichv::{DispatcherMode, VclEvent};
 
@@ -102,9 +102,10 @@ for_each_backend! {
         // run a scenario with Error-level findings.
         let mut spec = campaign(backend, 1);
         spec.injection = Some(
-            failmpi_experiments::InjectionSpec::new(BROKEN_SRC, "ADV1", "ADVnodes"),
+            failmpi_experiments::InjectionSpec::new(BROKEN_SRC, "ADV1", "ADVnodes")
+                .with_lint(LintMode::Strict),
         );
-        let report = try_run_one(&spec).expect_err("strict gate must refuse");
+        let report = run(&spec, Observe::default()).expect_err("strict gate must refuse");
         assert!(report.has_errors(), "{backend}: gate passed a broken scenario");
         let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"FA008"), "{backend}: got {codes:?}");

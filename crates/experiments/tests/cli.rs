@@ -111,6 +111,66 @@ fn fig5_trace_out_captures_a_light_backend_run() {
     }
 }
 
+/// Input the `trace` binary cannot run is a diagnostic and exit status 2,
+/// never a panic: a scenario that does not compile, a machine class the
+/// scenario does not declare, a rank count BT has no grid for.
+#[test]
+fn trace_binary_rejects_bad_input_without_panicking() {
+    let dir = std::env::temp_dir().join("failmpi-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let garbage = dir.join("garbage.fail");
+    std::fs::write(&garbage, "daemon { this is not FAIL \u{0} }").expect("write");
+    let garbage = garbage.to_str().expect("utf8 path");
+    let fig5 = format!(
+        "{}/../core/scenarios/fig5_frequency.fail",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let cases: [(&[&str], &str); 3] = [
+        (&[garbage], "FA000"),
+        (&[&fig5, "--machines", "NoSuchClass"], "unknown daemon `NoSuchClass`"),
+        (&[&fig5, "--ranks", "6"], "--ranks must be a square number"),
+    ];
+    for (args, needle) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(args)
+            .output()
+            .expect("trace runs");
+        let err = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!err.contains("panicked at"), "{args:?}: {err}");
+    }
+}
+
+/// `trace --backend` runs the scenario on the light runtimes and renders
+/// their lifecycle trace; the written trace carries the backend's lanes.
+#[test]
+fn trace_binary_runs_every_backend() {
+    let dir = std::env::temp_dir().join("failmpi-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let fig5 = format!(
+        "{}/../core/scenarios/fig5_frequency.fail",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    for backend in ["vcl", "ulfm", "replica"] {
+        let path = dir.join(format!("trace-bin-{backend}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args([&fig5, "--param", "X=4", "--param", "N=5", "--backend", backend])
+            .arg("--trace-out")
+            .arg(&path)
+            .output()
+            .expect("trace runs");
+        assert!(out.status.success(), "{backend}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        assert!(stdout.contains("run start     epoch 0"), "{backend}: {stdout}");
+        assert!(stdout.contains("verdict: "), "{backend}: {stdout}");
+        let src = std::fs::read_to_string(&path).expect("trace written");
+        let trace = failmpi_trace::TraceFile::from_json(&src).expect("trace loads");
+        trace.check_invariants().expect("trace is well-formed");
+        assert_eq!(trace.tracks.last().map(String::as_str), Some("fail-mpi"), "{backend}");
+    }
+}
+
 #[test]
 fn figure_binaries_reject_unknown_flags() {
     let out = Command::new(env!("CARGO_BIN_EXE_fig11"))

@@ -4,7 +4,7 @@
 
 use failmpi_experiments::figures::{DELAY_SRC, FIG10_SRC, FIG5_SRC, FIG7_SRC, FIG8_SRC};
 use failmpi_experiments::{
-    lint_injection, try_run_one, ExperimentSpec, InjectionSpec, LintMode, Workload,
+    lint_injection, run, ExperimentSpec, InjectionSpec, LintMode, Observe, Workload,
 };
 use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpichv::VclConfig;
@@ -41,13 +41,37 @@ fn strict_gate_refuses_broken_scenario() {
 }
 
 #[test]
-fn try_run_one_surfaces_the_report_instead_of_running() {
+fn strict_run_surfaces_the_report_instead_of_running() {
     let mut spec = miniature(11);
-    // Even with the spec's own mode at Warn, try_run_one applies strict.
     spec.injection =
-        Some(InjectionSpec::new(BROKEN_SRC, "ADV1", "ADVnodes").with_lint(LintMode::Warn));
-    let report = try_run_one(&spec).expect_err("must refuse");
+        Some(InjectionSpec::new(BROKEN_SRC, "ADV1", "ADVnodes").with_lint(LintMode::Strict));
+    let report = run(&spec, Observe::default()).expect_err("must refuse");
     assert!(report.has_errors());
+}
+
+/// Whatever the lint mode, a scenario that does not compile or does not
+/// deploy comes back as a report — `run` never unwinds on bad input.
+#[test]
+fn undeployable_scenarios_come_back_as_reports() {
+    let cases = [
+        ("daemon ADV1 { node 1: ?x -> goto 7; }", "ADV1", "ADVnodes", None, "FA000"),
+        (FIG5_SRC, "ADV1", "NoSuchClass", None, "FA011"),
+        (FIG5_SRC, "NoSuchClass", "ADVnodes", None, "FA011"),
+        (FIG5_SRC, "ADV1", "ADVnodes", Some("NoSuchParam"), "FA011"),
+    ];
+    for mode in [LintMode::Off, LintMode::Warn, LintMode::Strict] {
+        for (src, adversary, machines, param, code) in cases {
+            let mut inj = InjectionSpec::new(src, adversary, machines).with_lint(mode);
+            if let Some(p) = param {
+                inj = inj.with_param(p, 1);
+            }
+            let mut spec = miniature(14);
+            spec.injection = Some(inj);
+            let report = run(&spec, Observe::default()).expect_err("must refuse");
+            let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+            assert!(codes.contains(&code), "{mode:?} {adversary}/{machines}: got {codes:?}");
+        }
+    }
 }
 
 #[test]
@@ -103,6 +127,6 @@ fn strict_run_of_clean_scenario_succeeds() {
             .with_param("N", 5)
             .with_lint(LintMode::Strict),
     );
-    let record = try_run_one(&spec).expect("clean scenario must run");
-    assert!(record.end > SimTime::ZERO);
+    let out = run(&spec, Observe::default()).expect("clean scenario must run");
+    assert!(out.record.end > SimTime::ZERO);
 }

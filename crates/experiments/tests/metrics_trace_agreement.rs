@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use failmpi_experiments::robustness::scenario_suite;
-use failmpi_experiments::{run_one, run_one_keeping_cluster};
+use failmpi_experiments::{run_one, run_one_with_trace};
 use failmpi_mpichv::VclEvent;
 use failmpi_sim::TraceEntry;
 
@@ -94,9 +94,9 @@ proptest! {
         let (name, spec) = &suite[case % suite.len()];
         prop_assert!(spec.cluster.record_trace, "{}: suite must trace by default", name);
 
-        let (record, cluster) = run_one_keeping_cluster(spec);
-        prop_assert!(cluster.trace().is_enabled());
-        for (key, expected) in recount(cluster.trace().entries()) {
+        let (record, trace) = run_one_with_trace(spec);
+        prop_assert!(!trace.is_empty(), "{}: the run must have traced", name);
+        for (key, expected) in recount(&trace) {
             prop_assert_eq!(
                 record.metrics.counter(key), expected,
                 "{}: {} disagrees with the trace recount", name, key

@@ -1,20 +1,16 @@
 //! Determinism and transparency tests for the profiling subsystem.
 //!
-//! - the `--profile` sink output is deterministic: running the whole
-//!   scenario suite twice under an armed sink renders byte-identical
-//!   JSON (in a default build the allocation counters are zero and the
-//!   remaining counters are schedule-derived; in an `alloc-profile`
-//!   build the same holds within one binary, which is how CI gates it);
+//! - the `--profile` document is deterministic: merging the profiles of
+//!   the whole scenario suite twice renders byte-identical JSON (in a
+//!   default build the allocation counters are zero and the remaining
+//!   counters are schedule-derived; in an `alloc-profile` build the same
+//!   holds within one binary, which is how CI gates it);
 //! - the collapsed-stack flamegraph export of a fixed-seed run matches
 //!   a committed golden file (span *counts* weight the stacks, so the
 //!   golden is stable across toolchains);
 //! - profiling is schedule-transparent: fingerprint, classification
 //!   outcome and event count of a profiled run equal the unprofiled
 //!   run's (the property-test satellite).
-//!
-//! The profile sink is process-global, so every test here serializes on
-//! one mutex; cargo otherwise runs a binary's tests on parallel threads
-//! and an armed sink would swallow a concurrent test's runs.
 //!
 //! To regenerate the golden after an intentional schema/span change:
 //!
@@ -23,32 +19,36 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use failmpi_experiments::profsink::{disarm_sink, install_sink, render_sink};
 use failmpi_experiments::robustness::{fig10_stress_spec, scenario_suite};
-use failmpi_experiments::run_one;
+use failmpi_experiments::{run, run_one, ExperimentSpec, Observe, RunRecord};
 use failmpi_mpichv::DispatcherMode;
+use failmpi_obs::RunProfile;
 
-/// Serializes access to the process-global profile sink.
-static SINK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SINK.lock().unwrap_or_else(|e| e.into_inner())
+/// One run under a profiling context.
+fn profiled(spec: &ExperimentSpec) -> (RunRecord, RunProfile) {
+    let observe = Observe {
+        run_profile: true,
+        ..Observe::default()
+    };
+    let out = run(spec, observe).expect("suite scenarios run");
+    (out.record, out.run_profile.expect("profiled run carries its profile"))
 }
 
-/// One armed-sink pass over the full scenario suite, returning the
-/// rendered aggregate document.
+/// One profiled pass over the full scenario suite, merged and rendered
+/// the way the `--profile` sink does.
 fn profiled_suite_pass(seed: u64) -> String {
-    install_sink();
+    let mut merged: Option<RunProfile> = None;
     for (_, spec) in scenario_suite(seed) {
-        run_one(&spec);
+        let (_, p) = profiled(&spec);
+        match merged.as_mut() {
+            Some(agg) => agg.merge(&p),
+            None => merged = Some(p),
+        }
     }
-    let doc = render_sink().expect("suite ran under an armed sink");
-    disarm_sink();
-    doc
+    merged.expect("suite is not empty").to_pretty_json()
 }
 
 /// Byte-identity of the `--profile` document across a same-seed double
@@ -56,7 +56,6 @@ fn profiled_suite_pass(seed: u64) -> String {
 /// gates with `cmp`.
 #[test]
 fn profile_sink_output_is_byte_identical_across_runs() {
-    let _guard = lock();
     let a = profiled_suite_pass(0xD_E7E);
     let b = profiled_suite_pass(0xD_E7E);
     assert_eq!(a, b, "same-seed --profile output must be byte-identical");
@@ -91,11 +90,7 @@ fn check_golden(name: &str, actual: &str) {
 /// `alloc-profile` builds and across toolchains.
 #[test]
 fn fig10_collapsed_stacks_match_golden() {
-    let _guard = lock();
-    let spec = fig10_stress_spec(DispatcherMode::Historical, 7);
-    failmpi_obs::prof::start_run(spec.backend.name());
-    run_one(&spec);
-    let profile = failmpi_obs::prof::finish_run().expect("profiling context active");
+    let (_, profile) = profiled(&fig10_stress_spec(DispatcherMode::Historical, 7));
     assert!(!profile.spans.is_empty(), "stress run must record spans");
     check_golden("fig10_collapsed.txt", &profile.to_collapsed());
 }
@@ -112,17 +107,10 @@ proptest! {
         case in 0usize..10,
         seed in 0u64..10_000,
     ) {
-        let _guard = lock();
         let suite = scenario_suite(seed);
         let (name, spec) = &suite[case % suite.len()];
-
-        disarm_sink();
         let off = run_one(spec);
-
-        install_sink();
-        let on = run_one(spec);
-        let doc = render_sink().expect("profiled run submits to the sink");
-        disarm_sink();
+        let (on, p) = profiled(spec);
 
         prop_assert_eq!(
             off.fingerprint, on.fingerprint,
@@ -134,7 +122,6 @@ proptest! {
         );
         prop_assert_eq!(off.events, on.events, "{}: event counts differ", name);
         // And the profile itself saw every handled event.
-        let p = failmpi_obs::RunProfile::from_json(&doc).expect("sink JSON parses");
         prop_assert_eq!(p.events, on.events, "{}: profile missed events", name);
     }
 }

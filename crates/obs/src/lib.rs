@@ -18,8 +18,8 @@
 //!   figure outputs and determinism tests.
 //! * **Wall-clock profiling** — [`WallProfile`] and [`peak_rss_bytes`].
 //!   These measure the *simulator*, vary run to run, and must never leak
-//!   into a deterministic snapshot. They feed the `bench-report`
-//!   pipeline only.
+//!   into a deterministic snapshot. They feed the `benchmark/`
+//!   package's per-layer budget only.
 //!
 //! Everything is zero-cost-when-disabled in the only place cost matters:
 //! counters and histogram records are branch-free integer arithmetic on

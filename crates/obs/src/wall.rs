@@ -2,8 +2,8 @@
 //!
 //! This is the non-deterministic half of the observability layer: handler
 //! timings keyed by event kind, for finding where *simulator* time goes.
-//! Results feed `bench-report` only and must never enter a deterministic
-//! [`crate::MetricsSnapshot`].
+//! Results feed the `benchmark/` package only and must never enter a
+//! deterministic [`crate::MetricsSnapshot`].
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

@@ -1,7 +1,7 @@
 //! Analysis library behind the `failmpi-prof` binary.
 //!
 //! Consumes the deterministic [`RunProfile`] JSON written by `--profile
-//! PATH` (figure binaries, soak, bench-report) and renders it for
+//! PATH` (figure binaries, soak) and renders it for
 //! humans and CI gates:
 //!
 //! * [`report`] — top-N attribution tables (allocations per event kind,
@@ -49,7 +49,7 @@ pub enum SortBy {
     /// Allocated bytes.
     Bytes,
     /// Event count — the deterministic stand-in for time (wall-clock
-    /// timings deliberately live in bench-report, not in profiles).
+    /// timings deliberately live in the benchmark, not in profiles).
     Events,
 }
 

@@ -8,8 +8,8 @@
 //! failmpi-prof flame PROFILE [--out PATH]
 //! ```
 //!
-//! `PROFILE` files are the JSON written by any figure binary, soak, or
-//! bench-report under `--profile PATH`. `diff` exits 1 when
+//! `PROFILE` files are the JSON written by any figure binary or soak
+//! under `--profile PATH`. `diff` exits 1 when
 //! `--fail-on-regression` is given and any counter of CANDIDATE grew
 //! beyond the tolerance — the CI gate for the hot-loop optimization
 //! work. `flame` emits collapsed-stack lines for standard flamegraph

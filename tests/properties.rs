@@ -1,10 +1,15 @@
 //! Whole-system property tests: randomized fault schedules against the
 //! fault-tolerance guarantees.
 
-use failmpi::experiments::{run_one_keeping_cluster, validate_trace};
+use failmpi::experiments::{run, validate_trace, Observe, RunArtifacts};
 use failmpi::prelude::*;
 use proptest::prelude::*;
 use proptest::test_runner::Config as PropConfig;
+
+/// Runs `spec` with no instrument on, keeping the lifecycle trace.
+fn run_plain(spec: &ExperimentSpec) -> RunArtifacts {
+    run(spec, Observe::default()).expect("generated scenarios compile and deploy")
+}
 
 /// Builds a one-shot FAIL scenario crashing a machine at each given
 /// (second, machine) pair, sequentially.
@@ -116,8 +121,8 @@ proptest! {
         fixed: bool,
     ) {
         let mode = if fixed { DispatcherMode::Fixed } else { DispatcherMode::Historical };
-        let (_, cluster) = run_one_keeping_cluster(&spec_with(&faults, mode, seed));
-        validate_trace(&cluster).map_err(|e| {
+        let spec = spec_with(&faults, mode, seed);
+        validate_trace(&run_plain(&spec), spec.cluster.n_ranks).map_err(|e| {
             TestCaseError::fail(format!("schedule {faults:?}: {e}"))
         })?;
     }
@@ -157,13 +162,14 @@ proptest! {
         faults in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..6),
         seed in 0u64..1000,
     ) {
-        let (rec, cluster) = run_one_keeping_cluster(&v2_spec(&faults, seed));
+        let spec = v2_spec(&faults, seed);
+        let out = run_plain(&spec);
         prop_assert!(
-            !rec.outcome.is_buggy(),
+            !out.record.outcome.is_buggy(),
             "V2 froze under {faults:?}: {:?}",
-            rec.outcome
+            out.record.outcome
         );
-        validate_trace(&cluster).map_err(|e| {
+        validate_trace(&out, spec.cluster.n_ranks).map_err(|e| {
             TestCaseError::fail(format!("V2 schedule {faults:?}: {e}"))
         })?;
     }
@@ -176,7 +182,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let faults: Vec<(u8, u8)> = victims.iter().map(|&v| (7, v)).collect();
-        let (rec, cluster) = run_one_keeping_cluster(&v2_spec(&faults, seed));
+        let RunArtifacts { record: rec, trace, .. } = run_plain(&v2_spec(&faults, seed));
         prop_assert!(
             matches!(rec.outcome, Outcome::Completed { .. }),
             "V2 sparse schedule {faults:?}: {:?}",
@@ -184,9 +190,10 @@ proptest! {
         );
         prop_assert_eq!(rec.max_progress, BtClass::S.iterations);
         // Fleet spawns = n + one per injected fault (solo restarts only).
-        let spawns = cluster
-            .trace()
-            .count(|k| matches!(k, VclEvent::DaemonSpawned { .. }));
+        let spawns = trace
+            .iter()
+            .filter(|e| matches!(e.kind, VclEvent::DaemonSpawned { .. }))
+            .count();
         prop_assert_eq!(
             spawns as u32,
             4 + rec.faults_injected,
