@@ -350,6 +350,17 @@ fn main() -> ExitCode {
         }
     }
 
+    // A deployment the model checker cannot represent is a bad
+    // `--ranks`/`--hosts`/`--backend` combination, not a finding about the
+    // scenario: usage error, nothing rendered.
+    let unmodellable = reports
+        .iter()
+        .find_map(|r| Some((r, r.diagnostics.iter().find(|d| d.code == "FC000")?)));
+    if let Some((r, d)) = unmodellable {
+        eprintln!("failck: {}: {}", r.subject, d.message);
+        return ExitCode::from(2);
+    }
+
     if opts.json {
         println!(
             "{}",

@@ -39,11 +39,13 @@
 //! Everything here over-approximates asymmetry: a wrongly-pinned host only
 //! costs reduction, never correctness.
 
+use std::cmp::Ordering;
+
 use failmpi_backend::BackendKind;
 use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Scenario};
 use failmpi_mpichv::AbstractPhase;
 
-use super::explore::{Ctx, InstState, MoveKind, ProdState, VarVal};
+use super::explore::{Ctx, Inst, InstState, MoveKind, ProdState};
 use super::ModelCheckConfig;
 
 /// A product-state relabelling: `hosts[h]` is machine `h`'s new id,
@@ -53,6 +55,14 @@ use super::ModelCheckConfig;
 pub(crate) struct Perm {
     pub(crate) hosts: Vec<u8>,
     pub(crate) ranks: Vec<u8>,
+}
+
+/// `(group, machine)` of a group member — instance
+/// `n_suggested + group * n_hosts + machine` — or `None` for a suggested
+/// (machine-less) instance.
+fn member_of(ctx: &Ctx, i: usize) -> Option<(usize, usize)> {
+    let k = i.checked_sub(ctx.n_suggested)?;
+    Some((k / ctx.cfg.n_hosts, k % ctx.cfg.n_hosts))
 }
 
 impl Perm {
@@ -91,25 +101,30 @@ impl Perm {
     /// Where instance `i` lands: suggested instances are fixed, a group
     /// member follows its machine.
     pub(crate) fn map_inst(&self, ctx: &Ctx, i: usize) -> usize {
-        if i < ctx.n_suggested {
-            return i;
+        match member_of(ctx, i) {
+            None => i,
+            Some((g, h)) => ctx.n_suggested + g * ctx.cfg.n_hosts + self.hosts[h] as usize,
         }
-        let n_hosts = ctx.cfg.n_hosts;
-        let g = (i - ctx.n_suggested) / n_hosts;
-        let h = (i - ctx.n_suggested) % n_hosts;
-        ctx.n_suggested + g * n_hosts + self.hosts[h] as usize
     }
 
-    /// The relabelled product state.
+    /// The relabelled product state. An instance keeps its allocation
+    /// unless its inbox names a sender the relabelling moves.
     pub(crate) fn apply_state(&self, ctx: &Ctx, s: &ProdState) -> ProdState {
-        let mut insts: Vec<InstState> = s.insts.clone();
-        for (i, old) in s.insts.iter().enumerate() {
-            let mut st = old.clone();
-            for e in &mut st.inbox {
-                e.0 = self.map_inst(ctx, e.0 as usize) as u8;
-            }
-            insts[self.map_inst(ctx, i)] = st;
-        }
+        let back = self.invert();
+        let insts: Vec<Inst> = (0..s.insts.len())
+            .map(|new| {
+                let old = &s.insts[back.map_inst(ctx, new)];
+                let moved = |e: &(u8, u8)| self.map_inst(ctx, e.0 as usize) != e.0 as usize;
+                if !old.inbox.iter().any(moved) {
+                    return old.clone();
+                }
+                let mut st = InstState::clone(old);
+                for e in &mut st.inbox {
+                    e.0 = self.map_inst(ctx, e.0 as usize) as u8;
+                }
+                Inst::new(st)
+            })
+            .collect();
         let mut msgs: Vec<(u8, u8, u8)> = s
             .msgs
             .iter()
@@ -154,11 +169,12 @@ impl Perm {
 /// What the scenario's text allows the reducer to permute.
 #[derive(Clone, Debug)]
 pub(crate) struct SymmetryProfile {
-    /// Machines may be relabelled (modulo `pinned`).
+    /// Machines may be relabelled (the ones in `movable`).
     pub(crate) host_sym: bool,
-    /// Machines some send can statically single out; fixed points of every
-    /// permutation. Indexed by host id.
-    pub(crate) pinned: Vec<bool>,
+    /// The machines a permutation may move, ascending: those no send can
+    /// statically single out. Empty when machine symmetry is off or fewer
+    /// than two remain — every machine is then a fixed point.
+    pub(crate) movable: Vec<usize>,
     /// Rank ids may be relabelled.
     pub(crate) rank_sym: bool,
 }
@@ -216,7 +232,11 @@ pub(crate) fn profile_of(
             || (comm_peers.len() >= cfg.n_ranks
                 && (0..cfg.n_ranks).all(|r| comm_peers[r].len() == cfg.n_ranks - 1)));
 
-    SymmetryProfile { host_sym, pinned, rank_sym }
+    let mut movable: Vec<usize> = (0..n_hosts).filter(|&h| host_sym && !pinned[h]).collect();
+    if movable.len() < 2 {
+        movable.clear();
+    }
+    SymmetryProfile { host_sym, movable, rank_sym }
 }
 
 /// Fixpoint over a class's variable definitions: `true` means the slot
@@ -295,127 +315,200 @@ fn expr_maybe_known(e: &Expr, mk: &[bool], params: &[i64]) -> bool {
 // ---------------------------------------------------------------------------
 // Canonicalization
 // ---------------------------------------------------------------------------
+//
+// Machines are ordered by everything observable about them in the state,
+// with other-machine identities abstracted away so the order is invariant
+// under permutations of the *other* unpinned machines. Imperfect
+// tie-breaking is sound — it only merges fewer orbits. The comparison is
+// lexicographic over, in this order:
+//
+// 1. per group, the member's (node, vars, abstracted inbox, armed,
+//    controlled, suspended) — inbox senders become (tag, id-or-group,
+//    same-machine, msg) tuples;
+// 2. the protocol's view: the sorted (phase, incarnation) pairs hosted on
+//    the machine, then its spare-FIFO position (none sorts first);
+// 3. the sorted in-flight messages touching the machine, endpoints
+//    abstracted the same way;
+// 4. the unit ids hosted here — only when ranks are NOT symmetric (when
+//    they are, rank identity is erased by the rank pass instead).
+//
+// The order is part of the checker's observable behaviour: it picks the
+// orbit representative, so it decides which states are interned and what
+// the digest reads. `tests::HostKey` materialises the same key per machine
+// with a derived `Ord` and holds the comparator to it.
 
-/// One group member's state inside a [`HostKey`]: (node, vars,
-/// abstracted inbox, armed, controlled, suspended). Inbox senders become
-/// (tag, id-or-group, same-machine) triples.
-type MemberKey = (u16, Vec<VarVal>, Vec<(u8, u8, u8, u8)>, Vec<bool>, bool, bool);
-
-/// Everything observable about one machine in one state, with other-machine
-/// identities abstracted away so the key is invariant under permutations of
-/// the *other* unpinned machines. Imperfect tie-breaking is sound — it only
-/// merges fewer orbits.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct HostKey {
-    /// Per-group member state.
-    members: Vec<MemberKey>,
-    /// The Vcl's view: hosted (phase, incarnation) multiset + free-list slot.
-    proto: (Vec<(AbstractPhase, u8)>, Option<usize>),
-    /// In-flight messages touching this machine, endpoints abstracted.
-    msgs: Vec<(u8, u8, u8, u8, u8)>,
-    /// Rank ids hosted here — only when ranks are NOT symmetric (when they
-    /// are, rank identity is erased by the rank pass instead).
-    ranks: Vec<u8>,
-}
-
+/// How instance `i` reads from machine `h`: `(0, i)` for a suggested
+/// instance, `(1, group)` for `h`'s own member, `(2, group)` for another
+/// machine's.
 fn endpoint_code(ctx: &Ctx, i: usize, h: usize) -> (u8, u8) {
-    if i < ctx.n_suggested {
-        (0, i as u8)
-    } else {
-        let g = (i - ctx.n_suggested) / ctx.cfg.n_hosts;
-        let at = (i - ctx.n_suggested) % ctx.cfg.n_hosts;
-        if at == h {
-            (1, g as u8)
-        } else {
-            (2, g as u8)
-        }
+    match member_of(ctx, i) {
+        None => (0, i as u8),
+        Some((g, at)) if at == h => (1, g as u8),
+        Some((g, _)) => (2, g as u8),
     }
 }
 
-fn host_key(ctx: &Ctx, s: &ProdState, h: usize, rank_sym: bool) -> HostKey {
-    let mut members = Vec::with_capacity(ctx.n_groups);
-    for g in 0..ctx.n_groups {
-        let i = ctx.n_suggested + g * ctx.cfg.n_hosts + h;
-        let st = &s.insts[i];
-        let inbox: Vec<(u8, u8, u8, u8)> = st
-            .inbox
+/// Rows grouped by machine: sorted by `(machine, row)`, so machine `h`'s
+/// rows are one sorted run.
+struct ByHost<T> {
+    rows: Vec<(u8, T)>,
+    /// `start[h]..start[h + 1]` is machine `h`'s run.
+    start: Vec<u32>,
+}
+
+impl<T: Ord + Copy> ByHost<T> {
+    fn new(n_hosts: usize, mut rows: Vec<(u8, T)>) -> ByHost<T> {
+        rows.sort_unstable();
+        let mut start = vec![0u32; n_hosts + 1];
+        for &(h, _) in &rows {
+            start[h as usize + 1] += 1;
+        }
+        for h in 0..n_hosts {
+            start[h + 1] += start[h];
+        }
+        ByHost { rows, start }
+    }
+
+    fn run(&self, h: usize) -> impl Iterator<Item = T> + '_ {
+        self.rows[self.start[h] as usize..self.start[h + 1] as usize]
             .iter()
-            .map(|&(from, msg)| {
-                let (tag, idx) = endpoint_code(ctx, from as usize, h);
-                let same = u8::from(tag == 1);
-                (tag, idx, same, msg)
-            })
-            .collect();
-        members.push((
-            st.node,
-            st.vars.clone(),
-            inbox,
-            st.armed.clone(),
-            st.controlled,
-            st.suspended,
-        ));
+            .map(|&(_, row)| row)
     }
-    let mut msgs: Vec<(u8, u8, u8, u8, u8)> = Vec::new();
-    for &(f, t, m) in &s.msgs {
-        let fc = endpoint_code(ctx, f as usize, h);
-        let tc = endpoint_code(ctx, t as usize, h);
-        if fc.0 == 1 || tc.0 == 1 {
-            msgs.push((fc.0, fc.1, tc.0, tc.1, m));
-        }
-    }
-    msgs.sort_unstable();
-    let ranks = if rank_sym {
-        Vec::new()
-    } else {
-        (0..s.proto.n_units())
-            .filter(|&r| s.proto.unit(r).host as usize == h)
-            .map(|r| r as u8)
-            .collect()
-    };
-    HostKey { members, proto: s.proto.host_key(h as u8), msgs, ranks }
 }
 
-/// The canonical orbit representative of `s` and the permutation that maps
-/// `s` onto it. Unpinned machines are sorted by [`HostKey`] and renamed to
-/// the unpinned labels in ascending order; rank slots are then sorted by
+/// The per-machine views of one state that the machine order compares
+/// (items 2–4 above), built once per state.
+struct HostTables {
+    hosted: ByHost<(AbstractPhase, u8)>,
+    /// Position in the protocol's spare-machine FIFO, by machine.
+    spare_pos: Vec<Option<usize>>,
+    msgs: ByHost<(u8, u8, u8, u8, u8)>,
+    /// Hosted unit ids; empty under rank symmetry.
+    units: ByHost<u8>,
+}
+
+impl HostTables {
+    fn of(ctx: &Ctx, s: &ProdState) -> HostTables {
+        let n_hosts = ctx.cfg.n_hosts;
+        let units = || (0..s.proto.n_units()).map(|u| (u as u8, s.proto.unit(u)));
+        let mut spare_pos = vec![None; n_hosts];
+        for (pos, &h) in s.proto.spare_hosts().iter().enumerate().rev() {
+            spare_pos[h as usize] = Some(pos);
+        }
+        let mut msgs = Vec::new();
+        for &(f, t, m) in &s.msgs {
+            let from_at = member_of(ctx, f as usize).map(|(_, h)| h);
+            let to_at = member_of(ctx, t as usize).map(|(_, h)| h);
+            for h in [from_at, to_at.filter(|_| to_at != from_at)].into_iter().flatten() {
+                let fc = endpoint_code(ctx, f as usize, h);
+                let tc = endpoint_code(ctx, t as usize, h);
+                msgs.push((h as u8, (fc.0, fc.1, tc.0, tc.1, m)));
+            }
+        }
+        HostTables {
+            hosted: ByHost::new(
+                n_hosts,
+                units().map(|(_, r)| (r.host, (r.phase, r.incarnation))).collect(),
+            ),
+            spare_pos,
+            msgs: ByHost::new(n_hosts, msgs),
+            units: ByHost::new(
+                n_hosts,
+                if ctx.profile.rank_sym {
+                    Vec::new()
+                } else {
+                    units().map(|(u, r)| (r.host, u)).collect()
+                },
+            ),
+        }
+    }
+}
+
+/// The inbox of machine `h`'s member `st` with senders abstracted:
+/// `(tag, id-or-group, same-machine, msg)` per entry, in FIFO order.
+fn inbox_codes<'a>(
+    ctx: &'a Ctx,
+    st: &'a InstState,
+    h: usize,
+) -> impl Iterator<Item = (u8, u8, u8, u8)> + 'a {
+    st.inbox.iter().map(move |&(from, msg)| {
+        let (tag, idx) = endpoint_code(ctx, from as usize, h);
+        (tag, idx, u8::from(tag == 1), msg)
+    })
+}
+
+/// Machine `a` against machine `b` in state `s` — the order documented at
+/// the top of this section, over borrowed data.
+fn cmp_machines(ctx: &Ctx, s: &ProdState, t: &HostTables, a: usize, b: usize) -> Ordering {
+    for g in 0..ctx.n_groups {
+        let base = ctx.n_suggested + g * ctx.cfg.n_hosts;
+        let (x, y): (&InstState, &InstState) = (&s.insts[base + a], &s.insts[base + b]);
+        let ord = x
+            .node
+            .cmp(&y.node)
+            .then_with(|| x.vars.cmp(&y.vars))
+            .then_with(|| inbox_codes(ctx, x, a).cmp(inbox_codes(ctx, y, b)))
+            .then_with(|| x.armed.cmp(&y.armed))
+            .then_with(|| x.controlled.cmp(&y.controlled))
+            .then_with(|| x.suspended.cmp(&y.suspended));
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    t.hosted
+        .run(a)
+        .cmp(t.hosted.run(b))
+        .then_with(|| t.spare_pos[a].cmp(&t.spare_pos[b]))
+        .then_with(|| t.msgs.run(a).cmp(t.msgs.run(b)))
+        .then_with(|| t.units.run(a).cmp(t.units.run(b)))
+}
+
+/// The movable machines of `s` in canonical order; ties keep machine-id
+/// order.
+fn machine_order(ctx: &Ctx, s: &ProdState) -> Vec<usize> {
+    let mut order = ctx.profile.movable.clone();
+    if !order.is_empty() {
+        let tables = HostTables::of(ctx, s);
+        order.sort_by(|&a, &b| cmp_machines(ctx, s, &tables, a, b).then(a.cmp(&b)));
+    }
+    order
+}
+
+/// The permutation that maps `s` onto its canonical orbit representative.
+/// Movable machines are put in [`machine_order`] and renamed to the
+/// movable labels in ascending order; rank slots are then sorted by
 /// (phase, relabelled host, incarnation). Any deterministic sort yields a
 /// sound representative — it is some member of the orbit — and determinism
 /// makes the interned set canonical.
-pub(crate) fn canonicalize(ctx: &Ctx, s: &ProdState) -> (ProdState, Perm) {
-    let n_hosts = ctx.cfg.n_hosts;
+pub(crate) fn canonical_perm(ctx: &Ctx, s: &ProdState) -> Perm {
     let n_units = ctx.cfg.n_units();
-    let prof = &ctx.profile;
 
-    let mut host_map: Vec<u8> = (0..n_hosts as u8).collect();
-    if prof.host_sym {
-        let unpinned: Vec<usize> = (0..n_hosts).filter(|&h| !prof.pinned[h]).collect();
-        if unpinned.len() > 1 {
-            let mut keyed: Vec<(HostKey, usize)> = unpinned
-                .iter()
-                .map(|&h| (host_key(ctx, s, h, prof.rank_sym), h))
-                .collect();
-            keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (slot, (_, h)) in keyed.iter().enumerate() {
-                host_map[*h] = unpinned[slot] as u8;
-            }
-        }
+    let mut host_map: Vec<u8> = (0..ctx.cfg.n_hosts as u8).collect();
+    for (h, label) in machine_order(ctx, s).iter().zip(&ctx.profile.movable) {
+        host_map[*h] = *label as u8;
     }
 
     let mut rank_map: Vec<u8> = (0..n_units as u8).collect();
-    if prof.rank_sym {
+    if ctx.profile.rank_sym {
         let mut keyed: Vec<((AbstractPhase, u8, u8), usize)> = (0..n_units)
             .map(|r| {
                 let rk = s.proto.unit(r);
                 ((rk.phase, host_map[rk.host as usize], rk.incarnation), r)
             })
             .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        keyed.sort_unstable();
         for (new_id, (_, r)) in keyed.iter().enumerate() {
             rank_map[*r] = new_id as u8;
         }
     }
 
-    let perm = Perm { hosts: host_map, ranks: rank_map };
+    Perm { hosts: host_map, ranks: rank_map }
+}
+
+/// The canonical orbit representative of `s` and the permutation that maps
+/// `s` onto it.
+pub(crate) fn canonicalize(ctx: &Ctx, s: &ProdState) -> (ProdState, Perm) {
+    let perm = canonical_perm(ctx, s);
     if perm.is_identity() {
         (s.clone(), perm)
     } else {
@@ -437,18 +530,13 @@ pub(crate) fn seeded_perm(ctx: &Ctx, seed: u64) -> Perm {
         rng ^= rng << 17;
         rng
     };
-    if ctx.profile.host_sym {
-        let unpinned: Vec<usize> =
-            (0..ctx.cfg.n_hosts).filter(|&h| !ctx.profile.pinned[h]).collect();
-        if unpinned.len() > 1 {
-            let mut order = unpinned.clone();
-            for i in (1..order.len()).rev() {
-                order.swap(i, (next() as usize) % (i + 1));
-            }
-            for (slot, &h) in order.iter().enumerate() {
-                perm.hosts[h] = unpinned[slot] as u8;
-            }
-        }
+    let movable = &ctx.profile.movable;
+    let mut order = movable.clone();
+    for i in (1..order.len()).rev() {
+        order.swap(i, (next() as usize) % (i + 1));
+    }
+    for (h, label) in order.iter().zip(movable) {
+        perm.hosts[*h] = *label as u8;
     }
     if ctx.profile.rank_sym && ctx.cfg.n_units() > 1 {
         let mut order: Vec<usize> = (0..ctx.cfg.n_units()).collect();
@@ -460,4 +548,266 @@ pub(crate) fn seeded_perm(ctx: &Ctx, seed: u64) -> Perm {
         }
     }
     perm
+}
+
+#[cfg(test)]
+mod tests {
+    //! The canonical form on real states: a bounded unreduced exploration
+    //! of each backend supplies raw (uncanonicalised) states with
+    //! messages in flight, queued inboxes and recoveries under way.
+
+    use std::sync::OnceLock;
+
+    use failmpi_core::compile;
+    use proptest::prelude::*;
+    use proptest::test_runner::Config;
+
+    use super::super::explore::{Explorer, VarVal};
+    use super::*;
+
+    const SOURCES: [&str; 3] = [
+        include_str!("../../../core/scenarios/fig10_state_sync.fail"),
+        include_str!("../../../core/scenarios/fig8_synchronized.fail"),
+        TIMED_NODES_SRC,
+    ];
+
+    /// The builtins' machine daemons own no timer and at most one
+    /// variable; this one arms a different timer in each node and counts,
+    /// so members differ in every field the machine order reads.
+    const TIMED_NODES_SRC: &str = "\
+param N = 5;
+daemon ADV1 {
+  node 1:
+    always int ran = FAIL_RANDOM(0, N);
+    timer g = 4;
+    g -> !crash(G1[ran]), goto 2;
+  node 2:
+    always int ran = FAIL_RANDOM(0, N);
+    ?ok -> goto 1;
+    ?no -> !crash(G1[ran]), goto 2;
+}
+daemon ADVnodes {
+  int seen = 0;
+  node 1:
+    timer idle = 3;
+    onload -> continue, goto 2;
+    idle -> seen = seen + 1, goto 1;
+    ?crash -> !no(P1), goto 1;
+  node 2:
+    timer busy = 7;
+    onexit -> goto 1;
+    onerror -> goto 1;
+    busy -> seen = 0, goto 2;
+    ?crash -> !ok(P1), halt, goto 1;
+}
+instance P1 = ADV1;
+group G1[6] = ADVnodes;
+";
+    const BACKENDS: [BackendKind; 3] = [BackendKind::Vcl, BackendKind::Ulfm, BackendKind::Replica];
+
+    /// One group member's state inside a [`HostKey`]: (node, vars,
+    /// abstracted inbox, armed, controlled, suspended).
+    type MemberKey = (u16, Vec<VarVal>, Vec<(u8, u8, u8, u8)>, Vec<bool>, bool, bool);
+
+    /// The machine sort key, materialised: what [`cmp_machines`] compares,
+    /// as owned data with the derived (field-order, lexicographic) `Ord`
+    /// that defined the canonical machine order before the comparator
+    /// replaced it. Built from the backend crates' own `host_key` and a
+    /// per-machine scan, sharing no table with the comparator.
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    struct HostKey {
+        members: Vec<MemberKey>,
+        proto: (Vec<(AbstractPhase, u8)>, Option<usize>),
+        msgs: Vec<(u8, u8, u8, u8, u8)>,
+        ranks: Vec<u8>,
+    }
+
+    fn host_key(ctx: &Ctx, s: &ProdState, h: usize) -> HostKey {
+        let members = (0..ctx.n_groups)
+            .map(|g| {
+                let st = &s.insts[ctx.n_suggested + g * ctx.cfg.n_hosts + h];
+                (
+                    st.node,
+                    st.vars.clone(),
+                    inbox_codes(ctx, st, h).collect(),
+                    st.armed.clone(),
+                    st.controlled,
+                    st.suspended,
+                )
+            })
+            .collect();
+        let mut msgs: Vec<(u8, u8, u8, u8, u8)> = Vec::new();
+        for &(f, t, m) in &s.msgs {
+            let fc = endpoint_code(ctx, f as usize, h);
+            let tc = endpoint_code(ctx, t as usize, h);
+            if fc.0 == 1 || tc.0 == 1 {
+                msgs.push((fc.0, fc.1, tc.0, tc.1, m));
+            }
+        }
+        msgs.sort_unstable();
+        let ranks = if ctx.profile.rank_sym {
+            Vec::new()
+        } else {
+            (0..s.proto.n_units())
+                .filter(|&r| s.proto.unit(r).host as usize == h)
+                .map(|r| r as u8)
+                .collect()
+        };
+        HostKey { members, proto: s.proto.host_key(h as u8), msgs, ranks }
+    }
+
+    /// Runs `check` on the context and one state, picked by `pick`, of a
+    /// bounded exploration of source `which` under `backend`. Each
+    /// exploration runs once per process; its states are kept.
+    fn with_sampled_state(
+        which: usize,
+        backend: usize,
+        pick: usize,
+        check: impl FnOnce(&Ctx, &ProdState) -> Result<(), TestCaseError>,
+    ) -> Result<(), TestCaseError> {
+        static SAMPLES: [[OnceLock<Vec<ProdState>>; 3]; 3] =
+            [const { [const { OnceLock::new() }; 3] }; 3];
+        let sc = compile(SOURCES[which]).expect("builtin compiles");
+        let cfg = ModelCheckConfig {
+            backend: BACKENDS[backend],
+            n_ranks: 4,
+            n_hosts: 6,
+            budget: 2_000,
+            ..ModelCheckConfig::default()
+        };
+        let states = SAMPLES[which][backend].get_or_init(|| {
+            let mut ex = Explorer::new(&sc, &cfg, &[]);
+            ex.run();
+            ex.states().to_vec()
+        });
+        let ex = Explorer::new(&sc, &cfg, &[]);
+        check(&ex.ctx, &states[pick % states.len()])
+    }
+
+    /// `s` with the in-flight multiset and — each with even odds — the
+    /// group members' vars, inboxes, timers and process flags overwritten
+    /// from small domains; a field left alone is levelled to the first
+    /// member's instead. The result need not be reachable: the machine
+    /// order is defined on any state, and levelled fields make machines
+    /// tie on their leading ones.
+    fn scrambled(ctx: &Ctx, s: &ProdState, seed: u64) -> ProdState {
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        let mut below = move |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 33) as usize % n
+        };
+        let n_insts = s.insts.len();
+        let [vars, inbox, armed, flags] = [(); 4].map(|()| below(2) == 0);
+        let mut out = s.clone();
+        for i in ctx.n_suggested..n_insts {
+            let first = &s.insts[i - (i - ctx.n_suggested) % ctx.cfg.n_hosts];
+            let mut st = InstState::clone(first);
+            if vars {
+                for v in &mut st.vars {
+                    *v = [VarVal::Known(0), VarVal::Known(1), VarVal::Top][below(3)];
+                }
+            }
+            if inbox {
+                st.inbox = (0..below(3)).map(|_| (below(n_insts) as u8, below(2) as u8)).collect();
+            }
+            if armed {
+                for a in &mut st.armed {
+                    *a = below(2) == 0;
+                }
+            }
+            if flags {
+                st.controlled = below(2) == 0;
+                st.suspended = below(2) == 0;
+            }
+            out.insts[i] = Inst::new(st);
+        }
+        out.msgs = (0..below(6))
+            .map(|_| (below(n_insts) as u8, below(n_insts) as u8, below(2) as u8))
+            .collect();
+        out.msgs.sort_unstable();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(Config::with_cases(96))]
+
+        /// Every member of an orbit has the same representative.
+        #[test]
+        fn representative_is_orbit_invariant(
+            which in 0usize..3,
+            backend in 0usize..3,
+            pick in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            with_sampled_state(which, backend, pick, |ctx, s| {
+                let moved = seeded_perm(ctx, seed).apply_state(ctx, s);
+                prop_assert_eq!(canonicalize(ctx, &moved).0, canonicalize(ctx, s).0);
+                Ok(())
+            })?;
+        }
+
+        /// A representative is its own representative.
+        #[test]
+        fn representative_is_a_fixed_point(
+            which in 0usize..3,
+            backend in 0usize..3,
+            pick in any::<usize>(),
+        ) {
+            with_sampled_state(which, backend, pick, |ctx, s| {
+                let (rep, _) = canonicalize(ctx, s);
+                let (again, perm) = canonicalize(ctx, &rep);
+                prop_assert!(perm.is_identity(), "{:?}", perm);
+                prop_assert_eq!(again, rep);
+                Ok(())
+            })?;
+        }
+
+        /// The comparator orders machines exactly as the materialised
+        /// keys' derived `Ord` does — on raw states, on relabelled ones,
+        /// and on scrambled ones, where near-ties push the comparison
+        /// into every field.
+        #[test]
+        fn comparator_order_is_the_host_key_order(
+            which in 0usize..3,
+            backend in 0usize..3,
+            pick in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            with_sampled_state(which, backend, pick, |ctx, s| {
+                let moved = seeded_perm(ctx, seed).apply_state(ctx, s);
+                for s in [s.clone(), scrambled(ctx, &moved, seed), moved] {
+                    let mut keyed: Vec<(HostKey, usize)> = ctx
+                        .profile
+                        .movable
+                        .iter()
+                        .map(|&h| (host_key(ctx, &s, h), h))
+                        .collect();
+                    let tables = HostTables::of(ctx, &s);
+                    for (key, h) in &keyed {
+                        let tabled = (
+                            (tables.hosted.run(*h).collect(), tables.spare_pos[*h]),
+                            tables.msgs.run(*h).collect(),
+                            tables.units.run(*h).collect(),
+                        );
+                        prop_assert_eq!(tabled, (key.proto.clone(), key.msgs.clone(), key.ranks.clone()));
+                    }
+                    for (ka, a) in &keyed {
+                        for (kb, b) in &keyed {
+                            prop_assert_eq!(
+                                cmp_machines(ctx, &s, &tables, *a, *b),
+                                ka.cmp(kb),
+                                "machines {} and {}", a, b
+                            );
+                        }
+                    }
+                    keyed.sort();
+                    let by_key: Vec<usize> = keyed.into_iter().map(|(_, h)| h).collect();
+                    prop_assert_eq!(machine_order(ctx, &s), by_key);
+                }
+                Ok(())
+            })?;
+        }
+    }
 }

@@ -8,7 +8,10 @@
 //! sequential merge, which keeps flag state identical to the old in-line
 //! mutation because the flags are monotone.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use failmpi_core::lang::compile::{Action, Dest, Expr, Guard, Scenario};
@@ -61,11 +64,68 @@ pub(crate) struct InstState {
     pub(crate) suspended: bool,
 }
 
+/// One instance's state as a [`ProdState`] carries it: immutable and
+/// shared. A product step changes one instance (a fault cascade, a few),
+/// so a successor shares every other instance with its parent, and
+/// cloning, comparing or relabelling a state costs what changed rather
+/// than the deployment size.
+///
+/// `Eq`/`Ord` answer from pointer identity when they can and fall back to
+/// the content; `Hash` forwards to the content. The derived ordering and
+/// hash stream of [`ProdState`] are therefore exactly those of a plain
+/// `Vec<InstState>` — they are frozen, because successor order fixes
+/// interning order and the FNV state digest is a persisted coverage key.
+#[derive(Clone, Debug)]
+pub(crate) struct Inst(Arc<InstState>);
+
+impl Inst {
+    pub(crate) fn new(st: InstState) -> Inst {
+        Inst(Arc::new(st))
+    }
+}
+
+impl Deref for Inst {
+    type Target = InstState;
+    fn deref(&self) -> &InstState {
+        &self.0
+    }
+}
+
+impl PartialEq for Inst {
+    fn eq(&self, other: &Inst) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+    }
+}
+
+impl Eq for Inst {}
+
+impl Ord for Inst {
+    fn cmp(&self, other: &Inst) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
+}
+
+impl PartialOrd for Inst {
+    fn partial_cmp(&self, other: &Inst) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Inst {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
 /// One product state: every FAIL instance, the in-flight message multiset,
 /// and the abstract Vcl protocol state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct ProdState {
-    pub(crate) insts: Vec<InstState>,
+    pub(crate) insts: Vec<Inst>,
     /// Sorted multiset of in-flight FAIL messages `(from, to, msg)` —
     /// deliveries race, so order is not part of the state.
     pub(crate) msgs: Vec<(u8, u8, u8)>,
@@ -607,7 +667,7 @@ impl<'a> Ctx<'a> {
     ) -> Vec<Micro> {
         let mut out = Vec::new();
         let mut work = vec![(st, queue, faults, notes)];
-        while let Some((mut s, mut q, f, notes)) = work.pop() {
+        while let Some((mut s, mut q, f, mut notes)) = work.pop() {
             let Some(p) = q.pop_front() else {
                 out.push(Micro { st: s, faults: f, notes });
                 continue;
@@ -625,7 +685,6 @@ impl<'a> Ctx<'a> {
                     let during = s.proto.recovery_active();
                     let desc = s.proto.unit_desc(r as usize);
                     s.proto.apply(AbstractStep::Fault(r), &mut evs);
-                    let mut notes = notes.clone();
                     notes.push(format!(
                         "fault kills {desc} ({}{})",
                         phase_name(phase),
@@ -636,18 +695,24 @@ impl<'a> Ctx<'a> {
                             notes.push(s.proto.lost_note(*rank));
                         }
                     }
-                    let mut q2 = q.clone();
-                    self.enqueue_events(&mut q2, &evs);
-                    work.push((s, q2, f + 1, notes));
+                    self.enqueue_events(&mut q, &evs);
+                    work.push((s, q, f + 1, notes));
                 }
                 Pend::In { inst, input } => {
-                    let ist = s.insts[inst].clone();
-                    let branches = self.feed(inst, ist, &input, log);
-                    for (ist2, eff, _) in branches {
-                        let mut s2 = s.clone();
-                        s2.insts[inst] = ist2;
-                        let mut q2 = q.clone();
-                        let mut notes2 = notes.clone();
+                    let branches = self.feed(inst, InstState::clone(&s.insts[inst]), &input, log);
+                    // The last branch takes the state; only a genuine
+                    // fork pays for a copy.
+                    let n_branches = branches.len();
+                    let mut rest = Some((s, q, notes));
+                    for (k, (ist2, eff, _)) in branches.into_iter().enumerate() {
+                        let (mut s2, mut q2, mut notes2) = if k + 1 == n_branches {
+                            rest.take().expect("taken once, by the last branch")
+                        } else {
+                            rest.clone().expect("present until the last branch")
+                        };
+                        if *s2.insts[inst] != ist2 {
+                            s2.insts[inst] = Inst::new(ist2);
+                        }
                         for (from, to, msg) in &eff.sends {
                             insert_msg(&mut s2.msgs, (*from as u8, *to as u8, *msg as u8));
                         }
@@ -879,11 +944,10 @@ impl<'a> Ctx<'a> {
                 // `localMPI_setCommand`; the scenario decides whether the
                 // call proceeds.
                 let mut out = Vec::new();
-                let ist = s.insts[*c].clone();
-                let branches = self.feed(*c, ist, &AIn::Breakpoint, log);
+                let branches = self.feed(*c, InstState::clone(&s.insts[*c]), &AIn::Breakpoint, log);
                 for (ist2, eff, _) in branches {
                     let mut s2 = s.clone();
-                    s2.insts[*c] = ist2;
+                    s2.insts[*c] = Inst::new(ist2);
                     let mut q = VecDeque::new();
                     let mut notes = Vec::new();
                     for (from, to, msg) in &eff.sends {
@@ -963,11 +1027,14 @@ impl<'a> Ctx<'a> {
             succs = por::ample_filter(self, s, succs);
             por_pruned = before - succs.len();
             for succ in &mut succs {
-                let (rep, perm) = canon::canonicalize(self, &succ.micro.st);
-                if rep != succ.micro.st {
-                    orbit_hits += 1;
+                let perm = canon::canonical_perm(self, &succ.micro.st);
+                if !perm.is_identity() {
+                    let rep = perm.apply_state(self, &succ.micro.st);
+                    if rep != succ.micro.st {
+                        orbit_hits += 1;
+                    }
+                    succ.micro.st = rep;
                 }
-                succ.micro.st = rep;
                 succ.perm = Some(perm);
             }
         }
@@ -1003,7 +1070,16 @@ pub(crate) struct Explorer<'a> {
 
     // Exploration graph.
     states: Vec<ProdState>,
-    index: HashMap<ProdState, u32>,
+    /// Interning index: a state's 64-bit [`StateHasher`] value → the
+    /// newest id carrying it. A state is hashed once, never copied into a
+    /// key, and growing the map moves `(u64, u32)` pairs.
+    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// The next-older id with the same hash value (`NO_ID` ends the
+    /// chain). A hash match is only a candidate: [`Self::intern`] confirms
+    /// every one with full state equality.
+    same_hash: Vec<u32>,
+    /// ANDed onto every hash value; all ones outside the collision test.
+    hash_mask: u64,
     dist: Vec<(u32, u32)>,
     parent: Vec<Option<(u32, String)>>,
     /// Reduce mode: the structural move and raw→canonical permutation
@@ -1114,7 +1190,9 @@ impl<'a> Explorer<'a> {
             ctx,
             sites,
             states: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
+            same_hash: Vec::new(),
+            hash_mask: u64::MAX,
             dist: Vec::new(),
             parent: Vec::new(),
             parent_move: Vec::new(),
@@ -1150,19 +1228,16 @@ impl<'a> Explorer<'a> {
                 let v = store(ctx.eval(e, &st.vars));
                 st.vars[*slot] = v;
             }
-            insts.push(st);
+            // Node-0 entry (always vars, timers); builtins' initial nodes
+            // have no consumable inbox, so this never branches.
+            let entered = ctx.enter_node(i, st, 0, &mut log);
+            insts.push(Inst::new(entered.into_iter().next().expect("initial entry").0));
         }
         let mut s = ProdState {
             insts,
             msgs: Vec::new(),
             proto: AbstractWorld::new(ctx.cfg),
         };
-        // Node-0 entry (always vars, timers); builtins' initial nodes have
-        // no consumable inbox, so this never branches.
-        for i in 0..s.insts.len() {
-            let entered = ctx.enter_node(i, s.insts[i].clone(), 0, &mut log);
-            s.insts[i] = entered.into_iter().next().expect("initial entry").0;
-        }
         for (site, stale) in log {
             self.sites[site].executed = true;
             if stale {
@@ -1178,13 +1253,40 @@ impl<'a> Explorer<'a> {
         s
     }
 
+    /// Test hook: an explorer whose interning hash is constant, so every
+    /// lookup walks one chain holding every state and only the equality
+    /// confirmation tells them apart.
+    #[cfg(test)]
+    pub(crate) fn with_colliding_hash(
+        sc: &'a Scenario,
+        cfg: &'a ModelCheckConfig,
+        programs: &[Arc<Program>],
+    ) -> Self {
+        Explorer { hash_mask: 0, ..Explorer::new(sc, cfg, programs) }
+    }
+
+    /// Test hook: every interned state, in discovery order.
+    #[cfg(test)]
+    pub(crate) fn states(&self) -> &[ProdState] {
+        &self.states
+    }
+
     fn intern(&mut self, s: ProdState) -> u32 {
-        if let Some(&id) = self.index.get(&s) {
-            return id;
+        let mut h = StateHasher::default();
+        s.hash(&mut h);
+        let hash = h.finish() & self.hash_mask;
+        let head = self.index.get(&hash).copied().unwrap_or(NO_ID);
+        let mut at = head;
+        while at != NO_ID {
+            if self.states[at as usize] == s {
+                return at;
+            }
+            at = self.same_hash[at as usize];
         }
         let id = self.states.len() as u32;
         self.all_running.push(s.proto.all_running());
-        self.index.insert(s.clone(), id);
+        self.index.insert(hash, id);
+        self.same_hash.push(head);
         self.states.push(s);
         self.dist.push((u32::MAX, u32::MAX));
         self.parent.push(None);
@@ -1600,7 +1702,6 @@ impl<'a> Explorer<'a> {
         }
 
         let state_digest = {
-            use std::hash::{Hash, Hasher};
             let mut h = Fnv1a::new();
             for st in &self.states {
                 st.hash(&mut h);
@@ -1821,6 +1922,72 @@ impl<'a> Explorer<'a> {
 // Helpers
 // ---------------------------------------------------------------------------
 
+/// "No state": ends a [`Explorer::same_hash`] chain.
+const NO_ID: u32 = u32::MAX;
+
+/// The interning hash: one multiply-rotate round per field the derived
+/// `Hash` writes, whatever its width, and an avalanche at the end. It only
+/// has to spread states over buckets — equality is confirmed on the states
+/// themselves — and it is neither persisted nor printed, unlike the pinned
+/// [`Fnv1a`] digest.
+#[derive(Default)]
+struct StateHasher(u64);
+
+impl StateHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        // The map takes bucket bits from one end of the value and tag
+        // bits from the other; fold so both ends depend on every round.
+        let mut h = self.0;
+        h ^= h >> 32;
+        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 29)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+    fn write_u16(&mut self, v: u16) {
+        self.mix(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+}
+
+/// Hasher of the interning index's keys, which already are hash values.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the interning index is keyed by u64 only");
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
 fn phase_name(p: failmpi_mpichv::AbstractPhase) -> &'static str {
     use failmpi_mpichv::AbstractPhase as P;
     match p {
@@ -1911,4 +2078,36 @@ fn comm_closure(programs: &[Arc<Program>], n_ranks: usize) -> Vec<Vec<u32>> {
             v
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use failmpi_core::compile;
+
+    use super::*;
+
+    /// With every state hashing to the same value the index degenerates
+    /// to one chain, and interning is exact only because a hash match is
+    /// confirmed by comparing the states. Reduced and unreduced, the
+    /// result must be the normal run's in every field.
+    #[test]
+    fn interning_is_exact_when_every_hash_collides() {
+        let sc = compile(include_str!("../../../core/scenarios/fig10_state_sync.fail"))
+            .expect("builtin compiles");
+        for reduce in [false, true] {
+            let cfg = ModelCheckConfig { reduce, ..ModelCheckConfig::default() };
+            let mut normal = Explorer::new(&sc, &cfg, &[]);
+            let mut colliding = Explorer::with_colliding_hash(&sc, &cfg, &[]);
+            normal.run();
+            colliding.run();
+            assert!(normal.index.len() > 100, "distinct hashes in the normal run");
+            assert_eq!(colliding.index.len(), 1, "one bucket in the colliding run");
+            let (normal, colliding) = (normal.finish(), colliding.finish());
+            assert_eq!(colliding.summary, normal.summary, "reduce={reduce}");
+            assert_eq!(
+                format!("{:?}", colliding.diagnostics),
+                format!("{:?}", normal.diagnostics)
+            );
+        }
+    }
 }

@@ -31,6 +31,7 @@
 //!
 //! | code  | severity | finding |
 //! |-------|----------|---------|
+//! | FC000 | error    | the deployment cannot be modelled (fewer machines than ranks, or an id space past 255) — nothing explored |
 //! | FC001 | warning  | a `halt` action is never executed on any explored path |
 //! | FC002 | warning  | every fault provably lands before the first possible wave commit |
 //! | FC003 | error    | reachable freeze state, with a minimal fault-schedule witness |
@@ -81,7 +82,7 @@ use failmpi_mpi::Program;
 use failmpi_mpichv::DispatcherMode;
 use serde::Serialize;
 
-use crate::diag::Diagnostic;
+use crate::diag::{Diagnostic, Severity};
 
 use explore::Explorer;
 
@@ -168,8 +169,9 @@ pub enum StaticVerdict {
     Freezes,
     /// The exploration budget ran out before a verdict (FC006).
     Unknown,
-    /// The scenario declares no deployment (no `instance`/`group` sugar),
-    /// so there is nothing to bind the product to.
+    /// Nothing was explored: the scenario declares no deployment (no
+    /// `instance`/`group` sugar) to bind the product to, or the requested
+    /// deployment cannot be modelled (FC000 says why).
     NotApplicable,
 }
 
@@ -263,6 +265,37 @@ pub struct ModelCheckResult {
     pub diagnostics: Vec<Diagnostic>,
 }
 
+/// The largest count of machines, process units, FAIL instances or
+/// message names a deployment may have: product states store each of
+/// those ids in a `u8`.
+const ID_SPACE: usize = 255;
+
+/// Why `cfg`'s deployment of `sc` cannot be modelled, if it cannot: fewer
+/// machines than ranks, or more of something than the state's one-byte ids
+/// can name. Checked once, before anything is built, so no constructor
+/// downstream has to assert it and no id silently wraps.
+fn deployment_error(sc: &Scenario, cfg: &ModelCheckConfig) -> Option<String> {
+    if cfg.n_ranks == 0 {
+        return Some("the deployment needs at least one rank".to_string());
+    }
+    if cfg.n_hosts < cfg.n_ranks {
+        return Some(format!(
+            "{} rank(s) need at least as many machines, but the deployment has {}",
+            cfg.n_ranks, cfg.n_hosts
+        ));
+    }
+    let n_instances = sc.suggested.instances.len() + sc.suggested.groups.len() * cfg.n_hosts;
+    [
+        (cfg.n_hosts, "machines"),
+        (cfg.n_units(), "process units (ranks plus replicas)"),
+        (n_instances, "FAIL instances (one group member per machine)"),
+        (sc.messages.len(), "message names"),
+    ]
+    .into_iter()
+    .find(|(n, _)| *n > ID_SPACE)
+    .map(|(n, what)| format!("{n} {what} exceed the model checker's limit of {ID_SPACE}"))
+}
+
 fn not_applicable() -> ModelCheckResult {
     ModelCheckResult {
         summary: ModelSummary {
@@ -290,7 +323,10 @@ pub fn model_check_source(src: &str, cfg: &ModelCheckConfig) -> ModelCheckResult
     }
 }
 
-/// Model-checks a compiled scenario against the abstract Vcl model.
+/// Model-checks a compiled scenario against the abstract model of
+/// [`ModelCheckConfig::backend`]. A deployment the checker cannot represent
+/// (see FC000) yields [`StaticVerdict::NotApplicable`] with that one error
+/// diagnostic — never a panic, never wrapped ids.
 pub fn model_check_scenario(sc: &Scenario, cfg: &ModelCheckConfig) -> ModelCheckResult {
     model_check_with_programs(sc, &[], cfg)
 }
@@ -308,6 +344,17 @@ pub fn model_check_with_programs(
         // No machine controllers: the scenario is a class library (paper
         // Fig. 4) — there is no deployment to bind the product to.
         return not_applicable();
+    }
+    if let Some(why) = deployment_error(sc, cfg) {
+        let mut r = not_applicable();
+        r.diagnostics.push(Diagnostic::new(
+            Severity::Error,
+            "FC000",
+            0,
+            format!("the deployment cannot be model-checked: {why}"),
+            "lower --ranks/--hosts (the 25-rank paper grid is well inside the limit)",
+        ));
+        return r;
     }
     let mut ex = Explorer::new(sc, cfg, programs);
     ex.run();

@@ -42,12 +42,32 @@
 //! scenario shape exploits the gap, a case there fails and these
 //! conditions must be tightened until it passes again.
 
+use std::cell::OnceCell;
+
 use super::explore::{Ctx, MoveKind, ProdState, SiteLog, Succ};
+
+/// The enabled moves of each menu branch's end state, computed on first
+/// use: a candidate's own menu is read once per other kind and a branch's
+/// once per candidate, so each is worth keeping for the whole expansion.
+struct Menus<'a> {
+    ctx: &'a Ctx<'a>,
+    succs: &'a [Succ],
+    after: Vec<OnceCell<Vec<MoveKind>>>,
+}
+
+impl Menus<'_> {
+    /// Whether `kind` is enabled after branch `k`.
+    fn enables(&self, k: usize, kind: &MoveKind) -> bool {
+        self.after[k]
+            .get_or_init(|| self.ctx.moves(&self.succs[k].micro.st))
+            .contains(kind)
+    }
+}
 
 /// Returns the successor list to actually expand: either `succs`
 /// unchanged, or — when the ample conditions hold — only the single
 /// branch of the first qualifying candidate move.
-pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, succs: Vec<Succ>) -> Vec<Succ> {
+pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, mut succs: Vec<Succ>) -> Vec<Succ> {
     if succs.len() < 2 {
         return succs;
     }
@@ -55,35 +75,38 @@ pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, succs: Vec<Succ>) -> Vec<Su
     // branches (a breakpoint's halt/release race, a wave fault's victim
     // choice) cannot anchor the ample set, but it does not forbid one:
     // a deterministic candidate may still commute with it branchwise.
-    let mut groups: Vec<Vec<&Succ>> = Vec::new();
-    for sc in &succs {
-        match groups.iter_mut().find(|g| g[0].kind == sc.kind) {
-            Some(g) => g.push(sc),
-            None => groups.push(vec![sc]),
+    // Groups hold branch indices into `succs`.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (k, sc) in succs.iter().enumerate() {
+        match groups.iter_mut().find(|g| succs[g[0]].kind == sc.kind) {
+            Some(g) => g.push(k),
+            None => groups.push(vec![k]),
         }
     }
     if groups.len() < 2 {
         return succs;
     }
+    let menus = Menus {
+        ctx,
+        succs: &succs,
+        after: succs.iter().map(|_| OnceCell::new()).collect(),
+    };
     // The first single-branch invisible candidate that commutes with
     // every other enabled kind anchors the ample set. Forcing it first
     // can insert steps a minimal freeze path would have left pending —
     // the witness minimization replay in `Explorer::witness_replayed`
     // strips those again, so the reported (faults, steps) cost still
     // matches the unreduced exploration.
-    let ample = groups.iter().position(|g| {
+    let ample = groups.iter().find(|g| {
         g.len() == 1
-            && candidate(ctx, s, g[0])
+            && candidate(ctx, s, &succs[g[0]])
             && groups
                 .iter()
-                .filter(|g2| g2[0].kind != g[0].kind)
-                .all(|g2| commutes_kind(ctx, g[0], g2))
+                .filter(|g2| g2[0] != g[0])
+                .all(|g2| commutes_kind(&menus, g[0], g2))
     });
-    match ample {
-        Some(i) => {
-            let kind = groups[i][0].kind.clone();
-            succs.into_iter().filter(|sc| sc.kind == kind).collect()
-        }
+    match ample.map(|g| g[0]) {
+        Some(k) => vec![succs.swap_remove(k)],
         None => succs,
     }
 }
@@ -153,24 +176,28 @@ fn invisible(ctx: &Ctx, s: &ProdState, s2: &ProdState) -> bool {
 /// kind stays enabled after `alpha` with the same branch profile (count,
 /// faults, notes, in order), `alpha` stays enabled and pure from every
 /// branch, and both orders converge branch by branch.
-fn commutes_kind(ctx: &Ctx, alpha: &Succ, betas: &[&Succ]) -> bool {
+fn commutes_kind(menus: &Menus, alpha_at: usize, betas: &[usize]) -> bool {
+    let ctx = menus.ctx;
+    let alpha = &menus.succs[alpha_at];
+    let beta_kind = &menus.succs[betas[0]].kind;
     // Enabledness must survive the other move — `apply_move` is only
     // defined for enabled moves, so probe the menus first.
-    if !ctx.moves(&alpha.micro.st).contains(&betas[0].kind) {
+    if !menus.enables(alpha_at, beta_kind) {
         return false;
     }
     // The probe states are never interned; their halt logs are discarded
     // (the branches were already proven not to halt from `s`).
     let mut scratch = SiteLog::new();
-    let after_alpha = ctx.apply_move(&alpha.micro.st, &betas[0].kind, &mut scratch);
+    let after_alpha = ctx.apply_move(&alpha.micro.st, beta_kind, &mut scratch);
     if after_alpha.len() != betas.len() {
         return false;
     }
-    betas.iter().zip(&after_alpha).all(|(b, ab)| {
+    betas.iter().zip(&after_alpha).all(|(&b_at, ab)| {
+        let b = &menus.succs[b_at];
         if ab.faults != b.micro.faults || ab.notes != b.micro.notes {
             return false;
         }
-        if !ctx.moves(&b.micro.st).contains(&alpha.kind) {
+        if !menus.enables(b_at, &alpha.kind) {
             return false;
         }
         let ba = ctx.apply_move(&b.micro.st, &alpha.kind, &mut scratch);

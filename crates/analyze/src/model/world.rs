@@ -23,7 +23,7 @@
 //! digest is a persisted fuzzer coverage key that must not shift under
 //! this refactor.
 
-use failmpi_backend::{AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, BackendKind, WAVE_CAP};
+use failmpi_backend::{AbstractEvent, AbstractRank, AbstractStep, BackendKind, WAVE_CAP};
 use failmpi_mpichv::AbstractVcl;
 use failmpi_replica::AbstractReplica;
 use failmpi_ulfm::AbstractUlfm;
@@ -87,7 +87,7 @@ impl AbstractWorld {
     }
 
     /// Whether unit `u` has a live, killable process. The backends read
-    /// [`AbstractPhase::Done`] differently — finalized-but-alive under
+    /// [`failmpi_backend::AbstractPhase::Done`] differently — finalized-but-alive under
     /// Vcl, shrunk-away (dead) under ULFM, consumed (dead) under
     /// replication — so liveness dispatches rather than sharing
     /// `AbstractPhase::process_alive`.
@@ -172,8 +172,24 @@ impl AbstractWorld {
         }
     }
 
-    /// Orbit metadata: protocol content visible on machine `host`.
-    pub(crate) fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
+    /// The protocol's spare-machine FIFO, front first (Vcl only — the
+    /// other backends never reassign a machine). Queue position is
+    /// protocol state, so the canonical machine order reads it.
+    pub(crate) fn spare_hosts(&self) -> &[u8] {
+        match self {
+            AbstractWorld::Vcl(v) => &v.free_hosts,
+            _ => &[],
+        }
+    }
+
+    /// Orbit metadata as the backend crates materialise it: protocol
+    /// content visible on machine `host`. The oracle the allocation-free
+    /// machine comparator is tested against.
+    #[cfg(test)]
+    pub(crate) fn host_key(
+        &self,
+        host: u8,
+    ) -> (Vec<(failmpi_backend::AbstractPhase, u8)>, Option<usize>) {
         match self {
             AbstractWorld::Vcl(v) => v.host_key(host),
             AbstractWorld::Ulfm(u) => u.host_key(host),

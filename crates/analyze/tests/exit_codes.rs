@@ -171,3 +171,37 @@ fn budget_starved_model_check_is_unknown_not_fatal() {
     assert!(stdout.contains("\"FC006\""));
     assert!(stdout.contains("\"verdict\": \"unknown\""));
 }
+
+#[test]
+fn unmodellable_deployment_is_a_usage_error_not_a_panic() {
+    // Each of these used to unwind from an `assert!` in the abstract
+    // model's constructor (exit 101) or explore with wrapped one-byte ids.
+    let fig10 = scenario("fig10_state_sync.fail");
+    let cases: [(&[&str], &str); 5] = [
+        // More machines than a state's u8 host ids can name.
+        (&["--ranks", "300"], "301 machines"),
+        // Fewer machines than ranks (default 2 ranks).
+        (&["--hosts", "1"], "at least as many machines"),
+        // 255 machines fit, their 255 group members plus P1 do not.
+        (&["--ranks", "200", "--hosts", "255"], "256 FAIL instances"),
+        // The replica unit space (130 primaries + 130 replicas).
+        (&["--backend", "replica", "--ranks", "130", "--hosts", "260"], "limit of 255"),
+        (&["--backend", "ulfm", "--reduce", "--ranks", "256"], "257 machines"),
+    ];
+    for (flags, needle) in cases {
+        for format in [&[][..], &["--format", "json"][..]] {
+            let mut args = vec![fig10.as_str(), "--model-check"];
+            args.extend_from_slice(flags);
+            args.extend_from_slice(format);
+            let (code, stdout, stderr) = failck(&args);
+            assert_eq!(code, Some(2), "{flags:?}: {stderr}");
+            assert!(stderr.contains(needle), "{flags:?}: {stderr}");
+            assert!(stdout.is_empty(), "{flags:?} rendered a report: {stdout}");
+        }
+    }
+    // The largest deployment of this scenario inside the limit still runs.
+    let (code, stdout, _) =
+        failck(&[&fig10, "--model-check", "--ranks", "253", "--budget", "3", "--format", "json"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("\"verdict\": \"unknown\""));
+}

@@ -245,6 +245,34 @@ fn uncompilable_source_is_not_applicable() {
 }
 
 #[test]
+fn unmodellable_deployment_is_diagnosed_not_explored() {
+    // Library callers get FC000 and an empty summary where the abstract
+    // model's constructor used to assert (or one-byte ids used to wrap).
+    let fig10 = include_str!("../../core/scenarios/fig10_state_sync.fail");
+    let shapes: [(usize, usize, failmpi_analyze::BackendKind); 4] = [
+        (2, 1, failmpi_analyze::BackendKind::Vcl),
+        (0, 3, failmpi_analyze::BackendKind::Ulfm),
+        (300, 301, failmpi_analyze::BackendKind::Vcl),
+        (130, 260, failmpi_analyze::BackendKind::Replica),
+    ];
+    for (n_ranks, n_hosts, backend) in shapes {
+        for reduce in [false, true] {
+            let cfg = ModelCheckConfig {
+                backend,
+                n_ranks,
+                n_hosts,
+                reduce,
+                ..ModelCheckConfig::default()
+            };
+            let r = model_check_source(fig10, &cfg);
+            assert_eq!(r.summary.verdict, StaticVerdict::NotApplicable, "{n_ranks}/{n_hosts}");
+            assert_eq!(r.summary.explored, 0);
+            assert_eq!(codes(&r), vec!["FC000"], "{n_ranks}/{n_hosts}");
+        }
+    }
+}
+
+#[test]
 fn fixed_mode_dispatcher_survives_fig10() {
     // The paper's fix: re-deriving the assignment from live state instead
     // of history. Under it the Fig. 10 schedule relaunches the victim.

@@ -4,7 +4,7 @@
 //! before the canonical sort; any seed must be indistinguishable from
 //! none).
 
-use failmpi_analyze::{model_check_source, ModelCheckConfig, Report};
+use failmpi_analyze::{model_check_source, BackendKind, ModelCheckConfig, Report};
 use proptest::prelude::*;
 use proptest::test_runner::Config;
 
@@ -76,4 +76,76 @@ proptest! {
         };
         prop_assert_eq!(baseline, render(src, &scrambled_cfg));
     }
+}
+
+const FIG8: &str = include_str!("../../core/scenarios/fig8_synchronized.fail");
+const FIG10: &str = SCENARIOS[0];
+
+/// `(label, source, backend, ranks, reduce, verdict, explored, interned,
+/// state digest, witness steps)` of the six `model_check_grid25`
+/// benchmark operations (`T=2, N=5`, one spare machine), recorded on the
+/// commit before the checker's state plumbing was rebuilt. Any change to
+/// how a state is carried, canonicalised or interned must reproduce every
+/// number here.
+#[allow(clippy::type_complexity)]
+const GRID25: [(&str, &str, BackendKind, usize, bool, &str, usize, usize, u64, usize); 6] = [
+    ("vcl9", FIG10, BackendKind::Vcl, 9, true, "freezes", 2511, 3062, 0xfe16c3245f8fd333, 36),
+    ("vcl16", FIG10, BackendKind::Vcl, 16, true, "freezes", 8454, 10433, 0x1c15ef6eee314a9b, 57),
+    ("fig8_vcl25", FIG8, BackendKind::Vcl, 25, true, "freezes", 975, 1118, 0xc8793c7990b37707, 83),
+    ("vcl4_full", FIG10, BackendKind::Vcl, 4, false, "freezes", 15951, 23006, 0x9d83c3f1398b6031, 21),
+    ("ulfm25", FIG10, BackendKind::Ulfm, 25, true, "survives", 105, 105, 0xdb9e549415d54d00, 0),
+    ("replica9", FIG10, BackendKind::Replica, 9, true, "freezes", 11276, 11285, 0xfc1ae5e0d1c3635b, 32),
+];
+
+/// Every [`GRID25`] pin at one thread count, from three seed-permuted
+/// deployments. Canonicalisation must erase the permutation; the
+/// unreduced digest is a coverage key over raw states, so that operation
+/// starts unpermuted.
+fn assert_grid25_pins(threads: usize) {
+    for seed in [64017, 7, 0x9E37_79B9_7F4A_7C15] {
+        for (label, src, backend, n_ranks, reduce, verdict, explored, interned, digest, steps) in
+            GRID25
+        {
+            if !reduce && seed != 7 {
+                continue; // no seed to vary: once per thread count
+            }
+            let cfg = ModelCheckConfig {
+                backend,
+                n_ranks,
+                n_hosts: n_ranks + 1,
+                params: vec![("T".to_string(), 2), ("N".to_string(), 5)],
+                reduce,
+                threads,
+                permute_seed: reduce.then_some(seed),
+                ..ModelCheckConfig::default()
+            };
+            let m = model_check_source(src, &cfg).summary;
+            assert_eq!(
+                (
+                    m.verdict.to_string().as_str(),
+                    m.explored,
+                    m.interned,
+                    m.state_digest,
+                    m.witness.map_or(0, |w| w.steps.len()),
+                ),
+                (verdict, explored, interned, digest, steps),
+                "{label} threads={threads} permute_seed={seed:#x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn grid25_pins_hold_on_one_thread() {
+    assert_grid25_pins(1);
+}
+
+#[test]
+fn grid25_pins_hold_on_two_threads() {
+    assert_grid25_pins(2);
+}
+
+#[test]
+fn grid25_pins_hold_on_four_threads() {
+    assert_grid25_pins(4);
 }
