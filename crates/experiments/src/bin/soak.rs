@@ -9,8 +9,9 @@
 //! whole interleaving sample: the historical dispatcher freezes on every
 //! schedule, the fixed one on none.
 //!
-//! Exits non-zero on any divergence, invariant violation, or broken
-//! classification expectation, so CI can run it as a smoke gate:
+//! Exits 1 on any divergence, invariant violation, or broken
+//! classification expectation (2 on a usage error), so CI can run it as a
+//! smoke gate:
 //!
 //! ```text
 //! cargo run --release -p failmpi-experiments --bin soak -- --runs 25 --json soak.json
@@ -74,6 +75,9 @@ struct Options {
     telemetry: failmpi_experiments::telemetry::Outputs,
 }
 
+const USAGE: &str = "usage: soak [--runs N] [--seed S] [--backend vcl|ulfm|replica] \
+                     [--json PATH] [--metrics PATH] [--trace-out PATH] [--profile PATH]";
+
 fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut o = Options {
         runs: 25,
@@ -98,22 +102,13 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
                     .ok_or("--seed needs a number")?
             }
             "--backend" => {
-                let kind = args
+                o.backend = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--backend needs vcl|ulfm|replica")?;
-                failmpi_experiments::set_default_backend(kind);
-                o.backend = kind;
+                    .ok_or("--backend needs vcl|ulfm|replica")?
             }
             "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
             flag if o.telemetry.parse_flag(flag, &mut args)? => {}
-            "--help" | "-h" => {
-                return Err(
-                    "usage: soak [--runs N] [--seed S] [--backend vcl|ulfm|replica] \
-                     [--json PATH] [--metrics PATH] [--trace-out PATH] [--profile PATH]"
-                        .to_string(),
-                )
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -128,11 +123,16 @@ fn divergences(spec: &ExperimentSpec) -> usize {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let opts = match parse(args.into_iter()) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     // `--trace-out` claims the first run to start — here the first FIFO
@@ -156,17 +156,18 @@ fn main() -> ExitCode {
     let scenarios = vec![
         Scenario {
             name: "fault-free",
-            spec: fault_free_smoke_spec(opts.seed),
+            spec: fault_free_smoke_spec(opts.seed).with_backend(opts.backend),
             expect: Expect::All("completed"),
         },
         Scenario {
             name: "fig10-buggy",
-            spec: fig10_stress_spec(DispatcherMode::Historical, opts.seed),
+            spec: fig10_stress_spec(DispatcherMode::Historical, opts.seed)
+                .with_backend(opts.backend),
             expect: fig10_expect(DispatcherMode::Historical),
         },
         Scenario {
             name: "fig10-fixed",
-            spec: fig10_stress_spec(DispatcherMode::Fixed, opts.seed),
+            spec: fig10_stress_spec(DispatcherMode::Fixed, opts.seed).with_backend(opts.backend),
             expect: fig10_expect(DispatcherMode::Fixed),
         },
     ];

@@ -1,10 +1,17 @@
-//! Minimal argument handling shared by the figure binaries.
+//! Argument handling of the `figure` binary.
 
 use failmpi_backend::BackendKind;
 
-use crate::harness::{set_default_backend, set_default_expect_freeze, set_default_lint_mode, LintMode};
+use crate::figures::Common;
+use crate::harness::LintMode;
 
-/// Options common to every figure binary.
+/// The flags every figure takes.
+pub const USAGE: &str = "[--smoke] [--runs N] [--threads N] [--json PATH] \
+                         [--metrics PATH] [--trace-out PATH] [--profile PATH] \
+                         [--lint off|warn|strict] [--expect-freeze] \
+                         [--backend vcl|ulfm|replica]";
+
+/// Options common to every figure.
 #[derive(Clone, Debug, Default)]
 pub struct Options {
     /// Run the seconds-scale smoke configuration instead of paper scale.
@@ -17,24 +24,20 @@ pub struct Options {
     pub json: Option<String>,
     /// Where `--metrics`, `--trace-out` and `--profile` write.
     pub telemetry: crate::telemetry::Outputs,
-    /// Scenario lint gate (`--lint off|warn|strict`); also installed as
-    /// the process-wide default so every spec the binary builds picks it
-    /// up.
+    /// Scenario lint gate (`--lint off|warn|strict`).
     pub lint: Option<LintMode>,
     /// Declare that the sweep hunts freezes: with `--lint strict`, run
     /// scenarios the model checker statically classifies as freezing
-    /// instead of refusing them. Also installed as the process-wide
-    /// default (see [`crate::harness::set_default_expect_freeze`]).
+    /// instead of refusing them.
     pub expect_freeze: bool,
-    /// Protocol backend under test (`--backend vcl|ulfm|replica`); also
-    /// installed as the process-wide default so every spec the binary
-    /// builds picks it up (see [`crate::harness::set_default_backend`]).
+    /// Protocol backend under test (`--backend vcl|ulfm|replica`).
     pub backend: Option<BackendKind>,
 }
 
 impl Options {
-    /// Parses `args` (without the program name). Returns `Err(usage)` on
-    /// unknown flags.
+    /// Parses `args` (without the program and figure names). Returns
+    /// `Err(message)` on unknown flags and missing or malformed values;
+    /// touches nothing outside the returned value.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
         let mut o = Options::default();
         let mut args = args.peekable();
@@ -58,33 +61,20 @@ impl Options {
                 "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
                 flag if o.telemetry.parse_flag(flag, &mut args)? => {}
                 "--lint" => {
-                    let mode = args
-                        .next()
-                        .as_deref()
-                        .and_then(LintMode::parse)
-                        .ok_or("--lint needs off|warn|strict")?;
-                    set_default_lint_mode(mode);
-                    o.lint = Some(mode);
+                    o.lint = Some(
+                        args.next()
+                            .as_deref()
+                            .and_then(LintMode::parse)
+                            .ok_or("--lint needs off|warn|strict")?,
+                    )
                 }
-                "--expect-freeze" => {
-                    set_default_expect_freeze(true);
-                    o.expect_freeze = true;
-                }
+                "--expect-freeze" => o.expect_freeze = true,
                 "--backend" => {
-                    let kind: BackendKind = args
-                        .next()
-                        .ok_or("--backend needs vcl|ulfm|replica")?
-                        .parse()
-                        .map_err(|_| "--backend needs vcl|ulfm|replica")?;
-                    set_default_backend(kind);
-                    o.backend = Some(kind);
-                }
-                "--help" | "-h" => {
-                    return Err("usage: [--smoke] [--runs N] [--threads N] [--json PATH] \
-                                [--metrics PATH] [--trace-out PATH] [--profile PATH] \
-                                [--lint off|warn|strict] [--expect-freeze] \
-                                [--backend vcl|ulfm|replica]"
-                        .to_string())
+                    o.backend = Some(
+                        args.next()
+                            .and_then(|v| v.parse().ok())
+                            .ok_or("--backend needs vcl|ulfm|replica")?,
+                    )
                 }
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -92,13 +82,13 @@ impl Options {
         Ok(o)
     }
 
-    /// Writes `data` as JSON if `--json` was given.
-    pub fn maybe_write_json<T: serde::Serialize>(&self, data: &T) -> std::io::Result<()> {
-        if let Some(path) = &self.json {
-            let json = serde_json::to_string_pretty(data).expect("serializable");
-            std::fs::write(path, json)?;
-        }
-        Ok(())
+    /// Overrides `common` with what the flags chose.
+    pub fn apply(&self, common: &mut Common) {
+        common.runs = self.runs.unwrap_or(common.runs);
+        common.threads = self.threads.unwrap_or(common.threads);
+        common.backend = self.backend.unwrap_or(common.backend);
+        common.lint = self.lint.unwrap_or(common.lint);
+        common.expect_freeze |= self.expect_freeze;
     }
 }
 
@@ -144,38 +134,33 @@ mod tests {
         assert_eq!(o.lint, None);
     }
 
+    /// The flags travel in the returned value only: specs built after a
+    /// parse still get the constants.
     #[test]
-    fn lint_flag_sets_process_default() {
-        use crate::harness::{default_lint_mode, LintMode};
-        let before = default_lint_mode();
-        let o = parse(&["--lint", "strict"]).unwrap();
+    fn parse_is_pure() {
+        use crate::harness::{ExperimentSpec, InjectionSpec};
+        let o = parse(&["--lint", "strict", "--backend", "ulfm", "--expect-freeze"]).unwrap();
         assert_eq!(o.lint, Some(LintMode::Strict));
-        assert_eq!(default_lint_mode(), LintMode::Strict);
-        crate::harness::set_default_lint_mode(before);
-        assert!(parse(&["--lint", "bogus"]).is_err());
-        assert!(parse(&["--lint"]).is_err());
-    }
-
-    #[test]
-    fn backend_flag_sets_process_default() {
-        use crate::harness::default_backend;
-        let before = default_backend();
-        assert_eq!(parse(&[]).unwrap().backend, None);
-        let o = parse(&["--backend", "ulfm"]).unwrap();
         assert_eq!(o.backend, Some(BackendKind::Ulfm));
-        assert_eq!(default_backend(), BackendKind::Ulfm);
-        crate::harness::set_default_backend(before);
-        assert!(parse(&["--backend", "bogus"]).is_err());
-        assert!(parse(&["--backend"]).is_err());
-    }
-
-    #[test]
-    fn expect_freeze_flag_sets_process_default() {
-        use crate::harness::default_expect_freeze;
-        assert!(!parse(&[]).unwrap().expect_freeze);
-        let o = parse(&["--expect-freeze"]).unwrap();
         assert!(o.expect_freeze);
-        assert!(default_expect_freeze());
-        crate::harness::set_default_expect_freeze(false);
+        let inj = InjectionSpec::new(crate::figures::FIG5_SRC, "ADV1", "ADVnodes");
+        assert_eq!(inj.lint, LintMode::Warn);
+        assert!(!inj.expect_freeze);
+        assert_eq!(inj.backend, BackendKind::Vcl);
+        let spec = ExperimentSpec::fault_free(4, failmpi_workloads::BtClass::S, 1);
+        assert_eq!(spec.backend, BackendKind::Vcl);
+
+        let mut common = Common::smoke(3, 1);
+        o.apply(&mut common);
+        assert_eq!(common.lint, LintMode::Strict);
+        assert_eq!(common.backend, BackendKind::Ulfm);
+        assert!(common.expect_freeze);
+        assert_eq!(common.runs, 3);
+
+        let bad: [&[&str]; 4] =
+            [&["--lint", "bogus"], &["--lint"], &["--backend", "bogus"], &["--backend"]];
+        for args in bad {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
     }
 }

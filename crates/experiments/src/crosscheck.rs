@@ -27,7 +27,7 @@
 //! two-mode contract as its oracle, so both modes are exercised end-to-end
 //! here.
 
-use failmpi_analyze::{model_check_source, ModelCheckConfig, StaticVerdict};
+use failmpi_analyze::{model_check_source, ModelCheckConfig, ModelSummary, StaticVerdict};
 use failmpi_backend::BackendKind;
 use failmpi_mpichv::DispatcherMode;
 use failmpi_workloads::BtClass;
@@ -36,11 +36,15 @@ use crate::figures::{self, DELAY_SRC, FIG10_SRC, FIG5_SRC, FIG7_SRC, FIG8_SRC};
 use crate::harness::{run_one, ExperimentSpec, InjectionSpec};
 use crate::robustness::outcome_class;
 
-/// One scenario's static verdict next to its dynamic seed sweep.
+/// One scenario's static verdict next to its dynamic seed sweep, both
+/// under the same backend and dispatcher variant; the dynamic side always
+/// runs the smoke deployment of [`smoke_spec_for`].
 #[derive(Clone, Debug)]
 pub struct CrosscheckRow {
     /// Scenario label (paper figure).
     pub name: &'static str,
+    /// Protocol backend both sides ran against.
+    pub backend: BackendKind,
     /// Dispatcher variant both sides ran against.
     pub mode: DispatcherMode,
     /// The model checker's pre-run verdict.
@@ -49,8 +53,71 @@ pub struct CrosscheckRow {
     pub explored: usize,
     /// `(seed, outcome class)` per dynamic run.
     pub dynamic: Vec<(u64, &'static str)>,
-    /// Whether the two sides satisfy the agreement contract.
+    /// Whether the two sides satisfy the agreement contract
+    /// ([`verdicts_agree`]).
     pub agrees: bool,
+}
+
+/// The abstract deployment one crosscheck or matrix pass model-checks
+/// under. The three shapes the tables use are its constructors, so the
+/// shape decisions live here and not at the call sites.
+#[derive(Clone, Copy, Debug)]
+pub struct CheckShape {
+    /// Protocol backend (both sides of a crosscheck run against it).
+    pub backend: BackendKind,
+    /// Dispatcher variant (both sides; a Vcl concept).
+    pub mode: DispatcherMode,
+    /// Abstract MPI ranks.
+    pub n_ranks: usize,
+    /// Abstract machines; `n_hosts - n_ranks` are spares.
+    pub n_hosts: usize,
+    /// Symmetry canonicalization + partial-order reduction.
+    pub reduce: bool,
+    /// Product states to expand before answering `Unknown`.
+    pub budget: usize,
+}
+
+impl CheckShape {
+    /// The checker's default deployment (2-rank Vcl, unreduced) under
+    /// `mode` — the static side of the two-mode Vcl table.
+    pub fn checker_default(mode: DispatcherMode) -> Self {
+        let d = ModelCheckConfig::default();
+        CheckShape {
+            backend: d.backend,
+            mode,
+            n_ranks: d.n_ranks,
+            n_hosts: d.n_hosts,
+            reduce: d.reduce,
+            budget: d.budget,
+        }
+    }
+
+    /// The dynamic side's smoke deployment (4 ranks on 6 machines) under
+    /// `backend`'s historical dispatcher. The 4-rank product needs the
+    /// orbit quotient to stay definitive inside the default budget (the
+    /// 2-rank Vcl crosscheck does not).
+    pub fn smoke(backend: BackendKind) -> Self {
+        CheckShape {
+            backend,
+            n_ranks: 4,
+            n_hosts: 6,
+            reduce: true,
+            ..Self::checker_default(DispatcherMode::Historical)
+        }
+    }
+
+    /// Grid scale: `n_ranks` ranks plus one spare machine, reduced
+    /// exploration bounded by `budget`.
+    pub fn grid(backend: BackendKind, mode: DispatcherMode, n_ranks: usize, budget: usize) -> Self {
+        CheckShape {
+            backend,
+            mode,
+            n_ranks,
+            n_hosts: n_ranks + 1,
+            reduce: true,
+            budget,
+        }
+    }
 }
 
 /// One runnable builtin: `(name, source, machine class, smoke-scale
@@ -108,69 +175,83 @@ pub fn verdicts_agree(static_verdict: StaticVerdict, any_dynamic_buggy: bool) ->
     }
 }
 
-/// Crosschecks one scenario source over `seeds` dynamic runs under the
-/// given dispatcher mode. `name` only labels the row.
+/// Model-checks `src` with the scenario's `params` at `shape`.
+fn model_check(src: &str, params: &[(&str, i64)], shape: CheckShape) -> ModelSummary {
+    let cfg = ModelCheckConfig {
+        backend: shape.backend,
+        mode: shape.mode,
+        n_ranks: shape.n_ranks,
+        n_hosts: shape.n_hosts,
+        reduce: shape.reduce,
+        budget: shape.budget,
+        params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        ..ModelCheckConfig::default()
+    };
+    model_check_source(src, &cfg).summary
+}
+
+/// Crosschecks one scenario source: its static verdict at `shape` next to
+/// `seeds` dynamic runs of the smoke deployment on the same backend and
+/// dispatcher variant. `name` only labels the row.
 pub fn crosscheck_one(
     name: &'static str,
     src: &str,
     machine: &str,
     params: &[(&str, i64)],
     seeds: &[u64],
-    mode: DispatcherMode,
+    shape: CheckShape,
 ) -> CrosscheckRow {
-    let cfg = ModelCheckConfig {
-        params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        mode,
-        ..ModelCheckConfig::default()
-    };
-    let st = model_check_source(src, &cfg);
+    let st = model_check(src, params, shape);
     let dynamic: Vec<(u64, &'static str)> = seeds
         .iter()
         .map(|&seed| {
-            let record = run_one(&smoke_spec_for(src, machine, params, seed, mode));
-            (seed, outcome_class(&record.outcome))
+            let spec = smoke_spec_for(src, machine, params, seed, shape.mode)
+                .with_backend(shape.backend);
+            (seed, outcome_class(&run_one(&spec).outcome))
         })
         .collect();
     let any_buggy = dynamic.iter().any(|(_, c)| *c == "buggy");
     CrosscheckRow {
         name,
-        mode,
-        static_verdict: st.summary.verdict,
-        explored: st.summary.explored,
+        backend: shape.backend,
+        mode: shape.mode,
+        static_verdict: st.verdict,
+        explored: st.explored,
         dynamic,
-        agrees: verdicts_agree(st.summary.verdict, any_buggy),
+        agrees: verdicts_agree(st.verdict, any_buggy),
     }
 }
 
-/// Crosschecks every runnable builtin scenario over `seeds` dynamic runs
-/// under the historical (paper-bug) dispatcher.
-pub fn crosscheck_builtins(seeds: &[u64]) -> Vec<CrosscheckRow> {
-    crosscheck_builtins_mode(seeds, DispatcherMode::Historical)
+/// Crosschecks every runnable builtin over `seeds` dynamic runs at each of
+/// `shapes` (scenario-major). [`CheckShape::checker_default`] under both
+/// dispatcher variants is the two-mode Vcl table — the fixed mode closes
+/// the fuzzer's main oracle blind spot: a freeze there (static or dynamic)
+/// is a surviving-protocol bug, not the known Fig. 10 defect.
+/// [`CheckShape::smoke`] over every backend is the
+/// cross-backend differential matrix, whose interesting rows are the ones
+/// where backends *disagree* for protocol reasons — the Fig. 10 dispatcher
+/// bug is Vcl-specific (ULFM shrinks past it), random kills freeze ULFM
+/// only by eating the whole job, and replication converts any fault on an
+/// unprotected primary into an immediate loss.
+pub fn crosscheck_builtins(seeds: &[u64], shapes: &[CheckShape]) -> Vec<CrosscheckRow> {
+    let mut out = Vec::new();
+    for (name, src, machine, params) in SCENARIOS {
+        for &shape in shapes {
+            out.push(crosscheck_one(name, src, machine, params, seeds, shape));
+        }
+    }
+    out
 }
 
-/// Crosschecks every runnable builtin under one dispatcher variant. The
-/// fixed mode closes the fuzzer's main oracle blind spot: a freeze there
-/// (static or dynamic) is a surviving-protocol bug, not the known Fig. 10
-/// defect.
-pub fn crosscheck_builtins_mode(seeds: &[u64], mode: DispatcherMode) -> Vec<CrosscheckRow> {
-    SCENARIOS
-        .iter()
-        .map(|(name, src, machine, params)| {
-            crosscheck_one(name, src, machine, params, seeds, mode)
-        })
-        .collect()
-}
-
-/// One cell of the paper-scale figure matrix: a builtin figure scenario
-/// model-checked at grid scale under one dispatcher variant, with the
-/// reduced exploration.
+/// One cell of a paper-scale figure matrix: a builtin figure scenario
+/// model-checked at grid scale.
 #[derive(Clone, Debug)]
 pub struct MatrixRow {
     /// Scenario label (paper figure).
     pub name: &'static str,
     /// Dispatcher variant.
     pub mode: DispatcherMode,
-    /// MPI ranks in the abstract deployment (hosts = ranks + 1).
+    /// MPI ranks in the abstract deployment.
     pub n_ranks: usize,
     /// The checker's verdict at this scale.
     pub verdict: StaticVerdict,
@@ -186,175 +267,59 @@ pub struct MatrixRow {
     pub witness_cost: Option<(usize, usize)>,
 }
 
-/// Model-checks every runnable builtin at `n_ranks` grid scale (hosts =
-/// ranks + 1, the one-spare shape), both dispatcher variants, with the
-/// reduced exploration — the paper's figure-by-figure verdict matrix.
-/// `budget` bounds each exploration; the 25-rank matrix completes well
-/// inside the `failck` default.
-pub fn figure_matrix(n_ranks: usize, budget: usize) -> Vec<MatrixRow> {
+/// Model-checks every runnable builtin at each of `shapes`
+/// (scenario-major) — the paper's figure-by-figure verdict matrix when
+/// `shapes` are both dispatcher variants of [`CheckShape::grid`] on Vcl,
+/// its per-backend analogue under one backend's historical dispatcher
+/// (the variant is a Vcl concept). The 25-rank Vcl matrix completes well inside the `failck`
+/// default budget.
+pub fn figure_matrix(shapes: &[CheckShape]) -> Vec<MatrixRow> {
     let mut out = Vec::new();
     for (name, src, _machine, params) in SCENARIOS {
-        for mode in [DispatcherMode::Historical, DispatcherMode::Fixed] {
-            let cfg = ModelCheckConfig {
-                params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                mode,
-                n_ranks,
-                n_hosts: n_ranks + 1,
-                budget,
-                reduce: true,
-                ..ModelCheckConfig::default()
-            };
-            let r = model_check_source(src, &cfg);
+        for &shape in shapes {
+            let r = model_check(src, params, shape);
             out.push(MatrixRow {
                 name,
-                mode,
-                n_ranks,
-                verdict: r.summary.verdict,
-                explored: r.summary.explored,
-                interned: r.summary.interned,
-                orbit_hits: r.summary.orbit_hits,
-                por_pruned: r.summary.por_pruned,
-                witness_cost: r.summary.witness.as_ref().map(|w| (w.faults, w.steps.len())),
+                mode: shape.mode,
+                n_ranks: shape.n_ranks,
+                verdict: r.verdict,
+                explored: r.explored,
+                interned: r.interned,
+                orbit_hits: r.orbit_hits,
+                por_pruned: r.por_pruned,
+                witness_cost: r.witness.as_ref().map(|w| (w.faults, w.steps.len())),
             });
         }
     }
     out
 }
 
-/// One cell of the cross-backend differential matrix: a builtin figure
-/// scenario checked statically *and* swept dynamically under one protocol
-/// backend, both sides at the same smoke deployment scale (4 ranks on 6
-/// machines), historical dispatcher.
-#[derive(Clone, Debug)]
-pub struct BackendMatrixRow {
-    /// Scenario label (paper figure).
-    pub name: &'static str,
-    /// Protocol backend both sides ran against.
-    pub backend: BackendKind,
-    /// The model checker's pre-run verdict for this backend's abstract
-    /// model at the smoke scale.
-    pub static_verdict: StaticVerdict,
-    /// Product states the exploration expanded.
-    pub explored: usize,
-    /// `(seed, outcome class)` per dynamic run under this backend's
-    /// runtime.
-    pub dynamic: Vec<(u64, &'static str)>,
-    /// Whether the two sides satisfy the same asymmetric agreement
-    /// contract the Vcl crosscheck uses ([`verdicts_agree`]).
-    pub agrees: bool,
-}
-
-/// Crosschecks one builtin under one protocol backend: static verdict at
-/// the smoke deployment scale next to the dynamic seed sweep through that
-/// backend's runtime.
-pub fn backend_crosscheck_one(
-    name: &'static str,
-    src: &str,
-    machine: &str,
-    params: &[(&str, i64)],
-    seeds: &[u64],
-    backend: BackendKind,
-) -> BackendMatrixRow {
-    let cfg = ModelCheckConfig {
-        backend,
-        n_ranks: 4,
-        n_hosts: 6,
-        params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        mode: DispatcherMode::Historical,
-        // The 4-rank product needs the orbit quotient to stay definitive
-        // inside the default budget (the 2-rank Vcl crosscheck does not).
-        reduce: true,
-        ..ModelCheckConfig::default()
-    };
-    let st = model_check_source(src, &cfg);
-    let dynamic: Vec<(u64, &'static str)> = seeds
-        .iter()
-        .map(|&seed| {
-            let spec = smoke_spec_for(src, machine, params, seed, DispatcherMode::Historical)
-                .with_backend(backend);
-            let record = run_one(&spec);
-            (seed, outcome_class(&record.outcome))
-        })
-        .collect();
-    let any_buggy = dynamic.iter().any(|(_, c)| *c == "buggy");
-    BackendMatrixRow {
-        name,
-        backend,
-        static_verdict: st.summary.verdict,
-        explored: st.summary.explored,
-        dynamic,
-        agrees: verdicts_agree(st.summary.verdict, any_buggy),
+fn mode_name(mode: DispatcherMode) -> &'static str {
+    match mode {
+        DispatcherMode::Historical => "historical",
+        DispatcherMode::Fixed => "fixed",
     }
 }
 
-/// The full cross-backend differential matrix: every runnable builtin ×
-/// every protocol backend × the given seeds. The interesting rows are the
-/// ones where backends *disagree* for protocol reasons — the Fig. 10
-/// dispatcher bug is Vcl-specific (ULFM shrinks past it), random kills
-/// freeze ULFM only by eating the whole job, and replication converts
-/// any fault on an unprotected primary into an immediate loss.
-pub fn backend_matrix(seeds: &[u64]) -> Vec<BackendMatrixRow> {
-    let mut out = Vec::new();
-    for (name, src, machine, params) in SCENARIOS {
-        for backend in BackendKind::all() {
-            out.push(backend_crosscheck_one(name, src, machine, params, seeds, backend));
-        }
-    }
-    out
+/// The `seed:class` list of a row, flagged when its two sides disagree.
+fn dynamic_column(r: &CrosscheckRow) -> String {
+    let dyns: Vec<String> = r.dynamic.iter().map(|(s, c)| format!("{s}:{c}")).collect();
+    format!("{}{}", dyns.join(" "), if r.agrees { "" } else { "  [DISAGREES]" })
 }
 
-/// Model-checks every runnable builtin at `n_ranks` grid scale under one
-/// backend (hosts = ranks + 1, reduced exploration) — the per-backend
-/// analogue of [`figure_matrix`], historical dispatcher only since the
-/// dispatcher variant is a Vcl concept.
-pub fn backend_figure_matrix(
-    backend: BackendKind,
-    n_ranks: usize,
-    budget: usize,
-) -> Vec<MatrixRow> {
-    SCENARIOS
-        .iter()
-        .map(|(name, src, _machine, params)| {
-            let cfg = ModelCheckConfig {
-                backend,
-                params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                mode: DispatcherMode::Historical,
-                n_ranks,
-                n_hosts: n_ranks + 1,
-                budget,
-                reduce: true,
-                ..ModelCheckConfig::default()
-            };
-            let r = model_check_source(src, &cfg);
-            MatrixRow {
-                name,
-                mode: DispatcherMode::Historical,
-                n_ranks,
-                verdict: r.summary.verdict,
-                explored: r.summary.explored,
-                interned: r.summary.interned,
-                orbit_hits: r.summary.orbit_hits,
-                por_pruned: r.summary.por_pruned,
-                witness_cost: r.summary.witness.as_ref().map(|w| (w.faults, w.steps.len())),
-            }
-        })
-        .collect()
-}
-
-/// Renders the cross-backend matrix as an aligned table (the CI artifact).
-pub fn render_backend_matrix(rows: &[BackendMatrixRow]) -> String {
+/// Renders cross-backend crosscheck rows as an aligned table keyed by
+/// backend (the CI artifact).
+pub fn render_backend_matrix(rows: &[CrosscheckRow]) -> String {
     let mut out =
         String::from("scenario              backend  static    explored  dynamic\n");
     for r in rows {
-        let dyns: Vec<String> = r.dynamic.iter().map(|(s, c)| format!("{s}:{c}")).collect();
         out.push_str(&format!(
-            "{:<21} {:<8} {:<9} {:<9} {}{}\n",
+            "{:<21} {:<8} {:<9} {:<9} {}\n",
             r.name,
             r.backend.name(),
             r.static_verdict.to_string(),
             r.explored,
-            dyns.join(" "),
-            if r.agrees { "" } else { "  [DISAGREES]" }
+            dynamic_column(r)
         ));
     }
     out
@@ -373,10 +338,7 @@ pub fn render_matrix(rows: &[MatrixRow]) -> String {
         out.push_str(&format!(
             "{:<21} {:<11} {:<6} {:<9} {:<9} {:<11} {:<11} {}\n",
             r.name,
-            match r.mode {
-                DispatcherMode::Historical => "historical",
-                DispatcherMode::Fixed => "fixed",
-            },
+            mode_name(r.mode),
             r.n_ranks,
             r.verdict.to_string(),
             r.explored,
@@ -388,25 +350,17 @@ pub fn render_matrix(rows: &[MatrixRow]) -> String {
     out
 }
 
-/// Renders the crosscheck as an aligned table (the CI artifact).
+/// Renders two-mode crosscheck rows as an aligned table keyed by
+/// dispatcher variant (the CI artifact).
 pub fn render(rows: &[CrosscheckRow]) -> String {
     let mut out = String::from("scenario              mode        static    dynamic\n");
     for r in rows {
-        let dyns: Vec<String> = r
-            .dynamic
-            .iter()
-            .map(|(s, c)| format!("{s}:{c}"))
-            .collect();
         out.push_str(&format!(
-            "{:<21} {:<11} {:<9} {}{}\n",
+            "{:<21} {:<11} {:<9} {}\n",
             r.name,
-            match r.mode {
-                DispatcherMode::Historical => "historical",
-                DispatcherMode::Fixed => "fixed",
-            },
+            mode_name(r.mode),
             r.static_verdict.to_string(),
-            dyns.join(" "),
-            if r.agrees { "" } else { "  [DISAGREES]" }
+            dynamic_column(r)
         ));
     }
     out

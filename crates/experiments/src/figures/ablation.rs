@@ -10,76 +10,49 @@
 
 use serde::Serialize;
 
+use failmpi_sim::SimDuration;
 use failmpi_mpichv::{CheckpointStyle, DispatcherMode, VProtocol};
 
 use failmpi_workloads::BtClass;
 
-use super::{cluster_config, fig11, fmt_time, spec, FIG5_SRC};
-use crate::harness::InjectionSpec;
+use super::{fig11, fig5_injection, fmt_time, Common};
 use crate::stats::PointSummary;
-use crate::sweep::{run_all, seeded};
 
 /// Grid parameters shared by the ablations.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Workload class.
-    pub class: BtClass,
+    /// Run scale and CLI overrides.
+    pub common: Common,
     /// MPI ranks.
     pub n_ranks: u32,
     /// Compute machines.
     pub n_hosts: usize,
-    /// Checkpoint wave period, seconds.
-    pub wave_secs: u64,
     /// Wave periods for the period ablation, seconds.
     pub periods_s: Vec<u64>,
     /// Fault interval for the faulty series, seconds.
     pub interval_s: u64,
-    /// Runs per point.
-    pub runs: usize,
-    /// Experiment timeout, seconds.
-    pub timeout_s: u64,
-    /// Worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Scale the recovery constants down for seconds-scale runs.
-    pub miniature: bool,
 }
-
-crate::figures::figure_config!(Config);
 
 impl Config {
     /// Paper-scale parameters.
     pub fn paper() -> Self {
         Config {
-            class: BtClass::B,
+            common: Common::paper(5, 0xAB1A),
             n_ranks: 49,
             n_hosts: 53,
-            wave_secs: 30,
             periods_s: vec![10, 30, 60],
             interval_s: 50,
-            runs: 5,
-            timeout_s: 1500,
-            threads: 0,
-            base_seed: 0xAB1A,
-            miniature: false,
         }
     }
 
     /// A seconds-scale miniature.
     pub fn smoke() -> Self {
         Config {
-            class: BtClass::S,
+            common: Common::smoke(3, 0xAB1A),
             n_ranks: 4,
             n_hosts: 6,
-            wave_secs: 2,
             periods_s: vec![1, 2, 4],
             interval_s: 4,
-            runs: 3,
-            timeout_s: 90,
-            threads: 0,
-            base_seed: 0xAB1A,
-            miniature: true,
         }
     }
 }
@@ -97,16 +70,17 @@ pub struct DispatcherAblation {
 
 /// Runs the Fig. 10 stress under both dispatcher variants at one scale.
 pub fn dispatcher(cfg: &Config) -> DispatcherAblation {
-    let scales = vec![cfg.n_ranks];
-    let mut base = if cfg.class == BtClass::B {
+    let mut base = if cfg.common.class == BtClass::B {
         fig11::paper_config()
     } else {
         fig11::smoke_config()
     };
-    base.scales = scales;
+    base.scales = vec![cfg.n_ranks];
     base.spares = cfg.n_hosts - cfg.n_ranks as usize;
-    base.runs = cfg.runs;
-    base.threads = cfg.threads;
+    base.common = Common {
+        base_seed: base.common.base_seed,
+        ..cfg.common.clone()
+    };
     let hist = fig11::run(&base);
     let fixed = fig11::run(&fig11::fixed_config(base));
     let h = &hist.points[0].synchronized;
@@ -131,39 +105,19 @@ pub struct StylePoint {
 
 /// Compares blocking vs. non-blocking checkpointing.
 pub fn checkpoint_style(cfg: &Config) -> Vec<StylePoint> {
+    let c = &cfg.common;
     let mut out = Vec::new();
     for (k, style) in [CheckpointStyle::NonBlocking, CheckpointStyle::Blocking]
         .into_iter()
         .enumerate()
     {
-        let mut cluster = cluster_config(
-            cfg.n_ranks,
-            cfg.n_hosts,
-            cfg.wave_secs,
-            DispatcherMode::Historical,
-        );
-        if cfg.miniature {
-            super::miniaturize(&mut cluster);
-        }
+        let mut cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
         cluster.checkpoint_style = style;
-        let base = spec(
+        let (fault_free, faulty) = c.pair(
             cluster,
-            cfg.class.clone(),
-            None,
-            cfg.timeout_s,
-            cfg.base_seed + 20_000 * k as u64,
+            fig5_injection(cfg.interval_s, cfg.n_hosts),
+            c.base_seed + 20_000 * k as u64,
         );
-        let fault_free =
-            PointSummary::from_runs(&run_all(&seeded(&base, cfg.runs), cfg.threads));
-        let mut faulty_spec = base.clone();
-        faulty_spec.seed += 5_000;
-        faulty_spec.injection = Some(
-            InjectionSpec::new(FIG5_SRC, "ADV1", "ADVnodes")
-                .with_param("X", cfg.interval_s as i64)
-                .with_param("N", cfg.n_hosts as i64 - 1),
-        );
-        let faulty =
-            PointSummary::from_runs(&run_all(&seeded(&faulty_spec, cfg.runs), cfg.threads));
         out.push(StylePoint {
             style: format!("{style:?}"),
             fault_free,
@@ -186,35 +140,16 @@ pub struct PeriodPoint {
 
 /// Sweeps the checkpoint wave period.
 pub fn checkpoint_period(cfg: &Config) -> Vec<PeriodPoint> {
+    let c = &cfg.common;
     let mut out = Vec::new();
     for (k, &period) in cfg.periods_s.iter().enumerate() {
-        let mut cluster = cluster_config(
-            cfg.n_ranks,
-            cfg.n_hosts,
-            period,
-            DispatcherMode::Historical,
-        );
-        if cfg.miniature {
-            super::miniaturize(&mut cluster);
-        }
-        let base = spec(
+        let mut cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
+        cluster.checkpoint_period = SimDuration::from_secs(period);
+        let (fault_free, faulty) = c.pair(
             cluster,
-            cfg.class.clone(),
-            None,
-            cfg.timeout_s,
-            cfg.base_seed + 30_000 * k as u64,
+            fig5_injection(cfg.interval_s, cfg.n_hosts),
+            c.base_seed + 30_000 * k as u64,
         );
-        let fault_free =
-            PointSummary::from_runs(&run_all(&seeded(&base, cfg.runs), cfg.threads));
-        let mut faulty_spec = base.clone();
-        faulty_spec.seed += 5_000;
-        faulty_spec.injection = Some(
-            InjectionSpec::new(FIG5_SRC, "ADV1", "ADVnodes")
-                .with_param("X", cfg.interval_s as i64)
-                .with_param("N", cfg.n_hosts as i64 - 1),
-        );
-        let faulty =
-            PointSummary::from_runs(&run_all(&seeded(&faulty_spec, cfg.runs), cfg.threads));
         out.push(PeriodPoint {
             period_s: period,
             fault_free,
@@ -247,54 +182,47 @@ pub struct ProtocolPoint {
 /// overhead profile, and no-fault-tolerance only ever wins when nothing
 /// fails.
 pub fn protocol(cfg: &Config) -> Vec<ProtocolPoint> {
+    let c = &cfg.common;
     let mut out = Vec::new();
     for (k, proto) in [VProtocol::Vcl, VProtocol::V2, VProtocol::Vdummy]
         .into_iter()
         .enumerate()
     {
         for (j, interval) in [None, Some(cfg.interval_s)].into_iter().enumerate() {
-            let mut cluster = cluster_config(
-                cfg.n_ranks,
-                cfg.n_hosts,
-                cfg.wave_secs,
-                DispatcherMode::Historical,
-            );
-            if cfg.miniature {
-                super::miniaturize(&mut cluster);
-            }
+            let mut cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
             cluster.protocol = proto;
-            let mut s = spec(
-                cluster,
-                cfg.class.clone(),
-                None,
-                cfg.timeout_s,
-                cfg.base_seed + 40_000 * (2 * k + j) as u64,
-            );
-            if let Some(x) = interval {
-                s.injection = Some(
-                    InjectionSpec::new(FIG5_SRC, "ADV1", "ADVnodes")
-                        .with_param("X", x as i64)
-                        .with_param("N", cfg.n_hosts as i64 - 1),
-                );
-            }
-            let records = run_all(&seeded(&s, cfg.runs), cfg.threads);
+            let inj = interval.map(|x| fig5_injection(x, cfg.n_hosts));
+            let seed = c.base_seed + 40_000 * (2 * k + j) as u64;
             out.push(ProtocolPoint {
                 protocol: format!("{proto:?}"),
                 interval_s: interval,
-                summary: PointSummary::from_runs(&records),
+                summary: c.point(cluster, inj, seed),
             });
         }
     }
     out
 }
 
-/// Renders all three ablations.
-pub fn render(
-    dispatcher: &DispatcherAblation,
-    styles: &[StylePoint],
-    periods: &[PeriodPoint],
-    protocols: &[ProtocolPoint],
-) -> String {
+/// All four ablations, in rendering (and JSON array) order.
+pub type Data = (
+    DispatcherAblation,
+    Vec<StylePoint>,
+    Vec<PeriodPoint>,
+    Vec<ProtocolPoint>,
+);
+
+/// Runs all four ablations.
+pub fn run(cfg: &Config) -> Data {
+    (
+        dispatcher(cfg),
+        checkpoint_style(cfg),
+        checkpoint_period(cfg),
+        protocol(cfg),
+    )
+}
+
+/// Renders all four ablations.
+pub fn render((dispatcher, styles, periods, protocols): &Data) -> String {
     let mut out = String::from("Ablation 1 — dispatcher bookkeeping under the Fig. 10 stress\n");
     out.push_str(&format!(
         "historical: {:5.1}% buggy   fixed: {:5.1}% buggy ({:5.1}% completed)\n\n",

@@ -19,70 +19,42 @@
 use serde::Serialize;
 
 use failmpi_mpichv::DispatcherMode;
-use failmpi_workloads::BtClass;
 
-use super::{cluster_config, fmt_time, spec, DELAY_SRC};
+use super::{fmt_time, Common, DELAY_SRC};
 use crate::harness::InjectionSpec;
 use crate::stats::PointSummary;
-use crate::sweep::{run_all, seeded};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Workload class.
-    pub class: BtClass,
+    /// Run scale and CLI overrides.
+    pub common: Common,
     /// MPI ranks.
     pub n_ranks: u32,
     /// Compute machines.
     pub n_hosts: usize,
-    /// Checkpoint wave period, seconds.
-    pub wave_secs: u64,
     /// Delays after the wave commit to sweep, seconds.
     pub delays_s: Vec<u64>,
-    /// Runs per point.
-    pub runs: usize,
-    /// Experiment timeout, seconds.
-    pub timeout_s: u64,
-    /// Worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Scale the recovery constants down for seconds-scale runs.
-    pub miniature: bool,
 }
-
-crate::figures::figure_config!(Config);
 
 impl Config {
     /// Paper-scale parameters: one fault, delays across the 30 s period.
     pub fn paper() -> Self {
         Config {
-            class: BtClass::B,
+            common: Common::paper(5, 0xDE1A),
             n_ranks: 49,
             n_hosts: 53,
-            wave_secs: 30,
             delays_s: vec![0, 5, 10, 15, 20, 25],
-            runs: 5,
-            timeout_s: 1500,
-            threads: 0,
-            base_seed: 0xDE1A,
-            miniature: false,
         }
     }
 
     /// A seconds-scale miniature.
     pub fn smoke() -> Self {
         Config {
-            class: BtClass::S,
+            common: Common::smoke(3, 0xDE1A),
             n_ranks: 4,
             n_hosts: 6,
-            wave_secs: 2,
             delays_s: vec![0, 1],
-            runs: 3,
-            timeout_s: 90,
-            threads: 0,
-            base_seed: 0xDE1A,
-            miniature: true,
         }
     }
 }
@@ -109,36 +81,22 @@ pub struct Data {
 
 /// Runs the sweep.
 pub fn run(cfg: &Config) -> Data {
-    let mut cluster =
-        cluster_config(cfg.n_ranks, cfg.n_hosts, cfg.wave_secs, DispatcherMode::Historical);
-    if cfg.miniature {
-        super::miniaturize(&mut cluster);
-    }
-    let base = spec(
-        cluster,
-        cfg.class.clone(),
-        None,
-        cfg.timeout_s,
-        cfg.base_seed,
-    );
-    let baseline = PointSummary::from_runs(&run_all(&seeded(&base, cfg.runs), cfg.threads));
+    let c = &cfg.common;
+    let cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
+    let baseline = c.point(cluster.clone(), None, c.base_seed);
     let mut points = Vec::new();
     for (k, &d) in cfg.delays_s.iter().enumerate() {
-        let mut s = base.clone();
-        s.seed += 1_000 * (k as u64 + 1);
-        s.injection = Some(
-            InjectionSpec::new(DELAY_SRC, "ADV1", "ADVnodes")
-                .with_param("D", d as i64)
-                .with_param("N", cfg.n_hosts as i64 - 1),
-        );
-        let records = run_all(&seeded(&s, cfg.runs), cfg.threads);
+        let inj = InjectionSpec::new(DELAY_SRC, "ADV1", "ADVnodes")
+            .with_param("D", d as i64)
+            .with_param("N", cfg.n_hosts as i64 - 1);
+        let seed = c.base_seed + 1_000 * (k as u64 + 1);
         points.push(Point {
             delay_s: d,
-            summary: PointSummary::from_runs(&records),
+            summary: c.point(cluster.clone(), Some(inj), seed),
         });
     }
     Data {
-        wave_secs: cfg.wave_secs,
+        wave_secs: c.wave_secs,
         baseline,
         points,
     }

@@ -15,14 +15,14 @@ use super::FIG10_SRC;
 /// The paper's parameters (same grid as Fig. 9).
 pub fn paper_config() -> Config {
     let mut cfg = Config::paper();
-    cfg.base_seed = 0xB10B;
+    cfg.common.base_seed = 0xB10B;
     cfg
 }
 
 /// A seconds-scale miniature.
 pub fn smoke_config() -> Config {
     let mut cfg = Config::smoke();
-    cfg.base_seed = 0xB10B;
+    cfg.common.base_seed = 0xB10B;
     cfg
 }
 

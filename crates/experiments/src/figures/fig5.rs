@@ -9,70 +9,41 @@
 use serde::Serialize;
 
 use failmpi_mpichv::DispatcherMode;
-use failmpi_workloads::BtClass;
 
-use super::{cluster_config, fmt_time, spec, FIG5_SRC};
-use crate::harness::InjectionSpec;
+use super::{fig5_injection, fmt_time, Common};
 use crate::stats::PointSummary;
-use crate::sweep::{run_all, seeded};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Workload class.
-    pub class: BtClass,
+    /// Run scale and CLI overrides.
+    pub common: Common,
     /// MPI ranks.
     pub n_ranks: u32,
     /// Compute machines (the `G1` group size).
     pub n_hosts: usize,
-    /// Checkpoint wave period, seconds.
-    pub wave_secs: u64,
     /// Fault intervals to sweep, seconds.
     pub intervals_s: Vec<u64>,
-    /// Runs per point.
-    pub runs: usize,
-    /// Experiment timeout, seconds.
-    pub timeout_s: u64,
-    /// Worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Scale the recovery constants down for seconds-scale runs.
-    pub miniature: bool,
 }
-
-crate::figures::figure_config!(Config);
 
 impl Config {
     /// The paper's parameters.
     pub fn paper() -> Self {
         Config {
-            class: BtClass::B,
+            common: Common::paper(6, 0x5105),
             n_ranks: 49,
             n_hosts: 53,
-            wave_secs: 30,
             intervals_s: vec![65, 60, 55, 50, 45, 40],
-            runs: 6,
-            timeout_s: 1500,
-            threads: 0,
-            base_seed: 0x5105,
-            miniature: false,
         }
     }
 
     /// A seconds-scale miniature with the same shape (class S, 4 ranks).
     pub fn smoke() -> Self {
         Config {
-            class: BtClass::S,
+            common: Common::smoke(3, 0x5105),
             n_ranks: 4,
             n_hosts: 6,
-            wave_secs: 2,
             intervals_s: vec![4, 3, 2],
-            runs: 3,
-            timeout_s: 90,
-            threads: 0,
-            base_seed: 0x5105,
-            miniature: true,
         }
     }
 }
@@ -101,41 +72,26 @@ pub struct Data {
 
 /// Runs the sweep.
 pub fn run(cfg: &Config) -> Data {
-    let mut points = Vec::new();
-    let class_name = cfg.class.name.to_string();
-    let base = |seed| {
-        let mut cluster =
-            cluster_config(cfg.n_ranks, cfg.n_hosts, cfg.wave_secs, DispatcherMode::Historical);
-        if cfg.miniature {
-            super::miniaturize(&mut cluster);
-        }
-        spec(cluster, cfg.class.clone(), None, cfg.timeout_s, seed)
-    };
+    let c = &cfg.common;
+    let cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
     // No-fault baseline.
-    let specs = seeded(&base(cfg.base_seed), cfg.runs);
-    let records = run_all(&specs, cfg.threads);
-    points.push(Point {
+    let mut points = vec![Point {
         label: "no faults".into(),
         interval_s: None,
-        summary: PointSummary::from_runs(&records),
-    });
+        summary: c.point(cluster.clone(), None, c.base_seed),
+    }];
     // One fault every X seconds.
     for (k, &x) in cfg.intervals_s.iter().enumerate() {
-        let inj = InjectionSpec::new(FIG5_SRC, "ADV1", "ADVnodes")
-            .with_param("X", x as i64)
-            .with_param("N", cfg.n_hosts as i64 - 1);
-        let mut s = base(cfg.base_seed + 1000 * (k as u64 + 1));
-        s.injection = Some(inj);
-        let specs = seeded(&s, cfg.runs);
-        let records = run_all(&specs, cfg.threads);
+        let inj = fig5_injection(x, cfg.n_hosts);
+        let seed = c.base_seed + 1000 * (k as u64 + 1);
         points.push(Point {
             label: format!("every {x} sec"),
             interval_s: Some(x),
-            summary: PointSummary::from_runs(&records),
+            summary: c.point(cluster.clone(), Some(inj), seed),
         });
     }
     Data {
-        class: class_name,
+        class: c.class.name.to_string(),
         n_ranks: cfg.n_ranks,
         points,
     }

@@ -10,70 +10,41 @@
 use serde::Serialize;
 
 use failmpi_mpichv::DispatcherMode;
-use failmpi_workloads::BtClass;
 
-use super::{cluster_config, fmt_time, spec, FIG5_SRC};
-use crate::harness::InjectionSpec;
+use super::{fig5_injection, fmt_time, Common};
 use crate::stats::PointSummary;
-use crate::sweep::{run_all, seeded};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Workload class.
-    pub class: BtClass,
+    /// Run scale and CLI overrides.
+    pub common: Common,
     /// Rank counts to sweep (perfect squares).
     pub scales: Vec<u32>,
     /// Spare machines added on top of each scale.
     pub spares: usize,
-    /// Checkpoint wave period, seconds.
-    pub wave_secs: u64,
     /// Fault interval, seconds.
     pub interval_s: u64,
-    /// Runs per point.
-    pub runs: usize,
-    /// Experiment timeout, seconds.
-    pub timeout_s: u64,
-    /// Worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Scale the recovery constants down for seconds-scale runs.
-    pub miniature: bool,
 }
-
-crate::figures::figure_config!(Config);
 
 impl Config {
     /// The paper's parameters.
     pub fn paper() -> Self {
         Config {
-            class: BtClass::B,
+            common: Common::paper(5, 0x6106),
             scales: vec![25, 36, 49, 64],
             spares: 4,
-            wave_secs: 30,
             interval_s: 50,
-            runs: 5,
-            timeout_s: 1500,
-            threads: 0,
-            base_seed: 0x6106,
-            miniature: false,
         }
     }
 
     /// A seconds-scale miniature (classes S at 4 and 9 ranks).
     pub fn smoke() -> Self {
         Config {
-            class: BtClass::S,
+            common: Common::smoke(3, 0x6106),
             scales: vec![4, 9],
             spares: 2,
-            wave_secs: 2,
             interval_s: 2,
-            runs: 3,
-            timeout_s: 90,
-            threads: 0,
-            base_seed: 0x6106,
-            miniature: true,
         }
     }
 }
@@ -100,31 +71,15 @@ pub struct Data {
 
 /// Runs the sweep.
 pub fn run(cfg: &Config) -> Data {
+    let c = &cfg.common;
     let mut points = Vec::new();
     for (k, &n) in cfg.scales.iter().enumerate() {
         let hosts = n as usize + cfg.spares;
-        let mut cluster = cluster_config(n, hosts, cfg.wave_secs, DispatcherMode::Historical);
-        if cfg.miniature {
-            super::miniaturize(&mut cluster);
-        }
-        let base = spec(
-            cluster,
-            cfg.class.clone(),
-            None,
-            cfg.timeout_s,
-            cfg.base_seed + 10_000 * k as u64,
+        let (fault_free, faulty) = c.pair(
+            c.cluster(n, hosts, DispatcherMode::Historical),
+            fig5_injection(cfg.interval_s, hosts),
+            c.base_seed + 10_000 * k as u64,
         );
-        let fault_free =
-            PointSummary::from_runs(&run_all(&seeded(&base, cfg.runs), cfg.threads));
-        let mut faulty_spec = base.clone();
-        faulty_spec.seed += 5_000;
-        faulty_spec.injection = Some(
-            InjectionSpec::new(FIG5_SRC, "ADV1", "ADVnodes")
-                .with_param("X", cfg.interval_s as i64)
-                .with_param("N", hosts as i64 - 1),
-        );
-        let faulty =
-            PointSummary::from_runs(&run_all(&seeded(&faulty_spec, cfg.runs), cfg.threads));
         points.push(Point {
             n_ranks: n,
             fault_free,

@@ -8,74 +8,46 @@
 use serde::Serialize;
 
 use failmpi_mpichv::DispatcherMode;
-use failmpi_workloads::BtClass;
 
-use super::{cluster_config, fmt_time, spec, FIG7_SRC};
+use super::{fmt_time, Common, FIG7_SRC};
 use crate::harness::InjectionSpec;
 use crate::stats::PointSummary;
-use crate::sweep::{run_all, seeded};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Workload class.
-    pub class: BtClass,
+    /// Run scale and CLI overrides.
+    pub common: Common,
     /// MPI ranks.
     pub n_ranks: u32,
     /// Compute machines.
     pub n_hosts: usize,
-    /// Checkpoint wave period, seconds.
-    pub wave_secs: u64,
     /// Seconds between bursts.
     pub period_s: u64,
     /// Burst sizes to sweep.
     pub bursts: Vec<u32>,
-    /// Runs per point.
-    pub runs: usize,
-    /// Experiment timeout, seconds.
-    pub timeout_s: u64,
-    /// Worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Scale the recovery constants down for seconds-scale runs.
-    pub miniature: bool,
 }
-
-crate::figures::figure_config!(Config);
 
 impl Config {
     /// The paper's parameters.
     pub fn paper() -> Self {
         Config {
-            class: BtClass::B,
+            common: Common::paper(6, 0x7107),
             n_ranks: 49,
             n_hosts: 53,
-            wave_secs: 30,
             period_s: 50,
             bursts: vec![1, 2, 3, 4, 5],
-            runs: 6,
-            timeout_s: 1500,
-            threads: 0,
-            base_seed: 0x7107,
-            miniature: false,
         }
     }
 
     /// A seconds-scale miniature.
     pub fn smoke() -> Self {
         Config {
-            class: BtClass::S,
+            common: Common::smoke(3, 0x7107),
             n_ranks: 4,
             n_hosts: 6,
-            wave_secs: 2,
             period_s: 4,
             bursts: vec![1, 2],
-            runs: 3,
-            timeout_s: 90,
-            threads: 0,
-            base_seed: 0x7107,
-            miniature: true,
         }
     }
 }
@@ -100,29 +72,18 @@ pub struct Data {
 
 /// Runs the sweep.
 pub fn run(cfg: &Config) -> Data {
+    let c = &cfg.common;
     let mut points = Vec::new();
     for (k, &x) in cfg.bursts.iter().enumerate() {
         let inj = InjectionSpec::new(FIG7_SRC, "ADV1", "ADVnodes")
             .with_param("X", x as i64)
             .with_param("T", cfg.period_s as i64)
             .with_param("N", cfg.n_hosts as i64 - 1);
-        let mut cluster =
-            cluster_config(cfg.n_ranks, cfg.n_hosts, cfg.wave_secs, DispatcherMode::Historical);
-        if cfg.miniature {
-            super::miniaturize(&mut cluster);
-        }
-        let mut s = spec(
-            cluster,
-            cfg.class.clone(),
-            Some(inj),
-            cfg.timeout_s,
-            cfg.base_seed + 10_000 * k as u64,
-        );
-        s.seed += x as u64;
-        let records = run_all(&seeded(&s, cfg.runs), cfg.threads);
+        let cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
+        let seed = c.base_seed + 10_000 * k as u64 + x as u64;
         points.push(Point {
             burst: x,
-            summary: PointSummary::from_runs(&records),
+            summary: c.point(cluster, Some(inj), seed),
         });
     }
     Data {

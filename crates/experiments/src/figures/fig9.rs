@@ -10,74 +10,46 @@
 use serde::Serialize;
 
 use failmpi_mpichv::DispatcherMode;
-use failmpi_workloads::BtClass;
 
-use super::{cluster_config, fmt_time, spec, FIG8_SRC};
+use super::{fmt_time, Common, FIG8_SRC};
 use crate::harness::InjectionSpec;
 use crate::stats::PointSummary;
-use crate::sweep::{run_all, seeded};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Workload class.
-    pub class: BtClass,
+    /// Run scale and CLI overrides.
+    pub common: Common,
     /// Rank counts to sweep.
     pub scales: Vec<u32>,
     /// Spare machines on top of each scale.
     pub spares: usize,
-    /// Checkpoint wave period, seconds.
-    pub wave_secs: u64,
     /// Seconds before the first fault.
     pub first_fault_s: u64,
-    /// Runs per point.
-    pub runs: usize,
-    /// Experiment timeout, seconds.
-    pub timeout_s: u64,
-    /// Worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub base_seed: u64,
     /// Dispatcher variant (Historical reproduces the paper).
     pub mode: DispatcherMode,
-    /// Scale the recovery constants down for seconds-scale runs.
-    pub miniature: bool,
 }
-
-crate::figures::figure_config!(Config);
 
 impl Config {
     /// The paper's parameters.
     pub fn paper() -> Self {
         Config {
-            class: BtClass::B,
+            common: Common::paper(16, 0x9109),
             scales: vec![25, 36, 49, 64],
             spares: 4,
-            wave_secs: 30,
             first_fault_s: 50,
-            runs: 16,
-            timeout_s: 1500,
-            threads: 0,
-            base_seed: 0x9109,
             mode: DispatcherMode::Historical,
-            miniature: false,
         }
     }
 
     /// A seconds-scale miniature.
     pub fn smoke() -> Self {
         Config {
-            class: BtClass::S,
+            common: Common::smoke(4, 0x9109),
             scales: vec![4, 9],
             spares: 2,
-            wave_secs: 2,
             first_fault_s: 2,
-            runs: 4,
-            timeout_s: 90,
-            threads: 0,
-            base_seed: 0x9109,
             mode: DispatcherMode::Historical,
-            miniature: true,
         }
     }
 }
@@ -107,35 +79,22 @@ pub(crate) fn run_with_scenario(
     adversary: &str,
     machine: &str,
 ) -> Data {
+    let c = &cfg.common;
     let mut points = Vec::new();
     for (k, &n) in cfg.scales.iter().enumerate() {
         let hosts = n as usize + cfg.spares;
-        let mut cluster = cluster_config(n, hosts, cfg.wave_secs, cfg.mode);
-        if cfg.miniature {
-            super::miniaturize(&mut cluster);
-        }
-        let base = spec(
-            cluster,
-            cfg.class.clone(),
-            None,
-            cfg.timeout_s,
-            cfg.base_seed + 10_000 * k as u64,
+        let inj = InjectionSpec::new(src, adversary, machine)
+            .with_param("T", cfg.first_fault_s as i64)
+            .with_param("N", hosts as i64 - 1)
+            // Freezing the dispatcher is the *point* of the
+            // synchronized-fault figures; tell the strict lint gate
+            // the statically-predicted freeze is expected.
+            .with_expect_freeze(true);
+        let (fault_free, synchronized) = c.pair(
+            c.cluster(n, hosts, cfg.mode),
+            inj,
+            c.base_seed + 10_000 * k as u64,
         );
-        let fault_free =
-            PointSummary::from_runs(&run_all(&seeded(&base, cfg.runs), cfg.threads));
-        let mut sync_spec = base.clone();
-        sync_spec.seed += 5_000;
-        sync_spec.injection = Some(
-            InjectionSpec::new(src, adversary, machine)
-                .with_param("T", cfg.first_fault_s as i64)
-                .with_param("N", hosts as i64 - 1)
-                // Freezing the dispatcher is the *point* of the
-                // synchronized-fault figures; tell the strict lint gate
-                // the statically-predicted freeze is expected.
-                .with_expect_freeze(true),
-        );
-        let synchronized =
-            PointSummary::from_runs(&run_all(&seeded(&sync_spec, cfg.runs), cfg.threads));
         points.push(Point {
             n_ranks: n,
             fault_free,

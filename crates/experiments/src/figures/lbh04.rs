@@ -20,71 +20,46 @@
 use serde::Serialize;
 
 use failmpi_mpichv::{DispatcherMode, VProtocol};
-use failmpi_workloads::BtClass;
 
-use super::{cluster_config, fmt_time, spec, FIG5_SRC};
-use crate::harness::InjectionSpec;
+use super::{fig5_injection, fmt_time, Common};
 use crate::stats::PointSummary;
-use crate::sweep::{run_all, seeded};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Workload class.
-    pub class: BtClass,
+    /// Run scale and CLI overrides (`wave_secs` is also V2's
+    /// self-checkpoint period).
+    pub common: Common,
     /// MPI ranks.
     pub n_ranks: u32,
     /// Compute machines.
     pub n_hosts: usize,
-    /// Checkpoint wave / self-checkpoint period, seconds.
-    pub wave_secs: u64,
     /// Fault intervals to sweep, seconds (`0` = the no-fault baseline).
     pub intervals_s: Vec<u64>,
-    /// Runs per point.
-    pub runs: usize,
-    /// Experiment timeout, seconds.
-    pub timeout_s: u64,
-    /// Worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Scale the recovery constants down for seconds-scale runs.
-    pub miniature: bool,
 }
-
-crate::figures::figure_config!(Config);
 
 impl Config {
     /// Paper-scale parameters (the 2004 paper also used NAS kernels on a
     /// ~2×10²-node cluster with fault-frequency sweeps).
     pub fn paper() -> Self {
         Config {
-            class: BtClass::B,
+            common: Common::paper(5, 0x1bb4),
             n_ranks: 49,
             n_hosts: 53,
-            wave_secs: 30,
             intervals_s: vec![0, 65, 50, 40, 30],
-            runs: 5,
-            timeout_s: 1500,
-            threads: 0,
-            base_seed: 0x1bb4,
-            miniature: false,
         }
     }
 
     /// A seconds-scale miniature.
     pub fn smoke() -> Self {
         Config {
-            class: BtClass::S,
+            common: Common {
+                wave_secs: 1,
+                ..Common::smoke(3, 0x1bb4)
+            },
             n_ranks: 4,
             n_hosts: 6,
-            wave_secs: 1,
             intervals_s: vec![0, 4, 2],
-            runs: 3,
-            timeout_s: 90,
-            threads: 0,
-            base_seed: 0x1bb4,
-            miniature: true,
         }
     }
 }
@@ -109,38 +84,18 @@ pub struct Data {
 
 /// Runs the sweep.
 pub fn run(cfg: &Config) -> Data {
+    let c = &cfg.common;
     let mut points = Vec::new();
     for (k, proto) in [VProtocol::Vcl, VProtocol::V2].into_iter().enumerate() {
         for (j, &interval) in cfg.intervals_s.iter().enumerate() {
-            let mut cluster = cluster_config(
-                cfg.n_ranks,
-                cfg.n_hosts,
-                cfg.wave_secs,
-                DispatcherMode::Historical,
-            );
-            if cfg.miniature {
-                super::miniaturize(&mut cluster);
-            }
+            let mut cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
             cluster.protocol = proto;
-            let mut s = spec(
-                cluster,
-                cfg.class.clone(),
-                None,
-                cfg.timeout_s,
-                cfg.base_seed + 50_000 * k as u64 + 1_000 * j as u64,
-            );
-            if interval > 0 {
-                s.injection = Some(
-                    InjectionSpec::new(FIG5_SRC, "ADV1", "ADVnodes")
-                        .with_param("X", interval as i64)
-                        .with_param("N", cfg.n_hosts as i64 - 1),
-                );
-            }
-            let records = run_all(&seeded(&s, cfg.runs), cfg.threads);
+            let inj = (interval > 0).then(|| fig5_injection(interval, cfg.n_hosts));
+            let seed = c.base_seed + 50_000 * k as u64 + 1_000 * j as u64;
             points.push(Point {
                 protocol: format!("{proto:?}"),
                 interval_s: (interval > 0).then_some(interval),
-                summary: PointSummary::from_runs(&records),
+                summary: c.point(cluster, inj, seed),
             });
         }
     }

@@ -15,68 +15,210 @@ pub mod fig7;
 pub mod fig9;
 pub mod lbh04;
 
+use failmpi_backend::BackendKind;
 use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpichv::{DispatcherMode, VclConfig};
 use failmpi_workloads::BtClass;
+use serde::Serialize;
 
 use crate::cli::Options;
-use crate::harness::ExperimentSpec;
+use crate::harness::{ExperimentSpec, InjectionSpec, LintMode};
+use crate::stats::PointSummary;
+use crate::sweep::{run_all, seeded};
 
-/// The two overridable knobs every figure config shares, so the common
-/// binary entry point ([`run_figure_main`]) can apply `--runs`/`--threads`
-/// without knowing the concrete config type.
-pub trait FigureConfig {
-    /// Mutable access to the per-point run count.
-    fn runs_mut(&mut self) -> &mut usize;
-    /// Mutable access to the worker-thread count.
-    fn threads_mut(&mut self) -> &mut usize;
+/// What every figure's `Config` shares: the run scale (paper or smoke) and
+/// what the `--runs/--threads/--backend/--lint/--expect-freeze` flags
+/// choose. Every run of a sweep gets its backend, lint mode and freeze
+/// expectation from here — there is no process-wide default.
+#[derive(Clone, Debug)]
+pub struct Common {
+    /// Workload class.
+    pub class: BtClass,
+    /// Checkpoint wave period, seconds.
+    pub wave_secs: u64,
+    /// Experiment timeout, seconds.
+    pub timeout_s: u64,
+    /// Scale the recovery constants down for seconds-scale runs.
+    pub miniature: bool,
+    /// Runs per point.
+    pub runs: usize,
+    /// Worker threads (0 = all cores).
+    pub threads: usize,
+    /// Base seed.
+    pub base_seed: u64,
+    /// Protocol backend under test.
+    pub backend: BackendKind,
+    /// Scenario lint gate.
+    pub lint: LintMode,
+    /// The sweep hunts freezes: the strict lint gate runs scenarios the
+    /// model checker statically classifies as freezing.
+    pub expect_freeze: bool,
 }
 
-/// Implements [`FigureConfig`] for a config struct with public `runs` and
-/// `threads` fields.
-macro_rules! figure_config {
-    ($ty:ty) => {
-        impl crate::figures::FigureConfig for $ty {
-            fn runs_mut(&mut self) -> &mut usize {
-                &mut self.runs
-            }
-            fn threads_mut(&mut self) -> &mut usize {
-                &mut self.threads
-            }
+impl Common {
+    /// The paper's scale: class B, 30 s waves, 1500 s timeout.
+    pub fn paper(runs: usize, base_seed: u64) -> Self {
+        Common {
+            class: BtClass::B,
+            wave_secs: 30,
+            timeout_s: 1500,
+            miniature: false,
+            runs,
+            threads: 0,
+            base_seed,
+            backend: BackendKind::Vcl,
+            lint: LintMode::Warn,
+            expect_freeze: false,
         }
-    };
-}
-pub(crate) use figure_config;
+    }
 
-/// The shared `main` of every figure binary: parses the common CLI flags,
-/// picks the smoke or paper config, applies `--runs`/`--threads`, installs
-/// the telemetry sink, runs the sweep, prints the rendered figure, and
-/// writes the `--json` / `--metrics` / `--trace-out` / `--profile` outputs. Exits with status 2 on a CLI error, so each binary's `main` is
-/// a single call.
-pub fn run_figure_main<C: FigureConfig, D: serde::Serialize>(
-    pick: impl FnOnce(bool) -> C,
-    run: impl FnOnce(&C) -> D,
-    render: impl FnOnce(&D) -> String,
-) {
-    let opts = match Options::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
+    /// The seconds-scale miniature: class S, 2 s waves, 90 s timeout.
+    pub fn smoke(runs: usize, base_seed: u64) -> Self {
+        Common {
+            class: BtClass::S,
+            wave_secs: 2,
+            timeout_s: 90,
+            miniature: true,
+            ..Common::paper(runs, base_seed)
         }
-    };
-    let mut cfg = pick(opts.smoke);
-    if let Some(r) = opts.runs {
-        *cfg.runs_mut() = r;
     }
-    if let Some(t) = opts.threads {
-        *cfg.threads_mut() = t;
+
+    /// The cluster at one deployment scale.
+    pub(crate) fn cluster(&self, n_ranks: u32, n_hosts: usize, mode: DispatcherMode) -> VclConfig {
+        let mut cluster = cluster_config(n_ranks, n_hosts, self.wave_secs, mode);
+        if self.miniature {
+            miniaturize(&mut cluster);
+        }
+        cluster
     }
-    opts.telemetry.install();
+
+    /// One sweep point: `runs` seeded runs (`seed`, `seed + 1`, …) of
+    /// `cluster` under `injection`, summarised.
+    pub(crate) fn point(
+        &self,
+        cluster: VclConfig,
+        injection: Option<InjectionSpec>,
+        seed: u64,
+    ) -> PointSummary {
+        let injection = injection.map(|inj| {
+            let expect = inj.expect_freeze || self.expect_freeze;
+            inj.with_lint(self.lint).with_expect_freeze(expect)
+        });
+        let spec = spec(cluster, self.class.clone(), injection, self.timeout_s, seed)
+            .with_backend(self.backend);
+        PointSummary::from_runs(&run_all(&seeded(&spec, self.runs), self.threads))
+    }
+
+    /// The fault-free point at `seed` next to the same cluster under
+    /// `injection` at `seed + 5000`.
+    pub(crate) fn pair(
+        &self,
+        cluster: VclConfig,
+        injection: InjectionSpec,
+        seed: u64,
+    ) -> (PointSummary, PointSummary) {
+        let fault_free = self.point(cluster.clone(), None, seed);
+        (fault_free, self.point(cluster, Some(injection), seed + 5_000))
+    }
+}
+
+/// The Fig. 5(a) injection: one fault every `interval_s` seconds among
+/// `n_hosts` machines.
+pub(crate) fn fig5_injection(interval_s: u64, n_hosts: usize) -> InjectionSpec {
+    InjectionSpec::new(FIG5_SRC, "ADV1", "ADVnodes")
+        .with_param("X", interval_s as i64)
+        .with_param("N", n_hosts as i64 - 1)
+}
+
+/// One entry of [`FIGURES`].
+pub struct Figure {
+    /// The name `figure <name>` selects (and `results/<name>.*` carries).
+    pub name: &'static str,
+    /// Runs the figure at the scale and under the overrides `opts` names;
+    /// returns the rendered table and the JSON form of its data (`None`
+    /// for Table 1, which has none).
+    pub run: fn(&Options) -> (String, Option<String>),
+}
+
+/// Every table and figure the `figure` binary regenerates.
+pub static FIGURES: [Figure; 9] = [
+    Figure {
+        name: "table1",
+        run: |_| (crate::criteria::render(), None),
+    },
+    Figure {
+        name: "fig5",
+        run: |o| {
+            let (paper, smoke) = (fig5::Config::paper, fig5::Config::smoke);
+            regenerate(o, paper, smoke, |c| &mut c.common, fig5::run, fig5::render)
+        },
+    },
+    Figure {
+        name: "fig6",
+        run: |o| {
+            let (paper, smoke) = (fig6::Config::paper, fig6::Config::smoke);
+            regenerate(o, paper, smoke, |c| &mut c.common, fig6::run, fig6::render)
+        },
+    },
+    Figure {
+        name: "fig7",
+        run: |o| {
+            let (paper, smoke) = (fig7::Config::paper, fig7::Config::smoke);
+            regenerate(o, paper, smoke, |c| &mut c.common, fig7::run, fig7::render)
+        },
+    },
+    Figure {
+        name: "fig9",
+        run: |o| {
+            let (paper, smoke) = (fig9::Config::paper, fig9::Config::smoke);
+            regenerate(o, paper, smoke, |c| &mut c.common, fig9::run, fig9::render)
+        },
+    },
+    Figure {
+        name: "fig11",
+        run: |o| {
+            let (paper, smoke) = (fig11::paper_config, fig11::smoke_config);
+            regenerate(o, paper, smoke, |c| &mut c.common, fig11::run, fig11::render)
+        },
+    },
+    Figure {
+        name: "ablation",
+        run: |o| {
+            let (paper, smoke) = (ablation::Config::paper, ablation::Config::smoke);
+            regenerate(o, paper, smoke, |c| &mut c.common, ablation::run, ablation::render)
+        },
+    },
+    Figure {
+        name: "delay_sweep",
+        run: |o| {
+            let (paper, smoke) = (delay::Config::paper, delay::Config::smoke);
+            regenerate(o, paper, smoke, |c| &mut c.common, delay::run, delay::render)
+        },
+    },
+    Figure {
+        name: "lbh04",
+        run: |o| {
+            let (paper, smoke) = (lbh04::Config::paper, lbh04::Config::smoke);
+            regenerate(o, paper, smoke, |c| &mut c.common, lbh04::run, lbh04::render)
+        },
+    },
+];
+
+/// Picks the paper or smoke config, applies the flag overrides to its
+/// [`Common`] part, runs the sweep and renders it both ways.
+fn regenerate<C, D: Serialize>(
+    opts: &Options,
+    paper: fn() -> C,
+    smoke: fn() -> C,
+    common: fn(&mut C) -> &mut Common,
+    run: fn(&C) -> D,
+    render: fn(&D) -> String,
+) -> (String, Option<String>) {
+    let mut cfg = if opts.smoke { smoke() } else { paper() };
+    opts.apply(common(&mut cfg));
     let data = run(&cfg);
-    print!("{}", render(&data));
-    opts.maybe_write_json(&data).expect("write json");
-    opts.telemetry.write_all().expect("write telemetry");
+    let json = serde_json::to_string_pretty(&data).expect("serializable");
+    (render(&data), Some(json))
 }
 
 /// The Fig. 5(a) fault-frequency scenario source.
@@ -121,7 +263,7 @@ pub(crate) fn miniaturize(cfg: &mut VclConfig) {
 pub(crate) fn spec(
     cluster: VclConfig,
     class: BtClass,
-    injection: Option<crate::harness::InjectionSpec>,
+    injection: Option<InjectionSpec>,
     timeout_s: u64,
     seed: u64,
 ) -> ExperimentSpec {
@@ -135,7 +277,7 @@ pub(crate) fn spec(
         freeze_window: SimDuration::from_secs(timeout_s / 10),
         seed,
         tie_break: failmpi_sim::TieBreak::Fifo,
-        backend: crate::harness::default_backend(),
+        backend: BackendKind::Vcl,
     }
 }
 

@@ -4,7 +4,6 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
@@ -63,70 +62,6 @@ impl LintMode {
     }
 }
 
-/// Process-wide default lint mode, picked up by [`InjectionSpec::new`].
-/// The `--lint` flag (see [`crate::cli::Options`]) sets it before any spec
-/// is built, so every figure binary inherits the gate without plumbing.
-static DEFAULT_LINT: AtomicU8 = AtomicU8::new(1); // LintMode::Warn
-
-/// Sets the process-wide default [`LintMode`] for new [`InjectionSpec`]s.
-pub fn set_default_lint_mode(mode: LintMode) {
-    let v = match mode {
-        LintMode::Off => 0,
-        LintMode::Warn => 1,
-        LintMode::Strict => 2,
-    };
-    DEFAULT_LINT.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`LintMode`].
-pub fn default_lint_mode() -> LintMode {
-    match DEFAULT_LINT.load(Ordering::Relaxed) {
-        0 => LintMode::Off,
-        2 => LintMode::Strict,
-        _ => LintMode::Warn,
-    }
-}
-
-/// Process-wide default for [`InjectionSpec::expect_freeze`], set by the
-/// `--expect-freeze` CLI flag (see [`crate::cli::Options`]).
-static DEFAULT_EXPECT_FREEZE: AtomicBool = AtomicBool::new(false);
-
-/// Declares (process-wide) that sweeps are *hunting* freezes: the strict
-/// lint gate will run scenarios the model checker statically classifies
-/// as freezing instead of refusing them.
-pub fn set_default_expect_freeze(expect: bool) {
-    DEFAULT_EXPECT_FREEZE.store(expect, Ordering::Relaxed);
-}
-
-/// The current process-wide default for [`InjectionSpec::expect_freeze`].
-pub fn default_expect_freeze() -> bool {
-    DEFAULT_EXPECT_FREEZE.load(Ordering::Relaxed)
-}
-
-/// Process-wide default protocol backend, set by the `--backend` CLI flag
-/// (see [`crate::cli::Options`]) before any spec is built, so every figure
-/// binary inherits it without plumbing.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0); // BackendKind::Vcl
-
-/// Sets the process-wide default [`BackendKind`] for new specs.
-pub fn set_default_backend(kind: BackendKind) {
-    let v = match kind {
-        BackendKind::Vcl => 0,
-        BackendKind::Ulfm => 1,
-        BackendKind::Replica => 2,
-    };
-    DEFAULT_BACKEND.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`BackendKind`].
-pub fn default_backend() -> BackendKind {
-    match DEFAULT_BACKEND.load(Ordering::Relaxed) {
-        1 => BackendKind::Ulfm,
-        2 => BackendKind::Replica,
-        _ => BackendKind::Vcl,
-    }
-}
-
 /// How a FAIL scenario is attached to the cluster.
 #[derive(Clone, Debug)]
 pub struct InjectionSpec {
@@ -153,13 +88,14 @@ pub struct InjectionSpec {
     /// budget confirming the prediction.
     pub expect_freeze: bool,
     /// Protocol backend the scenario's pre-run model check runs against
-    /// (the runtime backend is [`ExperimentSpec::backend`]; the two are
-    /// stamped from the same process-wide default).
+    /// (the runtime backend is [`ExperimentSpec::backend`];
+    /// [`ExperimentSpec::with_backend`] sets both).
     pub backend: BackendKind,
 }
 
 impl InjectionSpec {
-    /// Standard transport parameters for a scenario with the given classes.
+    /// Standard transport parameters for a scenario with the given classes,
+    /// linted in [`LintMode::Warn`] against the Vcl model, no freeze expected.
     pub fn new(src: &str, adversary: &str, machine: &str) -> Self {
         InjectionSpec {
             scenario_src: src.to_string(),
@@ -168,9 +104,9 @@ impl InjectionSpec {
             params: Vec::new(),
             fail_latency: SimDuration::from_millis(4),
             fail_jitter_max: SimDuration::from_millis(7),
-            lint: default_lint_mode(),
-            expect_freeze: default_expect_freeze(),
-            backend: default_backend(),
+            lint: LintMode::Warn,
+            expect_freeze: false,
+            backend: BackendKind::Vcl,
         }
     }
 
@@ -315,7 +251,7 @@ impl ExperimentSpec {
             freeze_window: crate::classify::FREEZE_WINDOW,
             seed,
             tie_break: TieBreak::Fifo,
-            backend: default_backend(),
+            backend: BackendKind::Vcl,
         }
     }
 

@@ -15,9 +15,10 @@
 //! | Fig. 11 | state-synchronized faults (`localMPI_setCommand`) | [`figures::fig11`] |
 //! | — | dispatcher & checkpoint-style ablations | [`figures::ablation`] |
 //!
-//! Each figure has a binary of the same name (`cargo run --release -p
-//! failmpi-experiments --bin fig5`) printing the series the paper plots,
-//! and a smoke-scale variant used by tests.
+//! `cargo run --release -p failmpi-experiments --bin figure -- fig5`
+//! prints the series the paper plots for any of them (the names are in
+//! [`figures::FIGURES`]); `--smoke` picks the seconds-scale variant the
+//! tests use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,13 +44,13 @@ pub use failmpi_obs::CountingAlloc;
 
 /// Installs the counting global allocator in the calling binary when it
 /// is built with the `alloc-profile` feature, and expands to nothing
-/// otherwise. Every figure/driver binary calls this once at top level so
+/// otherwise. Every driver binary calls this once at top level so
 /// that `--features alloc-profile` turns `--profile` output from
 /// copy/queue/span telemetry into full allocation attribution:
 ///
 /// ```text
 /// cargo run --release -p failmpi-experiments --features alloc-profile \
-///     --bin fig5 -- --smoke --profile fig5-profile.json
+///     --bin figure -- fig5 --smoke --profile fig5-profile.json
 /// ```
 #[macro_export]
 macro_rules! install_alloc_profiler {
@@ -63,14 +64,11 @@ macro_rules! install_alloc_profiler {
 pub use classify::{classify_entries, Outcome};
 pub use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend};
 pub use crosscheck::{
-    backend_crosscheck_one, backend_figure_matrix, backend_matrix, crosscheck_builtins,
-    crosscheck_builtins_mode, crosscheck_one, figure_matrix, render_backend_matrix,
-    render_matrix, runnable_builtins, smoke_spec_for, verdicts_agree, BackendMatrixRow,
-    CrosscheckRow, MatrixRow,
+    crosscheck_builtins, crosscheck_one, figure_matrix, render_backend_matrix, render_matrix,
+    runnable_builtins, smoke_spec_for, verdicts_agree, CheckShape, CrosscheckRow, MatrixRow,
 };
 pub use harness::{
-    default_backend, lint_injection, run, run_one, run_one_profiled, run_one_traced,
-    run_one_with_trace, set_default_backend, set_default_expect_freeze, ExperimentSpec,
-    InjectionSpec, LintMode, Observe, RunArtifacts, RunRecord, Workload,
+    lint_injection, run, run_one, run_one_profiled, run_one_traced, run_one_with_trace,
+    ExperimentSpec, InjectionSpec, LintMode, Observe, RunArtifacts, RunRecord, Workload,
 };
 pub use invariants::{validate_entries, validate_trace};

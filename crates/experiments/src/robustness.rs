@@ -9,15 +9,16 @@
 //! bug diagnosis would be an artifact of the simulator's FIFO tie-break.
 
 use failmpi_sim::TieBreak;
-use failmpi_mpichv::{DispatcherMode, VProtocol};
+use failmpi_mpichv::{DispatcherMode, VProtocol, VclConfig};
 use failmpi_testkit::{
     perturbation_seeds, sweep, DetRun, PerturbationOutcome, PerturbationReport,
 };
 use failmpi_workloads::BtClass;
 
 use crate::classify::Outcome;
-use crate::figures::{self, DELAY_SRC, FIG10_SRC, FIG5_SRC, FIG7_SRC, FIG8_SRC};
-use crate::harness::{refuse, run, ExperimentSpec, InjectionSpec, Observe};
+use crate::crosscheck::{runnable_builtins, smoke_spec_for};
+use crate::figures::{self, FIG10_SRC};
+use crate::harness::{refuse, run, ExperimentSpec, Observe};
 use crate::invariants::validate_trace;
 
 /// The histogram label of an [`Outcome`] (completion times vary across
@@ -57,17 +58,7 @@ pub fn perturb(label: &str, spec: &ExperimentSpec, n_seeds: usize) -> Perturbati
 /// double fault) under the given dispatcher variant. `Historical`
 /// reproduces the paper's freeze; `Fixed` is the repaired reference.
 pub fn fig10_stress_spec(mode: DispatcherMode, seed: u64) -> ExperimentSpec {
-    let n_ranks = 4u32;
-    let hosts = 6usize;
-    let mut cluster = figures::cluster_config(n_ranks, hosts, 2, mode);
-    figures::miniaturize(&mut cluster);
-    let mut spec = figures::spec(cluster, BtClass::S, None, 90, seed);
-    spec.injection = Some(
-        InjectionSpec::new(FIG10_SRC, "ADV1", "ADVG1")
-            .with_param("T", 2)
-            .with_param("N", hosts as i64 - 1),
-    );
-    spec
+    smoke_spec_for(FIG10_SRC, "ADVG1", &[("T", 2), ("N", 5)], seed, mode)
 }
 
 /// A miniature fault-free run (the determinism-soak baseline: no injector,
@@ -98,99 +89,40 @@ pub fn det_run(spec: &ExperimentSpec, capture: bool) -> DetRun {
 /// is the coverage set of the determinism regression tests: every figure's
 /// scenario source, the dispatcher ablation and both LBH+04 protocols.
 pub fn scenario_suite(seed: u64) -> Vec<(&'static str, ExperimentSpec)> {
-    let smoke = |n_ranks: u32, hosts: usize, wave_secs: u64, mode: DispatcherMode| {
-        let mut cluster = figures::cluster_config(n_ranks, hosts, wave_secs, mode);
-        figures::miniaturize(&mut cluster);
-        cluster
-    };
-    let inject = |src: &str, machine: &str, params: &[(&str, i64)]| {
-        let mut inj = InjectionSpec::new(src, "ADV1", machine);
-        for (k, v) in params {
-            inj = inj.with_param(k, *v);
-        }
-        Some(inj)
-    };
     let h = DispatcherMode::Historical;
+    // A runnable builtin at the crosscheck's smoke deployment.
+    let builtin = |name: &str| {
+        let (_, src, machine, params) = runnable_builtins()
+            .iter()
+            .find(|b| b.0 == name)
+            .unwrap_or_else(|| panic!("no builtin `{name}`"));
+        smoke_spec_for(src, machine, params, seed, h)
+    };
+    let fig5_on = |mut cluster: VclConfig, n_hosts: usize| {
+        figures::miniaturize(&mut cluster);
+        let inj = figures::fig5_injection(4, n_hosts);
+        figures::spec(cluster, BtClass::S, Some(inj), 90, seed)
+    };
     let mut suite = vec![
-        (
-            "fault_free",
-            figures::spec(smoke(4, 6, 2, h), BtClass::S, None, 90, seed),
-        ),
-        (
-            "fig5_frequency",
-            figures::spec(
-                smoke(4, 6, 2, h),
-                BtClass::S,
-                inject(FIG5_SRC, "ADVnodes", &[("X", 4), ("N", 5)]),
-                90,
-                seed,
-            ),
-        ),
-        (
-            // Fig. 6 sweeps the scale; its scenario source is Fig. 5's.
-            "fig6_scale",
-            figures::spec(
-                smoke(9, 11, 2, h),
-                BtClass::S,
-                inject(FIG5_SRC, "ADVnodes", &[("X", 4), ("N", 10)]),
-                90,
-                seed,
-            ),
-        ),
-        (
-            "fig7_simultaneous",
-            figures::spec(
-                smoke(4, 6, 2, h),
-                BtClass::S,
-                inject(FIG7_SRC, "ADVnodes", &[("X", 2), ("T", 4), ("N", 5)]),
-                90,
-                seed,
-            ),
-        ),
-        (
-            "fig9_synchronized",
-            figures::spec(
-                smoke(4, 6, 2, h),
-                BtClass::S,
-                inject(FIG8_SRC, "ADVnodes", &[("T", 2), ("N", 5)]),
-                90,
-                seed,
-            ),
-        ),
+        ("fault_free", fault_free_smoke_spec(seed)),
+        ("fig5_frequency", builtin("fig5_frequency")),
+        // Fig. 6 sweeps the scale; its scenario source is Fig. 5's.
+        ("fig6_scale", fig5_on(figures::cluster_config(9, 11, 2, h), 11)),
+        ("fig7_simultaneous", builtin("fig7_simultaneous")),
+        ("fig9_synchronized", builtin("fig8_synchronized")),
         ("fig10_state_sync", fig10_stress_spec(h, seed)),
         (
             "ablation_fixed_dispatcher",
             fig10_stress_spec(DispatcherMode::Fixed, seed),
         ),
-        (
-            "delay_sweep",
-            figures::spec(
-                smoke(4, 6, 2, h),
-                BtClass::S,
-                inject(DELAY_SRC, "ADVnodes", &[("D", 1), ("N", 5)]),
-                90,
-                seed,
-            ),
-        ),
+        ("delay_sweep", builtin("delay_injection")),
     ];
-    for proto in [VProtocol::Vcl, VProtocol::V2] {
-        let mut cluster = smoke(4, 6, 1, h);
-        cluster.protocol = proto;
-        let name = match proto {
-            VProtocol::Vcl => "lbh04_vcl",
-            VProtocol::V2 => "lbh04_v2",
-            VProtocol::Vdummy => unreachable!(),
+    for (name, protocol) in [("lbh04_vcl", VProtocol::Vcl), ("lbh04_v2", VProtocol::V2)] {
+        let cluster = VclConfig {
+            protocol,
+            ..figures::cluster_config(4, 6, 1, h)
         };
-        suite.push((
-            name,
-            figures::spec(
-                cluster,
-                BtClass::S,
-                inject(FIG5_SRC, "ADVnodes", &[("X", 4), ("N", 5)]),
-                90,
-                seed,
-            ),
-        ));
+        suite.push((name, fig5_on(cluster, 6)));
     }
     suite
 }

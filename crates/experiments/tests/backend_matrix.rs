@@ -25,25 +25,28 @@ use std::sync::OnceLock;
 
 use failmpi_analyze::StaticVerdict;
 use failmpi_experiments::{
-    backend_figure_matrix, backend_matrix, render_backend_matrix, BackendKind, BackendMatrixRow,
+    crosscheck_builtins, figure_matrix, render_backend_matrix, BackendKind, CheckShape,
+    CrosscheckRow,
 };
+use failmpi_mpichv::DispatcherMode;
 
 const SEEDS: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8];
 
 /// The 15-row sweep is expensive; compute it once per process.
-fn rows() -> &'static [BackendMatrixRow] {
-    static ROWS: OnceLock<Vec<BackendMatrixRow>> = OnceLock::new();
-    ROWS.get_or_init(|| backend_matrix(SEEDS))
+fn rows() -> &'static [CrosscheckRow] {
+    static ROWS: OnceLock<Vec<CrosscheckRow>> = OnceLock::new();
+    // The static side at the dynamic side's smoke deployment.
+    ROWS.get_or_init(|| crosscheck_builtins(SEEDS, &BackendKind::all().map(CheckShape::smoke)))
 }
 
-fn row(name: &str, backend: BackendKind) -> &'static BackendMatrixRow {
+fn row(name: &str, backend: BackendKind) -> &'static CrosscheckRow {
     rows()
         .iter()
         .find(|r| r.name == name && r.backend == backend)
         .unwrap_or_else(|| panic!("missing row {name}/{backend}"))
 }
 
-fn buggy_seeds(r: &BackendMatrixRow) -> Vec<u64> {
+fn buggy_seeds(r: &CrosscheckRow) -> Vec<u64> {
     r.dynamic.iter().filter(|(_, c)| *c == "buggy").map(|(s, _)| *s).collect()
 }
 
@@ -177,7 +180,8 @@ fn delay_probe_never_fires_off_vcl() {
 fn grid_scale_backend_matrix() {
     for backend in BackendKind::all() {
         let n_ranks = if backend == BackendKind::Replica { 8 } else { 25 };
-        let rows = backend_figure_matrix(backend, n_ranks, 50_000);
+        let shape = CheckShape::grid(backend, DispatcherMode::Historical, n_ranks, 50_000);
+        let rows = figure_matrix(&[shape]);
         assert_eq!(rows.len(), 5);
         for r in &rows {
             match (backend, r.name) {
@@ -220,7 +224,8 @@ fn grid_scale_backend_matrix() {
     // Honesty pin: replication at the full 25-rank grid is *not*
     // definitive — no rank symmetry means no boot-ladder folding — and
     // the checker must say Unknown (FC006) rather than guess.
-    let replica_25 = backend_figure_matrix(BackendKind::Replica, 25, 50_000);
+    let shape = CheckShape::grid(BackendKind::Replica, DispatcherMode::Historical, 25, 50_000);
+    let replica_25 = figure_matrix(&[shape]);
     assert!(
         replica_25
             .iter()

@@ -1,10 +1,15 @@
-//! Integration tests for the CLI binaries (`failc` and the figure
-//! binaries' argument handling), driven through the compiled executables.
+//! Integration tests for the CLI binaries (`failc`, `trace`, `soak` and
+//! the `figure` entry point's argument handling), driven through the
+//! compiled executables.
 
 use std::process::Command;
 
 fn failc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_failc"))
+}
+
+fn figure() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_figure"))
 }
 
 #[test]
@@ -71,8 +76,8 @@ fn fig5_binary_smoke_runs_and_writes_json() {
     let dir = std::env::temp_dir().join("failmpi-cli-test");
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let json = dir.join("fig5.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
-        .args(["--smoke", "--runs", "1", "--json"])
+    let out = figure()
+        .args(["fig5", "--smoke", "--runs", "1", "--json"])
         .arg(&json)
         .output()
         .expect("fig5 runs");
@@ -95,8 +100,8 @@ fn fig5_trace_out_captures_a_light_backend_run() {
     for backend in ["ulfm", "replica"] {
         let path = dir.join(format!("trace-{backend}.json"));
         let _ = std::fs::remove_file(&path);
-        let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
-            .args(["--smoke", "--runs", "1", "--backend", backend, "--trace-out"])
+        let out = figure()
+            .args(["fig5", "--smoke", "--runs", "1", "--backend", backend, "--trace-out"])
             .arg(&path)
             .output()
             .expect("fig5 runs");
@@ -171,11 +176,39 @@ fn trace_binary_runs_every_backend() {
     }
 }
 
+/// The exit-status contract of the `figure` entry point and `soak`: 0 for
+/// `--help` (usage on stdout), 2 for a usage error or an output path that
+/// cannot be written — reported as `cannot write <path>: <error>` after the
+/// sweep, never by unwinding.
 #[test]
-fn figure_binaries_reject_unknown_flags() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig11"))
-        .arg("--frobnicate")
-        .output()
-        .expect("fig11 runs");
-    assert!(!out.status.success());
+fn figure_and_soak_exit_codes() {
+    let figure_exe = env!("CARGO_BIN_EXE_figure");
+    let soak_exe = env!("CARGO_BIN_EXE_soak");
+    let fig5 = ["fig5", "--smoke", "--runs", "1"];
+    let missing = "/nonexistent/out.json";
+    let cannot_write = "cannot write /nonexistent/out.json: ";
+    // (binary, arguments, exit code, needle, needle is on stdout)
+    let cases: [(&str, Vec<&str>, i32, &str, bool); 12] = [
+        (figure_exe, [&fig5[..], &["--json", missing]].concat(), 2, cannot_write, false),
+        (figure_exe, [&fig5[..], &["--metrics", missing]].concat(), 2, cannot_write, false),
+        (figure_exe, [&fig5[..], &["--trace-out", missing]].concat(), 2, cannot_write, false),
+        (figure_exe, [&fig5[..], &["--profile", missing]].concat(), 2, cannot_write, false),
+        (figure_exe, vec!["--help"], 0, "usage: figure <table1|fig5|", true),
+        (figure_exe, vec!["fig11", "--help"], 0, "usage: figure <table1|fig5|", true),
+        (figure_exe, vec![], 2, "usage: figure <table1|fig5|", false),
+        (figure_exe, vec!["fig12"], 2, "usage: figure <table1|fig5|", false),
+        (figure_exe, vec!["fig11", "--frobnicate"], 2, "unknown flag `--frobnicate`", false),
+        (figure_exe, vec!["table1", "--bogus"], 2, "unknown flag `--bogus`", false),
+        (soak_exe, vec!["--bogus"], 2, "unknown flag `--bogus`", false),
+        (soak_exe, vec!["--help"], 0, "usage: soak ", true),
+    ];
+    for (exe, args, code, needle, on_stdout) in cases {
+        let out = Command::new(exe).args(&args).output().expect("binary runs");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        let stream = if on_stdout { &stdout } else { &stderr };
+        assert!(stream.contains(needle), "{args:?}: {stdout}\n{stderr}");
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+    }
 }

@@ -10,7 +10,7 @@
 use std::sync::OnceLock;
 
 use failmpi_analyze::StaticVerdict;
-use failmpi_experiments::{crosscheck, crosscheck_builtins_mode, CrosscheckRow};
+use failmpi_experiments::{crosscheck, crosscheck_builtins, CheckShape, CrosscheckRow};
 use failmpi_mpichv::DispatcherMode;
 
 /// Seeds covering both sides of Fig. 8's partial bugginess: seed 3
@@ -22,12 +22,12 @@ const SEEDS: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8];
 fn rows(mode: DispatcherMode) -> &'static [CrosscheckRow] {
     static HISTORICAL: OnceLock<Vec<CrosscheckRow>> = OnceLock::new();
     static FIXED: OnceLock<Vec<CrosscheckRow>> = OnceLock::new();
+    // The static side runs the checker's default 2-rank Vcl deployment.
     match mode {
-        DispatcherMode::Historical => {
-            HISTORICAL.get_or_init(|| crosscheck_builtins_mode(SEEDS, mode))
-        }
-        DispatcherMode::Fixed => FIXED.get_or_init(|| crosscheck_builtins_mode(SEEDS, mode)),
+        DispatcherMode::Historical => &HISTORICAL,
+        DispatcherMode::Fixed => &FIXED,
     }
+    .get_or_init(|| crosscheck_builtins(SEEDS, &[CheckShape::checker_default(mode)]))
 }
 
 #[test]

@@ -17,10 +17,18 @@
 //! and the budget-exceeded path (FC006) is the honest answer there.
 
 use failmpi_analyze::StaticVerdict;
-use failmpi_experiments::{figure_matrix, render_matrix};
+use failmpi_experiments::{figure_matrix, render_matrix, BackendKind, CheckShape, MatrixRow};
 use failmpi_mpichv::DispatcherMode;
 
-fn assert_matrix_shape(rows: &[failmpi_experiments::MatrixRow], n_ranks: usize) {
+/// The Vcl matrix at `n_ranks`: both dispatcher variants of every builtin.
+fn vcl_matrix(n_ranks: usize) -> Vec<MatrixRow> {
+    figure_matrix(
+        &[DispatcherMode::Historical, DispatcherMode::Fixed]
+            .map(|mode| CheckShape::grid(BackendKind::Vcl, mode, n_ranks, 50_000)),
+    )
+}
+
+fn assert_matrix_shape(rows: &[MatrixRow], n_ranks: usize) {
     assert_eq!(rows.len(), 10, "5 scenarios x 2 dispatcher modes");
     for r in rows {
         assert_eq!(r.n_ranks, n_ranks);
@@ -65,7 +73,7 @@ fn assert_matrix_shape(rows: &[failmpi_experiments::MatrixRow], n_ranks: usize) 
 
 #[test]
 fn eight_rank_matrix_is_definitive() {
-    let rows = figure_matrix(8, 50_000);
+    let rows = vcl_matrix(8);
     assert_matrix_shape(&rows, 8);
     let table = render_matrix(&rows);
     assert!(table.contains("fig10_state_sync"));
@@ -80,7 +88,7 @@ fn eight_rank_matrix_is_definitive() {
 #[test]
 #[ignore = "25-rank grid is release-speed; run with --release -- --ignored"]
 fn twenty_five_rank_matrix_is_definitive() {
-    let rows = figure_matrix(25, 50_000);
+    let rows = vcl_matrix(25);
     assert_matrix_shape(&rows, 25);
     // Beyond the shared shape: the Fig. 10 witness grows with the grid
     // (every surviving rank re-registers during recovery), and the

@@ -72,7 +72,7 @@ fn fig7_burst_of_one_behaves_like_fig5() {
 #[test]
 fn fig9_bug_is_partial_and_fig11_bug_is_total() {
     let mut cfg9 = fig9::Config::smoke();
-    cfg9.runs = 8;
+    cfg9.common.runs = 8;
     let d9 = fig9::run(&cfg9);
     let buggy9: f64 = d9.points.iter().map(|p| p.synchronized.buggy).sum::<f64>()
         / d9.points.len() as f64;

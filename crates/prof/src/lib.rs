@@ -1,7 +1,7 @@
 //! Analysis library behind the `failmpi-prof` binary.
 //!
 //! Consumes the deterministic [`RunProfile`] JSON written by `--profile
-//! PATH` (figure binaries, soak) and renders it for
+//! PATH` (`figure <name>`, soak) and renders it for
 //! humans and CI gates:
 //!
 //! * [`report`] — top-N attribution tables (allocations per event kind,

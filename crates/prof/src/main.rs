@@ -8,7 +8,7 @@
 //! failmpi-prof flame PROFILE [--out PATH]
 //! ```
 //!
-//! `PROFILE` files are the JSON written by any figure binary or soak
+//! `PROFILE` files are the JSON written by `figure <name>` or soak
 //! under `--profile PATH`. `diff` exits 1 when
 //! `--fail-on-regression` is given and any counter of CANDIDATE grew
 //! beyond the tolerance — the CI gate for the hot-loop optimization

@@ -8,7 +8,7 @@
 //! failmpi-trace export <trace.json> [--out PATH]      # Perfetto / chrome://tracing
 //! ```
 //!
-//! Trace files come from `--trace-out PATH` on any figure binary, on
+//! Trace files come from `--trace-out PATH` on `figure <name>`, on
 //! `soak`, or on the single-run `trace` binary (see EXPERIMENTS.md).
 
 use std::process::ExitCode;

@@ -10,7 +10,7 @@
 //!
 //! - [`TraceFile`] / [`Node`] / [`Mark`]: the schema-versioned on-disk
 //!   model, with deterministic (byte-identical for same-seed runs) JSON
-//!   serialization. Produced by `--trace-out PATH` on any figure binary,
+//!   serialization. Produced by `--trace-out PATH` on `figure <name>`,
 //!   `soak`, or `trace` (see `failmpi-experiments`).
 //! - [`perfetto::export`]: Chrome trace-event JSON with one lane per
 //!   component (dispatcher, scheduler, servers, ranks, the FAIL-MPI

@@ -304,23 +304,10 @@ fn opt_num(v: Option<i64>) -> String {
     }
 }
 
-/// JSON string escaping (control characters, quotes, backslashes).
+/// JSON string escaping (control characters, quotes, backslashes) by the
+/// workspace's one escaper, `serde::write_json_str`.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    serde_json::to_string(s).expect("a string always serializes")
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ fn main() {
     };
     println!(
         "sweeping fault intervals {:?}s over BT class {} at {} ranks ({} runs/point)\n",
-        cfg.intervals_s, cfg.class.name, cfg.n_ranks, cfg.runs
+        cfg.intervals_s, cfg.common.class.name, cfg.n_ranks, cfg.common.runs
     );
     let data = fig5::run(&cfg);
     print!("{}", fig5::render(&data));
