@@ -52,7 +52,9 @@ pub use vocab::{
 
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::MetricsSnapshot;
-use failmpi_sim::{EventId, FingerprintEvent, SimDuration, SimTime, TraceLog};
+use failmpi_sim::{
+    EventId, FingerprintEvent, Label, SimDuration, SimTime, TraceEntry, TraceLog,
+};
 
 /// Shared sizing and timing knobs for the non-Vcl backends (the Vcl
 /// runtime keeps its richer `VclConfig`). Constructed from the harness's
@@ -197,14 +199,28 @@ pub trait ProtocolBackend {
     /// Track display names, indexed by [`ProtocolBackend::event_track`].
     fn track_names(&self) -> Vec<String>;
 
+    /// One-line human description of an event, packed: what the causal
+    /// log stores per event.
+    fn pack_event(&self, ev: &Self::Event) -> Label;
+
+    /// The text of a label [`ProtocolBackend::pack_event`] produced — the
+    /// one place the backend's event descriptions are spelled.
+    fn render_label(label: Label) -> String;
+
     /// One-line human description of an event.
-    fn describe_event(&self, ev: &Self::Event) -> String;
+    fn describe_event(&self, ev: &Self::Event) -> String {
+        Self::render_label(self.pack_event(ev))
+    }
 
     /// Short stable kind label of an event (profiling buckets).
     fn event_kind(&self, ev: &Self::Event) -> &'static str;
 
     /// The lifecycle trace the classifier reads.
     fn trace(&self) -> &TraceLog<VclEvent>;
+
+    /// Moves the lifecycle trace's entries out (for the run's artifacts,
+    /// once the run is over).
+    fn take_trace(&mut self) -> Vec<TraceEntry<VclEvent>>;
 
     /// Recoveries started so far (shrinks, promotions, restart waves).
     fn recoveries_started(&self) -> u64;

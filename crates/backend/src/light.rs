@@ -16,7 +16,10 @@ use std::fmt;
 use failmpi_mpi::Rank;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::MetricsSnapshot;
-use failmpi_sim::{EventId, Fingerprint, FingerprintEvent, SimDuration, SimTime, TraceLog};
+use failmpi_sim::{
+    EventId, Fingerprint, FingerprintEvent, Label, PackLabel, SimDuration, SimTime, TraceEntry,
+    TraceLog,
+};
 
 use crate::{
     BackendConfig, BackendKind, Hook, InstrumentedFn, ProtocolBackend, TrafficStats, VclEvent,
@@ -160,9 +163,10 @@ pub enum UnitChange {
 /// [`LightRuntime::policy`].
 pub trait RecoveryPolicy: Sized {
     /// Payload of the recovery-completion event. Its `fold` writes the
-    /// payload fields only (the skeleton writes the tag); its `Display`
-    /// is the event's one-line description.
-    type Done: FingerprintEvent + fmt::Display + fmt::Debug;
+    /// payload fields only (the skeleton writes the tag); its label is the
+    /// event's one-line description, under a code from 32 (the skeleton's
+    /// own events use 16 to 19).
+    type Done: FingerprintEvent + PackLabel + fmt::Debug;
 
     /// The runtime's kind, event-kind, track and hop names.
     const NAMES: PolicyNames;
@@ -633,14 +637,25 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         P::NAMES.tracks.map(String::from).to_vec()
     }
 
-    fn describe_event(&self, ev: &Self::Event) -> String {
-        let noun = P::NAMES.unit_noun;
+    fn pack_event(&self, ev: &Self::Event) -> Label {
         match ev {
-            LightEv::Boot { unit } => format!("boot {noun} {unit}"),
-            LightEv::Init { unit } => format!("init {noun} {unit}"),
-            LightEv::OpDone { rank, gen } => format!("op done rank {rank} (gen {gen})"),
-            LightEv::Detect { unit } => format!("detect failure of {noun} {unit}"),
-            LightEv::RecoveryDone(done) => done.to_string(),
+            LightEv::Boot { unit } => Label::new(16, [*unit, 0, 0]),
+            LightEv::Init { unit } => Label::new(17, [*unit, 0, 0]),
+            LightEv::OpDone { rank, gen } => Label::new(18, [*rank, *gen, 0]),
+            LightEv::Detect { unit } => Label::new(19, [*unit, 0, 0]),
+            LightEv::RecoveryDone(done) => done.pack(),
+        }
+    }
+
+    fn render_label(label: Label) -> String {
+        let noun = P::NAMES.unit_noun;
+        let [a, b, _] = label.args;
+        match label.code {
+            16 => format!("boot {noun} {a}"),
+            17 => format!("init {noun} {a}"),
+            18 => format!("op done rank {a} (gen {b})"),
+            19 => format!("detect failure of {noun} {a}"),
+            _ => P::Done::render(label),
         }
     }
 
@@ -657,6 +672,10 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
 
     fn trace(&self) -> &TraceLog<VclEvent> {
         &self.trace
+    }
+
+    fn take_trace(&mut self) -> Vec<TraceEntry<VclEvent>> {
+        self.trace.take_entries()
     }
 
     fn recoveries_started(&self) -> u64 {

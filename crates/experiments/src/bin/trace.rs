@@ -20,7 +20,7 @@ use failmpi_workloads::BtClass;
 
 use failmpi_experiments::harness::{run, ExperimentSpec, InjectionSpec, Observe, Workload};
 use failmpi_experiments::timeline::{render, TimelineOptions};
-use failmpi_experiments::tracesink::trace_file_of;
+use failmpi_experiments::tracesink::TraceExport;
 
 failmpi_experiments::install_alloc_profiler!();
 
@@ -29,11 +29,15 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+const USAGE: &str = "usage: trace <scenario.fail> [--adversary C] [--machines C] [--ranks N] [--seed S] [--param N=V]... [--lifecycle] [--smoke] [--backend vcl|ulfm|replica] [--trace-out PATH]";
+
 fn main() {
+    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
     let mut args = std::env::args().skip(1);
-    let Some(path) = args.next() else {
-        die("usage: trace <scenario.fail> [--adversary C] [--machines C] [--ranks N] [--seed S] [--param N=V]... [--lifecycle] [--smoke] [--backend vcl|ulfm|replica] [--trace-out PATH]");
-    };
+    let Some(path) = args.next() else { die(USAGE) };
     let mut adversary = "ADV1".to_string();
     let mut machines = "ADVnodes".to_string();
     let mut ranks = 4u32;
@@ -141,8 +145,8 @@ fn main() {
         let name = std::path::Path::new(&path)
             .file_stem()
             .map_or_else(|| "trace".to_string(), |s| s.to_string_lossy().into_owned());
-        let trace = trace_file_of(&name, seed, &traced);
-        std::fs::write(&out, trace.to_json())
+        TraceExport::of(&name, seed, &traced)
+            .write_to(&out)
             .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
         eprintln!("trace: wrote causal trace to {out} (inspect with failmpi-trace)");
     }

@@ -15,8 +15,8 @@ use failmpi_ulfm::UlfmCluster;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::{MetricsSnapshot, RunProfile, WallProfile};
 use failmpi_sim::{
-    CausalLog, Engine, Fingerprint, FingerprintEvent, JournalEntry, Model, Scheduler,
-    SimDuration, SimRng, SimTime, TieBreak, TraceEntry,
+    CausalLog, Engine, EventLabel, Fingerprint, FingerprintEvent, JournalEntry, Label, Model,
+    Scheduler, SimDuration, SimRng, SimTime, TieBreak, TraceEntry,
 };
 use failmpi_mpi::Program;
 use failmpi_mpichv::{Cluster, Hook, InstrumentedFn, TrafficStats, VclConfig, VclEvent};
@@ -34,6 +34,7 @@ pub enum Workload {
 }
 
 use crate::classify::{classify_entries, Outcome};
+use crate::tracesink::TraceExport;
 
 /// How the harness treats static-analysis findings on a spec's scenario
 /// (see `failmpi-analyze`): ignore them, print them once per distinct
@@ -309,6 +310,37 @@ enum WEv<E> {
     FailMsg { from: usize, to: usize, msg: usize },
 }
 
+/// Label codes of the injection side's own events, above every backend's.
+const FAIL_TIMER_LABEL: u16 = 0xFA00;
+const FAIL_MSG_LABEL: u16 = 0xFA01;
+
+/// The text of an injection-side event's description. Arguments are as
+/// wide as the FAIL runtime's indices; the causal log packs them when they
+/// fit a [`Label`] and stores this text when they do not.
+fn fail_label_text(code: u16, [a, b, c]: [u64; 3]) -> String {
+    match code {
+        FAIL_TIMER_LABEL => format!("fail-timer i{a} t{b}"),
+        FAIL_MSG_LABEL => format!("fail-msg {a}->{b} m{c}"),
+        _ => unreachable!("not an injection-side label code: {code:#x}"),
+    }
+}
+
+impl<E> WEv<E> {
+    /// Label code and arguments of an injection-side event, or (`Err`) the
+    /// backend event inside.
+    fn fail_label(&self) -> Result<(u16, [u64; 3]), &E> {
+        match *self {
+            WEv::C(ref e) => Err(e),
+            WEv::FailTimer { instance, timer, .. } => {
+                Ok((FAIL_TIMER_LABEL, [instance as u64, timer as u64, 0]))
+            }
+            WEv::FailMsg { from, to, msg } => {
+                Ok((FAIL_MSG_LABEL, [from as u64, to as u64, msg as u64]))
+            }
+        }
+    }
+}
+
 /// Host-readable application state exposed as FAIL `probe` variables — the
 /// paper's Sec. 6 planned feature ("the FAIL language and FAIL-MPI tool
 /// should be able to read … internal variables of the stressed
@@ -573,12 +605,28 @@ impl<C: ProtocolBackend> Model for World<C> {
     }
 
     fn describe_event(&self, event: &WEv<C::Event>) -> String {
-        match event {
-            WEv::C(e) => self.cluster.describe_event(e),
-            WEv::FailTimer {
-                instance, timer, ..
-            } => format!("fail-timer i{instance} t{timer}"),
-            WEv::FailMsg { from, to, msg } => format!("fail-msg {from}->{to} m{msg}"),
+        match event.fail_label() {
+            Err(e) => self.cluster.describe_event(e),
+            Ok((code, args)) => fail_label_text(code, args),
+        }
+    }
+
+    fn pack_event(&self, event: &WEv<C::Event>) -> EventLabel {
+        match event.fail_label() {
+            Err(e) => EventLabel::Packed(self.cluster.pack_event(e)),
+            Ok((code, args)) => Label::narrow(code, args).map_or_else(
+                || EventLabel::Text(fail_label_text(code, args)),
+                EventLabel::Packed,
+            ),
+        }
+    }
+
+    fn render_label(label: Label) -> String {
+        match label.code {
+            FAIL_TIMER_LABEL | FAIL_MSG_LABEL => {
+                fail_label_text(label.code, label.args.map(u64::from))
+            }
+            _ => C::render_label(label),
         }
     }
 
@@ -907,9 +955,10 @@ fn drive<C: ProtocolBackend>(
     let wall_profile = engine.profile().clone();
     let journal = observe.journal.then(|| engine.take_fingerprint_journal());
     let causal_log = engine.take_causal_log();
-    let World { cluster, fail } = engine.into_model();
+    let World { mut cluster, fail } = engine.into_model();
+    let trace = cluster.take_trace();
     let outcome = classify_entries(
-        cluster.trace().entries(),
+        &trace,
         cluster.is_complete(),
         engine_outcome,
         end,
@@ -948,21 +997,155 @@ fn drive<C: ProtocolBackend>(
             events,
             metrics,
         },
-        trace: cluster.trace().entries().to_vec(),
+        trace,
         journal,
         wall_profile,
         causal: causal_log,
         track_names,
         run_profile,
     };
-    let trace_file = owed.trace.then(|| {
-        crate::tracesink::trace_file_of(&format!("seed-{}", spec.seed), spec.seed, &artifacts)
+    let trace_export = owed.trace.then(|| {
+        TraceExport::of(&format!("seed-{}", spec.seed), spec.seed, &artifacts)
     });
     crate::telemetry::SINK.submit(
         owed,
         &artifacts.record.metrics,
         artifacts.run_profile.as_ref(),
-        trace_file,
+        trace_export,
     );
     Ok(artifacts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use failmpi_backend::light::LightEv;
+    use failmpi_backend::BackendConfig;
+    use failmpi_mpi::Rank;
+    use failmpi_mpichv::{Ev, Wire};
+    use failmpi_net::{CloseReason, ConnId, NetEvent, Port};
+    use failmpi_replica::PromoteDone;
+    use failmpi_ulfm::ShrinkDone;
+
+    /// `ev`'s description is `text` (recorded from `describe_event` at the
+    /// commit before labels packed) by both routes: rendered directly, and
+    /// packed for the causal log then rendered on read.
+    fn assert_label<C: ProtocolBackend>(world: &World<C>, ev: WEv<C::Event>, text: &str) {
+        assert_eq!(world.describe_event(&ev), text);
+        match world.pack_event(&ev) {
+            EventLabel::Packed(label) => assert_eq!(World::<C>::render_label(label), text),
+            EventLabel::Text(stored) => panic!("`{stored}` did not pack"),
+        }
+    }
+
+    #[test]
+    fn every_event_renders_the_text_it_was_always_described_by() {
+        let (conn, proc, peer) = (ConnId(9), ProcId(7), ProcId(3));
+        let (rank, host) = (Rank(5), HostId(12));
+        let net = [
+            (
+                NetEvent::ConnEstablished { conn, proc, peer, token: 1 },
+                "net.established pid7<-pid3",
+            ),
+            (
+                NetEvent::Accepted { conn, proc, peer, port: Port(101) },
+                "net.accepted pid7<-pid3",
+            ),
+            (
+                NetEvent::ConnectFailed { proc, host, port: Port(101), token: 1 },
+                "net.connect-failed pid7->host12",
+            ),
+            (
+                NetEvent::Delivered {
+                    conn,
+                    proc,
+                    from: peer,
+                    payload: Wire::Terminate,
+                    bytes: 64,
+                },
+                "net.delivered pid3->pid7",
+            ),
+            (
+                NetEvent::Closed { conn, proc, reason: CloseReason::Graceful },
+                "net.closed pid7 (Graceful)",
+            ),
+            (
+                NetEvent::Closed { conn, proc, reason: CloseReason::PeerDied },
+                "net.closed pid7 (PeerDied)",
+            ),
+            (
+                NetEvent::Closed { conn, proc, reason: CloseReason::LocalReset },
+                "net.closed pid7 (LocalReset)",
+            ),
+        ];
+        let vcl = [
+            (Ev::ComputeDone { rank, proc, gen: 1 << 40 }, "compute-done r5"),
+            (Ev::SchedTick, "sched-tick"),
+            (Ev::SpawnDaemon { rank, host, epoch: 2 }, "spawn-daemon r5"),
+            (
+                Ev::ServerWriteDone { server: 1, conn, rank, wave: 4 },
+                "server-write-done r5 w4",
+            ),
+            (Ev::RestoreDone { rank, proc }, "restore-done r5"),
+            (Ev::DiskLoaded { rank, proc }, "disk-loaded r5"),
+            (Ev::LaunchFailed { rank, epoch: 2 }, "launch-failed r5"),
+            (Ev::SelfCkpt { rank, proc }, "self-ckpt r5"),
+            (Ev::BootConnect { rank, proc }, "boot-connect r5"),
+            (Ev::DaemonExit { rank, proc, normal: true }, "daemon-exit r5 normal=true"),
+            (Ev::DaemonExit { rank, proc, normal: false }, "daemon-exit r5 normal=false"),
+            (
+                Ev::RetryPeerConnect { rank, proc, peer: Rank(u32::MAX) },
+                "retry-peer r5->r4294967295",
+            ),
+        ];
+        let spec = ExperimentSpec::fault_free(4, BtClass::S, 1);
+        let world = World {
+            cluster: Cluster::new(spec.cluster.clone(), programs_for(&spec), spec.seed),
+            fail: None,
+        };
+        for (ev, text) in net {
+            assert_label(&world, WEv::C(Ev::Net(ev)), text);
+        }
+        for (ev, text) in vcl {
+            assert_label(&world, WEv::C(ev), text);
+        }
+
+        fn light<D>(done: D, noun: &str, done_text: &str) -> [(LightEv<D>, String); 5] {
+            [
+                (LightEv::Boot { unit: 2 }, format!("boot {noun} 2")),
+                (LightEv::Init { unit: 3 }, format!("init {noun} 3")),
+                (LightEv::OpDone { rank: 1, gen: 6 }, "op done rank 1 (gen 6)".to_string()),
+                (LightEv::Detect { unit: 0 }, format!("detect failure of {noun} 0")),
+                (LightEv::RecoveryDone(done), done_text.to_string()),
+            ]
+        }
+        let cfg = BackendConfig::small(4, 6);
+        let ulfm = World {
+            cluster: UlfmCluster::new(cfg.clone(), vec![1; 4], 1),
+            fail: None,
+        };
+        for (ev, text) in light(ShrinkDone { round: 8 }, "rank", "shrink round 8 agreed") {
+            assert_label(&ulfm, WEv::C(ev), &text);
+        }
+        let replica = World {
+            cluster: ReplicaCluster::new(cfg, vec![1; 4], 1),
+            fail: None,
+        };
+        let promoted = PromoteDone { rank: 2, gen: 3 };
+        for (ev, text) in light(promoted, "unit", "promotion of rank 2 complete (gen 3)") {
+            assert_label(&replica, WEv::C(ev), &text);
+        }
+
+        // The injection side's own events, on any backend.
+        let timer = |instance| WEv::FailTimer { instance, timer: 2, gen: 1 << 40 };
+        assert_label(&world, timer(31), "fail-timer i31 t2");
+        assert_label(&ulfm, WEv::FailMsg { from: 0, to: 17, msg: 4 }, "fail-msg 0->17 m4");
+        // An index too wide for a packed label is stored as text.
+        let wide = (1usize << 32) + 5;
+        let stored = EventLabel::Text("fail-timer i4294967301 t2".to_string());
+        assert_eq!(world.pack_event(&timer(wide)), stored);
+        assert_eq!(world.describe_event(&timer(wide)), "fail-timer i4294967301 t2");
+        let stored = EventLabel::Text("fail-msg 1->2 m4294967301".to_string());
+        assert_eq!(replica.pack_event(&WEv::FailMsg { from: 1, to: 2, msg: wide }), stored);
+    }
 }

@@ -23,8 +23,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use failmpi_obs::{MetricsSnapshot, RunProfile, SCHEMA_VERSION};
-use failmpi_trace::TraceFile;
 use serde::Serialize;
+
+use crate::tracesink::TraceExport;
 
 const METRICS: u8 = 1;
 const PROFILE: u8 = 2;
@@ -45,7 +46,7 @@ pub(crate) struct Owed {
 struct Collected {
     runs: Vec<MetricsSnapshot>,
     profile: Option<RunProfile>,
-    trace: Option<TraceFile>,
+    trace: Option<TraceExport>,
 }
 
 pub(crate) struct Sink {
@@ -98,7 +99,7 @@ impl Sink {
         owed: Owed,
         metrics: &MetricsSnapshot,
         profile: Option<&RunProfile>,
-        trace: Option<TraceFile>,
+        trace: Option<TraceExport>,
     ) {
         if owed == Owed::default() {
             return;
@@ -117,10 +118,11 @@ impl Sink {
         }
     }
 
-    /// Renders what was collected: the run count and the `--metrics`
-    /// document, the `--trace-out` one, the `--profile` one (`None` when no
-    /// run contributed).
-    fn render(&self) -> (usize, String, Option<String>, Option<String>) {
+    /// What was collected: the run count and the `--metrics` document, the
+    /// `--trace-out` one still to be rendered (it is the large one: it is
+    /// moved out, not copied, and goes to its file node by node), the
+    /// `--profile` one (`None` when no run contributed).
+    fn render(&self) -> (usize, String, Option<TraceExport>, Option<String>) {
         #[derive(Serialize)]
         struct MetricsDoc {
             schema_version: u32,
@@ -128,7 +130,7 @@ impl Sink {
             /// Element-wise merge of every run (sweep-level aggregate).
             aggregate: MetricsSnapshot,
         }
-        let c = self.collected();
+        let mut c = self.collected();
         let mut runs = c.runs.clone();
         // Canonical order: sweeps run records on worker threads, so arrival
         // order is schedule-dependent; the serialized form is not.
@@ -145,7 +147,7 @@ impl Sink {
         };
         let mut metrics = serde_json::to_string_pretty(&doc).expect("serializable");
         metrics.push('\n');
-        let trace = c.trace.as_ref().map(TraceFile::to_json);
+        let trace = c.trace.take();
         let profile = c.profile.as_ref().map(RunProfile::to_pretty_json);
         (n, metrics, trace, profile)
     }
@@ -198,9 +200,9 @@ impl Outputs {
         let (n, metrics, trace, profile) = SINK.render();
         let snapshots = format!("{n} run snapshots");
         let files = [
-            ("metrics", &self.metrics, Some(metrics), snapshots.as_str(), ""),
-            ("trace", &self.trace_out, trace, "causal trace", " (inspect with failmpi-trace)"),
-            ("profile", &self.profile, profile, "merged run profile", " (inspect with failmpi-prof)"),
+            ("metrics", &self.metrics, Some(Doc::Text(metrics)), snapshots.as_str(), ""),
+            ("trace", &self.trace_out, trace.map(|t| Doc::Trace(Box::new(t))), "causal trace", " (inspect with failmpi-trace)"),
+            ("profile", &self.profile, profile.map(Doc::Text), "merged run profile", " (inspect with failmpi-prof)"),
         ];
         for (kind, path, doc, what, hint) in files {
             let Some(path) = path else { continue };
@@ -208,12 +210,28 @@ impl Outputs {
                 eprintln!("{kind}: no run executed, {path} not written");
                 continue;
             };
-            std::fs::write(path, doc).map_err(|e| {
-                std::io::Error::new(e.kind(), format!("cannot write {path}: {e}"))
-            })?;
+            doc.write_to(path)?;
             eprintln!("{kind}: wrote {what} to {path}{hint}");
         }
         Ok(())
+    }
+}
+
+/// One document [`Outputs::write_all`] writes: rendered already, or the
+/// trace, which is rendered as it is written.
+enum Doc {
+    Text(String),
+    Trace(Box<TraceExport>),
+}
+
+impl Doc {
+    /// An error names the path: `cannot write <path>: <error>`.
+    fn write_to(&self, path: &str) -> std::io::Result<()> {
+        let written = match self {
+            Doc::Text(doc) => std::fs::write(path, doc),
+            Doc::Trace(trace) => trace.write_to(path),
+        };
+        written.map_err(|e| std::io::Error::new(e.kind(), format!("cannot write {path}: {e}")))
     }
 }
 
@@ -231,9 +249,12 @@ mod tests {
             prof.backend = "vcl".to_string();
             prof.runs = 1;
             prof.events = x;
-            let trace = TraceFile {
-                seed: x,
-                ..TraceFile::default()
+            let trace = TraceExport {
+                frame: failmpi_trace::TraceFile {
+                    seed: x,
+                    ..Default::default()
+                },
+                log: failmpi_sim::CausalLog::disabled(),
             };
             sink.submit(owed, &snap, Some(&prof), owed.trace.then_some(trace));
         }
@@ -258,7 +279,7 @@ mod tests {
         feed(&sink, [2, 5]);
         let again = sink.render();
         assert_eq!((again.0, &again.1, &again.3), (n, &metrics, &profile));
-        let seed_of = |t: Option<String>| TraceFile::from_json(&t?).ok().map(|t| t.seed);
+        let seed_of = |t: Option<TraceExport>| t.map(|t| t.frame.seed);
         assert_eq!((seed_of(trace), seed_of(again.2)), (Some(5), Some(2)));
 
         assert_eq!(n, 2);

@@ -7,9 +7,11 @@
 //! `recovery_started`, `daemon_spawned`, …), so the kind strings here are
 //! a compatibility contract with that crate.
 
-use failmpi_sim::TraceEntry;
+use std::io::{self, Write};
+
+use failmpi_sim::{CausalLog, TraceEntry};
 use failmpi_mpichv::VclEvent;
-use failmpi_trace::{Mark, TraceFile};
+use failmpi_trace::{Mark, Node, TraceFile};
 
 use crate::harness::RunArtifacts;
 use crate::robustness::outcome_class;
@@ -122,20 +124,61 @@ pub fn mark_of(entry: &TraceEntry<VclEvent>) -> Mark {
     m
 }
 
+/// Everything of a run's exported trace but its nodes: the backend's
+/// semantic [`VclEvent`] records as anchored marks, plus run identity
+/// (name, seed, classified outcome, end instant, track names).
+fn trace_frame_of(name: &str, seed: u64, run: &RunArtifacts) -> TraceFile {
+    TraceFile {
+        name: name.to_string(),
+        seed,
+        outcome: outcome_class(&run.record.outcome).to_string(),
+        end_micros: run.record.end.as_micros(),
+        tracks: run.track_names.clone(),
+        nodes: Vec::new(),
+        marks: run.trace.iter().map(mark_of).collect(),
+    }
+}
+
 /// Assembles the exported trace of one run (made with
-/// [`crate::harness::Observe::causal`] on): the engine's happens-before
-/// DAG as nodes, the backend's semantic [`VclEvent`] records as anchored
-/// marks, plus run identity (name, seed, classified outcome, end instant,
-/// track names).
+/// [`crate::harness::Observe::causal`] on), in memory: the engine's
+/// happens-before DAG as nodes inside [`trace_frame_of`]'s frame.
 pub fn trace_file_of(name: &str, seed: u64, run: &RunArtifacts) -> TraceFile {
-    let mut trace = TraceFile::from_causal(&run.causal);
-    trace.name = name.to_string();
-    trace.seed = seed;
-    trace.outcome = outcome_class(&run.record.outcome).to_string();
-    trace.end_micros = run.record.end.as_micros();
-    trace.tracks = run.track_names.clone();
-    trace.marks = run.trace.iter().map(mark_of).collect();
-    trace
+    TraceFile {
+        nodes: run.causal.nodes().map(Node::from).collect(),
+        ..trace_frame_of(name, seed, run)
+    }
+}
+
+/// The exported trace of one run, kept as the run left it — the packed
+/// causal log beside the frame — and rendered node by node as it is
+/// written: a paper-scale trace is 25 MB of JSON over a 9 MB log.
+#[derive(Clone, Debug)]
+pub struct TraceExport {
+    pub(crate) frame: TraceFile,
+    pub(crate) log: CausalLog,
+}
+
+impl TraceExport {
+    /// What `--trace-out` writes for `run`.
+    pub fn of(name: &str, seed: u64, run: &RunArtifacts) -> TraceExport {
+        TraceExport {
+            frame: trace_frame_of(name, seed, run),
+            log: run.causal.clone(),
+        }
+    }
+
+    /// Writes the bytes `trace_file_of(..).to_json()` would hold.
+    pub fn write_json(&self, w: &mut impl Write) -> io::Result<()> {
+        self.frame
+            .write_json_with_nodes(w, self.log.nodes().map(Node::from))
+    }
+
+    /// Streams the trace to a new file at `path`.
+    pub fn write_to(&self, path: &str) -> io::Result<()> {
+        let mut file = io::BufWriter::new(std::fs::File::create(path)?);
+        self.write_json(&mut file)?;
+        file.flush()
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +214,22 @@ mod tests {
         }));
         assert_eq!(spawn.kind, "daemon_spawned");
         assert_eq!((spawn.rank, spawn.epoch), (Some(2), Some(1)));
+    }
+
+    #[test]
+    fn the_streamed_export_is_the_materialised_one() {
+        let spec = crate::robustness::fig10_stress_spec(
+            failmpi_mpichv::DispatcherMode::Historical,
+            3,
+        );
+        let run = crate::harness::run_one_traced(&spec);
+        let mut streamed = Vec::new();
+        TraceExport::of("t", 3, &run)
+            .write_json(&mut streamed)
+            .expect("writing to memory");
+        let file = trace_file_of("t", 3, &run);
+        assert_eq!(file.nodes.len() as u64, run.record.events);
+        assert_eq!(String::from_utf8(streamed).expect("utf8"), file.to_json());
     }
 
     #[test]

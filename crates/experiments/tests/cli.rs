@@ -176,10 +176,11 @@ fn trace_binary_runs_every_backend() {
     }
 }
 
-/// The exit-status contract of the `figure` entry point and `soak`: 0 for
-/// `--help` (usage on stdout), 2 for a usage error or an output path that
-/// cannot be written — reported as `cannot write <path>: <error>` after the
-/// sweep, never by unwinding.
+/// The exit-status contract of the `figure` entry point, `soak` and
+/// `trace`: 0 for `--help` (usage on stdout), 2 for a usage error or an
+/// output path that cannot be written — reported as `cannot write <path>:
+/// <error>` after the sweep, never by unwinding. (`failmpi-trace`'s rows
+/// are in `crates/trace/tests/cli.rs`, beside its binary.)
 #[test]
 fn figure_and_soak_exit_codes() {
     let figure_exe = env!("CARGO_BIN_EXE_figure");
@@ -188,7 +189,8 @@ fn figure_and_soak_exit_codes() {
     let missing = "/nonexistent/out.json";
     let cannot_write = "cannot write /nonexistent/out.json: ";
     // (binary, arguments, exit code, needle, needle is on stdout)
-    let cases: [(&str, Vec<&str>, i32, &str, bool); 12] = [
+    let trace_exe = env!("CARGO_BIN_EXE_trace");
+    let cases: [(&str, Vec<&str>, i32, &str, bool); 16] = [
         (figure_exe, [&fig5[..], &["--json", missing]].concat(), 2, cannot_write, false),
         (figure_exe, [&fig5[..], &["--metrics", missing]].concat(), 2, cannot_write, false),
         (figure_exe, [&fig5[..], &["--trace-out", missing]].concat(), 2, cannot_write, false),
@@ -201,6 +203,10 @@ fn figure_and_soak_exit_codes() {
         (figure_exe, vec!["table1", "--bogus"], 2, "unknown flag `--bogus`", false),
         (soak_exe, vec!["--bogus"], 2, "unknown flag `--bogus`", false),
         (soak_exe, vec!["--help"], 0, "usage: soak ", true),
+        (trace_exe, vec!["--help"], 0, "usage: trace <scenario.fail> ", true),
+        (trace_exe, vec!["x.fail", "--seed", "3", "-h"], 0, "usage: trace <scenario.fail> ", true),
+        (trace_exe, vec![], 2, "usage: trace <scenario.fail> ", false),
+        (trace_exe, vec!["/nonexistent/x.fail"], 2, "cannot read /nonexistent/x.fail: ", false),
     ];
     for (exe, args, code, needle, on_stdout) in cases {
         let out = Command::new(exe).args(&args).output().expect("binary runs");

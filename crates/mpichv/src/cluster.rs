@@ -10,7 +10,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use failmpi_net::{CloseReason, Gated, HostId, NetEvent, Network, ProcId};
-use failmpi_sim::{Engine, Model, RunOutcome, Scheduler, SimRng, SimTime, TraceLog};
+use failmpi_sim::{
+    Engine, Label, Model, PackLabel, RunOutcome, Scheduler, SimRng, SimTime, TraceEntry, TraceLog,
+};
 use failmpi_mpi::{Program, Rank};
 
 use crate::config::VclConfig;
@@ -30,6 +32,32 @@ enum Role {
     Scheduler,
     Server(usize),
     Daemon(u32),
+}
+
+/// Which component each process incarnates, indexed by [`ProcId`]: the
+/// network hands out dense ids and never reuses one, so the table grows by
+/// one slot per spawn and a retired process leaves `None` behind.
+#[derive(Default)]
+struct RoleTable(Vec<Option<Role>>);
+
+impl RoleTable {
+    fn get(&self, proc: ProcId) -> Option<Role> {
+        self.0.get(proc.0 as usize).copied().flatten()
+    }
+
+    fn insert(&mut self, proc: ProcId, role: Role) {
+        let slot = proc.0 as usize;
+        if self.0.len() <= slot {
+            self.0.resize(slot + 1, None);
+        }
+        self.0[slot] = Some(role);
+    }
+
+    fn remove(&mut self, proc: ProcId) {
+        if let Some(slot) = self.0.get_mut(proc.0 as usize) {
+            *slot = None;
+        }
+    }
 }
 
 /// Builds the borrow-split component context inline (a method would borrow
@@ -72,7 +100,7 @@ pub struct Cluster {
     scheduler: CkptScheduler,
     servers: Vec<CkptServer>,
     vnodes: Vec<Option<VNode>>,
-    role_of: HashMap<ProcId, Role>,
+    role_of: RoleTable,
     programs: Vec<Arc<Program>>,
 }
 
@@ -98,7 +126,7 @@ impl Cluster {
             compute_hosts: compute_hosts.clone(),
         };
 
-        let mut role_of = HashMap::new();
+        let mut role_of = RoleTable::default();
         let dispatcher_proc = net.spawn_process(dispatcher_host);
         net.listen(dispatcher_proc, ports::DISPATCHER);
         role_of.insert(dispatcher_proc, Role::Dispatcher);
@@ -293,7 +321,7 @@ impl Cluster {
 
     fn route_net(&mut self, now: SimTime, nev: NetEvent<crate::wire::Wire>) {
         let recipient = nev.recipient();
-        let Some(&role) = self.role_of.get(&recipient) else {
+        let Some(role) = self.role_of.get(recipient) else {
             return; // stale event for a dead incarnation
         };
         // Payload-copy ledger + role span: a delivered wire message is
@@ -354,7 +382,7 @@ impl Cluster {
                         // Mesh accept: the identity exchange is resolved via
                         // the role table (the real daemons exchange a hello).
                         if port == ports::daemon(rank) {
-                            if let Some(&Role::Daemon(pr)) = self.role_of.get(&peer) {
+                            if let Some(Role::Daemon(pr)) = self.role_of.get(peer) {
                                 v.on_peer_accepted(conn, Rank(pr), &mut ctx!(self, now));
                             }
                         }
@@ -408,7 +436,7 @@ impl Cluster {
             if self.net.is_alive(old.proc) {
                 let (p, h) = (old.proc, old.host);
                 self.net.kill(now, p);
-                self.role_of.remove(&p);
+                self.role_of.remove(p);
                 self.breakpoints.remove(&p);
                 self.hooks.push(Hook::OnError { host: h, proc: p });
             }
@@ -475,7 +503,7 @@ impl Cluster {
         if !self.net.is_alive(proc) {
             return;
         }
-        let Some(&Role::Daemon(r)) = self.role_of.get(&proc) else {
+        let Some(Role::Daemon(r)) = self.role_of.get(proc) else {
             return;
         };
         let rank = Rank(r);
@@ -492,7 +520,7 @@ impl Cluster {
         let registered = self.dispatcher.is_registered(rank);
         self.metrics.note_daemon_death(now, rank.0);
         self.net.kill(now, proc);
-        self.role_of.remove(&proc);
+        self.role_of.remove(proc);
         self.breakpoints.remove(&proc);
         if !registered {
             self.out.push((
@@ -534,7 +562,7 @@ impl Cluster {
         for ev in self.net.resume(proc) {
             self.out.push((now, Ev::Net(ev)));
         }
-        if let Some(&Role::Daemon(r)) = self.role_of.get(&proc) {
+        if let Some(Role::Daemon(r)) = self.role_of.get(proc) {
             let rank = Rank(r);
             if let Some(mut v) = self.take_vnode(rank, proc) {
                 if v.held_at_set_command {
@@ -617,11 +645,11 @@ impl Cluster {
     }
 
     fn track_of_proc(&self, proc: ProcId) -> u32 {
-        match self.role_of.get(&proc) {
+        match self.role_of.get(proc) {
             Some(Role::Dispatcher) => 0,
             Some(Role::Scheduler) => 1,
-            Some(Role::Server(i)) => 2 + *i as u32,
-            Some(Role::Daemon(r)) => self.rank_track(*r),
+            Some(Role::Server(i)) => 2 + i as u32,
+            Some(Role::Daemon(r)) => self.rank_track(r),
             // Retired incarnations (late events to dead processes).
             None => self.rank_track(self.cfg.n_ranks),
         }
@@ -855,8 +883,12 @@ impl failmpi_backend::ProtocolBackend for Cluster {
         Cluster::track_names(self)
     }
 
-    fn describe_event(&self, ev: &Ev) -> String {
-        ev.label()
+    fn pack_event(&self, ev: &Ev) -> Label {
+        ev.pack()
+    }
+
+    fn render_label(label: Label) -> String {
+        Ev::render(label)
     }
 
     fn event_kind(&self, ev: &Ev) -> &'static str {
@@ -865,6 +897,10 @@ impl failmpi_backend::ProtocolBackend for Cluster {
 
     fn trace(&self) -> &TraceLog<VclEvent> {
         Cluster::trace(self)
+    }
+
+    fn take_trace(&mut self) -> Vec<TraceEntry<VclEvent>> {
+        self.tracelog.take_entries()
     }
 
     fn recoveries_started(&self) -> u64 {

@@ -2,7 +2,7 @@
 
 use failmpi_net::{HostId, NetEvent, ProcId};
 use failmpi_mpi::Rank;
-use failmpi_sim::{Fingerprint, FingerprintEvent};
+use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel};
 
 use crate::wire::Wire;
 
@@ -191,29 +191,47 @@ impl Ev {
             Ev::RetryPeerConnect { .. } => "retry_peer_connect",
         }
     }
+}
 
-    /// A short human label for divergence reports (the `Debug` form is too
-    /// verbose for checkpoint images, which embed whole snapshots).
-    pub fn label(&self) -> String {
+/// The short human label of divergence reports and causal-trace nodes (the
+/// `Debug` form is too verbose for checkpoint images, which embed whole
+/// snapshots). Codes 16 to 26; a network event keeps its own.
+impl PackLabel for Ev {
+    fn pack(&self) -> Label {
+        let of_rank = |code, rank: &Rank| Label::new(code, [rank.0, 0, 0]);
         match self {
-            Ev::Net(net) => net.label(),
-            Ev::ComputeDone { rank, .. } => format!("compute-done r{}", rank.0),
-            Ev::SchedTick => "sched-tick".to_string(),
-            Ev::SpawnDaemon { rank, .. } => format!("spawn-daemon r{}", rank.0),
-            Ev::ServerWriteDone { rank, wave, .. } => {
-                format!("server-write-done r{} w{wave}", rank.0)
-            }
-            Ev::RestoreDone { rank, .. } => format!("restore-done r{}", rank.0),
-            Ev::DiskLoaded { rank, .. } => format!("disk-loaded r{}", rank.0),
-            Ev::LaunchFailed { rank, .. } => format!("launch-failed r{}", rank.0),
-            Ev::SelfCkpt { rank, .. } => format!("self-ckpt r{}", rank.0),
-            Ev::BootConnect { rank, .. } => format!("boot-connect r{}", rank.0),
+            Ev::Net(net) => net.pack(),
+            Ev::ComputeDone { rank, .. } => of_rank(16, rank),
+            Ev::SchedTick => Label::new(17, [0; 3]),
+            Ev::SpawnDaemon { rank, .. } => of_rank(18, rank),
+            Ev::ServerWriteDone { rank, wave, .. } => Label::new(19, [rank.0, *wave, 0]),
+            Ev::RestoreDone { rank, .. } => of_rank(20, rank),
+            Ev::DiskLoaded { rank, .. } => of_rank(21, rank),
+            Ev::LaunchFailed { rank, .. } => of_rank(22, rank),
+            Ev::SelfCkpt { rank, .. } => of_rank(23, rank),
+            Ev::BootConnect { rank, .. } => of_rank(24, rank),
             Ev::DaemonExit { rank, normal, .. } => {
-                format!("daemon-exit r{} normal={normal}", rank.0)
+                Label::new(25, [rank.0, u32::from(*normal), 0])
             }
-            Ev::RetryPeerConnect { rank, peer, .. } => {
-                format!("retry-peer r{}->r{}", rank.0, peer.0)
-            }
+            Ev::RetryPeerConnect { rank, peer, .. } => Label::new(26, [rank.0, peer.0, 0]),
+        }
+    }
+
+    fn render(label: Label) -> String {
+        let [a, b, _] = label.args;
+        match label.code {
+            16 => format!("compute-done r{a}"),
+            17 => "sched-tick".to_string(),
+            18 => format!("spawn-daemon r{a}"),
+            19 => format!("server-write-done r{a} w{b}"),
+            20 => format!("restore-done r{a}"),
+            21 => format!("disk-loaded r{a}"),
+            22 => format!("launch-failed r{a}"),
+            23 => format!("self-ckpt r{a}"),
+            24 => format!("boot-connect r{a}"),
+            25 => format!("daemon-exit r{a} normal={}", b != 0),
+            26 => format!("retry-peer r{a}->r{b}"),
+            _ => NetEvent::<Wire>::render(label),
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use failmpi_sim::{Fingerprint, FingerprintEvent};
+use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel};
 
 /// A physical machine in the simulated cluster.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -151,26 +151,41 @@ impl<P> NetEvent<P> {
             NetEvent::Closed { .. } => "net.closed",
         }
     }
+}
 
-    /// A short human label (payload-agnostic) for divergence reports and
-    /// causal-trace nodes.
-    pub fn label(&self) -> String {
-        match self {
-            NetEvent::ConnEstablished { proc, peer, .. } => {
-                format!("net.established {proc:?}<-{peer:?}")
-            }
-            NetEvent::Accepted { proc, peer, .. } => {
-                format!("net.accepted {proc:?}<-{peer:?}")
-            }
+/// [`CloseReason`]s by their packed-label argument.
+const CLOSE_REASONS: [CloseReason; 3] = [
+    CloseReason::Graceful,
+    CloseReason::PeerDied,
+    CloseReason::LocalReset,
+];
+
+/// The short human label (payload-agnostic) of divergence reports and
+/// causal-trace nodes. Codes 1 to 5; an embedding vocabulary numbers its
+/// own from 16.
+impl<P> PackLabel for NetEvent<P> {
+    fn pack(&self) -> Label {
+        match *self {
+            NetEvent::ConnEstablished { proc, peer, .. } => Label::new(1, [proc.0, peer.0, 0]),
+            NetEvent::Accepted { proc, peer, .. } => Label::new(2, [proc.0, peer.0, 0]),
             NetEvent::ConnectFailed { proc, host, .. } => {
-                format!("net.connect-failed {proc:?}->{host:?}")
+                Label::new(3, [proc.0, u32::from(host.0), 0])
             }
-            NetEvent::Delivered { proc, from, .. } => {
-                format!("net.delivered {from:?}->{proc:?}")
-            }
-            NetEvent::Closed { proc, reason, .. } => {
-                format!("net.closed {proc:?} ({reason:?})")
-            }
+            NetEvent::Delivered { proc, from, .. } => Label::new(4, [from.0, proc.0, 0]),
+            NetEvent::Closed { proc, reason, .. } => Label::new(5, [proc.0, reason as u32, 0]),
+        }
+    }
+
+    fn render(label: Label) -> String {
+        let [a, b, _] = label.args;
+        let (pa, pb) = (ProcId(a), ProcId(b));
+        match label.code {
+            1 => format!("net.established {pa:?}<-{pb:?}"),
+            2 => format!("net.accepted {pa:?}<-{pb:?}"),
+            3 => format!("net.connect-failed {pa:?}->{:?}", HostId(b as u16)),
+            4 => format!("net.delivered {pa:?}->{pb:?}"),
+            5 => format!("net.closed {pa:?} ({:?})", CLOSE_REASONS[b as usize]),
+            _ => unreachable!("not a network label: {label:?}"),
         }
     }
 }

@@ -45,6 +45,7 @@
 pub mod alloc;
 mod counter;
 mod histogram;
+pub mod literal;
 pub mod prof;
 mod profile;
 mod rss;

@@ -16,12 +16,11 @@
 //!   [`crate::alloc_counters`]) to the event kind and closes the root
 //!   span frame.
 //! * **Spans** — [`span`] pushes a named frame under the current one.
-//!   Frames form a tree interned as `(parent node, name)` pairs, so the
-//!   steady-state cost of entering a known path is a `BTreeMap` lookup
-//!   with a `Copy` key — no allocation, which matters because span
-//!   bookkeeping runs *inside* the allocation deltas it is attributing.
-//!   Exclusive attribution: a frame's charge is its own delta minus its
-//!   children's.
+//!   Frames form a tree interned per parent, so the steady-state cost of
+//!   entering a known path is a probe of the parent's few children — no
+//!   allocation, which matters because span bookkeeping runs *inside* the
+//!   allocation deltas it is attributing. Exclusive attribution: a
+//!   frame's charge is its own delta minus its children's.
 //! * **Copies** — [`copy`] bumps the per-hop payload-copy ledger.
 //! * **Queue** — [`queue_push`]/[`queue_pop`] feed push/pop counts, the
 //!   depth histogram, the same-instant burst-length histogram, and the
@@ -30,12 +29,20 @@
 //! Everything recorded is schedule-deterministic; allocation counts are
 //! additionally zero unless the binary installed
 //! [`CountingAlloc`](crate::alloc) (`alloc-profile` feature).
+//!
+//! Every name a call site passes is a string literal, the same one every
+//! time, and a run uses a few dozen of them. So the per-name tables are
+//! short vectors probed by the literal's *address*
+//! ([`crate::literal::position`]), with content equality as the fallback
+//! that keeps equal names from different addresses in one bin; names are
+//! ordered only when [`finish_run`] builds the [`RunProfile`], whose maps
+//! sort them.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 
 use crate::alloc::alloc_counters;
 use crate::histogram::Histogram;
+use crate::literal;
 use crate::profile::{AllocBin, CopyBin, RunProfile, SpanBin};
 
 thread_local! {
@@ -46,11 +53,38 @@ thread_local! {
 /// Sentinel parent index for root span nodes.
 const NO_PARENT: usize = usize::MAX;
 
+/// A per-name ledger in first-seen order.
+#[derive(Default)]
+struct Ledger<B>(Vec<(&'static str, B)>);
+
+impl<B: Default> Ledger<B> {
+    fn bin(&mut self, name: &'static str) -> &mut B {
+        let at = literal::position(self.0.iter().map(|e| e.0), name).unwrap_or_else(|| {
+            self.0.push((name, B::default()));
+            self.0.len() - 1
+        });
+        &mut self.0[at].1
+    }
+}
+
 /// One interned node of the span tree.
 struct Node {
     name: &'static str,
     parent: usize,
+    /// Nodes interned under this one, in first-entered order.
+    children: Vec<usize>,
     bin: SpanBin,
+}
+
+/// The depth-over-virtual-time series: max depth seen per time bucket —
+/// one per bit length of a `u64` timestamp, 0 to 64 — `None` for a bucket
+/// never popped in.
+struct DepthSeries([Option<u64>; 65]);
+
+impl Default for DepthSeries {
+    fn default() -> Self {
+        DepthSeries([None; 65])
+    }
 }
 
 /// One live frame of the span stack.
@@ -66,35 +100,46 @@ struct Frame {
 struct Ctx {
     backend: String,
     events: u64,
-    alloc: BTreeMap<&'static str, AllocBin>,
-    copies: BTreeMap<&'static str, CopyBin>,
+    alloc: Ledger<AllocBin>,
+    copies: Ledger<CopyBin>,
     pushes: u64,
     pops: u64,
     burst: Histogram,
     depth: Histogram,
-    depth_series: BTreeMap<u32, u64>,
+    depth_series: DepthSeries,
     /// Virtual timestamp (µs) of the burst being accumulated, or
     /// `u64::MAX` when none is open.
     burst_at: u64,
     burst_len: u64,
     nodes: Vec<Node>,
-    /// Interning table: `(parent node or NO_PARENT, name) -> node`.
-    node_index: BTreeMap<(usize, &'static str), usize>,
+    /// The span tree's root nodes (`Node::children` of no parent).
+    roots: Vec<usize>,
     stack: Vec<Frame>,
 }
 
 impl Ctx {
     fn push_frame(&mut self, name: &'static str) {
         let parent = self.stack.last().map_or(NO_PARENT, |f| f.node);
-        let node = match self.node_index.get(&(parent, name)) {
-            Some(&idx) => idx,
-            None => {
-                let idx = self.nodes.len();
-                self.nodes.push(Node { name, parent, bin: SpanBin::default() });
-                self.node_index.insert((parent, name), idx);
-                idx
-            }
+        let siblings = match self.nodes.get(parent) {
+            Some(p) => &p.children,
+            None => &self.roots,
         };
+        let known = literal::position(siblings.iter().map(|&i| self.nodes[i].name), name)
+            .map(|at| siblings[at]);
+        let node = known.unwrap_or_else(|| {
+            let idx = self.nodes.len();
+            self.nodes.push(Node {
+                name,
+                parent,
+                children: Vec::new(),
+                bin: SpanBin::default(),
+            });
+            match self.nodes.get_mut(parent) {
+                Some(p) => p.children.push(idx),
+                None => self.roots.push(idx),
+            }
+            idx
+        });
         self.nodes[node].bin.count += 1;
         let (a, b) = alloc_counters();
         self.stack.push(Frame {
@@ -134,17 +179,20 @@ impl Ctx {
         p.backend = self.backend;
         p.runs = 1;
         p.events = self.events;
-        for (k, b) in self.alloc {
+        for (k, b) in self.alloc.0 {
             p.alloc.insert(k.to_string(), b);
         }
-        for (k, b) in self.copies {
+        for (k, b) in self.copies.0 {
             p.copies.insert(k.to_string(), b);
         }
         p.queue.pushes = self.pushes;
         p.queue.pops = self.pops;
         p.queue.burst = self.burst.snapshot();
         p.queue.depth = self.depth.snapshot();
-        p.queue.depth_series = self.depth_series.into_iter().collect();
+        p.queue.depth_series = (0u32..)
+            .zip(self.depth_series.0)
+            .filter_map(|(bucket, depth)| Some((bucket, depth?)))
+            .collect();
         // Reconstruct collapsed paths from the interned tree. Parents
         // always precede children in `nodes` (interned on first push), so
         // one forward pass resolves every path.
@@ -225,7 +273,7 @@ impl Drop for EventGuard {
         let kind = self.kind;
         with_ctx(|ctx| {
             ctx.events += 1;
-            let bin = ctx.alloc.entry(kind).or_default();
+            let bin = ctx.alloc.bin(kind);
             bin.events += 1;
             bin.allocs += allocs;
             bin.bytes += bytes;
@@ -266,7 +314,7 @@ pub fn copy(hop: &'static str, bytes: u64) {
         return;
     }
     with_ctx(|ctx| {
-        let bin = ctx.copies.entry(hop).or_default();
+        let bin = ctx.copies.bin(hop);
         bin.count += 1;
         bin.bytes += bytes;
     });
@@ -305,9 +353,9 @@ pub fn queue_pop(at_micros: u64, depth: u64) {
             ctx.burst_at = at_micros;
             ctx.burst_len = 1;
         }
-        let bucket = 64 - at_micros.leading_zeros();
-        let slot = ctx.depth_series.entry(bucket).or_insert(0);
-        *slot = (*slot).max(depth);
+        let bucket = (u64::BITS - at_micros.leading_zeros()) as usize;
+        let slot = &mut ctx.depth_series.0[bucket];
+        *slot = Some(slot.map_or(depth, |seen| seen.max(depth)));
     });
 }
 
@@ -406,6 +454,60 @@ mod tests {
         // Collapsed output carries the same tree.
         let collapsed = p.to_collapsed();
         assert!(collapsed.contains("net.delivered;dispatcher;on_msg 1\n"));
+    }
+
+    #[test]
+    fn equal_names_share_a_bin_whatever_their_address() {
+        let elsewhere = |name: &str| -> &'static str { String::from(name).leak() };
+        assert!(!std::ptr::eq("net.enqueue".as_ptr(), elsewhere("net.enqueue").as_ptr()));
+        start_run("vcl");
+        for kind in ["net.delivered", elsewhere("net.delivered")] {
+            let _e = event(kind).unwrap();
+            let _s = span(elsewhere("daemon"));
+            copy("net.enqueue", 1);
+            copy(elsewhere("net.enqueue"), 2);
+        }
+        let p = finish_run().unwrap();
+        assert_eq!(p.alloc.len(), 1);
+        assert_eq!(p.alloc["net.delivered"].events, 2);
+        assert_eq!(p.copies.len(), 1);
+        assert_eq!((p.copies["net.enqueue"].count, p.copies["net.enqueue"].bytes), (4, 6));
+        assert_eq!(p.spans.len(), 2);
+        assert_eq!(p.spans["net.delivered;daemon"].count, 2);
+    }
+
+    #[test]
+    fn the_profile_is_ordered_by_name_not_by_first_use() {
+        let run = |kinds: [&'static str; 3]| {
+            start_run("vcl");
+            for kind in kinds {
+                let _e = event(kind).unwrap();
+                let _s = span(kind);
+                copy(kind, 1);
+            }
+            // Buckets 4 (t = 8), 0 (t = 0) and 64, the last one.
+            queue_pop(8, 3);
+            queue_pop(0, 0);
+            queue_pop(u64::MAX, 7);
+            finish_run().unwrap()
+        };
+        let p = run(["zeta", "alpha", "mid"]);
+        for names in [
+            p.alloc.keys().collect::<Vec<_>>(),
+            p.copies.keys().collect(),
+        ] {
+            assert_eq!(names, ["alpha", "mid", "zeta"]);
+        }
+        let spans: Vec<_> = p.spans.keys().collect();
+        assert_eq!(
+            spans,
+            ["alpha", "alpha;alpha", "mid", "mid;mid", "zeta", "zeta;zeta"]
+        );
+        assert_eq!(p.queue.depth_series, vec![(0, 0), (4, 3), (64, 7)]);
+        assert_eq!(
+            p.to_pretty_json(),
+            run(["mid", "zeta", "alpha"]).to_pretty_json()
+        );
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! a primary's death promotes its replica — the recovery policy over the
 //! shared [`LightRuntime`] skeleton.
 
-use std::fmt;
-
 use failmpi_backend::light::{LightEv, LightRuntime, PolicyNames, RecoveryPolicy, UnitChange};
 use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend, VclEvent};
 use failmpi_mpi::Rank;
 use failmpi_obs::{Counter, MetricsSnapshot};
-use failmpi_sim::{Fingerprint, FingerprintEvent, SimTime};
+use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel, SimTime};
 
 /// State-shadowing bytes per op while a rank is protected.
 const OP_SYNC_BYTES: u64 = 2048;
@@ -42,13 +40,14 @@ impl FingerprintEvent for PromoteDone {
     }
 }
 
-impl fmt::Display for PromoteDone {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "promotion of rank {} complete (gen {})",
-            self.rank, self.gen
-        )
+impl PackLabel for PromoteDone {
+    fn pack(&self) -> Label {
+        Label::new(32, [self.rank, self.gen, 0])
+    }
+
+    fn render(label: Label) -> String {
+        let [rank, gen, _] = label.args;
+        format!("promotion of rank {rank} complete (gen {gen})")
     }
 }
 

@@ -1,17 +1,20 @@
 //! Happens-before (causal) event tracing.
 //!
 //! While an engine runs with causal tracing enabled, every handled event
-//! becomes a [`CausalNode`] that remembers *which event scheduled it*
-//! ([`CausalNode::cause`]). The result is a happens-before DAG over the
-//! whole run: acyclic by construction, because an event's cause has always
-//! been popped (handled) before the event itself was even pushed, so cause
-//! ids are strictly smaller than the ids of the events they schedule and
-//! never point forward in virtual time.
+//! becomes one node of a happens-before DAG that remembers *which event
+//! scheduled it* ([`CausalNode::cause`]): acyclic by construction, because
+//! an event's cause has always been popped (handled) before the event
+//! itself was even pushed, so cause ids are strictly smaller than the ids
+//! of the events they schedule and never point forward in virtual time.
 //!
 //! The log is strictly opt-in. When disabled (the default), the engine
 //! still threads cause ids through the queue — a single `u64` copied per
-//! push — but never materializes labels or nodes, keeping the hot path
-//! allocation-free.
+//! push — but records nothing. When enabled it stores one packed, `Copy`
+//! record per event: a [`Label`] (format code plus three integers) in
+//! place of the label's text, an index in place of the kind string. Text
+//! exists only in what a reader asks for: [`CausalLog::nodes`],
+//! [`CausalLog::node`] and [`CausalLog::chain_to_root`] materialise
+//! [`CausalNode`]s through the renderer the model handed the log.
 
 use crate::time::SimTime;
 
@@ -19,7 +22,7 @@ use crate::time::SimTime;
 ///
 /// Dense and strictly increasing over a run, which makes it both a stable
 /// cross-run coordinate for same-seed comparisons and a direct index into
-/// [`CausalLog::nodes`].
+/// the [`CausalLog`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub u64);
 
@@ -29,8 +32,63 @@ impl std::fmt::Display for EventId {
     }
 }
 
+/// An event's one-line description before it is text: which of its
+/// vocabulary's formats applies, and the numbers to put in it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Label {
+    /// Format code, private to the vocabulary that packed it. Nested
+    /// vocabularies (a network event inside a cluster event inside a
+    /// harness event) share the code space by convention: each wrapper's
+    /// renderer forwards the codes it does not own.
+    pub code: u16,
+    /// The format's arguments, unused ones zero.
+    pub args: [u32; 3],
+}
+
+impl Label {
+    /// A label of format `code`.
+    pub fn new(code: u16, args: [u32; 3]) -> Label {
+        Label { code, args }
+    }
+
+    /// A label whose arguments are wider than the packed form: `None`
+    /// when one does not fit (the caller then stores the text itself, see
+    /// [`EventLabel::Text`]).
+    pub fn narrow(code: u16, args: [u64; 3]) -> Option<Label> {
+        let [a, b, c] = args;
+        let fit = |v: u64| u32::try_from(v).ok();
+        Some(Label::new(code, [fit(a)?, fit(b)?, fit(c)?]))
+    }
+}
+
+/// An event vocabulary whose one-line descriptions pack into [`Label`]s.
+/// The text of every description is spelled once, in [`PackLabel::render`].
+pub trait PackLabel {
+    /// This event's description, packed.
+    fn pack(&self) -> Label;
+
+    /// The text of a label [`PackLabel::pack`] produced.
+    fn render(label: Label) -> String;
+
+    /// This event's description as text.
+    fn label(&self) -> String {
+        Self::render(self.pack())
+    }
+}
+
+/// What [`crate::Model::pack_event`] hands the log for one event.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EventLabel {
+    /// Rendered on read by [`crate::Model::render_label`].
+    Packed(Label),
+    /// Stored verbatim in the log's side table: models without a packed
+    /// vocabulary, and events whose arguments do not fit a [`Label`].
+    Text(String),
+}
+
 /// One node of the happens-before DAG: a handled event plus the edge back
-/// to the event that scheduled it.
+/// to the event that scheduled it. A view materialised on read; the log
+/// itself stores packed records.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CausalNode {
     /// This event's identity (handling order).
@@ -44,33 +102,132 @@ pub struct CausalNode {
     pub seq: u64,
     /// Static event-kind label (from [`crate::Model::event_kind`]).
     pub kind: &'static str,
-    /// Human-readable description (from [`crate::Model::describe_event`]).
+    /// Human-readable description (what [`crate::Model::describe_event`]
+    /// says of the event).
     pub label: String,
     /// Display track (vnode / service lane) the event belongs to (from
     /// [`crate::Model::event_track`]).
     pub track: u32,
 }
 
+/// `Record::cause` of an externally scheduled event.
+const NO_CAUSE: u32 = u32::MAX;
+/// `Record::code` of a label stored in the text side table, `args[0]`
+/// being its index there.
+const TEXT_CODE: u16 = u16::MAX;
+
+/// What the log stores per event. The event's id is the log's first id
+/// plus the record's position.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    at: SimTime,
+    seq: u64,
+    cause: u32,
+    args: [u32; 3],
+    track: u16,
+    kind: u16,
+    code: u16,
+}
+
+/// Records per chunk of a [`Records`] store (640 KB of them).
+const CHUNK: usize = 1 << 14;
+
+/// The log's append-only record store: fixed-size chunks, so that growing
+/// never moves what is already stored. A million-record `Vec` doubles its
+/// way through twice its final size in copies — measured at 22 of the 28
+/// ns a push cost.
+#[derive(Clone, Debug, Default)]
+struct Records {
+    /// Every chunk but the last is full.
+    chunks: Vec<Vec<Record>>,
+}
+
+impl Records {
+    fn push(&mut self, record: Record) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => last.push(record),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(record);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self.chunks.split_last() {
+            Some((last, full)) => full.len() * CHUNK + last.len(),
+            None => 0,
+        }
+    }
+
+    fn get(&self, index: usize) -> Option<&Record> {
+        self.chunks.get(index / CHUNK)?.get(index % CHUNK)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Record> + '_ {
+        self.chunks.iter().flatten()
+    }
+}
+
 /// The engine-side happens-before log. Off by default; see
 /// [`crate::Engine::enable_causal_trace`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CausalLog {
-    nodes: Vec<CausalNode>,
+    records: Records,
+    /// Id of `records[0]`: the events the engine had handled when this log
+    /// began (0 unless tracing was enabled, or the log taken, mid-run).
+    first: u64,
+    /// The distinct kind strings seen, indexed by `Record::kind`.
+    kinds: Vec<&'static str>,
+    /// Labels stored verbatim (see [`EventLabel::Text`]).
+    texts: Vec<String>,
+    render: fn(Label) -> String,
     enabled: bool,
+}
+
+impl Default for CausalLog {
+    fn default() -> Self {
+        CausalLog::disabled()
+    }
+}
+
+/// Narrows an event id for storage. Checked: a log never holds 2^32 − 1
+/// records (they would take 170 GB), so an id that does not fit is a
+/// corrupted one.
+fn narrow_id(id: EventId) -> u32 {
+    match u32::try_from(id.0) {
+        Ok(narrow) if narrow != NO_CAUSE => narrow,
+        _ => panic!("event id {id} does not fit the causal log's 32-bit ids"),
+    }
 }
 
 impl CausalLog {
     /// Creates a disabled (no-op) log.
     pub fn disabled() -> Self {
-        CausalLog::default()
+        CausalLog {
+            enabled: false,
+            ..CausalLog::enabled(|_| String::new())
+        }
     }
 
-    /// Creates an enabled, empty log.
-    pub fn enabled() -> Self {
+    /// Creates an enabled, empty log whose packed labels `render` turns
+    /// back into text.
+    pub fn enabled(render: fn(Label) -> String) -> Self {
         CausalLog {
-            nodes: Vec::new(),
+            records: Records::default(),
+            first: 0,
+            kinds: Vec::new(),
+            texts: Vec::new(),
+            render,
             enabled: true,
         }
+    }
+
+    /// This log, beginning at event `first` of its run.
+    pub(crate) fn starting_at(mut self, first: EventId) -> Self {
+        self.first = first.0;
+        self
     }
 
     /// Whether nodes are being recorded.
@@ -78,73 +235,138 @@ impl CausalLog {
         self.enabled
     }
 
-    pub(crate) fn push(&mut self, node: CausalNode) {
-        self.nodes.push(node);
+    fn id_at(&self, index: usize) -> EventId {
+        EventId(self.first + index as u64)
     }
 
-    /// All recorded nodes, in handling order (= id order).
-    pub fn nodes(&self) -> &[CausalNode] {
-        &self.nodes
+    /// Appends the next handled event, which gets the next id.
+    pub(crate) fn push(
+        &mut self,
+        cause: Option<EventId>,
+        at: SimTime,
+        seq: u64,
+        kind: &'static str,
+        label: EventLabel,
+        track: u32,
+    ) {
+        // The id this record gets must itself be storable as a cause.
+        narrow_id(self.id_at(self.records.len()));
+        let (code, args) = match label {
+            EventLabel::Packed(l) => {
+                assert_ne!(l.code, TEXT_CODE, "label code {TEXT_CODE} is the log's own");
+                (l.code, l.args)
+            }
+            EventLabel::Text(text) => {
+                let slot = u32::try_from(self.texts.len()).expect("fewer texts than records");
+                self.texts.push(text);
+                (TEXT_CODE, [slot, 0, 0])
+            }
+        };
+        let kind = self.kind_index(kind);
+        self.records.push(Record {
+            at,
+            seq,
+            cause: cause.map_or(NO_CAUSE, narrow_id),
+            args,
+            track: u16::try_from(track).expect("more than 65 535 display tracks"),
+            kind,
+            code,
+        });
+    }
+
+    /// Interns `kind` (see [`failmpi_obs::literal`]: models pass the same
+    /// few literals every time).
+    fn kind_index(&mut self, kind: &'static str) -> u16 {
+        let known = failmpi_obs::literal::position(self.kinds.iter().copied(), kind);
+        let index = known.unwrap_or_else(|| {
+            self.kinds.push(kind);
+            self.kinds.len() - 1
+        });
+        u16::try_from(index).expect("more than 65 535 event kinds")
+    }
+
+    fn view(&self, index: usize, r: &Record) -> CausalNode {
+        CausalNode {
+            id: self.id_at(index),
+            cause: (r.cause != NO_CAUSE).then_some(EventId(u64::from(r.cause))),
+            at: r.at,
+            seq: r.seq,
+            kind: self.kinds[usize::from(r.kind)],
+            label: if r.code == TEXT_CODE {
+                self.texts[r.args[0] as usize].clone()
+            } else {
+                (self.render)(Label::new(r.code, r.args))
+            },
+            track: u32::from(r.track),
+        }
+    }
+
+    /// All recorded nodes, in handling order (= id order), each rendered
+    /// as it is yielded.
+    pub fn nodes(&self) -> impl Iterator<Item = CausalNode> + '_ {
+        self.records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| self.view(i, r))
     }
 
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.records.len()
     }
 
     /// `true` when no nodes were recorded.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.records.len() == 0
     }
 
-    /// Looks a node up by id. Ids are dense when tracing was enabled for
-    /// the whole run; this still verifies rather than assumes.
-    pub fn node(&self, id: EventId) -> Option<&CausalNode> {
-        let candidate = self.nodes.get(id.0 as usize);
-        match candidate {
-            Some(n) if n.id == id => candidate,
-            _ => self.nodes.iter().find(|n| n.id == id),
-        }
+    /// Looks a node up by id (ids are dense, so this is an index).
+    pub fn node(&self, id: EventId) -> Option<CausalNode> {
+        let index = usize::try_from(id.0.checked_sub(self.first)?).ok()?;
+        Some(self.view(index, self.records.get(index)?))
     }
 
     /// Walks the causal chain backward from `id` (inclusive) to a root
     /// (an externally scheduled event with no cause), returning nodes in
     /// cause-first order.
-    pub fn chain_to_root(&self, id: EventId) -> Vec<&CausalNode> {
+    pub fn chain_to_root(&self, id: EventId) -> Vec<CausalNode> {
         let mut chain = Vec::new();
         let mut cursor = self.node(id);
         while let Some(n) = cursor {
-            chain.push(n);
             cursor = n.cause.and_then(|c| self.node(c));
+            chain.push(n);
         }
         chain.reverse();
         chain
     }
 
-    /// Structural invariants of a well-formed happens-before log:
-    /// ids dense and increasing, every cause edge pointing to a strictly
-    /// earlier-handled event at an equal-or-earlier virtual instant.
+    /// Structural invariants of a well-formed happens-before log: every
+    /// cause edge pointing to a strictly earlier-handled, recorded event at
+    /// an equal-or-earlier virtual instant (ids are dense by construction).
     /// Returns the first violation as a human-readable message.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.id.0 != i as u64 {
-                return Err(format!("node {i} has non-dense id {}", n.id));
+        for (i, r) in self.records.iter().enumerate() {
+            if r.cause == NO_CAUSE {
+                continue;
             }
-            if let Some(c) = n.cause {
-                if c >= n.id {
-                    return Err(format!("node {} has forward/self cause {c}", n.id));
-                }
-                let Some(cn) = self.node(c) else {
-                    return Err(format!("node {} has dangling cause {c}", n.id));
-                };
-                if cn.at > n.at {
-                    return Err(format!(
-                        "edge {c} -> {} goes backward in virtual time ({} > {})",
-                        n.id,
-                        cn.at.as_micros(),
-                        n.at.as_micros()
-                    ));
-                }
+            let (id, c) = (self.id_at(i), EventId(u64::from(r.cause)));
+            if c >= id {
+                return Err(format!("node {id} has forward/self cause {c}"));
+            }
+            let Some(cause_index) = c.0.checked_sub(self.first) else {
+                return Err(format!("node {id} has dangling cause {c}"));
+            };
+            let cause_at = self
+                .records
+                .get(cause_index as usize)
+                .expect("an earlier id of this log")
+                .at;
+            if cause_at > r.at {
+                return Err(format!(
+                    "edge {c} -> {id} goes backward in virtual time ({} > {})",
+                    cause_at.as_micros(),
+                    r.at.as_micros()
+                ));
             }
         }
         Ok(())
@@ -155,16 +377,22 @@ impl CausalLog {
 mod tests {
     use super::*;
 
-    fn node(id: u64, cause: Option<u64>, at_s: u64) -> CausalNode {
-        CausalNode {
-            id: EventId(id),
-            cause: cause.map(EventId),
-            at: SimTime::from_secs(at_s),
-            seq: id,
-            kind: "k",
-            label: String::new(),
-            track: 0,
-        }
+    /// A toy vocabulary: code 1 is `n<arg0>`.
+    fn render(l: Label) -> String {
+        assert_eq!(l.code, 1);
+        format!("n{}", l.args[0])
+    }
+
+    fn push(log: &mut CausalLog, cause: Option<u64>, at_s: u64) {
+        let id = log.len() as u32;
+        log.push(
+            cause.map(EventId),
+            SimTime::from_secs(at_s),
+            u64::from(id),
+            "k",
+            EventLabel::Packed(Label::new(1, [id, 0, 0])),
+            0,
+        );
     }
 
     #[test]
@@ -175,33 +403,150 @@ mod tests {
     }
 
     #[test]
+    fn a_record_stays_within_48_bytes() {
+        assert!(std::mem::size_of::<Record>() <= 48);
+    }
+
+    #[test]
     fn chain_walks_to_root() {
-        let mut log = CausalLog::enabled();
-        log.push(node(0, None, 1));
-        log.push(node(1, Some(0), 2));
-        log.push(node(2, Some(1), 2));
-        log.push(node(3, None, 5));
+        let mut log = CausalLog::enabled(render);
+        push(&mut log, None, 1);
+        push(&mut log, Some(0), 2);
+        push(&mut log, Some(1), 2);
+        push(&mut log, None, 5);
         let chain = log.chain_to_root(EventId(2));
         let ids: Vec<u64> = chain.iter().map(|n| n.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert!(log.check_invariants().is_ok());
+        assert!(log.node(EventId(4)).is_none());
+    }
+
+    #[test]
+    fn nodes_render_on_read() {
+        let mut log = CausalLog::enabled(render);
+        push(&mut log, None, 1);
+        push(&mut log, Some(0), 3);
+        let labels: Vec<String> = log.nodes().map(|n| n.label).collect();
+        assert_eq!(labels, ["n0", "n1"]);
+        let n = log.node(EventId(1)).expect("recorded");
+        assert_eq!(
+            (n.id, n.cause, n.at, n.seq, n.kind, n.track),
+            (
+                EventId(1),
+                Some(EventId(0)),
+                SimTime::from_secs(3),
+                1,
+                "k",
+                0
+            )
+        );
+    }
+
+    #[test]
+    fn records_keep_their_order_across_chunks() {
+        let mut log = CausalLog::enabled(render);
+        let n = 2 * CHUNK + 3;
+        for _ in 0..n {
+            push(&mut log, None, 1);
+        }
+        assert_eq!(log.len(), n);
+        assert_eq!(log.nodes().count(), n);
+        assert!(log.nodes().enumerate().all(|(i, n)| n.id.0 == i as u64 && n.seq == i as u64));
+        for at in [0, CHUNK - 1, CHUNK, 2 * CHUNK, n - 1] {
+            let node = log.node(EventId(at as u64)).expect("recorded");
+            assert_eq!(node.label, format!("n{at}"));
+        }
+        assert!(log.node(EventId(n as u64)).is_none());
+    }
+
+    #[test]
+    fn text_labels_come_back_verbatim_beside_packed_ones() {
+        let mut log = CausalLog::enabled(render);
+        let at = SimTime::ZERO;
+        log.push(None, at, 0, "a", EventLabel::Text("first".to_string()), 7);
+        log.push(
+            None,
+            at,
+            1,
+            "b",
+            EventLabel::Packed(Label::new(1, [9, 0, 0])),
+            7,
+        );
+        log.push(None, at, 2, "a", EventLabel::Text(String::new()), 7);
+        let seen: Vec<(&str, String)> = log.nodes().map(|n| (n.kind, n.label)).collect();
+        let expected = [("a", "first"), ("b", "n9"), ("a", "")].map(|(k, l)| (k, l.to_string()));
+        assert_eq!(seen, expected);
+        assert_eq!(log.texts.len(), 2);
+    }
+
+    #[test]
+    fn equal_kinds_at_different_addresses_share_an_index() {
+        let mut log = CausalLog::enabled(render);
+        let elsewhere: &'static str = String::from("k").leak();
+        push(&mut log, None, 1);
+        log.push(
+            None,
+            SimTime::from_secs(1),
+            1,
+            elsewhere,
+            EventLabel::Text(String::new()),
+            0,
+        );
+        assert_eq!(log.kinds, ["k"]);
+        assert!(log.nodes().all(|n| n.kind == "k"));
+    }
+
+    #[test]
+    fn ids_narrow_checked() {
+        assert_eq!(narrow_id(EventId(0)), 0);
+        assert_eq!(narrow_id(EventId(u64::from(u32::MAX) - 1)), u32::MAX - 1);
+        for too_wide in [u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            let caught = std::panic::catch_unwind(|| narrow_id(EventId(too_wide)));
+            assert!(caught.is_err(), "{too_wide} narrowed");
+        }
+        assert_eq!(
+            Label::narrow(3, [1, 2, u64::from(u32::MAX)]),
+            Some(Label::new(3, [1, 2, u32::MAX]))
+        );
+        assert_eq!(Label::narrow(3, [1, 1 << 32, 0]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_cause_that_does_not_fit_is_refused() {
+        let mut log = CausalLog::enabled(render);
+        push(&mut log, Some(1 << 40), 1);
+    }
+
+    #[test]
+    fn a_log_begun_mid_run_keeps_the_engine_ids() {
+        let mut log = CausalLog::enabled(render).starting_at(EventId(10));
+        push(&mut log, None, 1);
+        push(&mut log, Some(10), 2);
+        assert_eq!(
+            log.node(EventId(11)).and_then(|n| n.cause),
+            Some(EventId(10))
+        );
+        assert!(log.node(EventId(1)).is_none());
+        assert!(log.check_invariants().is_ok());
+        push(&mut log, Some(3), 2);
+        let err = log.check_invariants().unwrap_err();
+        assert!(err.contains("dangling cause #3"), "{err}");
     }
 
     #[test]
     fn invariants_catch_forward_edges() {
-        let mut log = CausalLog::enabled();
-        log.push(node(0, None, 1));
-        let mut bad = node(1, Some(1), 2);
-        bad.cause = Some(EventId(1));
-        log.push(bad);
+        let mut log = CausalLog::enabled(render);
+        push(&mut log, None, 1);
+        push(&mut log, Some(1), 2);
         assert!(log.check_invariants().is_err());
     }
 
     #[test]
     fn invariants_catch_time_travel() {
-        let mut log = CausalLog::enabled();
-        log.push(node(0, None, 9));
-        log.push(node(1, Some(0), 3));
+        let mut log = CausalLog::enabled(render);
+        push(&mut log, None, 9);
+        push(&mut log, Some(0), 3);
         let err = log.check_invariants().unwrap_err();
         assert!(err.contains("backward in virtual time"), "{err}");
     }

@@ -2,7 +2,7 @@
 
 use failmpi_obs::WallProfile;
 
-use crate::causal::{CausalLog, CausalNode, EventId};
+use crate::causal::{CausalLog, EventId, EventLabel, Label};
 use crate::fingerprint::{Fingerprint, JournalEntry};
 use crate::queue::{EventQueue, TieBreak};
 use crate::time::{SimDuration, SimTime};
@@ -41,6 +41,23 @@ pub trait Model {
     /// empty (journals still localize divergence by time/seq/digest).
     fn describe_event(&self, event: &Self::Event) -> String {
         let _ = event;
+        String::new()
+    }
+
+    /// What the happens-before log stores as `event`'s description (see
+    /// [`Engine::enable_causal_trace`]). A model whose vocabulary packs
+    /// returns [`EventLabel::Packed`] and defines
+    /// [`Model::render_label`] so that rendering the packed label gives
+    /// [`Model::describe_event`]'s text; the default stores that text
+    /// itself.
+    fn pack_event(&self, event: &Self::Event) -> EventLabel {
+        EventLabel::Text(self.describe_event(event))
+    }
+
+    /// The text of a label [`Model::pack_event`] packed; the log calls it
+    /// when a node is read. Never called under the default `pack_event`.
+    fn render_label(label: Label) -> String {
+        let _ = label;
         String::new()
     }
 
@@ -234,15 +251,19 @@ impl<M: Model> Engine<M> {
         &self.profile
     }
 
-    /// Starts recording the happens-before DAG: one [`CausalNode`] per
-    /// handled event, each linked to the event that scheduled it. Costs
-    /// one label allocation per event plus node storage, so off by
-    /// default; with it off, cause bookkeeping is a single `u64` copy per
-    /// push and no labels are ever materialized.
+    /// Starts recording the happens-before DAG: one node per handled
+    /// event, each linked to the event that scheduled it. Costs one packed
+    /// record per event (see [`CausalLog`]), so off by default; with it
+    /// off, cause bookkeeping is a single `u64` copy per push.
     pub fn enable_causal_trace(&mut self) {
         if !self.causal.is_enabled() {
-            self.causal = CausalLog::enabled();
+            self.causal = self.fresh_causal_log();
         }
+    }
+
+    /// An enabled log beginning at the next event to be handled.
+    fn fresh_causal_log(&self) -> CausalLog {
+        CausalLog::enabled(M::render_label).starting_at(EventId(self.handled))
     }
 
     /// The happens-before log (empty unless
@@ -256,7 +277,8 @@ impl<M: Model> Engine<M> {
         if !self.causal.is_enabled() {
             return CausalLog::disabled();
         }
-        std::mem::replace(&mut self.causal, CausalLog::enabled())
+        let fresh = self.fresh_causal_log();
+        std::mem::replace(&mut self.causal, fresh)
     }
 
     /// Current virtual time (the instant of the last handled event).
@@ -318,28 +340,27 @@ impl<M: Model> Engine<M> {
                 label: self.model.describe_event(&ev),
             });
         }
+        let started = self.profile.maybe_start();
+        let deep = failmpi_obs::prof::is_enabled();
+        let kind = if started.is_some() || deep || self.causal.is_enabled() {
+            self.model.event_kind(&ev)
+        } else {
+            ""
+        };
         if self.causal.is_enabled() {
-            self.causal.push(CausalNode {
-                id,
+            self.causal.push(
                 cause,
                 at,
                 seq,
-                kind: self.model.event_kind(&ev),
-                label: self.model.describe_event(&ev),
-                track: self.model.event_track(&ev),
-            });
+                kind,
+                self.model.pack_event(&ev),
+                self.model.event_track(&ev),
+            );
         }
         let mut sched = Scheduler {
             now: at,
             current: Some(id),
             pending: Vec::new(),
-        };
-        let started = self.profile.maybe_start();
-        let deep = failmpi_obs::prof::is_enabled();
-        let kind = if started.is_some() || deep {
-            self.model.event_kind(&ev)
-        } else {
-            ""
         };
         // Deep-profiling scope: attributes the allocation delta of the
         // handler *and* the scheduling it triggers (queue push-back) to
@@ -633,7 +654,7 @@ mod tests {
         // the previous one; the root is external stimulus.
         assert_eq!(log.len(), 4);
         log.check_invariants().expect("well-formed DAG");
-        let causes: Vec<Option<u64>> = log.nodes().iter().map(|n| n.cause.map(|c| c.0)).collect();
+        let causes: Vec<Option<u64>> = log.nodes().map(|n| n.cause.map(|c| c.0)).collect();
         assert_eq!(causes, vec![None, Some(0), Some(1), Some(2)]);
         let chain = log.chain_to_root(crate::EventId(3));
         assert_eq!(chain.len(), 4);
@@ -670,6 +691,45 @@ mod tests {
         assert_eq!(taken.len(), 4);
         assert!(e.causal_log().is_empty());
         assert!(e.causal_log().is_enabled());
+    }
+
+    /// Even events pack (`e<n>`), odd ones go to the log as text (`odd <n>`).
+    struct Halving;
+    impl Model for Halving {
+        type Event = u32;
+        fn handle(&mut self, _: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+            if ev > 1 {
+                sched.immediate(ev / 2);
+            }
+        }
+        fn pack_event(&self, ev: &u32) -> EventLabel {
+            if ev.is_multiple_of(2) {
+                EventLabel::Packed(Label::new(1, [*ev, 0, 0]))
+            } else {
+                EventLabel::Text(format!("odd {ev}"))
+            }
+        }
+        fn render_label(l: Label) -> String {
+            format!("e{}", l.args[0])
+        }
+    }
+
+    #[test]
+    fn causal_labels_render_through_the_model_and_survive_a_take() {
+        let mut e = Engine::new(Halving);
+        e.enable_causal_trace();
+        e.schedule(SimTime::ZERO, 12);
+        e.run(SimTime::MAX);
+        let labels = |log: &CausalLog| log.nodes().map(|n| n.label).collect::<Vec<_>>();
+        assert_eq!(labels(&e.take_causal_log()), ["e12", "e6", "odd 3", "odd 1"]);
+        // The log left behind renders with the same model, and its ids go on
+        // from where the taken one stopped.
+        e.schedule(SimTime::from_secs(1), 2);
+        e.run(SimTime::MAX);
+        assert_eq!(labels(e.causal_log()), ["e2", "odd 1"]);
+        let ids: Vec<u64> = e.causal_log().nodes().map(|n| n.id.0).collect();
+        assert_eq!(ids, [4, 5]);
+        e.causal_log().check_invariants().expect("well-formed");
     }
 
     #[test]

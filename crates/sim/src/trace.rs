@@ -109,6 +109,11 @@ impl<K> TraceLog<K> {
         &self.entries
     }
 
+    /// Moves the stored entries out, leaving the log empty.
+    pub fn take_entries(&mut self) -> Vec<TraceEntry<K>> {
+        std::mem::take(&mut self.entries)
+    }
+
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.entries.len()

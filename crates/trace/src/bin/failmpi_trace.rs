@@ -10,6 +10,12 @@
 //!
 //! Trace files come from `--trace-out PATH` on `figure <name>`, on
 //! `soak`, or on the single-run `trace` binary (see EXPERIMENTS.md).
+//!
+//! Exit status: 0 on success and for `--help` (usage on stdout); 2 for a
+//! usage error, a file that cannot be read or written, and a trace that
+//! does not parse or breaks an invariant of the format
+//! (`TraceFile::check_invariants`) — no subcommand narrates a file it
+//! cannot trust.
 
 use std::process::ExitCode;
 
@@ -24,12 +30,15 @@ const USAGE: &str = "usage: failmpi-trace <explain|diff|slice|filter|export> <tr
   export <trace.json> [--out P]             Chrome trace-event JSON (ui.perfetto.dev)";
 
 fn load(path: &str) -> Result<TraceFile, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    TraceFile::from_json(&src).map_err(|e| format!("{path}: {e}"))
+    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let trace = TraceFile::from_json(&src).map_err(|e| format!("{path}: {e}"))?;
+    trace
+        .check_invariants()
+        .map_err(|e| format!("{path}: not a well-formed trace: {e}"))?;
+    Ok(trace)
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).ok_or(USAGE)?;
     match cmd {
         "explain" => {
@@ -53,7 +62,8 @@ fn run() -> Result<(), String> {
             let json = sliced.to_json();
             match flag_value(&args[3..], "--out") {
                 Some(out) => {
-                    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
+                    std::fs::write(&out, &json)
+                        .map_err(|e| format!("cannot write {out}: {e}"))?;
                     eprintln!(
                         "sliced {} of {} nodes -> {out}",
                         sliced.nodes.len(),
@@ -100,7 +110,8 @@ fn run() -> Result<(), String> {
             let json = perfetto::export(&load(path)?);
             match flag_value(&args[2..], "--out") {
                 Some(out) => {
-                    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
+                    std::fs::write(&out, &json)
+                        .map_err(|e| format!("cannot write {out}: {e}"))?;
                     eprintln!("wrote {out} (load it at ui.perfetto.dev)");
                 }
                 None => print!("{json}"),
@@ -119,11 +130,16 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
+            eprintln!("failmpi-trace: {e}");
+            ExitCode::from(2)
         }
     }
 }

@@ -8,7 +8,10 @@
 //! field order so same-seed runs export byte-identical JSON (the
 //! determinism property the testkit checks).
 
-use failmpi_sim::CausalLog;
+use std::borrow::Borrow;
+use std::io;
+
+use failmpi_sim::CausalNode;
 
 /// Version tag of the trace-file schema (`schema_version` field).
 pub const SCHEMA_VERSION: u64 = 1;
@@ -31,6 +34,20 @@ pub struct Node {
     pub label: String,
     /// Display lane (index into [`TraceFile::tracks`]).
     pub track: u32,
+}
+
+impl From<CausalNode> for Node {
+    fn from(n: CausalNode) -> Node {
+        Node {
+            id: n.id.0,
+            cause: n.cause.map(|c| c.0),
+            t_us: n.at.as_micros(),
+            seq: n.seq,
+            kind: n.kind.to_string(),
+            label: n.label,
+            track: n.track,
+        }
+    }
 }
 
 /// One semantic (MPICH-Vcl) record, anchored into the DAG.
@@ -76,33 +93,16 @@ pub struct TraceFile {
 }
 
 impl TraceFile {
-    /// Builds the node list from an engine [`CausalLog`] (marks and
-    /// metadata are filled in by the caller, who knows the semantic layer).
-    pub fn from_causal(log: &CausalLog) -> TraceFile {
-        let nodes = log
-            .nodes()
-            .iter()
-            .map(|n| Node {
-                id: n.id.0,
-                cause: n.cause.map(|c| c.0),
-                t_us: n.at.as_micros(),
-                seq: n.seq,
-                kind: n.kind.to_string(),
-                label: n.label.clone(),
-                track: n.track,
-            })
-            .collect();
-        TraceFile {
-            nodes,
-            ..TraceFile::default()
-        }
-    }
-
-    /// Looks a node up by id (dense fast path, verified).
+    /// Looks a node up by id: by position in a full trace, whose ids are
+    /// dense, by bisection in a slice, whose ids are merely increasing
+    /// (see [`TraceFile::check_invariants`]).
     pub fn node(&self, id: u64) -> Option<&Node> {
         match self.nodes.get(id as usize) {
             Some(n) if n.id == id => Some(n),
-            _ => self.nodes.iter().find(|n| n.id == id),
+            _ => {
+                let at = self.nodes.binary_search_by_key(&id, |n| n.id).ok()?;
+                Some(&self.nodes[at])
+            }
         }
     }
 
@@ -120,11 +120,29 @@ impl TraceFile {
     }
 
     /// Structural happens-before invariants (mirrors
-    /// `CausalLog::check_invariants` on the serialized form).
+    /// `CausalLog::check_invariants` on the serialized form): ids strictly
+    /// increasing (dense in a full trace; a slice keeps the full trace's
+    /// ids), every cause an earlier node of this file at an
+    /// equal-or-earlier instant, every track a lane of
+    /// [`TraceFile::tracks`], every mark anchored to a node of this file.
+    /// The first violation is the error. Every reader of a file from
+    /// outside the process runs this before believing it.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.id != i as u64 {
-                return Err(format!("node {i} has non-dense id {}", n.id));
+        // Ids first: looking a cause up bisects them.
+        if let Some(w) = self.nodes.windows(2).find(|w| w[1].id <= w[0].id) {
+            return Err(format!(
+                "node {} follows node {}: ids must increase",
+                w[1].id, w[0].id
+            ));
+        }
+        for n in &self.nodes {
+            if n.track as usize >= self.tracks.len() {
+                return Err(format!(
+                    "node {} is on track {} of {}",
+                    n.id,
+                    n.track,
+                    self.tracks.len()
+                ));
             }
             if let Some(c) = n.cause {
                 if c >= n.id {
@@ -154,45 +172,61 @@ impl TraceFile {
     /// Serializes with a fixed field order: byte-identical for identical
     /// traces, whatever produced them.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.nodes.len() * 96);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        s.push_str(&format!("  \"name\": {},\n", escape(&self.name)));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"outcome\": {},\n", escape(&self.outcome)));
-        s.push_str(&format!("  \"end_micros\": {},\n", self.end_micros));
-        s.push_str("  \"tracks\": [");
-        for (i, t) in self.tracks.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&escape(t));
-        }
-        s.push_str("],\n  \"nodes\": [\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let cause = match n.cause {
-                Some(c) => c.to_string(),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"id\": {}, \"cause\": {}, \"t_us\": {}, \"seq\": {}, \
-                 \"kind\": {}, \"label\": {}, \"track\": {}}}{}\n",
+        let mut doc = Vec::with_capacity(256 + self.nodes.len() * 96);
+        self.write_json(&mut doc).expect("writing to memory");
+        String::from_utf8(doc).expect("the writer emits UTF-8")
+    }
+
+    /// Writes what [`TraceFile::to_json`] returns.
+    pub fn write_json(&self, w: &mut impl io::Write) -> io::Result<()> {
+        self.write_json_with_nodes(w, self.nodes.iter())
+    }
+
+    /// [`TraceFile::write_json`] with `nodes` standing in for
+    /// [`TraceFile::nodes`], so a trace too large to hold twice goes out
+    /// node by node from wherever it is stored.
+    pub fn write_json_with_nodes<N: Borrow<Node>>(
+        &self,
+        w: &mut impl io::Write,
+        nodes: impl Iterator<Item = N>,
+    ) -> io::Result<()> {
+        writeln!(w, "{{")?;
+        writeln!(w, "  \"schema_version\": {SCHEMA_VERSION},")?;
+        writeln!(w, "  \"name\": {},", escape(&self.name))?;
+        writeln!(w, "  \"seed\": {},", self.seed)?;
+        writeln!(w, "  \"outcome\": {},", escape(&self.outcome))?;
+        writeln!(w, "  \"end_micros\": {},", self.end_micros)?;
+        let tracks: Vec<String> = self.tracks.iter().map(|t| escape(t)).collect();
+        writeln!(w, "  \"tracks\": [{}],", tracks.join(", "))?;
+        writeln!(w, "  \"nodes\": [")?;
+        // Each element ends the line of the one before it, so the last one
+        // is known without counting.
+        let mut separator = "";
+        for n in nodes {
+            let n = n.borrow();
+            write!(
+                w,
+                "{separator}    {{\"id\": {}, \"cause\": {}, \"t_us\": {}, \"seq\": {}, \
+                 \"kind\": {}, \"label\": {}, \"track\": {}}}",
                 n.id,
-                cause,
+                opt_num(n.cause),
                 n.t_us,
                 n.seq,
                 escape(&n.kind),
                 escape(&n.label),
                 n.track,
-                if i + 1 < self.nodes.len() { "," } else { "" }
-            ));
+            )?;
+            separator = ",\n";
         }
-        s.push_str("  ],\n  \"marks\": [\n");
-        for (i, m) in self.marks.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"node\": {}, \"t_us\": {}, \"kind\": {}, \"label\": {}, \
-                 \"rank\": {}, \"epoch\": {}, \"wave\": {}, \"during_recovery\": {}}}{}\n",
-                opt_num(m.node.map(|v| v as i64)),
+        let end_of_list = |separator: &str| if separator.is_empty() { "" } else { "\n" };
+        write!(w, "{}  ],\n  \"marks\": [\n", end_of_list(separator))?;
+        let mut separator = "";
+        for m in &self.marks {
+            write!(
+                w,
+                "{separator}    {{\"node\": {}, \"t_us\": {}, \"kind\": {}, \"label\": {}, \
+                 \"rank\": {}, \"epoch\": {}, \"wave\": {}, \"during_recovery\": {}}}",
+                opt_num(m.node),
                 m.t_us,
                 escape(&m.kind),
                 escape(&m.label),
@@ -200,11 +234,10 @@ impl TraceFile {
                 opt_num(m.epoch),
                 opt_num(m.wave),
                 m.during_recovery,
-                if i + 1 < self.marks.len() { "," } else { "" }
-            ));
+            )?;
+            separator = ",\n";
         }
-        s.push_str("  ]\n}\n");
-        s
+        write!(w, "{}  ]\n}}\n", end_of_list(separator))
     }
 
     /// Parses a trace file previously written by [`TraceFile::to_json`].
@@ -297,11 +330,8 @@ impl TraceFile {
     }
 }
 
-fn opt_num(v: Option<i64>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "null".to_string(),
-    }
+fn opt_num(v: Option<impl std::fmt::Display>) -> String {
+    v.map_or_else(|| "null".to_string(), |n| n.to_string())
 }
 
 /// JSON string escaping (control characters, quotes, backslashes) by the
@@ -370,10 +400,27 @@ mod tests {
     }
 
     #[test]
-    fn invariants_reject_dangling_mark() {
+    fn invariants_name_the_first_violation() {
+        type Breakage = fn(&mut TraceFile);
+        let broken: [(Breakage, &str); 6] = [
+            (|t| t.marks[0].node = Some(99), "mark 0 anchored to missing node 99"),
+            (|t| t.nodes[1].cause = Some(5), "node 1 has forward/self cause 5"),
+            (|t| t.nodes[1].id = 7, "mark 0 anchored to missing node 1"),
+            (|t| t.nodes[1].id = 0, "node 0 follows node 0: ids must increase"),
+            (|t| t.nodes[1].track = 9, "node 1 is on track 9 of 2"),
+            (|t| t.nodes[0].t_us = 101, "edge 0 -> 1 goes backward in virtual time"),
+        ];
+        for (breakage, message) in broken {
+            let mut tf = sample();
+            breakage(&mut tf);
+            assert_eq!(tf.check_invariants(), Err(message.to_string()));
+        }
+        // A cause that is earlier but absent: only a gapped file has one.
         let mut tf = sample();
-        tf.marks[0].node = Some(99);
-        assert!(tf.check_invariants().is_err());
+        tf.nodes[0].id = 3;
+        tf.nodes[1].id = 9;
+        tf.nodes[1].cause = Some(2);
+        assert_eq!(tf.check_invariants(), Err("node 9 has dangling cause 2".to_string()));
     }
 
     #[test]

@@ -13,8 +13,9 @@ use crate::model::{Node, TraceFile};
 /// The ancestor cone of `id`: the node itself plus everything reachable
 /// backward over cause edges, as a new trace (marks anchored inside the
 /// cone are kept). Node ids keep their original values, so they remain
-/// valid coordinates into the full trace (the sliced file is therefore
-/// *not* dense — don't run the dense-id invariant check on it).
+/// valid coordinates into the full trace: a slice's ids increase without
+/// being dense, and it holds every other invariant of the full trace (a
+/// cone contains the cause of each of its nodes).
 pub fn slice(trace: &TraceFile, id: u64) -> Option<TraceFile> {
     trace.node(id)?;
     let mut keep = BTreeSet::new();
@@ -148,6 +149,11 @@ mod tests {
         // Only the mark anchored inside the cone survives.
         assert_eq!(s.marks.len(), 1);
         assert_eq!(s.marks[0].kind, "failure_detected");
+        // A slice is a file the other subcommands load: it keeps the
+        // invariants, and its gapped ids still resolve.
+        s.check_invariants().expect("a slice is well-formed");
+        assert_eq!(s.node(3).map(|n| n.cause), Some(Some(1)));
+        assert!(s.node(2).is_none());
     }
 
     #[test]

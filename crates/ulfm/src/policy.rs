@@ -1,13 +1,11 @@
 //! Shrink-and-continue: the ULFM recovery policy over the shared
 //! [`LightRuntime`] skeleton.
 
-use std::fmt;
-
 use failmpi_backend::light::{LightEv, LightRuntime, PolicyNames, RecoveryPolicy, UnitChange};
 use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend, VclEvent};
 use failmpi_mpi::Rank;
 use failmpi_obs::{Counter, MetricsSnapshot};
-use failmpi_sim::{Fingerprint, FingerprintEvent, SimTime};
+use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel, SimTime};
 
 /// Control bytes per participant per agreement round.
 const AGREE_CONTROL_BYTES: u64 = 512;
@@ -33,9 +31,13 @@ impl FingerprintEvent for ShrinkDone {
     }
 }
 
-impl fmt::Display for ShrinkDone {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shrink round {} agreed", self.round)
+impl PackLabel for ShrinkDone {
+    fn pack(&self) -> Label {
+        Label::new(32, [self.round, 0, 0])
+    }
+
+    fn render(label: Label) -> String {
+        format!("shrink round {} agreed", label.args[0])
     }
 }
 
