@@ -34,6 +34,6 @@ pub use model::{
     model_check_scenario, model_check_source, model_check_with_programs, ModelCheckConfig,
     ModelCheckResult, ModelSummary, StaticVerdict, Witness,
 };
-pub use ops::analyze_programs;
+pub use ops::{analyze_programs, workload_error_diag};
 pub use scenario::{analyze_scenario, check_source, compile_error_diag, deploy_error_diag};
 pub use src_lints::{check_src_paths, check_src_text};

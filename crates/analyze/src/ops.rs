@@ -9,6 +9,7 @@
 //!
 //! | code  | severity | finding |
 //! |-------|----------|---------|
+//! | FB000 | error    | the workload does not deploy on its cluster (raised by the experiment harness) |
 //! | FB001 | error    | blocking receive no remaining send can ever match |
 //! | FB002 | error    | cyclic blocking wait (classic MPI deadlock) |
 //! | FB003 | error    | send to self or to a nonexistent rank |
@@ -36,6 +37,21 @@ pub fn analyze_programs(programs: &[Arc<Program>]) -> Vec<Diagnostic> {
     check_channel_counts(programs, &mut out);
     symbolic_walk(programs, &mut out);
     out
+}
+
+/// Wraps the reason a workload does not fit the cluster it is to run on — an
+/// inconsistent cluster configuration, a rank count the workload cannot be
+/// generated for, a program set of another length than the rank count — as
+/// the `FB000` diagnostic. Like FA011, no pass here raises it; the
+/// experiment harness does, before it builds anything.
+pub fn workload_error_diag(why: &str) -> Diagnostic {
+    Diagnostic::new(
+        Severity::Error,
+        "FB000",
+        0,
+        format!("workload does not deploy: {why}"),
+        "give the workload a rank count and a cluster it fits",
+    )
 }
 
 /// Whether a send is deliverable at all (drops FB003 sends from matching).

@@ -119,10 +119,12 @@ impl BackendConfig {
 ///
 /// A backend is a deterministic event machine: the harness's engine owns
 /// the clock and the event queue; the backend reacts to its own
-/// [`ProtocolBackend::Event`]s, emits follow-ups through
-/// [`ProtocolBackend::take_outputs`], and surfaces lifecycle transitions
-/// as [`Hook`]s (the FAIL-daemon interface of paper Sec. 4) plus
-/// [`VclEvent`] trace records (what the classifier reads).
+/// [`ProtocolBackend::Event`]s, leaves follow-ups in an outbox the harness
+/// empties in place after every event ([`ProtocolBackend::drain_outputs`]:
+/// nothing is allocated to hand them over, and the outbox keeps its
+/// buffer), and surfaces lifecycle transitions as [`Hook`]s (the
+/// FAIL-daemon interface of paper Sec. 4) plus [`VclEvent`] trace records
+/// (what the classifier reads).
 ///
 /// Determinism is part of the contract — same config, same programs, same
 /// seed, same injected schedule ⇒ byte-identical fingerprint — and the
@@ -153,8 +155,9 @@ pub trait ProtocolBackend {
     /// Handles one event at `now`.
     fn dispatch(&mut self, now: SimTime, ev: Self::Event);
 
-    /// Drains events produced since the last call (feed to the engine).
-    fn take_outputs(&mut self) -> Vec<(SimTime, Self::Event)>;
+    /// Drains the events produced since the last call, in place (feed
+    /// them to the engine; whatever the caller leaves undrained is dropped).
+    fn drain_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, Self::Event)>;
 
     /// Drains lifecycle/breakpoint hooks produced since the last call.
     fn take_hooks(&mut self) -> Vec<Hook>;

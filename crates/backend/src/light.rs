@@ -533,8 +533,8 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         }
     }
 
-    fn take_outputs(&mut self) -> Vec<(SimTime, Self::Event)> {
-        std::mem::take(&mut self.out)
+    fn drain_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, Self::Event)> {
+        self.out.drain(..)
     }
 
     fn take_hooks(&mut self) -> Vec<Hook> {

@@ -570,7 +570,7 @@ impl<C: ProtocolBackend> Model for World<C> {
         }
         self.pump_hooks(now, sched);
         self.pump_probes(now, sched);
-        for (t, e) in self.cluster.take_outputs() {
+        for (t, e) in self.cluster.drain_outputs() {
             sched.at(t, WEv::C(e));
         }
     }
@@ -663,6 +663,26 @@ pub fn programs_for(spec: &ExperimentSpec) -> Vec<Arc<Program>> {
     }
 }
 
+/// Refuses (`FB000`) a spec whose cluster configuration is inconsistent or
+/// whose workload does not fit it — a BT rank count that forms no square
+/// grid, a fixed program set of another length than the rank count — so
+/// that no backend constructor downstream meets one and unwinds.
+fn check_deploys(spec: &ExperimentSpec) -> Result<(), Report> {
+    let c = &spec.cluster;
+    let fit = c.validate().and_then(|()| match &spec.workload {
+        Workload::Bt(_) => failmpi_workloads::bt::grid_side(c.n_ranks).map(drop),
+        Workload::Fixed(programs) if programs.len() != c.n_ranks as usize => Err(format!(
+            "{} fixed programs for {} ranks",
+            programs.len(),
+            c.n_ranks
+        )),
+        Workload::Fixed(_) => Ok(()),
+    });
+    fit.map_err(|why| {
+        Report::new("experiment spec", vec![failmpi_analyze::workload_error_diag(&why)])
+    })
+}
+
 /// Which of the engine's optional instruments one [`run`] pays for; all
 /// off is the plain run every sweep uses.
 #[derive(Clone, Copy, Debug, Default)]
@@ -708,10 +728,12 @@ pub struct RunArtifacts {
 /// names and classifies it — the only driver; everything else in this
 /// crate is a caller.
 ///
-/// `Err` carries the diagnostics when the scenario cannot run: it fails
-/// its [`LintMode::Strict`] gate, does not compile, or does not deploy on
-/// the spec's adversary/machine classes and parameters.
+/// `Err` carries the diagnostics when the spec cannot run: its workload
+/// does not fit its cluster ([`check_deploys`]), or its scenario fails its
+/// [`LintMode::Strict`] gate, does not compile, or does not deploy on the
+/// spec's adversary/machine classes and parameters.
 pub fn run(spec: &ExperimentSpec, observe: Observe) -> Result<RunArtifacts, Report> {
+    check_deploys(spec)?;
     match spec.backend {
         BackendKind::Vcl => {
             let cluster = Cluster::new(spec.cluster.clone(), programs_for(spec), spec.seed);
@@ -782,24 +804,10 @@ fn backend_runtime_inputs(spec: &ExperimentSpec) -> (BackendConfig, Vec<u32>) {
     let programs = programs_for(spec);
     let ops: Vec<u32> = programs
         .iter()
-        .map(|p| {
-            let marks = p
-                .ops()
-                .iter()
-                .filter(|o| matches!(o, failmpi_mpi::Op::Progress(_)))
-                .count();
-            marks.max(1) as u32
-        })
+        .map(|p| p.progress_marks().max(1) as u32)
         .collect();
     let total_ops: u64 = ops.iter().map(|&o| u64::from(o)).sum();
-    let compute_micros: u64 = programs
-        .iter()
-        .flat_map(|p| p.ops().iter())
-        .filter_map(|o| match o {
-            failmpi_mpi::Op::Compute(d) => Some(d.as_micros()),
-            _ => None,
-        })
-        .sum();
+    let compute_micros: u64 = programs.iter().map(|p| p.compute_micros()).sum();
     let op_delay = if compute_micros == 0 {
         SimDuration::from_millis(500)
     } else {
@@ -912,7 +920,8 @@ fn drive<C: ProtocolBackend>(
         failmpi_obs::prof::start_run(spec.backend.name());
     }
     // Initial cluster events.
-    for (t, e) in engine.model_mut().cluster.take_outputs() {
+    let boot: Vec<_> = engine.model_mut().cluster.drain_outputs().collect();
+    for (t, e) in boot {
         engine.schedule(t, WEv::C(e));
     }
     // Initial FAIL actions (timer arming at t = 0).

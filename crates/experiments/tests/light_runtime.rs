@@ -33,7 +33,7 @@ impl<P: RecoveryPolicy> Driver<P> {
     fn drive(&mut self, until: SimTime) -> SimTime {
         let mut now = SimTime::ZERO;
         loop {
-            self.queue.extend(self.c.take_outputs());
+            self.queue.extend(self.c.drain_outputs());
             self.hooks.extend(self.c.take_hooks());
             let best = self
                 .queue
@@ -114,14 +114,14 @@ fn halt_clears_control_state_and_schedules_one_detect<P: RecoveryPolicy>(mut d: 
         assert!(!st.alive && !st.suspended && !st.held && !st.resume_init);
         let due = secs(5) + d.c.cfg().detect_delay;
         assert!(matches!(
-            d.c.take_outputs().as_slice(),
+            d.c.drain_outputs().as_slice(),
             [(t, LightEv::Detect { unit })] if *t == due && *unit == u
         ));
         // A corpse cannot be halted, stopped or continued again.
         d.c.fail_halt(secs(5), ProcId(u));
         d.c.fail_stop(secs(5), ProcId(u));
         d.c.fail_continue(secs(5), ProcId(u));
-        assert!(d.c.take_outputs().is_empty() && !d.c.units[u as usize].suspended);
+        assert!(d.c.drain_outputs().len() == 0 && !d.c.units[u as usize].suspended);
     }
 }
 
@@ -142,7 +142,7 @@ fn stale_generation_op_done_is_ignored<P: RecoveryPolicy>(mut d: Driver<P>) {
         (after.ops_done, after.op_in_flight, after.gen),
         (before.ops_done, true, before.gen)
     );
-    assert!(d.c.take_outputs().is_empty());
+    assert_eq!(d.c.drain_outputs().len(), 0);
 }
 
 fn stopped_op_completes_after_continue_with_a_fresh_generation<P: RecoveryPolicy>(

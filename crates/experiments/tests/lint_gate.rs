@@ -74,6 +74,44 @@ fn undeployable_scenarios_come_back_as_reports() {
     }
 }
 
+/// A spec whose workload does not fit its cluster comes back as an FB000
+/// report on every backend: no constructor downstream gets to unwind on it.
+#[test]
+fn workloads_that_do_not_deploy_come_back_as_reports_on_every_backend() {
+    use failmpi_backend::BackendKind;
+    type Break = fn(&mut ExperimentSpec);
+    let cases: [(&str, Break); 5] = [
+        ("a BT rank count that forms no square grid", |spec| {
+            *spec = ExperimentSpec::fault_free(50, BtClass::S, spec.seed);
+        }),
+        ("fewer fixed programs than ranks", |spec| {
+            let three = failmpi_workloads::bt_programs(&BtClass::S, 4)[..3].to_vec();
+            spec.workload = Workload::Fixed(three);
+        }),
+        ("fewer compute hosts than ranks", |spec| spec.cluster.n_compute_hosts = 3),
+        ("no checkpoint server", |spec| spec.cluster.n_ckpt_servers = 0),
+        ("no rank at all", |spec| spec.cluster.n_ranks = 0),
+    ];
+    for backend in [BackendKind::Vcl, BackendKind::Ulfm, BackendKind::Replica] {
+        for (what, break_it) in cases {
+            let mut spec = miniature(15);
+            break_it(&mut spec);
+            let spec = spec.with_backend(backend);
+            let outcome = std::panic::catch_unwind(|| run(&spec, Observe::default()))
+                .unwrap_or_else(|_| panic!("{backend} unwound on {what}"));
+            let report = outcome.expect_err(what);
+            let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+            assert_eq!(codes, ["FB000"], "{backend}, {what}");
+            assert!(report.has_errors());
+            let message = &report.diagnostics[0].message;
+            assert!(message.starts_with("workload does not deploy: "), "{message}");
+        }
+        // The same miniature, left whole, runs.
+        let spec = miniature(15).with_backend(backend);
+        assert!(run(&spec, Observe::default()).is_ok(), "{backend}");
+    }
+}
+
 #[test]
 fn warn_and_off_modes_still_run_broken_scenarios() {
     for mode in [LintMode::Warn, LintMode::Off] {

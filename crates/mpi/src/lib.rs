@@ -50,6 +50,6 @@ mod stats;
 mod types;
 
 pub use interp::{Action, Interp};
-pub use program::{Op, Program, ProgramBuilder};
+pub use program::{LoopBody, Op, Program, ProgramBuilder};
 pub use stats::OpStats;
 pub use types::{Rank, Tag};

@@ -17,6 +17,7 @@ use failmpi_mpi::{Program, Rank};
 
 use crate::config::VclConfig;
 use crate::ctx::{Addrs, Cmd, Ctx, DiskStore, TrafficStats};
+use crate::dense::DenseTable;
 use crate::dispatcher::Dispatcher;
 use crate::event::{ports, Ev};
 use crate::metrics::VclMetrics;
@@ -34,30 +35,14 @@ enum Role {
     Daemon(u32),
 }
 
-/// Which component each process incarnates, indexed by [`ProcId`]: the
-/// network hands out dense ids and never reuses one, so the table grows by
-/// one slot per spawn and a retired process leaves `None` behind.
-#[derive(Default)]
-struct RoleTable(Vec<Option<Role>>);
-
-impl RoleTable {
-    fn get(&self, proc: ProcId) -> Option<Role> {
-        self.0.get(proc.0 as usize).copied().flatten()
-    }
-
-    fn insert(&mut self, proc: ProcId, role: Role) {
-        let slot = proc.0 as usize;
-        if self.0.len() <= slot {
-            self.0.resize(slot + 1, None);
-        }
-        self.0[slot] = Some(role);
-    }
-
-    fn remove(&mut self, proc: ProcId) {
-        if let Some(slot) = self.0.get_mut(proc.0 as usize) {
-            *slot = None;
-        }
-    }
+/// The incarnation `proc` of `rank`'s daemon, if it still holds the rank's
+/// slot. Takes the slot table, not the cluster, so that the node can be
+/// handed a [`Ctx`] borrowing the cluster's other fields.
+fn vnode_at(vnodes: &mut [Option<VNode>], rank: Rank, proc: ProcId) -> Option<&mut VNode> {
+    vnodes
+        .get_mut(rank.0 as usize)?
+        .as_mut()
+        .filter(|v| v.proc == proc)
 }
 
 /// Builds the borrow-split component context inline (a method would borrow
@@ -100,7 +85,9 @@ pub struct Cluster {
     scheduler: CkptScheduler,
     servers: Vec<CkptServer>,
     vnodes: Vec<Option<VNode>>,
-    role_of: RoleTable,
+    /// Which component each process incarnates (a retired process has no
+    /// entry).
+    role_of: DenseTable<Role>,
     programs: Vec<Arc<Program>>,
 }
 
@@ -126,20 +113,20 @@ impl Cluster {
             compute_hosts: compute_hosts.clone(),
         };
 
-        let mut role_of = RoleTable::default();
+        let mut role_of = DenseTable::default();
         let dispatcher_proc = net.spawn_process(dispatcher_host);
         net.listen(dispatcher_proc, ports::DISPATCHER);
-        role_of.insert(dispatcher_proc, Role::Dispatcher);
+        role_of.insert(dispatcher_proc.0, Role::Dispatcher);
 
         let scheduler_proc = net.spawn_process(scheduler_host);
         net.listen(scheduler_proc, ports::SCHEDULER);
-        role_of.insert(scheduler_proc, Role::Scheduler);
+        role_of.insert(scheduler_proc.0, Role::Scheduler);
 
         let mut servers = Vec::new();
         for (i, &h) in server_hosts.iter().enumerate() {
             let p = net.spawn_process(h);
             net.listen(p, ports::server(i));
-            role_of.insert(p, Role::Server(i));
+            role_of.insert(p.0, Role::Server(i));
             servers.push(CkptServer::new(p, i));
         }
 
@@ -213,16 +200,15 @@ impl Cluster {
             },
             Ev::ComputeDone { rank, proc, gen } => {
                 if self.net.is_suspended(proc) {
-                    if let Some(v) = self.vnode_mut(rank, proc) {
+                    if let Some(v) = vnode_at(&mut self.vnodes, rank, proc) {
                         v.on_compute_done_suspended(gen);
                     }
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_at(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_compute_done(gen, &mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::SchedTick => {
                 self.scheduler.on_tick(&mut ctx!(self, now));
@@ -238,17 +224,13 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_at(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.connect_services(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::ServerWriteDone { server, conn, rank, wave } => {
-                let proc = self.servers[server].proc;
-                let mut srv = std::mem::replace(&mut self.servers[server], CkptServer::new(proc, server));
-                srv.on_write_done(conn, rank, wave, &mut ctx!(self, now));
-                self.servers[server] = srv;
+                self.servers[server].on_write_done(conn, rank, wave, &mut ctx!(self, now));
             }
             Ev::RestoreDone { rank, proc } => {
                 if self.net.is_suspended(proc) {
@@ -258,11 +240,10 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_at(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_restore_done(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::SelfCkpt { rank, proc } => {
                 if self.net.is_suspended(proc) {
@@ -272,14 +253,13 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_at(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_self_ckpt(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::DaemonExit { rank, proc, normal } => {
-                if self.vnode_mut(rank, proc).is_some() {
+                if vnode_at(&mut self.vnodes, rank, proc).is_some() {
                     self.exit_process(now, proc, normal);
                 }
             }
@@ -292,11 +272,10 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_at(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_disk_loaded(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::LaunchFailed { rank, epoch } => {
                 self.dispatcher
@@ -310,18 +289,17 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_at(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.retry_peer_connect(peer, &mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
         }
     }
 
     fn route_net(&mut self, now: SimTime, nev: NetEvent<crate::wire::Wire>) {
         let recipient = nev.recipient();
-        let Some(role) = self.role_of.get(recipient) else {
+        let Some(&role) = self.role_of.get(recipient.0) else {
             return; // stale event for a dead incarnation
         };
         // Payload-copy ledger + role span: a delivered wire message is
@@ -361,17 +339,12 @@ impl Cluster {
             },
             Role::Server(i) => {
                 if let NetEvent::Delivered { conn, payload, .. } = nev {
-                    let mut server = std::mem::replace(
-                        &mut self.servers[i],
-                        CkptServer::new(recipient, i),
-                    );
-                    server.on_msg(conn, payload, &mut ctx!(self, now));
-                    self.servers[i] = server;
+                    self.servers[i].on_msg(conn, payload, &mut ctx!(self, now));
                 }
             }
             Role::Daemon(r) => {
                 let rank = Rank(r);
-                let Some(mut v) = self.take_vnode(rank, recipient) else {
+                let Some(v) = vnode_at(&mut self.vnodes, rank, recipient) else {
                     return;
                 };
                 match nev {
@@ -382,7 +355,7 @@ impl Cluster {
                         // Mesh accept: the identity exchange is resolved via
                         // the role table (the real daemons exchange a hello).
                         if port == ports::daemon(rank) {
-                            if let Some(Role::Daemon(pr)) = self.role_of.get(peer) {
+                            if let Some(&Role::Daemon(pr)) = self.role_of.get(peer.0) {
                                 v.on_peer_accepted(conn, Rank(pr), &mut ctx!(self, now));
                             }
                         }
@@ -395,31 +368,8 @@ impl Cluster {
                         v.on_connect_failed(token, &mut ctx!(self, now));
                     }
                 }
-                self.put_vnode(rank, v);
             }
         }
-    }
-
-    /// Temporarily removes the vnode for `(rank, proc)` so it can be called
-    /// with a context borrowing the rest of the cluster.
-    fn take_vnode(&mut self, rank: Rank, proc: ProcId) -> Option<VNode> {
-        let slot = self.vnodes.get_mut(rank.0 as usize)?;
-        if slot.as_ref().is_some_and(|v| v.proc == proc) {
-            slot.take()
-        } else {
-            None
-        }
-    }
-
-    fn put_vnode(&mut self, rank: Rank, v: VNode) {
-        self.vnodes[rank.0 as usize] = Some(v);
-    }
-
-    fn vnode_mut(&mut self, rank: Rank, proc: ProcId) -> Option<&mut VNode> {
-        self.vnodes
-            .get_mut(rank.0 as usize)?
-            .as_mut()
-            .filter(|v| v.proc == proc)
     }
 
     fn spawn_daemon(&mut self, now: SimTime, rank: Rank, host: HostId, epoch: u32) {
@@ -436,13 +386,13 @@ impl Cluster {
             if self.net.is_alive(old.proc) {
                 let (p, h) = (old.proc, old.host);
                 self.net.kill(now, p);
-                self.role_of.remove(p);
+                self.role_of.remove(p.0);
                 self.breakpoints.remove(&p);
                 self.hooks.push(Hook::OnError { host: h, proc: p });
             }
         }
         let proc = self.net.spawn_process(host);
-        self.role_of.insert(proc, Role::Daemon(rank.0));
+        self.role_of.insert(proc.0, Role::Daemon(rank.0));
         let mut v = VNode::new(
             rank,
             proc,
@@ -462,7 +412,7 @@ impl Cluster {
             self.rng.below(self.cfg.init_delay_max.as_micros().max(1)),
         );
         self.out.push((now + init, Ev::BootConnect { rank, proc }));
-        self.put_vnode(rank, v);
+        self.vnodes[rank.0 as usize] = Some(v);
     }
 
     fn flush(&mut self, now: SimTime) {
@@ -493,9 +443,8 @@ impl Cluster {
                 }
             }
         }
-        for (t, ev) in self.net.take_events() {
-            self.out.push((t, Ev::Net(ev)));
-        }
+        self.out
+            .extend(self.net.drain_events().map(|(t, ev)| (t, Ev::Net(ev))));
     }
 
     /// Common death path for daemons (ordered exits and injected kills).
@@ -503,13 +452,12 @@ impl Cluster {
         if !self.net.is_alive(proc) {
             return;
         }
-        let Some(Role::Daemon(r)) = self.role_of.get(proc) else {
+        let Some(&Role::Daemon(r)) = self.role_of.get(proc.0) else {
             return;
         };
         let rank = Rank(r);
         let host = self.net.host_of(proc);
-        let epoch = self
-            .vnode_mut(rank, proc)
+        let epoch = vnode_at(&mut self.vnodes, rank, proc)
             .map(|v| {
                 v.phase = Phase::Dead;
                 v.epoch
@@ -520,7 +468,7 @@ impl Cluster {
         let registered = self.dispatcher.is_registered(rank);
         self.metrics.note_daemon_death(now, rank.0);
         self.net.kill(now, proc);
-        self.role_of.remove(proc);
+        self.role_of.remove(proc.0);
         self.breakpoints.remove(&proc);
         if !registered {
             self.out.push((
@@ -562,9 +510,9 @@ impl Cluster {
         for ev in self.net.resume(proc) {
             self.out.push((now, Ev::Net(ev)));
         }
-        if let Some(Role::Daemon(r)) = self.role_of.get(proc) {
+        if let Some(&Role::Daemon(r)) = self.role_of.get(proc.0) {
             let rank = Rank(r);
-            if let Some(mut v) = self.take_vnode(rank, proc) {
+            if let Some(v) = vnode_at(&mut self.vnodes, rank, proc) {
                 if v.held_at_set_command {
                     v.do_set_command(&mut ctx!(self, now));
                 }
@@ -572,7 +520,6 @@ impl Cluster {
                     v.pending_wake = false;
                     v.pump(&mut ctx!(self, now));
                 }
-                self.put_vnode(rank, v);
             }
         }
         self.flush(now);
@@ -645,7 +592,7 @@ impl Cluster {
     }
 
     fn track_of_proc(&self, proc: ProcId) -> u32 {
-        match self.role_of.get(proc) {
+        match self.role_of.get(proc.0).copied() {
             Some(Role::Dispatcher) => 0,
             Some(Role::Scheduler) => 1,
             Some(Role::Server(i)) => 2 + i as u32,
@@ -823,8 +770,8 @@ impl failmpi_backend::ProtocolBackend for Cluster {
         Cluster::dispatch(self, now, ev);
     }
 
-    fn take_outputs(&mut self) -> Vec<(SimTime, Ev)> {
-        Cluster::take_outputs(self)
+    fn drain_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, Ev)> {
+        self.out.drain(..)
     }
 
     fn take_hooks(&mut self) -> Vec<Hook> {
@@ -936,10 +883,10 @@ impl Model for ClusterModel {
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
         self.cluster.set_event_cause(sched.current_event());
         self.cluster.dispatch(now, ev);
-        for (t, e) in self.cluster.take_outputs() {
+        for (t, e) in self.cluster.out.drain(..) {
             sched.at(t, e);
         }
-        self.cluster.take_hooks(); // nobody is injecting
+        self.cluster.hooks.clear(); // nobody is injecting
     }
 
     fn finished(&self) -> bool {

@@ -38,6 +38,7 @@ pub mod abstractmodel;
 mod cluster;
 mod config;
 mod ctx;
+mod dense;
 mod metrics;
 mod dispatcher;
 mod event;

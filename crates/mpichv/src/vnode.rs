@@ -43,6 +43,7 @@ use failmpi_mpi::{Action, Interp, OpStats, Program, Rank, Tag};
 
 use crate::config::{CheckpointStyle, VProtocol};
 use crate::ctx::{Cmd, Ctx};
+use crate::dense::DenseTable;
 use crate::event::{ports, tokens, Ev};
 use crate::trace::{Hook, InstrumentedFn, VclEvent};
 use crate::wire::{LoggedMsg, ProcImage, Wire};
@@ -96,7 +97,8 @@ pub(crate) struct VNode {
     dispatcher_conn: Option<ConnId>,
     scheduler_conn: Option<ConnId>,
     server_conn: Option<ConnId>,
-    peer_conn: BTreeMap<Rank, ConnId>,
+    /// The mesh stream to each peer, by the peer's rank.
+    peer_conn: DenseTable<ConnId>,
     conn_peer: BTreeMap<ConnId, Rank>,
     /// Rank → machine table from the last `StartRun`.
     hosts: Vec<HostId>,
@@ -120,8 +122,9 @@ pub(crate) struct VNode {
 
     last_wave: u32,
     ckpt: Option<Ckpt>,
-    /// V2: next sequence number per outgoing peer stream.
-    send_seq: BTreeMap<Rank, u64>,
+    /// Next sequence number per outgoing peer stream, by the peer's rank;
+    /// a peer has an entry once something was sent to it.
+    send_seq: DenseTable<u64>,
     /// V2: next expected sequence number per incoming peer stream.
     recv_seq: BTreeMap<Rank, u64>,
     /// V2: the sender-side message log (pessimistic logging, volatile).
@@ -175,7 +178,7 @@ impl VNode {
             dispatcher_conn: None,
             scheduler_conn: None,
             server_conn: None,
-            peer_conn: BTreeMap::new(),
+            peer_conn: DenseTable::default(),
             conn_peer: BTreeMap::new(),
             hosts: Vec::new(),
             interp: None,
@@ -187,7 +190,7 @@ impl VNode {
             set_command_pending: false,
             last_wave: 0,
             ckpt: None,
-            send_seq: BTreeMap::new(),
+            send_seq: DenseTable::default(),
             recv_seq: BTreeMap::new(),
             send_log: Vec::new(),
             reorder: BTreeMap::new(),
@@ -252,7 +255,7 @@ impl VNode {
             tokens::SERVER => self.server_conn = Some(conn),
             t => {
                 if let Some(peer) = tokens::peer_of(t) {
-                    self.peer_conn.insert(peer, conn);
+                    self.peer_conn.insert(peer.0, conn);
                     self.conn_peer.insert(conn, peer);
                     self.check_mesh_complete(ctx);
                     return;
@@ -273,7 +276,7 @@ impl VNode {
 
     /// A peer daemon dialled our mesh port; the cluster resolved its rank.
     pub fn on_peer_accepted(&mut self, conn: ConnId, peer: Rank, ctx: &mut Ctx<'_>) {
-        self.peer_conn.insert(peer, conn);
+        self.peer_conn.insert(peer.0, conn);
         self.conn_peer.insert(conn, peer);
         // An accept while we are past our own mesh phase is a restarted
         // peer re-dialling us (the original mesh forms in `MeshConnect`).
@@ -308,7 +311,7 @@ impl VNode {
 
     /// Re-dial a peer after a failed attempt.
     pub fn retry_peer_connect(&mut self, peer: Rank, ctx: &mut Ctx<'_>) {
-        if self.phase != Phase::MeshConnect || self.peer_conn.contains_key(&peer) {
+        if self.phase != Phase::MeshConnect || self.peer_conn.get(peer.0).is_some() {
             return;
         }
         ctx.net.connect(
@@ -403,7 +406,7 @@ impl VNode {
                 ]
                 .into_iter()
                 .flatten()
-                .chain(self.peer_conn.values().copied())
+                .chain(self.peer_conn.iter().map(|(_, &conn)| conn))
                 .collect();
                 for c in conns {
                     ctx.net.close(ctx.now, c, self.proc);
@@ -636,7 +639,10 @@ impl VNode {
         self.send_log = send_log;
         // Stream positions: restored from the image under V2; reset to
         // zero under Vcl, whose global rollback renews every stream.
-        self.send_seq = send_seq.into_iter().collect();
+        self.send_seq = DenseTable::default();
+        for (peer, seq) in send_seq {
+            self.send_seq.insert(peer.0, seq);
+        }
         self.recv_seq = recv_seq.iter().copied().collect();
         // Replay of stored in-transit messages (step 5 of the paper's
         // Fig. 1): delivered as if they arrived fresh from the network.
@@ -662,8 +668,8 @@ impl VNode {
                 // Ask every peer to replay its log from our restored
                 // stream positions (messages in flight when we died, plus
                 // anything they sent while we were down).
-                for (&peer, &conn) in &self.peer_conn.clone() {
-                    let seq = self.recv_seq.get(&peer).copied().unwrap_or(0);
+                for (peer, &conn) in self.peer_conn.iter() {
+                    let seq = self.recv_seq.get(&Rank(peer)).copied().unwrap_or(0);
                     let rank = self.rank;
                     ctx.send(conn, self.proc, Wire::ReplayFrom { rank, seq });
                 }
@@ -744,7 +750,7 @@ impl VNode {
         }
 
         // Flood markers on every outgoing channel.
-        for (&_peer, &conn) in &self.peer_conn.clone() {
+        for (_, &conn) in self.peer_conn.iter() {
             ctx.send(conn, proc, Wire::Marker { wave });
         }
 
@@ -799,7 +805,7 @@ impl VNode {
             .filter(|&&(to, _, _, s)| to == rank && s >= seq)
             .map(|&(_, tag, bytes, s)| (tag, bytes, s))
             .collect();
-        if let Some(&conn) = self.peer_conn.get(&rank) {
+        if let Some(&conn) = self.peer_conn.get(rank.0) {
             for (tag, bytes, s) in entries {
                 ctx.send(
                     conn,
@@ -868,7 +874,7 @@ impl VNode {
         self.ckpt_version += 1;
         let image = ProcImage {
             interp: interp.clone(),
-            send_seq: self.send_seq.iter().map(|(&r, &v)| (r, v)).collect(),
+            send_seq: self.send_seq.iter().map(|(r, &v)| (Rank(r), v)).collect(),
             recv_seq: self.recv_seq.iter().map(|(&r, &v)| (r, v)).collect(),
             send_log: self.send_log.clone(),
         };
@@ -946,7 +952,7 @@ impl VNode {
                     self.ops.sends.inc();
                     let from = self.rank;
                     let seq = {
-                        let s = self.send_seq.entry(to).or_insert(0);
+                        let s = self.send_seq.or_insert(to.0, 0);
                         let v = *s;
                         *s += 1;
                         v
@@ -958,7 +964,7 @@ impl VNode {
                         // log is virtual memory, so we keep it all.)
                         self.send_log.push((to, tag, bytes, seq));
                     }
-                    if let Some(&conn) = self.peer_conn.get(&to) {
+                    if let Some(&conn) = self.peer_conn.get(to.0) {
                         ctx.send(conn, self.proc, Wire::AppMsg { from, tag, bytes, seq });
                     }
                     // A missing peer stream means the mesh is mid-failure:
@@ -1011,7 +1017,7 @@ impl VNode {
     /// expected (our own `Terminate` is on its way); we just drop the maps.
     pub fn on_closed(&mut self, conn: ConnId) {
         if let Some(peer) = self.conn_peer.remove(&conn) {
-            self.peer_conn.remove(&peer);
+            self.peer_conn.remove(peer.0);
         }
         if self.dispatcher_conn == Some(conn) {
             self.dispatcher_conn = None;
@@ -1022,5 +1028,65 @@ impl VNode {
         if self.server_conn == Some(conn) {
             self.server_conn = None;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::TestWorld;
+    use failmpi_mpi::ProgramBuilder;
+    use failmpi_net::NetEvent;
+
+    #[test]
+    fn v2_image_lists_the_peers_sent_to_and_a_parked_arrival_keeps_its_cursor() {
+        let mut w = TestWorld::new(8);
+        w.cfg.protocol = VProtocol::V2;
+        let (_server, proc, server_conn) = w.connect_pair();
+        let program = ProgramBuilder::new(1000)
+            .send(Rank(3), Tag(0), 8)
+            .send(Rank(0), Tag(0), 8)
+            .send(Rank(3), Tag(1), 8)
+            .recv(Rank(2), Tag(0))
+            .finalize();
+        let host = w.addrs.compute_hosts[1];
+        let mut v = VNode::new(Rank(1), proc, host, 0, Arc::clone(&program), 4);
+        v.phase = Phase::Running;
+        v.server_conn = Some(server_conn);
+        v.interp = Some(Interp::new(Rank(1), program));
+        let now = SimTime::from_secs(1);
+
+        // Three sends to two peers, then the process blocks on rank 2.
+        v.pump(&mut w.ctx(now));
+        assert_eq!(v.ops.sends.get(), 3);
+        // Rank 2's second message overtakes its first: parked, not delivered.
+        let early = Wire::AppMsg {
+            from: Rank(2),
+            tag: Tag(0),
+            bytes: 8,
+            seq: 1,
+        };
+        v.on_msg(ConnId(77), early, &mut w.ctx(now));
+        assert_eq!(v.ops.recvs.get(), 0);
+        assert_eq!(v.reorder[&Rank(2)].len(), 1);
+
+        v.on_self_ckpt(&mut w.ctx(now));
+        let image = w
+            .net
+            .take_events()
+            .into_iter()
+            .find_map(|(_, ev)| match ev {
+                NetEvent::Delivered {
+                    payload: Wire::CkptImage { image, .. },
+                    ..
+                } => Some(image),
+                _ => None,
+            })
+            .expect("the image went to the checkpoint server");
+        // Ascending by peer, a peer listed iff something was sent to it.
+        assert_eq!(image.send_seq, [(Rank(0), 1), (Rank(3), 2)]);
+        // The parked arrival created rank 2's cursor and left it at 0.
+        assert_eq!(image.recv_seq, [(Rank(2), 0)]);
+        assert_eq!(image.send_log.len(), 3);
     }
 }

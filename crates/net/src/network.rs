@@ -400,6 +400,13 @@ impl<P> Network<P> {
         mem::take(&mut self.out)
     }
 
+    /// [`Network::take_events`] without the hand-over `Vec`: drains the
+    /// outbox in place, keeping its buffer for the next call's events (what
+    /// a caller on the per-event path wants).
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, (SimTime, NetEvent<P>)> {
+        self.out.drain(..)
+    }
+
     /// Number of produced-but-not-yet-taken events (diagnostic).
     pub fn pending_out(&self) -> usize {
         self.out.len()

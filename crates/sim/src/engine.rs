@@ -82,6 +82,8 @@ pub trait Model {
 
 /// Event sink handed to [`Model::handle`]; buffers newly scheduled events
 /// until the current event finishes, then merges them into the engine queue.
+/// The engine owns one for its whole life, so the buffer is allocated once
+/// and is empty between steps.
 pub struct Scheduler<E> {
     now: SimTime,
     current: Option<EventId>,
@@ -144,6 +146,7 @@ pub struct Engine<M: Model> {
     queue_hwm: usize,
     profile: WallProfile,
     causal: CausalLog,
+    sched: Scheduler<M::Event>,
 }
 
 impl<M: Model> Engine<M> {
@@ -170,6 +173,11 @@ impl<M: Model> Engine<M> {
             queue_hwm: 0,
             profile: WallProfile::disabled(),
             causal: CausalLog::disabled(),
+            sched: Scheduler {
+                now: SimTime::ZERO,
+                current: None,
+                pending: Vec::new(),
+            },
         }
     }
 
@@ -357,18 +365,15 @@ impl<M: Model> Engine<M> {
                 self.model.event_track(&ev),
             );
         }
-        let mut sched = Scheduler {
-            now: at,
-            current: Some(id),
-            pending: Vec::new(),
-        };
+        self.sched.now = at;
+        self.sched.current = Some(id);
         // Deep-profiling scope: attributes the allocation delta of the
         // handler *and* the scheduling it triggers (queue push-back) to
         // this event kind, and roots the span tree at the kind.
         let scope = if deep { failmpi_obs::prof::event(kind) } else { None };
-        self.model.handle(at, ev, &mut sched);
+        self.model.handle(at, ev, &mut self.sched);
         self.profile.record(kind, started);
-        for (t, e) in sched.pending {
+        for (t, e) in self.sched.pending.drain(..) {
             self.queue.push_caused(t, e, Some(id));
         }
         drop(scope);
@@ -528,6 +533,33 @@ mod tests {
             e.model().times,
             vec![SimTime::from_secs(9), SimTime::from_secs(9)]
         );
+    }
+
+    #[test]
+    fn nothing_scheduled_by_one_step_is_pushed_by_the_next() {
+        /// `k > 0` schedules `k` zeros, one of them in the past; a zero
+        /// schedules nothing.
+        struct Fan;
+        impl Model for Fan {
+            type Event = u32;
+            fn handle(&mut self, now: SimTime, k: u32, sched: &mut Scheduler<u32>) {
+                for i in 0..k {
+                    sched.at(if i == 0 { SimTime::ZERO } else { now }, 0);
+                }
+            }
+        }
+        let mut e = Engine::new(Fan);
+        e.schedule(SimTime::from_secs(2), 5);
+        assert!(e.step(SimTime::MAX));
+        assert_eq!(e.events_pending(), 5);
+        // The scheduler's buffer is reused from step to step: were it not
+        // empty again here, this step would push the five a second time.
+        assert!(e.step(SimTime::MAX));
+        assert_eq!(e.events_pending(), 4);
+        assert_eq!(e.run(SimTime::MAX), RunOutcome::Quiescent);
+        assert_eq!(e.events_handled(), 6);
+        // `at` clamped the one event aimed at the past to its cause's instant.
+        assert_eq!(e.now(), SimTime::from_secs(2));
     }
 
     #[test]

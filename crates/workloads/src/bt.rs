@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use failmpi_mpi::collectives;
-use failmpi_mpi::{Op, Program, Rank, Tag};
+use failmpi_mpi::{LoopBody, Op, Program, Rank, Tag};
 use failmpi_sim::{SimDuration, SimRng};
 
 /// A BT problem class: iteration count, footprint and calibrated work terms.
@@ -106,13 +106,18 @@ impl BtClass {
 
 /// Valid BT rank counts: perfect squares.
 pub fn is_valid_rank_count(n: u32) -> bool {
-    let q = (n as f64).sqrt().round() as u32;
-    q > 0 && q * q == n
+    grid_side(n).is_ok()
 }
 
-fn grid_side(n: u32) -> u32 {
-    assert!(is_valid_rank_count(n), "BT needs a square rank count, got {n}");
-    (n as f64).sqrt().round() as u32
+/// The side `q` of the `q × q` process grid `n` ranks form; `Err` says why
+/// `n` ranks form none.
+pub fn grid_side(n: u32) -> Result<u32, String> {
+    let q = (n as f64).sqrt().round() as u32;
+    if q > 0 && q * q == n {
+        Ok(q)
+    } else {
+        Err(format!("BT needs a square rank count, got {n}"))
+    }
 }
 
 /// The four torus neighbours of `rank` on the `q × q` grid, in
@@ -135,9 +140,10 @@ fn sweep_tag(sweep: u32, slot: usize) -> Tag {
     Tag((16 * sweep + slot as u32) as u16)
 }
 
-/// Generates the per-rank BT programs for `n` ranks (must be a perfect
-/// square). Every program ends with a verification all-reduce and
-/// `Finalize`, and emits `Progress(iter)` after each timed iteration.
+/// Generates the per-rank BT programs for `n` ranks (panics unless
+/// [`grid_side`] accepts `n`). Every program ends with a verification
+/// all-reduce and `Finalize`, and emits `Progress(iter)` after each timed
+/// iteration.
 pub fn bt_programs(class: &BtClass, n: u32) -> Vec<Arc<Program>> {
     bt_programs_noisy(class, n, 0, 0.0)
 }
@@ -151,8 +157,13 @@ pub fn bt_programs(class: &BtClass, n: u32) -> Vec<Arc<Program>> {
 /// construction, so re-execution after a rollback replays identical message
 /// contents (the Chandy–Lamport requirement); only across *runs* do
 /// timings differ.
+///
+/// The programs are loop-shaped ([`LoopBody`]): one iteration's ops, the
+/// iteration count, every iteration's compute spans, and the closing
+/// all-reduce — a rank's flat op list exists once somebody calls
+/// [`Program::ops`] on it.
 pub fn bt_programs_noisy(class: &BtClass, n: u32, seed: u64, noise: f64) -> Vec<Arc<Program>> {
-    let q = grid_side(n);
+    let q = grid_side(n).unwrap_or_else(|why| panic!("{why}"));
     let compute_per_sweep =
         SimDuration::from_micros(class.iter_compute(n).as_micros() / 3);
     let face = class.face_bytes(n);
@@ -163,44 +174,56 @@ pub fn bt_programs_noisy(class: &BtClass, n: u32, seed: u64, noise: f64) -> Vec<
         .map(|r| {
             let rank = Rank(r);
             let nb = neighbours(rank, q);
-            let mut ops = Vec::with_capacity((class.iterations as usize) * 30 + 16);
-            for iter in 1..=class.iterations {
-                for sweep in 0..3u32 {
-                    let c = if noise > 0.0 {
+            let mut trip = Vec::new();
+            for sweep in 0..3u32 {
+                trip.push(Op::Compute(compute_per_sweep));
+                if n > 1 {
+                    // Post all four sends eagerly, then drain the four
+                    // receives: deadlock-free under buffered sends.
+                    for (slot, &to) in nb.iter().enumerate() {
+                        trip.push(Op::Send {
+                            to,
+                            tag: sweep_tag(sweep, slot),
+                            bytes: face,
+                        });
+                    }
+                    // The message I receive with tag slot k was sent by
+                    // my opposite-direction neighbour: my south neighbour
+                    // sent its "north" (slot 0) message towards me, etc.
+                    for (slot, &from) in mirror(&nb).iter().enumerate() {
+                        trip.push(Op::Recv {
+                            from,
+                            tag: sweep_tag(sweep, slot),
+                        });
+                    }
+                }
+            }
+            trip.push(Op::Progress(0));
+            // One jitter stream serves every rank, so the spans are drawn
+            // here, rank by rank, iteration by iteration, sweep by sweep.
+            let spans = (0..3 * class.iterations)
+                .map(|_| {
+                    if noise > 0.0 {
                         let f = run_factor * (1.0 + noise * (2.0 * rng.f64() - 1.0));
                         SimDuration::from_secs_f64(compute_per_sweep.as_secs_f64() * f)
                     } else {
                         compute_per_sweep
-                    };
-                    ops.push(Op::Compute(c));
-                    if n > 1 {
-                        // Post all four sends eagerly, then drain the four
-                        // receives: deadlock-free under buffered sends.
-                        for (slot, &to) in nb.iter().enumerate() {
-                            ops.push(Op::Send {
-                                to,
-                                tag: sweep_tag(sweep, slot),
-                                bytes: face,
-                            });
-                        }
-                        // The message I receive with tag slot k was sent by
-                        // my opposite-direction neighbour: my south neighbour
-                        // sent its "north" (slot 0) message towards me, etc.
-                        for (slot, &from) in mirror(&nb).iter().enumerate() {
-                            ops.push(Op::Recv {
-                                from,
-                                tag: sweep_tag(sweep, slot),
-                            });
-                        }
                     }
-                }
-                ops.push(Op::Progress(iter));
-            }
-            if n > 1 {
-                ops.extend(collectives::allreduce(rank, n, 64, Tag::COLLECTIVE_BASE));
-            }
-            ops.push(Op::Finalize);
-            Program::new(ops, image)
+                })
+                .collect();
+            let mut tail = if n > 1 {
+                collectives::allreduce(rank, n, 64, Tag::COLLECTIVE_BASE)
+            } else {
+                Vec::new()
+            };
+            tail.push(Op::Finalize);
+            let body = LoopBody {
+                trip,
+                trips: class.iterations,
+                spans,
+                tail,
+            };
+            Program::looped(body, image)
         })
         .collect()
 }
@@ -215,6 +238,82 @@ fn mirror(nb: &[Rank; 4]) -> [Rank; 4] {
 mod tests {
     use super::*;
     use failmpi_mpi::lockstep;
+    use proptest::prelude::*;
+
+    /// The generator as it was before programs became loop-shaped: every
+    /// rank's flat op list, built op by op. The reference the property
+    /// below holds [`bt_programs_noisy`]'s expansion against.
+    fn bt_programs_eager(class: &BtClass, n: u32, seed: u64, noise: f64) -> Vec<Arc<Program>> {
+        let q = grid_side(n).expect("square rank count");
+        let compute_per_sweep =
+            SimDuration::from_micros(class.iter_compute(n).as_micros() / 3);
+        let face = class.face_bytes(n);
+        let image = class.image_bytes(n);
+        let mut rng = SimRng::new(seed).derive(0xB7);
+        let run_factor = 1.0 + noise * (2.0 * rng.f64() - 1.0);
+        (0..n)
+            .map(|r| {
+                let rank = Rank(r);
+                let nb = neighbours(rank, q);
+                let mut ops = Vec::new();
+                for iter in 1..=class.iterations {
+                    for sweep in 0..3u32 {
+                        let c = if noise > 0.0 {
+                            let f = run_factor * (1.0 + noise * (2.0 * rng.f64() - 1.0));
+                            SimDuration::from_secs_f64(compute_per_sweep.as_secs_f64() * f)
+                        } else {
+                            compute_per_sweep
+                        };
+                        ops.push(Op::Compute(c));
+                        if n > 1 {
+                            for (slot, &to) in nb.iter().enumerate() {
+                                ops.push(Op::Send {
+                                    to,
+                                    tag: sweep_tag(sweep, slot),
+                                    bytes: face,
+                                });
+                            }
+                            for (slot, &from) in mirror(&nb).iter().enumerate() {
+                                ops.push(Op::Recv {
+                                    from,
+                                    tag: sweep_tag(sweep, slot),
+                                });
+                            }
+                        }
+                    }
+                    ops.push(Op::Progress(iter));
+                }
+                if n > 1 {
+                    ops.extend(collectives::allreduce(rank, n, 64, Tag::COLLECTIVE_BASE));
+                }
+                ops.push(Op::Finalize);
+                Program::new(ops, image)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(24))]
+        #[test]
+        fn loop_shaped_programs_expand_to_the_eager_generators_ops(
+            class in proptest::sample::select(vec![BtClass::S, BtClass::A, BtClass::B]),
+            q in 1u32..=8,
+            seed: u64,
+            noise in proptest::sample::select(vec![0.0, 0.03]),
+        ) {
+            let n = q * q;
+            let looped = bt_programs_noisy(&class, n, seed, noise);
+            let eager = bt_programs_eager(&class, n, seed, noise);
+            prop_assert_eq!(looped.len(), eager.len());
+            for (l, e) in looped.iter().zip(&eager) {
+                prop_assert_eq!(l.len(), e.len());
+                prop_assert_eq!(l.progress_marks(), e.progress_marks());
+                prop_assert_eq!(l.compute_micros(), e.compute_micros());
+                prop_assert!(l.ops() == e.ops());
+                prop_assert_eq!(l.image_bytes(), e.image_bytes());
+            }
+        }
+    }
 
     #[test]
     fn rank_counts_validate() {
