@@ -41,6 +41,7 @@
 
 use std::cmp::Ordering;
 
+use failmpi_backend::vocab::AbstractModel;
 use failmpi_backend::BackendKind;
 use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Scenario};
 use failmpi_mpichv::AbstractPhase;

@@ -14,6 +14,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
+use failmpi_backend::vocab::AbstractModel;
 use failmpi_core::lang::compile::{Action, Dest, Expr, Guard, Scenario};
 use failmpi_mpi::{Op, Program};
 use failmpi_mpichv::{AbstractEvent, AbstractStep};

@@ -44,6 +44,8 @@
 
 use std::cell::OnceCell;
 
+use failmpi_backend::vocab::AbstractModel;
+
 use super::explore::{Ctx, MoveKind, ProdState, SiteLog, Succ};
 
 /// The enabled moves of each menu branch's end state, computed on first

@@ -205,3 +205,79 @@ fn unmodellable_deployment_is_a_usage_error_not_a_panic() {
     assert_eq!(code, Some(0));
     assert!(stdout.contains("\"verdict\": \"unknown\""));
 }
+
+/// Malformed flags, paths and artifacts: every row exits 0, 1 or 2 by the
+/// matrix above — a scenario that does not compile is an FA000 *finding*
+/// (1), everything failck cannot even read or parse is a usage error (2) —
+/// with a diagnostic, and never by a panic or a signal.
+#[test]
+fn malformed_input_never_panics() {
+    let dir = std::env::temp_dir().join("failck-malformed-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let file = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        path.to_str().expect("utf8 path").to_string()
+    };
+    let fig10 = scenario("fig10_state_sync.fail");
+    let good = std::fs::read_to_string(fixture("findings_fz.json")).expect("fixture");
+    let binary = file("binary.fail", &(0..=255u8).cycle().take(1024).collect::<Vec<u8>>());
+    let truncated_fail = file("truncated.fail", b"daemon A { node 1: ?x -> goto");
+    let parens = file("parens.fail", format!("\nparam X = {}1;", "(".repeat(20_000)).as_bytes());
+    let minuses = file("minuses.fail", format!("param X = {}1;", "-".repeat(100_000)).as_bytes());
+    let truncated = file("truncated.json", &good.as_bytes()[..good.len() / 2]);
+    let empty_object = file("empty-object.json", b"{}");
+    let array_of_numbers = file("numbers.json", b"[1, 2, 3]");
+    let huge = good.replace("\"line\": 0", "\"line\": 123456789012345678901234567890");
+    let huge = file("huge-number.json", huge.as_bytes());
+    let infinite = file("infinite.json", good.replace("\"line\": 0", "\"line\": 1e999").as_bytes());
+    let deep = file("deep.json", &[b'['; 50_000]);
+    let dir_path = dir.to_str().expect("utf8 path");
+    let mc = [fig10.as_str(), "--model-check"];
+    // (arguments, exit status, needle on stderr — or on stdout for findings)
+    let cases: Vec<(Vec<&str>, i32, &str)> = vec![
+        // Flags missing their values, non-numeric and overflowing numbers.
+        (vec![&fig10, "--format"], 2, "usage:"),
+        (vec![&fig10, "--backend"], 2, "usage:"),
+        (vec![&fig10, "--backend", "mpich"], 2, "usage:"),
+        (vec![&fig10, "--budget"], 2, "usage:"),
+        (vec![&fig10, "--budget", "-1"], 2, "usage:"),
+        (vec![&fig10, "--budget", "99999999999999999999999"], 2, "usage:"),
+        (vec![&fig10, "--threads"], 2, "usage:"),
+        (vec![&fig10, "--threads", "x"], 2, "usage:"),
+        ([&mc[..], &["--threads", "0"]].concat(), 2, "usage:"),
+        ([&mc[..], &["--ranks"]].concat(), 2, "usage:"),
+        ([&mc[..], &["--ranks", "0"]].concat(), 2, "usage:"),
+        ([&mc[..], &["--ranks", "4", "--hosts", "1"]].concat(), 2, "usage:"),
+        ([&mc[..], &["--hosts", "99999999999999999999"]].concat(), 2, "usage:"),
+        (vec!["--findings"], 2, "usage:"),
+        // Paths that cannot be read as what they are given as.
+        (vec!["/nonexistent/x.fail"], 2, "cannot read"),
+        (vec![dir_path], 2, "cannot read"),
+        (vec![&binary], 2, "cannot read"),
+        (vec!["--findings", dir_path], 2, "cannot read"),
+        (vec!["--findings", &binary], 2, "cannot read"),
+        (vec!["--src", "/nonexistent/dir"], 2, "cannot scan"),
+        (vec!["--src", &binary], 2, "cannot read"),
+        // Scenarios that do not compile are findings, hostile nesting too
+        // (both nesting rows used to abort with `stack overflow`).
+        (vec![&truncated_fail], 1, "error[FA000]"),
+        (vec![&parens], 1, "parens.fail:2: error[FA000]: scenario does not compile: expression too deep"),
+        (vec![&minuses, "--format", "json"], 1, "expression too deep"),
+        // Findings artifacts: truncated, wrong shape, numbers no field
+        // holds, and the 50 000-bracket file that overflowed the reader.
+        (vec!["--findings", &truncated], 2, "is not valid JSON"),
+        (vec!["--findings", &empty_object], 2, "is not a findings file"),
+        (vec!["--findings", &array_of_numbers], 2, "is not a findings file"),
+        (vec!["--findings", &huge], 1, "error[FZ001]"),
+        (vec!["--findings", &infinite], 1, "error[FZ001]"),
+        (vec!["--findings", &deep], 2, "nesting deeper than 128"),
+    ];
+    for (args, code, needle) in cases {
+        let (got, stdout, stderr) = failck(&args);
+        assert_eq!(got, Some(code), "{args:?}: {stderr}");
+        let stream = if code == 1 { &stdout } else { &stderr };
+        assert!(stream.contains(needle), "{args:?}: {stdout}\n{stderr}");
+        assert!(!stderr.contains("panicked at") && !stderr.contains("overflowed its stack"));
+    }
+}

@@ -15,6 +15,9 @@
 //!   rollback-recovery ([`BackendKind::Vcl`], `failmpi-mpichv`),
 //!   shrink-and-continue ([`BackendKind::Ulfm`], `failmpi-ulfm`), and
 //!   replication-failover ([`BackendKind::Replica`], `failmpi-replica`).
+//! * [`Chassis`] — the state behind that surface (outbox, hooks, lifecycle
+//!   trace, breakpoint table, traffic ledger), owned once by every runtime;
+//!   the trait's hand-off methods are provided over it.
 //! * [`light`] — the one runtime skeleton behind every dispatcher-less
 //!   backend: [`light::LightRuntime`] owns the process table, op-streams,
 //!   boot/init/breakpoint ladder and process-control surface and
@@ -24,8 +27,9 @@
 //! * The shared **abstract-model vocabulary** ([`AbstractPhase`],
 //!   [`AbstractRank`], [`AbstractStep`], [`AbstractEvent`]) that every
 //!   backend's finite abstraction speaks, so `failck --model-check`
-//!   stays cross-layer and backend-tagged — and, in [`vocab`], the boot
-//!   ladder and slot-relabelling helpers all three models share.
+//!   stays cross-layer and backend-tagged — and, in [`vocab`], the
+//!   [`vocab::AbstractModel`] trait the explorer sees them through, with
+//!   the boot ladder and slot relabelling all three models share.
 //!
 //! The trace vocabulary keeps its historical name (`VclEvent`) because it
 //! was extracted from the reference Vcl runtime; each backend maps its own
@@ -36,12 +40,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chassis;
 mod kind;
 pub mod light;
 mod trace;
 mod traffic;
 pub mod vocab;
 
+pub use chassis::Chassis;
 pub use kind::BackendKind;
 pub use trace::{Hook, InstrumentedFn, VclEvent};
 pub use traffic::TrafficStats;
@@ -52,9 +58,7 @@ pub use vocab::{
 
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::MetricsSnapshot;
-use failmpi_sim::{
-    EventId, FingerprintEvent, Label, SimDuration, SimTime, TraceEntry, TraceLog,
-};
+use failmpi_sim::{EventId, FingerprintEvent, Label, SimDuration, SimTime, TraceEntry, TraceLog};
 
 /// Shared sizing and timing knobs for the non-Vcl backends (the Vcl
 /// runtime keeps its richer `VclConfig`). Constructed from the harness's
@@ -148,19 +152,58 @@ pub trait ProtocolBackend {
     /// Which protocol this is (names metrics keys, witnesses, findings).
     fn kind(&self) -> BackendKind;
 
-    /// Records the engine event causing the upcoming state change (causal
-    /// tracing); `None` clears it.
-    fn set_event_cause(&mut self, cause: Option<EventId>);
+    /// The runtime's chassis: the state every method below down to
+    /// [`ProtocolBackend::traffic`] is provided over.
+    fn chassis(&self) -> &Chassis<Self::Event>;
 
-    /// Handles one event at `now`.
-    fn dispatch(&mut self, now: SimTime, ev: Self::Event);
+    /// The chassis, mutably.
+    fn chassis_mut(&mut self) -> &mut Chassis<Self::Event>;
+
+    /// Records the engine event causing the upcoming state change (causal
+    /// tracing); `None` clears it. A no-op when trace recording is off.
+    fn set_event_cause(&mut self, cause: Option<EventId>) {
+        self.chassis_mut().trace.set_cause(cause);
+    }
 
     /// Drains the events produced since the last call, in place (feed
     /// them to the engine; whatever the caller leaves undrained is dropped).
-    fn drain_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, Self::Event)>;
+    fn drain_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, Self::Event)> {
+        self.chassis_mut().out.drain(..)
+    }
 
     /// Drains lifecycle/breakpoint hooks produced since the last call.
-    fn take_hooks(&mut self) -> Vec<Hook>;
+    fn take_hooks(&mut self) -> Vec<Hook> {
+        std::mem::take(&mut self.chassis_mut().hooks)
+    }
+
+    /// Arms a debugger breakpoint on `func` for `proc`.
+    fn arm_breakpoint(&mut self, proc: ProcId, func: InstrumentedFn) {
+        self.chassis_mut().arm(proc, func);
+    }
+
+    /// Clears all breakpoints for `proc`.
+    fn clear_breakpoints(&mut self, proc: ProcId) {
+        self.chassis_mut().disarm(proc);
+    }
+
+    /// The lifecycle trace the classifier reads.
+    fn trace(&self) -> &TraceLog<VclEvent> {
+        &self.chassis().trace
+    }
+
+    /// Moves the lifecycle trace's entries out (for the run's artifacts,
+    /// once the run is over).
+    fn take_trace(&mut self) -> Vec<TraceEntry<VclEvent>> {
+        self.chassis_mut().trace.take_entries()
+    }
+
+    /// Byte counters by traffic class.
+    fn traffic(&self) -> TrafficStats {
+        self.chassis().traffic
+    }
+
+    /// Handles one event at `now`.
+    fn dispatch(&mut self, now: SimTime, ev: Self::Event);
 
     /// Whether the job ran to completion.
     fn is_complete(&self) -> bool;
@@ -174,12 +217,6 @@ pub trait ProtocolBackend {
     /// Resumes a controlled process (`continue`).
     fn fail_continue(&mut self, now: SimTime, proc: ProcId);
 
-    /// Arms a debugger breakpoint on `func` for `proc`.
-    fn arm_breakpoint(&mut self, proc: ProcId, func: InstrumentedFn);
-
-    /// Clears all breakpoints for `proc`.
-    fn clear_breakpoints(&mut self, proc: ProcId);
-
     /// The `i`-th compute machine (FAIL daemons deploy per machine).
     fn compute_host(&self, i: usize) -> HostId;
 
@@ -187,8 +224,10 @@ pub trait ProtocolBackend {
     fn n_compute_hosts(&self) -> usize;
 
     /// The last committed checkpoint wave (`None` for protocols without
-    /// checkpoint waves — the probe then never fires).
-    fn committed_wave(&self) -> Option<u32>;
+    /// checkpoint waves, the default — the probe then never fires).
+    fn committed_wave(&self) -> Option<u32> {
+        None
+    }
 
     /// Current execution epoch (0 = initial, +1 per recovery).
     fn epoch(&self) -> u32;
@@ -196,7 +235,8 @@ pub trait ProtocolBackend {
     /// Timeline track of an event (for trace export).
     fn event_track(&self, ev: &Self::Event) -> u32;
 
-    /// Number of timeline tracks.
+    /// Number of timeline tracks (`track_names().len()`, without the
+    /// allocation).
     fn n_tracks(&self) -> u32;
 
     /// Track display names, indexed by [`ProtocolBackend::event_track`].
@@ -218,25 +258,17 @@ pub trait ProtocolBackend {
     /// Short stable kind label of an event (profiling buckets).
     fn event_kind(&self, ev: &Self::Event) -> &'static str;
 
-    /// The lifecycle trace the classifier reads.
-    fn trace(&self) -> &TraceLog<VclEvent>;
-
-    /// Moves the lifecycle trace's entries out (for the run's artifacts,
-    /// once the run is over).
-    fn take_trace(&mut self) -> Vec<TraceEntry<VclEvent>>;
-
     /// Recoveries started so far (shrinks, promotions, restart waves).
     fn recoveries_started(&self) -> u64;
 
-    /// Checkpoint waves committed so far (0 for non-checkpointing
-    /// protocols).
-    fn waves_committed(&self) -> u64;
+    /// Checkpoint waves committed so far (0 for protocols without
+    /// checkpoint waves, the default).
+    fn waves_committed(&self) -> u64 {
+        0
+    }
 
     /// Highest application iteration any rank reported.
     fn max_progress(&self) -> u32;
-
-    /// Byte counters by traffic class.
-    fn traffic(&self) -> TrafficStats;
 
     /// Folds the backend's metrics into a snapshot.
     fn contribute_metrics(&self, snap: &mut MetricsSnapshot);

@@ -4,26 +4,20 @@
 //! The skeleton owns everything the ULFM and replication runtimes have in
 //! common — the process table ([`Unit`]), the per-rank op-streams
 //! ([`OpStream`]), the boot → init → breakpoint ladder, the
-//! process-control surface (`halt` / `stop` / `continue`), the outbox,
-//! hooks, lifecycle trace and traffic ledger — and implements
-//! [`ProtocolBackend`] once. A policy holds only what differs between
-//! protocols: *what to do when a unit is lost* (see DESIGN.md, "Skeleton
-//! vs policy").
+//! process-control surface (`halt` / `stop` / `continue`) and the
+//! [`Chassis`] every runtime hands its events, hooks and trace over
+//! through — and implements [`ProtocolBackend`] once. A policy holds only
+//! what differs between protocols: *what to do when a unit is lost* (see
+//! DESIGN.md, "Skeleton vs policy").
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use failmpi_mpi::Rank;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::MetricsSnapshot;
-use failmpi_sim::{
-    EventId, Fingerprint, FingerprintEvent, Label, PackLabel, SimDuration, SimTime, TraceEntry,
-    TraceLog,
-};
+use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel, SimDuration, SimTime};
 
-use crate::{
-    BackendConfig, BackendKind, Hook, InstrumentedFn, ProtocolBackend, TrafficStats, VclEvent,
-};
+use crate::{BackendConfig, BackendKind, Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
 
 /// Nominal application payload per op (face-exchange analogue).
 const OP_APP_BYTES: u64 = 4096;
@@ -217,18 +211,14 @@ pub struct LightRuntime<P: RecoveryPolicy> {
     pub streams: Vec<OpStream>,
     /// The recovery policy's own state.
     pub policy: P,
-    /// Byte counters by traffic class.
-    pub traffic: TrafficStats,
+    /// Outbox, hooks, lifecycle trace, breakpoints and traffic ledger.
+    pub chassis: Chassis<LightEv<P::Done>>,
     cfg: BackendConfig,
     seed: u64,
     started: bool,
     complete: bool,
     epoch: u32,
     max_progress: u32,
-    out: Vec<(SimTime, LightEv<P::Done>)>,
-    hooks: Vec<Hook>,
-    trace: TraceLog<VclEvent>,
-    breakpoints: HashMap<ProcId, HashSet<InstrumentedFn>>,
 }
 
 /// Deterministic per-op jitter: splitmix64 finalizer over the op identity.
@@ -247,14 +237,13 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         cfg.validate().expect("invalid backend config");
         assert_eq!(ops_per_rank.len(), cfg.n_ranks as usize);
         let (policy, n_units) = P::deploy(&cfg);
-        let out = (0..n_units)
-            .map(|unit| {
-                (
-                    SimTime::ZERO + cfg.boot_delay + cfg.boot_stagger * unit as u64,
-                    LightEv::Boot { unit },
-                )
-            })
-            .collect();
+        let mut chassis = Chassis::new(cfg.record_trace);
+        chassis.out.extend((0..n_units).map(|unit| {
+            (
+                SimTime::ZERO + cfg.boot_delay + cfg.boot_stagger * unit as u64,
+                LightEv::Boot { unit },
+            )
+        }));
         let unit = Unit {
             alive: true,
             suspended: false,
@@ -274,26 +263,17 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
                 ops_total,
             })
             .collect();
-        let trace = if cfg.record_trace {
-            TraceLog::new()
-        } else {
-            TraceLog::disabled()
-        };
         LightRuntime {
             units: vec![unit; n_units as usize],
             streams,
             policy,
-            traffic: TrafficStats::default(),
+            chassis,
             cfg,
             seed,
             started: false,
             complete: false,
             epoch: 0,
             max_progress: 0,
-            out,
-            hooks: Vec::new(),
-            trace,
-            breakpoints: HashMap::new(),
         }
     }
 
@@ -309,19 +289,18 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
 
     /// Schedules `ev` for delivery at `at`.
     pub fn emit(&mut self, at: SimTime, ev: LightEv<P::Done>) {
-        self.out.push((at, ev));
+        self.chassis.emit(at, ev);
     }
 
     /// Appends a lifecycle trace record.
     pub fn record(&mut self, now: SimTime, ev: VclEvent) {
-        self.trace.record(now, ev);
+        self.chassis.trace.record(now, ev);
     }
 
     /// Opens a new execution epoch and records the recovery start.
     pub fn begin_recovery(&mut self, now: SimTime) {
         self.epoch += 1;
-        self.trace
-            .record(now, VclEvent::RecoveryStarted { epoch: self.epoch });
+        self.record(now, VclEvent::RecoveryStarted { epoch: self.epoch });
     }
 
     /// The live unit behind `proc` (`ProcId(u)` is unit `u`).
@@ -352,13 +331,7 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         );
         let delay = self.cfg.op_delay + SimDuration::from_micros(jitter);
         let gen = st.gen;
-        self.out.push((
-            now + delay,
-            LightEv::OpDone {
-                rank: s as u32,
-                gen,
-            },
-        ));
+        self.emit(now + delay, LightEv::OpDone { rank: s as u32, gen });
     }
 
     /// Starts op-stream `s`'s next op (under a fresh generation if
@@ -386,11 +359,10 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
             return;
         }
         self.units[u].registered = true;
-        self.traffic.control_bytes += INIT_CONTROL_BYTES;
+        self.chassis.traffic.control_bytes += INIT_CONTROL_BYTES;
         failmpi_obs::prof::copy(P::NAMES.control_hop, INIT_CONTROL_BYTES);
         let (rank, epoch) = (self.rank_of_unit(u), self.epoch);
-        self.trace
-            .record(now, VclEvent::DaemonRegistered { rank, epoch });
+        self.record(now, VclEvent::DaemonRegistered { rank, epoch });
         P::unit_changed(self, now, u, UnitChange::Registered);
         self.maybe_start(now);
     }
@@ -408,8 +380,7 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
             return;
         }
         self.started = true;
-        self.trace
-            .record(now, VclEvent::RunStarted { epoch: self.epoch });
+        self.record(now, VclEvent::RunStarted { epoch: self.epoch });
         for s in 0..self.streams.len() {
             if !P::stream_lost(self, s) {
                 self.start_stream(now, s, false);
@@ -422,7 +393,7 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
     pub fn check_complete(&mut self, now: SimTime) {
         if !self.complete && self.started && P::job_done(self) {
             self.complete = true;
-            self.trace.record(now, VclEvent::JobComplete);
+            self.record(now, VclEvent::JobComplete);
         }
     }
 
@@ -445,10 +416,10 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         self.streams[s].ops_done += 1;
         let iter = self.streams[s].ops_done;
         self.max_progress = self.max_progress.max(iter);
-        self.traffic.app_bytes += OP_APP_BYTES;
+        self.chassis.traffic.app_bytes += OP_APP_BYTES;
         failmpi_obs::prof::copy(P::NAMES.op_hop, OP_APP_BYTES);
         P::op_extra_traffic(self, s);
-        self.trace.record(
+        self.record(
             now,
             VclEvent::AppProgress {
                 rank: Rank(rank),
@@ -457,8 +428,7 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         );
         if iter >= self.streams[s].ops_total {
             self.streams[s].finished = true;
-            self.trace
-                .record(now, VclEvent::RankFinalized { rank: Rank(rank) });
+            self.record(now, VclEvent::RankFinalized { rank: Rank(rank) });
             self.check_complete(now);
         } else if P::stream_blocked(self, s) {
             self.streams[s].resume_op = true;
@@ -475,8 +445,12 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         P::NAMES.kind
     }
 
-    fn set_event_cause(&mut self, cause: Option<EventId>) {
-        self.trace.set_cause(cause);
+    fn chassis(&self) -> &Chassis<Self::Event> {
+        &self.chassis
+    }
+
+    fn chassis_mut(&mut self) -> &mut Chassis<Self::Event> {
+        &mut self.chassis
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Self::Event) {
@@ -488,7 +462,7 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
                 }
                 let (host, proc) = (HostId(unit as u16), ProcId(unit));
                 let rank = self.rank_of_unit(u);
-                self.trace.record(
+                self.record(
                     now,
                     VclEvent::DaemonSpawned {
                         rank,
@@ -496,9 +470,8 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
                         host,
                     },
                 );
-                self.hooks.push(Hook::OnLoad { host, proc });
-                self.out
-                    .push((now + self.cfg.init_delay, LightEv::Init { unit }));
+                self.chassis.hooks.push(Hook::OnLoad { host, proc });
+                self.emit(now + self.cfg.init_delay, LightEv::Init { unit });
             }
             LightEv::Init { unit } => {
                 let u = unit as usize;
@@ -512,13 +485,9 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
                 }
                 let func = InstrumentedFn::LocalMpiSetCommand;
                 let proc = ProcId(unit);
-                if self
-                    .breakpoints
-                    .get(&proc)
-                    .is_some_and(|s| s.contains(&func))
-                {
+                if self.chassis.armed(proc, func) {
                     st.held = true;
-                    self.hooks.push(Hook::Breakpoint {
+                    self.chassis.hooks.push(Hook::Breakpoint {
                         host: HostId(unit as u16),
                         proc,
                         func,
@@ -531,14 +500,6 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
             LightEv::Detect { unit } => P::on_detect(self, now, unit),
             LightEv::RecoveryDone(done) => P::on_recovery_done(self, now, done),
         }
-    }
-
-    fn drain_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, Self::Event)> {
-        self.out.drain(..)
-    }
-
-    fn take_hooks(&mut self) -> Vec<Hook> {
-        std::mem::take(&mut self.hooks)
     }
 
     fn is_complete(&self) -> bool {
@@ -554,10 +515,7 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         st.suspended = false;
         st.held = false;
         st.resume_init = false;
-        self.out.push((
-            now + self.cfg.detect_delay,
-            LightEv::Detect { unit: u as u32 },
-        ));
+        self.emit(now + self.cfg.detect_delay, LightEv::Detect { unit: u as u32 });
         P::unit_changed(self, now, u, UnitChange::Halted);
     }
 
@@ -598,24 +556,12 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         P::unit_changed(self, now, u, UnitChange::Continued);
     }
 
-    fn arm_breakpoint(&mut self, proc: ProcId, func: InstrumentedFn) {
-        self.breakpoints.entry(proc).or_default().insert(func);
-    }
-
-    fn clear_breakpoints(&mut self, proc: ProcId) {
-        self.breakpoints.remove(&proc);
-    }
-
     fn compute_host(&self, i: usize) -> HostId {
         HostId(i as u16)
     }
 
     fn n_compute_hosts(&self) -> usize {
         self.cfg.n_compute_hosts
-    }
-
-    fn committed_wave(&self) -> Option<u32> {
-        None // light runtimes never checkpoint
     }
 
     fn epoch(&self) -> u32 {
@@ -670,28 +616,12 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         P::NAMES.event_kinds[i]
     }
 
-    fn trace(&self) -> &TraceLog<VclEvent> {
-        &self.trace
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEntry<VclEvent>> {
-        self.trace.take_entries()
-    }
-
     fn recoveries_started(&self) -> u64 {
         u64::from(self.epoch) // every recovery opens exactly one epoch
     }
 
-    fn waves_committed(&self) -> u64 {
-        0
-    }
-
     fn max_progress(&self) -> u32 {
         self.max_progress
-    }
-
-    fn traffic(&self) -> TrafficStats {
-        self.traffic
     }
 
     fn contribute_metrics(&self, snap: &mut MetricsSnapshot) {

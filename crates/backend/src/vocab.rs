@@ -10,13 +10,14 @@
 //! Every type derives `Hash`/`Ord` so product states can be interned
 //! canonically.
 //!
-//! The part of every model that is *not* protocol-specific lives here too,
-//! as free functions over a slot slice: the boot-ladder step enumeration
-//! ([`protocol_steps`]) and transitions ([`spawn`], [`register`],
-//! [`ack_ready`]), and the slot side of symmetry reduction
-//! ([`host_content`], [`relabel_slots`], [`live_slot_on_host`]). They take
-//! `&[AbstractRank]` rather than a wrapper state type because each model's
-//! own field layout feeds its derived `Hash` — the persisted state digest.
+//! [`AbstractModel`] is the surface the explorer sees a model through: a
+//! model supplies its slot table, its reading of liveness, its steady
+//! state and its transitions; everything derivable from the slot table is
+//! provided. The boot-ladder transitions ([`spawn`], [`register`],
+//! [`ack_ready`]) and the slot side of relabelling ([`relabel_slots`]) are
+//! free functions over `&[AbstractRank]` rather than a wrapper state type,
+//! because each model's own field layout feeds its derived `Hash` — the
+//! persisted state digest.
 
 /// Saturation cap for the abstract epoch counter (recoveries so far).
 pub const EPOCH_CAP: u8 = 8;
@@ -170,22 +171,143 @@ pub fn launch_slots(n: usize) -> Vec<AbstractRank> {
         .collect()
 }
 
-/// Every enabled protocol-internal step, in canonical slot order: the boot
-/// ladder, plus the stop closure of a terminate-ordered slot (a phase only
-/// relaunch-based protocols ever enter).
-pub fn protocol_steps(slots: &[AbstractRank]) -> Vec<AbstractStep> {
-    let mut out = Vec::new();
-    for (i, r) in slots.iter().enumerate() {
-        let i = i as u8;
-        match r.phase {
-            AbstractPhase::Launched => out.push(AbstractStep::Spawn(i)),
-            AbstractPhase::Booted => out.push(AbstractStep::Register(i)),
-            AbstractPhase::Registered => out.push(AbstractStep::Ready(i)),
-            AbstractPhase::Stopping => out.push(AbstractStep::StopClosure(i)),
-            _ => {}
-        }
+/// A backend's finite abstract protocol model, as the model checker sees
+/// it.
+///
+/// The explorer is protocol-agnostic: it enumerates boot-ladder steps,
+/// routes faults from the FAIL plane and asks two freeze questions
+/// ([`AbstractModel::lost_rank`], [`AbstractModel::all_running`]). The five
+/// required methods are what every protocol answers differently; the
+/// questions only some protocols have an answer to (a lost rank, a
+/// recovery window, checkpoint waves, a spare-machine queue, stand-in
+/// units) default to "no"; the rest is read off the slot table.
+pub trait AbstractModel: Sized {
+    /// The slot table: one [`AbstractRank`] per process unit (the ranks,
+    /// then any stand-ins the protocol deploys, e.g. replicas).
+    fn slots(&self) -> &[AbstractRank];
+
+    /// Whether unit `u` has a live, killable process. The backends read
+    /// [`AbstractPhase::Done`] differently — finalized-but-alive under Vcl,
+    /// shrunk-away (dead) under ULFM, consumed (dead) under replication —
+    /// so liveness is the model's, not [`AbstractPhase::process_alive`].
+    fn unit_live(&self, u: usize) -> bool;
+
+    /// The backend's steady computing state (the quiescent state faults
+    /// injected by constant-delay timers land in).
+    fn all_running(&self) -> bool;
+
+    /// Applies `step`, appending the observable [`AbstractEvent`]s. Panics
+    /// if the step is not enabled in this state (callers enumerate via
+    /// [`AbstractModel::protocol_steps`] / the explorer's fault routing).
+    fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>);
+
+    /// Relabels machines and unit slots — the orbit action of symmetry
+    /// reduction: `host_map[h]` is the new label of host `h`, `rank_map[u]`
+    /// the new slot of unit `u` (both must be permutations). Commutes with
+    /// [`AbstractModel::apply`], because a protocol treats both labels as
+    /// opaque.
+    fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> Self;
+
+    /// The first permanently-lost rank, if the backend can lose one (Vcl's
+    /// stale dispatcher entry, replication's exhausted pair; ULFM never).
+    fn lost_rank(&self) -> Option<u8> {
+        None
     }
-    out
+
+    /// The backend's phrase for the lost-rank freeze predicate (the FC003
+    /// `why` clause).
+    fn freeze_reason(&self) -> &'static str {
+        "permanently lost rank"
+    }
+
+    /// The witness note narrating an [`AbstractEvent::RankLost`] emitted by
+    /// a fault on `rank`.
+    fn lost_note(&self, rank: u8) -> String {
+        format!("rank {rank} is permanently lost")
+    }
+
+    /// Whether a recovery exchange is in flight (a protocol whose recovery
+    /// is atomic has no such window).
+    fn recovery_active(&self) -> bool {
+        false
+    }
+
+    /// Whether a checkpoint wave may start (protocols without a checkpoint
+    /// scheduler: never).
+    fn wave_startable(&self) -> bool {
+        false
+    }
+
+    /// Whether an open checkpoint wave may commit.
+    fn wave_committable(&self) -> bool {
+        false
+    }
+
+    /// The protocol's spare-machine FIFO, front first (empty for protocols
+    /// that never reassign a machine). Queue position is protocol state, so
+    /// the canonical machine order reads it.
+    fn spare_hosts(&self) -> &[u8] {
+        &[]
+    }
+
+    /// How unit `u` reads in witness labels and fault notes.
+    fn unit_desc(&self, u: usize) -> String {
+        format!("rank {u}")
+    }
+
+    /// Number of process units (= ranks, plus the protocol's stand-ins).
+    fn n_units(&self) -> usize {
+        self.slots().len()
+    }
+
+    /// Unit `u`'s slot (phase, host, incarnation).
+    fn unit(&self, u: usize) -> &AbstractRank {
+        &self.slots()[u]
+    }
+
+    /// The first unit whose live process runs on `host`, if any.
+    fn live_rank_on_host(&self, host: u8) -> Option<u8> {
+        let mut on_host = self.slots().iter().enumerate().filter(|(_, r)| r.host == host);
+        on_host.find(|&(u, _)| self.unit_live(u)).map(|(u, _)| u as u8)
+    }
+
+    /// Every enabled protocol-internal step, in canonical slot order: the
+    /// boot ladder, plus the stop closure of a terminate-ordered slot (a
+    /// phase only relaunch-based protocols ever enter). Wave steps and
+    /// faults are the explorer's business: waves are quiescent-only and
+    /// faults come from the FAIL side.
+    fn protocol_steps(&self) -> Vec<AbstractStep> {
+        let mut out = Vec::new();
+        for (i, r) in self.slots().iter().enumerate() {
+            let i = i as u8;
+            match r.phase {
+                AbstractPhase::Launched => out.push(AbstractStep::Spawn(i)),
+                AbstractPhase::Booted => out.push(AbstractStep::Register(i)),
+                AbstractPhase::Registered => out.push(AbstractStep::Ready(i)),
+                AbstractPhase::Stopping => out.push(AbstractStep::StopClosure(i)),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Orbit metadata for symmetry reduction: the protocol content visible
+    /// on machine `host`, independent of the host's numeric label and of
+    /// slot identities — the sorted `(phase, incarnation)` pairs assigned
+    /// to it and its position in the spare-machine FIFO. Two hosts with
+    /// equal keys carry interchangeable protocol state; whether *slots* are
+    /// interchangeable is the caller's question (`rank_map` in
+    /// [`AbstractModel::relabel`]), not the protocol state's.
+    fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
+        let mut content: Vec<(AbstractPhase, u8)> = self
+            .slots()
+            .iter()
+            .filter(|r| r.host == host)
+            .map(|r| (r.phase, r.incarnation))
+            .collect();
+        content.sort_unstable();
+        (content, self.spare_hosts().iter().position(|&h| h == host))
+    }
 }
 
 fn climb(slot: &mut AbstractRank, from: AbstractPhase, to: AbstractPhase) {
@@ -214,19 +336,6 @@ pub fn ack_ready(slots: &mut [AbstractRank], s: u8) {
     climb(&mut slots[s as usize], AbstractPhase::Registered, AbstractPhase::Ready);
 }
 
-/// Orbit metadata for symmetry reduction: the slot content visible on
-/// machine `host`, independent of the host's numeric label and of slot
-/// identities (sorted `(phase, incarnation)` pairs).
-pub fn host_content(slots: &[AbstractRank], host: u8) -> Vec<(AbstractPhase, u8)> {
-    let mut content: Vec<(AbstractPhase, u8)> = slots
-        .iter()
-        .filter(|r| r.host == host)
-        .map(|r| (r.phase, r.incarnation))
-        .collect();
-    content.sort_unstable();
-    content
-}
-
 /// Relabels machines and slots (the orbit action): `host_map[h]` is the
 /// new label of host `h`, `slot_map[s]` the new index of slot `s` (both
 /// must be permutations).
@@ -240,18 +349,4 @@ pub fn relabel_slots(slots: &[AbstractRank], host_map: &[u8], slot_map: &[u8]) -
         };
     }
     out
-}
-
-/// The first slot on `host` whose process is alive under the protocol's
-/// reading of liveness (`Done` is finalized-but-alive under Vcl, dead
-/// elsewhere).
-pub fn live_slot_on_host(
-    slots: &[AbstractRank],
-    host: u8,
-    live: impl Fn(AbstractPhase) -> bool,
-) -> Option<u8> {
-    slots
-        .iter()
-        .position(|r| r.host == host && live(r.phase))
-        .map(|s| s as u8)
 }

@@ -37,12 +37,23 @@ impl From<LexError> for ParseError {
 /// Parses FAIL source into an AST.
 pub fn parse(src: &str) -> Result<ScenarioAst, ParseError> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.scenario()
+    Parser { toks, pos: 0, expr_nodes: 0 }.scenario()
 }
+
+/// How many operators, negations, parentheses and `FAIL_RANDOM` calls one
+/// expression may hold. Each of them deepens this parser's recursion or
+/// the expression tree by one, so the cap bounds both — and with the
+/// tree's height the recursion of everything that walks or drops it
+/// (`compile`, `pretty`, the runtime's evaluator). Without it a few
+/// kilobytes of `((((…` or `1+1+1+…` overflow the stack.
+pub const MAX_EXPR_NODES: u32 = 256;
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Nodes counted against [`MAX_EXPR_NODES`] in the expression being
+    /// parsed.
+    expr_nodes: u32,
 }
 
 impl Parser {
@@ -367,12 +378,30 @@ impl Parser {
         }
     }
 
-    // Precedence: && < comparisons < additive < multiplicative < unary.
+    /// A whole expression, at statement level.
     fn expr(&mut self) -> Result<ExprAst, ParseError> {
+        self.expr_nodes = 0;
+        self.conjunction()
+    }
+
+    /// Counts one more node of the current expression against the cap.
+    fn grow(&mut self) -> Result<(), ParseError> {
+        self.expr_nodes += 1;
+        if self.expr_nodes > MAX_EXPR_NODES {
+            return self.err(format!(
+                "expression too deep: more than {MAX_EXPR_NODES} operators and parentheses"
+            ));
+        }
+        Ok(())
+    }
+
+    // Precedence: && < comparisons < additive < multiplicative < unary.
+    fn conjunction(&mut self) -> Result<ExprAst, ParseError> {
         let mut lhs = self.comparison()?;
         while self.peek() == Some(&Tok::AndAnd) {
             // Only inside parentheses: at statement level `&&` separates
             // guard conditions, which the transition parser consumes first.
+            self.grow()?;
             self.pos += 1;
             let rhs = self.comparison()?;
             lhs = ExprAst::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
@@ -391,6 +420,7 @@ impl Parser {
             Some(Tok::Ge) => BinOp::Ge,
             _ => return Ok(lhs),
         };
+        self.grow()?;
         self.pos += 1;
         let rhs = self.additive()?;
         Ok(ExprAst::Bin(op, Box::new(lhs), Box::new(rhs)))
@@ -404,6 +434,7 @@ impl Parser {
                 Some(Tok::Minus) => BinOp::Sub,
                 _ => return Ok(lhs),
             };
+            self.grow()?;
             self.pos += 1;
             let rhs = self.multiplicative()?;
             lhs = ExprAst::Bin(op, Box::new(lhs), Box::new(rhs));
@@ -418,6 +449,7 @@ impl Parser {
                 Some(Tok::Slash) => BinOp::Div,
                 _ => return Ok(lhs),
             };
+            self.grow()?;
             self.pos += 1;
             let rhs = self.unary()?;
             lhs = ExprAst::Bin(op, Box::new(lhs), Box::new(rhs));
@@ -426,6 +458,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<ExprAst, ParseError> {
         if self.peek() == Some(&Tok::Minus) {
+            self.grow()?;
             self.pos += 1;
             // Fold `-LITERAL` into a negative literal so that the AST is
             // canonical: the pretty-printer renders `ExprAst::Int(-7)` as
@@ -444,17 +477,19 @@ impl Parser {
         match self.peek() {
             Some(Tok::Int(_)) => Ok(ExprAst::Int(self.int()?)),
             Some(Tok::LParen) => {
+                self.grow()?;
                 self.pos += 1;
-                let e = self.expr()?;
+                let e = self.conjunction()?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
             Some(Tok::Ident(s)) if s == "FAIL_RANDOM" => {
+                self.grow()?;
                 self.pos += 1;
                 self.expect(&Tok::LParen)?;
-                let lo = self.expr()?;
+                let lo = self.conjunction()?;
                 self.expect(&Tok::Comma)?;
-                let hi = self.expr()?;
+                let hi = self.conjunction()?;
                 self.expect(&Tok::RParen)?;
                 Ok(ExprAst::Rand(Box::new(lo), Box::new(hi)))
             }

@@ -367,3 +367,45 @@ fn delay_scenario_waits_for_first_commit() {
     )));
     assert_eq!(rt.current_node_label(p1), 2);
 }
+
+/// Expressions are capped at [`MAX_EXPR_NODES`] operators and parentheses,
+/// which bounds the parser's recursion and the height of the tree that
+/// `compile` and `pretty` walk: hostile nesting is a diagnostic with its
+/// line, never a stack overflow.
+#[test]
+fn expression_nesting_is_bounded_in_every_shape() {
+    use failmpi_core::lang::parser::{parse, MAX_EXPR_NODES};
+    use failmpi_core::lang::pretty;
+
+    let cap = MAX_EXPR_NODES as usize;
+    let param = |e: String| format!("// header\nparam DEEP = {e};\n{FIG5}");
+    let parens = |n: usize| "(".repeat(n) + "1" + &")".repeat(n);
+    let sum = |terms: usize| vec!["1"; terms].join(" + ");
+
+    // At the cap, every shape parses, compiles and pretty-prints: right
+    // nesting (parentheses, negations) and the left-deep tree of a chain.
+    for ok in [parens(cap), "-".repeat(cap) + "1", sum(cap + 1)] {
+        let src = param(ok);
+        compile(&src).unwrap_or_else(|e| panic!("at the cap: {e}"));
+        let text = pretty::scenario(&parse(&src).unwrap());
+        assert_eq!(pretty::scenario(&parse(&text).unwrap()), text);
+    }
+    // One past it — and the reproducers far past it — are refused on line 2.
+    for deep in [
+        parens(cap + 1),
+        "-".repeat(cap + 1) + "1",
+        sum(cap + 2),
+        parens(20_000),
+        "(".repeat(20_000),
+        "-".repeat(100_000) + "1",
+        sum(100_000),
+        "FAIL_RANDOM(0, ".repeat(20_000),
+    ] {
+        let e = compile(&param(deep)).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("expression too deep"), "{e}");
+    }
+    // The cap is per expression, not per file.
+    let many: String = (0..8).map(|i| format!("param Y{i} = {};\n", parens(cap))).collect();
+    compile(&(many + FIG5)).unwrap();
+}

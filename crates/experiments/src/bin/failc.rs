@@ -4,6 +4,9 @@
 //!
 //! Parses and compiles a FAIL scenario, reports diagnostics, and either
 //! summarises the compiled automata or emits the generated Rust source.
+//! Exit status: 0 on success (and `--help`), 2 for a usage error, an
+//! unreadable file or a scenario that does not compile — the contract the
+//! other binaries of this package keep.
 
 use failmpi_core::lang::codegen;
 use failmpi_core::{compile, Deployment};
@@ -11,12 +14,14 @@ use failmpi_core::{compile, Deployment};
 failmpi_experiments::install_alloc_profiler!();
 
 fn main() {
+    const USAGE: &str = "usage: failc <scenario.fail> [--emit-rust]";
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (path, emit_rust) = match args.as_slice() {
+        [h] if h == "--help" || h == "-h" => return println!("{USAGE}"),
         [p] => (p.clone(), false),
         [p, flag] if flag == "--emit-rust" => (p.clone(), true),
         _ => {
-            eprintln!("usage: failc <scenario.fail> [--emit-rust]");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };
@@ -24,14 +29,14 @@ fn main() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failc: cannot read {path}: {e}");
-            std::process::exit(1);
+            std::process::exit(2);
         }
     };
     let scenario = match compile(&src) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failc: {path}: {e}");
-            std::process::exit(1);
+            std::process::exit(2);
         }
     };
     if emit_rust {

@@ -8,10 +8,11 @@ use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
 use failmpi_analyze::{ModelCheckConfig, Report, StaticVerdict};
+use failmpi_backend::light::LightRuntime;
 use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend};
 use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime};
-use failmpi_replica::ReplicaCluster;
-use failmpi_ulfm::UlfmCluster;
+use failmpi_replica::Failover;
+use failmpi_ulfm::Shrink;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::{MetricsSnapshot, RunProfile, WallProfile};
 use failmpi_sim::{
@@ -741,11 +742,11 @@ pub fn run(spec: &ExperimentSpec, observe: Observe) -> Result<RunArtifacts, Repo
         }
         BackendKind::Ulfm => {
             let (cfg, ops) = backend_runtime_inputs(spec);
-            drive(spec, observe, UlfmCluster::new(cfg, ops, spec.seed))
+            drive(spec, observe, LightRuntime::<Shrink>::new(cfg, ops, spec.seed))
         }
         BackendKind::Replica => {
             let (cfg, ops) = backend_runtime_inputs(spec);
-            drive(spec, observe, ReplicaCluster::new(cfg, ops, spec.seed))
+            drive(spec, observe, LightRuntime::<Failover>::new(cfg, ops, spec.seed))
         }
     }
 }
@@ -1130,14 +1131,14 @@ mod tests {
         }
         let cfg = BackendConfig::small(4, 6);
         let ulfm = World {
-            cluster: UlfmCluster::new(cfg.clone(), vec![1; 4], 1),
+            cluster: LightRuntime::<Shrink>::new(cfg.clone(), vec![1; 4], 1),
             fail: None,
         };
         for (ev, text) in light(ShrinkDone { round: 8 }, "rank", "shrink round 8 agreed") {
             assert_label(&ulfm, WEv::C(ev), &text);
         }
         let replica = World {
-            cluster: ReplicaCluster::new(cfg, vec![1; 4], 1),
+            cluster: LightRuntime::<Failover>::new(cfg, vec![1; 4], 1),
             fail: None,
         };
         let promoted = PromoteDone { rank: 2, gen: 3 };

@@ -218,3 +218,57 @@ fn figure_and_soak_exit_codes() {
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     }
 }
+
+/// `failc` keeps the same contract on whatever it is handed: 0 for a
+/// compiled scenario or `--help`, 2 with a one-line diagnostic for a usage
+/// error, an unreadable path or a scenario that does not compile — binary
+/// garbage and hostile nesting included — and never a panic or a signal.
+#[test]
+fn failc_exit_codes_on_malformed_input() {
+    let dir = std::env::temp_dir().join("failmpi-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let file = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        path.to_str().expect("utf8 path").to_string()
+    };
+    let fig5 = format!("{}/../core/scenarios/fig5_frequency.fail", env!("CARGO_MANIFEST_DIR"));
+    let binary = file("failc-binary.fail", &(0..=255u8).cycle().take(1024).collect::<Vec<u8>>());
+    let nul = file("failc-nul.fail", b"daemon A { node 1: \0 ?x -> goto 1; }");
+    let empty = file("failc-empty.fail", b"");
+    let truncated = file("failc-truncated.fail", b"daemon A { node 1: ?x -> goto");
+    let huge = file("failc-huge.fail", b"param X = 99999999999999999999999999;");
+    let parens = file("failc-parens.fail", format!("\nparam X = {}1;", "(".repeat(20_000)).as_bytes());
+    let minuses = file("failc-minuses.fail", format!("param X = {}1;", "-".repeat(100_000)).as_bytes());
+    let dir_path = dir.to_str().expect("utf8 path");
+    // (arguments, exit status, needle, needle is on stdout)
+    let cases: [(Vec<&str>, i32, &str, bool); 16] = [
+        (vec![&fig5], 0, "daemon ADV1", true),
+        (vec!["--help"], 0, "usage: failc <scenario.fail>", true),
+        (vec!["-h"], 0, "usage: failc <scenario.fail>", true),
+        (vec![], 2, "usage: failc <scenario.fail>", false),
+        (vec![&fig5, "--emit-c"], 2, "usage: failc", false),
+        (vec![&fig5, "--emit-rust", "extra"], 2, "usage: failc", false),
+        (vec!["--emit-rust"], 2, "cannot read --emit-rust", false),
+        (vec!["/nonexistent/x.fail"], 2, "cannot read /nonexistent/x.fail: ", false),
+        (vec![dir_path], 2, "cannot read", false),
+        (vec![&binary], 2, "cannot read", false),
+        (vec![&nul], 2, "line 1", false),
+        (vec![&empty], 0, "deployment: none declared", true),
+        (vec![&truncated, "--emit-rust"], 2, "line 1", false),
+        (vec![&huge], 2, "line 1", false),
+        // Both used to abort with `stack overflow` (SIGABRT).
+        (vec![&parens], 2, "line 2: expression too deep", false),
+        (vec![&minuses], 2, "line 1: expression too deep", false),
+    ];
+    for (args, code, needle, on_stdout) in cases {
+        let out = failc().args(&args).output().expect("failc runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        let stream = if on_stdout { &stdout } else { &stderr };
+        assert!(stream.contains(needle), "{args:?}: {stdout}\n{stderr}");
+        assert!(code == 0 || stderr.lines().count() == 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at") && !stderr.contains("overflowed its stack"));
+    }
+}

@@ -6,9 +6,9 @@
 use failmpi_backend::light::{LightEv, LightRuntime, RecoveryPolicy};
 use failmpi_backend::{BackendConfig, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
 use failmpi_net::ProcId;
-use failmpi_replica::ReplicaCluster;
+use failmpi_replica::Failover;
 use failmpi_sim::SimTime;
-use failmpi_ulfm::UlfmCluster;
+use failmpi_ulfm::Shrink;
 
 /// Minimal deterministic driver: a runtime plus the events it scheduled
 /// but has not been handed yet.
@@ -232,7 +232,7 @@ fn control_surface_under_failover() {
 // ---------------------------------------------------------------------
 
 fn ulfm(n: u32, ops: u32) -> Driver<failmpi_ulfm::Shrink> {
-    Driver::new(UlfmCluster::new(
+    Driver::new(LightRuntime::<Shrink>::new(
         BackendConfig::small(n, n as usize + 2),
         vec![ops; n as usize],
         7,
@@ -320,7 +320,7 @@ fn ulfm_breakpoint_holds_init_until_continue() {
 /// 3 ranks on 5 hosts → replicas shadow ranks 0 and 1; rank 2 is
 /// unprotected.
 fn partial() -> Driver<failmpi_replica::Failover> {
-    Driver::new(ReplicaCluster::new(
+    Driver::new(LightRuntime::<Failover>::new(
         BackendConfig::small(3, 5),
         vec![4; 3],
         11,

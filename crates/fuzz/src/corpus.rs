@@ -11,7 +11,7 @@
 //! schedule fingerprints are only stable within one build.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Component, Path};
 
 use failmpi_analyze::{Diagnostic, Severity};
 use serde::Serialize;
@@ -168,6 +168,11 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(CorpusEntry, String)>, String> {
         let name = str_field(row, "name", MANIFEST)?;
         let ctx = format!("{MANIFEST}[{name}]");
         let file = str_field(row, "file", &ctx)?;
+        // The manifest is outside input: an entry names a file of its own
+        // directory, never a path out of it.
+        if !Path::new(&file).components().eq([Component::Normal(file.as_ref())]) {
+            return Err(format!("{ctx}: `file` must be a bare file name, got {file:?}"));
+        }
         let params = row
             .get("params")
             .and_then(Value::as_array)

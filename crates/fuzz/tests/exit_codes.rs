@@ -113,3 +113,79 @@ fn clean_campaign_exits_zero_and_is_deterministic() {
     assert_eq!(code(&out), 1, "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("FZ004"));
 }
+
+/// Malformed flags, unwritable outputs and hostile corpus manifests: every
+/// row is exit 2 with a one-line diagnostic — never a panic, a signal, or
+/// a file read from outside the corpus directory.
+#[test]
+fn malformed_input_exits_two_and_never_panics() {
+    // A one-entry manifest whose source file is `file` and whose one
+    // parameter is `x`.
+    let manifest = |file: &str, x: &str| {
+        format!(
+            r#"[{{"name": "e1", "file": "{file}", "origin": "test", "machine_class": "ADVnodes",
+                "params": [["X", {x}]], "static_historical": "survives", "static_fixed": "survives",
+                "dynamic_historical": [[1, "completed"]], "dynamic_fixed": [[1, "completed"]],
+                "coverage_key": "k"}}]"#
+        )
+    };
+    // One corpus directory per manifest under test.
+    let corpus = |tag: &str, manifest: &[u8]| {
+        let dir = scratch(tag);
+        std::fs::write(dir.join("corpus.json"), manifest).expect("write");
+        dir.to_str().expect("utf8 path").to_string()
+    };
+    let good = manifest("e1.fail", "4");
+    let truncated = corpus("m-truncated", &good.as_bytes()[..good.len() / 2]);
+    let empty_object = corpus("m-object", b"{}");
+    let numbers = corpus("m-numbers", b"[1, 2, 3]");
+    let binary = corpus("m-binary", &(0..=255u8).cycle().take(1024).collect::<Vec<u8>>());
+    let deep = corpus("m-deep", &[b'['; 50_000]);
+    let missing_source = corpus("m-missing", good.as_bytes());
+    let huge = corpus("m-huge", manifest("e1.fail", "123456789012345678901234567890").as_bytes());
+    let infinite = corpus("m-infinite", manifest("e1.fail", "1e999").as_bytes());
+    let parent = corpus("m-parent", manifest("../m-parent/corpus.json", "4").as_bytes());
+    let absolute = corpus("m-absolute", manifest("/etc/passwd", "4").as_bytes());
+    let dotdot = corpus("m-dotdot", manifest("..", "4").as_bytes());
+    let not_a_dir = format!("{parent}/corpus.json");
+    // (arguments, stderr needle)
+    let cases: [(Vec<&str>, &str); 27] = [
+        (vec!["--seed", "x"], "usage:"),
+        (vec!["--seed", "-1"], "usage:"),
+        (vec!["--seed", "99999999999999999999999"], "usage:"),
+        (vec!["--budget"], "usage:"),
+        (vec!["--budget", "1e3"], "usage:"),
+        (vec!["--probe-seeds"], "usage:"),
+        (vec!["--probe-seeds", "99999999999999999999"], "usage:"),
+        (vec!["--corpus"], "usage:"),
+        (vec!["--findings"], "usage:"),
+        (vec!["--replay"], "usage:"),
+        (vec!["--format"], "usage:"),
+        (vec!["--budget", "1", "--findings", "/nonexistent/dir/f.json"], "cannot write"),
+        (vec!["--budget", "1", "--corpus", "/proc/nonexistent/corpus"], "cannot write corpus"),
+        (vec!["--replay", &not_a_dir], "cannot read"),
+        (vec!["--replay", &truncated], "corpus.json: json error"),
+        (vec!["--replay", &empty_object], "expected a JSON array"),
+        (vec!["--replay", &numbers], "corpus.json: missing string field `name`"),
+        (vec!["--replay", &binary], "cannot read"),
+        // 50 000 unclosed brackets used to overflow the JSON reader's stack.
+        (vec!["--replay", &deep], "nesting deeper than 128"),
+        (vec!["--replay", &missing_source], "cannot read"),
+        (vec!["--replay", &huge], "cannot read"),
+        (vec!["--replay", &infinite], "corpus.json[e1]: bad param value"),
+        // A manifest may only name files of its own directory.
+        (vec!["--replay", &parent], "corpus.json[e1]: `file` must be a bare file name"),
+        (vec!["--replay", &absolute], "`file` must be a bare file name, got \"/etc/passwd\""),
+        (vec!["--replay", &dotdot], "`file` must be a bare file name"),
+        (vec!["--replay", &parent, "--format", "json"], "bare file name"),
+        (vec!["--replay", &absolute, "--probe-seeds", "1"], "bare file name"),
+    ];
+    for (args, needle) in cases {
+        let out = fuzz().args(&args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at") && !stderr.contains("overflowed its stack"));
+    }
+}

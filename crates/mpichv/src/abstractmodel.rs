@@ -21,7 +21,7 @@ use crate::config::DispatcherMode;
 // The phase/step/event vocabulary (and its saturation caps) is shared by
 // every protocol backend's abstract model; it lives in `failmpi-backend`
 // and is re-exported here so existing paths keep working.
-use failmpi_backend::vocab;
+use failmpi_backend::vocab::{self, AbstractModel};
 pub use failmpi_backend::{
     AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
     WAVE_CAP,
@@ -63,79 +63,6 @@ impl AbstractVcl {
             wave_active: false,
             mode,
         }
-    }
-
-    /// Number of rank slots.
-    pub fn n_ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// The rank whose live process runs on `host`, if any.
-    pub fn live_rank_on_host(&self, host: u8) -> Option<u8> {
-        vocab::live_slot_on_host(&self.ranks, host, AbstractPhase::process_alive)
-    }
-
-    /// Whether every rank is computing (the steady quiescent state faults
-    /// injected by constant-delay timers land in).
-    pub fn all_running(&self) -> bool {
-        self.ranks.iter().all(|r| r.phase == AbstractPhase::Running)
-    }
-
-    /// The first stale dispatcher entry, if the bug already fired.
-    pub fn lost_rank(&self) -> Option<u8> {
-        self.ranks
-            .iter()
-            .position(|r| r.phase == AbstractPhase::Lost)
-            .map(|r| r as u8)
-    }
-
-    /// Orbit metadata for symmetry reduction: the protocol content visible
-    /// on machine `host`, independent of the host's numeric label — the
-    /// per-host sort key the model checker's canonicalization orders
-    /// machine labels by. Two hosts with equal keys carry interchangeable
-    /// protocol state (same assigned-rank phases/incarnations, same
-    /// position in the spare-machine FIFO).
-    ///
-    /// Rank identities are deliberately absent: whether rank slots are
-    /// interchangeable is the caller's question (`rank_map` in
-    /// [`AbstractVcl::relabel`]), not the protocol state's.
-    pub fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
-        let free_pos = self.free_hosts.iter().position(|&h| h == host);
-        (vocab::host_content(&self.ranks, host), free_pos)
-    }
-
-    /// Relabels machines and rank slots: `host_map[h]` is the new label of
-    /// host `h`, `rank_map[r]` the new slot of rank `r` (both must be
-    /// permutations). The spare-machine FIFO keeps its *order* — queue
-    /// position is dispatcher semantics (`reassign_machine` takes the
-    /// front) — while its *values* are relabeled.
-    ///
-    /// This is the orbit action of the model checker's symmetry reduction:
-    /// relabeling commutes with every [`AbstractVcl::apply`] step, because
-    /// the protocol treats host labels as opaque ids and rank slots
-    /// uniformly.
-    pub fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractVcl {
-        AbstractVcl {
-            ranks: vocab::relabel_slots(&self.ranks, host_map, rank_map),
-            free_hosts: self
-                .free_hosts
-                .iter()
-                .map(|&h| host_map[h as usize])
-                .collect(),
-            recovery_active: self.recovery_active,
-            epoch: self.epoch,
-            committed_waves: self.committed_waves,
-            wave_active: self.wave_active,
-            mode: self.mode,
-        }
-    }
-
-    /// Every enabled protocol-internal step (spawn / register / ready /
-    /// stop-closure), in canonical rank order. Wave steps and faults are
-    /// the explorer's business: waves are quiescent-only and faults come
-    /// from the FAIL side.
-    pub fn protocol_steps(&self) -> Vec<AbstractStep> {
-        vocab::protocol_steps(&self.ranks)
     }
 
     /// Relaunch `rank` in place: new process incarnation, ssh issued.
@@ -196,53 +123,6 @@ impl AbstractVcl {
         }
     }
 
-    /// Applies `step`, appending the observable [`AbstractEvent`]s. Panics
-    /// if the step is not enabled in this state (callers enumerate via
-    /// [`AbstractVcl::protocol_steps`] / the explorer's fault routing).
-    pub fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
-        match step {
-            AbstractStep::Spawn(r) => vocab::spawn(&mut self.ranks, r, events),
-            AbstractStep::Register(r) => vocab::register(&mut self.ranks, r),
-            AbstractStep::Ready(r) => {
-                vocab::ack_ready(&mut self.ranks, r);
-                if self
-                    .ranks
-                    .iter()
-                    .all(|k| k.phase == AbstractPhase::Ready)
-                {
-                    // start_run: broadcast, recovery over.
-                    for k in &mut self.ranks {
-                        k.phase = AbstractPhase::Running;
-                    }
-                    self.recovery_active = false;
-                }
-            }
-            AbstractStep::StopClosure(r) => {
-                let r = r as usize;
-                assert_eq!(self.ranks[r].phase, AbstractPhase::Stopping);
-                events.push(AbstractEvent::OnExit {
-                    host: self.ranks[r].host,
-                });
-                // Expected straggler closure: relaunch in place (the local
-                // checkpoint image lives there).
-                self.relaunch(r);
-            }
-            AbstractStep::Fault(r) => self.fault(r as usize, events),
-            AbstractStep::WaveStart => {
-                assert!(self.all_running() && !self.wave_active);
-                if self.committed_waves < WAVE_CAP {
-                    self.wave_active = true;
-                }
-            }
-            AbstractStep::WaveCommit => {
-                assert!(self.wave_active);
-                self.wave_active = false;
-                self.committed_waves = (self.committed_waves + 1).min(WAVE_CAP);
-                events.push(AbstractEvent::CommittedWave(self.committed_waves));
-            }
-        }
-    }
-
     /// A fault kills the live process of `rank` — the abstract mirror of
     /// the process death plus `Dispatcher::on_closed(peer_died = true)`.
     fn fault(&mut self, r: usize, events: &mut Vec<AbstractEvent>) {
@@ -289,6 +169,118 @@ impl AbstractVcl {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+impl AbstractModel for AbstractVcl {
+    fn slots(&self) -> &[AbstractRank] {
+        &self.ranks
+    }
+
+    /// [`AbstractPhase::Done`] is finalized-but-alive here: the daemon
+    /// outlives its MPI process until shutdown.
+    fn unit_live(&self, r: usize) -> bool {
+        self.ranks[r].phase.process_alive()
+    }
+
+    /// Every rank is computing.
+    fn all_running(&self) -> bool {
+        self.ranks.iter().all(|r| r.phase == AbstractPhase::Running)
+    }
+
+    /// The first stale dispatcher entry, if the bug already fired.
+    fn lost_rank(&self) -> Option<u8> {
+        self.ranks
+            .iter()
+            .position(|r| r.phase == AbstractPhase::Lost)
+            .map(|r| r as u8)
+    }
+
+    fn freeze_reason(&self) -> &'static str {
+        "stale dispatcher entry"
+    }
+
+    fn lost_note(&self, rank: u8) -> String {
+        format!("dispatcher files rank {rank} as stopped with no relaunch — stale entry")
+    }
+
+    fn recovery_active(&self) -> bool {
+        self.recovery_active
+    }
+
+    fn wave_startable(&self) -> bool {
+        !self.wave_active && self.committed_waves < WAVE_CAP
+    }
+
+    fn wave_committable(&self) -> bool {
+        self.wave_active
+    }
+
+    fn spare_hosts(&self) -> &[u8] {
+        &self.free_hosts
+    }
+
+    /// The spare-machine FIFO keeps its *order* — queue position is
+    /// dispatcher semantics (`reassign_machine` takes the front) — while
+    /// its *values* are relabeled.
+    fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractVcl {
+        AbstractVcl {
+            ranks: vocab::relabel_slots(&self.ranks, host_map, rank_map),
+            free_hosts: self
+                .free_hosts
+                .iter()
+                .map(|&h| host_map[h as usize])
+                .collect(),
+            recovery_active: self.recovery_active,
+            epoch: self.epoch,
+            committed_waves: self.committed_waves,
+            wave_active: self.wave_active,
+            mode: self.mode,
+        }
+    }
+
+    fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
+        match step {
+            AbstractStep::Spawn(r) => vocab::spawn(&mut self.ranks, r, events),
+            AbstractStep::Register(r) => vocab::register(&mut self.ranks, r),
+            AbstractStep::Ready(r) => {
+                vocab::ack_ready(&mut self.ranks, r);
+                if self
+                    .ranks
+                    .iter()
+                    .all(|k| k.phase == AbstractPhase::Ready)
+                {
+                    // start_run: broadcast, recovery over.
+                    for k in &mut self.ranks {
+                        k.phase = AbstractPhase::Running;
+                    }
+                    self.recovery_active = false;
+                }
+            }
+            AbstractStep::StopClosure(r) => {
+                let r = r as usize;
+                assert_eq!(self.ranks[r].phase, AbstractPhase::Stopping);
+                events.push(AbstractEvent::OnExit {
+                    host: self.ranks[r].host,
+                });
+                // Expected straggler closure: relaunch in place (the local
+                // checkpoint image lives there).
+                self.relaunch(r);
+            }
+            AbstractStep::Fault(r) => self.fault(r as usize, events),
+            AbstractStep::WaveStart => {
+                assert!(self.all_running() && !self.wave_active);
+                if self.committed_waves < WAVE_CAP {
+                    self.wave_active = true;
+                }
+            }
+            AbstractStep::WaveCommit => {
+                assert!(self.wave_active);
+                self.wave_active = false;
+                self.committed_waves = (self.committed_waves + 1).min(WAVE_CAP);
+                events.push(AbstractEvent::CommittedWave(self.committed_waves));
             }
         }
     }

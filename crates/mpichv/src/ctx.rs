@@ -1,16 +1,17 @@
-//! The per-call context handed to every cluster component, plus the local
+//! The facilities every cluster component works through, plus the local
 //! checkpoint disk store.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
+use failmpi_backend::Chassis;
 use failmpi_net::{ConnId, HostId, Network, ProcId};
-use failmpi_sim::{SimDuration, SimRng, SimTime, TraceLog};
+use failmpi_sim::{SimDuration, SimRng, SimTime};
 use failmpi_mpi::{Interp, Rank};
 
 use crate::config::VclConfig;
 use crate::event::Ev;
 use crate::metrics::VclMetrics;
-use crate::trace::{Hook, InstrumentedFn, VclEvent};
+use crate::trace::VclEvent;
 use crate::wire::Wire;
 
 /// Static addressing of the deployment (who lives where).
@@ -45,59 +46,74 @@ pub(crate) enum Cmd {
 
 pub use failmpi_backend::TrafficStats;
 
-/// Mutable cluster facilities handed to a component for one event.
-pub(crate) struct Ctx<'a> {
+/// Everything of a deployment that is not a component: the cluster owns
+/// one next to its dispatcher, scheduler, servers and nodes, and hands it
+/// to whichever component an event is for (the two are disjoint fields, so
+/// a component and its facilities borrow side by side).
+pub(crate) struct Facilities {
+    /// The instant of the event being handled (see [`Facilities::at`]).
     pub now: SimTime,
-    pub cfg: &'a VclConfig,
-    pub addrs: &'a Addrs,
-    pub net: &'a mut Network<Wire>,
-    pub out: &'a mut Vec<(SimTime, Ev)>,
-    pub tracelog: &'a mut TraceLog<VclEvent>,
-    pub hooks: &'a mut Vec<Hook>,
-    pub cmds: &'a mut Vec<Cmd>,
-    pub disk: &'a mut DiskStore,
-    pub rng: &'a mut SimRng,
-    /// Debugger breakpoints armed by the injection layer, read-only here.
-    pub breakpoints: &'a HashMap<ProcId, HashSet<InstrumentedFn>>,
-    /// Byte counters by traffic class.
-    pub traffic: &'a mut TrafficStats,
+    pub cfg: VclConfig,
+    pub addrs: Addrs,
+    pub net: Network<Wire>,
+    /// Outbox, lifecycle hooks and trace, breakpoints, traffic ledger.
+    pub chassis: Chassis<Ev>,
+    pub cmds: Vec<Cmd>,
+    pub disk: DiskStore,
+    pub rng: SimRng,
     /// Run-scoped metrics registry (fed from the trace-event stream).
-    pub metrics: &'a mut VclMetrics,
+    pub metrics: VclMetrics,
 }
 
-impl Ctx<'_> {
-    /// Whether the injection layer armed a breakpoint on `func` for `proc`.
-    pub fn hooks_armed_for(&self, proc: ProcId, func: InstrumentedFn) -> bool {
-        self.breakpoints
-            .get(&proc)
-            .is_some_and(|set| set.contains(&func))
+impl Facilities {
+    /// The facilities of an idle deployment over `net`, at time zero.
+    pub fn new(cfg: VclConfig, addrs: Addrs, net: Network<Wire>, rng: SimRng) -> Self {
+        Facilities {
+            now: SimTime::ZERO,
+            chassis: Chassis::new(cfg.record_trace),
+            cfg,
+            addrs,
+            net,
+            cmds: Vec::new(),
+            disk: DiskStore::default(),
+            rng,
+            metrics: VclMetrics::default(),
+        }
+    }
+
+    /// Moves the clock to `now`, the instant of the event about to be
+    /// handled.
+    pub fn at(&mut self, now: SimTime) -> &mut Self {
+        self.now = now;
+        self
     }
 
     /// Sends `wire` from `from` over `conn`, charging its wire size and
     /// accounting it to its traffic class.
     pub fn send(&mut self, conn: ConnId, from: ProcId, wire: Wire) -> bool {
         let bytes = wire.wire_bytes();
+        let traffic = &mut self.chassis.traffic;
         match &wire {
-            Wire::AppMsg { .. } => self.traffic.app_bytes += bytes,
+            Wire::AppMsg { .. } => traffic.app_bytes += bytes,
             Wire::CkptImage { .. }
             | Wire::CkptLogged { .. }
             | Wire::Image { .. }
-            | Wire::Logs { .. } => self.traffic.ckpt_bytes += bytes,
-            _ => self.traffic.control_bytes += bytes,
+            | Wire::Logs { .. } => traffic.ckpt_bytes += bytes,
+            _ => traffic.control_bytes += bytes,
         }
         self.net.send(self.now, conn, from, wire, bytes)
     }
 
     /// Schedules a cluster event after `delay`.
     pub fn sched(&mut self, delay: SimDuration, ev: Ev) {
-        self.out.push((self.now + delay, ev));
+        self.chassis.emit(self.now + delay, ev);
     }
 
     /// Records a trace event at the current instant. Metrics observe the
     /// event first, so counters stay correct when trace capture is off.
     pub fn trace(&mut self, kind: VclEvent) {
         self.metrics.observe(self.now, &kind);
-        self.tracelog.record(self.now, kind);
+        self.chassis.trace.record(self.now, kind);
     }
 }
 

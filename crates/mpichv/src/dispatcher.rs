@@ -29,7 +29,7 @@ use failmpi_sim::SimDuration;
 use failmpi_mpi::Rank;
 
 use crate::config::{DispatcherMode, VProtocol};
-use crate::ctx::{Cmd, Ctx};
+use crate::ctx::{Cmd, Facilities};
 use crate::trace::VclEvent;
 use crate::wire::Wire;
 
@@ -106,7 +106,7 @@ impl Dispatcher {
     }
 
     /// Initial launch of the whole fleet, staggered like serial ssh.
-    pub fn launch_all(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn launch_all(&mut self, ctx: &mut Facilities) {
         for r in 0..self.n() {
             self.states[r] = RankState::Starting;
             ctx.cmds.push(Cmd::SpawnDaemon {
@@ -160,7 +160,7 @@ impl Dispatcher {
         self.rank_conn[rank.0 as usize].is_some()
     }
 
-    pub fn on_msg(&mut self, conn: ConnId, wire: Wire, ctx: &mut Ctx<'_>) {
+    pub fn on_msg(&mut self, conn: ConnId, wire: Wire, ctx: &mut Facilities) {
         match wire {
             Wire::Register { rank, epoch } => {
                 if epoch != self.epoch_of(rank) {
@@ -218,7 +218,7 @@ impl Dispatcher {
         }
     }
 
-    fn start_run(&mut self, ctx: &mut Ctx<'_>) {
+    fn start_run(&mut self, ctx: &mut Facilities) {
         let hosts = self.machine_of_rank.clone();
         for r in 0..self.n() {
             self.states[r] = RankState::Running;
@@ -238,7 +238,7 @@ impl Dispatcher {
         ctx.trace(VclEvent::RunStarted { epoch: self.epoch });
     }
 
-    fn shutdown(&mut self, ctx: &mut Ctx<'_>) {
+    fn shutdown(&mut self, ctx: &mut Facilities) {
         for conn in self.rank_conn.clone().into_iter().flatten() {
             ctx.send(conn, self.proc, Wire::Shutdown);
         }
@@ -248,7 +248,7 @@ impl Dispatcher {
 
     /// A control stream closed. Graceful closures (normal shutdown) are
     /// ignored; a reset is the failure-detection signal.
-    pub fn on_closed(&mut self, conn: ConnId, peer_died: bool, ctx: &mut Ctx<'_>) {
+    pub fn on_closed(&mut self, conn: ConnId, peer_died: bool, ctx: &mut Facilities) {
         let Some(rank) = self.conn_rank.remove(&conn) else {
             return;
         };
@@ -319,7 +319,7 @@ impl Dispatcher {
     /// First failure detection: stop the world, then relaunch every node
     /// (the victim moves to a spare machine; survivors restart in place so
     /// their local checkpoint images stay usable).
-    fn start_recovery(&mut self, victim: Rank, ctx: &mut Ctx<'_>) {
+    fn start_recovery(&mut self, victim: Rank, ctx: &mut Facilities) {
         self.recovery_active = true;
         self.relaunch_pos = 0;
         self.epoch += 1;
@@ -360,7 +360,7 @@ impl Dispatcher {
         }
     }
 
-    fn relaunch(&mut self, rank: Rank, ctx: &mut Ctx<'_>) {
+    fn relaunch(&mut self, rank: Rank, ctx: &mut Facilities) {
         let r = rank.0 as usize;
         self.states[r] = RankState::Starting;
         // Serial ssh: each relaunch of this recovery queues behind the
@@ -380,7 +380,7 @@ impl Dispatcher {
     /// path — this is why a fault injected *before* registration does not
     /// trigger the bug, and why the paper needed the Fig. 10 scenario to
     /// pin the injection after registration).
-    pub fn on_launch_failed(&mut self, rank: Rank, epoch: u32, ctx: &mut Ctx<'_>) {
+    pub fn on_launch_failed(&mut self, rank: Rank, epoch: u32, ctx: &mut Facilities) {
         if epoch == self.epoch_of(rank) && self.states[rank.0 as usize] == RankState::Starting {
             ctx.trace(VclEvent::LaunchRetried { rank, epoch });
             ctx.cmds.push(Cmd::SpawnDaemon {

@@ -1,7 +1,7 @@
 //! Run-scoped MPICH-Vcl metrics, driven by the trace-event stream.
 //!
 //! [`VclMetrics`] observes every [`VclEvent`] *before* it reaches the
-//! [`failmpi_sim::TraceLog`] (see `Ctx::trace`), which buys two properties
+//! [`failmpi_sim::TraceLog`] (see `Facilities::trace`), which buys two properties
 //! at once: the counters provably agree with trace-derived counts (there
 //! is a property test on exactly that), and they keep working when the
 //! trace itself is disabled (`VclConfig::record_trace = false`) — metrics

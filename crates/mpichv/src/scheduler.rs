@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashSet};
 use failmpi_net::{ConnId, ProcId};
 use failmpi_mpi::Rank;
 
-use crate::ctx::Ctx;
+use crate::ctx::Facilities;
 use crate::event::tokens;
 use crate::trace::VclEvent;
 use crate::wire::Wire;
@@ -46,7 +46,7 @@ impl CkptScheduler {
     }
 
     /// Connects to every checkpoint server (called once at cluster start).
-    pub fn boot(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn boot(&mut self, ctx: &mut Facilities) {
         for (idx, &host) in ctx.addrs.server_hosts.clone().iter().enumerate() {
             ctx.net.connect(
                 ctx.now,
@@ -80,7 +80,7 @@ impl CkptScheduler {
     /// Periodic tick: open a new wave when the previous one is done and
     /// every daemon is connected. Under `Vdummy` there is no checkpointing
     /// at all.
-    pub fn on_tick(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn on_tick(&mut self, ctx: &mut Facilities) {
         if ctx.cfg.protocol != crate::config::VProtocol::Vcl {
             return; // V2 checkpoints per rank; Vdummy not at all
         }
@@ -97,7 +97,7 @@ impl CkptScheduler {
         ctx.trace(VclEvent::WaveStarted { wave });
     }
 
-    pub fn on_msg(&mut self, wire: Wire, ctx: &mut Ctx<'_>) {
+    pub fn on_msg(&mut self, wire: Wire, ctx: &mut Facilities) {
         if let Wire::WaveAck { rank, wave } = wire {
             let complete = match &mut self.in_progress {
                 Some((w, acks)) if *w == wave => {
@@ -122,7 +122,8 @@ impl CkptScheduler {
         self.committed
     }
 
-    /// Whether a wave is currently collecting acks (diagnostic).
+    /// Whether a wave is currently collecting acks.
+    #[cfg(test)]
     pub fn wave_in_progress(&self) -> bool {
         self.in_progress.is_some()
     }
@@ -131,7 +132,7 @@ impl CkptScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestWorld;
+    use crate::testutil::world;
     use failmpi_net::ProcId;
     use failmpi_sim::SimTime;
 
@@ -139,7 +140,7 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn sched_with_conns(_w: &mut TestWorld, n: u32) -> (CkptScheduler, Vec<ConnId>) {
+    fn sched_with_conns(_w: &mut Facilities, n: u32) -> (CkptScheduler, Vec<ConnId>) {
         let mut s = CkptScheduler::new(ProcId(0), n, 1);
         let conns: Vec<ConnId> = (0..n as u64).map(ConnId).collect();
         for &c in &conns {
@@ -150,74 +151,74 @@ mod tests {
 
     #[test]
     fn no_wave_until_all_daemons_connected() {
-        let mut w = TestWorld::new(6);
+        let mut w = world(6);
         let mut s = CkptScheduler::new(ProcId(0), 3, 1);
         s.on_daemon_conn(ConnId(1));
         s.on_daemon_conn(ConnId(2));
-        s.on_tick(&mut w.ctx(t(30)));
+        s.on_tick(w.at(t(30)));
         assert!(!s.wave_in_progress(), "2 of 3 daemons must not start a wave");
         s.on_daemon_conn(ConnId(3));
-        s.on_tick(&mut w.ctx(t(60)));
+        s.on_tick(w.at(t(60)));
         assert!(s.wave_in_progress());
     }
 
     #[test]
     fn commit_requires_every_ack_and_is_single_shot() {
-        let mut w = TestWorld::new(6);
+        let mut w = world(6);
         let (mut s, _) = sched_with_conns(&mut w, 3);
-        s.on_tick(&mut w.ctx(t(30)));
-        s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, &mut w.ctx(t(31)));
-        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, &mut w.ctx(t(31)));
+        s.on_tick(w.at(t(30)));
+        s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, w.at(t(31)));
+        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(31)));
         assert_eq!(s.committed(), None, "commit before the last ack");
         // Duplicate acks from the same rank must not count twice.
-        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, &mut w.ctx(t(32)));
+        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(32)));
         assert_eq!(s.committed(), None, "duplicate ack counted");
-        s.on_msg(Wire::WaveAck { rank: Rank(2), wave: 1 }, &mut w.ctx(t(33)));
+        s.on_msg(Wire::WaveAck { rank: Rank(2), wave: 1 }, w.at(t(33)));
         assert_eq!(s.committed(), Some(1));
         assert!(!s.wave_in_progress());
     }
 
     #[test]
     fn no_overlapping_waves() {
-        let mut w = TestWorld::new(6);
+        let mut w = world(6);
         let (mut s, _) = sched_with_conns(&mut w, 2);
-        s.on_tick(&mut w.ctx(t(30)));
+        s.on_tick(w.at(t(30)));
         assert!(s.wave_in_progress());
         // The next tick is skipped while wave 1 collects acks.
-        s.on_tick(&mut w.ctx(t(60)));
-        s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, &mut w.ctx(t(61)));
-        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, &mut w.ctx(t(61)));
+        s.on_tick(w.at(t(60)));
+        s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, w.at(t(61)));
+        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(61)));
         assert_eq!(s.committed(), Some(1));
         // Only now can the next tick open wave 2.
-        s.on_tick(&mut w.ctx(t(90)));
+        s.on_tick(w.at(t(90)));
         assert!(s.wave_in_progress());
     }
 
     #[test]
     fn daemon_closure_aborts_wave_but_keeps_commit() {
-        let mut w = TestWorld::new(6);
+        let mut w = world(6);
         let (mut s, conns) = sched_with_conns(&mut w, 2);
-        s.on_tick(&mut w.ctx(t(30)));
-        s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, &mut w.ctx(t(31)));
-        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, &mut w.ctx(t(31)));
+        s.on_tick(w.at(t(30)));
+        s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, w.at(t(31)));
+        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(31)));
         assert_eq!(s.committed(), Some(1));
-        s.on_tick(&mut w.ctx(t(60)));
+        s.on_tick(w.at(t(60)));
         assert!(s.wave_in_progress());
         // A daemon dies mid-wave: the wave aborts, the commit survives.
         s.on_closed(conns[0]);
         assert!(!s.wave_in_progress());
         assert_eq!(s.committed(), Some(1));
         // Stale acks from the aborted wave are ignored.
-        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 2 }, &mut w.ctx(t(62)));
+        s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 2 }, w.at(t(62)));
         assert_eq!(s.committed(), Some(1));
     }
 
     #[test]
     fn vdummy_never_ticks() {
-        let mut w = TestWorld::new(6);
+        let mut w = world(6);
         w.cfg.protocol = crate::config::VProtocol::Vdummy;
         let (mut s, _) = sched_with_conns(&mut w, 2);
-        s.on_tick(&mut w.ctx(t(30)));
+        s.on_tick(w.at(t(30)));
         assert!(!s.wave_in_progress());
         assert_eq!(s.committed(), None);
     }

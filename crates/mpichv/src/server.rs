@@ -14,7 +14,7 @@ use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpi::Rank;
 
 use crate::config::VProtocol;
-use crate::ctx::Ctx;
+use crate::ctx::Facilities;
 use crate::event::Ev;
 use crate::wire::{LoggedMsg, ProcImage, Wire};
 
@@ -52,7 +52,7 @@ impl CkptServer {
         }
     }
 
-    pub fn on_msg(&mut self, conn: ConnId, wire: Wire, ctx: &mut Ctx<'_>) {
+    pub fn on_msg(&mut self, conn: ConnId, wire: Wire, ctx: &mut Facilities) {
         match wire {
             Wire::CkptImage { rank, wave, image } => {
                 self.staged.insert(
@@ -166,7 +166,7 @@ impl CkptServer {
     /// The disk write finished: acknowledge the transfer. Under V2 this
     /// also makes the version restartable and prunes older versions of the
     /// same rank (two retained, like the Vcl two-file scheme).
-    pub fn on_write_done(&mut self, conn: ConnId, rank: Rank, wave: u32, ctx: &mut Ctx<'_>) {
+    pub fn on_write_done(&mut self, conn: ConnId, rank: Rank, wave: u32, ctx: &mut Facilities) {
         if let Some(s) = self.staged.get_mut(&(rank, wave)) {
             if s.complete {
                 s.durable = true;
@@ -194,7 +194,7 @@ impl CkptServer {
 mod tests {
     use super::*;
     use crate::event::Ev;
-    use crate::testutil::TestWorld;
+    use crate::testutil::{connect_pair, world};
     use failmpi_mpi::{Interp, ProgramBuilder, Tag};
     use failmpi_sim::SimTime;
 
@@ -211,7 +211,7 @@ mod tests {
 
     fn store_image(
         srv: &mut CkptServer,
-        w: &mut TestWorld,
+        w: &mut Facilities,
         rank: Rank,
         wave: u32,
         bytes: u64,
@@ -221,24 +221,25 @@ mod tests {
         srv.on_msg(
             conn,
             Wire::CkptImage { rank, wave, image: image(bytes) },
-            &mut w.ctx(at),
+            w.at(at),
         );
         srv.on_msg(
             conn,
             Wire::CkptControl { rank, wave, total_bytes: bytes },
-            &mut w.ctx(at),
+            w.at(at),
         );
     }
 
     #[test]
     fn ack_waits_for_the_disk_and_writes_queue() {
-        let mut w = TestWorld::new(6);
+        let mut w = world(6);
         let mut srv = CkptServer::new(ProcId(0), 0);
         // Two 65 MB images arrive back to back: with the default 65 MB/s
         // server disk the acks are scheduled 1 s and 2 s out.
         store_image(&mut srv, &mut w, Rank(0), 1, 65_000_000, t(10));
         store_image(&mut srv, &mut w, Rank(1), 1, 65_000_000, t(10));
         let writes: Vec<SimTime> = w
+            .chassis
             .out
             .iter()
             .filter_map(|(at, ev)| matches!(ev, Ev::ServerWriteDone { .. }).then_some(*at))
@@ -248,20 +249,20 @@ mod tests {
 
     #[test]
     fn commit_prunes_older_waves() {
-        let mut w = TestWorld::new(6);
+        let mut w = world(6);
         let mut srv = CkptServer::new(ProcId(0), 0);
         store_image(&mut srv, &mut w, Rank(0), 1, 100, t(1));
         store_image(&mut srv, &mut w, Rank(0), 2, 100, t(2));
         assert_eq!(srv.staged_count(), 2);
-        srv.on_msg(ConnId(9), Wire::WaveCommit { wave: 2 }, &mut w.ctx(t(3)));
+        srv.on_msg(ConnId(9), Wire::WaveCommit { wave: 2 }, w.at(t(3)));
         assert_eq!(srv.committed(), Some(2));
         assert_eq!(srv.staged_count(), 1, "wave 1 must be pruned");
     }
 
     #[test]
     fn logged_messages_ride_with_the_image() {
-        let mut w = TestWorld::new(6);
-        let (sproc, _client, conn) = w.connect_pair();
+        let mut w = world(6);
+        let (sproc, _client, conn) = connect_pair(&mut w);
         let mut srv = CkptServer::new(sproc, 0);
         store_image(&mut srv, &mut w, Rank(0), 1, 100, t(1));
         srv.on_msg(
@@ -271,13 +272,13 @@ mod tests {
                 wave: 1,
                 msg: LoggedMsg { from: Rank(1), tag: Tag(0), bytes: 42 },
             },
-            &mut w.ctx(t(1)),
+            w.at(t(1)),
         );
-        srv.on_msg(ConnId(9), Wire::WaveCommit { wave: 1 }, &mut w.ctx(t(2)));
+        srv.on_msg(ConnId(9), Wire::WaveCommit { wave: 1 }, w.at(t(2)));
         // Fetch returns the image plus its channel state.
-        w.out.clear();
+        w.chassis.out.clear();
         w.net.take_events();
-        srv.on_msg(conn, Wire::FetchImage { rank: Rank(0) }, &mut w.ctx(t(3)));
+        srv.on_msg(conn, Wire::FetchImage { rank: Rank(0) }, w.at(t(3)));
         // The reply rides the network; it must carry the logged bytes.
         let sent = w.net.take_events();
         assert_eq!(sent.len(), 1);
@@ -293,14 +294,14 @@ mod tests {
 
     #[test]
     fn query_latest_reports_committed_wave_only() {
-        let mut w = TestWorld::new(6);
-        let (sproc, _client, conn) = w.connect_pair();
+        let mut w = world(6);
+        let (sproc, _client, conn) = connect_pair(&mut w);
         let mut srv = CkptServer::new(sproc, 0);
         store_image(&mut srv, &mut w, Rank(0), 1, 100, t(1));
         // Nothing committed yet.
-        srv.on_msg(conn, Wire::QueryLatest { rank: Rank(0) }, &mut w.ctx(t(2)));
-        srv.on_msg(ConnId(9), Wire::WaveCommit { wave: 1 }, &mut w.ctx(t(3)));
-        srv.on_msg(conn, Wire::QueryLatest { rank: Rank(0) }, &mut w.ctx(t(4)));
+        srv.on_msg(conn, Wire::QueryLatest { rank: Rank(0) }, w.at(t(2)));
+        srv.on_msg(ConnId(9), Wire::WaveCommit { wave: 1 }, w.at(t(3)));
+        srv.on_msg(conn, Wire::QueryLatest { rank: Rank(0) }, w.at(t(4)));
         let replies: Vec<Option<u32>> = w
             .net
             .take_events()

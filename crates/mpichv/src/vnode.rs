@@ -42,7 +42,7 @@ use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpi::{Action, Interp, OpStats, Program, Rank, Tag};
 
 use crate::config::{CheckpointStyle, VProtocol};
-use crate::ctx::{Cmd, Ctx};
+use crate::ctx::{Cmd, Facilities};
 use crate::dense::DenseTable;
 use crate::event::{ports, tokens, Ev};
 use crate::trace::{Hook, InstrumentedFn, VclEvent};
@@ -215,12 +215,12 @@ impl VNode {
     /// First action of the fresh daemon process: bind the mesh port. The
     /// service dials happen after the runtime-init delay, in
     /// [`VNode::connect_services`].
-    pub fn boot(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn boot(&mut self, ctx: &mut Facilities) {
         ctx.net.listen(self.proc, ports::daemon(self.rank));
     }
 
     /// Runtime init done: dial dispatcher, scheduler and checkpoint server.
-    pub fn connect_services(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn connect_services(&mut self, ctx: &mut Facilities) {
         if self.phase != Phase::Boot {
             return;
         }
@@ -248,7 +248,7 @@ impl VNode {
         );
     }
 
-    pub fn on_conn_established(&mut self, conn: ConnId, token: u64, ctx: &mut Ctx<'_>) {
+    pub fn on_conn_established(&mut self, conn: ConnId, token: u64, ctx: &mut Facilities) {
         match token {
             tokens::DISPATCHER => self.dispatcher_conn = Some(conn),
             tokens::SCHEDULER => self.scheduler_conn = Some(conn),
@@ -275,7 +275,7 @@ impl VNode {
     }
 
     /// A peer daemon dialled our mesh port; the cluster resolved its rank.
-    pub fn on_peer_accepted(&mut self, conn: ConnId, peer: Rank, ctx: &mut Ctx<'_>) {
+    pub fn on_peer_accepted(&mut self, conn: ConnId, peer: Rank, ctx: &mut Facilities) {
         self.peer_conn.insert(peer.0, conn);
         self.conn_peer.insert(conn, peer);
         // An accept while we are past our own mesh phase is a restarted
@@ -296,7 +296,7 @@ impl VNode {
     /// A mesh dial failed (the peer is not up yet — normal during a
     /// recovery); retry until it appears. Under the historical dispatcher
     /// bug the peer never appears and this retries forever: the freeze.
-    pub fn on_connect_failed(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+    pub fn on_connect_failed(&mut self, token: u64, ctx: &mut Facilities) {
         if let Some(peer) = tokens::peer_of(token) {
             ctx.sched(
                 SimDuration::from_millis(100),
@@ -310,7 +310,7 @@ impl VNode {
     }
 
     /// Re-dial a peer after a failed attempt.
-    pub fn retry_peer_connect(&mut self, peer: Rank, ctx: &mut Ctx<'_>) {
+    pub fn retry_peer_connect(&mut self, peer: Rank, ctx: &mut Facilities) {
         if self.phase != Phase::MeshConnect || self.peer_conn.get(peer.0).is_some() {
             return;
         }
@@ -323,13 +323,13 @@ impl VNode {
         );
     }
 
-    fn check_mesh_complete(&mut self, ctx: &mut Ctx<'_>) {
+    fn check_mesh_complete(&mut self, ctx: &mut Facilities) {
         if self.phase == Phase::MeshConnect && self.peer_conn.len() == self.n_ranks as usize - 1 {
             self.begin_restore(ctx);
         }
     }
 
-    pub fn on_msg(&mut self, conn: ConnId, wire: Wire, ctx: &mut Ctx<'_>) {
+    pub fn on_msg(&mut self, conn: ConnId, wire: Wire, ctx: &mut Facilities) {
         match wire {
             Wire::SetCommand { epoch } => {
                 debug_assert_eq!(epoch, self.epoch);
@@ -337,9 +337,9 @@ impl VNode {
                 // localMPI_setCommand. If the debugger armed a breakpoint,
                 // hold here and tell the injection layer.
                 self.set_command_pending = true;
-                if ctx.hooks_armed_for(self.proc, InstrumentedFn::LocalMpiSetCommand) {
+                if ctx.chassis.armed(self.proc, InstrumentedFn::LocalMpiSetCommand) {
                     self.held_at_set_command = true;
-                    ctx.hooks.push(Hook::Breakpoint {
+                    ctx.chassis.hooks.push(Hook::Breakpoint {
                         host: self.host,
                         proc: self.proc,
                         func: InstrumentedFn::LocalMpiSetCommand,
@@ -544,7 +544,7 @@ impl VNode {
     }
 
     /// The disk read of the local checkpoint finished.
-    pub fn on_disk_loaded(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn on_disk_loaded(&mut self, ctx: &mut Facilities) {
         let Some(Restore::LoadingDisk { wave }) = self.restore else {
             return;
         };
@@ -566,7 +566,7 @@ impl VNode {
     /// Executes `localMPI_setCommand`: acknowledge readiness. Called
     /// directly when no breakpoint is armed, or by the injection layer's
     /// `continue` when the hold is released.
-    pub fn do_set_command(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn do_set_command(&mut self, ctx: &mut Facilities) {
         if !self.set_command_pending {
             return;
         }
@@ -579,7 +579,7 @@ impl VNode {
         }
     }
 
-    fn begin_restore(&mut self, ctx: &mut Ctx<'_>) {
+    fn begin_restore(&mut self, ctx: &mut Facilities) {
         self.phase = Phase::Restoring;
         self.restore = Some(Restore::Query);
         let (rank, proc) = (self.rank, self.proc);
@@ -596,7 +596,7 @@ impl VNode {
         interp: ProcImage,
         logged: Vec<LoggedMsg>,
         from_wave: Option<u32>,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Facilities,
     ) {
         if from_wave.is_some() && !ctx.cfg.restart_overhead.is_zero() {
             self.pending_install = Some((interp, logged, from_wave));
@@ -615,7 +615,7 @@ impl VNode {
     }
 
     /// The BLCR rebuild finished: install the queued image.
-    pub fn on_restore_done(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn on_restore_done(&mut self, ctx: &mut Facilities) {
         if let Some((interp, logged, from_wave)) = self.pending_install.take() {
             self.finish_install(interp, logged, from_wave, ctx);
         }
@@ -628,7 +628,7 @@ impl VNode {
         image: ProcImage,
         logged: Vec<LoggedMsg>,
         from_wave: Option<u32>,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Facilities,
     ) {
         let ProcImage {
             mut interp,
@@ -700,7 +700,7 @@ impl VNode {
     /// markers, open the logging window. A marker arriving while the node is
     /// not computing yet (booting or restoring after a recovery) is
     /// deferred until computation resumes.
-    fn maybe_start_checkpoint(&mut self, wave: u32, ctx: &mut Ctx<'_>) {
+    fn maybe_start_checkpoint(&mut self, wave: u32, ctx: &mut Facilities) {
         if wave <= self.last_wave || self.ckpt.is_some() {
             return;
         }
@@ -771,7 +771,7 @@ impl VNode {
         self.check_ckpt_done(ctx);
     }
 
-    fn check_ckpt_done(&mut self, ctx: &mut Ctx<'_>) {
+    fn check_ckpt_done(&mut self, ctx: &mut Facilities) {
         let done = self
             .ckpt
             .as_ref()
@@ -798,7 +798,7 @@ impl VNode {
     }
 
     /// V2: resend every logged message for `rank` with sequence ≥ `seq`.
-    fn replay_to(&mut self, rank: Rank, seq: u64, ctx: &mut Ctx<'_>) {
+    fn replay_to(&mut self, rank: Rank, seq: u64, ctx: &mut Facilities) {
         let entries: Vec<(Tag, u64, u64)> = self
             .send_log
             .iter()
@@ -826,7 +826,7 @@ impl VNode {
     /// it is delivered (draining any buffered successors); above it it is
     /// held until the gap closes (replay racing fresh traffic on a new
     /// stream).
-    fn v2_receive(&mut self, from: Rank, tag: Tag, bytes: u64, seq: u64, ctx: &mut Ctx<'_>) {
+    fn v2_receive(&mut self, from: Rank, tag: Tag, bytes: u64, seq: u64, ctx: &mut Facilities) {
         let expected = self.recv_seq.entry(from).or_insert(0);
         if seq < *expected {
             return; // duplicate from a re-execution
@@ -864,7 +864,7 @@ impl VNode {
     }
 
     /// V2: take an uncoordinated per-rank checkpoint and ship it.
-    pub fn on_self_ckpt(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn on_self_ckpt(&mut self, ctx: &mut Facilities) {
         if self.phase != Phase::Running || ctx.cfg.protocol != VProtocol::V2 {
             return;
         }
@@ -916,7 +916,7 @@ impl VNode {
     }
 
     /// A compute phase ended.
-    pub fn on_compute_done(&mut self, gen: u64, ctx: &mut Ctx<'_>) {
+    pub fn on_compute_done(&mut self, gen: u64, ctx: &mut Facilities) {
         if gen != self.busy_gen || self.phase != Phase::Running {
             return;
         }
@@ -938,7 +938,7 @@ impl VNode {
     }
 
     /// Drives the MPI process until it blocks, computes, or finishes.
-    pub fn pump(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn pump(&mut self, ctx: &mut Facilities) {
         if self.frozen || self.busy || self.phase != Phase::Running {
             return;
         }
@@ -1034,15 +1034,15 @@ impl VNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestWorld;
+    use crate::testutil::{connect_pair, world};
     use failmpi_mpi::ProgramBuilder;
     use failmpi_net::NetEvent;
 
     #[test]
     fn v2_image_lists_the_peers_sent_to_and_a_parked_arrival_keeps_its_cursor() {
-        let mut w = TestWorld::new(8);
+        let mut w = world(8);
         w.cfg.protocol = VProtocol::V2;
-        let (_server, proc, server_conn) = w.connect_pair();
+        let (_server, proc, server_conn) = connect_pair(&mut w);
         let program = ProgramBuilder::new(1000)
             .send(Rank(3), Tag(0), 8)
             .send(Rank(0), Tag(0), 8)
@@ -1057,7 +1057,7 @@ mod tests {
         let now = SimTime::from_secs(1);
 
         // Three sends to two peers, then the process blocks on rank 2.
-        v.pump(&mut w.ctx(now));
+        v.pump(w.at(now));
         assert_eq!(v.ops.sends.get(), 3);
         // Rank 2's second message overtakes its first: parked, not delivered.
         let early = Wire::AppMsg {
@@ -1066,11 +1066,11 @@ mod tests {
             bytes: 8,
             seq: 1,
         };
-        v.on_msg(ConnId(77), early, &mut w.ctx(now));
+        v.on_msg(ConnId(77), early, w.at(now));
         assert_eq!(v.ops.recvs.get(), 0);
         assert_eq!(v.reorder[&Rank(2)].len(), 1);
 
-        v.on_self_ckpt(&mut w.ctx(now));
+        v.on_self_ckpt(w.at(now));
         let image = w
             .net
             .take_events()

@@ -8,6 +8,7 @@ use failmpi_mpichv::{
     run_standalone, CheckpointStyle, Cluster, DispatcherMode, Ev, Hook, InstrumentedFn,
     VclConfig, VclEvent,
 };
+use failmpi_backend::ProtocolBackend;
 use failmpi_net::{HostId, ProcId};
 use failmpi_sim::{Engine, Model, RunOutcome, Scheduler, SimDuration, SimTime};
 use failmpi_mpi::Program;

@@ -20,7 +20,7 @@
 //! Determinism contract: allocation *counts* for a fixed binary are
 //! schedule-deterministic (same seed → same counts), but they shift with
 //! toolchain and dependency versions, so CI gates them only via same-binary
-//! double runs, never across builds (see `failmpi-prof diff --skip-alloc`).
+//! double runs (`cmp` of two profiles), never across builds.
 
 use std::cell::Cell;
 

@@ -1,17 +1,12 @@
 //! Analysis library behind the `failmpi-prof` binary.
 //!
 //! Consumes the deterministic [`RunProfile`] JSON written by `--profile
-//! PATH` (`figure <name>`, soak) and renders it for
-//! humans and CI gates:
+//! PATH` (`figure <name>`, soak) and renders it:
 //!
 //! * [`report`] — top-N attribution tables (allocations per event kind,
 //!   payload copies per hop, queue telemetry, span tree) with per-layer
 //!   rollups. Every event kind maps to a named layer
 //!   ([`layer_of_kind`]), so attribution coverage is explicit.
-//! * [`diff`] — two profiles → regression table. Counters are
-//!   schedule-deterministic, so CI pins them exactly
-//!   (`--fail-on-regression`); allocation counters can be excluded when
-//!   comparing across toolchains (`--skip-alloc`).
 //! * [`top`] — per-backend comparison of normalized rates
 //!   (allocs/event, bytes-copied/event, burst percentiles) across
 //!   vcl/ulfm/replica profiles.
@@ -221,125 +216,6 @@ pub fn report(p: &RunProfile, top_n: usize, by: SortBy) -> String {
     out
 }
 
-/// Options for [`diff`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DiffOptions {
-    /// Allowed relative growth in percent before a counter counts as a
-    /// regression (`0.0` = exact pin, the CI default for same-binary
-    /// runs).
-    pub tolerance_pct: f64,
-    /// Skip allocation counters (they are deterministic per binary but
-    /// shift across toolchains; copy/queue/span counters never do).
-    pub skip_alloc: bool,
-}
-
-/// Outcome of [`diff`].
-#[derive(Clone, Debug)]
-pub struct DiffReport {
-    /// Rendered regression table.
-    pub rendered: String,
-    /// Counters where `b` exceeded `a` beyond the tolerance.
-    pub regressions: usize,
-}
-
-fn diff_row(
-    out: &mut String,
-    regressions: &mut usize,
-    name: &str,
-    a: u64,
-    b: u64,
-    tolerance_pct: f64,
-) {
-    if a == b {
-        return;
-    }
-    let limit = a as f64 * (1.0 + tolerance_pct / 100.0);
-    let regressed = b as f64 > limit;
-    if regressed {
-        *regressions += 1;
-    }
-    let pct = if a == 0 {
-        "inf".to_string()
-    } else {
-        format!("{:+.2}%", 100.0 * (b as f64 - a as f64) / a as f64)
-    };
-    let _ = writeln!(
-        out,
-        "  {:<40} {:>14} -> {:<14} {:>9} {}",
-        name,
-        a,
-        b,
-        pct,
-        if regressed { "REGRESSION" } else { "improved" }
-    );
-}
-
-/// Compares profile `b` (candidate) against `a` (baseline) counter by
-/// counter. Deterministic counters (events, copies, queue, spans) plus —
-/// unless skipped — allocation counters. Any counter of `b` above the
-/// tolerance envelope of `a` is a regression; counters that shrank are
-/// listed as improvements.
-pub fn diff(a: &RunProfile, b: &RunProfile, opts: DiffOptions) -> DiffReport {
-    let mut out = String::new();
-    let mut regressions = 0usize;
-    if a.backend != b.backend {
-        let _ = writeln!(
-            out,
-            "  warning: comparing backend `{}` against `{}`",
-            a.backend, b.backend
-        );
-    }
-    let tol = opts.tolerance_pct;
-    diff_row(&mut out, &mut regressions, "events", a.events, b.events, tol);
-    diff_row(&mut out, &mut regressions, "queue.pushes", a.queue.pushes, b.queue.pushes, tol);
-    diff_row(&mut out, &mut regressions, "queue.pops", a.queue.pops, b.queue.pops, tol);
-    diff_row(
-        &mut out,
-        &mut regressions,
-        "queue.burst.p99",
-        a.queue.burst.quantile_upper_bound(0.99),
-        b.queue.burst.quantile_upper_bound(0.99),
-        tol,
-    );
-    diff_row(
-        &mut out,
-        &mut regressions,
-        "queue.depth.max",
-        a.queue.depth.max,
-        b.queue.depth.max,
-        tol,
-    );
-    for hop in a.copies.keys().chain(b.copies.keys()).collect::<std::collections::BTreeSet<_>>() {
-        let av = a.copies.get(hop).cloned().unwrap_or_default();
-        let bv = b.copies.get(hop).cloned().unwrap_or_default();
-        diff_row(&mut out, &mut regressions, &format!("copies.{hop}.count"), av.count, bv.count, tol);
-        diff_row(&mut out, &mut regressions, &format!("copies.{hop}.bytes"), av.bytes, bv.bytes, tol);
-    }
-    if !opts.skip_alloc {
-        for kind in a.alloc.keys().chain(b.alloc.keys()).collect::<std::collections::BTreeSet<_>>() {
-            let av = a.alloc.get(kind).cloned().unwrap_or_default();
-            let bv = b.alloc.get(kind).cloned().unwrap_or_default();
-            diff_row(&mut out, &mut regressions, &format!("alloc.{kind}.events"), av.events, bv.events, tol);
-            diff_row(&mut out, &mut regressions, &format!("alloc.{kind}.allocs"), av.allocs, bv.allocs, tol);
-            diff_row(&mut out, &mut regressions, &format!("alloc.{kind}.bytes"), av.bytes, bv.bytes, tol);
-        }
-    }
-    for path in a.spans.keys().chain(b.spans.keys()).collect::<std::collections::BTreeSet<_>>() {
-        let av = a.spans.get(path).cloned().unwrap_or_default();
-        let bv = b.spans.get(path).cloned().unwrap_or_default();
-        diff_row(&mut out, &mut regressions, &format!("spans.{path}.count"), av.count, bv.count, tol);
-    }
-    if out.is_empty() {
-        out.push_str("  no differences\n");
-    }
-    let header = format!(
-        "diff: {} counter(s) changed, {} regression(s)\n",
-        out.lines().filter(|l| l.contains("->")).count(),
-        regressions
-    );
-    DiffReport { rendered: header + &out, regressions }
-}
-
 /// Renders the per-backend comparison table across several profiles
 /// (typically one per backend: vcl, ulfm, replica).
 pub fn top(profiles: &[(String, RunProfile)]) -> String {
@@ -416,35 +292,6 @@ mod tests {
         assert_eq!(SortBy::parse("time"), Some(SortBy::Events));
         assert_eq!(SortBy::parse("allocs"), Some(SortBy::Allocs));
         assert_eq!(SortBy::parse("bogus"), None);
-    }
-
-    #[test]
-    fn diff_of_identical_profiles_is_clean() {
-        let p = sample();
-        let d = diff(&p, &p, DiffOptions::default());
-        assert_eq!(d.regressions, 0);
-        assert!(d.rendered.contains("no differences"), "{}", d.rendered);
-    }
-
-    #[test]
-    fn diff_flags_growth_and_respects_tolerance_and_skip_alloc() {
-        let a = sample();
-        let mut b = sample();
-        b.copies.get_mut("net.enqueue").unwrap().bytes = 210_000; // +5%
-        b.alloc.get_mut("net.delivered").unwrap().allocs = 240;
-        let strict = diff(&a, &b, DiffOptions::default());
-        assert_eq!(strict.regressions, 2, "{}", strict.rendered);
-        assert!(strict.rendered.contains("REGRESSION"));
-        let tolerant = diff(
-            &a,
-            &b,
-            DiffOptions { tolerance_pct: 10.0, skip_alloc: true },
-        );
-        assert_eq!(tolerant.regressions, 0, "{}", tolerant.rendered);
-        // Shrinkage is an improvement, not a regression.
-        let shrunk = diff(&b, &a, DiffOptions::default());
-        assert_eq!(shrunk.regressions, 0, "{}", shrunk.rendered);
-        assert!(shrunk.rendered.contains("improved"));
     }
 
     #[test]

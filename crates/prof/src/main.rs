@@ -2,22 +2,17 @@
 //!
 //! ```text
 //! failmpi-prof report PROFILE [--top N] [--by allocs|bytes|events|time]
-//! failmpi-prof diff BASELINE CANDIDATE [--fail-on-regression]
-//!              [--tolerance PCT] [--skip-alloc]
 //! failmpi-prof top PROFILE...
 //! failmpi-prof flame PROFILE [--out PATH]
 //! ```
 //!
 //! `PROFILE` files are the JSON written by `figure <name>` or soak
-//! under `--profile PATH`. `diff` exits 1 when
-//! `--fail-on-regression` is given and any counter of CANDIDATE grew
-//! beyond the tolerance — the CI gate for the hot-loop optimization
-//! work. `flame` emits collapsed-stack lines for standard flamegraph
-//! tooling (`flamegraph.pl`, speedscope, inferno).
+//! under `--profile PATH`. `flame` emits collapsed-stack lines for
+//! standard flamegraph tooling (`flamegraph.pl`, speedscope, inferno).
 
 use std::process::ExitCode;
 
-use failmpi_prof::{diff, report, top, DiffOptions, RunProfile, SortBy};
+use failmpi_prof::{report, top, RunProfile, SortBy};
 
 fn die(msg: &str) -> ! {
     eprintln!("failmpi-prof: {msg}");
@@ -32,7 +27,7 @@ fn load(path: &str) -> RunProfile {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let usage = "usage: failmpi-prof <report|diff|top|flame> ... (see --help per command)";
+    let usage = "usage: failmpi-prof <report|top|flame> ... (see --help per command)";
     let Some(cmd) = args.next() else { die(usage) };
     match cmd.as_str() {
         "report" => {
@@ -63,39 +58,6 @@ fn main() -> ExitCode {
             }
             let path = path.unwrap_or_else(|| die("report needs a PROFILE path"));
             print!("{}", report(&load(&path), top_n, by));
-            ExitCode::SUCCESS
-        }
-        "diff" => {
-            let mut paths = Vec::new();
-            let mut fail_on_regression = false;
-            let mut opts = DiffOptions::default();
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--fail-on-regression" => fail_on_regression = true,
-                    "--skip-alloc" => opts.skip_alloc = true,
-                    "--tolerance" => {
-                        opts.tolerance_pct = args
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| die("--tolerance needs a percentage"))
-                    }
-                    "--help" | "-h" => die(
-                        "usage: failmpi-prof diff BASELINE CANDIDATE \
-                         [--fail-on-regression] [--tolerance PCT] [--skip-alloc]",
-                    ),
-                    other if !other.starts_with('-') => paths.push(other.to_string()),
-                    other => die(&format!("unknown argument `{other}`")),
-                }
-            }
-            let [a, b] = paths.as_slice() else {
-                die("diff needs exactly BASELINE and CANDIDATE paths")
-            };
-            let d = diff(&load(a), &load(b), opts);
-            print!("{}", d.rendered);
-            if fail_on_regression && d.regressions > 0 {
-                eprintln!("failmpi-prof: {} regression(s) against {a}", d.regressions);
-                return ExitCode::FAILURE;
-            }
             ExitCode::SUCCESS
         }
         "top" => {

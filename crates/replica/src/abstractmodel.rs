@@ -15,22 +15,10 @@
 //! away); simultaneous pair deaths are still covered because the explorer
 //! interleaves the two faults in both orders.
 
+use failmpi_backend::vocab::{self, AbstractModel};
 use failmpi_backend::{
-    vocab, AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
+    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
 };
-
-/// Whether a slot in `phase` has a live process. [`AbstractPhase::Done`]
-/// is a consumed/dead replica and [`AbstractPhase::Lost`] a dead primary —
-/// neither can be killed again.
-fn phase_live(phase: AbstractPhase) -> bool {
-    matches!(
-        phase,
-        AbstractPhase::Booted
-            | AbstractPhase::Registered
-            | AbstractPhase::Ready
-            | AbstractPhase::Running
-    )
-}
 
 /// The abstract replication protocol state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,103 +41,6 @@ impl AbstractReplica {
             units: vocab::launch_slots(n_ranks + n_replicas),
             n_ranks: n_ranks as u8,
             epoch: 0,
-        }
-    }
-
-    /// Number of process units (primaries + replicas).
-    pub fn n_units(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Number of primary (rank) slots.
-    pub fn n_ranks(&self) -> usize {
-        self.n_ranks as usize
-    }
-
-    /// Whether unit `u` has a live process.
-    pub fn unit_live(&self, u: usize) -> bool {
-        phase_live(self.units[u].phase)
-    }
-
-    /// The unit whose live process runs on `host`, if any.
-    pub fn live_rank_on_host(&self, host: u8) -> Option<u8> {
-        vocab::live_slot_on_host(&self.units, host, phase_live)
-    }
-
-    /// The steady computing state: every unit computes or was consumed,
-    /// and no primary is lost.
-    pub fn all_running(&self) -> bool {
-        self.units
-            .iter()
-            .all(|u| matches!(u.phase, AbstractPhase::Running | AbstractPhase::Done))
-            && self.lost_rank().is_none()
-    }
-
-    /// The first permanently-lost primary, if replication was exhausted.
-    pub fn lost_rank(&self) -> Option<u8> {
-        self.units[..self.n_ranks as usize]
-            .iter()
-            .position(|u| u.phase == AbstractPhase::Lost)
-            .map(|u| u as u8)
-    }
-
-    /// Orbit metadata for symmetry reduction: protocol content visible on
-    /// machine `host`.
-    pub fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
-        (vocab::host_content(&self.units, host), None)
-    }
-
-    /// Relabels machines and unit slots. Unit permutations must respect
-    /// the primary/replica pairing; the checker's symmetry profile
-    /// disables rank symmetry for this backend, so `rank_map` is always
-    /// the identity in practice.
-    pub fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractReplica {
-        AbstractReplica {
-            units: vocab::relabel_slots(&self.units, host_map, rank_map),
-            n_ranks: self.n_ranks,
-            epoch: self.epoch,
-        }
-    }
-
-    /// Every enabled protocol-internal step, in canonical unit order.
-    pub fn protocol_steps(&self) -> Vec<AbstractStep> {
-        vocab::protocol_steps(&self.units)
-    }
-
-    /// Applies `step`, appending the observable [`AbstractEvent`]s.
-    pub fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
-        match step {
-            AbstractStep::Spawn(u) => vocab::spawn(&mut self.units, u, events),
-            AbstractStep::Register(u) => vocab::register(&mut self.units, u),
-            AbstractStep::Ready(u) => {
-                vocab::ack_ready(&mut self.units, u);
-                // A unit starts computing once every other live slot is at
-                // least Ready: the initial start barrier, and — because a
-                // promoted unit rejoining a Running fleet also satisfies
-                // it — the bar-free rejoin after a failover.
-                let can_run = self.units.iter().all(|k| {
-                    matches!(
-                        k.phase,
-                        AbstractPhase::Ready
-                            | AbstractPhase::Running
-                            | AbstractPhase::Done
-                            | AbstractPhase::Lost
-                    )
-                });
-                if can_run {
-                    for k in &mut self.units {
-                        if k.phase == AbstractPhase::Ready {
-                            k.phase = AbstractPhase::Running;
-                        }
-                    }
-                }
-            }
-            AbstractStep::Fault(u) => self.fault(u as usize, events),
-            AbstractStep::StopClosure(_)
-            | AbstractStep::WaveStart
-            | AbstractStep::WaveCommit => {
-                panic!("step {step:?} is never enabled under the replica backend")
-            }
         }
     }
 
@@ -190,6 +81,106 @@ impl AbstractReplica {
         } else {
             // Replica death: the shadowed rank merely loses protection.
             self.units[u].phase = AbstractPhase::Done;
+        }
+    }
+}
+
+/// Promotion is atomic here, so there is no recovery window; there is no
+/// checkpoint wave and no spare-machine queue either.
+impl AbstractModel for AbstractReplica {
+    fn slots(&self) -> &[AbstractRank] {
+        &self.units
+    }
+
+    /// [`AbstractPhase::Done`] is a consumed/dead replica and
+    /// [`AbstractPhase::Lost`] a dead primary — neither can be killed
+    /// again.
+    fn unit_live(&self, u: usize) -> bool {
+        matches!(
+            self.units[u].phase,
+            AbstractPhase::Booted
+                | AbstractPhase::Registered
+                | AbstractPhase::Ready
+                | AbstractPhase::Running
+        )
+    }
+
+    /// Every unit computes or was consumed, and no primary is lost.
+    fn all_running(&self) -> bool {
+        self.units
+            .iter()
+            .all(|u| matches!(u.phase, AbstractPhase::Running | AbstractPhase::Done))
+            && self.lost_rank().is_none()
+    }
+
+    /// The first permanently-lost primary, if replication was exhausted.
+    fn lost_rank(&self) -> Option<u8> {
+        self.units[..self.n_ranks as usize]
+            .iter()
+            .position(|u| u.phase == AbstractPhase::Lost)
+            .map(|u| u as u8)
+    }
+
+    fn freeze_reason(&self) -> &'static str {
+        "replication exhausted"
+    }
+
+    fn lost_note(&self, rank: u8) -> String {
+        format!("no usable replica remains for rank {rank} — permanently lost")
+    }
+
+    /// Ranks keep the "rank N" spelling; replica shadows name their rank.
+    fn unit_desc(&self, u: usize) -> String {
+        match u.checked_sub(self.n_ranks as usize) {
+            Some(j) => format!("replica[{j}] of rank {j}"),
+            None => format!("rank {u}"),
+        }
+    }
+
+    /// Unit permutations must respect the primary/replica pairing; the
+    /// checker's symmetry profile disables rank symmetry for this backend,
+    /// so `rank_map` is always the identity in practice.
+    fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractReplica {
+        AbstractReplica {
+            units: vocab::relabel_slots(&self.units, host_map, rank_map),
+            n_ranks: self.n_ranks,
+            epoch: self.epoch,
+        }
+    }
+
+    fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
+        match step {
+            AbstractStep::Spawn(u) => vocab::spawn(&mut self.units, u, events),
+            AbstractStep::Register(u) => vocab::register(&mut self.units, u),
+            AbstractStep::Ready(u) => {
+                vocab::ack_ready(&mut self.units, u);
+                // A unit starts computing once every other live slot is at
+                // least Ready: the initial start barrier, and — because a
+                // promoted unit rejoining a Running fleet also satisfies
+                // it — the bar-free rejoin after a failover.
+                let can_run = self.units.iter().all(|k| {
+                    matches!(
+                        k.phase,
+                        AbstractPhase::Ready
+                            | AbstractPhase::Running
+                            | AbstractPhase::Done
+                            | AbstractPhase::Lost
+                    )
+                });
+                if can_run {
+                    for k in &mut self.units {
+                        if k.phase == AbstractPhase::Ready {
+                            k.phase = AbstractPhase::Running;
+                        }
+                    }
+                }
+            }
+            AbstractStep::Fault(u) => self.fault(u as usize, events),
+            AbstractStep::StopClosure(_)
+            | AbstractStep::WaveStart
+            | AbstractStep::WaveCommit => {
+                panic!("step {step:?} is never enabled under the replica backend")
+            }
         }
     }
 }

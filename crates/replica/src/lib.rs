@@ -31,4 +31,4 @@ pub mod abstractmodel;
 mod policy;
 
 pub use abstractmodel::AbstractReplica;
-pub use policy::{Failover, PromoteDone, ReplEv, ReplicaCluster};
+pub use policy::{Failover, PromoteDone};

@@ -13,16 +13,6 @@ const OP_SYNC_BYTES: u64 = 2048;
 /// Control bytes per promotion handshake.
 const PROMOTE_CONTROL_BYTES: u64 = 1024;
 
-/// The replicated deployment: `n_ranks` primaries on hosts `0..n_ranks`
-/// (units `0..n_ranks`), replicas for ranks `0..n_replicas` on the spare
-/// hosts (unit `n_ranks + j` shadows rank `j`), where `n_replicas =
-/// min(n_ranks, n_hosts − n_ranks)` — partial replication exactly like
-/// PartRePer-MPI when spares are scarce.
-pub type ReplicaCluster = LightRuntime<Failover>;
-
-/// One scheduled event of the replication runtime.
-pub type ReplEv = LightEv<PromoteDone>;
-
 /// The promotion handshake for rank `rank` completed (stale generations
 /// — a superseding death — are ignored).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,6 +59,12 @@ struct Protection {
 }
 
 /// Replication's recovery state: which ranks still have a stand-in.
+///
+/// `LightRuntime<Failover>` deploys `n_ranks` primaries on hosts
+/// `0..n_ranks` (units `0..n_ranks`) and replicas for ranks
+/// `0..n_replicas` on the spare hosts (unit `n_ranks + j` shadows rank
+/// `j`), where `n_replicas = min(n_ranks, n_hosts − n_ranks)` — partial
+/// replication exactly like PartRePer-MPI when spares are scarce.
 #[derive(Default)]
 pub struct Failover {
     ranks: Vec<Protection>,
@@ -80,19 +76,19 @@ pub struct Failover {
 }
 
 /// The replica unit shadowing `rank`, if it exists at all.
-fn replica_unit(rt: &ReplicaCluster, rank: u32) -> Option<u32> {
+fn replica_unit(rt: &LightRuntime<Failover>, rank: u32) -> Option<u32> {
     (rank < rt.policy.n_replicas).then_some(rt.streams.len() as u32 + rank)
 }
 
 /// Whether `rank` is currently protected: an unspent, live, registered
 /// replica stands by.
-fn rank_protected(rt: &ReplicaCluster, rank: u32) -> bool {
+fn rank_protected(rt: &LightRuntime<Failover>, rank: u32) -> bool {
     !rt.policy.ranks[rank as usize].replica_spent
         && replica_unit(rt, rank)
             .is_some_and(|ru| rt.units[ru as usize].alive && rt.units[ru as usize].registered)
 }
 
-fn begin_promotion(rt: &mut ReplicaCluster, now: SimTime, rank: u32) {
+fn begin_promotion(rt: &mut LightRuntime<Failover>, now: SimTime, rank: u32) {
     let r = rank as usize;
     let Some(ru) = replica_unit(rt, rank) else {
         return lose_rank(rt, rank);
@@ -107,7 +103,7 @@ fn begin_promotion(rt: &mut ReplicaCluster, now: SimTime, rank: u32) {
     }
     rt.policy.ranks[r].promoting = true;
     rt.policy.ranks[r].promote_gen += 1;
-    rt.traffic.control_bytes += PROMOTE_CONTROL_BYTES;
+    rt.chassis.traffic.control_bytes += PROMOTE_CONTROL_BYTES;
     failmpi_obs::prof::copy("replica.promote", PROMOTE_CONTROL_BYTES);
     rt.begin_recovery(now);
     let gen = rt.policy.ranks[r].promote_gen;
@@ -117,7 +113,7 @@ fn begin_promotion(rt: &mut ReplicaCluster, now: SimTime, rank: u32) {
     );
 }
 
-fn lose_rank(rt: &mut ReplicaCluster, rank: u32) {
+fn lose_rank(rt: &mut LightRuntime<Failover>, rank: u32) {
     let st = &mut rt.policy.ranks[rank as usize];
     if !st.lost {
         st.lost = true;
@@ -169,7 +165,7 @@ impl RecoveryPolicy for Failover {
         (policy, n_ranks + n_replicas)
     }
 
-    fn on_detect(rt: &mut ReplicaCluster, now: SimTime, unit: u32) {
+    fn on_detect(rt: &mut LightRuntime<Failover>, now: SimTime, unit: u32) {
         if rt.units[unit as usize].alive {
             return;
         }
@@ -213,7 +209,7 @@ impl RecoveryPolicy for Failover {
         rt.maybe_start(now);
     }
 
-    fn on_recovery_done(rt: &mut ReplicaCluster, now: SimTime, done: PromoteDone) {
+    fn on_recovery_done(rt: &mut LightRuntime<Failover>, now: SimTime, done: PromoteDone) {
         let PromoteDone { rank, gen } = done;
         let r = rank as usize;
         let st = &rt.policy.ranks[r];
@@ -242,7 +238,7 @@ impl RecoveryPolicy for Failover {
         rt.maybe_start(now);
     }
 
-    fn start_blocked(rt: &ReplicaCluster) -> bool {
+    fn start_blocked(rt: &LightRuntime<Failover>) -> bool {
         rt.policy
             .ranks
             .iter()
@@ -251,30 +247,30 @@ impl RecoveryPolicy for Failover {
 
     /// A lost rank can never finalize: the job only completes when every
     /// rank finished.
-    fn job_done(rt: &ReplicaCluster) -> bool {
+    fn job_done(rt: &LightRuntime<Failover>) -> bool {
         rt.streams.iter().all(|st| st.finished)
     }
 
-    fn stream_lost(rt: &ReplicaCluster, s: usize) -> bool {
+    fn stream_lost(rt: &LightRuntime<Failover>, s: usize) -> bool {
         rt.policy.ranks[s].lost
     }
 
-    fn stream_blocked(rt: &ReplicaCluster, s: usize) -> bool {
+    fn stream_blocked(rt: &LightRuntime<Failover>, s: usize) -> bool {
         rt.policy.ranks[s].promoting
     }
 
     /// State shadowing: the primary streams its post-op state to the
     /// replica.
-    fn op_extra_traffic(rt: &mut ReplicaCluster, s: usize) {
+    fn op_extra_traffic(rt: &mut LightRuntime<Failover>, s: usize) {
         if rank_protected(rt, s as u32) {
-            rt.traffic.ckpt_bytes += OP_SYNC_BYTES;
+            rt.chassis.traffic.ckpt_bytes += OP_SYNC_BYTES;
             failmpi_obs::prof::copy("replica.sync", OP_SYNC_BYTES);
         }
     }
 
     /// A promotion may have been waiting for this replica to finish
     /// booting.
-    fn unit_changed(rt: &mut ReplicaCluster, now: SimTime, unit: usize, change: UnitChange) {
+    fn unit_changed(rt: &mut LightRuntime<Failover>, now: SimTime, unit: usize, change: UnitChange) {
         let n = rt.streams.len();
         if change == UnitChange::Registered && unit >= n && rt.policy.ranks[unit - n].promote_wait {
             rt.policy.ranks[unit - n].promote_wait = false;
@@ -282,7 +278,7 @@ impl RecoveryPolicy for Failover {
         }
     }
 
-    fn contribute_metrics(rt: &ReplicaCluster, snap: &mut MetricsSnapshot) {
+    fn contribute_metrics(rt: &LightRuntime<Failover>, snap: &mut MetricsSnapshot) {
         let p = &rt.policy;
         snap.set_counter("replica.faults_detected", p.faults_detected.get());
         snap.set_counter("replica.promotions", rt.recoveries_started());

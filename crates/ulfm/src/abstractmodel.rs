@@ -14,15 +14,8 @@
 //! which is exactly why Fig. 10's stale-dispatcher freeze cannot occur
 //! here.
 
-use failmpi_backend::{
-    vocab, AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP,
-};
-
-/// Whether a slot in `phase` has a live process ([`AbstractPhase::Done`]
-/// means shrunk away here — dead, unlike Vcl's finalized-but-alive).
-fn phase_live(phase: AbstractPhase) -> bool {
-    phase.process_alive() && phase != AbstractPhase::Done
-}
+use failmpi_backend::vocab::{self, AbstractModel};
+use failmpi_backend::{AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP};
 
 /// The abstract ULFM protocol state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,24 +40,51 @@ impl AbstractUlfm {
         }
     }
 
-    /// Number of rank slots.
-    pub fn n_ranks(&self) -> usize {
-        self.ranks.len()
+    /// A fault kills the live process of `rank`: the survivors' errhandler
+    /// fires and every computing/acked survivor re-enters the agreement
+    /// (demoted to `Registered`, owing a fresh `Ready` ack).
+    fn fault(&mut self, r: usize, events: &mut Vec<AbstractEvent>) {
+        if !self.unit_live(r) {
+            return;
+        }
+        let host = self.ranks[r].host;
+        events.push(AbstractEvent::OnError { host });
+        events.push(AbstractEvent::FailureDetected {
+            rank: r as u8,
+            during_recovery: self.recovery_active,
+        });
+        self.ranks[r].phase = AbstractPhase::Done;
+        if !self.recovery_active {
+            self.recovery_active = true;
+            self.epoch = (self.epoch + 1).min(EPOCH_CAP);
+            events.push(AbstractEvent::EpochBumped(self.epoch));
+        }
+        for k in &mut self.ranks {
+            if matches!(k.phase, AbstractPhase::Running | AbstractPhase::Ready) {
+                k.phase = AbstractPhase::Registered;
+            }
+        }
+    }
+}
+
+/// ULFM has no stale dispatcher entry — a rank is shrunk (`Done`) or live,
+/// never `Lost` — no checkpoint wave and no spare machine, so every
+/// defaulted question but the recovery window keeps its "no".
+impl AbstractModel for AbstractUlfm {
+    fn slots(&self) -> &[AbstractRank] {
+        &self.ranks
     }
 
-    /// Whether rank `r` still has a live process.
-    pub fn rank_live(&self, r: usize) -> bool {
-        phase_live(self.ranks[r].phase)
+    /// [`AbstractPhase::Done`] means shrunk away here — dead, unlike Vcl's
+    /// finalized-but-alive.
+    fn unit_live(&self, r: usize) -> bool {
+        let phase = self.ranks[r].phase;
+        phase.process_alive() && phase != AbstractPhase::Done
     }
 
-    /// The rank whose live process runs on `host`, if any.
-    pub fn live_rank_on_host(&self, host: u8) -> Option<u8> {
-        vocab::live_slot_on_host(&self.ranks, host, phase_live)
-    }
-
-    /// The steady computing state: every rank is either computing or
-    /// shrunk away, at least one computes, and no agreement is pending.
-    pub fn all_running(&self) -> bool {
+    /// Every rank is either computing or shrunk away, at least one
+    /// computes, and no agreement is pending.
+    fn all_running(&self) -> bool {
         !self.recovery_active
             && self
                 .ranks
@@ -73,22 +93,11 @@ impl AbstractUlfm {
             && self.ranks.iter().any(|r| r.phase == AbstractPhase::Running)
     }
 
-    /// ULFM has no stale dispatcher entry: a rank is shrunk (`Done`) or
-    /// live, never `Lost`.
-    pub fn lost_rank(&self) -> Option<u8> {
-        None
+    fn recovery_active(&self) -> bool {
+        self.recovery_active
     }
 
-    /// Orbit metadata for symmetry reduction (see `AbstractVcl::host_key`):
-    /// the protocol content visible on machine `host`.
-    pub fn host_key(&self, host: u8) -> (Vec<(AbstractPhase, u8)>, Option<usize>) {
-        (vocab::host_content(&self.ranks, host), None)
-    }
-
-    /// Relabels machines and rank slots (the orbit action; commutes with
-    /// [`AbstractUlfm::apply`] because the protocol treats both labels as
-    /// opaque).
-    pub fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractUlfm {
+    fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractUlfm {
         AbstractUlfm {
             ranks: vocab::relabel_slots(&self.ranks, host_map, rank_map),
             recovery_active: self.recovery_active,
@@ -96,16 +105,9 @@ impl AbstractUlfm {
         }
     }
 
-    /// Every enabled protocol-internal step, in canonical rank order.
-    /// There is no `StopClosure` — nothing is ever terminated on purpose.
-    pub fn protocol_steps(&self) -> Vec<AbstractStep> {
-        vocab::protocol_steps(&self.ranks)
-    }
-
-    /// Applies `step`, appending the observable [`AbstractEvent`]s. Panics
-    /// if the step is not enabled (wave steps never are — there is no
-    /// checkpoint scheduler).
-    pub fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
+    /// There is no `StopClosure` — nothing is ever terminated on purpose —
+    /// and wave steps are never enabled (there is no checkpoint scheduler).
+    fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
         match step {
             AbstractStep::Spawn(r) => vocab::spawn(&mut self.ranks, r, events),
             AbstractStep::Register(r) => vocab::register(&mut self.ranks, r),
@@ -131,32 +133,6 @@ impl AbstractUlfm {
             | AbstractStep::WaveStart
             | AbstractStep::WaveCommit => {
                 panic!("step {step:?} is never enabled under the ULFM backend")
-            }
-        }
-    }
-
-    /// A fault kills the live process of `rank`: the survivors' errhandler
-    /// fires and every computing/acked survivor re-enters the agreement
-    /// (demoted to `Registered`, owing a fresh `Ready` ack).
-    fn fault(&mut self, r: usize, events: &mut Vec<AbstractEvent>) {
-        if !self.rank_live(r) {
-            return;
-        }
-        let host = self.ranks[r].host;
-        events.push(AbstractEvent::OnError { host });
-        events.push(AbstractEvent::FailureDetected {
-            rank: r as u8,
-            during_recovery: self.recovery_active,
-        });
-        self.ranks[r].phase = AbstractPhase::Done;
-        if !self.recovery_active {
-            self.recovery_active = true;
-            self.epoch = (self.epoch + 1).min(EPOCH_CAP);
-            events.push(AbstractEvent::EpochBumped(self.epoch));
-        }
-        for k in &mut self.ranks {
-            if matches!(k.phase, AbstractPhase::Running | AbstractPhase::Ready) {
-                k.phase = AbstractPhase::Registered;
             }
         }
     }

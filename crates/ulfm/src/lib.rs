@@ -36,4 +36,4 @@ pub mod abstractmodel;
 mod policy;
 
 pub use abstractmodel::AbstractUlfm;
-pub use policy::{Shrink, ShrinkDone, UlfmCluster, UlfmEv};
+pub use policy::{Shrink, ShrinkDone};

@@ -10,13 +10,6 @@ use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel, SimTime};
 /// Control bytes per participant per agreement round.
 const AGREE_CONTROL_BYTES: u64 = 512;
 
-/// The ULFM-style deployment: `n_ranks` MPI processes on the first
-/// `n_ranks` compute hosts, no dispatcher, no spares consumed.
-pub type UlfmCluster = LightRuntime<Shrink>;
-
-/// One scheduled event of the ULFM virtual runtime.
-pub type UlfmEv = LightEv<ShrinkDone>;
-
 /// The `agree`/`shrink` exchange of agreement round `round` completed
 /// (stale rounds — superseded by a further death — are ignored).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,6 +36,9 @@ impl PackLabel for ShrinkDone {
 
 /// ULFM's recovery state: the errhandler's `agree` → `shrink` →
 /// redistribute sequence over the live membership.
+///
+/// `LightRuntime<Shrink>` deploys `n_ranks` MPI processes on the first
+/// `n_ranks` compute hosts: no dispatcher, no spares consumed.
 #[derive(Default)]
 pub struct Shrink {
     /// An agreement is pending or in flight.
@@ -63,7 +59,7 @@ pub struct Shrink {
 }
 
 /// Live communicator members (shrunk-out ranks are dead by construction).
-fn participants(rt: &UlfmCluster) -> Vec<usize> {
+fn participants(rt: &LightRuntime<Shrink>) -> Vec<usize> {
     (0..rt.units.len()).filter(|&i| rt.units[i].alive).collect()
 }
 
@@ -71,7 +67,7 @@ fn participants(rt: &UlfmCluster) -> Vec<usize> {
 /// recursive-doubling exchange over the live membership. Defers if a live
 /// participant cannot respond (SIGSTOP'd or breakpoint-held): agreement
 /// is collective, and a stopped process is alive.
-fn schedule_shrink(rt: &mut UlfmCluster, now: SimTime) {
+fn schedule_shrink(rt: &mut LightRuntime<Shrink>, now: SimTime) {
     let parts = participants(rt);
     if parts.is_empty() {
         // Nobody left to agree: the job is permanently silent.
@@ -88,7 +84,7 @@ fn schedule_shrink(rt: &mut UlfmCluster, now: SimTime) {
     let n = parts.len() as u64;
     let rounds = (64 - (n - 1).leading_zeros() as u64).max(1); // ceil(log2 n), >= 1
     rt.policy.agree_rounds.add(rounds);
-    rt.traffic.control_bytes += AGREE_CONTROL_BYTES * n * rounds;
+    rt.chassis.traffic.control_bytes += AGREE_CONTROL_BYTES * n * rounds;
     failmpi_obs::prof::copy("ulfm.agree", AGREE_CONTROL_BYTES * n * rounds);
     let round = rt.policy.agree_round;
     rt.emit(
@@ -127,7 +123,7 @@ impl RecoveryPolicy for Shrink {
         )
     }
 
-    fn on_detect(rt: &mut UlfmCluster, now: SimTime, victim: u32) {
+    fn on_detect(rt: &mut LightRuntime<Shrink>, now: SimTime, victim: u32) {
         let v = victim as usize;
         if rt.units[v].alive || rt.policy.shrunk[v] || rt.policy.pending_victims.contains(&victim) {
             return;
@@ -151,7 +147,7 @@ impl RecoveryPolicy for Shrink {
         schedule_shrink(rt, now);
     }
 
-    fn on_recovery_done(rt: &mut UlfmCluster, now: SimTime, done: ShrinkDone) {
+    fn on_recovery_done(rt: &mut LightRuntime<Shrink>, now: SimTime, done: ShrinkDone) {
         if done.round != rt.policy.agree_round || !rt.policy.recovery_active {
             return;
         }
@@ -195,40 +191,40 @@ impl RecoveryPolicy for Shrink {
         }
     }
 
-    fn start_blocked(rt: &UlfmCluster) -> bool {
+    fn start_blocked(rt: &LightRuntime<Shrink>) -> bool {
         rt.policy.recovery_active || !rt.policy.pending_victims.is_empty()
     }
 
     /// Complete ⇔ every rank either finalized or was shrunk away, and at
     /// least one finalized (an all-shrunk fleet froze, it did not finish).
-    fn job_done(rt: &UlfmCluster) -> bool {
+    fn job_done(rt: &LightRuntime<Shrink>) -> bool {
         let mut ranks = rt.streams.iter().zip(&rt.policy.shrunk);
         ranks.all(|(st, &shrunk)| st.finished || shrunk) && rt.streams.iter().any(|st| st.finished)
     }
 
     /// Nothing stands in for a dead rank: its stream dies with it.
-    fn stream_lost(rt: &UlfmCluster, s: usize) -> bool {
+    fn stream_lost(rt: &LightRuntime<Shrink>, s: usize) -> bool {
         !rt.units[s].alive
     }
 
     /// The next op needs the communicator; blocked until the shrink
     /// completes.
-    fn stream_blocked(rt: &UlfmCluster, _s: usize) -> bool {
+    fn stream_blocked(rt: &LightRuntime<Shrink>, _s: usize) -> bool {
         rt.policy.recovery_active
     }
 
-    fn op_extra_traffic(_rt: &mut UlfmCluster, _s: usize) {}
+    fn op_extra_traffic(_rt: &mut LightRuntime<Shrink>, _s: usize) {}
 
     /// A dead participant no longer blocks a deferred agreement, and a
     /// resumed one can finally answer it.
-    fn unit_changed(rt: &mut UlfmCluster, now: SimTime, _unit: usize, change: UnitChange) {
+    fn unit_changed(rt: &mut LightRuntime<Shrink>, now: SimTime, _unit: usize, change: UnitChange) {
         if change != UnitChange::Registered && rt.policy.agree_deferred && rt.policy.recovery_active
         {
             schedule_shrink(rt, now);
         }
     }
 
-    fn contribute_metrics(rt: &UlfmCluster, snap: &mut MetricsSnapshot) {
+    fn contribute_metrics(rt: &LightRuntime<Shrink>, snap: &mut MetricsSnapshot) {
         let p = &rt.policy;
         snap.set_counter("ulfm.faults_detected", p.faults_detected.get());
         snap.set_counter("ulfm.recoveries", rt.recoveries_started());
