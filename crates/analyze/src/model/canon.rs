@@ -46,7 +46,8 @@ use failmpi_backend::BackendKind;
 use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Scenario};
 use failmpi_mpichv::AbstractPhase;
 
-use super::explore::{Ctx, Inst, InstState, MoveKind, ProdState};
+use super::engine::Ctx;
+use super::state::{Inst, InstState, MoveKind, ProdState};
 use super::ModelCheckConfig;
 
 /// A product-state relabelling: `hosts[h]` is machine `h`'s new id,
@@ -563,7 +564,8 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::Config;
 
-    use super::super::explore::{Explorer, VarVal};
+    use super::super::search::Explorer;
+    use super::super::state::VarVal;
     use super::*;
 
     const SOURCES: [&str; 3] = [

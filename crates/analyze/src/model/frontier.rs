@@ -9,7 +9,8 @@
 //! insertion order** — so verdicts, witnesses, diagnostics, and the JSON
 //! rendering are byte-identical for any `--threads` value, including 1.
 
-use super::explore::{Ctx, Expansion, ProdState};
+use super::engine::Ctx;
+use super::state::{Expansion, ProdState};
 
 /// Expands every state in `todo`, in order. With `threads > 1` the work
 /// is chunked across scoped std threads; the output order is the input

@@ -46,12 +46,23 @@
 //! [`ModelCheckConfig::scramble`] hook shuffles candidate orderings before
 //! the canonical sort so tests can prove insertion-order independence.
 //!
+//! ## Layout
+//!
+//! One module per job, bottom up: [`state`] (product-state types and the
+//! interning hashers), [`engine`] (the abstract FAIL runtime), [`moves`]
+//! (enabled moves, labels, one state expansion), [`search`] (deployment
+//! binding, interning, the cost-layered worklist and its one parent table
+//! of structural moves), [`witness`] (the one path from that table to a
+//! printed schedule) and [`report`] (FC001–FC007 off the finished graph);
+//! [`world`] selects the backend's protocol model.
+//!
 //! ## Scaling to paper-sized grids
 //!
 //! The paper's headline configs run 25 ranks; the raw product blows the
 //! default budget well before that. [`ModelCheckConfig::reduce`] turns on
 //! two sound reductions plus a parallel frontier (see [`canon`], [`por`],
-//! and [`frontier`] for the arguments, and DESIGN.md for the prose):
+//! and [`frontier`] for the arguments, and DESIGN.md "Cost per state" for
+//! what pins each module and which probe reads its cost):
 //!
 //! * **symmetry canonicalization** — machines outside every send's
 //!   statically-pinned index range, and ranks outside the op-program's
@@ -68,9 +79,14 @@
 //!   order, so the JSON output is byte-identical across thread counts.
 
 mod canon;
-mod explore;
+mod engine;
 mod frontier;
+mod moves;
 mod por;
+mod report;
+mod search;
+mod state;
+mod witness;
 mod world;
 
 use std::sync::Arc;
@@ -84,7 +100,7 @@ use serde::Serialize;
 
 use crate::diag::{Diagnostic, Severity};
 
-use explore::Explorer;
+use search::Explorer;
 
 /// How the model checker scales and bounds the product exploration.
 #[derive(Clone, Debug)]

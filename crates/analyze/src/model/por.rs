@@ -23,7 +23,7 @@
 //!   steps the unreduced minimal witness would have left pending at the
 //!   freeze, so a witness found through the reduced graph is replayed and
 //!   greedily stripped of removable zero-fault steps
-//!   (`Explorer::witness_replayed`); the stripped schedule is still a
+//!   (`Explorer::witness`); the stripped schedule is still a
 //!   valid full-graph path, so its (faults, steps) cost can never drop
 //!   below the true minimum.
 //!
@@ -46,7 +46,8 @@ use std::cell::OnceCell;
 
 use failmpi_backend::vocab::AbstractModel;
 
-use super::explore::{Ctx, MoveKind, ProdState, SiteLog, Succ};
+use super::engine::Ctx;
+use super::state::{MoveKind, ProdState, SiteLog, Succ};
 
 /// The enabled moves of each menu branch's end state, computed on first
 /// use: a candidate's own menu is read once per other kind and a branch's
@@ -96,7 +97,7 @@ pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, mut succs: Vec<Succ>) -> Ve
     // The first single-branch invisible candidate that commutes with
     // every other enabled kind anchors the ample set. Forcing it first
     // can insert steps a minimal freeze path would have left pending —
-    // the witness minimization replay in `Explorer::witness_replayed`
+    // the witness minimization replay in `Explorer::witness`
     // strips those again, so the reported (faults, steps) cost still
     // matches the unreduced exploration.
     let ample = groups.iter().find(|g| {

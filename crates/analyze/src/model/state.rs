@@ -1,0 +1,245 @@
+//! Product-state types, the structural moves between them, and the two
+//! hashers interning uses.
+//!
+//! The derived ordering and hash stream of [`ProdState`] are frozen:
+//! successor order fixes interning order, and the FNV state digest over
+//! that hash stream is a persisted fuzzer coverage key.
+
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
+
+use super::canon::Perm;
+use super::world::AbstractWorld;
+
+/// Magnitude cap for abstract variable values: a counter that strays past
+/// this saturates to [`VarVal::Top`], keeping the state space finite.
+const VAR_CAP: i64 = 64;
+
+/// Abstract class-variable value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) enum VarVal {
+    /// Exactly this value.
+    Known(i64),
+    /// Any value (random picks, saturated counters).
+    Top,
+}
+
+/// Stores a value, saturating big magnitudes to `Top` so counters cannot
+/// unfold the state space.
+pub(crate) fn store(v: VarVal) -> VarVal {
+    match v {
+        VarVal::Known(x) if x.abs() > VAR_CAP => VarVal::Top,
+        other => other,
+    }
+}
+
+/// Abstract state of one FAIL daemon instance (mirrors
+/// `failmpi_core::runtime`'s per-instance state field by field, with
+/// timer generations replaced by a per-node armed set).
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct InstState {
+    pub(crate) node: u16,
+    pub(crate) vars: Vec<VarVal>,
+    /// FIFO of undelivered-but-received messages `(from, msg)`.
+    pub(crate) inbox: Vec<(u8, u8)>,
+    /// Timer slots armed by the current node entry.
+    pub(crate) armed: Vec<bool>,
+    /// Whether a live process is attached (the `onload`…`onexit` window).
+    pub(crate) controlled: bool,
+    /// Whether the attached process is `stop`-suspended.
+    pub(crate) suspended: bool,
+}
+
+/// One instance's state as a [`ProdState`] carries it: immutable and
+/// shared. A product step changes one instance (a fault cascade, a few),
+/// so a successor shares every other instance with its parent, and
+/// cloning, comparing or relabelling a state costs what changed rather
+/// than the deployment size.
+///
+/// `Eq`/`Ord` answer from pointer identity when they can and fall back to
+/// the content; `Hash` forwards to the content. The derived ordering and
+/// hash stream of [`ProdState`] are therefore exactly those of a plain
+/// `Vec<InstState>`.
+#[derive(Clone, Debug)]
+pub(crate) struct Inst(Arc<InstState>);
+
+impl Inst {
+    pub(crate) fn new(st: InstState) -> Inst {
+        Inst(Arc::new(st))
+    }
+}
+
+impl Deref for Inst {
+    type Target = InstState;
+    fn deref(&self) -> &InstState {
+        &self.0
+    }
+}
+
+impl PartialEq for Inst {
+    fn eq(&self, other: &Inst) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+    }
+}
+
+impl Eq for Inst {}
+
+impl Ord for Inst {
+    fn cmp(&self, other: &Inst) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
+}
+
+impl PartialOrd for Inst {
+    fn partial_cmp(&self, other: &Inst) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Inst {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+/// One product state: every FAIL instance, the in-flight message multiset,
+/// and the abstract protocol state.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct ProdState {
+    pub(crate) insts: Vec<Inst>,
+    /// Sorted multiset of in-flight FAIL messages `(from, to, msg)` —
+    /// deliveries race, so order is not part of the state.
+    pub(crate) msgs: Vec<(u8, u8, u8)>,
+    pub(crate) proto: AbstractWorld,
+}
+
+pub(crate) fn insert_msg(msgs: &mut Vec<(u8, u8, u8)>, m: (u8, u8, u8)) {
+    let pos = msgs.partition_point(|x| *x <= m);
+    msgs.insert(pos, m);
+}
+
+/// One branch of a step application: the state it leads to, the faults it
+/// injected, and human-readable annotations for the witness.
+#[derive(Clone, Debug)]
+pub(crate) struct Micro {
+    pub(crate) st: ProdState,
+    pub(crate) faults: u32,
+    pub(crate) notes: Vec<String>,
+}
+
+/// Halt-site flags recorded while firing (`(site index, stale)`); the
+/// sequential merge ORs them into the explorer's [`HaltSite`] table. The
+/// flags are monotone, so apply order is immaterial.
+pub(crate) type SiteLog = Vec<(usize, bool)>;
+
+pub(crate) struct HaltSite {
+    pub(crate) class: usize,
+    pub(crate) line: u32,
+    pub(crate) executed: bool,
+    pub(crate) stale: bool,
+}
+
+/// One enabled product step, structurally. Instance and rank identities
+/// are frame-relative: [`Perm::apply_move`] transports a move between a
+/// state and its orbit representative.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum MoveKind {
+    Deliver { from: u8, to: u8, msg: u8 },
+    Register(u8),
+    Ready(u8),
+    Breakpoint { rank: u8, holder: usize },
+    Spawn(u8),
+    StopClosure(u8),
+    Timer { inst: usize, slot: usize },
+    WaveStart,
+    WaveCommit,
+}
+
+/// One labelled successor branch.
+#[derive(Clone, Debug)]
+pub(crate) struct Succ {
+    pub(crate) label: String,
+    pub(crate) kind: MoveKind,
+    pub(crate) micro: Micro,
+    /// Raw-frame → canonical-frame permutation; `None` is the identity
+    /// (always, when not reducing).
+    pub(crate) perm: Option<Perm>,
+}
+
+/// Everything one state expansion produced, computed purely so frontier
+/// workers can run it in parallel.
+pub(crate) struct Expansion {
+    pub(crate) succs: Vec<Succ>,
+    pub(crate) log: SiteLog,
+    pub(crate) por_pruned: usize,
+    pub(crate) orbit_hits: usize,
+}
+
+/// The interning hash: one multiply-rotate round per field the derived
+/// `Hash` writes, whatever its width, and an avalanche at the end. It only
+/// has to spread states over buckets — equality is confirmed on the states
+/// themselves — and it is neither persisted nor printed, unlike the pinned
+/// [`super::Fnv1a`] digest.
+#[derive(Default)]
+pub(crate) struct StateHasher(u64);
+
+impl StateHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        // The map takes bucket bits from one end of the value and tag
+        // bits from the other; fold so both ends depend on every round.
+        let mut h = self.0;
+        h ^= h >> 32;
+        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 29)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+    fn write_u16(&mut self, v: u16) {
+        self.mix(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+}
+
+/// Hasher of the interning index's keys, which already are hash values.
+#[derive(Default)]
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the interning index is keyed by u64 only");
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}

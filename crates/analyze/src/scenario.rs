@@ -16,7 +16,7 @@
 //! | FA008 | error    | message sent to a class that never receives it |
 //! | FA009 | error    | `?msg` guard that no other daemon can ever satisfy |
 //! | FA010 | error    | constant group index outside the declared group bounds |
-//! | FA011 | error    | the scenario does not deploy (wrapped [`RuntimeError`]) |
+//! | FA011 | error    | the scenario does not deploy under the run's classes, parameters and machines (wrapped [`RuntimeError`]) |
 //!
 //! FA008/FA009 are the static shadow of a scenario *freeze*: a daemon
 //! parked forever in a node whose only exits wait for traffic that cannot
@@ -55,8 +55,8 @@ pub fn compile_error_diag(e: &CompileError) -> Diagnostic {
 }
 
 /// Wraps a deployment [`RuntimeError`] — a daemon class or parameter the
-/// scenario does not declare, an unbound destination — as the `FA011`
-/// diagnostic. Deployments are built by whoever runs the scenario, so no
+/// scenario does not declare, an unbound destination, a group index range
+/// that leaves the deployed group — as the `FA011` diagnostic. Deployments are built by whoever runs the scenario, so no
 /// pass here raises it; the experiment harness does.
 pub fn deploy_error_diag(e: &RuntimeError) -> Diagnostic {
     Diagnostic::new(
@@ -64,7 +64,8 @@ pub fn deploy_error_diag(e: &RuntimeError) -> Diagnostic {
         "FA011",
         0,
         format!("scenario does not deploy: {e}"),
-        "name daemon classes and parameters the scenario declares",
+        "name daemon classes and parameters the scenario declares, and keep \
+         group indices inside the group as deployed (scale `N` with the machines)",
     )
 }
 
@@ -467,9 +468,9 @@ fn check_group_bounds(s: &Scenario, out: &mut Vec<Diagnostic>) {
                                          bounds [0, {})",
                                         class.name, len
                                     ),
-                                    "the runtime panics on an out-of-range \
-                                     group index; clamp the expression or \
-                                     grow the group",
+                                    "a deployment refuses an index range that \
+                                     leaves its group (FA011); clamp the \
+                                     expression or grow the group",
                                 ));
                             }
                         } else if is_provably_negative(idx, &s.param_defaults) {

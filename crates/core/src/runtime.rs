@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use failmpi_sim::{SimDuration, SimRng};
 
-use crate::lang::compile::{Action, Dest, Guard, Scenario};
+use crate::lang::compile::{Action, Class, Dest, Expr, Guard, Scenario};
 
 /// An error building a runtime.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -245,6 +245,33 @@ struct Inst {
     armed: bool,
 }
 
+/// The value range of group index `e` in `class`, when it is known without
+/// running: the expression's own [`Expr::const_range`], or — for a plain
+/// variable, the builtins' `always int ran = FAIL_RANDOM(0, N)` — the hull
+/// of the 0 it starts at and everything the class ever stores in it.
+fn index_range(class: &Class, e: &Expr, params: &[i64]) -> Option<(i64, i64)> {
+    let Expr::Var(slot) = e else {
+        return e.const_range(params);
+    };
+    if class.probes.iter().any(|(_, s)| s == slot) {
+        return None; // host-written
+    }
+    let assigns = class.nodes.iter().flat_map(|n| &n.transitions).flat_map(|t| &t.actions);
+    let stores = (class.var_init.iter())
+        .chain(class.nodes.iter().flat_map(|n| &n.always))
+        .map(|(s, def)| (s, def))
+        .chain(assigns.filter_map(|a| match a {
+            Action::Assign(s, def) => Some((s, def)),
+            _ => None,
+        }));
+    let mut hull = (0, 0);
+    for (_, def) in stores.filter(|(s, _)| *s == slot) {
+        let (lo, hi) = def.const_range(params)?;
+        hull = (hull.0.min(lo), hull.1.max(hi));
+    }
+    Some(hull)
+}
+
 /// The executing scenario: one state-machine instance per deployment slot.
 #[derive(Debug)]
 pub struct FailRuntime {
@@ -293,6 +320,34 @@ impl FailRuntime {
                 return Err(RuntimeError(format!(
                     "scenario sends to unbound group `{name}`"
                 )));
+            }
+        }
+        // Under these parameters, every group index whose range is known
+        // without running must fit the group as deployed. The declared
+        // `group G[len]` and the default parameters, which the FA010 lint
+        // reads, are neither.
+        let mut deployed_classes = instance_class.clone();
+        deployed_classes.sort_unstable();
+        deployed_classes.dedup();
+        for ci in deployed_classes {
+            let class = &scenario.classes[ci];
+            for t in class.nodes.iter().flat_map(|n| &n.transitions) {
+                for a in &t.actions {
+                    let Action::Send { dest: Dest::Group(name, idx), .. } = a else {
+                        continue;
+                    };
+                    let len = deployment.group(name).expect("bound, checked above").len();
+                    match index_range(class, idx, &params) {
+                        Some((lo, hi)) if lo < 0 || hi >= len as i64 => {
+                            return Err(RuntimeError(format!(
+                                "daemon `{}`, line {}: index range [{lo}, {hi}] into group \
+                                 `{name}` leaves its {len} deployed member(s)",
+                                class.name, t.line
+                            )))
+                        }
+                        _ => {}
+                    }
+                }
             }
         }
         let instances = instance_class
@@ -560,15 +615,15 @@ impl FailRuntime {
                                 self.deployment.group(name).expect("validated at build");
                             let k =
                                 idx.eval(&self.instances[i].vars, &self.params, rng);
-                            let Ok(k) = usize::try_from(k) else {
-                                panic!("negative group index {k} into `{name}`");
-                            };
-                            assert!(
-                                k < members.len(),
-                                "group index {k} out of bounds for `{name}` (len {})",
-                                members.len()
-                            );
-                            members[k]
+                            // `new` checked every index whose range is
+                            // known up front; one that depends on a
+                            // variable can still stray, and then names
+                            // nobody: the send is dropped, as the model
+                            // checker's `dest_members` drops it.
+                            match usize::try_from(k).ok().and_then(|k| members.get(k)) {
+                                Some(&to) => to,
+                                None => continue,
+                            }
                         }
                         Dest::Sender => sender.expect("compiler guarantees a sender"),
                     };

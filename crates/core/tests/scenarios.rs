@@ -409,3 +409,57 @@ fn expression_nesting_is_bounded_in_every_shape() {
     let many: String = (0..8).map(|i| format!("param Y{i} = {};\n", parens(cap))).collect();
     compile(&(many + FIG5)).unwrap();
 }
+
+/// A group index never unwinds the runtime. One whose range is known
+/// without running — `FAIL_RANDOM(0, N)`, directly or through the `ran`
+/// variable every paper listing picks with — is held against the group
+/// *as deployed* under the *run's* parameters when the runtime is built;
+/// one that depends on what the run does (the walking `next` below) names
+/// nobody once it strays, and the send is dropped.
+#[test]
+fn out_of_range_group_indices_are_refused_or_dropped() {
+    const WALK: &str = "\
+param N = 2;
+daemon Walker {
+  int next = 1;
+  node 1:
+    always int ran = FAIL_RANDOM(0, N);
+    ?step -> !hit(G1[next]), next = next + 1, goto 1;
+    ?pick -> !hit(G1[ran]), goto 1;
+    ?far -> !hit(G1[N + 4]), goto 1;
+}
+daemon Sink { node 1: ?hit -> goto 1; }
+instance P1 = Walker;
+group G1[3] = Sink;
+";
+    let s = compile(WALK).unwrap();
+    let deployed = || Deployment::from_suggested(&s).unwrap();
+    // `G1[N + 4]` is 6 into 3 machines at the default N already.
+    let e = FailRuntime::new(&s, deployed(), &[]).unwrap_err().to_string();
+    assert_eq!(
+        e,
+        "daemon `Walker`, line 8: index range [6, 6] into group `G1` leaves its 3 deployed member(s)"
+    );
+    // Without that send the defaults deploy; N = 7 lets `ran` pick past
+    // the machines, which is named by the line that sends to `G1[ran]`.
+    let tame = compile(&WALK.replace("G1[N + 4]", "G1[0]")).unwrap();
+    let deployed = || Deployment::from_suggested(&tame).unwrap();
+    let e = FailRuntime::new(&tame, deployed(), &[("N", 7)]).unwrap_err().to_string();
+    assert!(e.contains("line 7: index range [0, 7] into group `G1`"), "{e}");
+
+    let mut rt = FailRuntime::new(&tame, deployed(), &[]).unwrap();
+    let mut rng = SimRng::new(5);
+    rt.start(&mut rng);
+    let p1 = rt.deployment().instance_index("P1").unwrap();
+    let step = rt.scenario().message_id("step").unwrap();
+    let sends = |rt: &mut FailRuntime, rng: &mut SimRng| {
+        rt.feed(FailInput::Msg { from: p1, to: p1, msg: step }, rng)
+            .iter()
+            .filter(|a| matches!(a, FailAction::SendMsg { .. }))
+            .count()
+    };
+    // `next` walks 1, 2 (in range), then 3, 4 (past the group): dropped,
+    // and the transition's other actions still run.
+    assert_eq!([(); 4].map(|()| sends(&mut rt, &mut rng)), [1, 1, 0, 0]);
+    assert_eq!(rt.var(p1, "next"), Some(5));
+}

@@ -7,7 +7,8 @@
 //!
 //! This `main` is the only place the figure flags are parsed, the
 //! telemetry sink is installed and the outputs are written. Exit status:
-//! 0 done, 2 usage error or unwritable output path.
+//! 0 done, 2 usage error, unwritable output path or a scenario the sweep
+//! refuses to run (its diagnostics go to stderr).
 
 use std::process::ExitCode;
 
@@ -37,7 +38,13 @@ fn main() -> ExitCode {
         }
     };
     opts.telemetry.install();
-    let (table, json) = (figure.run)(&opts);
+    let (table, json) = match (figure.run)(&opts) {
+        Ok(done) => done,
+        Err(report) => {
+            eprint!("figure {}: cannot run:\n{}", figure.name, report.render_human());
+            return ExitCode::from(2);
+        }
+    };
     print!("{table}");
     let written = match (&opts.json, json) {
         (Some(path), Some(json)) => {

@@ -10,8 +10,8 @@
 //! schedule, the fixed one on none.
 //!
 //! Exits 1 on any divergence, invariant violation, or broken
-//! classification expectation (2 on a usage error), so CI can run it as a
-//! smoke gate:
+//! classification expectation (2 on a usage error or a spec the harness
+//! refuses to run), so CI can run it as a smoke gate:
 //!
 //! ```text
 //! cargo run --release -p failmpi-experiments --bin soak -- --runs 25 --json soak.json
@@ -25,7 +25,8 @@ use serde::Serialize;
 use failmpi_experiments::robustness::{
     fault_free_smoke_spec, fig10_stress_spec, perturb,
 };
-use failmpi_experiments::{run_one, ExperimentSpec};
+use failmpi_experiments::harness::{run, Observe};
+use failmpi_experiments::ExperimentSpec;
 use failmpi_mpichv::DispatcherMode;
 
 failmpi_experiments::install_alloc_profiler!();
@@ -116,10 +117,9 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
 }
 
 /// Double-runs the canonical (FIFO) schedule; 1 on fingerprint mismatch.
-fn divergences(spec: &ExperimentSpec) -> usize {
-    let a = run_one(spec).fingerprint;
-    let b = run_one(spec).fingerprint;
-    usize::from(a != b)
+fn divergences(spec: &ExperimentSpec) -> Result<usize, failmpi_analyze::Report> {
+    let fingerprint = || run(spec, Observe::default()).map(|out| out.record.fingerprint);
+    Ok(usize::from(fingerprint()? != fingerprint()?))
 }
 
 fn main() -> ExitCode {
@@ -174,8 +174,15 @@ fn main() -> ExitCode {
 
     let mut reports = Vec::new();
     for sc in &scenarios {
-        let divergences = divergences(&sc.spec);
-        let report = perturb(sc.name, &sc.spec, opts.runs);
+        let swept = divergences(&sc.spec)
+            .and_then(|d| Ok((d, perturb(sc.name, &sc.spec, opts.runs)?)));
+        let (divergences, report) = match swept {
+            Ok(swept) => swept,
+            Err(refusal) => {
+                eprint!("soak: cannot run {}:\n{}", sc.name, refusal.render_human());
+                return ExitCode::from(2);
+            }
+        };
         let violations = report.violations().count();
         let expectation_met = match sc.expect {
             Expect::All(class) => report.count(class) == report.outcomes.len(),

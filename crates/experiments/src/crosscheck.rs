@@ -27,13 +27,15 @@
 //! two-mode contract as its oracle, so both modes are exercised end-to-end
 //! here.
 
-use failmpi_analyze::{model_check_source, ModelCheckConfig, ModelSummary, StaticVerdict};
+use failmpi_analyze::{
+    model_check_source, ModelCheckConfig, ModelSummary, Report, StaticVerdict,
+};
 use failmpi_backend::BackendKind;
 use failmpi_mpichv::DispatcherMode;
 use failmpi_workloads::BtClass;
 
 use crate::figures::{self, DELAY_SRC, FIG10_SRC, FIG5_SRC, FIG7_SRC, FIG8_SRC};
-use crate::harness::{run_one, ExperimentSpec, InjectionSpec};
+use crate::harness::{run, ExperimentSpec, InjectionSpec, Observe};
 use crate::robustness::outcome_class;
 
 /// One scenario's static verdict next to its dynamic seed sweep, both
@@ -200,18 +202,19 @@ pub fn crosscheck_one(
     params: &[(&str, i64)],
     seeds: &[u64],
     shape: CheckShape,
-) -> CrosscheckRow {
+) -> Result<CrosscheckRow, Report> {
     let st = model_check(src, params, shape);
     let dynamic: Vec<(u64, &'static str)> = seeds
         .iter()
         .map(|&seed| {
             let spec = smoke_spec_for(src, machine, params, seed, shape.mode)
                 .with_backend(shape.backend);
-            (seed, outcome_class(&run_one(&spec).outcome))
+            let out = run(&spec, Observe::default())?;
+            Ok((seed, outcome_class(&out.record.outcome)))
         })
-        .collect();
+        .collect::<Result<_, Report>>()?;
     let any_buggy = dynamic.iter().any(|(_, c)| *c == "buggy");
-    CrosscheckRow {
+    Ok(CrosscheckRow {
         name,
         backend: shape.backend,
         mode: shape.mode,
@@ -219,7 +222,7 @@ pub fn crosscheck_one(
         explored: st.explored,
         dynamic,
         agrees: verdicts_agree(st.verdict, any_buggy),
-    }
+    })
 }
 
 /// Crosschecks every runnable builtin over `seeds` dynamic runs at each of
@@ -233,14 +236,17 @@ pub fn crosscheck_one(
 /// bug is Vcl-specific (ULFM shrinks past it), random kills freeze ULFM
 /// only by eating the whole job, and replication converts any fault on an
 /// unprotected primary into an immediate loss.
-pub fn crosscheck_builtins(seeds: &[u64], shapes: &[CheckShape]) -> Vec<CrosscheckRow> {
+pub fn crosscheck_builtins(
+    seeds: &[u64],
+    shapes: &[CheckShape],
+) -> Result<Vec<CrosscheckRow>, Report> {
     let mut out = Vec::new();
     for (name, src, machine, params) in SCENARIOS {
         for &shape in shapes {
-            out.push(crosscheck_one(name, src, machine, params, seeds, shape));
+            out.push(crosscheck_one(name, src, machine, params, seeds, shape)?);
         }
     }
-    out
+    Ok(out)
 }
 
 /// One cell of a paper-scale figure matrix: a builtin figure scenario

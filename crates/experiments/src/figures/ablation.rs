@@ -10,6 +10,7 @@
 
 use serde::Serialize;
 
+use failmpi_analyze::Report;
 use failmpi_sim::SimDuration;
 use failmpi_mpichv::{CheckpointStyle, DispatcherMode, VProtocol};
 
@@ -69,7 +70,7 @@ pub struct DispatcherAblation {
 }
 
 /// Runs the Fig. 10 stress under both dispatcher variants at one scale.
-pub fn dispatcher(cfg: &Config) -> DispatcherAblation {
+pub fn dispatcher(cfg: &Config) -> Result<DispatcherAblation, Report> {
     let mut base = if cfg.common.class == BtClass::B {
         fig11::paper_config()
     } else {
@@ -81,15 +82,15 @@ pub fn dispatcher(cfg: &Config) -> DispatcherAblation {
         base_seed: base.common.base_seed,
         ..cfg.common.clone()
     };
-    let hist = fig11::run(&base);
-    let fixed = fig11::run(&fig11::fixed_config(base));
+    let hist = fig11::run(&base)?;
+    let fixed = fig11::run(&fig11::fixed_config(base))?;
     let h = &hist.points[0].synchronized;
     let f = &fixed.points[0].synchronized;
-    DispatcherAblation {
+    Ok(DispatcherAblation {
         historical_pct_buggy: h.pct_buggy(),
         fixed_pct_buggy: f.pct_buggy(),
         fixed_pct_completed: 100.0 - f.pct_buggy() - f.pct_non_terminating(),
-    }
+    })
 }
 
 /// Checkpoint-style ablation result.
@@ -104,7 +105,7 @@ pub struct StylePoint {
 }
 
 /// Compares blocking vs. non-blocking checkpointing.
-pub fn checkpoint_style(cfg: &Config) -> Vec<StylePoint> {
+pub fn checkpoint_style(cfg: &Config) -> Result<Vec<StylePoint>, Report> {
     let c = &cfg.common;
     let mut out = Vec::new();
     for (k, style) in [CheckpointStyle::NonBlocking, CheckpointStyle::Blocking]
@@ -117,14 +118,14 @@ pub fn checkpoint_style(cfg: &Config) -> Vec<StylePoint> {
             cluster,
             fig5_injection(cfg.interval_s, cfg.n_hosts),
             c.base_seed + 20_000 * k as u64,
-        );
+        )?;
         out.push(StylePoint {
             style: format!("{style:?}"),
             fault_free,
             faulty,
         });
     }
-    out
+    Ok(out)
 }
 
 /// Checkpoint-period ablation result.
@@ -139,7 +140,7 @@ pub struct PeriodPoint {
 }
 
 /// Sweeps the checkpoint wave period.
-pub fn checkpoint_period(cfg: &Config) -> Vec<PeriodPoint> {
+pub fn checkpoint_period(cfg: &Config) -> Result<Vec<PeriodPoint>, Report> {
     let c = &cfg.common;
     let mut out = Vec::new();
     for (k, &period) in cfg.periods_s.iter().enumerate() {
@@ -149,14 +150,14 @@ pub fn checkpoint_period(cfg: &Config) -> Vec<PeriodPoint> {
             cluster,
             fig5_injection(cfg.interval_s, cfg.n_hosts),
             c.base_seed + 30_000 * k as u64,
-        );
+        )?;
         out.push(PeriodPoint {
             period_s: period,
             fault_free,
             faulty,
         });
     }
-    out
+    Ok(out)
 }
 
 /// Protocol-comparison result (the MPICH-V framework's purpose: "evaluate
@@ -181,7 +182,7 @@ pub struct ProtocolPoint {
 /// frequency rises, coordinated checkpointing has the lower no-fault
 /// overhead profile, and no-fault-tolerance only ever wins when nothing
 /// fails.
-pub fn protocol(cfg: &Config) -> Vec<ProtocolPoint> {
+pub fn protocol(cfg: &Config) -> Result<Vec<ProtocolPoint>, Report> {
     let c = &cfg.common;
     let mut out = Vec::new();
     for (k, proto) in [VProtocol::Vcl, VProtocol::V2, VProtocol::Vdummy]
@@ -196,11 +197,11 @@ pub fn protocol(cfg: &Config) -> Vec<ProtocolPoint> {
             out.push(ProtocolPoint {
                 protocol: format!("{proto:?}"),
                 interval_s: interval,
-                summary: c.point(cluster, inj, seed),
+                summary: c.point(cluster, inj, seed)?,
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// All four ablations, in rendering (and JSON array) order.
@@ -212,13 +213,13 @@ pub type Data = (
 );
 
 /// Runs all four ablations.
-pub fn run(cfg: &Config) -> Data {
-    (
-        dispatcher(cfg),
-        checkpoint_style(cfg),
-        checkpoint_period(cfg),
-        protocol(cfg),
-    )
+pub fn run(cfg: &Config) -> Result<Data, Report> {
+    Ok((
+        dispatcher(cfg)?,
+        checkpoint_style(cfg)?,
+        checkpoint_period(cfg)?,
+        protocol(cfg)?,
+    ))
 }
 
 /// Renders all four ablations.

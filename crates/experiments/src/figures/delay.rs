@@ -18,6 +18,7 @@
 
 use serde::Serialize;
 
+use failmpi_analyze::Report;
 use failmpi_mpichv::DispatcherMode;
 
 use super::{fmt_time, Common, DELAY_SRC};
@@ -80,10 +81,10 @@ pub struct Data {
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &Config) -> Data {
+pub fn run(cfg: &Config) -> Result<Data, Report> {
     let c = &cfg.common;
     let cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
-    let baseline = c.point(cluster.clone(), None, c.base_seed);
+    let baseline = c.point(cluster.clone(), None, c.base_seed)?;
     let mut points = Vec::new();
     for (k, &d) in cfg.delays_s.iter().enumerate() {
         let inj = InjectionSpec::new(DELAY_SRC, "ADV1", "ADVnodes")
@@ -92,14 +93,14 @@ pub fn run(cfg: &Config) -> Data {
         let seed = c.base_seed + 1_000 * (k as u64 + 1);
         points.push(Point {
             delay_s: d,
-            summary: c.point(cluster.clone(), Some(inj), seed),
+            summary: c.point(cluster.clone(), Some(inj), seed)?,
         });
     }
-    Data {
+    Ok(Data {
         wave_secs: c.wave_secs,
         baseline,
         points,
-    }
+    })
 }
 
 /// Renders the sweep.

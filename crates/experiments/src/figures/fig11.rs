@@ -7,6 +7,7 @@
 //! Under the historical dispatcher *every* run freezes; this is how the
 //! paper pinpointed the bug.
 
+use failmpi_analyze::Report;
 use failmpi_mpichv::DispatcherMode;
 
 use super::fig9::{render_titled, run_with_scenario, Config, Data};
@@ -33,7 +34,7 @@ pub fn fixed_config(mut cfg: Config) -> Config {
 }
 
 /// Runs the sweep with the Fig. 10 scenario.
-pub fn run(cfg: &Config) -> Data {
+pub fn run(cfg: &Config) -> Result<Data, Report> {
     run_with_scenario(cfg, FIG10_SRC, "ADV1", "ADVG1")
 }
 

@@ -8,6 +8,7 @@
 
 use serde::Serialize;
 
+use failmpi_analyze::Report;
 use failmpi_mpichv::DispatcherMode;
 
 use super::{fig5_injection, fmt_time, Common};
@@ -71,14 +72,14 @@ pub struct Data {
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &Config) -> Data {
+pub fn run(cfg: &Config) -> Result<Data, Report> {
     let c = &cfg.common;
     let cluster = c.cluster(cfg.n_ranks, cfg.n_hosts, DispatcherMode::Historical);
     // No-fault baseline.
     let mut points = vec![Point {
         label: "no faults".into(),
         interval_s: None,
-        summary: c.point(cluster.clone(), None, c.base_seed),
+        summary: c.point(cluster.clone(), None, c.base_seed)?,
     }];
     // One fault every X seconds.
     for (k, &x) in cfg.intervals_s.iter().enumerate() {
@@ -87,14 +88,14 @@ pub fn run(cfg: &Config) -> Data {
         points.push(Point {
             label: format!("every {x} sec"),
             interval_s: Some(x),
-            summary: c.point(cluster.clone(), Some(inj), seed),
+            summary: c.point(cluster.clone(), Some(inj), seed)?,
         });
     }
-    Data {
+    Ok(Data {
         class: c.class.name.to_string(),
         n_ranks: cfg.n_ranks,
         points,
-    }
+    })
 }
 
 /// Renders the figure as the paper's series.

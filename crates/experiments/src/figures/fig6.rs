@@ -9,6 +9,7 @@
 
 use serde::Serialize;
 
+use failmpi_analyze::Report;
 use failmpi_mpichv::DispatcherMode;
 
 use super::{fig5_injection, fmt_time, Common};
@@ -70,7 +71,7 @@ pub struct Data {
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &Config) -> Data {
+pub fn run(cfg: &Config) -> Result<Data, Report> {
     let c = &cfg.common;
     let mut points = Vec::new();
     for (k, &n) in cfg.scales.iter().enumerate() {
@@ -79,17 +80,17 @@ pub fn run(cfg: &Config) -> Data {
             c.cluster(n, hosts, DispatcherMode::Historical),
             fig5_injection(cfg.interval_s, hosts),
             c.base_seed + 10_000 * k as u64,
-        );
+        )?;
         points.push(Point {
             n_ranks: n,
             fault_free,
             faulty,
         });
     }
-    Data {
+    Ok(Data {
         interval_s: cfg.interval_s,
         points,
-    }
+    })
 }
 
 /// Renders the figure as the paper's series.

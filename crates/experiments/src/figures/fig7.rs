@@ -7,6 +7,7 @@
 
 use serde::Serialize;
 
+use failmpi_analyze::Report;
 use failmpi_mpichv::DispatcherMode;
 
 use super::{fmt_time, Common, FIG7_SRC};
@@ -71,7 +72,7 @@ pub struct Data {
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &Config) -> Data {
+pub fn run(cfg: &Config) -> Result<Data, Report> {
     let c = &cfg.common;
     let mut points = Vec::new();
     for (k, &x) in cfg.bursts.iter().enumerate() {
@@ -83,13 +84,13 @@ pub fn run(cfg: &Config) -> Data {
         let seed = c.base_seed + 10_000 * k as u64 + x as u64;
         points.push(Point {
             burst: x,
-            summary: c.point(cluster, Some(inj), seed),
+            summary: c.point(cluster, Some(inj), seed)?,
         });
     }
-    Data {
+    Ok(Data {
         period_s: cfg.period_s,
         points,
-    }
+    })
 }
 
 /// Renders the figure as the paper's series.

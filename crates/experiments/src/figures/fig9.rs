@@ -9,6 +9,7 @@
 
 use serde::Serialize;
 
+use failmpi_analyze::Report;
 use failmpi_mpichv::DispatcherMode;
 
 use super::{fmt_time, Common, FIG8_SRC};
@@ -78,7 +79,7 @@ pub(crate) fn run_with_scenario(
     src: &str,
     adversary: &str,
     machine: &str,
-) -> Data {
+) -> Result<Data, Report> {
     let c = &cfg.common;
     let mut points = Vec::new();
     for (k, &n) in cfg.scales.iter().enumerate() {
@@ -94,18 +95,18 @@ pub(crate) fn run_with_scenario(
             c.cluster(n, hosts, cfg.mode),
             inj,
             c.base_seed + 10_000 * k as u64,
-        );
+        )?;
         points.push(Point {
             n_ranks: n,
             fault_free,
             synchronized,
         });
     }
-    Data { points }
+    Ok(Data { points })
 }
 
 /// Runs the sweep with the Fig. 8 scenario.
-pub fn run(cfg: &Config) -> Data {
+pub fn run(cfg: &Config) -> Result<Data, Report> {
     run_with_scenario(cfg, FIG8_SRC, "ADV1", "ADVnodes")
 }
 

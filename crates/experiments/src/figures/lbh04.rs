@@ -19,6 +19,7 @@
 
 use serde::Serialize;
 
+use failmpi_analyze::Report;
 use failmpi_mpichv::{DispatcherMode, VProtocol};
 
 use super::{fig5_injection, fmt_time, Common};
@@ -83,7 +84,7 @@ pub struct Data {
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &Config) -> Data {
+pub fn run(cfg: &Config) -> Result<Data, Report> {
     let c = &cfg.common;
     let mut points = Vec::new();
     for (k, proto) in [VProtocol::Vcl, VProtocol::V2].into_iter().enumerate() {
@@ -95,11 +96,11 @@ pub fn run(cfg: &Config) -> Data {
             points.push(Point {
                 protocol: format!("{proto:?}"),
                 interval_s: (interval > 0).then_some(interval),
-                summary: c.point(cluster, inj, seed),
+                summary: c.point(cluster, inj, seed)?,
             });
         }
     }
-    Data { points }
+    Ok(Data { points })
 }
 
 /// Renders the comparison.

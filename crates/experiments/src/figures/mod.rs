@@ -15,6 +15,7 @@ pub mod fig7;
 pub mod fig9;
 pub mod lbh04;
 
+use failmpi_analyze::Report;
 use failmpi_backend::BackendKind;
 use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpichv::{DispatcherMode, VclConfig};
@@ -93,20 +94,22 @@ impl Common {
     }
 
     /// One sweep point: `runs` seeded runs (`seed`, `seed + 1`, …) of
-    /// `cluster` under `injection`, summarised.
+    /// `cluster` under `injection`, summarised — or the refusal of a
+    /// scenario [`crate::harness::run`] would not run (its lint gate, its
+    /// deployment).
     pub(crate) fn point(
         &self,
         cluster: VclConfig,
         injection: Option<InjectionSpec>,
         seed: u64,
-    ) -> PointSummary {
+    ) -> Result<PointSummary, Report> {
         let injection = injection.map(|inj| {
             let expect = inj.expect_freeze || self.expect_freeze;
             inj.with_lint(self.lint).with_expect_freeze(expect)
         });
         let spec = spec(cluster, self.class.clone(), injection, self.timeout_s, seed)
             .with_backend(self.backend);
-        PointSummary::from_runs(&run_all(&seeded(&spec, self.runs), self.threads))
+        Ok(PointSummary::from_runs(&run_all(&seeded(&spec, self.runs), self.threads)?))
     }
 
     /// The fault-free point at `seed` next to the same cluster under
@@ -116,9 +119,9 @@ impl Common {
         cluster: VclConfig,
         injection: InjectionSpec,
         seed: u64,
-    ) -> (PointSummary, PointSummary) {
-        let fault_free = self.point(cluster.clone(), None, seed);
-        (fault_free, self.point(cluster, Some(injection), seed + 5_000))
+    ) -> Result<(PointSummary, PointSummary), Report> {
+        let fault_free = self.point(cluster.clone(), None, seed)?;
+        Ok((fault_free, self.point(cluster, Some(injection), seed + 5_000)?))
     }
 }
 
@@ -130,21 +133,24 @@ pub(crate) fn fig5_injection(interval_s: u64, n_hosts: usize) -> InjectionSpec {
         .with_param("N", n_hosts as i64 - 1)
 }
 
+/// What running a figure yields: the rendered table and the JSON form of
+/// its data (`None` for Table 1, which has none) — or the refusal of a
+/// scenario the sweep would not run.
+type Rendered = Result<(String, Option<String>), Report>;
+
 /// One entry of [`FIGURES`].
 pub struct Figure {
     /// The name `figure <name>` selects (and `results/<name>.*` carries).
     pub name: &'static str,
-    /// Runs the figure at the scale and under the overrides `opts` names;
-    /// returns the rendered table and the JSON form of its data (`None`
-    /// for Table 1, which has none).
-    pub run: fn(&Options) -> (String, Option<String>),
+    /// Runs the figure at the scale and under the overrides `opts` names.
+    pub run: fn(&Options) -> Rendered,
 }
 
 /// Every table and figure the `figure` binary regenerates.
 pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "table1",
-        run: |_| (crate::criteria::render(), None),
+        run: |_| Ok((crate::criteria::render(), None)),
     },
     Figure {
         name: "fig5",
@@ -211,14 +217,14 @@ fn regenerate<C, D: Serialize>(
     paper: fn() -> C,
     smoke: fn() -> C,
     common: fn(&mut C) -> &mut Common,
-    run: fn(&C) -> D,
+    run: fn(&C) -> Result<D, Report>,
     render: fn(&D) -> String,
-) -> (String, Option<String>) {
+) -> Rendered {
     let mut cfg = if opts.smoke { smoke() } else { paper() };
     opts.apply(common(&mut cfg));
-    let data = run(&cfg);
+    let data = run(&cfg)?;
     let json = serde_json::to_string_pretty(&data).expect("serializable");
-    (render(&data), Some(json))
+    Ok((render(&data), Some(json)))
 }
 
 /// The Fig. 5(a) fault-frequency scenario source.

@@ -753,7 +753,9 @@ pub fn run(spec: &ExperimentSpec, observe: Observe) -> Result<RunArtifacts, Repo
 
 // The four `run_one*` names below are the ones the frozen `benchmark/`
 // package imports: each is `run` with at most one instrument on, projected
-// onto what that caller reads, panicking where `run` returns `Err`.
+// onto what that caller reads, panicking where `run` returns `Err`. Tests
+// and examples that want that panic use them too; nothing on a binary's
+// path does — a refused spec is a diagnostic and exit 2 there.
 
 pub(crate) fn refuse(report: Report) -> ! {
     panic!(
@@ -764,17 +766,20 @@ pub(crate) fn refuse(report: Report) -> ! {
 }
 
 /// [`run`] with no instrument on, keeping only the record.
+#[doc(hidden)]
 pub fn run_one(spec: &ExperimentSpec) -> RunRecord {
     run_one_with_trace(spec).0
 }
 
 /// [`run_one`], additionally returning the run's lifecycle trace.
+#[doc(hidden)]
 pub fn run_one_with_trace(spec: &ExperimentSpec) -> (RunRecord, Vec<TraceEntry<VclEvent>>) {
     let out = run(spec, Observe::default()).unwrap_or_else(|r| refuse(r));
     (out.record, out.trace)
 }
 
 /// [`run_one`] with [`Observe::wall_profile`] on.
+#[doc(hidden)]
 pub fn run_one_profiled(spec: &ExperimentSpec) -> (RunRecord, WallProfile) {
     let observe = Observe {
         wall_profile: true,
@@ -785,6 +790,7 @@ pub fn run_one_profiled(spec: &ExperimentSpec) -> (RunRecord, WallProfile) {
 }
 
 /// [`run`] with [`Observe::causal`] on.
+#[doc(hidden)]
 pub fn run_one_traced(spec: &ExperimentSpec) -> RunArtifacts {
     let observe = Observe {
         causal: true,

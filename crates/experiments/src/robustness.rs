@@ -8,6 +8,7 @@
 //! schedule, and under the fixed dispatcher on **none** — otherwise the
 //! bug diagnosis would be an artifact of the simulator's FIFO tie-break.
 
+use failmpi_analyze::Report;
 use failmpi_sim::TieBreak;
 use failmpi_mpichv::{DispatcherMode, VProtocol, VclConfig};
 use failmpi_testkit::{
@@ -34,22 +35,29 @@ pub fn outcome_class(outcome: &Outcome) -> &'static str {
 /// Runs `spec` once under the tie-break seed `tie_seed`, validating the
 /// trace invariants on the way out. Only Vcl traces are validated: the
 /// light backends' lifecycle traces carry no wave/incarnation structure
-/// for [`validate_trace`] to check.
-pub fn perturbed_outcome(spec: &ExperimentSpec, tie_seed: u64) -> PerturbationOutcome {
+/// for [`validate_trace`] to check. `Err` is [`run`]'s refusal of the spec.
+pub fn perturbed_outcome(
+    spec: &ExperimentSpec,
+    tie_seed: u64,
+) -> Result<PerturbationOutcome, Report> {
     let perturbed = spec.clone().with_tie_break(TieBreak::Seeded(tie_seed));
-    let out = run(&perturbed, Observe::default()).unwrap_or_else(|r| refuse(r));
-    PerturbationOutcome {
+    let out = run(&perturbed, Observe::default())?;
+    Ok(PerturbationOutcome {
         seed: tie_seed,
         classification: outcome_class(&out.record.outcome).to_string(),
         fingerprint: out.record.fingerprint,
         invariant_violation: (perturbed.backend == failmpi_backend::BackendKind::Vcl)
             .then(|| validate_trace(&out, perturbed.cluster.n_ranks).err())
             .flatten(),
-    }
+    })
 }
 
 /// Sweeps `n_seeds` schedule perturbations of `spec`.
-pub fn perturb(label: &str, spec: &ExperimentSpec, n_seeds: usize) -> PerturbationReport {
+pub fn perturb(
+    label: &str,
+    spec: &ExperimentSpec,
+    n_seeds: usize,
+) -> Result<PerturbationReport, Report> {
     let seeds = perturbation_seeds(n_seeds);
     sweep(label, &seeds, |s| perturbed_outcome(spec, s))
 }
@@ -147,8 +155,8 @@ mod tests {
     #[test]
     fn perturbed_run_reports_fingerprint_and_class() {
         let spec = fault_free_smoke_spec(7);
-        let a = perturbed_outcome(&spec, 1);
-        let b = perturbed_outcome(&spec, 1);
+        let a = perturbed_outcome(&spec, 1).expect("runs");
+        let b = perturbed_outcome(&spec, 1).expect("runs");
         assert_eq!(a.fingerprint, b.fingerprint, "same tie seed, same schedule");
         assert_eq!(a.classification, "completed");
         assert_eq!(a.invariant_violation, None);

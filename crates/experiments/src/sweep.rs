@@ -7,10 +7,18 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use crate::harness::{run_one, ExperimentSpec, RunRecord};
+use failmpi_analyze::Report;
+
+use crate::harness::{run, ExperimentSpec, Observe, RunRecord};
+
+fn record_of(spec: &ExperimentSpec) -> Result<RunRecord, Report> {
+    run(spec, Observe::default()).map(|out| out.record)
+}
 
 /// Runs every spec, using up to `threads` worker threads (0 = all cores).
-pub fn run_all(specs: &[ExperimentSpec], threads: usize) -> Vec<RunRecord> {
+/// `Err` is the refusal of the first spec, in spec order, that
+/// [`run`] would not run.
+pub fn run_all(specs: &[ExperimentSpec], threads: usize) -> Result<Vec<RunRecord>, Report> {
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(4, |n| n.get())
     } else {
@@ -19,12 +27,12 @@ pub fn run_all(specs: &[ExperimentSpec], threads: usize) -> Vec<RunRecord> {
     .min(specs.len().max(1));
 
     if threads <= 1 || specs.len() <= 1 {
-        return specs.iter().map(run_one).collect();
+        return specs.iter().map(record_of).collect();
     }
 
     let next = AtomicUsize::new(0);
     let next = &next;
-    let (tx, rx) = mpsc::channel::<(usize, RunRecord)>();
+    let (tx, rx) = mpsc::channel::<(usize, Result<RunRecord, Report>)>();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
@@ -33,15 +41,14 @@ pub fn run_all(specs: &[ExperimentSpec], threads: usize) -> Vec<RunRecord> {
                 if i >= specs.len() {
                     return;
                 }
-                let record = run_one(&specs[i]);
-                if tx.send((i, record)).is_err() {
+                if tx.send((i, record_of(&specs[i]))).is_err() {
                     return;
                 }
             });
         }
         drop(tx); // workers hold the remaining senders
 
-        let mut results: Vec<Option<RunRecord>> = (0..specs.len()).map(|_| None).collect();
+        let mut results: Vec<_> = (0..specs.len()).map(|_| None).collect();
         let mut filled = 0usize;
         // The channel closes when the last worker drops its sender; a
         // worker panic propagates out of the scope, so an incomplete
@@ -89,8 +96,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let specs = seeded(&tiny_spec(1), 4);
-        let serial = run_all(&specs, 1);
-        let parallel = run_all(&specs, 4);
+        let serial = run_all(&specs, 1).expect("runs");
+        let parallel = run_all(&specs, 4).expect("runs");
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.end, b.end);

@@ -118,7 +118,8 @@ fn fig5_trace_out_captures_a_light_backend_run() {
 
 /// Input the `trace` binary cannot run is a diagnostic and exit status 2,
 /// never a panic: a scenario that does not compile, a machine class the
-/// scenario does not declare, a rank count BT has no grid for.
+/// scenario does not declare, a rank count BT has no grid for, a random
+/// group index that can leave the machines deployed.
 #[test]
 fn trace_binary_rejects_bad_input_without_panicking() {
     let dir = std::env::temp_dir().join("failmpi-cli-test");
@@ -130,8 +131,12 @@ fn trace_binary_rejects_bad_input_without_panicking() {
         "{}/../core/scenarios/fig5_frequency.fail",
         env!("CARGO_MANIFEST_DIR")
     );
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (&[garbage], "FA000"),
+        (
+            &[&fig5, "--param", "N=99", "--param", "X=2", "--ranks", "4"],
+            "daemon `ADV1`, line 12: index range [0, 99] into group `G1` leaves its 6 deployed",
+        ),
         (&[&fig5, "--machines", "NoSuchClass"], "unknown daemon `NoSuchClass`"),
         (&[&fig5, "--ranks", "6"], "--ranks must be a square number"),
     ];
@@ -177,9 +182,10 @@ fn trace_binary_runs_every_backend() {
 }
 
 /// The exit-status contract of the `figure` entry point, `soak` and
-/// `trace`: 0 for `--help` (usage on stdout), 2 for a usage error or an
-/// output path that cannot be written — reported as `cannot write <path>:
-/// <error>` after the sweep, never by unwinding. (`failmpi-trace`'s rows
+/// `trace`: 0 for `--help` (usage on stdout), 2 for a usage error, a
+/// scenario the sweep's lint gate refuses, or an output path that cannot
+/// be written — reported as `cannot write <path>: <error>` after the
+/// sweep, never by unwinding. (`failmpi-trace`'s rows
 /// are in `crates/trace/tests/cli.rs`, beside its binary.)
 #[test]
 fn figure_and_soak_exit_codes() {
@@ -190,7 +196,10 @@ fn figure_and_soak_exit_codes() {
     let cannot_write = "cannot write /nonexistent/out.json: ";
     // (binary, arguments, exit code, needle, needle is on stdout)
     let trace_exe = env!("CARGO_BIN_EXE_trace");
-    let cases: [(&str, Vec<&str>, i32, &str, bool); 16] = [
+    let strict = ["--lint", "strict", "--backend"];
+    let cases: [(&str, Vec<&str>, i32, &str, bool); 18] = [
+        (figure_exe, [&fig5[..], &strict, &["ulfm"]].concat(), 2, "error[FC003]", false),
+        (figure_exe, [&fig5[..], &strict, &["replica"]].concat(), 2, "error[FC003]", false),
         (figure_exe, [&fig5[..], &["--json", missing]].concat(), 2, cannot_write, false),
         (figure_exe, [&fig5[..], &["--metrics", missing]].concat(), 2, cannot_write, false),
         (figure_exe, [&fig5[..], &["--trace-out", missing]].concat(), 2, cannot_write, false),

@@ -27,7 +27,7 @@ fn rows(mode: DispatcherMode) -> &'static [CrosscheckRow] {
         DispatcherMode::Historical => &HISTORICAL,
         DispatcherMode::Fixed => &FIXED,
     }
-    .get_or_init(|| crosscheck_builtins(SEEDS, &[CheckShape::checker_default(mode)]))
+    .get_or_init(|| crosscheck_builtins(SEEDS, &[CheckShape::checker_default(mode)]).expect("builtins run"))
 }
 
 #[test]

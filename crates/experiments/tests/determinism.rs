@@ -77,7 +77,7 @@ fn fingerprint_discriminates_seeds() {
 #[test]
 fn fig10_freeze_survives_schedule_perturbation() {
     let spec = fig10_stress_spec(DispatcherMode::Historical, 0xB10B);
-    let report = perturb("fig10-buggy", &spec, 25);
+    let report = perturb("fig10-buggy", &spec, 25).expect("spec runs");
     assert_eq!(report.distinct_schedules, 25, "perturbation must explore");
     report.assert_all("buggy");
 }
@@ -86,7 +86,7 @@ fn fig10_freeze_survives_schedule_perturbation() {
 #[test]
 fn fixed_dispatcher_never_freezes_under_perturbation() {
     let spec = fig10_stress_spec(DispatcherMode::Fixed, 0xB10B);
-    let report = perturb("fig10-fixed", &spec, 25);
+    let report = perturb("fig10-fixed", &spec, 25).expect("spec runs");
     assert_eq!(report.count("buggy"), 0, "{:?}", report.histogram);
     assert!(
         report.violations().next().is_none(),

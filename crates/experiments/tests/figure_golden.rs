@@ -52,7 +52,7 @@ fn smoke_figures_match_their_golden_files() {
             backend: Some(backend),
             ..Options::default()
         };
-        let (table, json) = (figure.run)(&opts);
+        let (table, json) = (figure.run)(&opts).expect("figure runs");
         check_golden(format!("{name}-{backend}.txt"), &table);
         check_golden(format!("{name}-{backend}.json"), &json.expect("figure has a JSON form"));
     }

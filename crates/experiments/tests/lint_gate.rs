@@ -50,20 +50,22 @@ fn strict_run_surfaces_the_report_instead_of_running() {
 }
 
 /// Whatever the lint mode, a scenario that does not compile or does not
-/// deploy comes back as a report — `run` never unwinds on bad input.
+/// deploy — `FAIL_RANDOM(0, N)` picking past the machines included —
+/// comes back as a report: `run` never unwinds on bad input.
 #[test]
 fn undeployable_scenarios_come_back_as_reports() {
     let cases = [
         ("daemon ADV1 { node 1: ?x -> goto 7; }", "ADV1", "ADVnodes", None, "FA000"),
         (FIG5_SRC, "ADV1", "NoSuchClass", None, "FA011"),
         (FIG5_SRC, "NoSuchClass", "ADVnodes", None, "FA011"),
-        (FIG5_SRC, "ADV1", "ADVnodes", Some("NoSuchParam"), "FA011"),
+        (FIG5_SRC, "ADV1", "ADVnodes", Some(("NoSuchParam", 1)), "FA011"),
+        (FIG5_SRC, "ADV1", "ADVnodes", Some(("N", 99)), "FA011"),
     ];
     for mode in [LintMode::Off, LintMode::Warn, LintMode::Strict] {
         for (src, adversary, machines, param, code) in cases {
             let mut inj = InjectionSpec::new(src, adversary, machines).with_lint(mode);
-            if let Some(p) = param {
-                inj = inj.with_param(p, 1);
+            if let Some((name, value)) = param {
+                inj = inj.with_param(name, value);
             }
             let mut spec = miniature(14);
             spec.injection = Some(inj);

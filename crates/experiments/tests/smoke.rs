@@ -5,7 +5,7 @@ use failmpi_experiments::figures::{ablation, fig11, fig5, fig6, fig7, fig9};
 
 #[test]
 fn fig5_shape_time_grows_with_frequency() {
-    let data = fig5::run(&fig5::Config::smoke());
+    let data = fig5::run(&fig5::Config::smoke()).expect("sweep runs");
     // First point is the fault-free baseline and must complete.
     let baseline = data.points[0]
         .summary
@@ -35,7 +35,7 @@ fn fig5_shape_time_grows_with_frequency() {
 
 #[test]
 fn fig6_shape_more_ranks_run_faster() {
-    let data = fig6::run(&fig6::Config::smoke());
+    let data = fig6::run(&fig6::Config::smoke()).expect("sweep runs");
     assert!(data.points.len() >= 2);
     let t_small = data.points[0].fault_free.mean_time_s.expect("completes");
     let t_large = data
@@ -59,7 +59,7 @@ fn fig6_shape_more_ranks_run_faster() {
 
 #[test]
 fn fig7_burst_of_one_behaves_like_fig5() {
-    let data = fig7::run(&fig7::Config::smoke());
+    let data = fig7::run(&fig7::Config::smoke()).expect("sweep runs");
     let single = &data.points[0];
     assert_eq!(single.burst, 1);
     // Single-fault bursts never trip the recovery bug.
@@ -73,7 +73,7 @@ fn fig7_burst_of_one_behaves_like_fig5() {
 fn fig9_bug_is_partial_and_fig11_bug_is_total() {
     let mut cfg9 = fig9::Config::smoke();
     cfg9.common.runs = 8;
-    let d9 = fig9::run(&cfg9);
+    let d9 = fig9::run(&cfg9).expect("sweep runs");
     let buggy9: f64 = d9.points.iter().map(|p| p.synchronized.buggy).sum::<f64>()
         / d9.points.len() as f64;
     assert!(
@@ -81,7 +81,7 @@ fn fig9_bug_is_partial_and_fig11_bug_is_total() {
         "fig9 must spare a majority of runs, got {buggy9}"
     );
 
-    let d11 = fig11::run(&fig11::smoke_config());
+    let d11 = fig11::run(&fig11::smoke_config()).expect("sweep runs");
     for p in &d11.points {
         assert_eq!(
             p.synchronized.pct_buggy(),
@@ -97,7 +97,7 @@ fn fig9_bug_is_partial_and_fig11_bug_is_total() {
 #[test]
 fn ablation_fixed_dispatcher_eliminates_the_bug() {
     let cfg = ablation::Config::smoke();
-    let d = ablation::dispatcher(&cfg);
+    let d = ablation::dispatcher(&cfg).expect("sweep runs");
     assert_eq!(d.historical_pct_buggy, 100.0);
     assert_eq!(d.fixed_pct_buggy, 0.0);
     assert_eq!(d.fixed_pct_completed, 100.0);
@@ -106,7 +106,7 @@ fn ablation_fixed_dispatcher_eliminates_the_bug() {
 #[test]
 fn ablation_blocking_checkpoints_are_slower() {
     let cfg = ablation::Config::smoke();
-    let styles = ablation::checkpoint_style(&cfg);
+    let styles = ablation::checkpoint_style(&cfg).expect("sweep runs");
     assert_eq!(styles.len(), 2);
     let nb = styles[0].fault_free.mean_time_s.expect("completes");
     let b = styles[1].fault_free.mean_time_s.expect("completes");
@@ -116,7 +116,7 @@ fn ablation_blocking_checkpoints_are_slower() {
 #[test]
 fn ablation_short_waves_help_under_faults() {
     let cfg = ablation::Config::smoke();
-    let periods = ablation::checkpoint_period(&cfg);
+    let periods = ablation::checkpoint_period(&cfg).expect("sweep runs");
     assert_eq!(periods.len(), cfg.periods_s.len());
     // Under periodic faults, the shortest wave period loses the least
     // work per rollback (when both extremes complete at all).
@@ -130,7 +130,7 @@ fn ablation_short_waves_help_under_faults() {
 #[test]
 fn ablation_vdummy_baseline_crossover() {
     let cfg = ablation::Config::smoke();
-    let points = ablation::protocol(&cfg);
+    let points = ablation::protocol(&cfg).expect("sweep runs");
     assert_eq!(points.len(), 6); // {Vcl, V2, Vdummy} × {clean, faulty}
     let get = |proto: &str, faulty: bool| {
         points
@@ -162,7 +162,7 @@ fn delay_sweep_excess_grows_with_delay() {
     use failmpi_experiments::figures::delay;
     let mut cfg = delay::Config::smoke();
     cfg.delays_s = vec![0, 1];
-    let data = delay::run(&cfg);
+    let data = delay::run(&cfg).expect("sweep runs");
     let base = data.baseline.mean_time_s.expect("baseline completes");
     let excesses: Vec<f64> = data
         .points
@@ -183,7 +183,7 @@ fn delay_sweep_excess_grows_with_delay() {
 #[test]
 fn lbh04_message_logging_wins_under_faults() {
     use failmpi_experiments::figures::lbh04;
-    let data = lbh04::run(&lbh04::Config::smoke());
+    let data = lbh04::run(&lbh04::Config::smoke()).expect("sweep runs");
     let get = |proto: &str, interval: Option<u64>| {
         data.points
             .iter()

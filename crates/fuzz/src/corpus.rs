@@ -224,14 +224,18 @@ pub fn candidate_of(entry: &CorpusEntry, source: &str) -> Candidate {
 }
 
 /// Re-evaluates one corpus entry against its pins, with the probe seeds
-/// the entry was pinned under. Returns FZ004 diagnostics for every drift.
+/// the entry was pinned under. Returns FZ004 diagnostics for every drift,
+/// or the harness's own diagnostics for an entry it refuses to run.
 pub fn replay_entry(entry: &CorpusEntry, source: &str, cfg: &FuzzConfig) -> Vec<Diagnostic> {
     let seeds: Vec<u64> = entry.dynamic_historical.iter().map(|(s, _)| *s).collect();
     let cfg = FuzzConfig {
         probe_seeds: seeds,
         ..cfg.clone()
     };
-    let ev = evaluate(&candidate_of(entry, source), &cfg);
+    let ev = match evaluate(&candidate_of(entry, source), &cfg) {
+        Ok(ev) => ev,
+        Err(refusal) => return refusal.diagnostics,
+    };
 
     let mut out = Vec::new();
     let mut drift = |what: String| {
@@ -316,8 +320,11 @@ pub fn known_freeze_fingerprints(
             probe_seeds: seeds,
             ..cfg.clone()
         };
-        let ev = evaluate(&candidate_of(entry, source), &cfg);
-        out.extend(ev.freeze_fingerprints());
+        // An entry the harness refuses froze nothing; `replay_entry`
+        // reports the refusal.
+        if let Ok(ev) = evaluate(&candidate_of(entry, source), &cfg) {
+            out.extend(ev.freeze_fingerprints());
+        }
     }
     out
 }

@@ -142,7 +142,15 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
             continue;
         };
         candidates += 1;
-        let ev = evaluate(&cand, &opts.config);
+        let ev = match evaluate(&cand, &opts.config) {
+            Ok(ev) => ev,
+            // A candidate the harness refuses slipped through the
+            // validity filter: its diagnostics are the finding.
+            Err(refusal) => {
+                reports.push(Report::new(format!("fuzz:{}", cand.name), refusal.diagnostics));
+                continue;
+            }
+        };
         fig10 |= ev.fig10_family;
 
         let key = key_of(&ev);
@@ -165,11 +173,11 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
                     source: src.to_string(),
                     ..cand.clone()
                 };
-                let mut codes: Vec<&str> =
-                    findings_for(&evaluate(&probe, &opts.config), &opts.known_freeze_fps)
-                        .iter()
-                        .map(|d| d.code)
-                        .collect();
+                let findings = match evaluate(&probe, &opts.config) {
+                    Ok(ev) => findings_for(&ev, &opts.known_freeze_fps),
+                    Err(refusal) => refusal.diagnostics,
+                };
+                let mut codes: Vec<&str> = findings.iter().map(|d| d.code).collect();
                 codes.sort_unstable();
                 codes
             };

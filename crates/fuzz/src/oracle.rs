@@ -21,13 +21,13 @@
 use std::collections::BTreeSet;
 
 use failmpi_analyze::{
-    model_check_source, Diagnostic, ModelCheckConfig, ModelSummary, Severity, StaticVerdict,
+    model_check_source, Diagnostic, ModelCheckConfig, ModelSummary, Report, Severity,
+    StaticVerdict,
 };
 use failmpi_backend::BackendKind;
 use failmpi_experiments::robustness::outcome_class;
-use failmpi_experiments::{
-    run_one, run_one_traced, smoke_spec_for, tracesink, verdicts_agree, LintMode,
-};
+use failmpi_experiments::harness::{self, Observe};
+use failmpi_experiments::{smoke_spec_for, tracesink, verdicts_agree, LintMode};
 use failmpi_mpichv::DispatcherMode;
 
 use crate::gen::Candidate;
@@ -139,7 +139,12 @@ impl Evaluation {
     }
 }
 
-fn probe(cand: &Candidate, seed: u64, mode: DispatcherMode, backend: BackendKind) -> DynRun {
+fn probe(
+    cand: &Candidate,
+    seed: u64,
+    mode: DispatcherMode,
+    backend: BackendKind,
+) -> Result<DynRun, Report> {
     let params: Vec<(&str, i64)> = cand.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     let mut spec = smoke_spec_for(&cand.source, &cand.machine_class, &params, seed, mode)
         .with_backend(backend);
@@ -148,16 +153,18 @@ fn probe(cand: &Candidate, seed: u64, mode: DispatcherMode, backend: BackendKind
     if let Some(inj) = spec.injection.as_mut() {
         inj.lint = LintMode::Off;
     }
-    let record = run_one(&spec);
-    DynRun {
+    let record = harness::run(&spec, Observe::default())?.record;
+    Ok(DynRun {
         seed,
         class: outcome_class(&record.outcome),
         fingerprint: record.fingerprint,
-    }
+    })
 }
 
-/// Runs both oracles over `cand`.
-pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Evaluation {
+/// Runs both oracles over `cand`. `Err` is the harness's refusal of a
+/// candidate that compiles and lints but does not deploy at smoke scale
+/// under its parameters.
+pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Result<Evaluation, Report> {
     let static_of = |mode| {
         let mc = ModelCheckConfig {
             params: cand.params.clone(),
@@ -186,18 +193,18 @@ pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Evaluation {
         // flat ladder length if a future change ever drops it.
         Some(summary.witness.as_ref().map_or(4, |w| w.steps.len()))
     };
-    let dynamic_of = |mode, ladder: Option<usize>| -> Vec<DynRun> {
+    let dynamic_of = |mode, ladder: Option<usize>| -> Result<Vec<DynRun>, Report> {
         let mut runs: Vec<DynRun> = cfg
             .probe_seeds
             .iter()
             .map(|&seed| probe(cand, seed, mode, BackendKind::Vcl))
-            .collect();
+            .collect::<Result<_, _>>()?;
         if let Some(extra) = ladder {
             if !runs.iter().any(|r| r.class == "buggy") {
                 let from = runs.iter().map(|r| r.seed).max().unwrap_or(0) + 1;
                 let to = (from + extra as u64).saturating_sub(1).min(cfg.escalate_cap);
                 for seed in from..=to {
-                    let run = probe(cand, seed, mode, BackendKind::Vcl);
+                    let run = probe(cand, seed, mode, BackendKind::Vcl)?;
                     let hit = run.class == "buggy";
                     runs.push(run);
                     if hit {
@@ -206,10 +213,10 @@ pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Evaluation {
                 }
             }
         }
-        runs
+        Ok(runs)
     };
-    let dynamic_h = dynamic_of(DispatcherMode::Historical, ladder_of(&static_h));
-    let dynamic_f = dynamic_of(DispatcherMode::Fixed, ladder_of(&static_f));
+    let dynamic_h = dynamic_of(DispatcherMode::Historical, ladder_of(&static_h))?;
+    let dynamic_f = dynamic_of(DispatcherMode::Fixed, ladder_of(&static_f))?;
 
     // Classify frozen historical runs against the paper's dispatcher-bug
     // pattern via the causal trace — the family discriminator that keeps
@@ -228,7 +235,7 @@ pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Evaluation {
             if let Some(inj) = spec.injection.as_mut() {
                 inj.lint = LintMode::Off;
             }
-            let traced = run_one_traced(&spec);
+            let traced = harness::run(&spec, Observe { causal: true, ..Observe::default() })?;
             let trace = tracesink::trace_file_of(&cand.name, run.seed, &traced);
             let ex = failmpi_trace::explain::explain(&trace);
             (
@@ -253,19 +260,19 @@ pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Evaluation {
                 budget: cfg.model_budget,
                 ..ModelCheckConfig::default()
             };
-            BackendEval {
+            Ok(BackendEval {
                 backend,
                 summary: model_check_source(&cand.source, &mc).summary,
                 dynamic: cfg
                     .probe_seeds
                     .iter()
                     .map(|&seed| probe(cand, seed, DispatcherMode::Historical, backend))
-                    .collect(),
-            }
+                    .collect::<Result<_, Report>>()?,
+            })
         })
-        .collect();
+        .collect::<Result<_, Report>>()?;
 
-    Evaluation {
+    Ok(Evaluation {
         static_h,
         static_f,
         dynamic_h,
@@ -273,7 +280,7 @@ pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Evaluation {
         fig10_family,
         narration,
         backends,
-    }
+    })
 }
 
 fn dyn_note(runs: &[DynRun]) -> String {

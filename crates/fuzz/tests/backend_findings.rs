@@ -24,7 +24,7 @@ fn fig10_reproducer_diverges_under_ulfm_and_reports_fz008() {
         probe_seeds: entry.dynamic_historical.iter().map(|(s, _)| *s).collect(),
         ..FuzzConfig::default()
     };
-    let ev = evaluate(&candidate_of(entry, source), &cfg);
+    let ev = evaluate(&candidate_of(entry, source), &cfg).expect("corpus entries run");
 
     // The dispatcher bug freezes the Vcl probes; both alternate backends
     // are evaluated and at least ULFM completes the same campaign.
@@ -57,7 +57,7 @@ fn non_divergent_entries_report_no_fz008() {
         probe_seeds: entry.dynamic_historical.iter().map(|(s, _)| *s).collect(),
         ..FuzzConfig::default()
     };
-    let ev = evaluate(&candidate_of(entry, source), &cfg);
+    let ev = evaluate(&candidate_of(entry, source), &cfg).expect("corpus entries run");
     let findings = findings_for(&ev, &BTreeSet::new());
     assert!(
         findings.iter().all(|d| d.code != "FZ008"),

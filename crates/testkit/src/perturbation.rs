@@ -91,13 +91,15 @@ pub fn perturbation_seeds(n: usize) -> Vec<u64> {
 
 /// Runs `run` once per perturbation seed and aggregates. The closure
 /// receives the tie-break seed and must run the scenario under
-/// [`failmpi_sim::TieBreak::Seeded`] with it.
-pub fn sweep(
+/// [`failmpi_sim::TieBreak::Seeded`] with it; the first seed it cannot run
+/// ends the sweep with its error.
+pub fn sweep<E>(
     label: &str,
     seeds: &[u64],
-    mut run: impl FnMut(u64) -> PerturbationOutcome,
-) -> PerturbationReport {
-    let outcomes: Vec<PerturbationOutcome> = seeds.iter().map(|&s| run(s)).collect();
+    run: impl FnMut(u64) -> Result<PerturbationOutcome, E>,
+) -> Result<PerturbationReport, E> {
+    let outcomes: Vec<PerturbationOutcome> =
+        seeds.iter().copied().map(run).collect::<Result<_, E>>()?;
     let mut histogram = BTreeMap::new();
     for o in &outcomes {
         *histogram.entry(o.classification.clone()).or_insert(0) += 1;
@@ -105,25 +107,25 @@ pub fn sweep(
     let mut fingerprints: Vec<u64> = outcomes.iter().map(|o| o.fingerprint).collect();
     fingerprints.sort_unstable();
     fingerprints.dedup();
-    PerturbationReport {
+    Ok(PerturbationReport {
         label: label.to_string(),
         outcomes,
         histogram,
         distinct_schedules: fingerprints.len(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn outcome(seed: u64, class: &str, fp: u64) -> PerturbationOutcome {
-        PerturbationOutcome {
+    fn outcome(seed: u64, class: &str, fp: u64) -> Result<PerturbationOutcome, String> {
+        Ok(PerturbationOutcome {
             seed,
             classification: class.to_string(),
             fingerprint: fp,
             invariant_violation: None,
-        }
+        })
     }
 
     #[test]
@@ -140,7 +142,7 @@ mod tests {
     #[test]
     fn stable_sweep_reports_stable() {
         let seeds = perturbation_seeds(5);
-        let r = sweep("s", &seeds, |s| outcome(s, "completed", s));
+        let r = sweep("s", &seeds, |s| outcome(s, "completed", s)).expect("every seed runs");
         assert!(r.is_stable());
         assert_eq!(r.count("completed"), 5);
         assert_eq!(r.distinct_schedules, 5);
@@ -155,6 +157,7 @@ mod tests {
             i += 1;
             outcome(s, if i % 2 == 0 { "a" } else { "b" }, s)
         });
+        let r = r.expect("every seed runs");
         assert!(!r.is_stable());
         assert_eq!(r.count("a"), 2);
         assert_eq!(r.count("b"), 2);
@@ -164,12 +167,23 @@ mod tests {
     #[should_panic(expected = "violated an invariant")]
     fn violations_fail_assert_all() {
         let seeds = perturbation_seeds(2);
-        let r = sweep("s", &seeds, |s| PerturbationOutcome {
-            seed: s,
-            classification: "completed".into(),
-            fingerprint: s,
-            invariant_violation: Some("wave 3 committed after 4".into()),
+        let r = sweep("s", &seeds, |s| {
+            let violation = Some("wave 3 committed after 4".into());
+            outcome(s, "completed", s).map(|o| PerturbationOutcome { invariant_violation: violation, ..o })
         });
-        r.assert_all("completed");
+        r.expect("every seed runs").assert_all("completed");
+    }
+
+    #[test]
+    fn a_seed_that_cannot_run_ends_the_sweep_with_its_error() {
+        let seeds = perturbation_seeds(3);
+        let r = sweep("s", &seeds, |s| {
+            if s == seeds[1] {
+                Err(format!("refused {s}"))
+            } else {
+                outcome(s, "completed", s)
+            }
+        });
+        assert_eq!(r.err(), Some(format!("refused {}", seeds[1])));
     }
 }

@@ -21,7 +21,7 @@ fn main() {
         "sweeping fault intervals {:?}s over BT class {} at {} ranks ({} runs/point)\n",
         cfg.intervals_s, cfg.common.class.name, cfg.n_ranks, cfg.common.runs
     );
-    let data = fig5::run(&cfg);
+    let data = fig5::run(&cfg).expect("sweep runs");
     print!("{}", fig5::render(&data));
 
     // The dependability-benchmark takeaway: how much fault frequency the
