@@ -8,8 +8,9 @@
 //! (and whatever follows it) is behaviour-preserving, byte for byte.
 
 use failmpi::analyze::{model_check_source, ModelCheckConfig};
-use failmpi::experiments::figures::FIG10_SRC;
+use failmpi::experiments::figures::{FIG10_SRC, FIG5_SRC};
 use failmpi::experiments::robustness::{fault_free_smoke_spec, fig10_stress_spec, outcome_class};
+use failmpi::experiments::smoke_spec_for;
 use failmpi::prelude::*;
 
 const SEED: u64 = 7;
@@ -71,6 +72,73 @@ const REDUCED_MODEL_CHECKS: [(BackendKind, &str, usize, usize, u64); 3] = [
     (BackendKind::Ulfm, "survives", 41, 41, 0xe5a775810eddae60),
     (BackendKind::Replica, "freezes", 11276, 11285, 0xfc1ae5e0d1c3635b),
 ];
+
+/// One MPICH-V protocol variant of the pin table below.
+#[derive(Clone, Copy, Debug)]
+enum Variant {
+    VclHistorical,
+    VclFixed,
+    VclBlocking,
+    V2,
+    Vdummy,
+}
+
+impl Variant {
+    fn apply(self, cluster: &mut VclConfig) {
+        use failmpi::mpichv::VProtocol::{Vcl, Vdummy, V2};
+        use CheckpointStyle::{Blocking, NonBlocking};
+        use DispatcherMode::{Fixed, Historical};
+        (cluster.dispatcher, cluster.protocol, cluster.checkpoint_style) = match self {
+            Variant::VclHistorical => (Historical, Vcl, NonBlocking),
+            Variant::VclFixed => (Fixed, Vcl, NonBlocking),
+            Variant::VclBlocking => (Historical, Vcl, Blocking),
+            Variant::V2 => (Historical, V2, NonBlocking),
+            Variant::Vdummy => (Historical, Vdummy, NonBlocking),
+        };
+    }
+}
+
+/// `(variant, spec, outcome class, fingerprint, events, end µs, app / ckpt
+/// / control bytes)` of every MPICH-V protocol the daemon runs, fault-free
+/// and under the fig5 smoke injection. Recorded before the daemon was
+/// split into a lifecycle shell and one part per protocol.
+#[allow(clippy::type_complexity)]
+const PROTOCOL_RUNS: [(Variant, &str, &str, u64, u64, u64, [u64; 3]); 10] = [
+    (Variant::VclHistorical, "fault_free", "completed", 0x841878688f9edd20, 1370, 4841726, [384062464, 83201024, 5888]),
+    (Variant::VclHistorical, "fig5", "completed", 0xc0cccc05caa8ce77, 2079, 7948049, [560090624, 138002304, 9408]),
+    (Variant::VclFixed, "fault_free", "completed", 0x841878688f9edd20, 1370, 4841726, [384062464, 83201024, 5888]),
+    (Variant::VclFixed, "fig5", "completed", 0xc0cccc05caa8ce77, 2079, 7948049, [560090624, 138002304, 9408]),
+    (Variant::VclBlocking, "fault_free", "completed", 0xb2d6c71f732592a4, 1362, 5434467, [384062464, 80000512, 5888]),
+    (Variant::VclBlocking, "fig5", "completed", 0x14ee3a3c6bf40493, 2569, 11299105, [665707520, 220001792, 14848]),
+    (Variant::V2, "fault_free", "completed", 0xf784d97471eb4bb, 1316, 5007608, [384062464, 60000384, 2816]),
+    (Variant::V2, "fig5", "completed", 0x50f30a16c1d3f067, 1578, 7082098, [454473728, 102400640, 4032]),
+    (Variant::Vdummy, "fault_free", "completed", 0xdb58d3474cd02d2b, 1286, 4702601, [384062464, 0, 2048]),
+    (Variant::Vdummy, "fig5", "non-terminating", 0xa31b1d15e5a35c1d, 24806, 90000000, [7201152000, 0, 39552]),
+];
+
+#[test]
+fn every_mpichv_protocol_reproduces_its_schedule_pins() {
+    for (variant, name, class, fingerprint, events, end_us, traffic) in PROTOCOL_RUNS {
+        let mut spec = match name {
+            "fault_free" => fault_free_smoke_spec(SEED),
+            _ => {
+                let params = [("X", 4), ("N", 5)];
+                smoke_spec_for(FIG5_SRC, "ADVnodes", &params, SEED, DispatcherMode::Historical)
+            }
+        };
+        variant.apply(&mut spec.cluster);
+        let r = run_one(&spec);
+        let t = r.traffic;
+        let got = (
+            outcome_class(&r.outcome),
+            r.fingerprint,
+            r.events,
+            r.end.as_micros(),
+            [t.app_bytes, t.ckpt_bytes, t.control_bytes],
+        );
+        assert_eq!(got, (class, fingerprint, events, end_us, traffic), "{variant:?} {name}");
+    }
+}
 
 #[test]
 fn smoke_runs_reproduce_their_pins_on_every_backend() {
