@@ -90,18 +90,17 @@ impl Cluster {
             let p = net.spawn_process(h);
             net.listen(p, ports::server(i));
             role_of.insert(p.0, Role::Server(i));
-            servers.push(CkptServer::new(p, i));
+            servers.push(CkptServer::new(p, i, &cfg));
         }
 
         let n = cfg.n_ranks as usize;
         let dispatcher = Dispatcher::new(
             dispatcher_proc,
-            cfg.dispatcher,
-            cfg.protocol,
+            &cfg,
             compute_hosts[..n].to_vec(),
             compute_hosts[n..].to_vec(),
         );
-        let scheduler = CkptScheduler::new(scheduler_proc, cfg.n_ranks, cfg.n_ckpt_servers);
+        let scheduler = CkptScheduler::new(scheduler_proc, &cfg);
         let addrs = Addrs {
             dispatcher_host,
             scheduler_host,
@@ -278,14 +277,8 @@ impl Cluster {
         }
         let proc = ctx.net.spawn_process(host);
         self.role_of.insert(proc.0, Role::Daemon(rank.0));
-        let mut v = VNode::new(
-            rank,
-            proc,
-            host,
-            epoch,
-            Arc::clone(&self.programs[rank.0 as usize]),
-            ctx.cfg.n_ranks,
-        );
+        let program = Arc::clone(&self.programs[rank.0 as usize]);
+        let mut v = VNode::new(rank, proc, host, epoch, program, &ctx.cfg);
         ctx.trace(VclEvent::DaemonSpawned { rank, epoch, host });
         // FAIL-MPI registration: the self-deploying runtime registers every
         // launched process with the local injection daemon.

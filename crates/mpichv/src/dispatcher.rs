@@ -22,13 +22,13 @@
 //! can never come. [`DispatcherMode::Fixed`] keys the accounting by
 //! incarnation instead and relaunches the victim.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use failmpi_net::{ConnId, HostId, ProcId};
 use failmpi_sim::SimDuration;
 use failmpi_mpi::Rank;
 
-use crate::config::{DispatcherMode, VProtocol};
+use crate::config::{DispatcherMode, VProtocol, VclConfig};
 use crate::ctx::{Cmd, Facilities};
 use crate::trace::VclEvent;
 use crate::wire::Wire;
@@ -54,15 +54,20 @@ pub(crate) enum RankState {
     Done,
 }
 
+/// V2's single-rank recovery: a failure relaunches only its victim.
+struct Solo {
+    /// Per-rank incarnation numbers (epochs are per rank here).
+    incarnation: Vec<u32>,
+    /// Ranks whose solo restart is awaiting their `Ready`.
+    pending: HashSet<Rank>,
+}
+
 pub(crate) struct Dispatcher {
     pub proc: ProcId,
     mode: DispatcherMode,
-    protocol: VProtocol,
     epoch: u32,
-    /// V2: per-rank incarnation numbers (epochs are per rank there).
-    incarnation: Vec<u32>,
-    /// V2: ranks whose solo restart is awaiting their `Ready`.
-    solo_pending: std::collections::HashSet<Rank>,
+    /// Present iff the protocol restarts ranks one by one (V2).
+    solo: Option<Solo>,
     states: Vec<RankState>,
     conn_rank: HashMap<ConnId, Rank>,
     rank_conn: Vec<Option<ConnId>>,
@@ -77,19 +82,19 @@ pub(crate) struct Dispatcher {
 impl Dispatcher {
     pub fn new(
         proc: ProcId,
-        mode: DispatcherMode,
-        protocol: VProtocol,
+        cfg: &VclConfig,
         machine_of_rank: Vec<HostId>,
         free_hosts: Vec<HostId>,
     ) -> Self {
         let n = machine_of_rank.len();
         Dispatcher {
             proc,
-            mode,
-            protocol,
+            mode: cfg.dispatcher,
             epoch: 0,
-            incarnation: vec![0; n],
-            solo_pending: std::collections::HashSet::new(),
+            solo: (cfg.protocol == VProtocol::V2).then(|| Solo {
+                incarnation: vec![0; n],
+                pending: HashSet::new(),
+            }),
             states: vec![RankState::Starting; n],
             conn_rank: HashMap::new(),
             rank_conn: vec![None; n],
@@ -109,23 +114,34 @@ impl Dispatcher {
     pub fn launch_all(&mut self, ctx: &mut Facilities) {
         for r in 0..self.n() {
             self.states[r] = RankState::Starting;
-            ctx.cmds.push(Cmd::SpawnDaemon {
-                rank: Rank(r as u32),
-                host: self.machine_of_rank[r],
-                epoch: self.epoch_of(Rank(r as u32)),
-                extra_delay: ctx.cfg.ssh_stagger * r as u64,
-            });
+            self.spawn(Rank(r as u32), ctx.cfg.ssh_stagger * r as u64, ctx);
+        }
+    }
+
+    /// ssh-launches `rank` on its machine, for its current epoch.
+    fn spawn(&self, rank: Rank, extra_delay: SimDuration, ctx: &mut Facilities) {
+        ctx.cmds.push(Cmd::SpawnDaemon {
+            rank,
+            host: self.machine_of_rank[rank.0 as usize],
+            epoch: self.epoch_of(rank),
+            extra_delay,
+        });
+    }
+
+    /// Hands `rank` the process table: it connects the mesh and runs.
+    fn send_start_run(&self, rank: Rank, solo: bool, ctx: &mut Facilities) {
+        if let Some(conn) = self.rank_conn[rank.0 as usize] {
+            let (epoch, hosts) = (self.epoch_of(rank), self.machine_of_rank.clone());
+            ctx.send(conn, self.proc, Wire::StartRun { epoch, hosts, solo });
         }
     }
 
     /// The epoch a fresh launch of `rank` would carry: global under Vcl,
     /// per-rank incarnation under V2.
     fn epoch_of(&self, rank: Rank) -> u32 {
-        if self.protocol == VProtocol::V2 {
-            self.incarnation[rank.0 as usize]
-        } else {
-            self.epoch
-        }
+        self.solo
+            .as_ref()
+            .map_or(self.epoch, |solo| solo.incarnation[rank.0 as usize])
     }
 
     /// Guard used by the cluster before honouring a scheduled spawn: stale
@@ -181,21 +197,11 @@ impl Dispatcher {
                 if self.states[r] != RankState::Registered {
                     return;
                 }
-                if self.solo_pending.remove(&rank) {
+                if self.solo.as_mut().is_some_and(|solo| solo.pending.remove(&rank)) {
                     // V2: only this rank restarts; hand it the table and
                     // let the rest of the fleet keep computing.
                     self.states[r] = RankState::Running;
-                    if let Some(conn) = self.rank_conn[r] {
-                        ctx.send(
-                            conn,
-                            self.proc,
-                            Wire::StartRun {
-                                epoch: self.epoch_of(rank),
-                                hosts: self.machine_of_rank.clone(),
-                                solo: true,
-                            },
-                        );
-                    }
+                    self.send_start_run(rank, true, ctx);
                     self.recovery_active = false;
                     return;
                 }
@@ -219,20 +225,9 @@ impl Dispatcher {
     }
 
     fn start_run(&mut self, ctx: &mut Facilities) {
-        let hosts = self.machine_of_rank.clone();
         for r in 0..self.n() {
             self.states[r] = RankState::Running;
-            if let Some(conn) = self.rank_conn[r] {
-                ctx.send(
-                    conn,
-                    self.proc,
-                    Wire::StartRun {
-                        epoch: self.epoch,
-                        hosts: hosts.clone(),
-                        solo: false,
-                    },
-                );
-            }
+            self.send_start_run(Rank(r as u32), false, ctx);
         }
         self.recovery_active = false;
         ctx.trace(VclEvent::RunStarted { epoch: self.epoch });
@@ -273,16 +268,16 @@ impl Dispatcher {
                     epoch: self.epoch_of(rank),
                     during_recovery: self.recovery_active,
                 });
-                if self.protocol == VProtocol::V2 {
+                if let Some(solo) = self.solo.as_mut() {
                     // Message logging: restart *only* the victim, on a
                     // spare machine; nobody else even notices beyond a
                     // reset peer stream.
+                    solo.incarnation[r] += 1;
+                    solo.pending.insert(rank);
                     self.recovery_active = true;
                     self.epoch += 1; // global recovery counter for traces
                     ctx.trace(VclEvent::RecoveryStarted { epoch: self.epoch });
-                    self.incarnation[r] += 1;
                     self.reassign_machine(rank);
-                    self.solo_pending.insert(rank);
                     self.relaunch(rank, ctx);
                     return;
                 }
@@ -367,12 +362,7 @@ impl Dispatcher {
         // previous ones.
         let extra_delay = ctx.cfg.ssh_stagger * self.relaunch_pos;
         self.relaunch_pos += 1;
-        ctx.cmds.push(Cmd::SpawnDaemon {
-            rank,
-            host: self.machine_of_rank[r],
-            epoch: self.epoch_of(rank),
-            extra_delay,
-        });
+        self.spawn(rank, extra_delay, ctx);
     }
 
     /// The ssh session of a launch died before the daemon registered: the
@@ -383,12 +373,7 @@ impl Dispatcher {
     pub fn on_launch_failed(&mut self, rank: Rank, epoch: u32, ctx: &mut Facilities) {
         if epoch == self.epoch_of(rank) && self.states[rank.0 as usize] == RankState::Starting {
             ctx.trace(VclEvent::LaunchRetried { rank, epoch });
-            ctx.cmds.push(Cmd::SpawnDaemon {
-                rank,
-                host: self.machine_of_rank[rank.0 as usize],
-                epoch: self.epoch_of(rank),
-                extra_delay: SimDuration::ZERO,
-            });
+            self.spawn(rank, SimDuration::ZERO, ctx);
         }
     }
 }

@@ -101,15 +101,19 @@ pub enum Ev {
 
 impl FingerprintEvent for Ev {
     fn fold(&self, fp: &mut Fingerprint) {
+        // A variant code followed by the addressed daemon incarnation.
+        let daemon = |fp: &mut Fingerprint, code: u8, rank: &Rank, proc: &ProcId| {
+            fp.write_u8(code);
+            fp.write_u32(rank.0);
+            fp.write_u32(proc.0);
+        };
         match self {
             Ev::Net(net) => {
                 fp.write_u8(1);
                 net.fold_with(fp, |wire, fp| wire.fold(fp));
             }
             Ev::ComputeDone { rank, proc, gen } => {
-                fp.write_u8(2);
-                fp.write_u32(rank.0);
-                fp.write_u32(proc.0);
+                daemon(fp, 2, rank, proc);
                 fp.write_u64(*gen);
             }
             Ev::SchedTick => fp.write_u8(3),
@@ -131,41 +135,21 @@ impl FingerprintEvent for Ev {
                 fp.write_u32(rank.0);
                 fp.write_u32(*wave);
             }
-            Ev::RestoreDone { rank, proc } => {
-                fp.write_u8(6);
-                fp.write_u32(rank.0);
-                fp.write_u32(proc.0);
-            }
-            Ev::DiskLoaded { rank, proc } => {
-                fp.write_u8(7);
-                fp.write_u32(rank.0);
-                fp.write_u32(proc.0);
-            }
+            Ev::RestoreDone { rank, proc } => daemon(fp, 6, rank, proc),
+            Ev::DiskLoaded { rank, proc } => daemon(fp, 7, rank, proc),
             Ev::LaunchFailed { rank, epoch } => {
                 fp.write_u8(8);
                 fp.write_u32(rank.0);
                 fp.write_u32(*epoch);
             }
-            Ev::SelfCkpt { rank, proc } => {
-                fp.write_u8(9);
-                fp.write_u32(rank.0);
-                fp.write_u32(proc.0);
-            }
-            Ev::BootConnect { rank, proc } => {
-                fp.write_u8(10);
-                fp.write_u32(rank.0);
-                fp.write_u32(proc.0);
-            }
+            Ev::SelfCkpt { rank, proc } => daemon(fp, 9, rank, proc),
+            Ev::BootConnect { rank, proc } => daemon(fp, 10, rank, proc),
             Ev::DaemonExit { rank, proc, normal } => {
-                fp.write_u8(11);
-                fp.write_u32(rank.0);
-                fp.write_u32(proc.0);
+                daemon(fp, 11, rank, proc);
                 fp.write_u8(u8::from(*normal));
             }
             Ev::RetryPeerConnect { rank, proc, peer } => {
-                fp.write_u8(12);
-                fp.write_u32(rank.0);
-                fp.write_u32(proc.0);
+                daemon(fp, 12, rank, proc);
                 fp.write_u32(peer.0);
             }
         }

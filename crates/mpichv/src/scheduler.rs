@@ -12,6 +12,7 @@ use std::collections::{BTreeSet, HashSet};
 use failmpi_net::{ConnId, ProcId};
 use failmpi_mpi::Rank;
 
+use crate::config::{VProtocol, VclConfig};
 use crate::ctx::Facilities;
 use crate::event::tokens;
 use crate::trace::VclEvent;
@@ -20,6 +21,9 @@ use crate::wire::Wire;
 pub(crate) struct CkptScheduler {
     pub proc: ProcId,
     n_ranks: u32,
+    /// Whether this deployment checkpoints in coordinated waves at all
+    /// (Vcl); V2 checkpoints per rank, Vdummy not at all.
+    opens_waves: bool,
     /// Streams to the checkpoint servers (established at boot).
     server_conns: Vec<Option<ConnId>>,
     /// Streams accepted from daemons.
@@ -33,11 +37,12 @@ pub(crate) struct CkptScheduler {
 }
 
 impl CkptScheduler {
-    pub fn new(proc: ProcId, n_ranks: u32, n_servers: usize) -> Self {
+    pub fn new(proc: ProcId, cfg: &VclConfig) -> Self {
         CkptScheduler {
             proc,
-            n_ranks,
-            server_conns: vec![None; n_servers],
+            n_ranks: cfg.n_ranks,
+            opens_waves: cfg.protocol == VProtocol::Vcl,
+            server_conns: vec![None; cfg.n_ckpt_servers],
             daemon_conns: BTreeSet::new(),
             next_wave: 1,
             in_progress: None,
@@ -78,13 +83,12 @@ impl CkptScheduler {
     }
 
     /// Periodic tick: open a new wave when the previous one is done and
-    /// every daemon is connected. Under `Vdummy` there is no checkpointing
-    /// at all.
+    /// every daemon is connected.
     pub fn on_tick(&mut self, ctx: &mut Facilities) {
-        if ctx.cfg.protocol != crate::config::VProtocol::Vcl {
-            return; // V2 checkpoints per rank; Vdummy not at all
-        }
-        if self.in_progress.is_some() || self.daemon_conns.len() != self.n_ranks as usize {
+        if !self.opens_waves
+            || self.in_progress.is_some()
+            || self.daemon_conns.len() != self.n_ranks as usize
+        {
             return;
         }
         let wave = self.next_wave;
@@ -140,8 +144,17 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn sched_with_conns(_w: &mut Facilities, n: u32) -> (CkptScheduler, Vec<ConnId>) {
-        let mut s = CkptScheduler::new(ProcId(0), n, 1);
+    fn scheduler(w: &Facilities, n_ranks: u32) -> CkptScheduler {
+        let cfg = VclConfig {
+            n_ranks,
+            n_ckpt_servers: 1,
+            ..w.cfg.clone()
+        };
+        CkptScheduler::new(ProcId(0), &cfg)
+    }
+
+    fn sched_with_conns(w: &mut Facilities, n: u32) -> (CkptScheduler, Vec<ConnId>) {
+        let mut s = scheduler(w, n);
         let conns: Vec<ConnId> = (0..n as u64).map(ConnId).collect();
         for &c in &conns {
             s.on_daemon_conn(c);
@@ -152,7 +165,7 @@ mod tests {
     #[test]
     fn no_wave_until_all_daemons_connected() {
         let mut w = world(6);
-        let mut s = CkptScheduler::new(ProcId(0), 3, 1);
+        let mut s = scheduler(&w, 3);
         s.on_daemon_conn(ConnId(1));
         s.on_daemon_conn(ConnId(2));
         s.on_tick(w.at(t(30)));
@@ -216,7 +229,7 @@ mod tests {
     #[test]
     fn vdummy_never_ticks() {
         let mut w = world(6);
-        w.cfg.protocol = crate::config::VProtocol::Vdummy;
+        w.cfg.protocol = VProtocol::Vdummy;
         let (mut s, _) = sched_with_conns(&mut w, 2);
         s.on_tick(w.at(t(30)));
         assert!(!s.wave_in_progress());

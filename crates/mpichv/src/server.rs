@@ -13,7 +13,7 @@ use failmpi_net::{ConnId, ProcId};
 use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpi::Rank;
 
-use crate::config::VProtocol;
+use crate::config::{VProtocol, VclConfig};
 use crate::ctx::Facilities;
 use crate::event::Ev;
 use crate::wire::{LoggedMsg, ProcImage, Wire};
@@ -28,10 +28,22 @@ struct Staged {
     durable: bool,
 }
 
+/// Which version a rank restarts from, and what the server retains.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Line {
+    /// Coordinated (Vcl, Vdummy): the last globally committed wave; a
+    /// commit drops every older wave.
+    Committed,
+    /// Uncoordinated (V2): each rank's own newest durable version; the two
+    /// newest versions of each rank are retained.
+    PerRank,
+}
+
 pub(crate) struct CkptServer {
     pub proc: ProcId,
     /// This server's index (echoed in disk-completion events).
     pub index: usize,
+    line: Line,
     /// The last wave the scheduler declared globally complete.
     committed: Option<u32>,
     /// Staged images by `(rank, wave)`; at most two waves alive at a time
@@ -42,10 +54,14 @@ pub(crate) struct CkptServer {
 }
 
 impl CkptServer {
-    pub fn new(proc: ProcId, index: usize) -> Self {
+    pub fn new(proc: ProcId, index: usize, cfg: &VclConfig) -> Self {
         CkptServer {
             proc,
             index,
+            line: match cfg.protocol {
+                VProtocol::V2 => Line::PerRank,
+                VProtocol::Vcl | VProtocol::Vdummy => Line::Committed,
+            },
             committed: None,
             staged: BTreeMap::new(),
             disk_free: SimTime::ZERO,
@@ -99,41 +115,11 @@ impl CkptServer {
                 self.staged.retain(|&(_, w), _| w >= wave);
             }
             Wire::QueryLatest { rank } => {
-                let wave = if ctx.cfg.protocol == VProtocol::V2 {
-                    // Uncoordinated: each rank restarts from its own
-                    // newest durable version.
-                    self.staged
-                        .iter()
-                        .filter(|(&(r, _), s)| r == rank && s.durable)
-                        .map(|(&(_, w), _)| w)
-                        .max()
-                } else {
-                    // Coordinated: the last globally committed wave. Only
-                    // report a wave this server can actually serve for the
-                    // asking rank (it always can once the commit arrived,
-                    // since commit implies every ack → every image).
-                    let wave = self
-                        .committed
-                        .filter(|&w| self.staged.contains_key(&(rank, w)));
-                    debug_assert_eq!(
-                        wave, self.committed,
-                        "committed wave lacks an image for {rank:?}"
-                    );
-                    wave
-                };
+                let wave = self.restart_version(rank);
                 ctx.send(conn, self.proc, Wire::Latest { wave });
             }
             Wire::FetchImage { rank } => {
-                let wave = if ctx.cfg.protocol == VProtocol::V2 {
-                    self.staged
-                        .iter()
-                        .filter(|(&(r, _), s)| r == rank && s.durable)
-                        .map(|(&(_, w), _)| w)
-                        .max()
-                        .expect("fetch before any durable version")
-                } else {
-                    self.committed.expect("fetch before any commit")
-                };
+                let wave = self.restart_version(rank).expect("fetch before any restart line");
                 let s = &self.staged[&(rank, wave)];
                 ctx.send(
                     conn,
@@ -163,19 +149,44 @@ impl CkptServer {
         }
     }
 
-    /// The disk write finished: acknowledge the transfer. Under V2 this
-    /// also makes the version restartable and prunes older versions of the
+    /// The disk write finished: acknowledge the transfer. This also makes
+    /// the version restartable; per-rank lines prune older versions of the
     /// same rank (two retained, like the Vcl two-file scheme).
     pub fn on_write_done(&mut self, conn: ConnId, rank: Rank, wave: u32, ctx: &mut Facilities) {
         if let Some(s) = self.staged.get_mut(&(rank, wave)) {
             if s.complete {
                 s.durable = true;
                 ctx.send(conn, self.proc, Wire::CkptStored { wave });
-                if ctx.cfg.protocol == VProtocol::V2 {
+                if self.line == Line::PerRank {
                     self.staged
                         .retain(|&(r, w), _| r != rank || w + 2 > wave);
                 }
             }
+        }
+    }
+
+    /// The version `rank` restarts from, if any.
+    fn restart_version(&self, rank: Rank) -> Option<u32> {
+        match self.line {
+            // Only report a wave this server can actually serve for the
+            // asking rank (it always can once the commit arrived, since
+            // commit implies every ack → every image).
+            Line::Committed => {
+                let wave = self
+                    .committed
+                    .filter(|&w| self.staged.contains_key(&(rank, w)));
+                debug_assert_eq!(
+                    wave, self.committed,
+                    "committed wave lacks an image for {rank:?}"
+                );
+                wave
+            }
+            Line::PerRank => self
+                .staged
+                .iter()
+                .filter(|(&(r, _), s)| r == rank && s.durable)
+                .map(|(&(_, w), _)| w)
+                .max(),
         }
     }
 
@@ -233,7 +244,7 @@ mod tests {
     #[test]
     fn ack_waits_for_the_disk_and_writes_queue() {
         let mut w = world(6);
-        let mut srv = CkptServer::new(ProcId(0), 0);
+        let mut srv = CkptServer::new(ProcId(0), 0, &w.cfg);
         // Two 65 MB images arrive back to back: with the default 65 MB/s
         // server disk the acks are scheduled 1 s and 2 s out.
         store_image(&mut srv, &mut w, Rank(0), 1, 65_000_000, t(10));
@@ -250,7 +261,7 @@ mod tests {
     #[test]
     fn commit_prunes_older_waves() {
         let mut w = world(6);
-        let mut srv = CkptServer::new(ProcId(0), 0);
+        let mut srv = CkptServer::new(ProcId(0), 0, &w.cfg);
         store_image(&mut srv, &mut w, Rank(0), 1, 100, t(1));
         store_image(&mut srv, &mut w, Rank(0), 2, 100, t(2));
         assert_eq!(srv.staged_count(), 2);
@@ -263,7 +274,7 @@ mod tests {
     fn logged_messages_ride_with_the_image() {
         let mut w = world(6);
         let (sproc, _client, conn) = connect_pair(&mut w);
-        let mut srv = CkptServer::new(sproc, 0);
+        let mut srv = CkptServer::new(sproc, 0, &w.cfg);
         store_image(&mut srv, &mut w, Rank(0), 1, 100, t(1));
         srv.on_msg(
             conn,
@@ -296,7 +307,7 @@ mod tests {
     fn query_latest_reports_committed_wave_only() {
         let mut w = world(6);
         let (sproc, _client, conn) = connect_pair(&mut w);
-        let mut srv = CkptServer::new(sproc, 0);
+        let mut srv = CkptServer::new(sproc, 0, &w.cfg);
         store_image(&mut srv, &mut w, Rank(0), 1, 100, t(1));
         // Nothing committed yet.
         srv.on_msg(conn, Wire::QueryLatest { rank: Rank(0) }, w.at(t(2)));

@@ -270,27 +270,21 @@ impl FingerprintEvent for ProcImage {
 
 impl FingerprintEvent for Wire {
     fn fold(&self, fp: &mut Fingerprint) {
+        // A variant code followed by one `u32` (a rank, epoch or wave).
+        let tagged = |fp: &mut Fingerprint, code: u8, value: u32| {
+            fp.write_u8(code);
+            fp.write_u32(value);
+        };
         match self {
             Wire::Register { rank, epoch } => {
-                fp.write_u8(1);
-                fp.write_u32(rank.0);
+                tagged(fp, 1, rank.0);
                 fp.write_u32(*epoch);
             }
-            Wire::Ready { rank } => {
-                fp.write_u8(2);
-                fp.write_u32(rank.0);
-            }
-            Wire::Finalized { rank } => {
-                fp.write_u8(3);
-                fp.write_u32(rank.0);
-            }
-            Wire::SetCommand { epoch } => {
-                fp.write_u8(4);
-                fp.write_u32(*epoch);
-            }
+            Wire::Ready { rank } => tagged(fp, 2, rank.0),
+            Wire::Finalized { rank } => tagged(fp, 3, rank.0),
+            Wire::SetCommand { epoch } => tagged(fp, 4, *epoch),
             Wire::StartRun { epoch, hosts, solo } => {
-                fp.write_u8(5);
-                fp.write_u32(*epoch);
+                tagged(fp, 5, *epoch);
                 fp.write_u64(hosts.len() as u64);
                 for h in hosts {
                     fp.write_u32(h.0 as u32);
@@ -299,49 +293,35 @@ impl FingerprintEvent for Wire {
             }
             Wire::Terminate => fp.write_u8(6),
             Wire::Shutdown => fp.write_u8(7),
-            Wire::SchedMarker { wave } => {
-                fp.write_u8(8);
-                fp.write_u32(*wave);
-            }
+            Wire::SchedMarker { wave } => tagged(fp, 8, *wave),
             Wire::WaveAck { rank, wave } => {
-                fp.write_u8(9);
-                fp.write_u32(rank.0);
+                tagged(fp, 9, rank.0);
                 fp.write_u32(*wave);
             }
-            Wire::WaveCommit { wave } => {
-                fp.write_u8(10);
-                fp.write_u32(*wave);
-            }
-            Wire::Marker { wave } => {
-                fp.write_u8(11);
-                fp.write_u32(*wave);
-            }
+            Wire::WaveCommit { wave } => tagged(fp, 10, *wave),
+            Wire::Marker { wave } => tagged(fp, 11, *wave),
             Wire::AppMsg {
                 from,
                 tag,
                 bytes,
                 seq,
             } => {
-                fp.write_u8(12);
-                fp.write_u32(from.0);
+                tagged(fp, 12, from.0);
                 fp.write_u32(tag.0 as u32);
                 fp.write_u64(*bytes);
                 fp.write_u64(*seq);
             }
             Wire::ReplayFrom { rank, seq } => {
-                fp.write_u8(13);
-                fp.write_u32(rank.0);
+                tagged(fp, 13, rank.0);
                 fp.write_u64(*seq);
             }
             Wire::CkptImage { rank, wave, image } => {
-                fp.write_u8(14);
-                fp.write_u32(rank.0);
+                tagged(fp, 14, rank.0);
                 fp.write_u32(*wave);
                 image.fold(fp);
             }
             Wire::CkptLogged { rank, wave, msg } => {
-                fp.write_u8(15);
-                fp.write_u32(rank.0);
+                tagged(fp, 15, rank.0);
                 fp.write_u32(*wave);
                 msg.fold(fp);
             }
@@ -350,34 +330,18 @@ impl FingerprintEvent for Wire {
                 wave,
                 total_bytes,
             } => {
-                fp.write_u8(16);
-                fp.write_u32(rank.0);
+                tagged(fp, 16, rank.0);
                 fp.write_u32(*wave);
                 fp.write_u64(*total_bytes);
             }
-            Wire::QueryLatest { rank } => {
-                fp.write_u8(17);
-                fp.write_u32(rank.0);
-            }
-            Wire::FetchImage { rank } => {
-                fp.write_u8(18);
-                fp.write_u32(rank.0);
-            }
-            Wire::FetchLogs { rank } => {
-                fp.write_u8(19);
-                fp.write_u32(rank.0);
-            }
-            Wire::CkptStored { wave } => {
-                fp.write_u8(20);
-                fp.write_u32(*wave);
-            }
+            Wire::QueryLatest { rank } => tagged(fp, 17, rank.0),
+            Wire::FetchImage { rank } => tagged(fp, 18, rank.0),
+            Wire::FetchLogs { rank } => tagged(fp, 19, rank.0),
+            Wire::CkptStored { wave } => tagged(fp, 20, *wave),
             Wire::Latest { wave } => {
                 fp.write_u8(21);
                 match wave {
-                    Some(w) => {
-                        fp.write_u8(1);
-                        fp.write_u32(*w);
-                    }
+                    Some(w) => tagged(fp, 1, *w),
                     None => fp.write_u8(0),
                 }
             }
@@ -386,8 +350,7 @@ impl FingerprintEvent for Wire {
                 image,
                 logged,
             } => {
-                fp.write_u8(22);
-                fp.write_u32(*wave);
+                tagged(fp, 22, *wave);
                 image.fold(fp);
                 fp.write_u64(logged.len() as u64);
                 for m in logged {
@@ -395,8 +358,7 @@ impl FingerprintEvent for Wire {
                 }
             }
             Wire::Logs { wave, logged } => {
-                fp.write_u8(23);
-                fp.write_u32(*wave);
+                tagged(fp, 23, *wave);
                 fp.write_u64(logged.len() as u64);
                 for m in logged {
                     m.fold(fp);
