@@ -624,6 +624,34 @@ mod tests {
         }
     "#;
 
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_compiler(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..400),
+        ) {
+            let _ = compile(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Real scenarios with a span cut out or doubled: sources that get
+        /// past the lexer, into every later stage.
+        #[test]
+        fn a_cut_or_doubled_span_never_panics_the_compiler(
+            a in proptest::any::<usize>(),
+            b in proptest::any::<usize>(),
+            double in proptest::any::<bool>(),
+        ) {
+            let src = include_str!("../../scenarios/fig10_state_sync.fail").as_bytes();
+            let (lo, hi) = (a % src.len(), b % src.len());
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            let spliced = if double {
+                [&src[..hi], &src[lo..]].concat()
+            } else {
+                [&src[..lo], &src[hi..]].concat()
+            };
+            let _ = compile(&String::from_utf8_lossy(&spliced));
+        }
+    }
+
     #[test]
     fn compiles_adv1() {
         let s = compile(ADV1).unwrap();

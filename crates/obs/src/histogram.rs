@@ -145,8 +145,10 @@ impl HistogramSnapshot {
     /// (`0.0 <= q <= 1.0`), or `0` when empty. Because buckets are log₂
     /// ranges this is a conservative bound, not an interpolation: bucket
     /// `i ≥ 1` reports `2^i - 1`, bucket `0` reports `0`, and bucket `64`
-    /// saturates at `u64::MAX`. Deterministic (pure integer walk over the
-    /// bucket list), so safe for CI gates.
+    /// saturates at `u64::MAX` (as does any index beyond it, which no
+    /// histogram records but a hand-edited snapshot may hold). Total and
+    /// deterministic (pure integer walk over the bucket list), so safe for
+    /// CI gates.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -154,12 +156,11 @@ impl HistogramSnapshot {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for &(idx, c) in &self.buckets {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return match idx {
                     0 => 0,
-                    64 => u64::MAX,
-                    i => (1u64 << i) - 1,
+                    i => 1u64.checked_shl(i).map_or(u64::MAX, |b| b - 1),
                 };
             }
         }
@@ -260,6 +261,17 @@ mod tests {
         let mut z = Histogram::new();
         z.record(0);
         assert_eq!(z.snapshot().quantile_upper_bound(0.5), 0);
+        let mut top = Histogram::new();
+        top.record(u64::MAX);
+        assert_eq!(top.snapshot().quantile_upper_bound(0.5), u64::MAX);
+        // Indices no histogram records, and counts that overflow a sum,
+        // still have a bound.
+        let odd = HistogramSnapshot {
+            count: 2,
+            buckets: vec![(70, u64::MAX), (200, u64::MAX)],
+            ..HistogramSnapshot::default()
+        };
+        assert_eq!(odd.quantile_upper_bound(1.0), u64::MAX);
     }
 
     #[test]

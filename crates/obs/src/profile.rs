@@ -121,19 +121,20 @@ impl RunProfile {
         }
     }
 
-    /// Total allocations across all event kinds.
+    /// Total allocations across all event kinds (saturating, like every
+    /// total over a file's numbers).
     pub fn total_allocs(&self) -> u64 {
-        self.alloc.values().map(|b| b.allocs).sum()
+        saturating_sum(self.alloc.values().map(|b| b.allocs))
     }
 
     /// Total allocated bytes across all event kinds.
     pub fn total_alloc_bytes(&self) -> u64 {
-        self.alloc.values().map(|b| b.bytes).sum()
+        saturating_sum(self.alloc.values().map(|b| b.bytes))
     }
 
     /// Total payload bytes copied across all hops.
     pub fn total_copied_bytes(&self) -> u64 {
-        self.copies.values().map(|b| b.bytes).sum()
+        saturating_sum(self.copies.values().map(|b| b.bytes))
     }
 
     /// Folds another profile in. Commutative, so sweep aggregation does
@@ -209,11 +210,10 @@ impl RunProfile {
                 .ok_or_else(|| format!("missing or non-integer field `{name}`"))
         };
         let mut p = RunProfile::new();
-        p.schema_version = get_u64(&v, "schema_version")? as u32;
-        if p.schema_version != PROFILE_SCHEMA_VERSION {
+        let schema = get_u64(&v, "schema_version")?;
+        if schema != u64::from(PROFILE_SCHEMA_VERSION) {
             return Err(format!(
-                "unsupported profile schema {} (expected {PROFILE_SCHEMA_VERSION})",
-                p.schema_version
+                "unsupported profile schema {schema} (expected {PROFILE_SCHEMA_VERSION})"
             ));
         }
         p.backend = obj
@@ -268,18 +268,29 @@ impl RunProfile {
     }
 }
 
+/// Sum of `values`, saturating at `u64::MAX`.
+fn saturating_sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
+}
+
 fn parse_histogram(v: &serde_json::Value) -> Result<HistogramSnapshot, String> {
     let get = |name: &str| -> Result<u64, String> {
         v.get(name)
             .and_then(|x| x.as_u64())
             .ok_or_else(|| format!("missing histogram field `{name}`"))
     };
+    let buckets = parse_pairs(v.get("buckets").ok_or("missing histogram field `buckets`")?)?;
+    // Bucket 0 holds zeros, bucket `i` the samples with `i` significant
+    // bits: a `u64` has no bucket above 64.
+    if let Some(&(idx, _)) = buckets.iter().find(|&&(idx, _)| idx > 64) {
+        return Err(format!("histogram bucket index {idx} is above 64"));
+    }
     Ok(HistogramSnapshot {
         count: get("count")?,
         sum: get("sum")?,
         min: get("min")?,
         max: get("max")?,
-        buckets: parse_pairs(v.get("buckets").ok_or("missing histogram field `buckets`")?)?,
+        buckets,
     })
 }
 
@@ -288,7 +299,8 @@ fn parse_pairs(v: &serde_json::Value) -> Result<Vec<(u32, u64)>, String> {
     let mut out = Vec::with_capacity(arr.len());
     for item in arr {
         let pair = item.as_array().filter(|a| a.len() == 2).ok_or("expected [index, value] pairs")?;
-        let idx = pair[0].as_u64().ok_or("pair index must be an integer")? as u32;
+        let idx = pair[0].as_u64().ok_or("pair index must be an integer")?;
+        let idx = u32::try_from(idx).map_err(|_| format!("pair index {idx} is out of range"))?;
         let val = pair[1].as_u64().ok_or("pair value must be an integer")?;
         out.push((idx, val));
     }

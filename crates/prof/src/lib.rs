@@ -125,16 +125,17 @@ pub fn report(p: &RunProfile, top_n: usize, by: SortBy) -> String {
     }
 
     // Layer rollup over allocations; attribution is total by
-    // construction, but compute it honestly from the bins.
+    // construction, but compute it honestly from the bins. Sums saturate,
+    // like the profile's own totals: a file may hold any `u64`.
     let mut layers: std::collections::BTreeMap<&str, (u64, u64, u64)> = Default::default();
     for (name, b) in &p.alloc {
         let e = layers.entry(layer_of_kind(name)).or_default();
-        e.0 += b.events;
-        e.1 += b.allocs;
-        e.2 += b.bytes;
+        e.0 = e.0.saturating_add(b.events);
+        e.1 = e.1.saturating_add(b.allocs);
+        e.2 = e.2.saturating_add(b.bytes);
     }
-    let attributed_allocs: u64 = layers.values().map(|v| v.1).sum();
-    let attributed_bytes: u64 = layers.values().map(|v| v.2).sum();
+    let attributed_allocs = layers.values().fold(0u64, |t, v| t.saturating_add(v.1));
+    let attributed_bytes = layers.values().fold(0u64, |t, v| t.saturating_add(v.2));
     let pct = |part: u64, whole: u64| {
         if whole == 0 {
             100.0
@@ -162,9 +163,10 @@ pub fn report(p: &RunProfile, top_n: usize, by: SortBy) -> String {
     let mut copy_layers: std::collections::BTreeMap<&str, u64> = Default::default();
     for (hop, b) in &p.copies {
         let _ = writeln!(out, "  {:<18} count={:<9} bytes={}", hop, b.count, b.bytes);
-        *copy_layers.entry(layer_of_kind(hop)).or_default() += b.bytes;
+        let e = copy_layers.entry(layer_of_kind(hop)).or_default();
+        *e = e.saturating_add(b.bytes);
     }
-    let attributed_copy: u64 = copy_layers.values().sum();
+    let attributed_copy = copy_layers.values().fold(0u64, |t, &v| t.saturating_add(v));
     let _ = writeln!(out, "copied bytes by layer:");
     for (layer, bytes) in &copy_layers {
         let _ = writeln!(out, "  {:<10} bytes={}", layer, bytes);
@@ -292,6 +294,81 @@ mod tests {
         assert_eq!(SortBy::parse("time"), Some(SortBy::Events));
         assert_eq!(SortBy::parse("allocs"), Some(SortBy::Allocs));
         assert_eq!(SortBy::parse("bogus"), None);
+    }
+
+    /// Values a damaged or hostile file may hold where a number belongs.
+    const WILD: [&str; 13] = [
+        "18446744073709551615",
+        "18446744073709551616",
+        "123456789012345678901234567890",
+        "4294967297",
+        "1e999",
+        "-1",
+        "0.5",
+        "70",
+        "\"7\"",
+        "null",
+        "[]",
+        "[[70, 1]]",
+        "{\"a\": 1}",
+    ];
+
+    /// `doc` with its `nth` number (modulo how many it has) replaced by
+    /// `with`.
+    fn replace_number(doc: &str, nth: usize, with: &str) -> String {
+        let mut runs = Vec::new();
+        for (i, c) in doc.char_indices() {
+            match runs.last_mut() {
+                Some((_, end)) if *end == i && c.is_ascii_digit() => *end += 1,
+                _ if c.is_ascii_digit() => runs.push((i, i + 1)),
+                _ => {}
+            }
+        }
+        let (start, end) = runs[nth % runs.len()];
+        format!("{}{with}{}", &doc[..start], &doc[end..])
+    }
+
+    /// What the CLI does with a file: parse, then render every way.
+    fn load_and_render(text: &str) {
+        if let Ok(p) = RunProfile::from_json(text) {
+            for by in [SortBy::Allocs, SortBy::Bytes, SortBy::Events] {
+                report(&p, 3, by);
+            }
+            top(&[("p".to_string(), p.clone())]);
+            p.to_collapsed();
+        }
+    }
+
+    fn rich_sample() -> String {
+        let mut p = sample();
+        let mut h = failmpi_obs::Histogram::new();
+        for v in [0, 1, 1000, u64::MAX] {
+            h.record(v);
+        }
+        p.queue.burst = h.snapshot();
+        p.queue.depth = h.snapshot();
+        p.queue.depth_series = vec![(3, 4), (9, 1)];
+        p.to_pretty_json()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_reader(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..600),
+        ) {
+            load_and_render(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn one_wild_field_never_panics_the_reader_or_the_renderers(
+            nth in proptest::any::<usize>(),
+            wild in 0..WILD.len(),
+            cut in proptest::any::<usize>(),
+        ) {
+            let doc = rich_sample();
+            load_and_render(&replace_number(&doc, nth, WILD[wild]));
+            load_and_render(&doc[..cut % doc.len()]);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use failmpi_obs::HistogramSnapshot;
 use failmpi_prof::RunProfile;
 
 /// A scratch directory holding one well-formed profile and the malformed
@@ -16,7 +17,17 @@ fn files() -> impl Fn(&str) -> String {
     let good = RunProfile::new().to_pretty_json();
     let huge = good.replacen("\"events\": 0", "\"events\": 123456789012345678901234567890", 1);
     assert_ne!(huge, good, "the profile spells its event count as expected");
-    let texts: [(&str, &[u8]); 9] = [
+    let wide_schema = good.replacen("\"schema_version\": 1", "\"schema_version\": 4294967297", 1);
+    assert_ne!(wide_schema, good, "the profile spells its schema as expected");
+    // A bucket index no `u64` sample has: it used to overflow a shift.
+    let mut wide = RunProfile::new();
+    wide.queue.burst = HistogramSnapshot {
+        count: 1,
+        buckets: vec![(70, 1)],
+        ..HistogramSnapshot::default()
+    };
+    let wide = wide.to_pretty_json();
+    let texts: [(&str, &[u8]); 11] = [
         ("good.json", good.as_bytes()),
         ("truncated.json", &good.as_bytes()[..good.len() / 2]),
         ("empty-object.json", b"{}"),
@@ -26,6 +37,8 @@ fn files() -> impl Fn(&str) -> String {
         ("infinite.json", &good.replacen("\"events\": 0", "\"events\": 1e999", 1).into_bytes()),
         ("binary.json", &(0..=255u8).cycle().take(1024).collect::<Vec<u8>>()),
         ("deep.json", &[b'['; 50_000]),
+        ("wide-schema.json", wide_schema.as_bytes()),
+        ("wide-bucket.json", wide.as_bytes()),
     ];
     for (name, bytes) in texts {
         std::fs::write(dir.join(name), bytes).expect("write");
@@ -79,6 +92,9 @@ fn every_row_exits_0_or_2_with_a_diagnostic_and_never_panics() {
         ("binary.json", 2, "cannot read"),
         // 50 000 unclosed brackets used to overflow the JSON reader's stack.
         ("deep.json", 2, "nesting deeper than 128"),
+        // Read as schema 1 through a truncating cast, once.
+        ("wide-schema.json", 2, "unsupported profile schema 4294967297"),
+        ("wide-bucket.json", 2, "histogram bucket index 70 is above 64"),
     ];
     let malformed: Vec<(String, i32, &str)> =
         malformed.iter().map(|&(name, code, needle)| (f(name), code, needle)).collect();

@@ -296,7 +296,11 @@ impl TraceFile {
                     .and_then(|x| x.as_str())
                     .ok_or("node label")?
                     .to_string(),
-                track: n.get("track").and_then(|x| x.as_u64()).ok_or("node track")? as u32,
+                track: n
+                    .get("track")
+                    .and_then(|x| x.as_u64())
+                    .and_then(|t| u32::try_from(t).ok())
+                    .ok_or("node track must be an integer below 2^32")?,
             });
         }
         for m in v
@@ -381,6 +385,64 @@ mod tests {
                 wave: None,
                 during_recovery: true,
             }],
+        }
+    }
+
+    /// Values a damaged or hostile file may hold where a number belongs.
+    const WILD: [&str; 12] = [
+        "18446744073709551615",
+        "18446744073709551616",
+        "123456789012345678901234567890",
+        "4294967296",
+        "1e999",
+        "-1",
+        "0.5",
+        "\"7\"",
+        "null",
+        "true",
+        "[]",
+        "{\"a\": 1}",
+    ];
+
+    /// `doc` with its `nth` number (modulo how many it has) replaced by
+    /// `with`.
+    fn replace_number(doc: &str, nth: usize, with: &str) -> String {
+        let mut runs = Vec::new();
+        for (i, c) in doc.char_indices() {
+            match runs.last_mut() {
+                Some((_, end)) if *end == i && c.is_ascii_digit() => *end += 1,
+                _ if c.is_ascii_digit() => runs.push((i, i + 1)),
+                _ => {}
+            }
+        }
+        let (start, end) = runs[nth % runs.len()];
+        format!("{}{with}{}", &doc[..start], &doc[end..])
+    }
+
+    /// What every subcommand does with a file before believing it.
+    fn load(text: &str) {
+        if let Ok(tf) = TraceFile::from_json(text) {
+            let _ = tf.check_invariants();
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_reader(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..600),
+        ) {
+            load(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn one_wild_field_never_panics_the_reader(
+            nth in proptest::any::<usize>(),
+            wild in 0..WILD.len(),
+            cut in proptest::any::<usize>(),
+        ) {
+            let doc = sample().to_json();
+            load(&replace_number(&doc, nth, WILD[wild]));
+            load(&doc[..cut % doc.len()]);
         }
     }
 

@@ -38,9 +38,14 @@ fn exit_codes() {
     let dangling_mark = file("dangling-mark.json", DANGLING_MARK);
     let not_json = file("not-json.json", "{ this is not JSON");
     let sound = file("sound.json", &DANGLING_MARK.replace("77", "0"));
+    // Read as track 0 through a truncating cast, once, and exported.
+    let wide_track = DANGLING_MARK
+        .replace("77", "0")
+        .replace("\"track\": 0", "\"track\": 4294967296");
+    let wide_track = file("wide-track.json", &wide_track);
     let usage = "usage: failmpi-trace <explain|";
     // (arguments, exit code, needle, needle is on stdout)
-    let cases: [(Vec<&str>, i32, &str, bool); 13] = [
+    let cases: [(Vec<&str>, i32, &str, bool); 14] = [
         (vec!["--help"], 0, usage, true),
         (vec!["explain", "-h"], 0, usage, true),
         (vec![], 2, usage, false),
@@ -79,6 +84,12 @@ fn exit_codes() {
             false,
         ),
         (vec!["explain", &sound], 0, "verdict: ", true),
+        (
+            vec!["export", &wide_track],
+            2,
+            "node track must be an integer below 2^32",
+            false,
+        ),
     ];
     for (args, code, needle, on_stdout) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_failmpi-trace"))
