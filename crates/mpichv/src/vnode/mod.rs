@@ -23,13 +23,12 @@
 //!
 //! ## Protocol parts
 //!
-//! The lifecycle above is the same under every V-protocol; this module is
-//! that shell. What differs is one [`Part`], chosen from the configuration
-//! when the daemon is spawned: [`waves`] (Chandy–Lamport, for Vcl and
-//! Vdummy) or [`log`] (V2's sender-based message logging). The shell calls
-//! it where the protocols actually differ: an application message arrives
-//! or is sent, an image is installed, a peer re-dials, or a marker,
-//! `SelfCkpt`, `ReplayFrom` or `CkptStored` arrives.
+//! This module is the lifecycle shell, the same under every V-protocol.
+//! What differs is one [`Part`], chosen from the configuration at spawn:
+//! [`waves`] (Chandy–Lamport: Vcl, Vdummy) or [`log`] (V2). The shell calls
+//! it where the protocols differ: an application message arrives or is
+//! sent, an image is installed, a peer re-dials, or a marker, `SelfCkpt`,
+//! `ReplayFrom` or `CkptStored` arrives.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -19,7 +19,7 @@ fn files() -> impl Fn(&str) -> String {
     assert_ne!(huge, good, "the profile spells its event count as expected");
     let wide_schema = good.replacen("\"schema_version\": 1", "\"schema_version\": 4294967297", 1);
     assert_ne!(wide_schema, good, "the profile spells its schema as expected");
-    // A bucket index no `u64` sample has: it used to overflow a shift.
+    // A bucket index no `u64` sample has; shifting by it overflows.
     let mut wide = RunProfile::new();
     wide.queue.burst = HistogramSnapshot {
         count: 1,
@@ -92,7 +92,7 @@ fn every_row_exits_0_or_2_with_a_diagnostic_and_never_panics() {
         ("binary.json", 2, "cannot read"),
         // 50 000 unclosed brackets used to overflow the JSON reader's stack.
         ("deep.json", 2, "nesting deeper than 128"),
-        // Read as schema 1 through a truncating cast, once.
+        // 2^32 + 1: a truncating cast would read it as schema 1.
         ("wide-schema.json", 2, "unsupported profile schema 4294967297"),
         ("wide-bucket.json", 2, "histogram bucket index 70 is above 64"),
     ];

@@ -38,7 +38,7 @@ fn exit_codes() {
     let dangling_mark = file("dangling-mark.json", DANGLING_MARK);
     let not_json = file("not-json.json", "{ this is not JSON");
     let sound = file("sound.json", &DANGLING_MARK.replace("77", "0"));
-    // Read as track 0 through a truncating cast, once, and exported.
+    // Track 2^32: a truncating cast would read it as track 0.
     let wide_track = DANGLING_MARK
         .replace("77", "0")
         .replace("\"track\": 0", "\"track\": 4294967296");
