@@ -359,7 +359,7 @@ fn comm_closure(programs: &[Arc<Program>], n_ranks: usize) -> Vec<Vec<u32>> {
     let n = programs.len().min(n_ranks.max(programs.len()));
     let mut adj = vec![HashSet::new(); n];
     for (rank, p) in programs.iter().enumerate() {
-        for op in p.ops() {
+        for op in p.described_ops() {
             let peer = match op {
                 Op::Send { to, .. } => Some(to.0 as usize),
                 Op::Recv { from, .. } => Some(from.0 as usize),

@@ -64,7 +64,7 @@ fn check_shape(programs: &[Arc<Program>], out: &mut Vec<Diagnostic>) {
     let n = programs.len();
     for (rank, p) in programs.iter().enumerate() {
         let me = Rank(rank as u32);
-        for (i, op) in p.ops().iter().enumerate() {
+        for (i, op) in p.comm_ops() {
             if let Op::Send { to, .. } = op {
                 if !deliverable(n, me, *to) {
                     let what = if *to == me {
@@ -182,19 +182,18 @@ fn symbolic_walk(programs: &[Arc<Program>], out: &mut Vec<Diagnostic>) {
         let mut progressed = false;
         for rank in 0..n {
             let me = Rank(rank as u32);
-            let ops = programs[rank].ops();
-            while pc[rank] < ops.len() {
-                match &ops[pc[rank]] {
+            for op in programs[rank].iter_from(pc[rank]) {
+                match op {
                     Op::Recv { from, tag } => {
-                        let ch = (*from, me, *tag);
+                        let ch = (from, me, tag);
                         match queued.get_mut(&ch) {
                             Some(c) if *c > 0 => *c -= 1,
                             _ => break, // blocked
                         }
                     }
                     Op::Send { to, tag, .. } => {
-                        if deliverable(n, me, *to) {
-                            *queued.entry((me, *to, *tag)).or_default() += 1;
+                        if deliverable(n, me, to) {
+                            *queued.entry((me, to, tag)).or_default() += 1;
                         }
                     }
                     Op::Compute(_) | Op::Progress(_) | Op::Finalize => {}
@@ -212,18 +211,14 @@ fn symbolic_walk(programs: &[Arc<Program>], out: &mut Vec<Diagnostic>) {
     // r is blocked on a receive the sender could still satisfy later.
     let mut waiting_on: Vec<Option<usize>> = vec![None; n];
     for rank in 0..n {
-        let ops = programs[rank].ops();
-        if pc[rank] >= ops.len() {
-            continue;
-        }
-        let Op::Recv { from, tag } = &ops[pc[rank]] else {
+        let Some(Op::Recv { from, tag }) = programs[rank].op_at(pc[rank]) else {
             continue;
         };
         let sender = from.0 as usize;
         let future_send = sender < n
-            && programs[sender].ops()[pc[sender]..].iter().any(|op| {
+            && programs[sender].iter_from(pc[sender]).any(|op| {
                 matches!(op, Op::Send { to, tag: t, .. }
-                         if *to == Rank(rank as u32) && t == tag)
+                         if to == Rank(rank as u32) && t == tag)
             });
         if future_send {
             waiting_on[rank] = Some(sender);

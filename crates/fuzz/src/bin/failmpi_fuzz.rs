@@ -6,6 +6,9 @@
 //! failmpi-fuzz --replay tests/fixtures/fuzz        # corpus-replay regression check
 //! ```
 //!
+//! A replay probes like a campaign, so it takes the `--probe-seeds` of the
+//! campaign that wrote the corpus (the checked-in one: the default, 2).
+//!
 //! Exit status: 0 no error-severity findings, 1 error findings (FZ001/
 //! FZ002/FZ004), 2 usage or I/O error. Double runs with the same `--seed`
 //! and `--budget` produce byte-identical corpus and findings files.

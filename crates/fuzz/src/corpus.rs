@@ -136,6 +136,20 @@ fn opt_pin_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u64, String)>, S
     pin_list(v, key, ctx)
 }
 
+/// `v` as a `u64` when it is an integer a `u64` holds. The JSON reader
+/// keeps numbers as `f64`, whose `as` casts saturate: 1e20 would be read
+/// as `u64::MAX`. (`u64::MAX as f64` is 2^64, the first value past it.)
+fn exact_u64(v: &Value) -> Option<u64> {
+    let n = v.as_f64()?;
+    (n.fract() == 0.0 && (0.0..u64::MAX as f64).contains(&n)).then_some(n as u64)
+}
+
+/// Like [`exact_u64`], for an `i64` (the range -2^63..2^63).
+fn exact_i64(v: &Value) -> Option<i64> {
+    let n = v.as_f64()?;
+    (n.fract() == 0.0 && (i64::MIN as f64..i64::MAX as f64).contains(&n)).then_some(n as i64)
+}
+
 fn pin_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u64, String)>, String> {
     let arr = v
         .get(key)
@@ -143,9 +157,7 @@ fn pin_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u64, String)>, Strin
         .ok_or_else(|| format!("{ctx}: missing array field `{key}`"))?;
     arr.iter()
         .map(|pair| {
-            let seed = pair[0]
-                .as_u64()
-                .ok_or_else(|| format!("{ctx}: bad seed in `{key}`"))?;
+            let seed = exact_u64(&pair[0]).ok_or_else(|| format!("{ctx}: bad seed in `{key}`"))?;
             let class = pair[1]
                 .as_str()
                 .ok_or_else(|| format!("{ctx}: bad class in `{key}`"))?;
@@ -182,9 +194,7 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(CorpusEntry, String)>, String> {
                 let k = pair[0]
                     .as_str()
                     .ok_or_else(|| format!("{ctx}: bad param name"))?;
-                let v = pair[1]
-                    .as_i64()
-                    .ok_or_else(|| format!("{ctx}: bad param value"))?;
+                let v = exact_i64(&pair[1]).ok_or_else(|| format!("{ctx}: bad param value"))?;
                 Ok((k.to_string(), v))
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -223,61 +233,30 @@ pub fn candidate_of(entry: &CorpusEntry, source: &str) -> Candidate {
     }
 }
 
-/// Re-evaluates one corpus entry against its pins, with the probe seeds
-/// the entry was pinned under. Returns FZ004 diagnostics for every drift,
-/// or the harness's own diagnostics for an entry it refuses to run.
+/// Re-evaluates one corpus entry under `cfg`, the oracle configuration of
+/// the campaign that pinned it (probe seeds, escalation ladder and all),
+/// and compares every pin with what the evaluation records. A probe list
+/// drifts when a class, a seed or the number of probes differs, so a
+/// changed escalation ladder is caught too. Returns FZ004 diagnostics for
+/// every drift, or the harness's own diagnostics for an entry it refuses to
+/// run.
 pub fn replay_entry(entry: &CorpusEntry, source: &str, cfg: &FuzzConfig) -> Vec<Diagnostic> {
-    let seeds: Vec<u64> = entry.dynamic_historical.iter().map(|(s, _)| *s).collect();
-    let cfg = FuzzConfig {
-        probe_seeds: seeds,
-        ..cfg.clone()
-    };
-    let ev = match evaluate(&candidate_of(entry, source), &cfg) {
+    let ev = match evaluate(&candidate_of(entry, source), cfg) {
         Ok(ev) => ev,
         Err(refusal) => return refusal.diagnostics,
     };
 
-    let mut out = Vec::new();
-    let mut drift = |what: String| {
-        out.push(Diagnostic::new(
-            Severity::Error,
-            "FZ004",
-            0,
-            format!("corpus replay drift: {what}"),
-            "a pinned verdict changed — either a regression in the \
-             simulator/model checker, or the corpus manifest needs \
-             regenerating after an intentional behaviour change",
-        ));
-    };
-
-    if ev.static_h.verdict.to_string() != entry.static_historical {
-        drift(format!(
-            "static verdict (historical) is {}, pinned {}",
-            ev.static_h.verdict, entry.static_historical
-        ));
-    }
-    if ev.static_f.verdict.to_string() != entry.static_fixed {
-        drift(format!(
-            "static verdict (fixed) is {}, pinned {}",
-            ev.static_f.verdict, entry.static_fixed
-        ));
-    }
-    for (pins, runs, mode) in [
-        (&entry.dynamic_historical, &ev.dynamic_h, "historical"),
-        (&entry.dynamic_fixed, &ev.dynamic_f, "fixed"),
-    ] {
-        for ((seed, pinned), run) in pins.iter().zip(runs) {
-            if *pinned != run.class {
-                drift(format!(
-                    "dynamic class ({mode}, seed {seed}) is {}, pinned {pinned}",
-                    run.class
-                ));
-            }
-        }
-    }
-
-    // The per-backend pins, when the manifest carries them (empty pins
-    // mean a pre-backend manifest; nothing to check).
+    // (view, verdict, pin) and (view, pins, probes); the per-backend pins
+    // only when the manifest carries them (a pre-backend manifest has
+    // empty ones).
+    let mut statics = vec![
+        ("historical", ev.static_h.verdict, &entry.static_historical),
+        ("fixed", ev.static_f.verdict, &entry.static_fixed),
+    ];
+    let mut dynamics = vec![
+        ("historical", &entry.dynamic_historical, &ev.dynamic_h),
+        ("fixed", &entry.dynamic_fixed, &ev.dynamic_f),
+    ];
     for be in &ev.backends {
         let (static_pin, dyn_pins) = match be.backend {
             failmpi_backend::BackendKind::Ulfm => (&entry.static_ulfm, &entry.dynamic_ulfm),
@@ -286,24 +265,56 @@ pub fn replay_entry(entry: &CorpusEntry, source: &str, cfg: &FuzzConfig) -> Vec<
             }
             failmpi_backend::BackendKind::Vcl => continue,
         };
-        if !static_pin.is_empty() && be.summary.verdict.to_string() != *static_pin {
-            drift(format!(
-                "static verdict ({}) is {}, pinned {static_pin}",
-                be.backend.name(),
-                be.summary.verdict
-            ));
+        if !static_pin.is_empty() {
+            statics.push((be.backend.name(), be.summary.verdict, static_pin));
         }
-        for ((seed, pinned), run) in dyn_pins.iter().zip(&be.dynamic) {
-            if *pinned != run.class {
-                drift(format!(
-                    "dynamic class ({}, seed {seed}) is {}, pinned {pinned}",
-                    be.backend.name(),
-                    run.class
-                ));
-            }
+        if !dyn_pins.is_empty() {
+            dynamics.push((be.backend.name(), dyn_pins, &be.dynamic));
         }
     }
-    out
+
+    let mut drift = Vec::new();
+    for (view, verdict, pinned) in statics {
+        if verdict.to_string() != *pinned {
+            drift.push(format!(
+                "static verdict ({view}) is {verdict}, pinned {pinned}"
+            ));
+        }
+    }
+    for (view, pins, runs) in dynamics {
+        let ran: Vec<(u64, &str)> = runs.iter().map(|r| (r.seed, r.class)).collect();
+        let pinned: Vec<(u64, &str)> = pins.iter().map(|(s, c)| (*s, c.as_str())).collect();
+        if ran != pinned {
+            drift.push(format!(
+                "dynamic probes ({view}) are [{}], pinned [{}]",
+                probe_note(&ran),
+                probe_note(&pinned)
+            ));
+        }
+    }
+    drift
+        .into_iter()
+        .map(|what| {
+            Diagnostic::new(
+                Severity::Error,
+                "FZ004",
+                0,
+                format!("corpus replay drift: {what}"),
+                "a pinned verdict changed — either a regression in the \
+                 simulator/model checker, or the corpus manifest needs \
+                 regenerating after an intentional behaviour change",
+            )
+        })
+        .collect()
+}
+
+/// `seed:class` pairs, space-separated.
+fn probe_note(probes: &[(u64, &str)]) -> String {
+    probes
+        .iter()
+        .map(|(seed, class)| format!("{seed}:{class}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Freeze fingerprints of every corpus entry, recomputed by replaying the
@@ -313,18 +324,150 @@ pub fn known_freeze_fingerprints(
     entries: &[(CorpusEntry, String)],
     cfg: &FuzzConfig,
 ) -> BTreeSet<u64> {
-    let mut out = BTreeSet::new();
-    for (entry, source) in entries {
-        let seeds: Vec<u64> = entry.dynamic_historical.iter().map(|(s, _)| *s).collect();
-        let cfg = FuzzConfig {
-            probe_seeds: seeds,
-            ..cfg.clone()
-        };
-        // An entry the harness refuses froze nothing; `replay_entry`
-        // reports the refusal.
-        if let Ok(ev) = evaluate(&candidate_of(entry, source), &cfg) {
-            out.extend(ev.freeze_fingerprints());
+    // An entry the harness refuses froze nothing; `replay_entry` reports
+    // the refusal.
+    entries
+        .iter()
+        .filter_map(|(entry, source)| evaluate(&candidate_of(entry, source), cfg).ok())
+        .flat_map(|ev| ev.freeze_fingerprints())
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-entry manifest over `e1.fail` with every field present; each
+    /// `{field}` placeholder is a JSON value.
+    const MANIFEST_TEMPLATE: &str = r#"[{"name": {name}, "file": {file}, "origin": {origin},
+        "machine_class": {machine_class}, "params": {params},
+        "static_historical": {static_historical}, "static_fixed": {static_fixed},
+        "dynamic_historical": {dynamic_historical}, "dynamic_fixed": {dynamic_fixed},
+        "static_ulfm": {static_ulfm}, "dynamic_ulfm": {dynamic_ulfm},
+        "static_replica": {static_replica}, "dynamic_replica": {dynamic_replica},
+        "coverage_key": {coverage_key}}]"#;
+
+    /// Every field with a valid value, and whether it is a string (else a
+    /// list of pairs).
+    const FIELDS: [(&str, &str, bool); 14] = [
+        ("name", r#""e1""#, true),
+        ("file", r#""e1.fail""#, true),
+        ("origin", r#""test""#, true),
+        ("machine_class", r#""ADVnodes""#, true),
+        ("params", r#"[["X", 4], ["N", -2]]"#, false),
+        ("static_historical", r#""survives""#, true),
+        ("static_fixed", r#""survives""#, true),
+        ("dynamic_historical", r#"[[1, "a"], [2, "b"]]"#, false),
+        ("dynamic_fixed", r#"[[1, "completed"]]"#, false),
+        ("static_ulfm", r#""survives""#, true),
+        ("dynamic_ulfm", r#"[[1, "completed"]]"#, false),
+        ("static_replica", r#""freezes""#, true),
+        ("dynamic_replica", r#"[[1, "buggy"]]"#, false),
+        ("coverage_key", r#""k""#, true),
+    ];
+
+    /// Values of the wrong type for a string field, and for a list of
+    /// `[seed, class]` / `[name, value]` pairs.
+    const NOT_A_STRING: [&str; 5] = ["7", "null", "true", "[]", "{}"];
+    const NOT_PAIRS: [&str; 8] = [
+        r#""x""#,
+        "7",
+        "null",
+        "{}",
+        "[7]",
+        "[[1]]",
+        r#"[["a", "b"]]"#,
+        r#"[[-1, "c"]]"#,
+    ];
+
+    /// Numbers a seed (`u64`) or a parameter (`i64`) cannot hold.
+    const TOO_BIG: [&str; 6] = [
+        "18446744073709551616",
+        "1e20",
+        "-1e19",
+        "123456789012345678901234567890",
+        "1e999",
+        "2.5",
+    ];
+
+    /// The manifest with `field` set to `value` (and the rest valid).
+    fn manifest_with(field: &str, value: &str) -> String {
+        let mut doc = MANIFEST_TEMPLATE.to_string();
+        for (name, valid, _) in FIELDS {
+            let v = if name == field { value } else { valid };
+            doc = doc.replace(&format!("{{{name}}}"), v);
+        }
+        doc
+    }
+
+    /// This process' corpus directory for the test tagged `tag`.
+    fn dir(tag: &str) -> std::path::PathBuf {
+        let name = format!("failmpi-corpus-{tag}-{}", std::process::id());
+        std::env::temp_dir().join(name)
+    }
+
+    /// Loads `manifest` from the corpus directory of `tag`, next to a
+    /// valid `e1.fail`, and counts the entries.
+    fn load(tag: &str, manifest: &[u8]) -> Result<usize, String> {
+        let dir = dir(tag);
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        std::fs::write(dir.join("e1.fail"), "daemon A { node 1: }").expect("source");
+        std::fs::write(dir.join(MANIFEST), manifest).expect("manifest");
+        load_corpus(&dir).map(|entries| entries.len())
+    }
+
+    #[test]
+    fn the_template_loads_and_each_field_is_read() {
+        let ok = manifest_with("", "");
+        assert_eq!(load("template", ok.as_bytes()), Ok(1));
+        let (entry, _) = load_corpus(&dir("template")).expect("loads").remove(0);
+        assert_eq!(entry.params, [("X".to_string(), 4), ("N".to_string(), -2)]);
+        assert_eq!(entry.dynamic_historical, [(1, "a".into()), (2, "b".into())]);
+        assert_eq!(entry.static_replica, "freezes");
+        let big_seed = manifest_with("dynamic_fixed", r#"[[9007199254740992, "a"]]"#);
+        assert_eq!(load("big-seed", big_seed.as_bytes()), Ok(1));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_are_refused_without_unwinding(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..600),
+        ) {
+            proptest::prop_assert!(load("bytes", &bytes).is_err());
+        }
+
+        #[test]
+        fn a_truncated_manifest_is_refused(cut: usize) {
+            let doc = manifest_with("", "");
+            proptest::prop_assert!(load("cut", &doc.as_bytes()[..cut % doc.len()]).is_err());
+        }
+
+        #[test]
+        fn a_field_of_the_wrong_type_is_refused(field in 0..FIELDS.len(), pick: usize) {
+            let (name, _, is_string) = FIELDS[field];
+            let wrong = if is_string {
+                NOT_A_STRING[pick % NOT_A_STRING.len()]
+            } else {
+                NOT_PAIRS[pick % NOT_PAIRS.len()]
+            };
+            let result = load("types", manifest_with(name, wrong).as_bytes());
+            proptest::prop_assert!(result.is_err(), "{} = {}: {:?}", name, wrong, result);
+        }
+
+        #[test]
+        fn a_seed_or_param_out_of_range_is_refused(
+            field in proptest::sample::select(vec![
+                "params", "dynamic_historical", "dynamic_fixed", "dynamic_ulfm", "dynamic_replica",
+            ]),
+            pick in 0..TOO_BIG.len(),
+        ) {
+            let pair = if field == "params" {
+                format!(r#"[["X", {}]]"#, TOO_BIG[pick])
+            } else {
+                format!(r#"[[{}, "completed"]]"#, TOO_BIG[pick])
+            };
+            let result = load("range", manifest_with(field, &pair).as_bytes());
+            proptest::prop_assert!(result.is_err(), "{} = {}: {:?}", field, pair, result);
         }
     }
-    out
 }

@@ -171,7 +171,8 @@ fn malformed_input_exits_two_and_never_panics() {
         // 50 000 unclosed brackets used to overflow the JSON reader's stack.
         (vec!["--replay", &deep], "nesting deeper than 128"),
         (vec!["--replay", &missing_source], "cannot read"),
-        (vec!["--replay", &huge], "cannot read"),
+        // A parameter no `i64` holds is refused, not saturated.
+        (vec!["--replay", &huge], "corpus.json[e1]: bad param value"),
         (vec!["--replay", &infinite], "corpus.json[e1]: bad param value"),
         // A manifest may only name files of its own directory.
         (vec!["--replay", &parent], "corpus.json[e1]: `file` must be a bare file name"),

@@ -55,7 +55,13 @@ struct Envelope {
 pub struct Interp {
     program: Arc<Program>,
     rank: Rank,
+    /// Index into the program's flat op stream.
     pc: usize,
+    /// The loop trip `pc` lies in, kept by [`Program::op_near`] so that a
+    /// step finds its op without dividing. It sits in padding `Interp` had
+    /// anyway (the struct stays 64 bytes) and is only ever a hint: a value
+    /// that does not fit `pc` is recomputed.
+    trip: u32,
     inbox: VecDeque<Envelope>,
     progress: u32,
     finalized: bool,
@@ -68,6 +74,7 @@ impl Interp {
             program,
             rank,
             pc: 0,
+            trip: 0,
             inbox: VecDeque::new(),
             progress: 0,
             finalized: false,
@@ -136,7 +143,7 @@ impl Interp {
             if self.finalized {
                 return Action::Finalized;
             }
-            let Some(op) = self.program.ops().get(self.pc).cloned() else {
+            let Some(op) = self.program.op_near(self.pc, &mut self.trip) else {
                 // Falling off the end without Finalize counts as finalized;
                 // well-formed programs never hit this.
                 self.finalized = true;
@@ -176,6 +183,7 @@ impl Interp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::tests::loop_and_flat;
     use crate::program::ProgramBuilder;
 
     fn secs(s: u64) -> SimDuration {
@@ -290,6 +298,75 @@ mod tests {
         assert_eq!(i.image_bytes(), 4096);
         i.deliver(Rank(1), Tag(0), 100);
         assert_eq!(i.image_bytes(), 4196);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_trip_record_fits_in_padding() {
+        assert_eq!(std::mem::size_of::<Interp>(), 64);
+    }
+
+    /// Drives `i` for at most `budget` steps. Before step `k`, `noise[k %
+    /// len]` may deliver a message from rank 1 nobody waits for yet; a
+    /// blocked receive gets its message. Returns every action.
+    fn drive(i: &mut Interp, noise: &[u8], budget: usize) -> Vec<Action> {
+        let mut out = Vec::new();
+        for k in 0..budget {
+            let pick = noise[k % noise.len()];
+            if pick.is_multiple_of(3) {
+                i.deliver(Rank(1), Tag(u16::from(pick)), u64::from(pick));
+            }
+            let a = i.step();
+            if let Action::Blocked { from, tag } = a {
+                i.deliver(from, tag, 8);
+            }
+            let done = a == Action::Finalized;
+            out.push(a);
+            if done {
+                break;
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_looped_program_runs_as_its_flat_list(
+            trip in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..12),
+            tail in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..6),
+            trips in 0u32..5,
+            span_seed: u64,
+            noise in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 1..16),
+            cut in 0usize..120,
+            ahead in 0usize..120,
+        ) {
+            // A `Finalize` inside the trip would end the run in its first
+            // trip; make it a progress marker.
+            let trip: Vec<u8> = trip.iter().map(|&p| if p % 5 == 4 { p - 1 } else { p }).collect();
+            let (body, ops) = loop_and_flat(&trip, &tail, trips, span_seed);
+            let mut looped = Interp::new(Rank(0), Program::looped(body, 7));
+            let mut flat = Interp::new(Rank(0), Program::new(ops, 7));
+            let whole = drive(&mut flat.clone(), &noise, 400);
+            proptest::prop_assert_eq!(drive(&mut looped.clone(), &noise, 400), whole);
+
+            // An image taken mid-run, mid-trip as often as not.
+            proptest::prop_assert_eq!(drive(&mut looped, &noise, cut), drive(&mut flat, &noise, cut));
+            let image = looped.clone();
+            let suffix = drive(&mut flat.clone(), &noise, 400);
+            // The original runs on; the image, restored, replays the suffix.
+            proptest::prop_assert_eq!(
+                drive(&mut looped, &noise, ahead),
+                drive(&mut flat, &noise, ahead)
+            );
+            proptest::prop_assert_eq!(drive(&mut image.clone(), &noise, 400), suffix.clone());
+            // Restored backwards with a trip record that does not fit its
+            // `pc`: the later image's, none, one past the loop.
+            for stale in [looped.trip, 0, trips] {
+                let mut restored = image.clone();
+                restored.trip = stale;
+                proptest::prop_assert_eq!(drive(&mut restored, &noise, 400), suffix.clone());
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! layer (`failmpi-mpichv`) never looks inside: it sees the same interface a
 //! checkpointing library gives it — an opaque image of a known size.
 //!
+//! A [`Program`] is held as the loop it is ([`LoopBody`]: one iteration's
+//! ops, the iteration count, every iteration's compute spans) and is never
+//! expanded: the interpreter computes op `pc` from the description
+//! ([`Program::op_at`]), so a process image is a `pc` into an immutable
+//! program plus the process' own state.
+//!
 //! Collective operations are *lowered* to point-to-point ops at program
 //! construction time ([`collectives`]), mirroring how MPICH implements
 //! collectives over the channel interface. The lowering is

@@ -1,6 +1,6 @@
 //! Op-programs: the per-rank instruction stream of a virtual MPI process.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use failmpi_sim::SimDuration;
 
@@ -67,7 +67,7 @@ impl Op {
 /// A program described as the loop it is: `trips` repetitions of `trip`,
 /// then `tail`. Iterative kernels are thousands of ops that differ only in
 /// their compute spans and progress number; the description holds what
-/// differs, and [`Program::ops`] builds the flat list when somebody asks.
+/// differs, and [`Program::op_at`] fills one op in when somebody asks.
 #[derive(Debug)]
 pub struct LoopBody {
     /// One trip's ops. A `Compute` is a slot filled from `spans`, a
@@ -83,48 +83,23 @@ pub struct LoopBody {
     pub tail: Vec<Op>,
 }
 
-impl LoopBody {
-    fn len(&self) -> usize {
-        self.trips as usize * self.trip.len() + self.tail.len()
-    }
-
-    fn expand(&self) -> Vec<Op> {
-        let mut ops = Vec::with_capacity(self.len());
-        let mut spans = self.spans.iter();
-        for trip in 1..=self.trips {
-            ops.extend(self.trip.iter().map(|op| match op {
-                Op::Compute(_) => Op::Compute(*spans.next().expect("one span per compute slot")),
-                Op::Progress(_) => Op::Progress(trip),
-                other => other.clone(),
-            }));
-        }
-        ops.extend_from_slice(&self.tail);
-        ops
-    }
-}
-
-fn count_progress(ops: &[Op]) -> usize {
-    ops.iter().filter(|op| matches!(op, Op::Progress(_))).count()
-}
-
-fn sum_compute_micros(ops: &[Op]) -> u64 {
-    ops.iter()
-        .map(|op| match op {
-            Op::Compute(d) => d.as_micros(),
-            _ => 0,
-        })
-        .sum()
-}
-
 /// An immutable per-rank program plus the metadata the checkpointing layer
 /// needs (resident image size).
+///
+/// A program is its loop description and nothing else: op `pc` of the
+/// flat instruction stream is computed from it ([`Program::op_at`]), so no
+/// flat list is ever held. An explicit op list is the loop of zero trips
+/// whose tail is the list.
 #[derive(Debug)]
 pub struct Program {
-    /// The loop the program was described as; `None` for an explicit list.
-    body: Option<LoopBody>,
-    /// The flat op list: given for an explicit program, built from `body`
-    /// by the first [`Program::ops`] call otherwise.
-    ops: OnceLock<Vec<Op>>,
+    body: LoopBody,
+    /// `slot_of[i]`: how many `Compute` slots precede op `i` of a trip, so
+    /// that op's span in trip `t` is `spans[t * slots + slot_of[i]]`.
+    slot_of: Vec<u32>,
+    /// `Compute` slots per trip.
+    slots: usize,
+    /// Ops `0..looped` are the trips; the tail follows.
+    looped: usize,
     image_bytes: u64,
 }
 
@@ -132,50 +107,110 @@ impl Program {
     /// Wraps a raw op list. `image_bytes` is the size of this process'
     /// checkpoint image (its resident data footprint).
     pub fn new(ops: Vec<Op>, image_bytes: u64) -> Arc<Self> {
-        Arc::new(Program {
-            body: None,
-            ops: OnceLock::from(ops),
-            image_bytes,
-        })
+        let body = LoopBody {
+            trip: Vec::new(),
+            trips: 0,
+            spans: Vec::new(),
+            tail: ops,
+        };
+        Program::looped(body, image_bytes)
     }
 
-    /// Wraps a loop description; the flat op list is built the first time
-    /// [`Program::ops`] is called. Panics unless `body.spans` holds exactly
+    /// Wraps a loop description. Panics unless `body.spans` holds exactly
     /// one span per `Compute` of `body.trip` per trip.
     pub fn looped(body: LoopBody, image_bytes: u64) -> Arc<Self> {
-        let slots = body
+        let mut slots = 0u32;
+        let slot_of = body
             .trip
             .iter()
-            .filter(|op| matches!(op, Op::Compute(_)))
-            .count();
+            .map(|op| {
+                let before = slots;
+                slots += u32::from(matches!(op, Op::Compute(_)));
+                before
+            })
+            .collect();
+        let slots = slots as usize;
         assert_eq!(
             body.spans.len(),
             body.trips as usize * slots,
             "one span per compute slot per trip"
         );
         Arc::new(Program {
-            body: Some(body),
-            ops: OnceLock::new(),
+            looped: body.trips as usize * body.trip.len(),
+            body,
+            slot_of,
+            slots,
             image_bytes,
         })
     }
 
-    /// The instruction stream (expanding a loop description on first use).
-    pub fn ops(&self) -> &[Op] {
-        self.ops.get_or_init(|| {
-            self.body
-                .as_ref()
-                .expect("an explicit program is built with its ops")
-                .expand()
-        })
+    /// Op `offset` of trip `trip` (from 0), its span and progress number
+    /// filled in.
+    #[inline]
+    fn trip_op(&self, trip: usize, offset: usize) -> Op {
+        match &self.body.trip[offset] {
+            Op::Compute(_) => {
+                Op::Compute(self.body.spans[trip * self.slots + self.slot_of[offset] as usize])
+            }
+            Op::Progress(_) => Op::Progress(trip as u32 + 1),
+            op => op.clone(),
+        }
     }
 
-    /// Number of ops in the program (known without expanding).
-    pub fn len(&self) -> usize {
-        match &self.body {
-            Some(body) => body.len(),
-            None => self.ops().len(),
+    /// Op `pc` of the flat instruction stream, `None` past its end.
+    pub fn op_at(&self, pc: usize) -> Option<Op> {
+        self.op_near(pc, &mut 0)
+    }
+
+    /// [`Program::op_at`] for a caller that walks forward: `trip` is the
+    /// caller's record of the trip `pc` lies in, kept up to date here.
+    /// Staying in a trip or stepping into the next costs no division; only
+    /// a record that does not fit `pc` (the caller jumped, or restored an
+    /// older `pc`) is recomputed.
+    #[inline]
+    pub(crate) fn op_near(&self, pc: usize, trip: &mut u32) -> Option<Op> {
+        if pc >= self.looped {
+            return self.body.tail.get(pc - self.looped).cloned();
         }
+        let len = self.body.trip.len();
+        let offset = match pc.checked_sub(*trip as usize * len) {
+            Some(o) if o < len => o,
+            Some(o) if o < 2 * len => {
+                *trip += 1;
+                o - len
+            }
+            _ => {
+                *trip = (pc / len) as u32;
+                pc % len
+            }
+        };
+        Some(self.trip_op(*trip as usize, offset))
+    }
+
+    /// The flat instruction stream from op `pc` on, computed op by op.
+    pub fn iter_from(&self, pc: usize) -> impl Iterator<Item = Op> + '_ {
+        Stream {
+            program: self,
+            pc,
+            trip: 0,
+        }
+    }
+
+    /// The flat instruction stream, computed op by op.
+    pub fn iter(&self) -> impl Iterator<Item = Op> + '_ {
+        self.iter_from(0)
+    }
+
+    /// The flat instruction stream as a list, built on every call. No run
+    /// or analysis asks for it; it is the frozen benchmark's op count and
+    /// the tests' reference.
+    pub fn ops(&self) -> Vec<Op> {
+        self.iter().collect()
+    }
+
+    /// Number of ops in the program.
+    pub fn len(&self) -> usize {
+        self.looped + self.body.tail.len()
     }
 
     /// Whether the program has no ops at all.
@@ -183,37 +218,56 @@ impl Program {
         self.len() == 0
     }
 
-    /// Number of `Progress` markers in the program (known without
-    /// expanding).
-    pub fn progress_marks(&self) -> usize {
-        match &self.body {
-            Some(body) => {
-                body.trips as usize * count_progress(&body.trip) + count_progress(&body.tail)
-            }
-            None => count_progress(self.ops()),
-        }
+    /// How many ops of the stream match `pred` (which must not look at
+    /// compute spans or progress numbers: it sees the description's).
+    fn count(&self, pred: impl Fn(&Op) -> bool) -> usize {
+        let per_trip = self.body.trip.iter().filter(|op| pred(op)).count();
+        self.body.trips as usize * per_trip + self.body.tail.iter().filter(|op| pred(op)).count()
     }
 
-    /// Total span of the program's `Compute` ops, in microseconds (known
-    /// without expanding).
+    /// Number of `Progress` markers in the program.
+    pub fn progress_marks(&self) -> usize {
+        self.count(|op| matches!(op, Op::Progress(_)))
+    }
+
+    /// Total span of the program's `Compute` ops, in microseconds.
     pub fn compute_micros(&self) -> u64 {
-        match &self.body {
-            Some(body) => {
-                body.spans.iter().map(|d| d.as_micros()).sum::<u64>()
-                    + sum_compute_micros(&body.tail)
-            }
-            None => sum_compute_micros(self.ops()),
-        }
+        let tail = self.body.tail.iter().map(|op| match op {
+            Op::Compute(d) => *d,
+            _ => SimDuration::ZERO,
+        });
+        self.body
+            .spans
+            .iter()
+            .copied()
+            .chain(tail)
+            .map(SimDuration::as_micros)
+            .sum()
     }
 
     /// Indexed iterator over the communication ops (sends and receives),
     /// yielding `(op index, op)` — the introspection surface the static
     /// analyzer walks.
     pub fn comm_ops(&self) -> impl Iterator<Item = (usize, &Op)> + '_ {
-        self.ops()
-            .iter()
-            .enumerate()
+        let len = self.body.trip.len();
+        let looped = self.looped;
+        (0..self.body.trips as usize)
+            .flat_map(move |t| (t * len..).zip(&self.body.trip))
+            .chain((looped..).zip(&self.body.tail))
             .filter(|(_, op)| op.peer().is_some())
+    }
+
+    /// Every op the program runs at least once, as described: one trip
+    /// (when it runs at all), then the tail, with unfilled spans and
+    /// progress numbers. A question about *which* ops occur — who talks to
+    /// whom — scans this instead of the stream.
+    pub fn described_ops(&self) -> impl Iterator<Item = &Op> + '_ {
+        let trip: &[Op] = if self.body.trips > 0 {
+            &self.body.trip
+        } else {
+            &[]
+        };
+        trip.iter().chain(&self.body.tail)
     }
 
     /// Checkpoint image size of this process.
@@ -222,15 +276,36 @@ impl Program {
     }
 
     /// Whether the program's final op is `Finalize` (well-formed programs
-    /// always end that way).
+    /// always end that way) and no other op is.
     pub fn is_well_formed(&self) -> bool {
-        let ops = self.ops();
-        matches!(ops.last(), Some(Op::Finalize))
-            && ops
-                .iter()
-                .rev()
-                .skip(1)
-                .all(|op| !matches!(op, Op::Finalize))
+        self.count(|op| matches!(op, Op::Finalize)) == 1
+            && matches!(
+                self.len().checked_sub(1).and_then(|pc| self.op_at(pc)),
+                Some(Op::Finalize)
+            )
+    }
+}
+
+/// [`Program::iter_from`]: a `pc` and the trip it lies in.
+struct Stream<'a> {
+    program: &'a Program,
+    pc: usize,
+    trip: u32,
+}
+
+impl Iterator for Stream<'_> {
+    type Item = Op;
+
+    #[inline]
+    fn next(&mut self) -> Option<Op> {
+        let op = self.program.op_near(self.pc, &mut self.trip)?;
+        self.pc += 1;
+        Some(op)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.program.len().saturating_sub(self.pc);
+        (left, Some(left))
     }
 }
 
@@ -247,7 +322,7 @@ impl Program {
 ///     .progress(1)
 ///     .finalize();
 /// assert!(p.is_well_formed());
-/// assert_eq!(p.ops().len(), 5);
+/// assert_eq!(p.len(), 5);
 /// ```
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
@@ -307,7 +382,7 @@ impl ProgramBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -385,52 +460,82 @@ mod tests {
         }
     }
 
+    /// The loop `trips × trip + tail` over [`op_of`] picks, with spans drawn
+    /// from `span_seed`, and its flat op list built independently of
+    /// [`Program`]'s addressing.
+    pub(crate) fn loop_and_flat(
+        trip: &[u8],
+        tail: &[u8],
+        trips: u32,
+        span_seed: u64,
+    ) -> (LoopBody, Vec<Op>) {
+        let trip: Vec<Op> = trip.iter().copied().map(op_of).collect();
+        let tail: Vec<Op> = tail.iter().copied().map(op_of).collect();
+        let slots = trip
+            .iter()
+            .filter(|op| matches!(op, Op::Compute(_)))
+            .count();
+        let spans: Vec<SimDuration> = (0..trips as usize * slots)
+            .map(|i| SimDuration::from_micros(span_seed.wrapping_mul(i as u64 + 1) % 10_000))
+            .collect();
+        let mut flat = Vec::new();
+        let mut next_span = spans.iter();
+        for t in 1..=trips {
+            for op in &trip {
+                flat.push(match op {
+                    Op::Compute(_) => Op::Compute(*next_span.next().unwrap()),
+                    Op::Progress(_) => Op::Progress(t),
+                    other => other.clone(),
+                });
+            }
+        }
+        flat.extend(tail.iter().cloned());
+        let body = LoopBody {
+            trip,
+            trips,
+            spans,
+            tail,
+        };
+        (body, flat)
+    }
+
     proptest::proptest! {
         #[test]
-        fn summaries_equal_a_scan_of_the_ops_and_do_not_expand(
+        fn flat_addressing_and_summaries_equal_the_flat_list(
             trip in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..12),
             tail in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..6),
             trips in 0u32..5,
             span_seed: u64,
         ) {
-            let trip: Vec<Op> = trip.into_iter().map(op_of).collect();
-            let tail: Vec<Op> = tail.into_iter().map(op_of).collect();
-            let slots = trip.iter().filter(|op| matches!(op, Op::Compute(_))).count();
-            let spans: Vec<SimDuration> = (0..trips as usize * slots)
-                .map(|i| SimDuration::from_micros(span_seed.wrapping_mul(i as u64 + 1) % 10_000))
-                .collect();
-            let body = LoopBody { trip: trip.clone(), trips, spans: spans.clone(), tail: tail.clone() };
+            let (body, flat) = loop_and_flat(&trip, &tail, trips, span_seed);
             let looped = Program::looped(body, 7);
-            let (len, marks, micros) =
-                (looped.len(), looped.progress_marks(), looped.compute_micros());
-            proptest::prop_assert!(looped.ops.get().is_none(), "a summary expanded the loop");
-
-            // The flat list, built independently of `LoopBody::expand`.
-            let mut flat = Vec::new();
-            let mut next_span = spans.iter();
-            for t in 1..=trips {
-                for op in &trip {
-                    flat.push(match op {
-                        Op::Compute(_) => Op::Compute(*next_span.next().unwrap()),
-                        Op::Progress(_) => Op::Progress(t),
-                        other => other.clone(),
-                    });
-                }
-            }
-            flat.extend(tail);
-            proptest::prop_assert_eq!(looped.ops(), flat.as_slice());
-            proptest::prop_assert_eq!(len, flat.len());
-            proptest::prop_assert_eq!(marks, count_progress(&flat));
-            proptest::prop_assert_eq!(micros, sum_compute_micros(&flat));
-            // Expanded, the answers stay what they were.
-            proptest::prop_assert_eq!(looped.progress_marks(), marks);
-            proptest::prop_assert_eq!(looped.compute_micros(), micros);
-
             let explicit = Program::new(flat.clone(), 7);
-            proptest::prop_assert_eq!(explicit.len(), flat.len());
-            proptest::prop_assert_eq!(explicit.progress_marks(), marks);
-            proptest::prop_assert_eq!(explicit.compute_micros(), micros);
-            proptest::prop_assert_eq!(explicit.ops(), flat.as_slice());
+            let marks = flat.iter().filter(|op| matches!(op, Op::Progress(_))).count();
+            let micros: u64 = flat
+                .iter()
+                .map(|op| if let Op::Compute(d) = op { d.as_micros() } else { 0 })
+                .sum();
+            let finalizes = flat.iter().filter(|op| matches!(op, Op::Finalize)).count();
+            let well_formed = finalizes == 1 && flat.last() == Some(&Op::Finalize);
+            let comm: Vec<(usize, &Op)> =
+                flat.iter().enumerate().filter(|(_, op)| op.peer().is_some()).collect();
+            let peers: std::collections::BTreeSet<_> = flat.iter().filter_map(Op::peer).collect();
+            for p in [&looped, &explicit] {
+                for pc in 0..flat.len() + 2 {
+                    proptest::prop_assert_eq!(p.op_at(pc).as_ref(), flat.get(pc), "pc {}", pc);
+                    proptest::prop_assert!(p.iter_from(pc).eq(flat.iter().skip(pc).cloned()));
+                }
+                proptest::prop_assert_eq!(p.len(), flat.len());
+                proptest::prop_assert_eq!(p.iter().size_hint(), (flat.len(), Some(flat.len())));
+                proptest::prop_assert_eq!(p.progress_marks(), marks);
+                proptest::prop_assert_eq!(p.compute_micros(), micros);
+                proptest::prop_assert_eq!(p.is_well_formed(), well_formed);
+                proptest::prop_assert_eq!(&p.comm_ops().collect::<Vec<_>>(), &comm);
+                let described: std::collections::BTreeSet<_> =
+                    p.described_ops().filter_map(Op::peer).collect();
+                proptest::prop_assert_eq!(&described, &peers);
+                proptest::prop_assert_eq!(p.ops(), flat.as_slice());
+            }
         }
     }
 

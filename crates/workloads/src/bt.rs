@@ -160,8 +160,8 @@ pub fn bt_programs(class: &BtClass, n: u32) -> Vec<Arc<Program>> {
 ///
 /// The programs are loop-shaped ([`LoopBody`]): one iteration's ops, the
 /// iteration count, every iteration's compute spans, and the closing
-/// all-reduce — a rank's flat op list exists once somebody calls
-/// [`Program::ops`] on it.
+/// all-reduce. No flat op list is built; [`Program::op_at`] computes any
+/// op from the description.
 pub fn bt_programs_noisy(class: &BtClass, n: u32, seed: u64, noise: f64) -> Vec<Arc<Program>> {
     let q = grid_side(n).unwrap_or_else(|why| panic!("{why}"));
     let compute_per_sweep =
@@ -242,7 +242,7 @@ mod tests {
 
     /// The generator as it was before programs became loop-shaped: every
     /// rank's flat op list, built op by op. The reference the property
-    /// below holds [`bt_programs_noisy`]'s expansion against.
+    /// below holds [`bt_programs_noisy`]'s op stream against.
     fn bt_programs_eager(class: &BtClass, n: u32, seed: u64, noise: f64) -> Vec<Arc<Program>> {
         let q = grid_side(n).expect("square rank count");
         let compute_per_sweep =
@@ -295,7 +295,7 @@ mod tests {
     proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(24))]
         #[test]
-        fn loop_shaped_programs_expand_to_the_eager_generators_ops(
+        fn loop_shaped_programs_run_the_eager_generators_ops(
             class in proptest::sample::select(vec![BtClass::S, BtClass::A, BtClass::B]),
             q in 1u32..=8,
             seed: u64,
@@ -309,7 +309,7 @@ mod tests {
                 prop_assert_eq!(l.len(), e.len());
                 prop_assert_eq!(l.progress_marks(), e.progress_marks());
                 prop_assert_eq!(l.compute_micros(), e.compute_micros());
-                prop_assert!(l.ops() == e.ops());
+                prop_assert!(l.iter().eq(e.iter()));
                 prop_assert_eq!(l.image_bytes(), e.image_bytes());
             }
         }
@@ -414,7 +414,6 @@ mod tests {
     fn single_rank_program_is_pure_compute() {
         let ps = bt_programs(&BtClass::S, 1);
         assert!(ps[0]
-            .ops()
             .iter()
             .all(|op| !matches!(op, Op::Send { .. } | Op::Recv { .. })));
     }

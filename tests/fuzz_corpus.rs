@@ -76,6 +76,34 @@ fn corpus_replay_sees_no_drift() {
 }
 
 #[test]
+fn a_shifted_seed_or_an_extra_pin_is_drift() {
+    // Pins are compared with the replay's probes seed for seed and length
+    // for length: a class match under another seed, or a pin no probe
+    // reproduces, is FZ004.
+    let entries = load_corpus(&corpus_dir()).expect("seed corpus loads");
+    let (entry, source) = entries
+        .iter()
+        .find(|(e, _)| e.name == "c003-mut-fig5_frequency")
+        .expect("entry present");
+    let cfg = FuzzConfig::default();
+    assert!(replay_entry(entry, source, &cfg).is_empty());
+
+    let mut shifted = entry.clone();
+    shifted.dynamic_historical[1].0 += 1;
+    let mut extra = entry.clone();
+    extra.dynamic_fixed.push((3, "completed".into()));
+    let mut extra_backend = entry.clone();
+    extra_backend.dynamic_ulfm.push((3, "completed".into()));
+    for tampered in [shifted, extra, extra_backend] {
+        let codes: Vec<&str> = replay_entry(&tampered, source, &cfg)
+            .iter()
+            .map(|d| d.code)
+            .collect();
+        assert_eq!(codes, ["FZ004"], "{tampered:?}");
+    }
+}
+
+#[test]
 fn corpus_pins_the_backend_axis() {
     // Every entry carries the per-backend pins (the manifest was
     // regenerated when the backend axis landed), and the corpus preserves
