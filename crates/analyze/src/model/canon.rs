@@ -298,7 +298,7 @@ fn class_maybe_known(class: &Class, params: &[i64]) -> Vec<bool> {
 }
 
 /// Whether `e` can evaluate to [`VarVal::Known`] under `mk`'s slot facts
-/// (mirrors [`Ctx::eval`]'s Known-propagation, over-approximated).
+/// (mirrors the abstract domain's `eval` Known-propagation, over-approximated).
 fn expr_maybe_known(e: &Expr, mk: &[bool], params: &[i64]) -> bool {
     if e.fold_const(params).is_some() {
         return true;
@@ -450,9 +450,7 @@ fn cmp_machines(ctx: &Ctx, s: &ProdState, t: &HostTables, a: usize, b: usize) ->
             .cmp(&y.node)
             .then_with(|| x.vars.cmp(&y.vars))
             .then_with(|| inbox_codes(ctx, x, a).cmp(inbox_codes(ctx, y, b)))
-            .then_with(|| x.armed.cmp(&y.armed))
-            .then_with(|| x.controlled.cmp(&y.controlled))
-            .then_with(|| x.suspended.cmp(&y.suspended));
+            .then_with(|| x.ctl.cmp(&y.ctl));
         if ord != Ordering::Equal {
             return ord;
         }
@@ -633,9 +631,9 @@ group G1[6] = ADVnodes;
                     st.node,
                     st.vars.clone(),
                     inbox_codes(ctx, st, h).collect(),
-                    st.armed.clone(),
-                    st.controlled,
-                    st.suspended,
+                    st.ctl.armed.clone(),
+                    st.ctl.controlled,
+                    st.ctl.suspended,
                 )
             })
             .collect();
@@ -716,13 +714,13 @@ group G1[6] = ADVnodes;
                 st.inbox = (0..below(3)).map(|_| (below(n_insts) as u8, below(2) as u8)).collect();
             }
             if armed {
-                for a in &mut st.armed {
+                for a in &mut st.ctl.armed {
                     *a = below(2) == 0;
                 }
             }
             if flags {
-                st.controlled = below(2) == 0;
-                st.suspended = below(2) == 0;
+                st.ctl.controlled = below(2) == 0;
+                st.ctl.suspended = below(2) == 0;
             }
             out.insts[i] = Inst::new(st);
         }

@@ -1,64 +1,34 @@
-//! The abstract FAIL firing engine: the exploration context ([`Ctx`]) and
-//! the pure per-instance semantics that mirror
-//! `FailRuntime::{feed, try_fire, fire, enter_node, drain_inbox}` over
-//! abstract values, up to [`Ctx::drive`], which settles one product step.
+//! The abstract FAIL engine: the exploration context ([`Ctx`]), the
+//! abstract value domain the firing core of [`failmpi_core::fire`] runs
+//! over, and the product-level step code up to [`Ctx::drive`], which
+//! settles one product step.
 //!
-//! Every function returns the set of branch outcomes: undecidable
-//! conditions and opaque group indices branch. The engine is
-//! immutable-`self` so frontier workers can share it across threads; the
-//! one mutation firing wants (halt-site bookkeeping for FC001/FC005) is
-//! threaded out as a [`SiteLog`] and applied by the sequential merge.
+//! The core leaves to the domain what the abstraction cannot decide: an
+//! unknown condition or a group index with several candidate members is a
+//! decision point. [`Ctx::outcomes`] runs the core once, recording the arity
+//! of every decision, then re-runs it from the pre-input state along each
+//! other choice path, depth first. The engine is immutable-`self` so
+//! frontier workers can share it across threads; the one mutation firing
+//! wants (halt-site bookkeeping for FC001/FC005) is threaded out as a
+//! [`SiteLog`] and applied by the sequential merge.
 
 use std::collections::{HashMap, VecDeque};
 
 use failmpi_backend::vocab::AbstractModel;
-use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Guard, Scenario};
+use failmpi_core::fire::{Domain, Fire, Input, Machine};
+use failmpi_core::lang::compile::{apply_bin, Class, Expr, Scenario};
+use failmpi_core::Deployment;
 use failmpi_mpichv::{AbstractEvent, AbstractStep};
 
 use super::canon::SymmetryProfile;
-use super::state::{insert_msg, store, Inst, InstState, Micro, ProdState, SiteLog, VarVal};
+use super::state::{
+    insert_msg, Control, Inst, InstState, Micro, ProdState, SiteLog, VarVal, VAR_CAP,
+};
 use super::ModelCheckConfig;
 
-/// An automaton input, mirroring `FailInput` minus process identities.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum AIn {
-    OnLoad,
-    OnExit,
-    OnError,
-    Msg { from: usize, msg: usize },
-    Timer(usize),
-    Breakpoint,
-    Probe { slot: usize, value: i64 },
-}
-
-/// What a firing scan matches guards against: the trigger an input raises,
-/// or the inbox entry at a FIFO position.
-#[derive(Clone, Copy)]
-enum Trigger {
-    OnLoad,
-    OnExit,
-    OnError,
-    Timer(usize),
-    Breakpoint,
-    Change(usize),
-    Inbox(usize),
-}
-
-impl Trigger {
-    fn matches(self, st: &InstState, g: &Guard) -> bool {
-        match (self, g) {
-            (Trigger::OnLoad, Guard::OnLoad)
-            | (Trigger::OnExit, Guard::OnExit)
-            | (Trigger::OnError, Guard::OnError)
-            | (Trigger::Breakpoint, Guard::Before(_)) => true,
-            (Trigger::Timer(a), Guard::Timer(b)) | (Trigger::Change(a), Guard::Change(b)) => a == *b,
-            (Trigger::Inbox(at), Guard::Recv(m)) => {
-                st.inbox.get(at).is_some_and(|e| e.1 as usize == *m)
-            }
-            _ => false,
-        }
-    }
-}
+/// An automaton input: the core's, minus process identities and timer
+/// generations.
+pub(crate) type AIn = Input<'static, (), ()>;
 
 /// Deferred consequence inside one product step.
 #[derive(Clone, Debug)]
@@ -76,6 +46,17 @@ pub(crate) struct Effects {
     pub(crate) halted: bool,
 }
 
+/// One outcome of feeding an instance: its state after, and the effects.
+type Leaf = (InstState, Effects);
+
+/// A choice path through the core's decision points: `(choice, arity)`
+/// per decision, in the order the core met them.
+type Path = Vec<(usize, usize)>;
+
+/// A product state being settled: the state, its pending consequences,
+/// the faults injected so far, and the witness notes.
+type WorkItem = (ProdState, VecDeque<Pend>, u32, Vec<String>);
+
 /// Everything successor generation reads: the compiled scenario, the
 /// deployment binding, and the symmetry profile. Shared read-only across
 /// frontier worker threads.
@@ -83,16 +64,15 @@ pub(crate) struct Ctx<'a> {
     pub(crate) sc: &'a Scenario,
     pub(crate) cfg: &'a ModelCheckConfig,
     pub(crate) params: Vec<i64>,
-    /// Instance class indices; suggested instances first, then one group
-    /// member per host for every suggested group.
+    /// Suggested instances first, then one group member per host for
+    /// every suggested group.
+    pub(crate) deployment: Deployment,
+    /// Instance class indices, in deployment order.
     pub(crate) inst_class: Vec<usize>,
-    pub(crate) inst_names: Vec<String>,
     /// `Some(h)` when the instance controls machine `h`.
     pub(crate) inst_host: Vec<Option<u8>>,
     /// Controllers of each host, in instance order.
     pub(crate) controllers: Vec<Vec<usize>>,
-    pub(crate) by_name: HashMap<String, usize>,
-    pub(crate) groups: HashMap<String, Vec<usize>>,
     /// Ranks each rank transitively exchanges messages with (op-program
     /// communication skeleton), used to phrase the freeze diagnosis.
     pub(crate) comm_peers: Vec<Vec<u32>>,
@@ -102,25 +82,43 @@ pub(crate) struct Ctx<'a> {
     pub(crate) profile: SymmetryProfile,
 }
 
-impl Ctx<'_> {
-    // -- abstract expression evaluation ------------------------------------
+/// The checker's domain over one instance, along one choice path.
+struct Abs<'e, 'a> {
+    ctx: &'e Ctx<'a>,
+    inst: usize,
+    eff: Effects,
+    log: &'e mut SiteLog,
+    /// The decisions of the path; one past its end takes option 0 and is
+    /// appended.
+    path: &'e mut Path,
+    depth: usize,
+}
 
-    pub(crate) fn eval(&self, e: &Expr, vars: &[VarVal]) -> VarVal {
-        if let Some(v) = e.fold_const(&self.params) {
+impl Domain for Abs<'_, '_> {
+    type Val = VarVal;
+    type Node = u16;
+    type Id = u8;
+    type Control = Control;
+    type Proc = ();
+    type Tick = ();
+
+    /// `Top` wherever a random draw or a `Top` operand enters;
+    /// constant-folded under the parameters first.
+    fn eval(&mut self, e: &Expr, vars: &[VarVal]) -> VarVal {
+        let params = &self.ctx.params;
+        if let Some(v) = e.fold_const(params) {
             return VarVal::Known(v);
         }
         match e {
             Expr::Int(n) => VarVal::Known(*n),
             Expr::Var(i) => vars[*i],
-            Expr::Param(i) => VarVal::Known(self.params[*i]),
-            Expr::Rand(..) => match e.const_range(&self.params) {
+            Expr::Param(i) => VarVal::Known(params[*i]),
+            Expr::Rand(..) => match e.const_range(params) {
                 Some((l, h)) if l == h => VarVal::Known(l),
                 _ => VarVal::Top,
             },
             Expr::Bin(op, a, b) => match (self.eval(a, vars), self.eval(b, vars)) {
-                (VarVal::Known(x), VarVal::Known(y)) => {
-                    VarVal::Known(failmpi_core::lang::compile::apply_bin(*op, x, y))
-                }
+                (VarVal::Known(x), VarVal::Known(y)) => VarVal::Known(apply_bin(*op, x, y)),
                 _ => VarVal::Top,
             },
             Expr::Neg(a) => match self.eval(a, vars) {
@@ -130,267 +128,150 @@ impl Ctx<'_> {
         }
     }
 
-    /// All conditions of a transition, three-valued: `Some(b)` when
-    /// decidable, `None` when the abstraction cannot tell (both branches
-    /// are then explored).
-    fn conds3(&self, conds: &[Expr], vars: &[VarVal]) -> Option<bool> {
-        let mut maybe = false;
-        for c in conds {
-            match self.eval(c, vars) {
-                VarVal::Known(0) => return Some(false),
-                VarVal::Known(_) => {}
-                VarVal::Top => maybe = true,
-            }
-        }
-        if maybe {
-            None
-        } else {
-            Some(true)
+    /// Saturates big magnitudes to `Top`, so counters cannot unfold the
+    /// state space.
+    fn store(v: VarVal) -> VarVal {
+        match v {
+            VarVal::Known(x) if x.abs() > VAR_CAP => VarVal::Top,
+            other => other,
         }
     }
 
-    /// The group members a `G[idx]` destination can resolve to. A known
-    /// index names one member — none when it is out of range, where the
-    /// runtime drops the send too (`FailRuntime::fire`); an
-    /// interval-bounded one narrows the set and an opaque one fans out to
-    /// the whole group (see [`Expr::const_range`]).
-    fn dest_members(&self, members: &[usize], idx: &Expr, vars: &[VarVal]) -> Vec<usize> {
+    fn truth(v: VarVal) -> Option<bool> {
+        match v {
+            VarVal::Known(x) => Some(x != 0),
+            VarVal::Top => None,
+        }
+    }
+
+    /// A known index is a point; an opaque one is bounded by its
+    /// [`Expr::const_range`] when it has one and spans the group otherwise.
+    fn index(&mut self, idx: &Expr, vars: &[VarVal]) -> (i64, i64) {
         match self.eval(idx, vars) {
-            VarVal::Known(k) => usize::try_from(k)
-                .ok()
-                .filter(|k| *k < members.len())
-                .map(|k| vec![members[k]])
-                .unwrap_or_default(),
-            VarVal::Top => match idx.const_range(&self.params) {
-                Some((l, h)) => {
-                    let lo = l.max(0) as usize;
-                    let hi = (h.min(members.len() as i64 - 1)).max(-1);
-                    if hi < 0 {
-                        Vec::new()
-                    } else {
-                        members[lo.min(members.len())..=hi as usize].to_vec()
-                    }
-                }
-                None => members.to_vec(),
-            },
+            VarVal::Known(k) => (k, k),
+            VarVal::Top => idx.const_range(&self.ctx.params).unwrap_or((0, i64::MAX)),
         }
     }
 
-    // -- the per-instance firing engine ------------------------------------
+    fn choose(&mut self, arity: usize) -> usize {
+        if self.depth == self.path.len() {
+            self.path.push((0, arity));
+        }
+        let (k, n) = self.path[self.depth];
+        debug_assert_eq!(n, arity, "a replayed prefix meets the same decisions");
+        self.depth += 1;
+        k
+    }
 
+    fn send(&mut self, to: usize, msg: usize) {
+        self.eff.sends.push((self.inst, to, msg));
+    }
+
+    fn control(ctl: &mut Control, proc: Option<()>) {
+        ctl.controlled = proc.is_some();
+        ctl.suspended = false;
+    }
+
+    fn controls(ctl: &Control, (): ()) -> bool {
+        ctl.controlled
+    }
+
+    fn halt(&mut self, ctl: &mut Control, (node, t): (usize, usize)) {
+        let class = self.ctx.inst_class[self.inst];
+        if let Some(&site) = self.ctx.halt_sites.get(&(class, node, t)) {
+            self.log.push((site, !ctl.controlled));
+        }
+        if ctl.controlled {
+            ctl.controlled = false;
+            ctl.suspended = false;
+            self.eff.halted = true;
+        }
+    }
+
+    fn suspend(&mut self, ctl: &mut Control, on: bool) {
+        if ctl.controlled {
+            ctl.suspended = on;
+        }
+    }
+
+    fn arm(&mut self, ctl: &mut Control, _vars: &[VarVal], timers: &[(usize, Expr)]) {
+        ctl.armed.iter_mut().for_each(|a| *a = false);
+        for (t, _) in timers {
+            ctl.armed[*t] = true;
+        }
+    }
+
+    fn expire(ctl: &mut Control, timer: usize, (): ()) -> bool {
+        std::mem::take(&mut ctl.armed[timer])
+    }
+}
+
+/// Advances `path` to the next choice path, depth first: the deepest
+/// decision with an option left takes it, and the decisions below it are
+/// dropped. `false` once every path has run.
+fn next_path(path: &mut Path) -> bool {
+    while let Some((k, n)) = path.pop() {
+        if k + 1 < n {
+            path.push((k + 1, n));
+            return true;
+        }
+    }
+    false
+}
+
+impl Ctx<'_> {
     pub(crate) fn class_of(&self, inst: usize) -> &Class {
         &self.sc.classes[self.inst_class[inst]]
     }
 
-    /// `FailRuntime::enter_node`: `always` variables, the node's timers,
-    /// then the inbox re-scan.
-    pub(crate) fn enter_node(
-        &self,
+    /// The firing core over instance `inst`, along choice path `path`.
+    fn fire<'e>(
+        &'e self,
         inst: usize,
-        mut st: InstState,
-        node: usize,
-        log: &mut SiteLog,
-    ) -> Vec<(InstState, Effects)> {
-        st.node = node as u16;
-        let nd = &self.class_of(inst).nodes[node];
-        for (slot, e) in &nd.always {
-            let v = store(self.eval(e, &st.vars));
-            st.vars[*slot] = v;
-        }
-        st.armed.iter_mut().for_each(|a| *a = false);
-        for (t, _) in &nd.timers {
-            st.armed[*t] = true;
-        }
-        self.try_fire_from(inst, st, Trigger::Inbox(0), 0, log)
+        log: &'e mut SiteLog,
+        path: &'e mut Path,
+    ) -> Fire<'e, Abs<'e, 'e>> {
+        let dom = Abs { ctx: self, inst, eff: Effects::default(), log, path, depth: 0 };
+        Fire { class: self.class_of(inst), deployment: &self.deployment, dom }
     }
 
-    /// `FailRuntime::try_fire` and `drain_inbox` as one scan: the first
-    /// transition at or after `t0` whose guard matches `trigger` and whose
-    /// conditions hold fires; undecidable conditions branch into "fires"
-    /// and "the scan goes on". An inbox scan that fires nothing for its
-    /// entry moves to the next one — the first consumable message wins.
-    fn try_fire_from(
-        &self,
-        inst: usize,
-        st: InstState,
-        trigger: Trigger,
-        t0: usize,
-        log: &mut SiteLog,
-    ) -> Vec<(InstState, Effects)> {
-        let node = st.node as usize;
-        let transitions = &self.class_of(inst).nodes[node].transitions;
-        for (t, tr) in transitions.iter().enumerate().skip(t0) {
-            if !trigger.matches(&st, &tr.guard) {
-                continue;
-            }
-            match self.conds3(&tr.conds, &st.vars) {
-                Some(false) => continue,
-                Some(true) => return self.chain_fire(inst, st, trigger, node, t, log),
-                None => {
-                    let mut out = self.chain_fire(inst, st.clone(), trigger, node, t, log);
-                    out.extend(self.try_fire_from(inst, st, trigger, t + 1, log));
-                    return dedup_fire(out);
-                }
-            }
-        }
-        match trigger {
-            Trigger::Inbox(at) if at + 1 < st.inbox.len() => {
-                self.try_fire_from(inst, st, Trigger::Inbox(at + 1), 0, log)
-            }
-            _ => vec![(st, Effects::default())],
-        }
+    /// Instance `inst` started: variables initialised, node 0 entered.
+    /// Its inbox is empty, so start fires nothing: it neither decides nor
+    /// halts.
+    pub(crate) fn start(&self, inst: usize) -> InstState {
+        let class = self.class_of(inst);
+        let armed = vec![false; class.timer_names.len()];
+        let mut m = Machine::new(class, Control { armed, controlled: false, suspended: false });
+        self.fire(inst, &mut SiteLog::new(), &mut Vec::new()).start(&mut m);
+        m
     }
 
-    /// Fires transition `(node, t)`; an inbox scan consumes its entry and
-    /// names the sender. A transition that moved to a new node re-drains
-    /// the inbox there (`enter_node` does).
-    fn chain_fire(
+    /// Every outcome of feeding `input` to instance `inst` in state `st`:
+    /// the leaf of the first choice path, and the other leaves, duplicates
+    /// dropped, when the core met a decision point.
+    fn outcomes(
         &self,
         inst: usize,
-        mut st: InstState,
-        trigger: Trigger,
-        node: usize,
-        t: usize,
-        log: &mut SiteLog,
-    ) -> Vec<(InstState, Effects)> {
-        let sender = match trigger {
-            Trigger::Inbox(at) => Some(st.inbox.remove(at).0 as usize),
-            _ => None,
-        };
-        let class = self.inst_class[inst];
-        let actions = &self.sc.classes[class].nodes[node].transitions[t].actions;
-        let site = self.halt_sites.get(&(class, node, t)).copied();
-        self.run_actions(inst, st, actions, sender, site, log)
-    }
-
-    /// Executes a transition's actions in order. Branches on opaque group
-    /// indices; applies `Goto` last exactly like `FailRuntime::fire`.
-    fn run_actions(
-        &self,
-        inst: usize,
-        st: InstState,
-        actions: &[Action],
-        sender: Option<usize>,
-        site: Option<usize>,
-        log: &mut SiteLog,
-    ) -> Vec<(InstState, Effects)> {
-        // Work items: (state so far, effects so far, next action index,
-        // pending goto).
-        let mut work = vec![(st, Effects::default(), 0usize, None::<usize>)];
-        let mut done = Vec::new();
-        while let Some((mut s, mut eff, i, mut goto)) = work.pop() {
-            if i == actions.len() {
-                done.push((s, eff, goto));
-                continue;
-            }
-            match &actions[i] {
-                Action::Send { msg, dest } => {
-                    let targets: Vec<usize> = match dest {
-                        Dest::Instance(name) => {
-                            self.by_name.get(name).copied().into_iter().collect()
-                        }
-                        Dest::Group(name, idx) => match self.groups.get(name) {
-                            Some(members) => self.dest_members(members, idx, &s.vars),
-                            None => Vec::new(),
-                        },
-                        Dest::Sender => sender.into_iter().collect(),
-                    };
-                    if let [.., last] = targets[..] {
-                        for &to in &targets[..targets.len() - 1] {
-                            let mut e2 = eff.clone();
-                            e2.sends.push((inst, to, *msg));
-                            work.push((s.clone(), e2, i + 1, goto));
-                        }
-                        eff.sends.push((inst, last, *msg));
-                    }
-                }
-                Action::Goto(n) => goto = Some(*n),
-                Action::Halt => {
-                    if let Some(siteidx) = site {
-                        log.push((siteidx, !s.controlled));
-                    }
-                    if s.controlled {
-                        s.controlled = false;
-                        s.suspended = false;
-                        eff.halted = true;
-                    }
-                }
-                Action::Stop if s.controlled => s.suspended = true,
-                Action::Continue if s.controlled => s.suspended = false,
-                Action::Stop | Action::Continue => {}
-                Action::Assign(slot, e) => {
-                    let v = store(self.eval(e, &s.vars));
-                    s.vars[*slot] = v;
-                }
-            }
-            work.push((s, eff, i + 1, goto));
-        }
-        let mut out = Vec::new();
-        for (s, eff, goto) in done {
-            // A new node re-scans the inbox on entry, and so does a
-            // consumed message that left the node alone:
-            // `FailRuntime::drain_inbox` keeps firing until nothing matches.
-            let settled = match goto {
-                Some(n) => self.enter_node(inst, s, n, log),
-                None if sender.is_some() => self.try_fire_from(inst, s, Trigger::Inbox(0), 0, log),
-                None => vec![(s, Effects::default())],
-            };
-            for (s2, e2) in settled {
-                let mut merged = eff.clone();
-                merged.sends.extend(e2.sends);
-                merged.halted |= e2.halted;
-                out.push((s2, merged));
-            }
-        }
-        dedup_fire(out)
-    }
-
-    /// `FailRuntime::feed` for one abstract input.
-    fn feed(
-        &self,
-        inst: usize,
-        mut s: InstState,
+        st: &InstState,
         input: AIn,
         log: &mut SiteLog,
-    ) -> Vec<(InstState, Effects)> {
-        let trigger = match input {
-            AIn::Msg { from, msg } => {
-                s.inbox.push((from as u8, msg as u8));
-                Trigger::Inbox(0)
-            }
-            AIn::OnLoad => {
-                s.controlled = true;
-                s.suspended = false;
-                Trigger::OnLoad
-            }
-            AIn::OnExit | AIn::OnError => {
-                if !s.controlled {
-                    return vec![(s, Effects::default())]; // stale
-                }
-                s.controlled = false;
-                s.suspended = false;
-                if matches!(input, AIn::OnExit) {
-                    Trigger::OnExit
-                } else {
-                    Trigger::OnError
-                }
-            }
-            AIn::Timer(t) => {
-                if !std::mem::take(&mut s.armed[t]) {
-                    return vec![(s, Effects::default())];
-                }
-                Trigger::Timer(t)
-            }
-            AIn::Breakpoint => Trigger::Breakpoint,
-            AIn::Probe { slot, value } => {
-                let new = VarVal::Known(value);
-                if std::mem::replace(&mut s.vars[slot], new) == new {
-                    return vec![(s, Effects::default())];
-                }
-                Trigger::Change(slot)
-            }
+    ) -> (Leaf, Vec<Leaf>) {
+        let mut run = |path: &mut Path| {
+            let mut m = st.clone();
+            let mut fire = self.fire(inst, log, path);
+            fire.feed(&mut m, input);
+            (m, fire.dom.eff)
         };
-        self.try_fire_from(inst, s, trigger, 0, log)
+        let mut path = Vec::new();
+        let first = run(&mut path);
+        let mut forks: Vec<Leaf> = Vec::new();
+        while next_path(&mut path) {
+            let leaf = run(&mut path);
+            if leaf != first && !forks.contains(&leaf) {
+                forks.push(leaf);
+            }
+        }
+        (first, forks)
     }
 
     // -- world-level step application --------------------------------------
@@ -420,7 +301,9 @@ impl Ctx<'_> {
         log: &mut SiteLog,
     ) -> Vec<Micro> {
         let mut out = Vec::new();
-        for (ist2, eff) in self.feed(holder, InstState::clone(&s.insts[holder]), AIn::Breakpoint, log) {
+        let input = AIn::Breakpoint((), None);
+        let (first, forks) = self.outcomes(holder, &s.insts[holder], input, log);
+        for (ist2, eff) in std::iter::once(first).chain(forks) {
             let mut s2 = s.clone();
             s2.insts[holder] = Inst::new(ist2);
             for (from, to, msg) in &eff.sends {
@@ -483,34 +366,13 @@ impl Ctx<'_> {
                     work.push((s, q, f + 1, notes));
                 }
                 Pend::In { inst, input } => {
-                    let branches = self.feed(inst, InstState::clone(&s.insts[inst]), input, log);
-                    // The last branch takes the state; only a genuine
-                    // fork pays for a copy.
-                    let n_branches = branches.len();
-                    let mut rest = Some((s, q, notes));
-                    for (k, (ist2, eff)) in branches.into_iter().enumerate() {
-                        let (mut s2, mut q2, mut notes2) = if k + 1 == n_branches {
-                            rest.take().expect("taken once, by the last branch")
-                        } else {
-                            rest.clone().expect("present until the last branch")
-                        };
-                        if *s2.insts[inst] != ist2 {
-                            s2.insts[inst] = Inst::new(ist2);
-                        }
-                        for (from, to, msg) in &eff.sends {
-                            insert_msg(&mut s2.msgs, (*from as u8, *to as u8, *msg as u8));
-                        }
-                        if eff.halted {
-                            match self.inst_host[inst].and_then(|h| s2.proto.live_rank_on_host(h)) {
-                                Some(r) => q2.push_back(Pend::Fault(r)),
-                                None => notes2.push(format!(
-                                    "halt from {} found no live process",
-                                    self.inst_names[inst]
-                                )),
-                            }
-                        }
-                        work.push((s2, q2, f, notes2));
+                    // Only a genuine fork pays for a copy of the state.
+                    let (first, forks) = self.outcomes(inst, &s.insts[inst], input, log);
+                    for leaf in forks {
+                        let item = (s.clone(), q.clone(), f, notes.clone());
+                        work.push(self.absorb(inst, leaf, item));
                     }
+                    work.push(self.absorb(inst, first, (s, q, f, notes)));
                 }
             }
         }
@@ -519,15 +381,38 @@ impl Ctx<'_> {
         out
     }
 
+    /// Work item `(s, q, faults, notes)` with instance `inst` settled in
+    /// `leaf`: its state replaced, its sends in flight, and a halt queued
+    /// as a fault on the rank its machine hosts.
+    fn absorb(&self, inst: usize, (ist, eff): Leaf, item: WorkItem) -> WorkItem {
+        let (mut s, mut q, f, mut notes) = item;
+        if *s.insts[inst] != ist {
+            s.insts[inst] = Inst::new(ist);
+        }
+        for (from, to, msg) in &eff.sends {
+            insert_msg(&mut s.msgs, (*from as u8, *to as u8, *msg as u8));
+        }
+        if eff.halted {
+            match self.inst_host[inst].and_then(|h| s.proto.live_rank_on_host(h)) {
+                Some(r) => q.push_back(Pend::Fault(r)),
+                None => notes.push(format!(
+                    "halt from {} found no live process",
+                    self.deployment.name(inst)
+                )),
+            }
+        }
+        (s, q, f, notes)
+    }
+
     /// Maps abstract protocol events onto automaton inputs, honoring the
     /// dynamic runtime's routing (lifecycle hooks to the host's
     /// controllers, committed-wave / epoch updates to probe subscribers).
     fn enqueue_events(&self, q: &mut VecDeque<Pend>, evs: &[AbstractEvent]) {
         for e in evs {
             let (host, input) = match e {
-                AbstractEvent::OnLoad { host } => (host, AIn::OnLoad),
-                AbstractEvent::OnExit { host } => (host, AIn::OnExit),
-                AbstractEvent::OnError { host } => (host, AIn::OnError),
+                AbstractEvent::OnLoad { host } => (host, AIn::OnLoad(())),
+                AbstractEvent::OnExit { host } => (host, AIn::OnExit(())),
+                AbstractEvent::OnError { host } => (host, AIn::OnError(())),
                 AbstractEvent::CommittedWave(v) => {
                     self.enqueue_probe(q, "committed_wave", *v);
                     continue;
@@ -549,7 +434,7 @@ impl Ctx<'_> {
             if let Some((_, slot)) = self.class_of(inst).probes.iter().find(|(n, _)| n == name) {
                 q.push_back(Pend::In {
                     inst,
-                    input: AIn::Probe { slot: *slot, value: value as i64 },
+                    input: AIn::Probe(*slot, value as i64),
                 });
             }
         }
@@ -570,29 +455,25 @@ fn phase_name(p: failmpi_mpichv::AbstractPhase) -> &'static str {
     }
 }
 
-/// Drops branches that converged on the same state with the same effects,
-/// keeping the first of each in order.
-fn dedup_fire(v: Vec<(InstState, Effects)>) -> Vec<(InstState, Effects)> {
-    let mut out: Vec<(InstState, Effects)> = Vec::new();
-    for b in v {
-        if !out.contains(&b) {
-            out.push(b);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    //! The abstract engine against the runtime it mirrors. Under
-    //! parameters that make every `FAIL_RANDOM` range a point (`N = 0`)
-    //! and keep counters inside `VAR_CAP` the abstraction is exact: no
-    //! value is `Top`, so no scan branches, and [`Ctx::feed`] must then be
-    //! [`FailRuntime::feed`] input for input.
+    //! The abstract domain against the concrete one, input for input.
+    //! Both run the one firing core, so what this holds is the domains:
+    //! abstract evaluation, the decision points, and what each side makes
+    //! of lifecycle events, process actions and timers.
+    //!
+    //! Under parameters that make every `FAIL_RANDOM` range a point
+    //! (`N = 0`) and keep counters inside `VAR_CAP` the abstraction is
+    //! exact: no value is `Top`, nothing forks, and [`Ctx::outcomes`]' one
+    //! leaf must be [`FailRuntime::feed`]'s step. With `N ≥ 1` random picks
+    //! are `Top`, conditions on them fork and group sends fan out; the
+    //! abstraction must then over-approximate: some leaf matches the
+    //! runtime's step, every `Known` variable included, and that leaf is
+    //! the next abstract state.
 
     use std::collections::BTreeMap;
 
-    use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime};
+    use failmpi_core::{compile, FailAction, FailInput, FailRuntime};
     use failmpi_sim::SimRng;
     use proptest::prelude::*;
     use proptest::test_runner::Config;
@@ -603,24 +484,37 @@ mod tests {
 
     const N_HOSTS: usize = 3;
 
-    /// Beside the builtins, two shapes none of them has. An index known
+    /// Beside the builtins, three shapes none of them has. An index known
     /// at run time only that walks out of the group: both sides drop the
     /// send and carry on. A receive without `goto` (`?arm`) that makes a
     /// queued message consumable (`?hit` waits for `armed`): both sides
-    /// re-scan the inbox and consume it in the same step.
+    /// re-scan the inbox and consume it in the same step. A condition on
+    /// a random pick (`?flip`): with `N ≥ 1` it is undecidable, and only
+    /// the leaf that lets the scan go on covers the runtime's tails.
     const EXTRA_SRC: &str = "\
+param N = 0;
 daemon Walker {
   int next = 1;
   int armed = 0;
   node 1:
+    always int coin = FAIL_RANDOM(0, N);
     ?step -> !hit(G1[next]), next = next + 1, goto 1;
     ?hit && armed == 1 -> !step(FAIL_SENDER), armed = 0, goto 1;
     ?arm -> armed = 1;
+    ?flip && coin == 0 -> !heads(G1[coin]), goto 1;
+    ?flip -> !tails(FAIL_SENDER), goto 1;
 }
-daemon Echo { node 1: ?hit -> !step(P1), !hit(P1), !arm(P1), goto 1; }
+daemon Echo { node 1: ?hit -> !step(P1), !hit(P1), !arm(P1), !flip(P1), goto 1; }
 instance P1 = Walker;
 group G1[3] = Echo;
 ";
+
+    /// One generated input: `(instance, kind, a, b)`, see [`step`].
+    type Pick = (usize, usize, usize, usize);
+
+    /// A runtime step as the abstract side sees it: the `(from, to, msg)`
+    /// sends, and whether a process was killed.
+    type Step = (Vec<(usize, usize, usize)>, bool);
 
     /// The concrete side plus the world a runtime assumes around it: one
     /// pending expiry per armed timer slot, and which controlled
@@ -636,7 +530,7 @@ group G1[3] = Echo;
     impl Concrete {
         /// Applies `acts` to the world; returns the `(from, to, msg)`
         /// sends and whether a process was killed.
-        fn absorb(&mut self, inst: usize, acts: Vec<FailAction>) -> (Vec<(usize, usize, usize)>, bool) {
+        fn absorb(&mut self, inst: usize, acts: Vec<FailAction>) -> Step {
             let mut sends = Vec::new();
             let mut halted = false;
             for a in acts {
@@ -657,18 +551,39 @@ group G1[3] = Echo;
             (sends, halted)
         }
 
-        /// The inbox of `inst`, read off the runtime's derived `Debug`
-        /// rendering (the field is private, and rightly so).
-        fn inbox(&self, inst: usize) -> String {
-            let text = format!("{:?}", self.rt);
-            let entry = text.split("inbox: ").nth(inst + 1).expect("one inbox per instance");
-            entry.split(", entry_gen").next().expect("field order").to_string()
+        /// The first observable of `inst` on which `leaf` disagrees with
+        /// the runtime's step `ran`, if any. Off the exact regime, a `Top`
+        /// variable agrees with every value.
+        fn disagreement(&self, inst: usize, leaf: &Leaf, ran: &Step, exact: bool) -> Option<String> {
+            let (st, eff) = leaf;
+            let m = self.rt.machine(inst);
+            let inbox: Vec<(usize, usize)> =
+                st.inbox.iter().map(|e| (e.0 as usize, e.1 as usize)).collect();
+            let var = (st.vars.iter().zip(&m.vars).enumerate())
+                .find(|(_, (v, c))| **v != VarVal::Known(**c) && (exact || **v != VarVal::Top));
+            // An armed slot is one the world still owes an expiry for; the
+            // runtime's generations additionally void the superseded ones,
+            // which both sides then ignore alike (checked when delivered).
+            let timer = (st.ctl.armed.iter().enumerate())
+                .find(|(slot, armed)| **armed && !self.pending.contains_key(&(inst, *slot)));
+            let checks = [
+                ((&eff.sends, eff.halted) != (&ran.0, ran.1)).then(|| "effects".to_string()),
+                (st.node as usize != m.node).then(|| "node".to_string()),
+                var.map(|(slot, (v, c))| format!("variable {slot} ({v:?} vs {c})")),
+                (inbox != m.inbox).then(|| format!("inbox ({inbox:?} vs {:?})", m.inbox)),
+                (st.ctl.controlled != self.rt.controlled(inst).is_some())
+                    .then(|| "controlled".to_string()),
+                (st.ctl.suspended != self.suspended[inst]).then(|| "suspended".to_string()),
+                timer.map(|(slot, _)| format!("timer {slot}")),
+            ];
+            checks.into_iter().flatten().next()
         }
     }
 
-    /// Feeds one generated input to both sides and holds every observable
-    /// of the fed instance against its twin.
-    fn step(ctx: &Ctx, abs: &mut [InstState], con: &mut Concrete, pick: (usize, usize, usize, usize)) {
+    /// Feeds one generated input to both sides; a leaf of the abstract
+    /// step must agree with the concrete one, and becomes the instance's
+    /// next abstract state.
+    fn step(ctx: &Ctx, abs: &mut [InstState], con: &mut Concrete, pick: Pick, exact: bool) {
         let (inst, kind, a, b) = (pick.0 % abs.len(), pick.1, pick.2, pick.3);
         let class = ctx.class_of(inst);
         let controlled = con.rt.controlled(inst);
@@ -676,21 +591,21 @@ group G1[3] = Echo;
             0 => {
                 con.next_proc += 1;
                 con.suspended[inst] = false;
-                (AIn::OnLoad, FailInput::OnLoad { instance: inst, proc: con.next_proc })
+                (AIn::OnLoad(()), FailInput::OnLoad { instance: inst, proc: con.next_proc })
             }
             1 | 2 => {
                 // The live process's own event, or a stale one when none is.
                 let proc = controlled.unwrap_or(0);
                 con.suspended[inst] = false;
                 if kind == 1 {
-                    (AIn::OnExit, FailInput::OnExit { instance: inst, proc })
+                    (AIn::OnExit(()), FailInput::OnExit { instance: inst, proc })
                 } else {
-                    (AIn::OnError, FailInput::OnError { instance: inst, proc })
+                    (AIn::OnError(()), FailInput::OnError { instance: inst, proc })
                 }
             }
             3 => {
                 let (from, msg) = (a % abs.len(), b % ctx.sc.messages.len());
-                (AIn::Msg { from, msg }, FailInput::Msg { from, to: inst, msg })
+                (AIn::Msg(from, msg), FailInput::Msg { from, to: inst, msg })
             }
             4 => {
                 // An expiry the world owes this instance, if any.
@@ -698,46 +613,88 @@ group G1[3] = Echo;
                     con.pending.keys().copied().filter(|k| k.0 == inst).collect();
                 let Some(&key) = owed.get(a % owed.len().max(1)) else { return };
                 let gen = con.pending.remove(&key).expect("owed");
-                (AIn::Timer(key.1), FailInput::Timer { instance: inst, timer: key.1, gen })
+                (AIn::Timer(key.1, ()), FailInput::Timer { instance: inst, timer: key.1, gen })
             }
             5 => {
                 // The product raises a breakpoint only at a controller
                 // whose process is attached.
                 let Some(proc) = controlled else { return };
                 let func = "localMPI_setCommand".to_string();
-                (AIn::Breakpoint, FailInput::Breakpoint { instance: inst, proc, func })
+                (AIn::Breakpoint((), None), FailInput::Breakpoint { instance: inst, proc, func })
             }
             _ => {
                 let Some(&(_, slot)) = class.probes.get(a % class.probes.len().max(1)) else {
                     return;
                 };
                 let value = (b % 4) as i64;
-                (AIn::Probe { slot, value }, FailInput::Probe { instance: inst, probe: slot, value })
+                (AIn::Probe(slot, value), FailInput::Probe { instance: inst, probe: slot, value })
             }
         };
-        let mut branches = ctx.feed(inst, abs[inst].clone(), ain, &mut SiteLog::new());
-        assert_eq!(branches.len(), 1, "{ain:?} branched in the exact regime");
-        let (st, eff) = branches.pop().expect("one branch");
+        let (first, forks) = ctx.outcomes(inst, &abs[inst], ain, &mut SiteLog::new());
+        assert!(!exact || forks.is_empty(), "{ain:?} forked in the exact regime");
         let acts = con.rt.feed(cin.clone(), &mut con.rng);
-        let (sends, halted) = con.absorb(inst, acts);
+        let concrete = con.absorb(inst, acts);
 
-        let at = format!("{} after {cin:?}", ctx.inst_names[inst]);
-        assert_eq!((eff.sends, eff.halted), (sends, halted), "effects of {at}");
-        assert_eq!(class.nodes[st.node as usize].label, con.rt.current_node_label(inst), "node of {at}");
-        for (name, v) in class.var_names.iter().zip(&st.vars) {
-            assert_eq!(*v, VarVal::Known(con.rt.var(inst, name).expect("declared")), "{name} of {at}");
+        let mut leaves: Vec<Leaf> = std::iter::once(first).chain(forks).collect();
+        let why: Vec<Option<String>> =
+            leaves.iter().map(|l| con.disagreement(inst, l, &concrete, exact)).collect();
+        match why.iter().position(Option::is_none) {
+            Some(k) => abs[inst] = leaves.swap_remove(k).0,
+            None => panic!(
+                "no abstract leaf of {} after {cin:?} matches the runtime: {why:?}",
+                ctx.deployment.name(inst)
+            ),
         }
-        let inbox: Vec<(usize, usize)> = st.inbox.iter().map(|e| (e.0 as usize, e.1 as usize)).collect();
-        assert_eq!(format!("{inbox:?}"), con.inbox(inst), "inbox of {at}");
-        assert_eq!(st.controlled, con.rt.controlled(inst).is_some(), "controlled of {at}");
-        assert_eq!(st.suspended, con.suspended[inst], "suspended of {at}");
-        // An armed slot is one the world still owes an expiry for; the
-        // runtime's generations additionally void the superseded ones,
-        // which both sides then ignore alike (checked when delivered).
-        for (slot, armed) in st.armed.iter().enumerate() {
-            assert!(!armed || con.pending.contains_key(&(inst, slot)), "timer {slot} of {at}");
+    }
+
+    /// One differential case: builtin `which` (`EXTRA_SRC` past the
+    /// builtins) with `N = n`, the concrete side drawing from `seed`.
+    fn differential(which: usize, n: i64, seed: u64, inputs: Vec<Pick>) {
+        let src = BUILTIN_SCENARIOS.get(which).map_or(EXTRA_SRC, |b| b.1);
+        let sc = compile(src).expect("compiles");
+        if sc.suggested.groups.is_empty() {
+            return; // Fig. 4 is a class library; Fig. 5 deploys its class
         }
-        abs[inst] = st;
+        let params = vec![("N".to_string(), n)];
+        let cfg = ModelCheckConfig { n_hosts: N_HOSTS, params, ..ModelCheckConfig::default() };
+        let ex = Explorer::new(&sc, &cfg, &[]);
+        let mut abs: Vec<InstState> =
+            ex.init_raw.insts.iter().map(|i| InstState::clone(i)).collect();
+
+        // The same deployment, concretely.
+        let n_param = sc.param_names.iter().any(|p| p == "N").then_some(("N", n));
+        let deployment = ex.ctx.deployment.clone();
+        let rt = FailRuntime::new(&sc, deployment, n_param.as_slice()).expect("deploys");
+        let mut con = Concrete {
+            rt,
+            rng: SimRng::new(seed),
+            pending: BTreeMap::new(),
+            suspended: vec![false; abs.len()],
+            next_proc: 0,
+        };
+        let armed = con.rt.start(&mut con.rng);
+        con.absorb(0, armed);
+
+        // After the generated inputs, three rounds of every message
+        // to every instance: a floor under what each case reaches
+        // (`EXTRA_SRC`'s index is out of range from the third `step`, and
+        // its `hit` is queued before its `arm` arrives).
+        let exact = n == 0;
+        let insts = abs.len();
+        let rounds = (0..3 * insts * sc.messages.len()).map(|k| (k, 3, 0, k / insts));
+        for pick in inputs.into_iter().chain(rounds) {
+            step(&ex.ctx, &mut abs, &mut con, pick, exact);
+        }
+        // Deliver what the world still owes: a latent disagreement
+        // about which timers are live shows here.
+        while let Some(&(inst, _)) = con.pending.keys().next() {
+            step(&ex.ctx, &mut abs, &mut con, (inst, 4, 0, 0), exact);
+        }
+    }
+
+    fn inputs() -> impl Strategy<Value = Vec<Pick>> {
+        let pick = (any::<usize>(), 0usize..7, any::<usize>(), any::<usize>());
+        proptest::collection::vec(pick, 1..48)
     }
 
     proptest! {
@@ -746,57 +703,19 @@ group G1[3] = Echo;
         #[test]
         fn feed_agrees_with_the_runtime_where_the_abstraction_is_exact(
             which in 0usize..=BUILTIN_SCENARIOS.len(),
-            inputs in proptest::collection::vec(
-                (any::<usize>(), 0usize..7, any::<usize>(), any::<usize>()),
-                1..48,
-            ),
+            inputs in inputs(),
         ) {
-            let src = BUILTIN_SCENARIOS.get(which).map_or(EXTRA_SRC, |b| b.1);
-            let sc = compile(src).expect("compiles");
-            if sc.suggested.groups.is_empty() {
-                return Ok(()); // Fig. 4 is a class library; Fig. 5 deploys its class
-            }
-            let params = vec![("N".to_string(), 0)];
-            let cfg = ModelCheckConfig { n_hosts: N_HOSTS, params, ..ModelCheckConfig::default() };
-            let ex = Explorer::new(&sc, &cfg, &[]);
-            let mut abs: Vec<InstState> =
-                ex.init_raw.insts.iter().map(|i| InstState::clone(i)).collect();
+            differential(which, 0, which as u64, inputs);
+        }
 
-            // The same deployment, concretely: suggested instances, then
-            // one member per machine of every group.
-            let mut deployment = Deployment::new();
-            for (i, name) in ex.ctx.inst_names.iter().enumerate() {
-                deployment.add_instance(name, &ex.ctx.class_of(i).name).expect("fresh");
-            }
-            for (name, ..) in &sc.suggested.groups {
-                deployment.add_group(name, ex.ctx.groups[name].clone()).expect("fresh");
-            }
-            let n = sc.param_names.iter().any(|p| p == "N").then_some(("N", 0));
-            let rt = FailRuntime::new(&sc, deployment, n.as_slice()).expect("deploys");
-            let mut con = Concrete {
-                rt,
-                rng: SimRng::new(which as u64),
-                pending: BTreeMap::new(),
-                suspended: vec![false; abs.len()],
-                next_proc: 0,
-            };
-            let armed = con.rt.start(&mut con.rng);
-            con.absorb(0, armed);
-
-            // After the generated inputs, three rounds of every message
-            // to every instance: a floor under what each case reaches
-            // (`EXTRA_SRC`'s index is out of range from the third `step`, and
-            // its `hit` is queued before its `arm` arrives).
-            let n = abs.len();
-            let rounds = (0..3 * n * sc.messages.len()).map(|k| (k, 3, 0, k / n));
-            for pick in inputs.into_iter().chain(rounds) {
-                step(&ex.ctx, &mut abs, &mut con, pick);
-            }
-            // Deliver what the world still owes: a latent disagreement
-            // about which timers are live shows here.
-            while let Some(&(inst, _)) = con.pending.keys().next() {
-                step(&ex.ctx, &mut abs, &mut con, (inst, 4, 0, 0));
-            }
+        #[test]
+        fn feed_over_approximates_the_runtime_where_it_forks(
+            which in 0usize..=BUILTIN_SCENARIOS.len(),
+            n in 1i64..N_HOSTS as i64,
+            seed in any::<u64>(),
+            inputs in inputs(),
+        ) {
+            differential(which, n, seed, inputs);
         }
     }
 }

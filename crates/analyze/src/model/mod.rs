@@ -49,7 +49,8 @@
 //! ## Layout
 //!
 //! One module per job, bottom up: [`state`] (product-state types and the
-//! interning hashers), [`engine`] (the abstract FAIL runtime), [`moves`]
+//! interning hashers), [`engine`] (the abstract domain of the FAIL firing
+//! core shared with the runtime, and product-step settling), [`moves`]
 //! (enabled moves, labels, one state expansion), [`search`] (deployment
 //! binding, interning, the cost-layered worklist and its one parent table
 //! of structural moves), [`witness`] (the one path from that table to a

@@ -20,7 +20,7 @@ impl Ctx<'_> {
         let h = s.proto.unit(rank).host as usize;
         self.controllers[h]
             .iter()
-            .any(|&c| s.insts[c].controlled && s.insts[c].suspended)
+            .any(|&c| s.insts[c].ctl.controlled && s.insts[c].ctl.suspended)
     }
 
     /// The first controller holding an armed breakpoint over `rank`'s
@@ -31,7 +31,7 @@ impl Ctx<'_> {
         self.controllers[h]
             .iter()
             .copied()
-            .find(|&c| s.insts[c].controlled && self.breakpoint_armed(c, s.insts[c].node))
+            .find(|&c| s.insts[c].ctl.controlled && self.breakpoint_armed(c, s.insts[c].node))
     }
 
     /// Whether instance `i`'s node `node` arms a `before(...)` breakpoint
@@ -91,7 +91,7 @@ impl Ctx<'_> {
         // Quiescent: scenario timers and checkpoint waves.
         if s.msgs.is_empty() && s.proto.all_running() {
             for (inst, ist) in s.insts.iter().enumerate() {
-                for (slot, armed) in ist.armed.iter().enumerate() {
+                for (slot, armed) in ist.ctl.armed.iter().enumerate() {
                     if *armed {
                         out.push(MoveKind::Timer { inst, slot });
                     }
@@ -113,15 +113,15 @@ impl Ctx<'_> {
             MoveKind::Deliver { from, to, msg } => format!(
                 "deliver {} {} -> {}",
                 self.sc.messages[*msg as usize],
-                self.inst_names[*from as usize],
-                self.inst_names[*to as usize]
+                self.deployment.name(*from as usize),
+                self.deployment.name(*to as usize)
             ),
             MoveKind::Register(r) => format!("register {}", s.proto.unit_desc(*r as usize)),
             MoveKind::Ready(r) => format!("ready {}", s.proto.unit_desc(*r as usize)),
             MoveKind::Breakpoint { rank, holder } => format!(
                 "breakpoint before set-command: {} held by {}",
                 s.proto.unit_desc(*rank as usize),
-                self.inst_names[*holder]
+                self.deployment.name(*holder)
             ),
             MoveKind::Spawn(r) => format!(
                 "spawn {} on host {}",
@@ -132,7 +132,7 @@ impl Ctx<'_> {
             MoveKind::Timer { inst, slot } => format!(
                 "timer {} at {}",
                 self.class_of(*inst).timer_names[*slot],
-                self.inst_names[*inst]
+                self.deployment.name(*inst)
             ),
             MoveKind::WaveStart => "checkpoint wave starts".to_string(),
             MoveKind::WaveCommit => "checkpoint wave commits".to_string(),
@@ -158,12 +158,12 @@ impl Ctx<'_> {
                     .position(|x| *x == (from, to, msg))
                     .expect("delivered message in flight");
                 s2.msgs.remove(i);
-                let input = AIn::Msg { from: from as usize, msg: msg as usize };
+                let input = AIn::Msg(from as usize, msg as usize);
                 q.push_back(Pend::In { inst: to as usize, input });
                 None
             }
             MoveKind::Timer { inst, slot } => {
-                q.push_back(Pend::In { inst, input: AIn::Timer(slot) });
+                q.push_back(Pend::In { inst, input: AIn::Timer(slot, ()) });
                 None
             }
             MoveKind::Register(r) => Some(AbstractStep::Register(r)),

@@ -167,8 +167,8 @@ fn pure_delivery(s: &ProdState, succ: &Succ, triple: (u8, u8, u8)) -> bool {
 /// (read by `breakpoint_holder`). Internal node changes are fine.
 fn invisible(ctx: &Ctx, s: &ProdState, s2: &ProdState) -> bool {
     s.insts.iter().zip(&s2.insts).enumerate().all(|(i, (a, b))| {
-        a.controlled == b.controlled
-            && a.suspended == b.suspended
+        a.ctl.controlled == b.ctl.controlled
+            && a.ctl.suspended == b.ctl.suspended
             && (a.node == b.node
                 || ctx.breakpoint_armed(i, a.node) == ctx.breakpoint_armed(i, b.node))
     })

@@ -10,14 +10,14 @@ use std::sync::Arc;
 
 use failmpi_backend::vocab::AbstractModel;
 use failmpi_core::lang::compile::{Action, Scenario};
+use failmpi_core::Deployment;
 use failmpi_mpi::{Op, Program};
 
 use super::canon::{self, Perm};
 use super::engine::Ctx;
 use super::frontier;
 use super::state::{
-    store, Expansion, HaltSite, Inst, InstState, MoveKind, PassThrough, ProdState, SiteLog,
-    StateHasher, VarVal,
+    Expansion, HaltSite, Inst, MoveKind, PassThrough, ProdState, SiteLog, StateHasher,
 };
 use super::world::AbstractWorld;
 use super::ModelCheckConfig;
@@ -99,33 +99,32 @@ impl<'a> Explorer<'a> {
             }
         }
 
+        // Suggested instances, then one member per machine for every
+        // group (member `h` of group `g` is instance `n_suggested + g *
+        // n_hosts + h`): the harness's deployment shape. The declared
+        // group size is paper scale and is overridden here.
+        let (n_hosts, groups) = (cfg.n_hosts, &sc.suggested.groups);
+        let n_suggested = sc.suggested.instances.len();
+        let suggested = sc.suggested.instances.iter().map(|(name, c)| (name.clone(), *c));
+        let members = (groups.iter())
+            .flat_map(|(g, _, c)| (0..n_hosts).map(move |h| (format!("{g}[{h}]"), *c)));
+        let mut deployment = Deployment::new();
         let mut inst_class = Vec::new();
-        let mut inst_names = Vec::new();
-        let mut inst_host = Vec::new();
-        let mut by_name = HashMap::new();
-        let mut groups = HashMap::new();
-        for (name, class) in &sc.suggested.instances {
-            by_name.insert(name.clone(), inst_class.len());
-            inst_names.push(name.clone());
-            inst_class.push(*class);
-            inst_host.push(None);
+        let unique = "compile rejects duplicate instances and groups";
+        for (name, class) in suggested.chain(members) {
+            deployment.add_instance(&name, &sc.classes[class].name).expect(unique);
+            inst_class.push(class);
         }
-        let n_suggested = inst_class.len();
-        let mut controllers = vec![Vec::new(); cfg.n_hosts];
-        for (gname, _, class) in &sc.suggested.groups {
-            // One member per machine, the harness's deployment shape; the
-            // declared size is paper scale and is overridden here.
-            let mut members = Vec::new();
-            for (h, ctl) in controllers.iter_mut().enumerate() {
-                let idx = inst_class.len();
-                inst_names.push(format!("{gname}[{h}]"));
-                inst_class.push(*class);
-                inst_host.push(Some(h as u8));
-                ctl.push(idx);
-                members.push(idx);
-            }
-            groups.insert(gname.clone(), members);
+        let member = |g: usize, h: usize| n_suggested + g * n_hosts + h;
+        for (g, (name, ..)) in groups.iter().enumerate() {
+            let members = (0..n_hosts).map(|h| member(g, h)).collect();
+            deployment.add_group(name, members).expect(unique);
         }
+        let inst_host = (0..inst_class.len())
+            .map(|i| i.checked_sub(n_suggested).map(|k| (k % n_hosts) as u8))
+            .collect();
+        let controllers =
+            (0..n_hosts).map(|h| (0..groups.len()).map(|g| member(g, h)).collect()).collect();
 
         let mut sites = Vec::new();
         let mut halt_sites = HashMap::new();
@@ -152,19 +151,17 @@ impl<'a> Explorer<'a> {
             sc,
             cfg,
             params,
+            deployment,
             inst_class,
-            inst_names,
             inst_host,
             controllers,
-            by_name,
-            groups,
             comm_peers,
             halt_sites,
             n_suggested,
             n_groups: sc.suggested.groups.len(),
             profile,
         };
-        let init_raw = initial(&ctx, &mut sites);
+        let init_raw = initial(&ctx);
         Explorer {
             ctx,
             sites,
@@ -316,31 +313,10 @@ impl<'a> Explorer<'a> {
     }
 }
 
-/// The initial product state: every automaton entered at node 0, the
-/// protocol model at launch.
-fn initial(ctx: &Ctx, sites: &mut [HaltSite]) -> ProdState {
-    let mut insts = Vec::new();
-    let mut log = SiteLog::new();
-    for i in 0..ctx.inst_class.len() {
-        let class = ctx.class_of(i);
-        let mut st = InstState {
-            node: 0,
-            vars: vec![VarVal::Known(0); class.var_names.len()],
-            inbox: Vec::new(),
-            armed: vec![false; class.timer_names.len()],
-            controlled: false,
-            suspended: false,
-        };
-        for (slot, e) in &class.var_init {
-            let v = store(ctx.eval(e, &st.vars));
-            st.vars[*slot] = v;
-        }
-        // Node-0 entry (always vars, timers); the inbox is empty, so this
-        // never branches.
-        let entered = ctx.enter_node(i, st, 0, &mut log);
-        insts.push(Inst::new(entered.into_iter().next().expect("initial entry").0));
-    }
-    note_sites(sites, log);
+/// The initial product state: every automaton started, the protocol
+/// model at launch.
+fn initial(ctx: &Ctx) -> ProdState {
+    let insts = (0..ctx.inst_class.len()).map(|i| Inst::new(ctx.start(i))).collect();
     let s = ProdState { insts, msgs: Vec::new(), proto: AbstractWorld::new(ctx.cfg) };
     // Test hook: start from a seeded point of the initial state's machine
     // orbit. Canonicalization must erase the difference.

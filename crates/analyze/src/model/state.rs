@@ -10,12 +10,14 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
+use failmpi_core::fire::Machine;
+
 use super::canon::Perm;
 use super::world::AbstractWorld;
 
 /// Magnitude cap for abstract variable values: a counter that strays past
 /// this saturates to [`VarVal::Top`], keeping the state space finite.
-const VAR_CAP: i64 = 64;
+pub(crate) const VAR_CAP: i64 = 64;
 
 /// Abstract class-variable value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,24 +28,21 @@ pub(crate) enum VarVal {
     Top,
 }
 
-/// Stores a value, saturating big magnitudes to `Top` so counters cannot
-/// unfold the state space.
-pub(crate) fn store(v: VarVal) -> VarVal {
-    match v {
-        VarVal::Known(x) if x.abs() > VAR_CAP => VarVal::Top,
-        other => other,
+impl From<i64> for VarVal {
+    fn from(v: i64) -> VarVal {
+        VarVal::Known(v)
     }
 }
 
-/// Abstract state of one FAIL daemon instance (mirrors
-/// `failmpi_core::runtime`'s per-instance state field by field, with
-/// timer generations replaced by a per-node armed set).
+/// Abstract state of one FAIL daemon instance: the firing core's machine
+/// over abstract values, node and ids packed into `u16`/`u8`. Its hash
+/// stream (node, vars, inbox, then [`Control`]'s fields) is the digest's.
+pub(crate) type InstState = Machine<VarVal, u16, u8, Control>;
+
+/// The checker's part of an instance ([`Machine::ctl`]). Timer
+/// generations are replaced by a per-node armed set.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct InstState {
-    pub(crate) node: u16,
-    pub(crate) vars: Vec<VarVal>,
-    /// FIFO of undelivered-but-received messages `(from, msg)`.
-    pub(crate) inbox: Vec<(u8, u8)>,
+pub(crate) struct Control {
     /// Timer slots armed by the current node entry.
     pub(crate) armed: Vec<bool>,
     /// Whether a live process is attached (the `onload`…`onexit` window).

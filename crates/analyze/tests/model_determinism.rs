@@ -58,7 +58,7 @@ fn thread_count_never_changes_the_rendering() {
 }
 
 proptest! {
-    #![proptest_config(Config { cases: 12, ..Config::default() })]
+    #![proptest_config(Config::with_cases(12))]
 
     /// Shuffling the successor candidate order with any seed changes
     /// nothing observable: the canonical sort makes exploration

@@ -131,7 +131,7 @@ fn reduction_actually_reduces_fig10() {
 }
 
 proptest! {
-    #![proptest_config(Config { cases: 8, ..Config::default() })]
+    #![proptest_config(Config::with_cases(8))]
 
     /// Canonicalization is a true orbit quotient: permuting the initial
     /// state by a random symmetry (the `permute_seed` hook shuffles

@@ -21,6 +21,9 @@
 //!   [`FailInput`]s (timers, inter-daemon messages, lifecycle hooks,
 //!   breakpoint hits) and applies the returned [`FailAction`]s (kill,
 //!   suspend, resume, arm breakpoints, deliver messages).
+//! * **The firing semantics** — [`fire`] holds the rules once, generic over
+//!   a value domain; the runtime and the model checker in
+//!   `failmpi-analyze` are two domains of it.
 //!
 //! The five scenario listings of the paper (Figs. 4, 5(a), 7(a), 8, 10)
 //! ship verbatim — modulo ASCII syntax — in `scenarios/*.fail` and are
@@ -59,8 +62,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fire;
 pub mod lang;
 mod runtime;
 
 pub use lang::compile::{compile, CompileError, Scenario};
-pub use runtime::{Deployment, FailAction, FailInput, FailRuntime, RuntimeError};
+pub use runtime::{Control, Deployment, FailAction, FailInput, FailRuntime, RuntimeError};

@@ -7,13 +7,13 @@
 //! returned [`FailAction`]; `failmpi-experiments` provides the binding to
 //! the simulated MPICH-Vcl cluster.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
 use failmpi_sim::{SimDuration, SimRng};
 
-use crate::lang::compile::{Action, Class, Dest, Expr, Guard, Scenario};
+use crate::fire::{Domain, Fire, Input, Machine};
+use crate::lang::compile::{Action, Class, Dest, Expr, Guard, Node, Scenario};
 
 /// An error building a runtime.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,6 +94,11 @@ impl Deployment {
     /// `true` when no instances exist.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
+    }
+
+    /// Name of instance `instance`.
+    pub fn name(&self, instance: usize) -> &str {
+        &self.names[instance]
     }
 
     /// Index of the named instance.
@@ -233,16 +238,118 @@ pub enum FailAction {
     },
 }
 
-#[derive(Debug)]
-struct Inst {
-    class: usize,
-    node: usize,
-    vars: Vec<i64>,
-    inbox: VecDeque<(usize, usize)>,
-    entry_gen: u64,
+/// The runtime's part of an instance ([`Machine::ctl`]): the controlled
+/// process, whether its breakpoints are armed, and the node-entry
+/// generation its timers carry.
+#[derive(Clone, Debug, Default)]
+pub struct Control {
+    gen: u64,
     controlled: Option<u64>,
-    /// Breakpoints currently armed on the controlled process.
     armed: bool,
+}
+
+/// One runtime instance.
+type Inst = Machine<i64, usize, usize, Control>;
+
+/// The runtime's domain: concrete values, random draws, and the actions
+/// the world must apply.
+struct Run<'r> {
+    inst: usize,
+    params: &'r [i64],
+    rng: &'r mut SimRng,
+    out: Vec<FailAction>,
+}
+
+impl Domain for Run<'_> {
+    type Val = i64;
+    type Node = usize;
+    type Id = usize;
+    type Control = Control;
+    type Proc = u64;
+    type Tick = u64;
+
+    fn eval(&mut self, e: &Expr, vars: &[i64]) -> i64 {
+        e.eval(vars, self.params, self.rng)
+    }
+
+    fn truth(v: i64) -> Option<bool> {
+        Some(v != 0)
+    }
+
+    fn index(&mut self, idx: &Expr, vars: &[i64]) -> (i64, i64) {
+        let k = self.eval(idx, vars);
+        (k, k)
+    }
+
+    fn send(&mut self, to: usize, msg: usize) {
+        self.out.push(FailAction::SendMsg { from: self.inst, to, msg });
+    }
+
+    fn control(ctl: &mut Control, proc: Option<u64>) {
+        ctl.controlled = proc;
+        ctl.armed = false;
+    }
+
+    fn controls(ctl: &Control, proc: u64) -> bool {
+        ctl.controlled == Some(proc)
+    }
+
+    fn halt(&mut self, ctl: &mut Control, _site: (usize, usize)) {
+        if let Some(proc) = ctl.controlled.take() {
+            if std::mem::take(&mut ctl.armed) {
+                self.out.push(FailAction::DisarmBreakpoints { proc });
+            }
+            self.out.push(FailAction::Halt { proc });
+        }
+    }
+
+    fn suspend(&mut self, ctl: &mut Control, on: bool) {
+        if let Some(proc) = ctl.controlled {
+            self.out.push(if on { FailAction::Stop { proc } } else { FailAction::Continue { proc } });
+        }
+    }
+
+    fn arm(&mut self, ctl: &mut Control, vars: &[i64], timers: &[(usize, Expr)]) {
+        ctl.gen += 1;
+        for (timer, e) in timers {
+            let secs = self.eval(e, vars).max(0);
+            self.out.push(FailAction::ArmTimer {
+                instance: self.inst,
+                timer: *timer,
+                gen: ctl.gen,
+                delay: SimDuration::from_secs(secs as u64),
+            });
+        }
+    }
+
+    fn expire(ctl: &mut Control, _timer: usize, gen: u64) -> bool {
+        gen == ctl.gen
+    }
+
+    /// Arms/disarms debugger breakpoints so they match the node's
+    /// `before(...)` guards and the controlled process.
+    fn settled(&mut self, ctl: &mut Control, node: &Node) {
+        let funcs = node.transitions.iter().filter_map(|t| match &t.guard {
+            Guard::Before(f) => Some(f),
+            _ => None,
+        });
+        let want = ctl.controlled.filter(|_| funcs.clone().next().is_some());
+        match (ctl.armed, want) {
+            (false, Some(proc)) => {
+                for f in funcs {
+                    self.out.push(FailAction::ArmBreakpoint { proc, func: f.clone() });
+                }
+                ctl.armed = true;
+            }
+            (true, None) => {
+                if let Some(proc) = ctl.controlled {
+                    self.out.push(FailAction::DisarmBreakpoints { proc });
+                }
+                ctl.armed = false;
+            }
+            _ => {}
+        }
+    }
 }
 
 /// The value range of group index `e` in `class`, when it is known without
@@ -352,15 +459,7 @@ impl FailRuntime {
         }
         let instances = instance_class
             .iter()
-            .map(|&ci| Inst {
-                class: ci,
-                node: 0,
-                vars: vec![0; scenario.classes[ci].var_names.len()],
-                inbox: VecDeque::new(),
-                entry_gen: 0,
-                controlled: None,
-                armed: false,
-            })
+            .map(|&ci| Inst::new(&scenario.classes[ci], Control::default()))
             .collect();
         Ok(FailRuntime {
             scenario: Arc::new(scenario.clone()),
@@ -393,13 +492,18 @@ impl FailRuntime {
 
     /// The numeric label of the node `instance` currently sits in.
     pub fn current_node_label(&self, instance: usize) -> i64 {
-        let inst = &self.instances[instance];
-        self.scenario.classes[inst.class].nodes[inst.node].label
+        let class = &self.scenario.classes[self.instance_class[instance]];
+        class.nodes[self.instances[instance].node].label
     }
 
     /// The process controlled by `instance`, if any.
     pub fn controlled(&self, instance: usize) -> Option<u64> {
-        self.instances[instance].controlled
+        self.instances[instance].ctl.controlled
+    }
+
+    /// `instance` as the firing core holds it: node, variables, inbox.
+    pub fn machine(&self, instance: usize) -> &Machine<i64, usize, usize, Control> {
+        &self.instances[instance]
     }
 
     /// The variable slot behind a declared probe of `instance`'s class.
@@ -414,26 +518,23 @@ impl FailRuntime {
 
     /// Current value of a variable (tests/diagnostics).
     pub fn var(&self, instance: usize, name: &str) -> Option<i64> {
-        let inst = &self.instances[instance];
-        let slot = self.scenario.classes[inst.class]
+        let slot = self.scenario.classes[self.instance_class[instance]]
             .var_names
             .iter()
             .position(|v| v == name)?;
-        Some(inst.vars[slot])
+        Some(self.instances[instance].vars[slot])
     }
 
     /// Initializes every instance: daemon-level variables, the initial
     /// node's `always` declarations and timers. Returns the arming actions.
     pub fn start(&mut self, rng: &mut SimRng) -> Vec<FailAction> {
         let mut out = Vec::new();
-        let scenario = Arc::clone(&self.scenario);
-        for i in 0..self.instances.len() {
-            let class = &scenario.classes[self.instance_class[i]];
-            for (slot, e) in &class.var_init {
-                let v = e.eval(&self.instances[i].vars, &self.params, rng);
-                self.instances[i].vars[*slot] = v;
-            }
-            self.enter_node(i, 0, rng, &mut out);
+        for (i, m) in self.instances.iter_mut().enumerate() {
+            let class = &self.scenario.classes[self.instance_class[i]];
+            let run = Run { inst: i, params: &self.params, rng: &mut *rng, out };
+            let mut fire = Fire { class, deployment: &self.deployment, dom: run };
+            fire.start(m);
+            out = fire.dom.out;
         }
         out
     }
@@ -455,311 +556,31 @@ impl FailRuntime {
 
     /// Feeds one input; returns the actions it provoked.
     pub fn feed(&mut self, input: FailInput, rng: &mut SimRng) -> Vec<FailAction> {
-        let mut out = Vec::new();
-        match input {
-            FailInput::Timer {
-                instance,
-                timer,
-                gen,
-            } => {
-                if gen != self.instances[instance].entry_gen {
-                    return out; // stale: the node was re-entered since
-                }
-                self.try_fire(
-                    instance,
-                    |g| matches!(g, Guard::Timer(t) if *t == timer),
-                    None,
-                    rng,
-                    &mut out,
-                );
+        let (i, fed) = match &input {
+            FailInput::Timer { instance, timer, gen } => (*instance, Input::Timer(*timer, *gen)),
+            FailInput::Msg { from, to, msg } => (*to, Input::Msg(*from, *msg)),
+            FailInput::OnLoad { instance, proc } => (*instance, Input::OnLoad(*proc)),
+            FailInput::OnExit { instance, proc } => (*instance, Input::OnExit(*proc)),
+            FailInput::OnError { instance, proc } => (*instance, Input::OnError(*proc)),
+            FailInput::Breakpoint { instance, proc, func } => {
+                (*instance, Input::Breakpoint(*proc, Some(func)))
             }
-            FailInput::Msg { from, to, msg } => {
-                self.instances[to].inbox.push_back((from, msg));
-                self.drain_inbox(to, rng, &mut out);
-            }
-            FailInput::OnLoad { instance, proc } => {
-                self.instances[instance].controlled = Some(proc);
-                self.instances[instance].armed = false;
-                let fired = self.try_fire(
-                    instance,
-                    |g| matches!(g, Guard::OnLoad),
-                    None,
-                    rng,
-                    &mut out,
-                );
-                if !fired {
-                    // Even without a transition, the node may want its
-                    // breakpoints on the newly controlled process.
-                    self.sync_breakpoints(instance, &mut out);
-                }
-            }
-            FailInput::OnExit { instance, proc } | FailInput::OnError { instance, proc } => {
-                if self.instances[instance].controlled != Some(proc) {
-                    return out; // a stale lifecycle event
-                }
-                self.instances[instance].controlled = None;
-                self.instances[instance].armed = false;
-                let want_exit = matches!(input, FailInput::OnExit { .. });
-                self.try_fire(
-                    instance,
-                    |g| {
-                        if want_exit {
-                            matches!(g, Guard::OnExit)
-                        } else {
-                            matches!(g, Guard::OnError)
-                        }
-                    },
-                    None,
-                    rng,
-                    &mut out,
-                );
-            }
-            FailInput::Probe {
-                instance,
-                probe,
-                value,
-            } => {
-                let old = self.instances[instance].vars[probe];
-                self.instances[instance].vars[probe] = value;
-                if old != value {
-                    self.try_fire(
-                        instance,
-                        |g| matches!(g, Guard::Change(p) if *p == probe),
-                        None,
-                        rng,
-                        &mut out,
-                    );
-                }
-            }
-            FailInput::Breakpoint {
-                instance,
-                proc,
-                func,
-            } => {
-                if self.instances[instance].controlled != Some(proc) {
-                    out.push(FailAction::ReleaseBreakpoint { proc });
-                    return out;
-                }
-                let fired = self.try_fire(
-                    instance,
-                    |g| matches!(g, Guard::Before(f) if *f == func),
-                    None,
-                    rng,
-                    &mut out,
-                );
-                // Unless the transition killed the process (halt), the held
-                // process must proceed — a debugger never leaves it hanging.
-                if self.instances[instance].controlled == Some(proc) || !fired {
-                    out.push(FailAction::ReleaseBreakpoint { proc });
-                }
+            FailInput::Probe { instance, probe, value } => (*instance, Input::Probe(*probe, *value)),
+        };
+        let class = &self.scenario.classes[self.instance_class[i]];
+        let run = Run { inst: i, params: &self.params, rng, out: Vec::new() };
+        let mut fire = Fire { class, deployment: &self.deployment, dom: run };
+        let m = &mut self.instances[i];
+        let fired = fire.feed(m, fed);
+        let mut out = fire.dom.out;
+        if let FailInput::Breakpoint { proc, .. } = input {
+            // Unless the transition killed the process (halt), the held
+            // process must proceed — a debugger never leaves it hanging.
+            if m.ctl.controlled == Some(proc) || !fired {
+                out.push(FailAction::ReleaseBreakpoint { proc });
             }
         }
         out
-    }
-
-    /// Tries the current node's transitions in order; fires the first whose
-    /// guard matches `pred` and whose conditions hold. Returns whether one
-    /// fired.
-    fn try_fire(
-        &mut self,
-        i: usize,
-        pred: impl Fn(&Guard) -> bool,
-        sender: Option<usize>,
-        rng: &mut SimRng,
-        out: &mut Vec<FailAction>,
-    ) -> bool {
-        let scenario = Arc::clone(&self.scenario);
-        let inst = &self.instances[i];
-        let node = &scenario.classes[inst.class].nodes[inst.node];
-        for (t, trans) in node.transitions.iter().enumerate() {
-            if !pred(&trans.guard) {
-                continue;
-            }
-            let vars = &self.instances[i].vars;
-            if trans
-                .conds
-                .iter()
-                .all(|c| c.eval(vars, &self.params, rng) != 0)
-            {
-                self.fire(i, self.instances[i].node, t, sender, rng, out);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Executes transition `t` of node `n` on instance `i`.
-    fn fire(
-        &mut self,
-        i: usize,
-        n: usize,
-        t: usize,
-        sender: Option<usize>,
-        rng: &mut SimRng,
-        out: &mut Vec<FailAction>,
-    ) {
-        let scenario = Arc::clone(&self.scenario);
-        let class = self.instance_class[i];
-        let actions = &scenario.classes[class].nodes[n].transitions[t].actions;
-        let mut next = None;
-        for a in actions {
-            match a {
-                Action::Send { msg, dest } => {
-                    let to = match dest {
-                        Dest::Instance(name) => self
-                            .deployment
-                            .instance_index(name)
-                            .expect("validated at build"),
-                        Dest::Group(name, idx) => {
-                            let members =
-                                self.deployment.group(name).expect("validated at build");
-                            let k =
-                                idx.eval(&self.instances[i].vars, &self.params, rng);
-                            // `new` checked every index whose range is
-                            // known up front; one that depends on a
-                            // variable can still stray, and then names
-                            // nobody: the send is dropped, as the model
-                            // checker's `dest_members` drops it.
-                            match usize::try_from(k).ok().and_then(|k| members.get(k)) {
-                                Some(&to) => to,
-                                None => continue,
-                            }
-                        }
-                        Dest::Sender => sender.expect("compiler guarantees a sender"),
-                    };
-                    out.push(FailAction::SendMsg {
-                        from: i,
-                        to,
-                        msg: *msg,
-                    });
-                }
-                Action::Goto(node) => next = Some(*node),
-                Action::Halt => {
-                    if let Some(p) = self.instances[i].controlled.take() {
-                        if self.instances[i].armed {
-                            out.push(FailAction::DisarmBreakpoints { proc: p });
-                            self.instances[i].armed = false;
-                        }
-                        out.push(FailAction::Halt { proc: p });
-                    }
-                }
-                Action::Stop => {
-                    if let Some(p) = self.instances[i].controlled {
-                        out.push(FailAction::Stop { proc: p });
-                    }
-                }
-                Action::Continue => {
-                    if let Some(p) = self.instances[i].controlled {
-                        out.push(FailAction::Continue { proc: p });
-                    }
-                }
-                Action::Assign(slot, e) => {
-                    let v = e.eval(&self.instances[i].vars, &self.params, rng);
-                    self.instances[i].vars[*slot] = v;
-                }
-            }
-        }
-        match next {
-            Some(node) => self.enter_node(i, node, rng, out),
-            None => self.sync_breakpoints(i, out),
-        }
-    }
-
-    /// Node entry: bump the timer generation, evaluate `always`
-    /// declarations, arm timers, sync breakpoints, re-scan the inbox.
-    fn enter_node(&mut self, i: usize, node: usize, rng: &mut SimRng, out: &mut Vec<FailAction>) {
-        let scenario = Arc::clone(&self.scenario);
-        let class = self.instance_class[i];
-        {
-            let inst = &mut self.instances[i];
-            inst.node = node;
-            inst.entry_gen += 1;
-        }
-        let nd = &scenario.classes[class].nodes[node];
-        for (slot, e) in &nd.always {
-            let v = e.eval(&self.instances[i].vars, &self.params, rng);
-            self.instances[i].vars[*slot] = v;
-        }
-        for (timer, e) in &nd.timers {
-            let secs = e.eval(&self.instances[i].vars, &self.params, rng).max(0);
-            out.push(FailAction::ArmTimer {
-                instance: i,
-                timer: *timer,
-                gen: self.instances[i].entry_gen,
-                delay: SimDuration::from_secs(secs as u64),
-            });
-        }
-        self.sync_breakpoints(i, out);
-        self.drain_inbox(i, rng, out);
-    }
-
-    /// Arms/disarms debugger breakpoints so they match the current node's
-    /// `before(...)` guards and the currently controlled process.
-    fn sync_breakpoints(&mut self, i: usize, out: &mut Vec<FailAction>) {
-        let scenario = Arc::clone(&self.scenario);
-        let inst = &self.instances[i];
-        let node = &scenario.classes[inst.class].nodes[inst.node];
-        let funcs: Vec<&String> = node
-            .transitions
-            .iter()
-            .filter_map(|t| match &t.guard {
-                Guard::Before(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        let want = !funcs.is_empty() && inst.controlled.is_some();
-        match (inst.armed, want) {
-            (false, true) => {
-                let proc = inst.controlled.expect("checked");
-                for f in funcs {
-                    out.push(FailAction::ArmBreakpoint {
-                        proc,
-                        func: f.clone(),
-                    });
-                }
-                self.instances[i].armed = true;
-            }
-            (true, false) => {
-                if let Some(proc) = inst.controlled {
-                    out.push(FailAction::DisarmBreakpoints { proc });
-                }
-                self.instances[i].armed = false;
-            }
-            _ => {}
-        }
-    }
-
-    /// Re-scans the inbox (FIFO) for a message the current node can
-    /// consume; keeps firing until nothing matches.
-    fn drain_inbox(&mut self, i: usize, rng: &mut SimRng, out: &mut Vec<FailAction>) {
-        loop {
-            let scenario = Arc::clone(&self.scenario);
-            let inst = &self.instances[i];
-            let node = &scenario.classes[inst.class].nodes[inst.node];
-            let mut fired = false;
-            'scan: for idx in 0..inst.inbox.len() {
-                let (from, msg) = inst.inbox[idx];
-                for (t, trans) in node.transitions.iter().enumerate() {
-                    if !matches!(trans.guard, Guard::Recv(m) if m == msg) {
-                        continue;
-                    }
-                    if trans
-                        .conds
-                        .iter()
-                        .all(|c| c.eval(&inst.vars, &self.params, rng) != 0)
-                    {
-                        let n = inst.node;
-                        self.instances[i].inbox.remove(idx);
-                        self.fire(i, n, t, Some(from), rng, out);
-                        fired = true;
-                        break 'scan;
-                    }
-                }
-            }
-            if !fired {
-                return;
-            }
-        }
     }
 }
 

@@ -152,6 +152,29 @@ fn trace_binary_rejects_bad_input_without_panicking() {
     }
 }
 
+/// A FAIL timer whose delay in seconds leaves virtual time (past `u64`
+/// microseconds) saturates to "never": the run completes with nothing
+/// injected. Unsaturated, the first delay overflows a debug build and the
+/// second wraps to a 0.448 s timer in a release build.
+#[test]
+fn trace_binary_saturates_an_unrepresentable_timer_delay() {
+    let fig5 = format!(
+        "{}/../core/scenarios/fig5_frequency.fail",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    for x in ["X=20000000000000", "X=18446744073710"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args([&fig5, "--smoke", "--ranks", "4", "--param", "N=5", "--param", x])
+            .output()
+            .expect("trace runs");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(0), "{x}: {stdout}{stderr}");
+        assert!(!stderr.contains("panicked at"), "{x}: {stderr}");
+        assert!(stdout.contains("(0 faults injected"), "{x}: {stdout}");
+    }
+}
+
 /// `trace --backend` runs the scenario on the light runtimes and renders
 /// their lifecycle trace; the written trace carries the backend's lanes.
 #[test]

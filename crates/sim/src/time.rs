@@ -25,12 +25,12 @@ impl SimTime {
 
     /// Builds an instant from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000)
+        SimTime(s.saturating_mul(1_000_000))
     }
 
     /// Builds an instant from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
+        SimTime(ms.saturating_mul(1_000))
     }
 
     /// Builds an instant from microseconds.
@@ -67,12 +67,12 @@ impl SimDuration {
 
     /// Builds a span from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000)
+        SimDuration(s.saturating_mul(1_000_000))
     }
 
     /// Builds a span from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000)
+        SimDuration(ms.saturating_mul(1_000))
     }
 
     /// Builds a span from microseconds.
@@ -245,6 +245,18 @@ mod tests {
         assert_eq!(t, SimTime::MAX);
         let d = SimDuration::MAX + SimDuration::from_secs(1);
         assert_eq!(d, SimDuration::MAX);
+    }
+
+    #[test]
+    fn constructors_saturate_instead_of_wrapping() {
+        // 18 446 744 073 710 s is the first whole second past u64::MAX µs;
+        // a wrapping multiply turned it into 0.448 s.
+        let big = u64::MAX / 1_000_000 + 1;
+        assert_eq!(SimDuration::from_secs(big), SimDuration::MAX);
+        assert_eq!(SimTime::from_secs(big), SimTime::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX / 1_000 + 1), SimDuration::MAX);
+        assert_eq!(SimTime::from_millis(u64::MAX), SimTime::MAX);
+        assert_eq!(SimDuration::from_secs(u64::MAX / 1_000_000).as_micros(), 18_446_744_073_709_000_000);
     }
 
     #[test]
