@@ -98,8 +98,8 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--model-check" => opts.model_check = true,
             "--reduce" => opts.reduce = true,
             "--budget" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.budget = Some(n),
-                None => return Err(usage_error()),
+                Some(n) if n >= 1 => opts.budget = Some(n),
+                _ => return Err(usage_error()),
             },
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => opts.threads = Some(n),

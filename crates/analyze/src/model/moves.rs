@@ -148,34 +148,21 @@ impl Ctx<'_> {
         }
         let mut s2 = s.clone();
         let mut q = VecDeque::new();
-        // A move starts at an automaton (an input is queued) or at the
-        // protocol (a step is applied and its events queued).
-        let step = match *m {
-            MoveKind::Deliver { from, to, msg } => {
-                let i = s2
-                    .msgs
-                    .iter()
-                    .position(|x| *x == (from, to, msg))
-                    .expect("delivered message in flight");
-                s2.msgs.remove(i);
-                let input = AIn::Msg(from as usize, msg as usize);
-                q.push_back(Pend::In { inst: to as usize, input });
-                None
-            }
-            MoveKind::Timer { inst, slot } => {
-                q.push_back(Pend::In { inst, input: AIn::Timer(slot, ()) });
-                None
-            }
-            MoveKind::Register(r) => Some(AbstractStep::Register(r)),
-            MoveKind::Ready(r) => Some(AbstractStep::Ready(r)),
-            MoveKind::Spawn(r) => Some(AbstractStep::Spawn(r)),
-            MoveKind::StopClosure(r) => Some(AbstractStep::StopClosure(r)),
-            MoveKind::WaveStart => Some(AbstractStep::WaveStart),
-            MoveKind::WaveCommit => Some(AbstractStep::WaveCommit),
-            MoveKind::Breakpoint { .. } => unreachable!("returned above"),
-        };
-        if let Some(step) = step {
+        // A move starts at the protocol (a step is applied and its events
+        // queued) or at an automaton (an input is queued).
+        if let Some(step) = m.protocol_step() {
             self.proto_step(&mut s2, step, &mut q);
+        } else if let MoveKind::Deliver { from, to, msg } = *m {
+            let i = s2
+                .msgs
+                .iter()
+                .position(|x| *x == (from, to, msg))
+                .expect("delivered message in flight");
+            s2.msgs.remove(i);
+            let input = AIn::Msg(from as usize, msg as usize);
+            q.push_back(Pend::In { inst: to as usize, input });
+        } else if let MoveKind::Timer { inst, slot } = *m {
+            q.push_back(Pend::In { inst, input: AIn::Timer(slot, ()) });
         }
         self.drive(s2, q, Vec::new(), log)
     }

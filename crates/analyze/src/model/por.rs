@@ -31,11 +31,22 @@
 //! deterministic (exactly one settled branch) and *invisible* — no
 //! faults, no notes, no change to the freeze predicate, no change to any
 //! instance's controlled/suspended flags or its armed breakpoint status
-//! (the two things rank-move enabledness reads) — and commutation with
-//! each other enabled kind (branching kinds included, branch by branch)
-//! is verified by actually firing the engine in both orders and
-//! comparing end states, with enabledness re-checked on the probe
-//! states. Known theoretical gap: pairwise commutation is checked against
+//! (the two things rank-move enabledness reads). Commutation with each
+//! other enabled kind (branching kinds included, branch by branch) is
+//! decided in one of two ways:
+//!
+//! * **structurally**, for a `Register`/`Ready` candidate against a
+//!   `Spawn`, `Register`, `Ready` or `StopClosure` of a unit on another
+//!   machine that the protocol vouches for
+//!   ([`AbstractModel::independent`]) and whose branches all settled
+//!   without a fault or a note — nearly all of the pairs at grid scale
+//!   (`vouched`); a debug build fires the engine on these too and asserts
+//!   that it agrees;
+//! * **by probing** everything else, deliveries included: the engine is
+//!   fired in both orders and the end states compared, with enabledness
+//!   re-checked on the probe states.
+//!
+//! Known theoretical gap: pairwise commutation is checked against
 //! *enabled* moves only, not against moves a pruned path could enable
 //! later. The reduce-vs-full equivalence suite over all runnable builtins
 //! and FC fixtures (`tests/reduction.rs`) is the arbiter: if a future
@@ -106,7 +117,7 @@ pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, mut succs: Vec<Succ>) -> Ve
             && groups
                 .iter()
                 .filter(|g2| g2[0] != g[0])
-                .all(|g2| commutes_kind(&menus, g[0], g2))
+                .all(|g2| commutes_kind(&menus, s, g[0], g2))
     });
     match ample.map(|g| g[0]) {
         Some(k) => vec![succs.swap_remove(k)],
@@ -178,8 +189,54 @@ fn invisible(ctx: &Ctx, s: &ProdState, s2: &ProdState) -> bool {
 /// the (possibly branching) kind whose menu branches are `betas`: the
 /// kind stays enabled after `alpha` with the same branch profile (count,
 /// faults, notes, in order), `alpha` stays enabled and pure from every
-/// branch, and both orders converge branch by branch.
-fn commutes_kind(menus: &Menus, alpha_at: usize, betas: &[usize]) -> bool {
+/// branch, and both orders converge branch by branch. Decided from the
+/// protocol where it vouches for the pair, by firing both orders
+/// otherwise.
+fn commutes_kind(menus: &Menus, s: &ProdState, alpha_at: usize, betas: &[usize]) -> bool {
+    if vouched(menus, s, alpha_at, betas) {
+        debug_assert!(
+            probed(menus, alpha_at, betas),
+            "structural commutation the probe refutes: {:?} × {:?}",
+            menus.succs[alpha_at].kind,
+            menus.succs[betas[0]].kind
+        );
+        return true;
+    }
+    probed(menus, alpha_at, betas)
+}
+
+/// Whether the pair commutes without firing the engine: the candidate is
+/// `Register(u)`/`Ready(u)` and changed nothing but the protocol, the
+/// other kind is a protocol step of a unit `v` on another machine that
+/// the model calls independent of it, and every branch of that kind
+/// settled with no fault and no note. The candidate then feeds no
+/// automaton and is enabled by the controllers of `u`'s machine alone;
+/// the other step's lifecycle hook reaches only the controllers of `v`'s
+/// machine, and without a fault or a note none of them halted. So both
+/// orders fire the same automaton inputs on the same instance states,
+/// and the protocol's own commutation does the rest.
+fn vouched(menus: &Menus, s: &ProdState, alpha_at: usize, betas: &[usize]) -> bool {
+    let alpha = &menus.succs[alpha_at];
+    let beta = &menus.succs[betas[0]].kind;
+    // A candidate with a protocol step is a `Register` or a `Ready`.
+    let (Some(a), Some(b)) = (alpha.kind.protocol_step(), beta.protocol_step()) else {
+        return false;
+    };
+    let (Some(u), Some(v)) = (a.boot_unit(), b.boot_unit()) else {
+        return false;
+    };
+    let host = |u: u8| s.proto.unit(u as usize).host;
+    host(u) != host(v)
+        && s.proto.independent(a, b)
+        && alpha.micro.st.insts == s.insts
+        && betas.iter().all(|&k| {
+            let m = &menus.succs[k].micro;
+            m.faults == 0 && m.notes.is_empty()
+        })
+}
+
+/// [`commutes_kind`] by firing the engine in both orders.
+fn probed(menus: &Menus, alpha_at: usize, betas: &[usize]) -> bool {
     let ctx = menus.ctx;
     let alpha = &menus.succs[alpha_at];
     let beta_kind = &menus.succs[betas[0]].kind;

@@ -10,6 +10,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
+use failmpi_backend::AbstractStep;
 use failmpi_core::fire::Machine;
 
 use super::canon::Perm;
@@ -158,6 +159,22 @@ pub(crate) enum MoveKind {
     Timer { inst: usize, slot: usize },
     WaveStart,
     WaveCommit,
+}
+
+impl MoveKind {
+    /// The protocol step a move starts with; `None` for the moves that
+    /// start at an automaton (a delivery, a timer, a breakpoint's holder).
+    pub(crate) fn protocol_step(&self) -> Option<AbstractStep> {
+        match *self {
+            MoveKind::Register(r) => Some(AbstractStep::Register(r)),
+            MoveKind::Ready(r) => Some(AbstractStep::Ready(r)),
+            MoveKind::Spawn(r) => Some(AbstractStep::Spawn(r)),
+            MoveKind::StopClosure(r) => Some(AbstractStep::StopClosure(r)),
+            MoveKind::WaveStart => Some(AbstractStep::WaveStart),
+            MoveKind::WaveCommit => Some(AbstractStep::WaveCommit),
+            MoveKind::Deliver { .. } | MoveKind::Breakpoint { .. } | MoveKind::Timer { .. } => None,
+        }
+    }
 }
 
 /// One labelled successor branch.

@@ -115,4 +115,7 @@ impl AbstractModel for AbstractWorld {
     fn unit_desc(&self, u: usize) -> String {
         on_model!(self, m => m.unit_desc(u))
     }
+    fn independent(&self, a: AbstractStep, b: AbstractStep) -> bool {
+        on_model!(self, m => m.independent(a, b))
+    }
 }

@@ -243,6 +243,7 @@ fn malformed_input_never_panics() {
         (vec![&fig10, "--budget"], 2, "usage:"),
         (vec![&fig10, "--budget", "-1"], 2, "usage:"),
         (vec![&fig10, "--budget", "99999999999999999999999"], 2, "usage:"),
+        ([&mc[..], &["--budget", "0"]].concat(), 2, "usage:"),
         (vec![&fig10, "--threads"], 2, "usage:"),
         (vec![&fig10, "--threads", "x"], 2, "usage:"),
         ([&mc[..], &["--threads", "0"]].concat(), 2, "usage:"),

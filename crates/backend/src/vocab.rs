@@ -117,6 +117,20 @@ pub enum AbstractStep {
     WaveCommit,
 }
 
+impl AbstractStep {
+    /// The unit a boot-ladder step (`Spawn`, `Register`, `Ready`,
+    /// `StopClosure`) moves; `None` for a fault or a wave step.
+    pub fn boot_unit(self) -> Option<u8> {
+        match self {
+            AbstractStep::Spawn(u)
+            | AbstractStep::Register(u)
+            | AbstractStep::Ready(u)
+            | AbstractStep::StopClosure(u) => Some(u),
+            AbstractStep::Fault(_) | AbstractStep::WaveStart | AbstractStep::WaveCommit => None,
+        }
+    }
+}
+
 /// Observable side effect of applying an [`AbstractStep`] — the hooks and
 /// probe updates the FAIL side of the product reacts to.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -289,6 +303,32 @@ pub trait AbstractModel: Sized {
             }
         }
         out
+    }
+
+    /// Whether `a` and `b` commute wherever both are enabled: either one
+    /// stays enabled after the other, both orders reach the same state,
+    /// and both emit the same events. A sufficient condition the model
+    /// vouches for, not a decision — `false` promises nothing.
+    ///
+    /// The default holds for two boot-ladder steps (`Spawn`, `Register`,
+    /// `Ready`, `StopClosure`) of different units that are not both
+    /// `Ready`, and never for `Fault`, `WaveStart` or `WaveCommit`. It is
+    /// sound in every twin because `Spawn`, `Register` and `StopClosure`
+    /// write only their own slot, emit only that slot's lifecycle hook,
+    /// and move it only between phases no start barrier counts (`Launched`,
+    /// `Booted`, `Registered`, `Stopping`): a `Ready`'s barrier reads the
+    /// same answer in either order, and neither step can enable or disable
+    /// the other. Two `Ready`s both read the barrier, and which one trips
+    /// it depends on the order, so they are left to the caller's own
+    /// check. A model whose boot ladder touches shared state overrides
+    /// this.
+    fn independent(&self, a: AbstractStep, b: AbstractStep) -> bool {
+        match (a.boot_unit(), b.boot_unit()) {
+            (Some(u), Some(v)) => {
+                u != v && !matches!((a, b), (AbstractStep::Ready(_), AbstractStep::Ready(_)))
+            }
+            _ => false,
+        }
     }
 
     /// Orbit metadata for symmetry reduction: the protocol content visible

@@ -94,7 +94,8 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 o.runs = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--runs needs a number")?
+                    .filter(|&n| n >= 1)
+                    .ok_or("--runs needs a number >= 1")?
             }
             "--seed" => {
                 o.seed = args

@@ -48,7 +48,8 @@ impl Options {
                     o.runs = Some(
                         args.next()
                             .and_then(|v| v.parse().ok())
-                            .ok_or("--runs needs a number")?,
+                            .filter(|&n| n >= 1)
+                            .ok_or("--runs needs a number >= 1")?,
                     )
                 }
                 "--threads" => {
@@ -121,6 +122,7 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--runs"]).is_err());
         assert!(parse(&["--runs", "abc"]).is_err());
+        assert!(parse(&["--runs", "0"]).is_err());
         assert!(parse(&["--metrics"]).is_err());
         assert!(parse(&["--trace-out"]).is_err());
         assert!(parse(&["--profile"]).is_err());

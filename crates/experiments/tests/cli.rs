@@ -220,7 +220,8 @@ fn figure_and_soak_exit_codes() {
     // (binary, arguments, exit code, needle, needle is on stdout)
     let trace_exe = env!("CARGO_BIN_EXE_trace");
     let strict = ["--lint", "strict", "--backend"];
-    let cases: [(&str, Vec<&str>, i32, &str, bool); 18] = [
+    let runs_zero = "--runs needs a number >= 1";
+    let cases: [(&str, Vec<&str>, i32, &str, bool); 20] = [
         (figure_exe, [&fig5[..], &strict, &["ulfm"]].concat(), 2, "error[FC003]", false),
         (figure_exe, [&fig5[..], &strict, &["replica"]].concat(), 2, "error[FC003]", false),
         (figure_exe, [&fig5[..], &["--json", missing]].concat(), 2, cannot_write, false),
@@ -233,6 +234,10 @@ fn figure_and_soak_exit_codes() {
         (figure_exe, vec!["fig12"], 2, "usage: figure <table1|fig5|", false),
         (figure_exe, vec!["fig11", "--frobnicate"], 2, "unknown flag `--frobnicate`", false),
         (figure_exe, vec!["table1", "--bogus"], 2, "unknown flag `--bogus`", false),
+        // Zero runs is no experiment: refused, not reported as an empty
+        // table or a soak `PASS`.
+        (figure_exe, vec!["fig5", "--smoke", "--runs", "0"], 2, runs_zero, false),
+        (soak_exe, vec!["--runs", "0"], 2, runs_zero, false),
         (soak_exe, vec!["--bogus"], 2, "unknown flag `--bogus`", false),
         (soak_exe, vec!["--help"], 0, "usage: soak ", true),
         (trace_exe, vec!["--help"], 0, "usage: trace <scenario.fail> ", true),
