@@ -12,7 +12,7 @@
 //! - `--profile` runs every experiment under a `failmpi_obs::prof`
 //!   context and merges the [`RunProfile`]s commutatively (a binary that
 //!   somehow mixes backends gets `"backend": "mixed"`, which
-//!   `failmpi-prof` surfaces rather than hides);
+//!   `failmpi-trace profile` surfaces rather than hides);
 //! - `--trace-out` claims exactly **one** run — causal traces are
 //!   megabytes each — the first to start after the install, and only that
 //!   run pays for causal tracing. With `--runs 1 --threads 1` the pick is
@@ -202,7 +202,7 @@ impl Outputs {
         let files = [
             ("metrics", &self.metrics, Some(Doc::Text(metrics)), snapshots.as_str(), ""),
             ("trace", &self.trace_out, trace.map(|t| Doc::Trace(Box::new(t))), "causal trace", " (inspect with failmpi-trace)"),
-            ("profile", &self.profile, profile.map(Doc::Text), "merged run profile", " (inspect with failmpi-prof)"),
+            ("profile", &self.profile, profile.map(Doc::Text), "merged run profile", " (inspect with failmpi-trace profile)"),
         ];
         for (kind, path, doc, what, hint) in files {
             let Some(path) = path else { continue };

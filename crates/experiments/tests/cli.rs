@@ -208,8 +208,8 @@ fn trace_binary_runs_every_backend() {
 /// `trace`: 0 for `--help` (usage on stdout), 2 for a usage error, a
 /// scenario the sweep's lint gate refuses, or an output path that cannot
 /// be written — reported as `cannot write <path>: <error>` after the
-/// sweep, never by unwinding. (`failmpi-trace`'s rows
-/// are in `crates/trace/tests/cli.rs`, beside its binary.)
+/// sweep, never by unwinding. (`failmpi-trace`'s rows are in
+/// `failmpi_trace_cli.rs`.)
 #[test]
 fn figure_and_soak_exit_codes() {
     let figure_exe = env!("CARGO_BIN_EXE_figure");

@@ -34,7 +34,8 @@
 //! itself: it records schedule-derived quantities (event kinds, payload
 //! bytes, queue depths, span counts) plus allocation counts, which are
 //! deterministic for a fixed binary. Wall time stays out of
-//! [`RunProfile`] entirely.
+//! [`RunProfile`] entirely. [`render`] turns a profile into the report,
+//! comparison and flamegraph text `failmpi-trace profile` prints.
 
 // The counting global allocator (feature `alloc-profile`) is the one
 // piece of unsafe code in this crate; without it the whole crate is
@@ -48,6 +49,7 @@ mod histogram;
 pub mod literal;
 pub mod prof;
 mod profile;
+pub mod render;
 mod rss;
 mod snapshot;
 mod wall;

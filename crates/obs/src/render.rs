@@ -1,7 +1,4 @@
-//! Analysis library behind the `failmpi-prof` binary.
-//!
-//! Consumes the deterministic [`RunProfile`] JSON written by `--profile
-//! PATH` (`figure <name>`, soak) and renders it:
+//! Human-readable renderings of a [`RunProfile`].
 //!
 //! * [`report`] — top-N attribution tables (allocations per event kind,
 //!   payload copies per hop, queue telemetry, span tree) with per-layer
@@ -10,15 +7,14 @@
 //! * [`top`] — per-backend comparison of normalized rates
 //!   (allocs/event, bytes-copied/event, burst percentiles) across
 //!   vcl/ulfm/replica profiles.
-//! * [`RunProfile::to_collapsed`] (re-exported) — collapsed-stack lines
-//!   for standard flamegraph tooling.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! * [`RunProfile::to_collapsed`] — collapsed-stack lines for standard
+//!   flamegraph tooling.
+//!
+//! `failmpi-trace profile report|top|flame` prints these.
 
 use std::fmt::Write as _;
 
-pub use failmpi_obs::RunProfile;
+use crate::RunProfile;
 
 /// The named layer an engine event kind belongs to. Dotted kinds take
 /// their prefix (`net.delivered` → `net`), FAIL-side injection events go
@@ -248,7 +244,7 @@ pub fn top(profiles: &[(String, RunProfile)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use failmpi_obs::{AllocBin, CopyBin, SpanBin};
+    use crate::{AllocBin, CopyBin, SpanBin};
 
     fn sample() -> RunProfile {
         let mut p = RunProfile::new();
@@ -341,7 +337,7 @@ mod tests {
 
     fn rich_sample() -> String {
         let mut p = sample();
-        let mut h = failmpi_obs::Histogram::new();
+        let mut h = crate::Histogram::new();
         for v in [0, 1, 1000, u64::MAX] {
             h.record(v);
         }

@@ -24,7 +24,8 @@
 //!   complement of the testkit's fingerprint-journal divergence).
 //! - [`slice`] / [`filter`]: ancestor-cone extraction and flat selection.
 //!
-//! The `failmpi-trace` binary exposes all of it on the command line.
+//! The `failmpi-trace` binary (in `failmpi-experiments`) exposes all of
+//! it on the command line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
