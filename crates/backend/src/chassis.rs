@@ -31,23 +31,20 @@ pub struct Chassis<E> {
     breakpoints: HashMap<ProcId, HashSet<InstrumentedFn>>,
 }
 
-impl<E> Chassis<E> {
-    /// An empty chassis; `record_trace = false` keeps only the trace's
-    /// last-activity instant (zero-cost runs).
-    pub fn new(record_trace: bool) -> Self {
+impl<E> Default for Chassis<E> {
+    /// An empty chassis.
+    fn default() -> Self {
         Chassis {
             out: Vec::new(),
             hooks: Vec::new(),
-            trace: if record_trace {
-                TraceLog::new()
-            } else {
-                TraceLog::disabled()
-            },
+            trace: TraceLog::new(),
             traffic: TrafficStats::default(),
             breakpoints: HashMap::new(),
         }
     }
+}
 
+impl<E> Chassis<E> {
     /// Schedules `ev` for delivery at `at`.
     pub fn emit(&mut self, at: SimTime, ev: E) {
         self.out.push((at, ev));

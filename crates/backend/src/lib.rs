@@ -83,8 +83,6 @@ pub struct BackendConfig {
     pub round_delay: SimDuration,
     /// Base virtual time of one application op step.
     pub op_delay: SimDuration,
-    /// Whether lifecycle trace records are kept (`false` = zero-cost).
-    pub record_trace: bool,
 }
 
 impl BackendConfig {
@@ -99,7 +97,6 @@ impl BackendConfig {
             detect_delay: SimDuration::from_millis(600),
             round_delay: SimDuration::from_millis(180),
             op_delay: SimDuration::from_millis(900),
-            record_trace: true,
         }
     }
 

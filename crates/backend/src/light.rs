@@ -237,7 +237,7 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         cfg.validate().expect("invalid backend config");
         assert_eq!(ops_per_rank.len(), cfg.n_ranks as usize);
         let (policy, n_units) = P::deploy(&cfg);
-        let mut chassis = Chassis::new(cfg.record_trace);
+        let mut chassis = Chassis::default();
         chassis.out.extend((0..n_units).map(|unit| {
             (
                 SimTime::ZERO + cfg.boot_delay + cfg.boot_stagger * unit as u64,

@@ -50,7 +50,7 @@ impl ProtocolBackend for Fake {
 
 #[test]
 fn chassis_behaviours_are_provided_over_the_required_methods() {
-    let mut b = Fake(Chassis::new(true));
+    let mut b = Fake(Chassis::default());
     let t = SimTime::from_secs(1);
 
     // `set_event_cause` stamps the next trace entry, and only until cleared.
@@ -87,10 +87,4 @@ fn chassis_behaviours_are_provided_over_the_required_methods() {
     b.chassis_mut().traffic.control_bytes = 9;
     assert_eq!(b.traffic().total(), 9);
     assert_eq!((b.committed_wave(), b.waves_committed()), (None, 0));
-
-    // A chassis built with tracing off stores nothing and ignores causes.
-    let mut quiet = Fake(Chassis::new(false));
-    quiet.set_event_cause(Some(EventId(1)));
-    quiet.dispatch(t, Tick);
-    assert!(quiet.trace().is_empty() && quiet.trace().last_activity() == t);
 }

@@ -23,11 +23,11 @@ use std::process::ExitCode;
 use serde::Serialize;
 
 use failmpi_experiments::robustness::{
-    fault_free_smoke_spec, fig10_stress_spec, perturb,
+    det_run, fault_free_smoke_spec, fig10_stress_spec, perturb,
 };
-use failmpi_experiments::harness::{run, Observe};
 use failmpi_experiments::ExperimentSpec;
 use failmpi_mpichv::DispatcherMode;
+use failmpi_testkit::check_determinism;
 
 failmpi_experiments::install_alloc_profiler!();
 
@@ -117,10 +117,16 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
     Ok(o)
 }
 
-/// Double-runs the canonical (FIFO) schedule; 1 on fingerprint mismatch.
-fn divergences(spec: &ExperimentSpec) -> Result<usize, failmpi_analyze::Report> {
-    let fingerprint = || run(spec, Observe::default()).map(|out| out.record.fingerprint);
-    Ok(usize::from(fingerprint()? != fingerprint()?))
+/// Double-runs the canonical (FIFO) schedule; 1 on a divergence, whose
+/// first divergent event goes to stderr.
+fn divergences(name: &str, spec: &ExperimentSpec) -> Result<usize, failmpi_analyze::Report> {
+    Ok(match check_determinism(name, |capture| det_run(spec, capture))? {
+        Ok(_) => 0,
+        Err(divergence) => {
+            eprint!("soak: {divergence}");
+            1
+        }
+    })
 }
 
 fn main() -> ExitCode {
@@ -175,7 +181,7 @@ fn main() -> ExitCode {
 
     let mut reports = Vec::new();
     for sc in &scenarios {
-        let swept = divergences(&sc.spec)
+        let swept = divergences(sc.name, &sc.spec)
             .and_then(|d| Ok((d, perturb(sc.name, &sc.spec, opts.runs)?)));
         let (divergences, report) = match swept {
             Ok(swept) => swept,

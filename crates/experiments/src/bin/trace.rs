@@ -14,11 +14,12 @@
 //! non-compiling scenario, classes or parameters it does not declare, a
 //! non-square rank count — exits 2 with a diagnostic.
 
-use failmpi_sim::{SimDuration, SimTime};
+use failmpi_sim::SimDuration;
 use failmpi_mpichv::VclConfig;
 use failmpi_workloads::BtClass;
 
-use failmpi_experiments::harness::{run, ExperimentSpec, InjectionSpec, Observe, Workload};
+use failmpi_experiments::figures;
+use failmpi_experiments::harness::{run, InjectionSpec, Observe};
 use failmpi_experiments::timeline::{render, TimelineOptions};
 use failmpi_experiments::tracesink::TraceExport;
 
@@ -93,9 +94,7 @@ fn main() {
 
     let (cluster, class, timeout) = if smoke {
         let mut c = VclConfig::small(ranks, SimDuration::from_secs(2));
-        c.ssh_stagger = SimDuration::from_millis(20);
-        c.restart_overhead = SimDuration::from_millis(400);
-        c.terminate_delay = SimDuration::from_millis(30);
+        figures::miniaturize(&mut c);
         (c, BtClass::S, 90)
     } else {
         let c = VclConfig {
@@ -106,20 +105,10 @@ fn main() {
         (c, BtClass::B, 1500)
     };
     let mut inj = InjectionSpec::new(&src, &adversary, &machines);
-    inj.backend = backend;
     for (k, v) in &params {
         inj = inj.with_param(k, *v);
     }
-    let spec = ExperimentSpec {
-        cluster,
-        workload: Workload::Bt(class),
-        injection: Some(inj),
-        timeout: SimTime::from_secs(timeout),
-        freeze_window: SimDuration::from_secs(timeout / 10),
-        seed,
-        tie_break: failmpi_sim::TieBreak::Fifo,
-        backend,
-    };
+    let spec = figures::spec(cluster, class, Some(inj), timeout, seed).with_backend(backend);
     let observe = Observe {
         causal: true,
         ..Observe::default()

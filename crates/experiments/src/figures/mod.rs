@@ -259,14 +259,14 @@ pub(crate) fn cluster_config(
 /// that the paper-scale constants have to a class-B run. The `onload`
 /// injection race window (`init_delay_max`) is left untouched — it is
 /// micro-scale in both settings.
-pub(crate) fn miniaturize(cfg: &mut VclConfig) {
+pub fn miniaturize(cfg: &mut VclConfig) {
     cfg.ssh_stagger = SimDuration::from_millis(20);
     cfg.restart_overhead = SimDuration::from_millis(400);
     cfg.terminate_delay = SimDuration::from_millis(30);
 }
 
 /// Builds a spec with the given pieces.
-pub(crate) fn spec(
+pub fn spec(
     cluster: VclConfig,
     class: BtClass,
     injection: Option<InjectionSpec>,

@@ -709,7 +709,7 @@ pub struct RunArtifacts {
     /// The classified run.
     pub record: RunRecord,
     /// The lifecycle trace in the shared [`VclEvent`] vocabulary — the
-    /// classifier's input (empty when `record_trace` is off).
+    /// classifier's input.
     pub trace: Vec<TraceEntry<VclEvent>>,
     /// `Some` under [`Observe::journal`].
     pub journal: Option<Vec<JournalEntry>>,
@@ -830,7 +830,6 @@ fn backend_runtime_inputs(spec: &ExperimentSpec) -> (BackendConfig, Vec<u32>) {
         detect_delay: c.terminate_delay,
         round_delay: c.terminate_delay,
         op_delay,
-        record_trace: c.record_trace,
     };
     (cfg, ops)
 }
@@ -999,8 +998,6 @@ fn drive<C: ProtocolBackend>(
         track_names.push("fail-mpi".to_string());
     }
     let artifacts = RunArtifacts {
-        // Run summary counts come from the backend's counters rather than
-        // the trace, so they survive `record_trace = false`.
         record: RunRecord {
             outcome,
             end,

@@ -19,7 +19,7 @@ use failmpi_workloads::BtClass;
 use crate::classify::Outcome;
 use crate::crosscheck::{runnable_builtins, smoke_spec_for};
 use crate::figures::{self, FIG10_SRC};
-use crate::harness::{refuse, run, ExperimentSpec, Observe};
+use crate::harness::{run, ExperimentSpec, Observe};
 use crate::invariants::validate_trace;
 
 /// The histogram label of an [`Outcome`] (completion times vary across
@@ -78,19 +78,20 @@ pub fn fault_free_smoke_spec(seed: u64) -> ExperimentSpec {
 }
 
 /// One run of `spec` packaged for the double-run determinism harness
-/// ([`failmpi_testkit::assert_deterministic`]), on whichever backend the
+/// ([`failmpi_testkit::check_determinism`]), on whichever backend the
 /// spec names; `capture` turns on the per-event fingerprint journal.
-pub fn det_run(spec: &ExperimentSpec, capture: bool) -> DetRun {
+/// `Err` is [`run`]'s refusal of the spec.
+pub fn det_run(spec: &ExperimentSpec, capture: bool) -> Result<DetRun, Report> {
     let observe = Observe {
         journal: capture,
         ..Observe::default()
     };
-    let out = run(spec, observe).unwrap_or_else(|r| refuse(r));
-    DetRun {
+    let out = run(spec, observe)?;
+    Ok(DetRun {
         fingerprint: out.record.fingerprint,
         events: out.record.events,
         journal: out.journal,
-    }
+    })
 }
 
 /// One representative smoke-scale spec per paper scenario, labelled. This

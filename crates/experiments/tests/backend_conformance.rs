@@ -80,23 +80,6 @@ for_each_backend! {
         }
     }
 
-    fn fingerprint_ignores_trace_recording(backend: BackendKind) {
-        // The fingerprint folds the *engine's* event stream and the
-        // metrics observe events before the log stores them, so turning
-        // the lifecycle trace off must change neither.
-        let spec = campaign(backend, 1);
-        let mut untraced = spec.clone();
-        untraced.cluster.record_trace = false;
-        let traced = run_one(&spec);
-        let blind = run_one(&untraced);
-        assert_eq!(traced.fingerprint, blind.fingerprint, "{backend}");
-        assert_eq!(
-            traced.metrics.to_json(),
-            blind.metrics.to_json(),
-            "{backend}: disabling the trace changed the metrics"
-        );
-    }
-
     fn lint_gate_refuses_broken_scenarios(backend: BackendKind) {
         // The strict pre-run gate is protocol-independent: no backend may
         // run a scenario with Error-level findings.

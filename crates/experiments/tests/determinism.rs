@@ -39,7 +39,7 @@ fn every_scenario_is_deterministic_on_the_light_backends() {
                 det_run(&spec, capture)
             });
             assert_ne!(fp, 0, "{name}/{backend}: degenerate fingerprint");
-            let journaled = det_run(&spec, true);
+            let journaled = det_run(&spec, true).expect("spec runs");
             assert_eq!(journaled.fingerprint, fp);
             let journal = journaled.journal.expect("capture returns the journal");
             assert_eq!(journal.len() as u64, journaled.events, "{name}/{backend}");
@@ -67,8 +67,8 @@ fn fingerprint_discriminates_seeds() {
     let suite_b = scenario_suite(2);
     let (name, a) = &suite_a[0];
     let (_, b) = &suite_b[0];
-    let fa = det_run(a, false).fingerprint;
-    let fb = det_run(b, false).fingerprint;
+    let fa = det_run(a, false).expect("spec runs").fingerprint;
+    let fb = det_run(b, false).expect("spec runs").fingerprint;
     assert_ne!(fa, fb, "{name}: seeds 1 and 2 produced the same schedule");
 }
 

@@ -82,7 +82,7 @@ fn undeployable_scenarios_come_back_as_reports() {
 fn workloads_that_do_not_deploy_come_back_as_reports_on_every_backend() {
     use failmpi_backend::BackendKind;
     type Break = fn(&mut ExperimentSpec);
-    let cases: [(&str, Break); 5] = [
+    let cases: [(&str, Break); 6] = [
         ("a BT rank count that forms no square grid", |spec| {
             *spec = ExperimentSpec::fault_free(50, BtClass::S, spec.seed);
         }),
@@ -92,6 +92,9 @@ fn workloads_that_do_not_deploy_come_back_as_reports_on_every_backend() {
         }),
         ("fewer compute hosts than ranks", |spec| spec.cluster.n_compute_hosts = 3),
         ("no checkpoint server", |spec| spec.cluster.n_ckpt_servers = 0),
+        ("a checkpoint server disk with no bandwidth", |spec| {
+            spec.cluster.server_disk_bytes_per_sec = 0;
+        }),
         ("no rank at all", |spec| spec.cluster.n_ranks = 0),
     ];
     for backend in [BackendKind::Vcl, BackendKind::Ulfm, BackendKind::Replica] {

@@ -1,15 +1,14 @@
 //! Property test: the metrics registry agrees with the trace.
 //!
 //! `VclMetrics` observes every event *before* the `TraceLog` stores it
-//! (see `Ctx::trace` in `failmpi-mpichv`), so for any run the counters
-//! must equal the counts recomputed from that run's trace entries — and
-//! a run with tracing disabled (`record_trace = false`) must still
-//! produce the exact same snapshot, since metrics never read the log.
+//! (see `Facilities::trace` in `failmpi-mpichv`), so for any run the
+//! counters must equal the counts recomputed from that run's trace
+//! entries.
 
 use proptest::prelude::*;
 
 use failmpi_experiments::robustness::scenario_suite;
-use failmpi_experiments::{run_one, run_one_with_trace};
+use failmpi_experiments::run_one_with_trace;
 use failmpi_mpichv::VclEvent;
 use failmpi_sim::TraceEntry;
 
@@ -86,14 +85,11 @@ proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(8))]
 
     /// For a random builtin scenario at a random seed, every
-    /// trace-derivable counter equals the trace recount, and disabling
-    /// the trace changes nothing about the snapshot.
+    /// trace-derivable counter equals the trace recount.
     #[test]
     fn counters_agree_with_trace_recount(case in 0usize..10, seed in 0u64..10_000) {
         let suite = scenario_suite(seed);
         let (name, spec) = &suite[case % suite.len()];
-        prop_assert!(spec.cluster.record_trace, "{}: suite must trace by default", name);
-
         let (record, trace) = run_one_with_trace(spec);
         prop_assert!(!trace.is_empty(), "{}: the run must have traced", name);
         for (key, expected) in recount(&trace) {
@@ -110,16 +106,6 @@ proptest! {
             commits.map(|h| h.count).unwrap_or(0)
                 <= record.metrics.counter("mpichv.waves_committed"),
             "{}: more wave durations than wave commits", name
-        );
-
-        // Tracing off: the snapshot must be byte-identical — the
-        // registry observes the event stream, not the stored log.
-        let mut untraced = spec.clone();
-        untraced.cluster.record_trace = false;
-        let blind = run_one(&untraced);
-        prop_assert_eq!(
-            blind.metrics.to_json(), record.metrics.to_json(),
-            "{}: disabling the trace changed the metrics", name
         );
     }
 }

@@ -52,8 +52,8 @@ fn profiled_suite_pass(seed: u64) -> String {
 }
 
 /// Byte-identity of the `--profile` document across a same-seed double
-/// run of the figure-scale suite — the contract CI's perf-smoke job
-/// gates with `cmp`.
+/// run of the figure-scale suite — the contract the `perf` stage of
+/// `ci/run.sh` gates with `cmp`.
 #[test]
 fn profile_sink_output_is_byte_identical_across_runs() {
     let a = profiled_suite_pass(0xD_E7E);

@@ -112,8 +112,6 @@ pub struct VclConfig {
     pub checkpoint_style: CheckpointStyle,
     /// Interconnect timing.
     pub net: NetConfig,
-    /// Store a full execution trace (disable for pure benchmarking).
-    pub record_trace: bool,
 }
 
 impl Default for VclConfig {
@@ -138,7 +136,6 @@ impl Default for VclConfig {
             protocol: VProtocol::Vcl,
             checkpoint_style: CheckpointStyle::NonBlocking,
             net: NetConfig::default(),
-            record_trace: true,
         }
     }
 }
@@ -176,6 +173,9 @@ impl VclConfig {
         }
         if self.disk_bytes_per_sec == 0 {
             return Err("disk bandwidth must be positive".into());
+        }
+        if self.server_disk_bytes_per_sec == 0 {
+            return Err("server disk bandwidth must be positive".into());
         }
         Ok(())
     }

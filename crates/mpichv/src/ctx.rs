@@ -70,7 +70,7 @@ impl Facilities {
     pub fn new(cfg: VclConfig, addrs: Addrs, net: Network<Wire>, rng: SimRng) -> Self {
         Facilities {
             now: SimTime::ZERO,
-            chassis: Chassis::new(cfg.record_trace),
+            chassis: Chassis::default(),
             cfg,
             addrs,
             net,

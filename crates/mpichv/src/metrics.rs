@@ -1,11 +1,9 @@
 //! Run-scoped MPICH-Vcl metrics, driven by the trace-event stream.
 //!
 //! [`VclMetrics`] observes every [`VclEvent`] *before* it reaches the
-//! [`failmpi_sim::TraceLog`] (see `Facilities::trace`), which buys two properties
-//! at once: the counters provably agree with trace-derived counts (there
-//! is a property test on exactly that), and they keep working when the
-//! trace itself is disabled (`VclConfig::record_trace = false`) — metrics
-//! cost a few integer ops per event, the trace costs memory per event.
+//! [`failmpi_sim::TraceLog`] (see `Facilities::trace`), so the counters
+//! provably agree with trace-derived counts (there is a property test on
+//! exactly that) without ever reading the log.
 //!
 //! Everything here is a function of the simulated schedule: virtual-time
 //! histograms and monotonic counters only, safe for deterministic

@@ -34,15 +34,9 @@ impl<K> TraceEntry<K> {
 }
 
 /// An append-only log of [`TraceEntry`] records.
-///
-/// Recording can be disabled wholesale (for benchmark runs where only the
-/// final statistics matter); `last_activity` is tracked either way because
-/// freeze detection depends on it.
 #[derive(Clone, Debug)]
 pub struct TraceLog<K> {
     entries: Vec<TraceEntry<K>>,
-    enabled: bool,
-    last_activity: SimTime,
     current_cause: Option<EventId>,
 }
 
@@ -53,54 +47,28 @@ impl<K> Default for TraceLog<K> {
 }
 
 impl<K> TraceLog<K> {
-    /// Creates an enabled, empty log.
+    /// Creates an empty log.
     pub fn new() -> Self {
         TraceLog {
             entries: Vec::new(),
-            enabled: true,
-            last_activity: SimTime::ZERO,
             current_cause: None,
         }
     }
 
-    /// Creates a log that only tracks `last_activity`, storing no entries.
-    pub fn disabled() -> Self {
-        TraceLog {
-            enabled: false,
-            ..TraceLog::new()
-        }
-    }
-
-    /// Whether entries are being stored.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Sets the causal anchor stamped onto subsequent [`TraceLog::record`]
-    /// calls: the engine event currently being handled. A no-op on a
-    /// disabled log, so benchmark runs skip cause bookkeeping entirely.
+    /// calls: the engine event currently being handled.
     pub fn set_cause(&mut self, cause: Option<EventId>) {
-        if self.enabled {
-            self.current_cause = cause;
-        }
+        self.current_cause = cause;
     }
 
-    /// Appends an entry (or just bumps `last_activity` when disabled),
-    /// stamping the current causal anchor (see [`TraceLog::set_cause`]).
+    /// Appends an entry, stamping the current causal anchor (see
+    /// [`TraceLog::set_cause`]).
     pub fn record(&mut self, at: SimTime, kind: K) {
-        self.last_activity = self.last_activity.max(at);
-        if self.enabled {
-            self.entries.push(TraceEntry {
-                at,
-                kind,
-                cause: self.current_cause,
-            });
-        }
-    }
-
-    /// Instant of the most recent record.
-    pub fn last_activity(&self) -> SimTime {
-        self.last_activity
+        self.entries.push(TraceEntry {
+            at,
+            kind,
+            cause: self.current_cause,
+        });
     }
 
     /// All stored entries, in record order (which is also time order as long
@@ -162,16 +130,6 @@ mod tests {
         log.record(SimTime::from_secs(3), Kind::Stop);
         assert_eq!(log.len(), 3);
         assert_eq!(log.entries()[1].kind, Kind::Tick(1));
-        assert_eq!(log.last_activity(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn disabled_log_tracks_activity_only() {
-        let mut log = TraceLog::disabled();
-        log.record(SimTime::from_secs(7), Kind::Start);
-        assert!(log.is_empty());
-        assert!(!log.is_enabled());
-        assert_eq!(log.last_activity(), SimTime::from_secs(7));
     }
 
     #[test]
@@ -212,23 +170,5 @@ mod tests {
         log.record(SimTime::from_secs(3), Kind::Stop);
         let causes: Vec<Option<EventId>> = log.entries().iter().map(|e| e.cause).collect();
         assert_eq!(causes, vec![None, Some(EventId(4)), Some(EventId(9))]);
-    }
-
-    #[test]
-    fn disabled_log_skips_cause_bookkeeping() {
-        let mut log = TraceLog::disabled();
-        log.set_cause(Some(EventId(1)));
-        assert_eq!(log.current_cause, None, "disabled log must not track causes");
-        log.record(SimTime::from_secs(1), Kind::Start);
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn last_activity_is_monotone() {
-        let mut log = TraceLog::new();
-        log.record(SimTime::from_secs(5), Kind::Start);
-        // A late record with an earlier timestamp must not move activity back.
-        log.record(SimTime::from_secs(3), Kind::Stop);
-        assert_eq!(log.last_activity(), SimTime::from_secs(5));
     }
 }

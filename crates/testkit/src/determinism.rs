@@ -116,38 +116,43 @@ pub fn first_divergence(a: &[JournalEntry], b: &[JournalEntry]) -> Option<Diverg
 /// event. `run` receives `capture: bool` and must honour it by enabling
 /// [`failmpi_sim::Engine::enable_fingerprint_journal`] before running.
 ///
-/// Returns `Ok(fingerprint)` when deterministic.
-pub fn check_determinism(
+/// The outer `Err` is the first error `run` returned; the inner result is
+/// `Ok(fingerprint)` when deterministic.
+pub fn check_determinism<E>(
     label: &str,
-    mut run: impl FnMut(bool) -> DetRun,
-) -> Result<u64, Box<Divergence>> {
-    let a = run(false);
-    let b = run(false);
+    mut run: impl FnMut(bool) -> Result<DetRun, E>,
+) -> Result<Result<u64, Box<Divergence>>, E> {
+    let a = run(false)?;
+    let b = run(false)?;
     if a.fingerprint == b.fingerprint && a.events == b.events {
-        return Ok(a.fingerprint);
+        return Ok(Ok(a.fingerprint));
     }
     // Mismatch: pay for capture and localize.
-    let ja = run(true);
-    let jb = run(true);
+    let ja = run(true)?;
+    let jb = run(true)?;
     let point = match (&ja.journal, &jb.journal) {
         (Some(ja), Some(jb)) => first_divergence(ja, jb),
         _ => None,
     };
-    Err(Box::new(Divergence {
+    Ok(Err(Box::new(Divergence {
         label: label.to_string(),
         first_fingerprint: a.fingerprint,
         second_fingerprint: b.fingerprint,
         events: (a.events, b.events),
         point,
-    }))
+    })))
 }
 
-/// [`check_determinism`] that panics with the full divergence report —
-/// the form regression tests use.
-pub fn assert_deterministic(label: &str, run: impl FnMut(bool) -> DetRun) -> u64 {
+/// [`check_determinism`] that panics with the full divergence report, or
+/// with the error `run` returned — the form regression tests use.
+pub fn assert_deterministic<E: fmt::Debug>(
+    label: &str,
+    run: impl FnMut(bool) -> Result<DetRun, E>,
+) -> u64 {
     match check_determinism(label, run) {
-        Ok(fp) => fp,
-        Err(d) => panic!("{d}"),
+        Ok(Ok(fp)) => fp,
+        Ok(Err(d)) => panic!("{d}"),
+        Err(e) => panic!("{label}: {e:?}"),
     }
 }
 
@@ -169,18 +174,18 @@ mod tests {
         }
     }
 
-    fn chain_run(capture: bool) -> DetRun {
+    fn chain_run(capture: bool) -> Result<DetRun, String> {
         let mut e = Engine::new(Chain { left: 50 });
         if capture {
             e.enable_fingerprint_journal();
         }
         e.schedule(SimTime::ZERO, 1);
         e.run(SimTime::MAX);
-        DetRun {
+        Ok(DetRun {
             fingerprint: e.fingerprint(),
             events: e.events_handled(),
             journal: capture.then(|| e.take_fingerprint_journal()),
-        }
+        })
     }
 
     #[test]
@@ -216,13 +221,13 @@ mod tests {
             }
             e.schedule(SimTime::ZERO, 0);
             e.run(SimTime::MAX);
-            DetRun {
+            Ok::<_, String>(DetRun {
                 fingerprint: e.fingerprint(),
                 events: e.events_handled(),
                 journal: capture.then(|| e.take_fingerprint_journal()),
-            }
+            })
         };
-        let err = check_determinism("leaky", run).unwrap_err();
+        let err = check_determinism("leaky", run).unwrap().unwrap_err();
         let msg = err.to_string();
         let p = err.point.expect("journals localize the leak");
         // Events 0..=5 (positions 0..=5) agree; the 6th scheduled event
