@@ -19,15 +19,13 @@
 //! `// srclint: allow(CODE): <reason>` pragma; a reasonless allow is
 //! itself a finding (SP001).
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use failmpi_analyze::{
-    analyze_programs, builtin, check_source, check_src_paths, model_check_source, BackendKind,
-    ModelCheckConfig, Report, SrcLintConfig,
+    analyze_programs, builtin, check_source, check_src_paths, model_check_source, read_findings,
+    BackendKind, CodeCount, FindingsError, ModelCheckConfig, Report, SrcLintConfig,
 };
 use serde::Serialize;
-use serde_json::Value;
 
 struct Options {
     files: Vec<String>,
@@ -196,14 +194,6 @@ fn check_one(subject: String, src: &str, opts: &Options) -> Report {
     }
 }
 
-/// One `(code, severity)` bucket of the findings gate's JSON summary.
-#[derive(Serialize)]
-struct CodeCount {
-    code: String,
-    severity: String,
-    count: usize,
-}
-
 /// The findings gate's machine-readable summary (`--format json`): CI
 /// greps this — not the input file — so a diagnostic code only appears
 /// here after failck has actually validated the artifact's shape.
@@ -221,11 +211,6 @@ struct FindingsGate {
 /// error-severity finding is present (or any finding at all under
 /// `--strict`), 0 when the well-formed file is clean.
 fn findings_mode(path: &str, json: bool, strict: bool) -> ExitCode {
-    fn shape_error(path: &str, what: &str) -> ExitCode {
-        eprintln!("failck: `{path}` is not a findings file: {what}");
-        ExitCode::from(2)
-    }
-
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -233,70 +218,38 @@ fn findings_mode(path: &str, json: bool, strict: bool) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let doc = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
+    let f = match read_findings(&text) {
+        Ok(f) => f,
+        Err(FindingsError::NotJson(e)) => {
             eprintln!("failck: `{path}` is not valid JSON: {e}");
             return ExitCode::from(2);
         }
-    };
-    let Some(reports) = doc.as_array() else {
-        return shape_error(path, "expected a JSON array of reports");
-    };
-
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut by_code: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut human = String::new();
-    for r in reports {
-        let Some(subject) = r.get("subject").and_then(Value::as_str) else {
-            return shape_error(path, "report without a string `subject`");
-        };
-        let Some(diags) = r.get("diagnostics").and_then(Value::as_array) else {
-            return shape_error(path, "report without a `diagnostics` array");
-        };
-        for d in diags {
-            let severity = d.get("severity").and_then(Value::as_str);
-            let code = d.get("code").and_then(Value::as_str);
-            let message = d.get("message").and_then(Value::as_str);
-            let (Some(severity), Some(code), Some(message)) = (severity, code, message) else {
-                return shape_error(path, "diagnostic missing severity/code/message");
-            };
-            match severity {
-                "error" => errors += 1,
-                "warning" => warnings += 1,
-                "info" => {}
-                other => {
-                    return shape_error(path, &format!("unknown severity `{other}`"));
-                }
-            }
-            *by_code
-                .entry((code.to_string(), severity.to_string()))
-                .or_insert(0) += 1;
-            human.push_str(&format!("{subject}: {severity}[{code}]: {message}\n"));
+        Err(FindingsError::Misshapen(what)) => {
+            eprintln!("failck: `{path}` is not a findings file: {what}");
+            return ExitCode::from(2);
         }
-    }
+    };
 
+    let (errors, warnings) = (f.errors, f.warnings);
     if json {
         let gate = FindingsGate {
             findings_file: path.to_string(),
-            reports: reports.len(),
+            reports: f.reports,
             errors,
             warnings,
-            by_code: by_code
-                .into_iter()
-                .map(|((code, severity), count)| CodeCount { code, severity, count })
-                .collect(),
+            by_code: f.by_code,
         };
         println!(
             "{}",
             serde_json::to_string_pretty(&gate).expect("gate serializes")
         );
     } else {
-        print!("{human}");
+        for line in &f.lines {
+            println!("{line}");
+        }
         println!(
             "failck: {} finding report(s), {errors} error(s), {warnings} warning(s)",
-            reports.len()
+            f.reports
         );
     }
 

@@ -16,18 +16,21 @@
 //!
 //! See [`scenario`] for the FA-codes, [`ops`] for the FB-codes, and
 //! [`src_lints`] for the SD/SU source-level determinism codes that
-//! `failck --src` runs over the workspace's own Rust code.
+//! `failck --src` runs over the workspace's own Rust code. [`findings`]
+//! reads the fuzz findings artifacts `failck --findings` gates.
 
 #![forbid(unsafe_code)]
 
 pub mod builtin;
 pub mod diag;
+pub mod findings;
 pub mod model;
 pub mod ops;
 pub mod scenario;
 pub mod src_lints;
 
 pub use diag::{Diagnostic, Report, Severity, Span};
+pub use findings::{read_findings, CodeCount, FindingsError};
 pub use failmpi_srclint::Config as SrcLintConfig;
 pub use failmpi_backend::BackendKind;
 pub use model::{

@@ -481,15 +481,148 @@ fn machine_order(ctx: &Ctx, s: &ProdState) -> Vec<usize> {
 /// sound representative — it is some member of the orbit — and determinism
 /// makes the interned set canonical.
 pub(crate) fn canonical_perm(ctx: &Ctx, s: &ProdState) -> Perm {
+    perm_of(ctx, s, &machine_order(ctx, s), ctx.profile.rank_sym)
+}
+
+/// What one move changed that the machine order reads: the machines whose
+/// sort key may differ between a parent and its successor, and whether
+/// any unit slot changed.
+struct Touched {
+    machines: Vec<bool>,
+    slots: bool,
+}
+
+/// The machines `s`'s key may differ on from `parent`'s: a group member
+/// that is not the parent's allocation, a unit slot that changed (its old
+/// and its new host), a spare-FIFO membership that changed, an in-flight
+/// message added or removed (both endpoints' machines). `None` when the
+/// spare machines both states keep change relative order, or a changed
+/// FIFO lists a machine twice: the parent's order then no longer orders
+/// them.
+fn touched(ctx: &Ctx, parent: &ProdState, s: &ProdState) -> Option<Touched> {
+    let n_hosts = ctx.cfg.n_hosts;
+    let mut hit = vec![false; n_hosts];
+    let mut mark = |i: u8| {
+        if let Some((_, h)) = member_of(ctx, i as usize) {
+            hit[h] = true;
+        }
+    };
+
+    for (i, (a, b)) in parent.insts.iter().zip(&s.insts).enumerate().skip(ctx.n_suggested) {
+        if !a.same(b) {
+            mark(i as u8);
+        }
+    }
+
+    // One merge walk over the two sorted multisets.
+    let (was, is) = (&parent.msgs, &s.msgs);
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (from, to, _) = match (was.get(i), is.get(j)) {
+            (None, None) => break,
+            (Some(a), Some(b)) if a == b => {
+                i += 1;
+                j += 1;
+                continue;
+            }
+            (Some(a), Some(b)) if b < a => {
+                j += 1;
+                *b
+            }
+            (Some(a), _) => {
+                i += 1;
+                *a
+            }
+            (None, Some(b)) => {
+                j += 1;
+                *b
+            }
+        };
+        mark(from);
+        mark(to);
+    }
+
+    let mut slots = false;
+    for (a, b) in parent.proto.slots().iter().zip(s.proto.slots()) {
+        if a != b {
+            hit[a.host as usize] = true;
+            hit[b.host as usize] = true;
+            slots = true;
+        }
+    }
+
+    let (before, after) = (parent.proto.spare_hosts(), s.proto.spare_hosts());
+    if before != after {
+        let positions = |fifo: &[u8]| {
+            let mut pos = vec![None; n_hosts];
+            for (p, &h) in fifo.iter().enumerate() {
+                if pos[h as usize].replace(p).is_some() {
+                    return None;
+                }
+            }
+            Some(pos)
+        };
+        let (was, is) = (positions(before)?, positions(after)?);
+        let mut last = None;
+        for &h in after {
+            match was[h as usize] {
+                Some(p) if last > Some(p) => return None,
+                Some(p) => last = Some(p),
+                None => hit[h as usize] = true,
+            }
+        }
+        for &h in before {
+            if is[h as usize].is_none() {
+                hit[h as usize] = true;
+            }
+        }
+    }
+    Some(Touched { machines: hit, slots })
+}
+
+/// [`canonical_perm`] of `s`, a successor of the canonical representative
+/// `parent`, at a cost proportional to what the move changed. The
+/// parent's movable machines are in canonical order by construction
+/// (ascending ids: it is its own representative). A machine the move did
+/// not touch keeps its key, and the spare machines both keep only shift
+/// position together, so the untouched ones stay in the parent's order;
+/// each touched one is inserted by binary search under the same strict
+/// order. The rank sort is skipped where it cannot move anything: the
+/// machines kept their labels and no unit slot changed.
+pub(crate) fn canonical_perm_from(ctx: &Ctx, parent: &ProdState, s: &ProdState) -> Perm {
+    let Some(t) = touched(ctx, parent, s) else {
+        return canonical_perm(ctx, s);
+    };
+    let movable = &ctx.profile.movable;
+    let (mut order, moved): (Vec<usize>, Vec<usize>) =
+        movable.iter().partition(|&&h| !t.machines[h]);
+    if !moved.is_empty() {
+        let tables = HostTables::of(ctx, s);
+        for h in moved {
+            let at = order.partition_point(|&x| {
+                cmp_machines(ctx, s, &tables, x, h).then(x.cmp(&h)) == Ordering::Less
+            });
+            order.insert(at, h);
+        }
+    }
+    let rank_sort = ctx.profile.rank_sym && (t.slots || order != *movable);
+    perm_of(ctx, s, &order, rank_sort)
+}
+
+/// The permutation that renames the movable machines of `s`, listed in
+/// `order`, to the movable labels in ascending order, and — with
+/// `rank_sort` — sorts the rank slots by (phase, relabelled host,
+/// incarnation). Without it the rank map is the identity.
+fn perm_of(ctx: &Ctx, s: &ProdState, order: &[usize], rank_sort: bool) -> Perm {
     let n_units = ctx.cfg.n_units();
 
     let mut host_map: Vec<u8> = (0..ctx.cfg.n_hosts as u8).collect();
-    for (h, label) in machine_order(ctx, s).iter().zip(&ctx.profile.movable) {
+    for (h, label) in order.iter().zip(&ctx.profile.movable) {
         host_map[*h] = *label as u8;
     }
 
     let mut rank_map: Vec<u8> = (0..n_units as u8).collect();
-    if ctx.profile.rank_sym {
+    if rank_sort {
         let mut keyed: Vec<((AbstractPhase, u8, u8), usize)> = (0..n_units)
             .map(|r| {
                 let rk = s.proto.unit(r);
@@ -562,8 +695,11 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::Config;
 
+    use failmpi_backend::AbstractRank;
+
     use super::super::search::Explorer;
-    use super::super::state::VarVal;
+    use super::super::state::{insert_msg, SiteLog, VarVal};
+    use super::super::world::AbstractWorld;
     use super::*;
 
     const SOURCES: [&str; 3] = [
@@ -731,6 +867,65 @@ group G1[6] = ADVnodes;
         out
     }
 
+    /// Every unit slot of `w`, writable.
+    fn slots_mut(w: &mut AbstractWorld) -> &mut Vec<AbstractRank> {
+        match w {
+            AbstractWorld::Vcl(v) => &mut v.ranks,
+            AbstractWorld::Ulfm(u) => &mut u.ranks,
+            AbstractWorld::Replica(r) => &mut r.units,
+        }
+    }
+
+    /// `(what, parent, successor)` pairs, each parent a representative,
+    /// that force every branch of [`canonical_perm_from`]: a move that
+    /// touches nothing; a message added between two machines, and one
+    /// removed; a unit moved to another machine; and, under Vcl, a spare
+    /// FIFO only popped (no fallback) or reordered (the fallback). The
+    /// successors need not be reachable.
+    fn hand_built(
+        ctx: &Ctx,
+        rep: &ProdState,
+        seed: u64,
+    ) -> Vec<(&'static str, ProdState, ProdState)> {
+        let n_hosts = ctx.cfg.n_hosts;
+        let (a, b) = (seed as usize % n_hosts, (seed >> 8) as usize % n_hosts);
+        let member = |h: usize| (ctx.n_suggested + h) as u8;
+        let mut out = vec![("nothing", rep.clone(), rep.clone())];
+
+        let mut added = rep.clone();
+        insert_msg(&mut added.msgs, (member(a), member(b), 0));
+        let (holding, _) = canonicalize(ctx, &added);
+        let mut removed = holding.clone();
+        removed.msgs.remove((seed >> 16) as usize % removed.msgs.len());
+        out.push(("message added", rep.clone(), added));
+        out.push(("message removed", holding, removed));
+
+        let mut moved = rep.clone();
+        let slots = slots_mut(&mut moved.proto);
+        let u = (seed >> 24) as usize % slots.len();
+        slots[u].host = b as u8;
+        out.push(("unit moved", rep.clone(), moved));
+
+        if let AbstractWorld::Vcl(v) = &rep.proto {
+            let spare = |edit: fn(&mut Vec<u8>)| {
+                let mut s = rep.clone();
+                if let AbstractWorld::Vcl(w) = &mut s.proto {
+                    edit(&mut w.free_hosts);
+                }
+                s
+            };
+            if !v.free_hosts.is_empty() {
+                out.push(("spare popped", rep.clone(), spare(|f| {
+                    f.remove(0);
+                })));
+            }
+            if v.free_hosts.len() >= 2 {
+                out.push(("spares reordered", rep.clone(), spare(|f| f.swap(0, 1))));
+            }
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(Config::with_cases(96))]
 
@@ -761,6 +956,45 @@ group G1[6] = ADVnodes;
                 let (again, perm) = canonicalize(ctx, &rep);
                 prop_assert!(perm.is_identity(), "{:?}", perm);
                 prop_assert_eq!(again, rep);
+                Ok(())
+            })?;
+        }
+
+        /// The permutation inherited from a representative parent is the
+        /// full one: on every successor of the representative, and on
+        /// hand-built successors that each force one branch.
+        #[test]
+        fn incremental_perm_is_the_full_perm(
+            which in 0usize..3,
+            backend in 0usize..3,
+            pick in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            with_sampled_state(which, backend, pick, |ctx, s| {
+                let (rep, _) = canonicalize(ctx, s);
+                for m in ctx.moves(&rep) {
+                    for micro in ctx.apply_move(&rep, &m, &mut SiteLog::new()) {
+                        let st = &micro.st;
+                        let full = canonical_perm(ctx, st);
+                        prop_assert_eq!(canonical_perm_from(ctx, &rep, st), full);
+                    }
+                }
+                for (what, parent, succ) in hand_built(ctx, &rep, seed) {
+                    let t = touched(ctx, &parent, &succ);
+                    match what {
+                        "spares reordered" => prop_assert!(t.is_none(), "{}", what),
+                        "nothing" => prop_assert!(
+                            t.is_some_and(|t| !t.slots && !t.machines.contains(&true)),
+                            "{}", what
+                        ),
+                        _ => prop_assert!(t.is_some(), "{}", what),
+                    }
+                    prop_assert_eq!(
+                        canonical_perm_from(ctx, &parent, &succ),
+                        canonical_perm(ctx, &succ),
+                        "{}", what
+                    );
+                }
                 Ok(())
             })?;
         }

@@ -221,11 +221,45 @@ pub struct Witness {
 /// 64-bit FNV-1a. `std::hash::DefaultHasher` is explicitly unstable
 /// across Rust releases, and [`ModelSummary::state_digest`] feeds the
 /// fuzzer's persisted coverage corpus, so the algorithm must be pinned.
+///
+/// The integer writers fold the same bytes as [`std::hash::Hasher::write`]
+/// would (native byte order), but a zero byte folds as `(h ^ 0) * P ==
+/// h * P`: the bytes below a word's highest non-zero one fold one by one,
+/// and that byte with the `k` zero bytes above it in one multiplication by
+/// `P^(k + 1)`. The derived `Hash` of a state writes mostly small numbers
+/// in wide words, so most of its bytes are such zeros.
 pub(crate) struct Fnv1a(pub u64);
 
+/// `Fnv1a::PRIME^k` for `k` in `0..=8` (wrapping): what `k` zero bytes
+/// fold to.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(Fnv1a::PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
     pub(crate) fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds the `width` little-endian bytes of `v`, which must fit them.
+    #[inline]
+    fn fold_le(&mut self, v: u64, width: usize) {
+        debug_assert!(width == 8 || v >> (8 * width) == 0, "{v:#x} wider than {width} bytes");
+        let (mut h, mut rest, mut left) = (self.0, v, width);
+        while rest > 0xff {
+            h = (h ^ (rest & 0xff)).wrapping_mul(Self::PRIME);
+            rest >>= 8;
+            left -= 1;
+        }
+        self.0 = (h ^ rest).wrapping_mul(FNV_PRIME_POW[left]);
     }
 }
 
@@ -236,8 +270,24 @@ impl std::hash::Hasher for Fnv1a {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.fold_le(u64::from(v), 1);
+    }
+    fn write_u16(&mut self, v: u16) {
+        self.fold_le(u64::from(u16::from_le_bytes(v.to_ne_bytes())), 2);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.fold_le(u64::from(u32::from_le_bytes(v.to_ne_bytes())), 4);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.fold_le(u64::from_le_bytes(v.to_ne_bytes()), 8);
+    }
+    fn write_usize(&mut self, v: usize) {
+        let v = usize::from_le_bytes(v.to_ne_bytes());
+        self.fold_le(v as u64, std::mem::size_of::<usize>());
     }
 }
 
@@ -376,4 +426,45 @@ pub fn model_check_with_programs(
     let mut ex = Explorer::new(sc, cfg, programs);
     ex.run();
     ex.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::hash::{Hash, Hasher};
+
+    use proptest::prelude::*;
+
+    use super::Fnv1a;
+
+    /// FNV-1a through `write` alone: every integer the derived `Hash`
+    /// writes reaches it as its native-order bytes, the definition the
+    /// zero-byte-aware writers must equal.
+    struct Bytewise(Fnv1a);
+
+    impl Hasher for Bytewise {
+        fn finish(&self) -> u64 {
+            self.0.finish()
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.write(bytes);
+        }
+    }
+
+    proptest! {
+        /// What the derived `Hash` writes — every integer width, signed
+        /// and length-prefixed fields included — digests the same both
+        /// ways, for words with any number of high zero bytes.
+        #[test]
+        fn writers_equal_the_bytewise_fold(start: u64, v: u64, byte in 0u32..8, text in "\\PC*") {
+            for v in [v, v >> (8 * byte), 0, 1 << (8 * byte), u64::MAX] {
+                let words = vec![v; byte as usize];
+                let row = (v as u8, v as u16, v as u32, v, v as usize, v as i64, words, &text);
+                let mut fast = Fnv1a(start);
+                let mut slow = Bytewise(Fnv1a(start));
+                row.hash(&mut fast);
+                row.hash(&mut slow);
+                prop_assert_eq!(fast.finish(), slow.finish(), "{:#x}", v);
+            }
+        }
+    }
 }

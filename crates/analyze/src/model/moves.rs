@@ -189,8 +189,10 @@ impl Ctx<'_> {
             let before = succs.len();
             succs = por::ample_filter(self, s, succs);
             por_pruned = before - succs.len();
+            // `s` is interned, so it is a canonical representative.
             for succ in &mut succs {
-                let perm = canon::canonical_perm(self, &succ.micro.st);
+                let perm = canon::canonical_perm_from(self, s, &succ.micro.st);
+                debug_assert_eq!(perm, canon::canonical_perm(self, &succ.micro.st));
                 if !perm.is_identity() {
                     let rep = perm.apply_state(self, &succ.micro.st);
                     if rep != succ.micro.st {

@@ -69,6 +69,12 @@ impl Inst {
     pub(crate) fn new(st: InstState) -> Inst {
         Inst(Arc::new(st))
     }
+
+    /// Whether both share one allocation. A successor re-allocates only
+    /// the instances its step changed, so `true` proves the content equal.
+    pub(crate) fn same(&self, other: &Inst) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl Deref for Inst {
@@ -80,7 +86,7 @@ impl Deref for Inst {
 
 impl PartialEq for Inst {
     fn eq(&self, other: &Inst) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+        self.same(other) || *self.0 == *other.0
     }
 }
 
@@ -88,7 +94,7 @@ impl Eq for Inst {}
 
 impl Ord for Inst {
     fn cmp(&self, other: &Inst) -> Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
+        if self.same(other) {
             Ordering::Equal
         } else {
             self.0.cmp(&other.0)
