@@ -13,12 +13,12 @@
 use std::collections::BTreeSet;
 use std::path::{Component, Path};
 
-use failmpi_analyze::{Diagnostic, Severity};
+use failmpi_analyze::{Diagnostic, Report, Severity};
 use serde::Serialize;
 use serde_json::Value;
 
 use crate::gen::Candidate;
-use crate::oracle::{evaluate, Evaluation, FuzzConfig};
+use crate::oracle::{evaluate, evaluate_all, Evaluation, FuzzConfig};
 
 /// One manifest entry.
 #[derive(Clone, Debug, Serialize)]
@@ -241,7 +241,12 @@ pub fn candidate_of(entry: &CorpusEntry, source: &str) -> Candidate {
 /// every drift, or the harness's own diagnostics for an entry it refuses to
 /// run.
 pub fn replay_entry(entry: &CorpusEntry, source: &str, cfg: &FuzzConfig) -> Vec<Diagnostic> {
-    let ev = match evaluate(&candidate_of(entry, source), cfg) {
+    drift(entry, evaluate(&candidate_of(entry, source), cfg))
+}
+
+/// [`replay_entry`]'s comparison, over an evaluation already made.
+pub(crate) fn drift(entry: &CorpusEntry, ev: Result<Evaluation, Report>) -> Vec<Diagnostic> {
+    let ev = match ev {
         Ok(ev) => ev,
         Err(refusal) => return refusal.diagnostics,
     };
@@ -326,9 +331,13 @@ pub fn known_freeze_fingerprints(
 ) -> BTreeSet<u64> {
     // An entry the harness refuses froze nothing; `replay_entry` reports
     // the refusal.
-    entries
+    let cands: Vec<Candidate> = entries
         .iter()
-        .filter_map(|(entry, source)| evaluate(&candidate_of(entry, source), cfg).ok())
+        .map(|(entry, source)| candidate_of(entry, source))
+        .collect();
+    evaluate_all(&cands, cfg)
+        .into_iter()
+        .filter_map(Result::ok)
         .flat_map(|ev| ev.freeze_fingerprints())
         .collect()
 }

@@ -39,8 +39,12 @@
 //!
 //! Determinism contract: `failmpi-fuzz --seed S --budget N` twice produces
 //! byte-identical corpus and findings JSON — all randomness flows from one
-//! [`failmpi_sim::SimRng`], the loop is single-threaded, and every output
-//! collection is sorted.
+//! [`failmpi_sim::SimRng`], and every output collection is sorted. The
+//! oracle runs on two lanes ([`oracle::evaluate_all`]: the model checks on
+//! the calling thread, the concrete probes ahead of them on a second one),
+//! but results do not depend on lane timing: every probe is a pure
+//! function of (candidate, seed, mode, backend), and results fold in
+//! candidate order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +65,7 @@ pub use corpus::{candidate_of, entry_of, load_corpus, replay_entry, write_corpus
 pub use coverage::{key_of, Coverage};
 pub use gen::{passes_filter, Candidate, Generator};
 pub use minimize::minimize;
-pub use oracle::{evaluate, findings_for, Evaluation, FuzzConfig};
+pub use oracle::{evaluate, evaluate_all, findings_for, Evaluation, FuzzConfig};
 
 /// Raw generation attempts per accepted candidate before the slot is
 /// forfeited (keeps a pathological seed from spinning).
@@ -130,19 +134,20 @@ pub struct FuzzOutcome {
 
 /// Runs one campaign.
 pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
+    // The generator reads no evaluation result, so the whole candidate
+    // list is drawn first and the probe lane can run ahead over it.
     let mut generator = Generator::new(opts.seed);
+    let cands: Vec<Candidate> = (0..opts.budget)
+        .filter_map(|_| generator.next_valid(MAX_ATTEMPTS))
+        .collect();
+    let evaluations = evaluate_all(&cands, &opts.config);
+
     let mut coverage = Coverage::new();
     let mut reports = Vec::new();
     let mut corpus = Vec::new();
-    let mut candidates = 0usize;
     let mut fig10 = false;
-
-    for _ in 0..opts.budget {
-        let Some(cand) = generator.next_valid(MAX_ATTEMPTS) else {
-            continue;
-        };
-        candidates += 1;
-        let ev = match evaluate(&cand, &opts.config) {
+    for (cand, ev) in cands.iter().zip(evaluations) {
+        let ev = match ev {
             Ok(ev) => ev,
             // A candidate the harness refuses slipped through the
             // validity filter: its diagnostics are the finding.
@@ -155,7 +160,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
 
         let key = key_of(&ev);
         if coverage.observe(&key) {
-            corpus.push((entry_of(&cand, &ev, &key), cand.source.clone()));
+            corpus.push((entry_of(cand, &ev, &key), cand.source.clone()));
         }
 
         let mut findings = findings_for(&ev, &opts.known_freeze_fps);
@@ -215,7 +220,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
         summary: FuzzSummary {
             seed: opts.seed,
             budget: opts.budget,
-            candidates,
+            candidates: cands.len(),
             accepted: corpus.len(),
             errors,
             warnings,
@@ -232,9 +237,13 @@ pub fn run_replay(
     entries: &[(CorpusEntry, String)],
     cfg: &FuzzConfig,
 ) -> (FuzzSummary, Vec<Report>) {
+    let cands: Vec<Candidate> = entries
+        .iter()
+        .map(|(entry, source)| candidate_of(entry, source))
+        .collect();
     let mut reports = Vec::new();
-    for (entry, source) in entries {
-        let findings = replay_entry(entry, source, cfg);
+    for ((entry, _), ev) in entries.iter().zip(evaluate_all(&cands, cfg)) {
+        let findings = corpus::drift(entry, ev);
         if !findings.is_empty() {
             reports.push(Report::new(format!("fuzz:{}", entry.name), findings));
         }

@@ -161,12 +161,22 @@ fn probe(
     })
 }
 
-/// Runs both oracles over `cand`. `Err` is the harness's refusal of a
-/// candidate that compiles and lints but does not deploy at smoke scale
-/// under its parameters.
-pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Result<Evaluation, Report> {
-    let static_of = |mode| {
+/// The four model checks of one candidate: the Vcl model under both
+/// dispatcher modes, then the ULFM and replication models (historical
+/// mode). The first half of [`evaluate`], on the calling thread.
+#[derive(Debug)]
+pub struct Statics {
+    historical: ModelSummary,
+    fixed: ModelSummary,
+    ulfm: ModelSummary,
+    replica: ModelSummary,
+}
+
+/// Runs the four model checks of `cand`.
+pub fn statics(cand: &Candidate, cfg: &FuzzConfig) -> Statics {
+    let check = |mode, backend| {
         let mc = ModelCheckConfig {
+            backend,
             params: cand.params.clone(),
             mode,
             budget: cfg.model_budget,
@@ -174,49 +184,129 @@ pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Result<Evaluation, Report
         };
         model_check_source(&cand.source, &mc).summary
     };
-    let static_h = static_of(DispatcherMode::Historical);
-    let static_f = static_of(DispatcherMode::Fixed);
+    Statics {
+        historical: check(DispatcherMode::Historical, BackendKind::Vcl),
+        fixed: check(DispatcherMode::Fixed, BackendKind::Vcl),
+        ulfm: check(DispatcherMode::Historical, BackendKind::Ulfm),
+        replica: check(DispatcherMode::Historical, BackendKind::Replica),
+    }
+}
 
-    // A statically reachable freeze deserves a fair shot at concrete
-    // realization: escalate through additional seeds before the finding
-    // stage settles on "unrealized" (FZ007). The ladder's length comes
-    // from the witness itself — one extra seed per step of the minimal
-    // abstract schedule, clamped by `escalate_cap` — so a shallow freeze
-    // gets a short ladder and a deep Fig. 10-shaped one gets the full
-    // budget. Deterministic: it depends only on the config and the
-    // (deterministic) static summary.
-    let ladder_of = |summary: &ModelSummary| -> Option<usize> {
-        if summary.verdict != StaticVerdict::Freezes {
-            return None;
-        }
-        // A freeze verdict always carries a witness; fall back to the old
-        // flat ladder length if a future change ever drops it.
-        Some(summary.witness.as_ref().map_or(4, |w| w.steps.len()))
-    };
-    let dynamic_of = |mode, ladder: Option<usize>| -> Result<Vec<DynRun>, Report> {
-        let mut runs: Vec<DynRun> = cfg
-            .probe_seeds
+/// The base probe seeds of one candidate through every runtime: Vcl under
+/// both dispatcher modes, then ULFM and replication (historical mode).
+/// The second half of [`evaluate`], on the probe lane.
+#[derive(Debug)]
+pub struct Probes {
+    historical: Vec<DynRun>,
+    fixed: Vec<DynRun>,
+    ulfm: Vec<DynRun>,
+    replica: Vec<DynRun>,
+}
+
+/// Runs the base probe seeds of `cand` on every backend. `Err` is the
+/// harness's refusal of the first probe it will not run.
+pub fn probes(cand: &Candidate, cfg: &FuzzConfig) -> Result<Probes, Report> {
+    let base = |mode, backend| {
+        cfg.probe_seeds
             .iter()
-            .map(|&seed| probe(cand, seed, mode, BackendKind::Vcl))
-            .collect::<Result<_, _>>()?;
-        if let Some(extra) = ladder {
-            if !runs.iter().any(|r| r.class == "buggy") {
-                let from = runs.iter().map(|r| r.seed).max().unwrap_or(0) + 1;
-                let to = (from + extra as u64).saturating_sub(1).min(cfg.escalate_cap);
-                for seed in from..=to {
-                    let run = probe(cand, seed, mode, BackendKind::Vcl)?;
-                    let hit = run.class == "buggy";
-                    runs.push(run);
-                    if hit {
-                        break;
-                    }
+            .map(|&seed| probe(cand, seed, mode, backend))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    Ok(Probes {
+        historical: base(DispatcherMode::Historical, BackendKind::Vcl)?,
+        fixed: base(DispatcherMode::Fixed, BackendKind::Vcl)?,
+        ulfm: base(DispatcherMode::Historical, BackendKind::Ulfm)?,
+        replica: base(DispatcherMode::Historical, BackendKind::Replica)?,
+    })
+}
+
+/// A statically reachable freeze deserves a fair shot at concrete
+/// realization: escalate through additional seeds before the finding
+/// stage settles on "unrealized" (FZ007). The ladder's length comes from
+/// the witness itself — one extra seed per step of the minimal abstract
+/// schedule, clamped by `escalate_cap` — so a shallow freeze gets a short
+/// ladder and a deep Fig. 10-shaped one gets the full budget.
+/// Deterministic: it depends only on the config and the (deterministic)
+/// static summary.
+fn escalate(
+    cand: &Candidate,
+    cfg: &FuzzConfig,
+    mode: DispatcherMode,
+    summary: &ModelSummary,
+    mut runs: Vec<DynRun>,
+) -> Result<Vec<DynRun>, Report> {
+    if summary.verdict != StaticVerdict::Freezes || runs.iter().any(|r| r.class == "buggy") {
+        return Ok(runs);
+    }
+    // A freeze verdict always carries a witness; fall back to the old flat
+    // ladder length if a future change ever drops it.
+    let extra = summary.witness.as_ref().map_or(4, |w| w.steps.len());
+    let from = runs.iter().map(|r| r.seed).max().unwrap_or(0) + 1;
+    let to = (from + extra as u64).saturating_sub(1).min(cfg.escalate_cap);
+    for seed in from..=to {
+        let run = probe(cand, seed, mode, BackendKind::Vcl)?;
+        let hit = run.class == "buggy";
+        runs.push(run);
+        if hit {
+            break;
+        }
+    }
+    Ok(runs)
+}
+
+/// Runs both oracles over `cand`. `Err` is the harness's refusal of a
+/// candidate that compiles and lints but does not deploy at smoke scale
+/// under its parameters.
+pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Result<Evaluation, Report> {
+    evaluate_all(std::slice::from_ref(cand), cfg)
+        .pop()
+        .expect("one evaluation per candidate")
+}
+
+/// [`evaluate`] over every candidate, on two lanes: the calling thread
+/// runs each candidate's [`statics`] and then [`settle`]s it, while one
+/// scoped thread, the probe lane, runs the [`probes`] of every candidate
+/// ahead of it and hands them over in candidate order. Every probe is a
+/// pure function of (candidate, seed, mode, backend) and the results are
+/// folded in candidate order, so the output does not depend on how the
+/// lanes interleave.
+pub fn evaluate_all(cands: &[Candidate], cfg: &FuzzConfig) -> Vec<Result<Evaluation, Report>> {
+    std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        scope.spawn(move || {
+            // One result per candidate, a refusal included, so a refused
+            // candidate never shifts the ones after it.
+            for cand in cands {
+                if tx.send(probes(cand, cfg)).is_err() {
+                    break;
                 }
             }
-        }
-        Ok(runs)
-    };
-    let dynamic_h = dynamic_of(DispatcherMode::Historical, ladder_of(&static_h))?;
-    let dynamic_f = dynamic_of(DispatcherMode::Fixed, ladder_of(&static_f))?;
+        });
+        cands
+            .iter()
+            .map(|cand| {
+                let statics = statics(cand, cfg);
+                let probes = rx.recv().expect("the probe lane sends one result per candidate");
+                probes.and_then(|probes| settle(cand, cfg, statics, probes))
+            })
+            .collect()
+    })
+}
+
+/// The last step of [`evaluate`]: the escalation ladder, the causal
+/// narration of the first frozen historical run, and the assembly. `Err`
+/// is the harness's refusal of an escalation or narration run.
+pub fn settle(
+    cand: &Candidate,
+    cfg: &FuzzConfig,
+    statics: Statics,
+    probes: Probes,
+) -> Result<Evaluation, Report> {
+    let static_h = statics.historical;
+    let static_f = statics.fixed;
+    let dynamic_h =
+        escalate(cand, cfg, DispatcherMode::Historical, &static_h, probes.historical)?;
+    let dynamic_f = escalate(cand, cfg, DispatcherMode::Fixed, &static_f, probes.fixed)?;
 
     // Classify frozen historical runs against the paper's dispatcher-bug
     // pattern via the causal trace — the family discriminator that keeps
@@ -250,27 +340,18 @@ pub fn evaluate(cand: &Candidate, cfg: &FuzzConfig) -> Result<Evaluation, Report
     // model plus the base probe seeds through its runtime. No escalation
     // ladder — the backend axis hunts divergence, not realization, and
     // the corpus pins exactly these seeds.
-    let backends = [BackendKind::Ulfm, BackendKind::Replica]
-        .into_iter()
-        .map(|backend| {
-            let mc = ModelCheckConfig {
-                backend,
-                params: cand.params.clone(),
-                mode: DispatcherMode::Historical,
-                budget: cfg.model_budget,
-                ..ModelCheckConfig::default()
-            };
-            Ok(BackendEval {
-                backend,
-                summary: model_check_source(&cand.source, &mc).summary,
-                dynamic: cfg
-                    .probe_seeds
-                    .iter()
-                    .map(|&seed| probe(cand, seed, DispatcherMode::Historical, backend))
-                    .collect::<Result<_, Report>>()?,
-            })
-        })
-        .collect::<Result<_, Report>>()?;
+    let backends = vec![
+        BackendEval {
+            backend: BackendKind::Ulfm,
+            summary: statics.ulfm,
+            dynamic: probes.ulfm,
+        },
+        BackendEval {
+            backend: BackendKind::Replica,
+            summary: statics.replica,
+            dynamic: probes.replica,
+        },
+    ];
 
     Ok(Evaluation {
         static_h,

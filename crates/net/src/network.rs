@@ -20,6 +20,10 @@ struct ProcState<P> {
     suspended: bool,
     /// Events that arrived while the process was suspended (socket buffers).
     buffer: Vec<NetEvent<P>>,
+    /// Every stream this process is an end of, in ascending id order
+    /// (closed ones included): what [`Network::kill`] resets, without a
+    /// walk over every stream the run ever opened.
+    conns: Vec<ConnId>,
 }
 
 struct ConnState {
@@ -110,6 +114,7 @@ impl<P> Network<P> {
             alive: true,
             suspended: false,
             buffer: Vec::new(),
+            conns: Vec::new(),
         });
         id
     }
@@ -205,6 +210,10 @@ impl<P> Network<P> {
                     b: acceptor,
                     open: true,
                 });
+                self.procs[proc.0 as usize].conns.push(conn);
+                if acceptor != proc {
+                    self.procs[acceptor.0 as usize].conns.push(conn);
+                }
                 self.out.push((
                     now + one,
                     NetEvent::Accepted {
@@ -325,18 +334,17 @@ impl<P> Network<P> {
         state.suspended = false;
         state.buffer.clear();
         let host = state.host;
+        let held = mem::take(&mut state.conns);
         self.stats.kills.inc();
         self.listeners.retain(|_, owner| *owner != proc);
-        let mut closes = Vec::new();
-        for (i, c) in self.conns.iter_mut().enumerate() {
-            if c.open && (c.a == proc || c.b == proc) {
-                c.open = false;
-                let peer = if c.a == proc { c.b } else { c.a };
-                closes.push((ConnId(i as u64), peer));
+        for conn in held {
+            let c = &mut self.conns[conn.0 as usize];
+            if !c.open {
+                continue;
             }
-        }
-        self.stats.conns_reset.add(closes.len() as u64);
-        for (conn, peer) in closes {
+            c.open = false;
+            let peer = if c.a == proc { c.b } else { c.a };
+            self.stats.conns_reset.inc();
             if self.is_alive(peer) {
                 let one = self.one_way(self.host_of(peer) == host);
                 self.out.push((
@@ -710,6 +718,123 @@ mod tests {
         // Failed connect (no listener anywhere on b's old port now).
         net.connect(t(4), a, net.host_of(b), Port(80), 0);
         assert_eq!(net.stats().connects_failed.get(), 1);
+    }
+
+    /// The `kill` the per-process stream lists replaced: a walk over every
+    /// stream the run ever opened. Kept as the reference of the proptest
+    /// below.
+    fn kill_by_scan(net: &mut Net, now: SimTime, proc: ProcId) {
+        let Some(state) = net.procs.get_mut(proc.0 as usize) else {
+            return;
+        };
+        if !state.alive {
+            return;
+        }
+        state.alive = false;
+        state.suspended = false;
+        state.buffer.clear();
+        let host = state.host;
+        net.stats.kills.inc();
+        net.listeners.retain(|_, owner| *owner != proc);
+        let mut closes = Vec::new();
+        for (i, c) in net.conns.iter_mut().enumerate() {
+            if c.open && (c.a == proc || c.b == proc) {
+                c.open = false;
+                let peer = if c.a == proc { c.b } else { c.a };
+                closes.push((ConnId(i as u64), peer));
+            }
+        }
+        net.stats.conns_reset.add(closes.len() as u64);
+        for (conn, peer) in closes {
+            if net.is_alive(peer) {
+                let one = net.one_way(net.host_of(peer) == host);
+                net.out.push((
+                    now + one + net.cfg.kill_detect_extra,
+                    NetEvent::Closed {
+                        conn,
+                        proc: peer,
+                        reason: CloseReason::PeerDied,
+                    },
+                ));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn kill_resets_what_the_full_scan_resets(
+            ops in proptest::collection::vec((0u8..8, 0u8..16, 0u8..16), 0..120),
+        ) {
+            const HOSTS: u8 = 3;
+            let mut net: Net = Network::new(NetConfig::default());
+            let mut reference: Net = Network::new(NetConfig::default());
+            net.add_hosts(HOSTS as usize);
+            reference.add_hosts(HOSTS as usize);
+            let mut procs: Vec<ProcId> = Vec::new();
+            let mut conns: Vec<ConnId> = Vec::new();
+            for (step, (op, x, y)) in ops.into_iter().enumerate() {
+                let now = t(step as u64);
+                let pick = |v: u8| procs.get(v as usize % procs.len().max(1)).copied();
+                match (op, pick(x)) {
+                    (0, _) => {
+                        let h = HostId(u16::from(x % HOSTS));
+                        procs.push(net.spawn_process(h));
+                        reference.spawn_process(h);
+                    }
+                    (1, Some(p)) => {
+                        let port = Port(u16::from(y % 2));
+                        proptest::prop_assert_eq!(net.listen(p, port), reference.listen(p, port));
+                    }
+                    (2, Some(p)) if net.is_alive(p) => {
+                        let h = HostId(u16::from(y % HOSTS));
+                        let port = Port(u16::from(y / HOSTS % 2));
+                        net.connect(now, p, h, port, step as u64);
+                        reference.connect(now, p, h, port, step as u64);
+                    }
+                    (3, Some(p)) if !conns.is_empty() => {
+                        let conn = conns[y as usize % conns.len()];
+                        net.close(now, conn, p);
+                        reference.close(now, conn, p);
+                    }
+                    (4, Some(p)) => {
+                        net.kill(now, p);
+                        kill_by_scan(&mut reference, now, p);
+                    }
+                    (5, Some(p)) => {
+                        net.suspend(p);
+                        reference.suspend(p);
+                    }
+                    (6, Some(p)) => {
+                        proptest::prop_assert_eq!(net.resume(p), reference.resume(p));
+                    }
+                    (7, Some(p)) if !conns.is_empty() => {
+                        let conn = conns[y as usize % conns.len()];
+                        proptest::prop_assert_eq!(
+                            net.send(now, conn, p, "m", 10),
+                            reference.send(now, conn, p, "m", 10)
+                        );
+                    }
+                    _ => {}
+                }
+                let events = net.take_events();
+                proptest::prop_assert_eq!(&events, &reference.take_events());
+                for (_, ev) in &events {
+                    if let NetEvent::Accepted { conn, .. } = ev {
+                        conns.push(*conn);
+                    }
+                }
+                // Route the deliveries as the world would, so suspended
+                // processes hold buffers a kill must discard.
+                for (_, ev) in events {
+                    let _ = net.gate(ev.clone());
+                    let _ = reference.gate(ev);
+                }
+            }
+            proptest::prop_assert_eq!(net.stats(), reference.stats());
+            for &conn in &conns {
+                proptest::prop_assert_eq!(net.conn_open(conn), reference.conn_open(conn));
+            }
+        }
     }
 
     #[test]
