@@ -53,6 +53,12 @@ stage_static() {
     target/release/failck --builtin --strict
     target/release/failck --builtin --format json > "$OUT/failck-report.json"
     target/release/failck --strict crates/core/scenarios/*.fail
+    # Every scenario on disk compiles (the FCI compiler step), to a summary
+    # and to Rust source.
+    for f in crates/core/scenarios/*.fail; do
+        target/release/failck --compile "$f" > /dev/null
+        target/release/failck --compile "$f" --emit-rust > /dev/null
+    done
 
     # failck must flag the seeded-defect fixture.
     if target/release/failck crates/analyze/fixtures/broken.fail; then
@@ -227,8 +233,7 @@ stage_backend() {
         vcl | ulfm | replica) ;;
         *) die "usage: bash ci/run.sh backend vcl|ulfm|replica" ;;
     esac
-    cargo build --release -p failmpi-experiments \
-        --bin soak --bin figure --bin trace --bin failmpi-trace
+    cargo build --release -p failmpi-experiments --bin soak --bin figure --bin failmpi-trace
     cargo build --release -p failmpi-analyze --bin failck
 
     # Determinism soak: 25 perturbation seeds, metrics byte-identity.
@@ -277,7 +282,7 @@ stage_backend() {
 
     # The Fig. 10 dispatcher-bug trace: explain must reproduce the paper's
     # chain, a same-seed re-run must export a byte-identical trace.
-    target/release/trace crates/core/scenarios/fig10_state_sync.fail \
+    target/release/failmpi-trace timeline crates/core/scenarios/fig10_state_sync.fail \
         --machines ADVG1 --param T=2 --param N=5 --seed 2 \
         --trace-out "$OUT/fig10-causal.json"
     target/release/failmpi-trace explain "$OUT/fig10-causal.json" | tee "$OUT/explain.txt"
@@ -285,7 +290,7 @@ stage_backend() {
     grep -q "recovery wave" "$OUT/explain.txt"
     grep -q "stale dispatcher entry" "$OUT/explain.txt"
     grep -q "frozen" "$OUT/explain.txt"
-    target/release/trace crates/core/scenarios/fig10_state_sync.fail \
+    target/release/failmpi-trace timeline crates/core/scenarios/fig10_state_sync.fail \
         --machines ADVG1 --param T=2 --param N=5 --seed 2 \
         --trace-out "$OUT/fig10-causal-b.json"
     cmp "$OUT/fig10-causal.json" "$OUT/fig10-causal-b.json"

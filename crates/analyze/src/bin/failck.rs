@@ -18,13 +18,22 @@
 //! and corpora. Findings are suppressible only by an inline
 //! `// srclint: allow(CODE): <reason>` pragma; a reasonless allow is
 //! itself a finding (SP001).
+//!
+//! `--compile FILE` is the FAIL compiler step on its own: it prints a
+//! summary of the compiled automata, or with `--emit-rust` the generated
+//! Rust source. A scenario that does not compile is the FA000 finding
+//! `failck FILE` reports for it (exit 1).
 
 use std::process::ExitCode;
 
+use failmpi_analyze::cli::{self, count, json_format, Args, Flag, COUNT};
 use failmpi_analyze::{
-    analyze_programs, builtin, check_source, check_src_paths, model_check_source, read_findings,
-    BackendKind, CodeCount, FindingsError, ModelCheckConfig, Report, SrcLintConfig,
+    analyze_programs, builtin, check_source, check_src_paths, compile_error_diag,
+    model_check_source, read_findings, BackendKind, CodeCount, FindingsError, ModelCheckConfig,
+    Report, SrcLintConfig,
 };
+use failmpi_core::lang::codegen;
+use failmpi_core::{compile, Deployment, Scenario};
 use serde::Serialize;
 
 struct Options {
@@ -35,6 +44,8 @@ struct Options {
     model_check: bool,
     budget: Option<usize>,
     findings: Option<String>,
+    compile: Option<String>,
+    emit_rust: bool,
     src: bool,
     reduce: bool,
     threads: Option<usize>,
@@ -46,7 +57,7 @@ struct Options {
 const USAGE: &str = "usage: failck [FILES...] [--builtin] [--format human|json] [--strict]
               [--model-check] [--backend vcl|ulfm|replica] [--budget N]
               [--reduce] [--threads N] [--ranks N] [--hosts N]
-              [--findings FILE] [--src [PATH...]]
+              [--findings FILE] [--src [PATH...]] [--compile FILE [--emit-rust]]
 
 modes (one exit-code matrix: 0 clean, 1 findings, 2 usage/I-O error):
   FILES...            lint FAIL scenario sources (FA codes)
@@ -55,6 +66,10 @@ modes (one exit-code matrix: 0 clean, 1 findings, 2 usage/I-O error):
   --findings FILE     gate a failmpi-fuzz findings artifact (FZ)
   --src [PATH...]     lint the workspace's own Rust source (SD/SU);
                       PATHs are .rs files or directories, default `.`
+  --compile FILE      compile one scenario (the FCI compiler step) and
+                      summarise its automata; --emit-rust prints the
+                      generated Rust instead. A scenario that does not
+                      compile is an FA000 finding (1)
 
 examples:
   failck scenario.fail other.fail        # human-readable findings
@@ -64,97 +79,73 @@ examples:
   failck fig.fail --model-check --reduce --ranks 25 --threads 4
   failck --findings findings.json        # gate a fuzz findings file
   failck --src .                         # determinism lints, whole tree
-  failck --src crates/mpichv --strict --format json";
+  failck --src crates/mpichv --strict --format json
+  failck --compile fig.fail --emit-rust  # the scenario as Rust source";
 
-fn usage_error() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
+const FLAGS: &[Flag] = &[
+    Flag::Switch("--builtin"),
+    Flag::Switch("--src"),
+    Flag::Switch("--strict"),
+    Flag::Switch("--model-check"),
+    Flag::Switch("--reduce"),
+    Flag::Switch("--emit-rust"),
+    Flag::Value("--budget", COUNT),
+    Flag::Value("--threads", COUNT),
+    Flag::Value("--ranks", COUNT),
+    Flag::Value("--hosts", COUNT),
+    Flag::Value("--backend", "vcl|ulfm|replica"),
+    Flag::Value("--findings", "a path"),
+    Flag::Value("--compile", "a path"),
+    Flag::Value("--format", "human|json"),
+];
 
-fn parse_args() -> Result<Options, ExitCode> {
+fn parse(args: &[String]) -> Result<Options, String> {
+    let args = Args::parse(args, FLAGS)?;
     let mut opts = Options {
-        files: Vec::new(),
-        builtin: false,
-        json: false,
-        strict: false,
-        model_check: false,
-        budget: None,
-        findings: None,
-        src: false,
-        reduce: false,
-        threads: None,
-        ranks: None,
-        hosts: None,
-        backend: BackendKind::Vcl,
+        files: args.positional().iter().map(|f| f.to_string()).collect(),
+        builtin: args.switch("--builtin"),
+        json: args.flag("--format", json_format)?.unwrap_or(false),
+        strict: args.switch("--strict"),
+        model_check: args.switch("--model-check"),
+        budget: args.flag("--budget", count)?,
+        findings: args.value("--findings").map(str::to_string),
+        compile: args.value("--compile").map(str::to_string),
+        emit_rust: args.switch("--emit-rust"),
+        src: args.switch("--src"),
+        reduce: args.switch("--reduce"),
+        threads: args.flag("--threads", count)?,
+        ranks: args.flag("--ranks", count)?,
+        hosts: args.flag("--hosts", count)?,
+        backend: args.parsed("--backend")?.unwrap_or(BackendKind::Vcl),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--builtin" => opts.builtin = true,
-            "--src" => opts.src = true,
-            "--strict" => opts.strict = true,
-            "--model-check" => opts.model_check = true,
-            "--reduce" => opts.reduce = true,
-            "--budget" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.budget = Some(n),
-                _ => return Err(usage_error()),
-            },
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.threads = Some(n),
-                _ => return Err(usage_error()),
-            },
-            "--backend" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(k) => opts.backend = k,
-                None => return Err(usage_error()),
-            },
-            "--ranks" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.ranks = Some(n),
-                _ => return Err(usage_error()),
-            },
-            "--hosts" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.hosts = Some(n),
-                _ => return Err(usage_error()),
-            },
-            "--findings" => match args.next() {
-                Some(p) => opts.findings = Some(p),
-                None => return Err(usage_error()),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("human") => opts.json = false,
-                Some("json") => opts.json = true,
-                _ => return Err(usage_error()),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Err(ExitCode::SUCCESS);
-            }
-            f if !f.starts_with('-') => opts.files.push(f.to_string()),
-            _ => return Err(usage_error()),
-        }
-    }
-    if opts.findings.is_some() {
-        // Findings gating is a standalone mode: mixing it with lint
-        // inputs would make one exit code answer two questions.
-        if !opts.files.is_empty() || opts.builtin || opts.model_check || opts.src {
-            return Err(usage_error());
-        }
-    } else if opts.src {
-        // Source lints are standalone too: the positional arguments are
-        // .rs files/directories, not scenarios, and the scenario-specific
-        // flags have no meaning over Rust source.
-        if opts.builtin || opts.model_check {
-            return Err(usage_error());
-        }
-        if opts.files.is_empty() {
-            opts.files.push(".".to_string());
+    // A standalone mode answers one question with its exit code: mixing it
+    // with another mode or with lint inputs would make one exit code answer
+    // two. `--src`'s positionals are its own paths, not scenarios.
+    let standalone = [
+        ("--findings", opts.findings.is_some()),
+        ("--compile", opts.compile.is_some()),
+        ("--src", opts.src),
+    ];
+    if let Some(&(mode, _)) = standalone.iter().find(|(_, on)| *on) {
+        let scenario_inputs = [("--builtin", opts.builtin), ("--model-check", opts.model_check)];
+        let flag = standalone.iter().chain(&scenario_inputs).find(|&&(m, on)| on && m != mode);
+        let file = opts.files.first().filter(|_| mode != "--src");
+        if let Some(other) = flag.map(|(m, _)| m.to_string()).or(file.map(|f| format!("`{f}`"))) {
+            return Err(format!("{mode} is a standalone mode: drop {other}"));
         }
     } else if opts.files.is_empty() && !opts.builtin {
-        return Err(usage_error());
+        return Err("nothing to check: give FILES, --builtin, --findings, --src or --compile".into());
+    }
+    if opts.emit_rust && opts.compile.is_none() {
+        return Err("--emit-rust needs --compile FILE".into());
+    }
+    if opts.src && opts.files.is_empty() {
+        opts.files.push(".".to_string());
     }
     if let (Some(r), Some(h)) = (opts.ranks, opts.hosts) {
         // The deployment needs at least one machine per rank.
         if h < r {
-            return Err(usage_error());
+            return Err(format!("--hosts {h} is fewer than --ranks {r}: each rank needs a machine"));
         }
     }
     Ok(opts)
@@ -210,25 +201,11 @@ struct FindingsGate {
 /// matrix. Exit 2 on unreadable/unparseable/misshapen input, 1 when any
 /// error-severity finding is present (or any finding at all under
 /// `--strict`), 0 when the well-formed file is clean.
-fn findings_mode(path: &str, json: bool, strict: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failck: cannot read `{path}`: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let f = match read_findings(&text) {
-        Ok(f) => f,
-        Err(FindingsError::NotJson(e)) => {
-            eprintln!("failck: `{path}` is not valid JSON: {e}");
-            return ExitCode::from(2);
-        }
-        Err(FindingsError::Misshapen(what)) => {
-            eprintln!("failck: `{path}` is not a findings file: {what}");
-            return ExitCode::from(2);
-        }
-    };
+fn findings_mode(path: &str, json: bool, strict: bool) -> Result<ExitCode, String> {
+    let f = read_findings(&read(path)?).map_err(|e| match e {
+        FindingsError::NotJson(e) => format!("`{path}` is not valid JSON: {e}"),
+        FindingsError::Misshapen(what) => format!("`{path}` is not a findings file: {what}"),
+    })?;
 
     let (errors, warnings) = (f.errors, f.warnings);
     if json {
@@ -253,47 +230,84 @@ fn findings_mode(path: &str, json: bool, strict: bool) -> ExitCode {
         );
     }
 
-    if errors > 0 || (strict && warnings > 0) {
+    Ok(if errors > 0 || (strict && warnings > 0) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
+    })
+}
+
+/// The text of `path`; a path that cannot be read as text is a usage error.
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// `--compile` of a scenario that compiles: its generated Rust source with
+/// `--emit-rust`, else a summary of its automata.
+fn print_compiled(path: &str, scenario: &Scenario, emit_rust: bool) {
+    if emit_rust {
+        print!("{}", codegen::generate(scenario));
+        return;
+    }
+    println!("scenario: {path}");
+    println!(
+        "params:   {}",
+        scenario
+            .param_names
+            .iter()
+            .zip(&scenario.param_defaults)
+            .map(|(n, v)| format!("{n}={v}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    println!("messages: {}", scenario.messages.join(", "));
+    for c in &scenario.classes {
+        let transitions: usize = c.nodes.iter().map(|n| n.transitions.len()).sum();
+        println!(
+            "daemon {} — {} nodes, {} transitions, vars [{}], timers [{}]",
+            c.name,
+            c.nodes.len(),
+            transitions,
+            c.var_names.join(", "),
+            c.timer_names.join(", "),
+        );
+    }
+    match Deployment::from_suggested(scenario) {
+        Ok(d) if !d.is_empty() => println!("deployment: {} instances", d.len()),
+        _ => println!("deployment: none declared (bind programmatically)"),
     }
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
+    cli::main("failck", USAGE, |args| run(&parse(args)?))
+}
+
+fn run(opts: &Options) -> Result<ExitCode, String> {
     if let Some(path) = &opts.findings {
         return findings_mode(path, opts.json, opts.strict);
     }
 
     let mut reports: Vec<Report> = Vec::new();
-    if opts.src {
-        match check_src_paths(&opts.files, &SrcLintConfig::default()) {
-            Ok(r) => reports = r,
-            Err(e) => {
-                eprintln!("failck: {e}");
-                return ExitCode::from(2);
+    if let Some(path) = &opts.compile {
+        // A scenario that does not compile is reported as `failck FILE`
+        // reports it: an FA000 finding, rendered below.
+        match compile(&read(path)?) {
+            Ok(scenario) => {
+                print_compiled(path, &scenario, opts.emit_rust);
+                return Ok(ExitCode::SUCCESS);
             }
+            Err(e) => reports.push(Report::new(path.clone(), vec![compile_error_diag(&e)])),
         }
-    }
-    if !opts.src {
+    } else if opts.src {
+        reports = check_src_paths(&opts.files, &SrcLintConfig::default())?;
+    } else {
         for path in &opts.files {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("failck: cannot read `{path}`: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            reports.push(check_one(path.clone(), &src, &opts));
+            reports.push(check_one(path.clone(), &read(path)?, opts));
         }
     }
     if opts.builtin {
         for (name, src) in builtin::BUILTIN_SCENARIOS {
-            reports.push(check_one(format!("builtin:{name}"), src, &opts));
+            reports.push(check_one(format!("builtin:{name}"), src, opts));
         }
         for (label, programs) in builtin::builtin_programs() {
             reports.push(Report::new(
@@ -310,8 +324,7 @@ fn main() -> ExitCode {
         .iter()
         .find_map(|r| Some((r, r.diagnostics.iter().find(|d| d.code == "FC000")?)));
     if let Some((r, d)) = unmodellable {
-        eprintln!("failck: {}: {}", r.subject, d.message);
-        return ExitCode::from(2);
+        return Err(format!("{}: {}", r.subject, d.message));
     }
 
     if opts.json {
@@ -341,9 +354,9 @@ fn main() -> ExitCode {
         // Info-level findings (FC007 reduction stats) never gate.
         r.has_errors() || (opts.strict && r.has_gating_findings())
     });
-    if failing {
+    Ok(if failing {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

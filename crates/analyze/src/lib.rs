@@ -17,11 +17,14 @@
 //! See [`scenario`] for the FA-codes, [`ops`] for the FB-codes, and
 //! [`src_lints`] for the SD/SU source-level determinism codes that
 //! `failck --src` runs over the workspace's own Rust code. [`findings`]
-//! reads the fuzz findings artifacts `failck --findings` gates.
+//! reads the fuzz findings artifacts `failck --findings` gates. [`cli`]
+//! is the argument splitter and `main` wrapper of every binary in the
+//! workspace.
 
 #![forbid(unsafe_code)]
 
 pub mod builtin;
+pub mod cli;
 pub mod diag;
 pub mod findings;
 pub mod model;

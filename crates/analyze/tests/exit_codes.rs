@@ -31,9 +31,10 @@ fn scenario(name: &str) -> String {
 
 #[test]
 fn help_exits_zero() {
-    for flag in ["--help", "-h"] {
-        let (code, stdout, _) = failck(&[flag]);
-        assert_eq!(code, Some(0), "{flag} is not an error");
+    // Wherever it appears, a bad flag before it included.
+    for args in [&["--help"][..], &["-h"], &["--frobnicate", "--help"], &["--budget", "-h"]] {
+        let (code, stdout, _) = failck(args);
+        assert_eq!(code, Some(0), "{args:?} is not an error");
         assert!(stdout.contains("usage:"));
     }
 }
@@ -234,24 +235,30 @@ fn malformed_input_never_panics() {
     let deep = file("deep.json", &[b'['; 50_000]);
     let dir_path = dir.to_str().expect("utf8 path");
     let mc = [fig10.as_str(), "--model-check"];
+    let count = |flag: &str| format!("{flag} needs a number >= 1");
+    let (budget, threads, ranks, hosts) = (count("--budget"), count("--threads"), count("--ranks"), count("--hosts"));
     // (arguments, exit status, needle on stderr — or on stdout for findings)
     let cases: Vec<(Vec<&str>, i32, &str)> = vec![
         // Flags missing their values, non-numeric and overflowing numbers.
-        (vec![&fig10, "--format"], 2, "usage:"),
-        (vec![&fig10, "--backend"], 2, "usage:"),
-        (vec![&fig10, "--backend", "mpich"], 2, "usage:"),
-        (vec![&fig10, "--budget"], 2, "usage:"),
-        (vec![&fig10, "--budget", "-1"], 2, "usage:"),
-        (vec![&fig10, "--budget", "99999999999999999999999"], 2, "usage:"),
-        ([&mc[..], &["--budget", "0"]].concat(), 2, "usage:"),
-        (vec![&fig10, "--threads"], 2, "usage:"),
-        (vec![&fig10, "--threads", "x"], 2, "usage:"),
-        ([&mc[..], &["--threads", "0"]].concat(), 2, "usage:"),
-        ([&mc[..], &["--ranks"]].concat(), 2, "usage:"),
-        ([&mc[..], &["--ranks", "0"]].concat(), 2, "usage:"),
-        ([&mc[..], &["--ranks", "4", "--hosts", "1"]].concat(), 2, "usage:"),
-        ([&mc[..], &["--hosts", "99999999999999999999"]].concat(), 2, "usage:"),
-        (vec!["--findings"], 2, "usage:"),
+        (vec![&fig10, "--format"], 2, "--format needs human|json"),
+        (vec![&fig10, "--backend"], 2, "--backend needs vcl|ulfm|replica"),
+        (vec![&fig10, "--backend", "mpich"], 2, "--backend needs vcl|ulfm|replica"),
+        (vec![&fig10, "--budget"], 2, &budget),
+        (vec![&fig10, "--budget", "-1"], 2, &budget),
+        (vec![&fig10, "--budget", "99999999999999999999999"], 2, &budget),
+        ([&mc[..], &["--budget", "0"]].concat(), 2, &budget),
+        (vec![&fig10, "--threads"], 2, &threads),
+        (vec![&fig10, "--threads", "x"], 2, &threads),
+        ([&mc[..], &["--threads", "0"]].concat(), 2, &threads),
+        ([&mc[..], &["--ranks"]].concat(), 2, &ranks),
+        ([&mc[..], &["--ranks", "0"]].concat(), 2, &ranks),
+        ([&mc[..], &["--ranks", "4", "--hosts", "1"]].concat(), 2, "--hosts 1 is fewer than --ranks 4"),
+        ([&mc[..], &["--hosts", "99999999999999999999"]].concat(), 2, &hosts),
+        (vec!["--findings"], 2, "--findings needs a path"),
+        (vec![&fig10, "--frobnicate"], 2, "unknown argument `--frobnicate`"),
+        (vec![], 2, "nothing to check"),
+        (vec!["--findings", &fig10, "--src"], 2, "--findings is a standalone mode: drop --src"),
+        (vec!["--emit-rust", &fig10], 2, "--emit-rust needs --compile"),
         // Paths that cannot be read as what they are given as.
         (vec!["/nonexistent/x.fail"], 2, "cannot read"),
         (vec![dir_path], 2, "cannot read"),
@@ -280,5 +287,126 @@ fn malformed_input_never_panics() {
         let stream = if code == 1 { &stdout } else { &stderr };
         assert!(stream.contains(needle), "{args:?}: {stdout}\n{stderr}");
         assert!(!stderr.contains("panicked at") && !stderr.contains("overflowed its stack"));
+        if code == 2 {
+            assert_one_line(&args, &stdout, &stderr);
+        }
+    }
+}
+
+/// A usage or I/O error is one stderr line, `failck: <diagnostic>`, and
+/// nothing on stdout.
+fn assert_one_line(args: &[&str], stdout: &str, stderr: &str) {
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with("failck: "), "{args:?}: {stderr}");
+    assert!(stdout.is_empty(), "{args:?}: {stdout}");
+}
+
+/// `failck --compile` is the FAIL compiler step (the FCI compiler): each
+/// paper scenario compiles to a summary of its automata.
+#[test]
+fn compile_summarises_the_paper_scenarios() {
+    for name in [
+        "fig4_generic_nodes",
+        "fig5_frequency",
+        "fig7_simultaneous",
+        "fig8_synchronized",
+        "fig10_state_sync",
+    ] {
+        let (code, stdout, stderr) = failck(&["--compile", &scenario(&format!("{name}.fail"))]);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+        assert!(stdout.contains("daemon"), "{name}: {stdout}");
+        assert!(stdout.contains("messages:"), "{name}: {stdout}");
+    }
+}
+
+#[test]
+fn compile_emits_rust() {
+    let fig10 = scenario("fig10_state_sync.fail");
+    let (code, stdout, _) = failck(&["--compile", &fig10, "--emit-rust"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("pub fn build_scenario() -> Scenario"));
+    assert!(stdout.contains("Guard::Before(\"localMPI_setCommand\""));
+}
+
+/// A scenario that does not compile is the FA000 finding `failck FILE`
+/// reports for it, byte for byte: exit 1, the position on stdout.
+#[test]
+fn compile_reports_compile_errors_as_fa000_with_position() {
+    let dir = std::env::temp_dir().join("failck-compile-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let bad = dir.join("bad.fail");
+    std::fs::write(&bad, "daemon A { node 1: ?x -> goto 7; }").expect("write");
+    let bad = bad.to_str().expect("utf8 path");
+    let (code, stdout, stderr) = failck(&["--compile", bad]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains("bad.fail:1: error[FA000]"), "{stdout}");
+    assert!(stdout.contains("unknown node 7"), "{stdout}");
+    assert_eq!((code, stdout, stderr), failck(&[bad]));
+}
+
+#[test]
+fn compile_needs_its_file() {
+    let (code, stdout, stderr) = failck(&["--compile"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("--compile needs a path"), "{stderr}");
+    assert_one_line(&["--compile"], &stdout, &stderr);
+}
+
+/// `failck --compile` keeps the exit-code matrix on whatever it is handed:
+/// 0 for a compiled scenario or `--help`, 1 with an FA000 finding and its
+/// line for a scenario that does not compile — binary garbage and hostile
+/// nesting included — and 2 with a one-line diagnostic for a usage error
+/// or an unreadable path; never a panic or a signal.
+#[test]
+fn compile_exit_codes_on_malformed_input() {
+    let dir = std::env::temp_dir().join("failck-compile-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let file = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        path.to_str().expect("utf8 path").to_string()
+    };
+    let fig5 = scenario("fig5_frequency.fail");
+    let binary = file("binary.fail", &(0..=255u8).cycle().take(1024).collect::<Vec<u8>>());
+    let nul = file("nul.fail", b"daemon A { node 1: \0 ?x -> goto 1; }");
+    let empty = file("empty.fail", b"");
+    let truncated = file("truncated.fail", b"daemon A { node 1: ?x -> goto");
+    let huge = file("huge.fail", b"param X = 99999999999999999999999999;");
+    let parens = file("parens.fail", format!("\nparam X = {}1;", "(".repeat(20_000)).as_bytes());
+    let minuses = file("minuses.fail", format!("param X = {}1;", "-".repeat(100_000)).as_bytes());
+    let dir_path = dir.to_str().expect("utf8 path");
+    let too_deep = "error[FA000]: scenario does not compile: expression too deep";
+    // (arguments after `--compile`, exit status, needle on stdout for 0
+    // and 1, on stderr for 2)
+    let cases: [(Vec<&str>, i32, &str); 16] = [
+        (vec![&fig5], 0, "daemon ADV1"),
+        (vec!["--help"], 0, "usage: failck "),
+        (vec![&fig5, "-h"], 0, "--compile FILE"),
+        (vec![&fig5, "--emit-c"], 2, "unknown argument `--emit-c`"),
+        (vec![&fig5, "--emit-rust", "extra"], 2, "--compile is a standalone mode: drop `extra`"),
+        (vec![&fig5, "--model-check"], 2, "--compile is a standalone mode: drop --model-check"),
+        (vec!["--emit-rust"], 2, "cannot read `--emit-rust`"),
+        (vec!["/nonexistent/x.fail"], 2, "cannot read `/nonexistent/x.fail`: "),
+        (vec![dir_path], 2, "cannot read"),
+        (vec![&binary], 2, "cannot read"),
+        (vec![&nul], 1, "nul.fail:1: error[FA000]"),
+        (vec![&empty], 0, "deployment: none declared"),
+        (vec![&truncated, "--emit-rust"], 1, "truncated.fail:1: error[FA000]"),
+        (vec![&huge], 1, "huge.fail:1: error[FA000]"),
+        // Both used to abort with `stack overflow` (SIGABRT).
+        (vec![&parens], 1, &format!("parens.fail:2: {too_deep}")),
+        (vec![&minuses], 1, &format!("minuses.fail:1: {too_deep}")),
+    ];
+    for (rest, code, needle) in cases {
+        let args = [&["--compile"], &rest[..]].concat();
+        let (got, stdout, stderr) = failck(&args);
+        assert_eq!(got, Some(code), "{args:?}: {stderr}");
+        let stream = if code == 2 { &stderr } else { &stdout };
+        assert!(stream.contains(needle), "{args:?}: {stdout}\n{stderr}");
+        assert!(!stderr.contains("panicked at") && !stderr.contains("overflowed its stack"));
+        match code {
+            2 => assert_one_line(&args, &stdout, &stderr),
+            _ => assert!(stderr.is_empty(), "{args:?}: {stderr}"),
+        }
     }
 }

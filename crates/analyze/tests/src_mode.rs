@@ -70,11 +70,19 @@ fn warning_codes_gate_only_under_strict() {
 
 #[test]
 fn usage_and_io_errors_exit_two() {
-    // --src is standalone: scenario modes make no sense over Rust source.
-    assert_eq!(failck(&["--src", "--builtin"]).0, Some(2));
-    assert_eq!(failck(&["--src", "--model-check", "."]).0, Some(2));
-    // A path that does not exist is an I/O error, not a vacuous pass.
-    assert_eq!(failck(&["--src", "/nonexistent/nope"]).0, Some(2));
+    for (args, needle) in [
+        // --src is standalone: scenario modes make no sense over Rust source.
+        (&["--src", "--builtin"][..], "--src is a standalone mode: drop --builtin"),
+        (&["--src", "--model-check", "."], "--src is a standalone mode: drop --model-check"),
+        // A path that does not exist is an I/O error, not a vacuous pass.
+        (&["--src", "/nonexistent/nope"], "cannot scan `/nonexistent/nope`"),
+    ] {
+        let (code, stdout, stderr) = failck(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("failck: ") && stderr.contains(needle), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
 }
 
 #[test]

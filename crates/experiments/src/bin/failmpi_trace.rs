@@ -1,7 +1,10 @@
-//! `failmpi-trace` — read what a run left behind: its causal trace and
-//! its run profile.
+//! `failmpi-trace` — run one experiment and read what a run left behind:
+//! its execution timeline, its causal trace and its run profile.
 //!
 //! ```text
+//! failmpi-trace timeline <scenario.fail> [--adversary C] [--machines C] [--ranks N]
+//!               [--seed S] [--param NAME=VALUE]... [--lifecycle] [--paper]
+//!               [--backend vcl|ulfm|replica] [--trace-out PATH]
 //! failmpi-trace explain <trace.json>
 //! failmpi-trace diff <a.json> <b.json>
 //! failmpi-trace slice <trace.json> <node-id> [--out PATH]
@@ -12,27 +15,47 @@
 //! failmpi-trace profile flame <profile.json> [--out PATH]
 //! ```
 //!
-//! Trace files come from `--trace-out PATH` and profiles from `--profile
-//! PATH` on `figure <name>`, on `soak`, or (traces) on the single-run
-//! `trace` binary (see EXPERIMENTS.md). `profile flame` emits
-//! collapsed-stack lines for standard flamegraph tooling
+//! `timeline` runs the scenario at smoke scale (class S, 90 s of virtual
+//! time; `--paper` picks class B and 1500 s) with causal tracing on, so
+//! its failure lines carry their immediate cause; `--trace-out PATH`
+//! writes the full happens-before trace the other subcommands read. Trace
+//! files also come from `--trace-out PATH` and profiles from `--profile
+//! PATH` on `figure <name>` and on `soak` (see EXPERIMENTS.md). `profile
+//! flame` emits collapsed-stack lines for standard flamegraph tooling
 //! (`flamegraph.pl`, speedscope, inferno).
 //!
 //! Exit status: 0 on success and for `--help` (usage on stdout); 2 for a
-//! usage error, a file that cannot be read or written, a trace that does
-//! not parse or breaks an invariant of the format
-//! (`TraceFile::check_invariants`) and a profile that does not parse — a
-//! one-line diagnostic on stderr. No subcommand narrates a file it cannot
-//! trust.
+//! usage error, a file that cannot be read or written, a scenario the run
+//! cannot use (one that does not compile, classes or parameters it does
+//! not declare, a non-square rank count), a trace that does not parse or
+//! breaks an invariant of the format (`TraceFile::check_invariants`) and a
+//! profile that does not parse — a diagnostic on stderr. No subcommand
+//! narrates a file it cannot trust.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use failmpi_analyze::cli::{self, Args, Flag};
+use failmpi_backend::BackendKind;
+use failmpi_experiments::figures;
+use failmpi_experiments::harness::{self, InjectionSpec, Observe};
+use failmpi_experiments::timeline::{render as render_timeline, TimelineOptions};
+use failmpi_experiments::tracesink::TraceExport;
+use failmpi_mpichv::VclConfig;
 use failmpi_obs::render::{self, SortBy};
 use failmpi_obs::RunProfile;
+use failmpi_sim::SimDuration;
 use failmpi_trace::{diff, explain, perfetto, Filter, TraceFile};
+use failmpi_workloads::BtClass;
 
-const USAGE: &str = "usage: failmpi-trace <explain|diff|slice|filter|export|profile> <file> ...
+failmpi_experiments::install_alloc_profiler!();
+
+const USAGE: &str = "usage: failmpi-trace <timeline|explain|diff|slice|filter|export|profile> <file> ...
+  timeline <scenario.fail> [--adversary C] [--machines C] [--ranks N] [--seed S]
+           [--param NAME=VALUE]... [--lifecycle] [--paper]
+           [--backend vcl|ulfm|replica] [--trace-out P]
+                                            run one experiment under the scenario and
+                                            print its execution timeline (smoke scale;
+                                            --paper: class B, 1500 s)
   explain <trace.json>                      walk the causal chain back from the last
                                             activity and narrate the root cause
   diff <a.json> <b.json>                    first causal divergence between two runs
@@ -44,67 +67,32 @@ const USAGE: &str = "usage: failmpi-trace <explain|diff|slice|filter|export|prof
   profile top <profile.json>...             per-backend comparison of normalized rates
   profile flame <profile.json> [--out P]    collapsed stacks for flamegraph tools";
 
-/// Every flag a subcommand may accept, with what its value must be.
-const FLAGS: [(&str, &str); 7] = [
-    ("--out", "a path"),
-    ("--kind", "an event kind"),
-    ("--track", "a track name"),
-    ("--from", "a number of seconds from 0 to 1.8e13"),
-    ("--to", "a number of seconds from 0 to 1.8e13"),
-    ("--top", "a number"),
-    ("--by", "allocs|bytes|events|time"),
+const OUT: Flag = Flag::Value("--out", "a path");
+const SECONDS: &str = "a number of seconds from 0 to 1.8e13";
+
+const TIMELINE: &[Flag] = &[
+    Flag::Value("--adversary", "a class"),
+    Flag::Value("--machines", "a class"),
+    Flag::Value("--ranks", "a number"),
+    Flag::Value("--seed", "a number"),
+    Flag::Value("--param", "NAME=VALUE with an integer VALUE"),
+    Flag::Switch("--lifecycle"),
+    Flag::Switch("--paper"),
+    Flag::Value("--backend", "vcl|ulfm|replica"),
+    Flag::Value("--trace-out", "a path"),
 ];
 
-/// One subcommand's arguments: the positionals in order and the value of
-/// each flag (the last one given wins).
-struct Args<'a> {
-    positional: Vec<&'a str>,
-    flags: BTreeMap<&'a str, &'a str>,
-}
+const FILTER: &[Flag] = &[
+    Flag::Value("--kind", "an event kind"),
+    Flag::Value("--track", "a track name"),
+    Flag::Value("--from", SECONDS),
+    Flag::Value("--to", SECONDS),
+];
 
-impl<'a> Args<'a> {
-    /// Splits `args` for a subcommand that accepts `accepts`. A flag
-    /// outside it, or one with no value after it, is a usage error.
-    fn parse(args: &'a [String], accepts: &[&str]) -> Result<Args<'a>, String> {
-        let mut parsed = Args { positional: Vec::new(), flags: BTreeMap::new() };
-        let mut args = args.iter().map(String::as_str);
-        while let Some(a) = args.next() {
-            if !a.starts_with("--") {
-                parsed.positional.push(a);
-            } else if !accepts.contains(&a) {
-                return Err(format!("unknown argument `{a}`"));
-            } else {
-                let value = args.next().ok_or_else(|| needs(a))?;
-                parsed.flags.insert(a, value);
-            }
-        }
-        Ok(parsed)
-    }
-
-    /// Exactly `N` positionals; `what` names them for the diagnostic when
-    /// some are missing.
-    fn exactly<const N: usize>(&self, cmd: &str, what: &str) -> Result<[&'a str; N], String> {
-        if let Some(extra) = self.positional.get(N) {
-            return Err(format!("unknown argument `{extra}`"));
-        }
-        <[&str; N]>::try_from(self.positional.as_slice())
-            .map_err(|_| format!("{cmd} needs {what}"))
-    }
-
-    /// The value of `flag`, checked by `parse`.
-    fn flag<T>(&self, flag: &str, parse: impl Fn(&str) -> Option<T>) -> Result<Option<T>, String> {
-        self.flags
-            .get(flag)
-            .map(|v| parse(v).ok_or_else(|| needs(flag)))
-            .transpose()
-    }
-}
-
-/// The diagnostic for a flag whose value is missing or unusable.
-fn needs(flag: &str) -> String {
-    let what = FLAGS.iter().find(|(f, _)| *f == flag).map_or("a value", |(_, w)| w);
-    format!("{flag} needs {what}")
-}
+const REPORT: &[Flag] = &[
+    Flag::Value("--top", "a number"),
+    Flag::Value("--by", "allocs|bytes|events|time"),
+];
 
 /// Seconds as whole microseconds; `None` for a value no `u64` count of
 /// microseconds holds (negative, NaN, infinite or past 2^64 µs).
@@ -145,28 +133,29 @@ fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().ok_or(short_usage)?;
     let rest = &args[1..];
     match cmd.as_str() {
+        "timeline" => timeline(rest)?,
         "explain" => {
-            let [path] = Args::parse(rest, &[])?.exactly("explain", "a trace path")?;
+            let [path] = Args::parse(rest, &[])?.exactly("explain needs a trace path")?;
             print!("{}", explain::render(&load(path)?));
         }
         "diff" => {
-            let [a, b] = Args::parse(rest, &[])?.exactly("diff", "two trace paths")?;
+            let [a, b] = Args::parse(rest, &[])?.exactly("diff needs two trace paths")?;
             print!("{}", diff::render(&load(a)?, &load(b)?));
         }
         "slice" => {
-            let args = Args::parse(rest, &["--out"])?;
-            let [path, id] = args.exactly("slice", "a trace path and a node id")?;
+            let args = Args::parse(rest, &[OUT])?;
+            let [path, id] = args.exactly("slice needs a trace path and a node id")?;
             let id: u64 = id.parse().map_err(|e| format!("bad node id: {e}"))?;
             let trace = load(path)?;
             let sliced = failmpi_trace::slice(&trace, id)
                 .ok_or(format!("node #{id} not in trace ({} nodes)", trace.nodes.len()))?;
-            emit(args.flags.get("--out").copied(), &sliced.to_json(), |out| {
+            emit(args.value("--out"), &sliced.to_json(), |out| {
                 format!("sliced {} of {} nodes -> {out}", sliced.nodes.len(), trace.nodes.len())
             })?;
         }
         "filter" => {
-            let args = Args::parse(rest, &["--kind", "--track", "--from", "--to"])?;
-            let [path] = args.exactly("filter", "a trace path")?;
+            let args = Args::parse(rest, FILTER)?;
+            let [path] = args.exactly("filter needs a trace path")?;
             let f = Filter {
                 kind: args.flag("--kind", |v| Some(v.to_string()))?,
                 track: args.flag("--track", |v| Some(v.to_string()))?,
@@ -191,10 +180,10 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         "export" => {
-            let args = Args::parse(rest, &["--out"])?;
-            let [path] = args.exactly("export", "a trace path")?;
+            let args = Args::parse(rest, &[OUT])?;
+            let [path] = args.exactly("export needs a trace path")?;
             let json = perfetto::export(&load(path)?);
-            emit(args.flags.get("--out").copied(), &json, |out| {
+            emit(args.value("--out"), &json, |out| {
                 format!("wrote {out} (load it at ui.perfetto.dev)")
             })?;
         }
@@ -210,29 +199,29 @@ fn profile(args: &[String]) -> Result<(), String> {
     let rest = &args[1..];
     match cmd.as_str() {
         "report" => {
-            let args = Args::parse(rest, &["--top", "--by"])?;
-            let [path] = args.exactly("report", "a PROFILE path")?;
+            let args = Args::parse(rest, REPORT)?;
+            let [path] = args.exactly("report needs a PROFILE path")?;
             let top_n = args.flag("--top", |v| v.parse().ok())?.unwrap_or(15);
             let by = args.flag("--by", SortBy::parse)?.unwrap_or(SortBy::Allocs);
             print!("{}", render::report(&load_profile(path)?, top_n, by));
         }
         "top" => {
             let args = Args::parse(rest, &[])?;
-            if args.positional.is_empty() {
+            if args.positional().is_empty() {
                 return Err("top needs at least one PROFILE path".to_string());
             }
             let profiles = args
-                .positional
+                .positional()
                 .iter()
                 .map(|&p| Ok((p.to_string(), load_profile(p)?)))
                 .collect::<Result<Vec<_>, String>>()?;
             print!("{}", render::top(&profiles));
         }
         "flame" => {
-            let args = Args::parse(rest, &["--out"])?;
-            let [path] = args.exactly("flame", "a PROFILE path")?;
+            let args = Args::parse(rest, &[OUT])?;
+            let [path] = args.exactly("flame needs a PROFILE path")?;
             let collapsed = load_profile(path)?.to_collapsed();
-            emit(args.flags.get("--out").copied(), &collapsed, |out| {
+            emit(args.value("--out"), &collapsed, |out| {
                 format!("wrote collapsed stacks to {out}")
             })?;
         }
@@ -241,17 +230,70 @@ fn profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `timeline`: one run of the scenario at `path`, its execution timeline
+/// and verdict on stdout.
+fn timeline(args: &[String]) -> Result<(), String> {
+    let args = Args::parse(args, TIMELINE)?;
+    let [path] = args.exactly("timeline needs a scenario path")?;
+    let ranks: u32 = args.parsed("--ranks")?.unwrap_or(4);
+    let seed: u64 = args.parsed("--seed")?.unwrap_or(1);
+    let params = args.all("--param", |kv| {
+        let (k, v) = kv.split_once('=')?;
+        Some((k, v.parse::<i64>().ok()?))
+    })?;
+    let backend = args.parsed("--backend")?.unwrap_or(BackendKind::Vcl);
+    if !failmpi_workloads::bt::is_valid_rank_count(ranks) {
+        return Err(format!("--ranks must be a square number (4, 9, 16, ...), got {ranks}"));
+    }
+    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+
+    let (cluster, class, timeout) = if args.switch("--paper") {
+        let c = VclConfig {
+            n_ranks: ranks,
+            n_compute_hosts: ranks as usize + 4,
+            ..VclConfig::default()
+        };
+        (c, BtClass::B, 1500)
+    } else {
+        let mut c = VclConfig::small(ranks, SimDuration::from_secs(2));
+        figures::miniaturize(&mut c);
+        (c, BtClass::S, 90)
+    };
+    let adversary = args.value("--adversary").unwrap_or("ADV1");
+    let machines = args.value("--machines").unwrap_or("ADVnodes");
+    let mut inj = InjectionSpec::new(&src, adversary, machines);
+    for (k, v) in params {
+        inj = inj.with_param(k, v);
+    }
+    let spec = figures::spec(cluster, class, Some(inj), timeout, seed).with_backend(backend);
+    let observe = Observe {
+        causal: true,
+        ..Observe::default()
+    };
+    let traced = harness::run(&spec, observe)
+        .map_err(|report| format!("cannot run {path}:\n{}", report.render_human().trim_end()))?;
+    let options = TimelineOptions {
+        collapse_progress: true,
+        lifecycle: args.switch("--lifecycle"),
+    };
+    print!("{}", render_timeline(&traced, options));
+    let record = &traced.record;
+    println!(
+        "\nverdict: {:?} ({} faults injected, {} recoveries, {} waves committed)",
+        record.outcome, record.faults_injected, record.recoveries, record.waves_committed
+    );
+    if let Some(out) = args.value("--trace-out") {
+        let name = std::path::Path::new(path)
+            .file_stem()
+            .map_or_else(|| "trace".to_string(), |s| s.to_string_lossy().into_owned());
+        TraceExport::of(&name, seed, &traced)
+            .write_to(out)
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        eprintln!("trace: wrote causal trace to {out} (inspect with failmpi-trace)");
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("failmpi-trace: {e}");
-            ExitCode::from(2)
-        }
-    }
+    cli::main("failmpi-trace", USAGE, |args| run(args).map(|()| ExitCode::SUCCESS))
 }

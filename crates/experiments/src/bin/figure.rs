@@ -12,50 +12,36 @@
 
 use std::process::ExitCode;
 
-use failmpi_experiments::cli::{Options, USAGE};
+use failmpi_analyze::cli::{self, Args};
+use failmpi_experiments::cli::{Options, FLAGS, USAGE};
 use failmpi_experiments::figures::FIGURES;
 
 failmpi_experiments::install_alloc_profiler!();
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-    let usage = format!("usage: figure <{}> {USAGE}", names.join("|"));
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{usage}");
-        return ExitCode::SUCCESS;
-    }
-    let named = |n: &String| FIGURES.iter().find(|f| f.name == n.as_str());
-    let Some(figure) = args.first().and_then(named) else {
-        eprintln!("{usage}");
-        return ExitCode::from(2);
-    };
-    let opts = match Options::parse(args.into_iter().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+    let names = names.join("|");
+    let usage = format!("usage: figure <{names}> {USAGE}");
+    cli::main("figure", &usage, |args| {
+        let args = Args::parse(args, FLAGS)?;
+        let [name] = args.exactly(&format!("needs a figure: {names}"))?;
+        let figure = FIGURES
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| format!("unknown figure `{name}` (one of {names})"))?;
+        let opts = Options::from_args(&args)?;
+        opts.telemetry.install();
+        let (table, json) = (figure.run)(&opts)
+            .map_err(|report| format!("cannot run {name}:\n{}", report.render_human().trim_end()))?;
+        print!("{table}");
+        match (&opts.json, json) {
+            (Some(path), Some(json)) => {
+                std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?
+            }
+            (Some(_), None) => return Err(format!("{name} has no JSON form")),
+            (None, _) => {}
         }
-    };
-    opts.telemetry.install();
-    let (table, json) = match (figure.run)(&opts) {
-        Ok(done) => done,
-        Err(report) => {
-            eprint!("figure {}: cannot run:\n{}", figure.name, report.render_human());
-            return ExitCode::from(2);
-        }
-    };
-    print!("{table}");
-    let written = match (&opts.json, json) {
-        (Some(path), Some(json)) => {
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))
-        }
-        (Some(_), None) => Err(format!("{} has no JSON form", figure.name)),
-        (None, _) => Ok(()),
-    };
-    if let Err(e) = written.and_then(|()| opts.telemetry.write_all().map_err(|e| e.to_string())) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+        opts.telemetry.write_all().map_err(|e| e.to_string())?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

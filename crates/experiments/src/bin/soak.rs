@@ -10,8 +10,9 @@
 //! schedule, the fixed one on none.
 //!
 //! Exits 1 on any divergence, invariant violation, or broken
-//! classification expectation (2 on a usage error or a spec the harness
-//! refuses to run), so CI can run it as a smoke gate:
+//! classification expectation (2 on a usage error, an unwritable output
+//! path or a spec the harness refuses to run), so CI can run it as a smoke
+//! gate:
 //!
 //! ```text
 //! cargo run --release -p failmpi-experiments --bin soak -- --runs 25 --json soak.json
@@ -22,9 +23,11 @@ use std::process::ExitCode;
 
 use serde::Serialize;
 
+use failmpi_analyze::cli::{self, count, Args, Flag, COUNT};
 use failmpi_experiments::robustness::{
     det_run, fault_free_smoke_spec, fig10_stress_spec, perturb,
 };
+use failmpi_experiments::telemetry::{self, Outputs};
 use failmpi_experiments::ExperimentSpec;
 use failmpi_mpichv::DispatcherMode;
 use failmpi_testkit::check_determinism;
@@ -73,48 +76,32 @@ struct Options {
     seed: u64,
     backend: failmpi_backend::BackendKind,
     json: Option<String>,
-    telemetry: failmpi_experiments::telemetry::Outputs,
+    telemetry: Outputs,
 }
 
 const USAGE: &str = "usage: soak [--runs N] [--seed S] [--backend vcl|ulfm|replica] \
                      [--json PATH] [--metrics PATH] [--trace-out PATH] [--profile PATH]";
 
-fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut o = Options {
-        runs: 25,
-        seed: 0x50AC,
-        backend: failmpi_backend::BackendKind::Vcl,
-        json: None,
-        telemetry: Default::default(),
-    };
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--runs" => {
-                o.runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--runs needs a number >= 1")?
-            }
-            "--seed" => {
-                o.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?
-            }
-            "--backend" => {
-                o.backend = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--backend needs vcl|ulfm|replica")?
-            }
-            "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
-            flag if o.telemetry.parse_flag(flag, &mut args)? => {}
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(o)
+const FLAGS: &[Flag] = &[
+    Flag::Value("--runs", COUNT),
+    Flag::Value("--seed", "a number"),
+    Flag::Value("--backend", "vcl|ulfm|replica"),
+    Flag::Value("--json", "a path"),
+    telemetry::METRICS_FLAG,
+    telemetry::TRACE_OUT_FLAG,
+    telemetry::PROFILE_FLAG,
+];
+
+fn parse(args: &[String]) -> Result<Options, String> {
+    let args = Args::parse(args, FLAGS)?;
+    args.none()?;
+    Ok(Options {
+        runs: args.flag("--runs", count)?.unwrap_or(25),
+        seed: args.parsed("--seed")?.unwrap_or(0x50AC),
+        backend: args.parsed("--backend")?.unwrap_or(failmpi_backend::BackendKind::Vcl),
+        json: args.value("--json").map(str::to_string),
+        telemetry: Outputs::from_args(&args),
+    })
 }
 
 /// Double-runs the canonical (FIFO) schedule; 1 on a divergence, whose
@@ -130,18 +117,10 @@ fn divergences(name: &str, spec: &ExperimentSpec) -> Result<usize, failmpi_analy
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let opts = match parse(args.into_iter()) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
+    cli::main("soak", USAGE, |args| run(&parse(args)?))
+}
+
+fn run(opts: &Options) -> Result<ExitCode, String> {
     // `--trace-out` claims the first run to start — here the first FIFO
     // double-run of the first scenario, which runs before any perturbation
     // sweep, so the captured trace is deterministic.
@@ -183,13 +162,9 @@ fn main() -> ExitCode {
     for sc in &scenarios {
         let swept = divergences(sc.name, &sc.spec)
             .and_then(|d| Ok((d, perturb(sc.name, &sc.spec, opts.runs)?)));
-        let (divergences, report) = match swept {
-            Ok(swept) => swept,
-            Err(refusal) => {
-                eprint!("soak: cannot run {}:\n{}", sc.name, refusal.render_human());
-                return ExitCode::from(2);
-            }
-        };
+        let (divergences, report) = swept.map_err(|refusal| {
+            format!("cannot run {}:\n{}", sc.name, refusal.render_human().trim_end())
+        })?;
         let violations = report.violations().count();
         let expectation_met = match sc.expect {
             Expect::All(class) => report.count(class) == report.outcomes.len(),
@@ -241,18 +216,12 @@ fn main() -> ExitCode {
     );
     if let Some(path) = &opts.json {
         let json = serde_json::to_string_pretty(&soak).expect("serializable");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    if let Err(e) = opts.telemetry.write_all() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if passed {
+    opts.telemetry.write_all().map_err(|e| e.to_string())?;
+    Ok(if passed {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

@@ -1,15 +1,31 @@
 //! Argument handling of the `figure` binary.
 
+use failmpi_analyze::cli::{count, Args, Flag, COUNT};
 use failmpi_backend::BackendKind;
 
 use crate::figures::Common;
 use crate::harness::LintMode;
+use crate::telemetry::{self, Outputs};
 
 /// The flags every figure takes.
 pub const USAGE: &str = "[--smoke] [--runs N] [--threads N] [--json PATH] \
                          [--metrics PATH] [--trace-out PATH] [--profile PATH] \
                          [--lint off|warn|strict] [--expect-freeze] \
                          [--backend vcl|ulfm|replica]";
+
+/// What each of the [`USAGE`] flags takes.
+pub const FLAGS: &[Flag] = &[
+    Flag::Switch("--smoke"),
+    Flag::Value("--runs", COUNT),
+    Flag::Value("--threads", "a number"),
+    Flag::Value("--json", "a path"),
+    telemetry::METRICS_FLAG,
+    telemetry::TRACE_OUT_FLAG,
+    telemetry::PROFILE_FLAG,
+    Flag::Value("--lint", "off|warn|strict"),
+    Flag::Switch("--expect-freeze"),
+    Flag::Value("--backend", "vcl|ulfm|replica"),
+];
 
 /// Options common to every figure.
 #[derive(Clone, Debug, Default)]
@@ -23,7 +39,7 @@ pub struct Options {
     /// Write the figure data as JSON to this path.
     pub json: Option<String>,
     /// Where `--metrics`, `--trace-out` and `--profile` write.
-    pub telemetry: crate::telemetry::Outputs,
+    pub telemetry: Outputs,
     /// Scenario lint gate (`--lint off|warn|strict`).
     pub lint: Option<LintMode>,
     /// Declare that the sweep hunts freezes: with `--lint strict`, run
@@ -35,52 +51,20 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses `args` (without the program and figure names). Returns
-    /// `Err(message)` on unknown flags and missing or malformed values;
-    /// touches nothing outside the returned value.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
-        let mut o = Options::default();
-        let mut args = args.peekable();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--smoke" => o.smoke = true,
-                "--runs" => {
-                    o.runs = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or("--runs needs a number >= 1")?,
-                    )
-                }
-                "--threads" => {
-                    o.threads = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--threads needs a number")?,
-                    )
-                }
-                "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
-                flag if o.telemetry.parse_flag(flag, &mut args)? => {}
-                "--lint" => {
-                    o.lint = Some(
-                        args.next()
-                            .as_deref()
-                            .and_then(LintMode::parse)
-                            .ok_or("--lint needs off|warn|strict")?,
-                    )
-                }
-                "--expect-freeze" => o.expect_freeze = true,
-                "--backend" => {
-                    o.backend = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--backend needs vcl|ulfm|replica")?,
-                    )
-                }
-                other => return Err(format!("unknown flag `{other}`")),
-            }
-        }
-        Ok(o)
+    /// Reads the figure flags from `args`, split against [`FLAGS`] (the
+    /// positionals are the caller's). Touches nothing outside the returned
+    /// value.
+    pub fn from_args(args: &Args) -> Result<Options, String> {
+        Ok(Options {
+            smoke: args.switch("--smoke"),
+            runs: args.flag("--runs", count)?,
+            threads: args.parsed("--threads")?,
+            json: args.value("--json").map(str::to_string),
+            telemetry: Outputs::from_args(args),
+            lint: args.flag("--lint", LintMode::parse)?,
+            expect_freeze: args.switch("--expect-freeze"),
+            backend: args.parsed("--backend")?,
+        })
     }
 
     /// Overrides `common` with what the flags chose.
@@ -98,7 +82,8 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
-        Options::parse(args.iter().map(|s| s.to_string()))
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Options::from_args(&Args::parse(&args, FLAGS)?)
     }
 
     #[test]

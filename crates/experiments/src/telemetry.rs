@@ -22,6 +22,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use failmpi_analyze::cli::{Args, Flag};
 use failmpi_obs::{MetricsSnapshot, RunProfile, SCHEMA_VERSION};
 use serde::Serialize;
 
@@ -165,22 +166,22 @@ pub struct Outputs {
     pub profile: Option<String>,
 }
 
+/// The telemetry flags, for the flag table of a binary that takes them.
+pub const METRICS_FLAG: Flag = Flag::Value("--metrics", "a path");
+/// See [`METRICS_FLAG`].
+pub const TRACE_OUT_FLAG: Flag = Flag::Value("--trace-out", "a path");
+/// See [`METRICS_FLAG`].
+pub const PROFILE_FLAG: Flag = Flag::Value("--profile", "a path");
+
 impl Outputs {
-    /// Consumes `flag`'s path from `args` when `flag` is one of the three
-    /// telemetry flags; `Ok(false)` leaves `args` alone.
-    pub fn parse_flag(
-        &mut self,
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        let slot = match flag {
-            "--metrics" => &mut self.metrics,
-            "--trace-out" => &mut self.trace_out,
-            "--profile" => &mut self.profile,
-            _ => return Ok(false),
-        };
-        *slot = Some(args.next().ok_or(format!("{flag} needs a path"))?);
-        Ok(true)
+    /// The paths `args` gives the telemetry flags.
+    pub fn from_args(args: &Args) -> Outputs {
+        let path = |flag| args.value(flag).map(str::to_string);
+        Outputs {
+            metrics: path("--metrics"),
+            trace_out: path("--trace-out"),
+            profile: path("--profile"),
+        }
     }
 
     /// Arms the process-wide sink for every path given. Call before

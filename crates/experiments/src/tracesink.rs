@@ -1,6 +1,7 @@
 //! Assembling a run's exported causal trace: the
 //! [`failmpi_trace::TraceFile`] that `--trace-out` (through
-//! [`crate::telemetry`]), the `trace` binary and the fuzz oracle write.
+//! [`crate::telemetry`]), `failmpi-trace timeline` and the fuzz oracle
+//! write.
 //!
 //! This module owns the [`VclEvent`] → [`Mark`] conversion — the semantic
 //! vocabulary `failmpi-trace explain` keys on (`failure_detected`,

@@ -1,15 +1,17 @@
 //! The exit-status contract of the `failmpi-trace` binary, driven through
-//! the compiled executable, for both files a run leaves behind — the
-//! causal trace (`--trace-out`) and the run profile (`--profile`).
-//! `--help` is usage on stdout and exit 0, wherever it appears; a usage
-//! error, a file that cannot be read, parsed or written, and a trace that
-//! breaks an invariant of the format are a one-line diagnostic on stderr,
-//! nothing on stdout, and exit 2 — never a panic or a signal, whatever
-//! the bytes. The same contract `figure`, `soak` and `trace` keep.
+//! the compiled executable, for the one run `timeline` makes and both
+//! files a run leaves behind — the causal trace (`--trace-out`) and the
+//! run profile (`--profile`). `--help` is usage on stdout and exit 0,
+//! wherever it appears; a usage error, a file that cannot be read, parsed
+//! or written, and a trace that breaks an invariant of the format are a
+//! one-line diagnostic on stderr, nothing on stdout, and exit 2 — never a
+//! panic or a signal, whatever the bytes. The same contract every binary
+//! of the workspace keeps.
 
 use std::process::Command;
 
 use failmpi_obs::{HistogramSnapshot, RunProfile};
+use failmpi_trace::TraceFile;
 
 /// A file that parses and used to be explained as "verdict: frozen … the
 /// MPICH-Vcl dispatcher bug the paper isolated": its only node has a
@@ -43,6 +45,11 @@ fn file(name: &str, bytes: &[u8]) -> String {
     path.to_str().expect("utf8 path").to_string()
 }
 
+/// A scenario of the paper, by file stem.
+fn scenario(name: &str) -> String {
+    format!("{}/../core/scenarios/{name}.fail", env!("CARGO_MANIFEST_DIR"))
+}
+
 fn failmpi_trace(args: &[impl AsRef<std::ffi::OsStr>]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_failmpi-trace"))
         .args(args)
@@ -65,8 +72,10 @@ fn every_row_exits_0_or_2_with_a_diagnostic_and_never_panics() {
     let missing = "/nonexistent/dir/x.json";
     let dir = scratch();
     let dir = dir.to_str().expect("utf8 path");
-    let usage = "usage: failmpi-trace <explain|";
+    let usage = "usage: failmpi-trace <timeline|explain|";
     let from = "--from needs a number of seconds from 0 to 1.8e13";
+    let fig5 = scenario("fig5_frequency");
+    let square = "--ranks must be a square number (4, 9, 16, ...), got";
     // (arguments, exit code, needle, needle is on stdout)
     let mut cases: Vec<(Vec<&str>, i32, &str, bool)> = vec![
         (vec!["--help"], 0, usage, true),
@@ -101,6 +110,23 @@ fn every_row_exits_0_or_2_with_a_diagnostic_and_never_panics() {
         (vec!["filter", &sound, "--to", "inf"], 2, "--to needs a number of seconds", false),
         (vec!["filter", &sound, "--to", "1e300"], 2, "--to needs a number of seconds", false),
         (vec!["filter", &sound, "--from", "0", "--to", "1.5"], 0, "#0 ", true),
+        // One run's timeline.
+        (vec!["timeline", "--help"], 0, usage, true),
+        (vec!["timeline", "x.fail", "--seed", "3", "-h"], 0, usage, true),
+        (vec!["timeline"], 2, "timeline needs a scenario path", false),
+        (vec!["timeline", "/nonexistent/x.fail"], 2, "cannot read /nonexistent/x.fail: ", false),
+        (vec!["timeline", &fig5, &fig5], 2, "unknown argument", false),
+        (vec!["timeline", &fig5, "--ranks", "6"], 2, square, false),
+        // `--paper` is a flag of its own: the rank check still answers.
+        (vec!["timeline", &fig5, "--paper", "--ranks", "6"], 2, square, false),
+        // A rank count whose rounded square root squares past u32::MAX.
+        (vec!["timeline", &fig5, "--ranks", "4294967295"], 2, square, false),
+        (vec!["timeline", &fig5, "--ranks", "4294967296"], 2, "--ranks needs a number", false),
+        (vec!["timeline", &fig5, "--smoke"], 2, "unknown argument `--smoke`", false),
+        (vec!["timeline", &fig5, "--param", "N"], 2, "--param needs NAME=VALUE", false),
+        (vec!["timeline", &fig5, "--param", "N=x"], 2, "--param needs NAME=VALUE", false),
+        (vec!["timeline", &fig5, "--backend", "mpich"], 2, "--backend needs vcl|ulfm|replica", false),
+        (vec!["timeline", &fig5, "--trace-out"], 2, "--trace-out needs a path", false),
         // Profiles.
         (vec!["profile"], 2, "profile needs report|top|flame", false),
         (vec!["profile", "frobnicate"], 2, "unknown command `profile frobnicate`", false),
@@ -144,6 +170,7 @@ fn every_row_exits_0_or_2_with_a_diagnostic_and_never_panics() {
         assert!(!stderr.contains("panicked at") && !stderr.contains("overflowed its stack"));
         if code != 0 {
             assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+            assert!(stderr.starts_with("failmpi-trace: "), "{args:?}: {stderr}");
             assert!(stdout.is_empty(), "{args:?} narrated what it refused: {stdout}");
         }
     }
@@ -212,4 +239,71 @@ fn a_written_slice_loads() {
         listed.contains("n0") && listed.contains("n2") && !listed.contains("n1"),
         "{listed}"
     );
+}
+
+/// Input `timeline` cannot run is a diagnostic and exit status 2, never a
+/// panic: a scenario that does not compile, a machine class the scenario
+/// does not declare, a random group index that can leave the machines
+/// deployed. (The rank-count rows are in the table above.)
+#[test]
+fn timeline_rejects_what_it_cannot_run_without_panicking() {
+    let garbage = file("garbage.fail", "daemon { this is not FAIL \u{0} }".as_bytes());
+    let fig5 = scenario("fig5_frequency");
+    let cases: [(&[&str], &str); 3] = [
+        (&[&garbage], "FA000"),
+        (
+            &[&fig5, "--param", "N=99", "--param", "X=2", "--ranks", "4"],
+            "daemon `ADV1`, line 12: index range [0, 99] into group `G1` leaves its 6 deployed",
+        ),
+        (&[&fig5, "--machines", "NoSuchClass"], "unknown daemon `NoSuchClass`"),
+    ];
+    for (args, needle) in cases {
+        let out = failmpi_trace(&[&["timeline"], args].concat());
+        let err = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.starts_with("failmpi-trace: cannot run "), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!err.contains("panicked at"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// A FAIL timer whose delay in seconds leaves virtual time (past `u64`
+/// microseconds) saturates to "never": the run completes with nothing
+/// injected. Unsaturated, the first delay overflows a debug build and the
+/// second wraps to a 0.448 s timer in a release build.
+#[test]
+fn timeline_saturates_an_unrepresentable_timer_delay() {
+    let fig5 = scenario("fig5_frequency");
+    for x in ["X=20000000000000", "X=18446744073710"] {
+        let out = failmpi_trace(&["timeline", &fig5, "--ranks", "4", "--param", "N=5", "--param", x]);
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(0), "{x}: {stdout}{stderr}");
+        assert!(!stderr.contains("panicked at"), "{x}: {stderr}");
+        assert!(stdout.contains("(0 faults injected"), "{x}: {stdout}");
+    }
+}
+
+/// `timeline --backend` runs the scenario on the light runtimes and renders
+/// their lifecycle trace; the written trace carries the backend's lanes and
+/// is one every other subcommand loads.
+#[test]
+fn timeline_runs_every_backend() {
+    let fig5 = scenario("fig5_frequency");
+    for backend in ["vcl", "ulfm", "replica"] {
+        let path = scratch().join(format!("timeline-{backend}.json"));
+        let path = path.to_str().expect("utf8 path");
+        let args = ["timeline", &fig5, "--param", "X=4", "--param", "N=5", "--backend", backend];
+        let out = failmpi_trace(&[&args[..], &["--trace-out", path]].concat());
+        assert!(out.status.success(), "{backend}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        assert!(stdout.contains("run start     epoch 0"), "{backend}: {stdout}");
+        assert!(stdout.contains("verdict: "), "{backend}: {stdout}");
+        let src = std::fs::read_to_string(path).expect("trace written");
+        let trace = TraceFile::from_json(&src).expect("trace loads");
+        trace.check_invariants().expect("trace is well-formed");
+        assert_eq!(trace.tracks.last().map(String::as_str), Some("fail-mpi"), "{backend}");
+        assert!(failmpi_trace(&["explain", path]).status.success(), "{backend}");
+    }
 }

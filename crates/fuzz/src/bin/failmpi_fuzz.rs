@@ -16,6 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use failmpi_analyze::cli::{self, count, json_format, Args, Flag, COUNT};
 use failmpi_fuzz::{
     load_corpus, run_fuzz, run_replay, write_corpus, FuzzConfig, FuzzOptions, FuzzSummary,
 };
@@ -35,66 +36,40 @@ const USAGE: &str = "usage: failmpi-fuzz [--seed N] [--budget N] [--probe-seeds 
      [--corpus DIR] [--findings FILE] [--replay DIR] [--minimize-family] \
      [--format human|json]";
 
-fn usage_error() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
+const FLAGS: &[Flag] = &[
+    Flag::Value("--seed", "a number from 0 to 2^64-1"),
+    Flag::Value("--budget", COUNT),
+    Flag::Value("--probe-seeds", COUNT),
+    Flag::Value("--corpus", "a directory"),
+    Flag::Value("--findings", "a path"),
+    Flag::Value("--replay", "a directory"),
+    Flag::Switch("--minimize-family"),
+    Flag::Value("--format", "human|json"),
+];
 
-fn parse_args() -> Result<Options, ExitCode> {
-    let mut opts = Options {
-        seed: 1,
-        budget: 30,
-        probe_seeds: 2,
-        corpus: None,
-        findings: None,
-        replay: None,
-        minimize_family: false,
-        json: false,
+fn parse(args: &[String]) -> Result<Options, String> {
+    let args = Args::parse(args, FLAGS)?;
+    args.none()?;
+    let path = |flag| args.value(flag).map(PathBuf::from);
+    let opts = Options {
+        seed: args.parsed("--seed")?.unwrap_or(1),
+        // Zero candidates is no campaign: refused, not reported as a pass.
+        budget: args.flag("--budget", count)?.unwrap_or(30),
+        probe_seeds: args.flag("--probe-seeds", count)?.unwrap_or(2),
+        corpus: path("--corpus"),
+        findings: path("--findings"),
+        replay: path("--replay"),
+        minimize_family: args.switch("--minimize-family"),
+        json: args.flag("--format", json_format)?.unwrap_or(false),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.seed = n,
-                None => return Err(usage_error()),
-            },
-            "--budget" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.budget = n,
-                None => return Err(usage_error()),
-            },
-            "--probe-seeds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.probe_seeds = n,
-                _ => return Err(usage_error()),
-            },
-            "--corpus" => match args.next() {
-                Some(p) => opts.corpus = Some(PathBuf::from(p)),
-                None => return Err(usage_error()),
-            },
-            "--findings" => match args.next() {
-                Some(p) => opts.findings = Some(PathBuf::from(p)),
-                None => return Err(usage_error()),
-            },
-            "--replay" => match args.next() {
-                Some(p) => opts.replay = Some(PathBuf::from(p)),
-                None => return Err(usage_error()),
-            },
-            "--minimize-family" => opts.minimize_family = true,
-            "--format" => match args.next().as_deref() {
-                Some("human") => opts.json = false,
-                Some("json") => opts.json = true,
-                _ => return Err(usage_error()),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Err(ExitCode::SUCCESS);
-            }
-            _ => return Err(usage_error()),
-        }
-    }
-    if opts.replay.is_some() && (opts.corpus.is_some() || opts.minimize_family) {
+    if opts.replay.is_some() {
         // Replay re-checks an existing corpus; it neither regenerates one
         // nor minimizes.
-        return Err(usage_error());
+        for (flag, given) in [("--corpus", opts.corpus.is_some()), ("--minimize-family", opts.minimize_family)] {
+            if given {
+                return Err(format!("--replay cannot be combined with {flag}"));
+            }
+        }
     }
     Ok(opts)
 }
@@ -123,34 +98,24 @@ fn print_summary(summary: &FuzzSummary, reports: &[failmpi_analyze::Report], jso
     }
 }
 
-fn write_findings(path: &PathBuf, reports: &[failmpi_analyze::Report]) -> Result<(), ExitCode> {
+fn write_findings(path: &PathBuf, reports: &[failmpi_analyze::Report]) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&reports.to_vec()).expect("reports serialize");
-    std::fs::write(path, json + "\n").map_err(|e| {
-        eprintln!("failmpi-fuzz: cannot write `{}`: {e}", path.display());
-        ExitCode::from(2)
-    })
+    std::fs::write(path, json + "\n")
+        .map_err(|e| format!("cannot write `{}`: {e}", path.display()))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
+    cli::main("failmpi-fuzz", USAGE, |args| run(&parse(args)?))
+}
 
+fn run(opts: &Options) -> Result<ExitCode, String> {
     let config = FuzzConfig {
         probe_seeds: (1..=opts.probe_seeds as u64).collect(),
         ..FuzzConfig::default()
     };
 
     let (summary, reports) = if let Some(dir) = &opts.replay {
-        let entries = match load_corpus(dir) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("failmpi-fuzz: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        run_replay(&entries, &config)
+        run_replay(&load_corpus(dir)?, &config)
     } else {
         let fuzz_opts = FuzzOptions {
             seed: opts.seed,
@@ -161,24 +126,20 @@ fn main() -> ExitCode {
         };
         let outcome = run_fuzz(&fuzz_opts);
         if let Some(dir) = &opts.corpus {
-            if let Err(e) = write_corpus(dir, &outcome.corpus) {
-                eprintln!("failmpi-fuzz: cannot write corpus to `{}`: {e}", dir.display());
-                return ExitCode::from(2);
-            }
+            write_corpus(dir, &outcome.corpus)
+                .map_err(|e| format!("cannot write corpus to `{}`: {e}", dir.display()))?;
         }
         (outcome.summary, outcome.reports)
     };
 
     if let Some(path) = &opts.findings {
-        if let Err(code) = write_findings(path, &reports) {
-            return code;
-        }
+        write_findings(path, &reports)?;
     }
     print_summary(&summary, &reports, opts.json);
 
-    if summary.errors > 0 {
+    Ok(if summary.errors > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

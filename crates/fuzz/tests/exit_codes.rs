@@ -23,26 +23,37 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn help_exits_zero() {
-    let out = fuzz().arg("--help").output().expect("runs");
-    assert_eq!(code(&out), 0);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
+    // Wherever it appears, a bad flag before it included.
+    for args in [&["--help"][..], &["--bogus", "-h"]] {
+        let out = fuzz().args(args).output().expect("runs");
+        assert_eq!(code(&out), 0, "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
+    }
 }
 
 #[test]
 fn usage_errors_exit_two() {
     // Unknown flag, flags missing their values, bad format, zero probe
-    // seeds, and the replay/corpus conflict all land on exit 2.
-    for args in [
-        vec!["--bogus"],
-        vec!["--seed"],
-        vec!["--budget", "many"],
-        vec!["--format", "xml"],
-        vec!["--probe-seeds", "0"],
-        vec!["--replay", "x", "--corpus", "y"],
-        vec!["--replay", "x", "--minimize-family"],
+    // seeds, a zero budget (no campaign, not a vacuous pass), and the
+    // replay/corpus conflict all land on exit 2, naming the argument.
+    for (args, needle) in [
+        (vec!["--bogus"], "unknown argument `--bogus`"),
+        (vec!["extra"], "unknown argument `extra`"),
+        (vec!["--seed"], "--seed needs a number"),
+        (vec!["--budget", "many"], "--budget needs a number >= 1"),
+        (vec!["--budget", "0"], "--budget needs a number >= 1"),
+        (vec!["--format", "xml"], "--format needs human|json"),
+        (vec!["--probe-seeds", "0"], "--probe-seeds needs a number >= 1"),
+        (vec!["--replay", "x", "--corpus", "y"], "--replay cannot be combined with --corpus"),
+        (vec!["--replay", "x", "--minimize-family"], "--replay cannot be combined with --minimize-family"),
     ] {
         let out = fuzz().args(&args).output().expect("runs");
         assert_eq!(code(&out), 2, "args {args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("failmpi-fuzz: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a summary");
     }
 }
 
@@ -150,17 +161,17 @@ fn malformed_input_exits_two_and_never_panics() {
     let not_a_dir = format!("{parent}/corpus.json");
     // (arguments, stderr needle)
     let cases: [(Vec<&str>, &str); 27] = [
-        (vec!["--seed", "x"], "usage:"),
-        (vec!["--seed", "-1"], "usage:"),
-        (vec!["--seed", "99999999999999999999999"], "usage:"),
-        (vec!["--budget"], "usage:"),
-        (vec!["--budget", "1e3"], "usage:"),
-        (vec!["--probe-seeds"], "usage:"),
-        (vec!["--probe-seeds", "99999999999999999999"], "usage:"),
-        (vec!["--corpus"], "usage:"),
-        (vec!["--findings"], "usage:"),
-        (vec!["--replay"], "usage:"),
-        (vec!["--format"], "usage:"),
+        (vec!["--seed", "x"], "--seed needs a number"),
+        (vec!["--seed", "-1"], "--seed needs a number"),
+        (vec!["--seed", "99999999999999999999999"], "--seed needs a number"),
+        (vec!["--budget"], "--budget needs a number >= 1"),
+        (vec!["--budget", "1e3"], "--budget needs a number >= 1"),
+        (vec!["--probe-seeds"], "--probe-seeds needs a number >= 1"),
+        (vec!["--probe-seeds", "99999999999999999999"], "--probe-seeds needs a number >= 1"),
+        (vec!["--corpus"], "--corpus needs a directory"),
+        (vec!["--findings"], "--findings needs a path"),
+        (vec!["--replay"], "--replay needs a directory"),
+        (vec!["--format"], "--format needs human|json"),
         (vec!["--budget", "1", "--findings", "/nonexistent/dir/f.json"], "cannot write"),
         (vec!["--budget", "1", "--corpus", "/proc/nonexistent/corpus"], "cannot write corpus"),
         (vec!["--replay", &not_a_dir], "cannot read"),
@@ -187,6 +198,7 @@ fn malformed_input_exits_two_and_never_panics() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("failmpi-fuzz: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked at") && !stderr.contains("overflowed its stack"));
     }
 }

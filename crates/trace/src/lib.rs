@@ -11,7 +11,7 @@
 //! - [`TraceFile`] / [`Node`] / [`Mark`]: the schema-versioned on-disk
 //!   model, with deterministic (byte-identical for same-seed runs) JSON
 //!   serialization. Produced by `--trace-out PATH` on `figure <name>`,
-//!   `soak`, or `trace` (see `failmpi-experiments`).
+//!   `soak`, or `failmpi-trace timeline` (see `failmpi-experiments`).
 //! - [`perfetto::export`]: Chrome trace-event JSON with one lane per
 //!   component (dispatcher, scheduler, servers, ranks, the FAIL-MPI
 //!   injector) and flow arrows on cross-lane cause edges. Load it at

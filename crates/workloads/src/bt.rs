@@ -113,7 +113,8 @@ pub fn is_valid_rank_count(n: u32) -> bool {
 /// `n` ranks form none.
 pub fn grid_side(n: u32) -> Result<u32, String> {
     let q = (n as f64).sqrt().round() as u32;
-    if q > 0 && q * q == n {
+    // In u64: for n = u32::MAX, q rounds to 65 536, whose square no u32 holds.
+    if q > 0 && u64::from(q) * u64::from(q) == u64::from(n) {
         Ok(q)
     } else {
         Err(format!("BT needs a square rank count, got {n}"))
@@ -320,9 +321,10 @@ mod tests {
         for n in [1u32, 4, 9, 16, 25, 36, 49, 64] {
             assert!(is_valid_rank_count(n), "{n}");
         }
-        for n in [0u32, 2, 3, 48, 50, 63] {
+        for n in [0u32, 2, 3, 48, 50, 63, u32::MAX - 1, u32::MAX] {
             assert!(!is_valid_rank_count(n), "{n}");
         }
+        assert_eq!(grid_side(65_535 * 65_535), Ok(65_535));
     }
 
     #[test]
