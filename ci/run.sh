@@ -199,6 +199,10 @@ stage_perf() {
     # failed operation: `correct: false`, exit 1.
     bash benchmark/run.sh --workload light_backend_mix --seed 7 --seconds 3 --trace 1
     bash benchmark/run.sh --workload vcl_scale_ladder --seed 7 --seconds 3 --trace 1
+    # The model checker's traced pass prints its per-state cost by shape
+    # (`analyze.mc_us_per_state.*`) and its two-thread scaling
+    # (`analyze.mc_thread_scaling.t2`).
+    bash benchmark/run.sh --workload model_check_grid25 --seed 7 --seconds 3 --trace 1
 
     # No op list is expanded: a BT rank runs straight from its loop
     # description. Expanding the flat op lists again (17.6 MB at 196
@@ -209,6 +213,10 @@ stage_perf() {
     # (≈ 8.3 MB peak); a second model-checker exploration in flight, as a
     # pool of candidate workers would hold, is 11 MB or more.
     rss_gate fuzz_campaign 10
+    # The six explorations share each slot table a step leaves unwritten
+    # with the parent state (≈ 16 MB peak); copying them per successor
+    # again, or keeping per-successor permutations, crosses the gate.
+    rss_gate model_check_grid25 24
 
     # A same-seed double run writes a byte-identical profile.
     target/release/figure fig11 --smoke --profile "$OUT/run-a.profile.json" > /dev/null

@@ -43,6 +43,7 @@ use std::cmp::Ordering;
 
 use failmpi_backend::vocab::AbstractModel;
 use failmpi_backend::BackendKind;
+use failmpi_core::fire::Machine;
 use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Scenario};
 use failmpi_mpichv::AbstractPhase;
 
@@ -53,10 +54,18 @@ use super::ModelCheckConfig;
 /// A product-state relabelling: `hosts[h]` is machine `h`'s new id,
 /// `ranks[r]` is rank `r`'s new id. Suggested (machine-less) instances
 /// are fixed points by construction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Perm {
     pub(crate) hosts: Vec<u8>,
     pub(crate) ranks: Vec<u8>,
+}
+
+/// What [`Perm::relabel`] works in: the instances by their new place,
+/// and the in-flight messages as they were.
+#[derive(Default)]
+pub(crate) struct Relabel {
+    insts: Vec<Option<Inst>>,
+    msgs: Vec<(u8, u8, u8)>,
 }
 
 /// `(group, machine)` of a group member — instance
@@ -78,6 +87,20 @@ impl Perm {
     pub(crate) fn is_identity(&self) -> bool {
         self.hosts.iter().enumerate().all(|(i, &v)| v as usize == i)
             && self.ranks.iter().enumerate().all(|(i, &v)| v as usize == i)
+    }
+
+    /// `self` as one row: the machine labels, then the unit slots.
+    pub(crate) fn write_flat(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.hosts);
+        out.extend_from_slice(&self.ranks);
+    }
+
+    /// The permutation [`Perm::write_flat`] wrote at the start of `row`.
+    pub(crate) fn from_flat(row: &[u8], n_hosts: usize, n_units: usize) -> Perm {
+        Perm {
+            hosts: row[..n_hosts].to_vec(),
+            ranks: row[n_hosts..n_hosts + n_units].to_vec(),
+        }
     }
 
     pub(crate) fn invert(&self) -> Perm {
@@ -109,37 +132,69 @@ impl Perm {
         }
     }
 
-    /// The relabelled product state. An instance keeps its allocation
-    /// unless its inbox names a sender the relabelling moves.
+    /// The relabelled product state.
     pub(crate) fn apply_state(&self, ctx: &Ctx, s: &ProdState) -> ProdState {
-        let back = self.invert();
-        let insts: Vec<Inst> = (0..s.insts.len())
-            .map(|new| {
-                let old = &s.insts[back.map_inst(ctx, new)];
-                let moved = |e: &(u8, u8)| self.map_inst(ctx, e.0 as usize) != e.0 as usize;
-                if !old.inbox.iter().any(moved) {
-                    return old.clone();
-                }
-                let mut st = InstState::clone(old);
+        let mut out = s.clone();
+        self.relabel(ctx, &mut out, &mut Relabel::default());
+        out
+    }
+
+    /// Relabels `s` in place, working in `buf`; returns whether that
+    /// changed it. An instance keeps its allocation unless its inbox names
+    /// a sender the relabelling moves, and a protocol table the
+    /// relabelling leaves as it is stays shared.
+    pub(crate) fn relabel(&self, ctx: &Ctx, s: &mut ProdState, buf: &mut Relabel) -> bool {
+        let sender_moves = |e: &(u8, u8)| self.moves_sender(ctx, e);
+        let mut changed = (s.insts.iter().enumerate())
+            .any(|(i, inst)| !self.relabels_to(ctx, inst, &s.insts[self.map_inst(ctx, i)]));
+        buf.insts.clear();
+        buf.insts.resize_with(s.insts.len(), || None);
+        for (i, inst) in s.insts.drain(..).enumerate() {
+            let inst = if inst.inbox.iter().any(sender_moves) {
+                let mut st = InstState::clone(&inst);
                 for e in &mut st.inbox {
                     e.0 = self.map_inst(ctx, e.0 as usize) as u8;
                 }
                 Inst::new(st)
-            })
-            .collect();
-        let mut msgs: Vec<(u8, u8, u8)> = s
-            .msgs
-            .iter()
-            .map(|&(f, t, m)| {
-                (
-                    self.map_inst(ctx, f as usize) as u8,
-                    self.map_inst(ctx, t as usize) as u8,
-                    m,
-                )
-            })
-            .collect();
-        msgs.sort_unstable();
-        ProdState { insts, msgs, proto: s.proto.relabel(&self.hosts, &self.ranks) }
+            } else {
+                inst
+            };
+            buf.insts[self.map_inst(ctx, i)] = Some(inst);
+        }
+        s.insts.extend(buf.insts.drain(..).map(|i| i.expect("a permutation fills every place")));
+
+        buf.msgs.clear();
+        buf.msgs.extend_from_slice(&s.msgs);
+        for (from, to, _) in &mut s.msgs {
+            *from = self.map_inst(ctx, *from as usize) as u8;
+            *to = self.map_inst(ctx, *to as usize) as u8;
+        }
+        s.msgs.sort_unstable();
+        changed |= s.msgs != buf.msgs;
+
+        let proto = s.proto.relabel(&self.hosts, &self.ranks);
+        changed |= proto != s.proto;
+        s.proto = proto;
+        changed
+    }
+
+    /// Whether the relabelling moves the sender of inbox entry `e`.
+    fn moves_sender(&self, ctx: &Ctx, e: &(u8, u8)) -> bool {
+        self.map_inst(ctx, e.0 as usize) != e.0 as usize
+    }
+
+    /// Whether relabelling instance `a` yields `b`.
+    fn relabels_to(&self, ctx: &Ctx, a: &Inst, b: &Inst) -> bool {
+        if !a.inbox.iter().any(|e| self.moves_sender(ctx, e)) {
+            return a == b;
+        }
+        let Machine { node, vars, inbox, ctl } = &**a;
+        let relabelled = |&(from, msg): &(u8, u8)| (self.map_inst(ctx, from as usize) as u8, msg);
+        *node == b.node
+            && *vars == b.vars
+            && *ctl == b.ctl
+            && inbox.len() == b.inbox.len()
+            && inbox.iter().map(relabelled).eq(b.inbox.iter().copied())
     }
 
     /// The same structural move in the relabelled frame.
@@ -358,17 +413,24 @@ struct ByHost<T> {
     start: Vec<u32>,
 }
 
+impl<T> Default for ByHost<T> {
+    fn default() -> ByHost<T> {
+        ByHost { rows: Vec::new(), start: Vec::new() }
+    }
+}
+
 impl<T: Ord + Copy> ByHost<T> {
-    fn new(n_hosts: usize, mut rows: Vec<(u8, T)>) -> ByHost<T> {
-        rows.sort_unstable();
-        let mut start = vec![0u32; n_hosts + 1];
-        for &(h, _) in &rows {
-            start[h as usize + 1] += 1;
+    /// Sorts the rows pushed since the last `clear` into runs.
+    fn index(&mut self, n_hosts: usize) {
+        self.rows.sort_unstable();
+        self.start.clear();
+        self.start.resize(n_hosts + 1, 0);
+        for &(h, _) in &self.rows {
+            self.start[h as usize + 1] += 1;
         }
         for h in 0..n_hosts {
-            start[h + 1] += start[h];
+            self.start[h + 1] += self.start[h];
         }
-        ByHost { rows, start }
     }
 
     fn run(&self, h: usize) -> impl Iterator<Item = T> + '_ {
@@ -379,7 +441,8 @@ impl<T: Ord + Copy> ByHost<T> {
 }
 
 /// The per-machine views of one state that the machine order compares
-/// (items 2–4 above), built once per state.
+/// (items 2–4 above), rebuilt in place for each state that needs them.
+#[derive(Default)]
 struct HostTables {
     hosted: ByHost<(AbstractPhase, u8)>,
     /// Position in the protocol's spare-machine FIFO, by machine.
@@ -390,39 +453,33 @@ struct HostTables {
 }
 
 impl HostTables {
-    fn of(ctx: &Ctx, s: &ProdState) -> HostTables {
+    fn fill(&mut self, ctx: &Ctx, s: &ProdState) {
         let n_hosts = ctx.cfg.n_hosts;
-        let units = || (0..s.proto.n_units()).map(|u| (u as u8, s.proto.unit(u)));
-        let mut spare_pos = vec![None; n_hosts];
+        self.spare_pos.clear();
+        self.spare_pos.resize(n_hosts, None);
         for (pos, &h) in s.proto.spare_hosts().iter().enumerate().rev() {
-            spare_pos[h as usize] = Some(pos);
+            self.spare_pos[h as usize] = Some(pos);
         }
-        let mut msgs = Vec::new();
+        self.msgs.rows.clear();
         for &(f, t, m) in &s.msgs {
             let from_at = member_of(ctx, f as usize).map(|(_, h)| h);
             let to_at = member_of(ctx, t as usize).map(|(_, h)| h);
             for h in [from_at, to_at.filter(|_| to_at != from_at)].into_iter().flatten() {
                 let fc = endpoint_code(ctx, f as usize, h);
                 let tc = endpoint_code(ctx, t as usize, h);
-                msgs.push((h as u8, (fc.0, fc.1, tc.0, tc.1, m)));
+                self.msgs.rows.push((h as u8, (fc.0, fc.1, tc.0, tc.1, m)));
             }
         }
-        HostTables {
-            hosted: ByHost::new(
-                n_hosts,
-                units().map(|(_, r)| (r.host, (r.phase, r.incarnation))).collect(),
-            ),
-            spare_pos,
-            msgs: ByHost::new(n_hosts, msgs),
-            units: ByHost::new(
-                n_hosts,
-                if ctx.profile.rank_sym {
-                    Vec::new()
-                } else {
-                    units().map(|(u, r)| (r.host, u)).collect()
-                },
-            ),
+        self.msgs.index(n_hosts);
+        let slots = s.proto.slots();
+        self.hosted.rows.clear();
+        self.hosted.rows.extend(slots.iter().map(|r| (r.host, (r.phase, r.incarnation))));
+        self.hosted.index(n_hosts);
+        self.units.rows.clear();
+        if !ctx.profile.rank_sym {
+            self.units.rows.extend(slots.iter().enumerate().map(|(u, r)| (r.host, u as u8)));
         }
+        self.units.index(n_hosts);
     }
 }
 
@@ -463,15 +520,39 @@ fn cmp_machines(ctx: &Ctx, s: &ProdState, t: &HostTables, a: usize, b: usize) ->
         .then_with(|| t.units.run(a).cmp(t.units.run(b)))
 }
 
-/// The movable machines of `s` in canonical order; ties keep machine-id
-/// order.
-fn machine_order(ctx: &Ctx, s: &ProdState) -> Vec<usize> {
-    let mut order = ctx.profile.movable.clone();
-    if !order.is_empty() {
-        let tables = HostTables::of(ctx, s);
-        order.sort_by(|&a, &b| cmp_machines(ctx, s, &tables, a, b).then(a.cmp(&b)));
+/// Everything canonicalisation builds for one state and drops before the
+/// next, kept by a worker from one successor to the next; the result is
+/// [`CanonScratch::perm`].
+#[derive(Default)]
+pub(crate) struct CanonScratch {
+    tables: HostTables,
+    /// Movable machines in canonical order, then those to re-place.
+    order: Vec<usize>,
+    moved: Vec<usize>,
+    /// By machine: whether the move touched it.
+    hit: Vec<bool>,
+    /// By machine: its position in the parent's and the successor's spare
+    /// FIFO.
+    was_at: Vec<Option<usize>>,
+    is_at: Vec<Option<usize>>,
+    /// Unit slots keyed for the rank sort.
+    keyed: Vec<((AbstractPhase, u8, u8), usize)>,
+    /// The permutation last computed.
+    pub(crate) perm: Perm,
+    /// The buffers of [`Perm::relabel`].
+    pub(crate) relabel: Relabel,
+}
+
+/// Puts the movable machines of `s` in canonical order, in `scr.order`;
+/// ties keep machine-id order.
+fn machine_order(ctx: &Ctx, s: &ProdState, scr: &mut CanonScratch) {
+    scr.order.clear();
+    scr.order.extend_from_slice(&ctx.profile.movable);
+    if !scr.order.is_empty() {
+        scr.tables.fill(ctx, s);
+        let tables = &scr.tables;
+        scr.order.sort_by(|&a, &b| cmp_machines(ctx, s, tables, a, b).then(a.cmp(&b)));
     }
-    order
 }
 
 /// The permutation that maps `s` onto its canonical orbit representative.
@@ -481,27 +562,30 @@ fn machine_order(ctx: &Ctx, s: &ProdState) -> Vec<usize> {
 /// sound representative — it is some member of the orbit — and determinism
 /// makes the interned set canonical.
 pub(crate) fn canonical_perm(ctx: &Ctx, s: &ProdState) -> Perm {
-    perm_of(ctx, s, &machine_order(ctx, s), ctx.profile.rank_sym)
+    let mut scr = CanonScratch::default();
+    full_perm(ctx, s, &mut scr);
+    scr.perm
 }
 
-/// What one move changed that the machine order reads: the machines whose
-/// sort key may differ between a parent and its successor, and whether
-/// any unit slot changed.
-struct Touched {
-    machines: Vec<bool>,
-    slots: bool,
+/// [`canonical_perm`] into `scr.perm`.
+fn full_perm(ctx: &Ctx, s: &ProdState, scr: &mut CanonScratch) {
+    machine_order(ctx, s, scr);
+    perm_of(ctx, s, &scr.order, ctx.profile.rank_sym, &mut scr.perm, &mut scr.keyed);
 }
 
-/// The machines `s`'s key may differ on from `parent`'s: a group member
-/// that is not the parent's allocation, a unit slot that changed (its old
-/// and its new host), a spare-FIFO membership that changed, an in-flight
-/// message added or removed (both endpoints' machines). `None` when the
+/// Marks in `scr.hit` the machines `s`'s key may differ on from
+/// `parent`'s: a group member that is not the parent's allocation, a unit
+/// slot that changed (its old and its new host), a spare-FIFO membership
+/// that changed, an in-flight message added or removed (both endpoints'
+/// machines). Returns whether any unit slot changed, or `None` when the
 /// spare machines both states keep change relative order, or a changed
 /// FIFO lists a machine twice: the parent's order then no longer orders
 /// them.
-fn touched(ctx: &Ctx, parent: &ProdState, s: &ProdState) -> Option<Touched> {
+fn touched(ctx: &Ctx, parent: &ProdState, s: &ProdState, scr: &mut CanonScratch) -> Option<bool> {
     let n_hosts = ctx.cfg.n_hosts;
-    let mut hit = vec![false; n_hosts];
+    let hit = &mut scr.hit;
+    hit.clear();
+    hit.resize(n_hosts, false);
     let mut mark = |i: u8| {
         if let Some((_, h)) = member_of(ctx, i as usize) {
             hit[h] = true;
@@ -553,89 +637,107 @@ fn touched(ctx: &Ctx, parent: &ProdState, s: &ProdState) -> Option<Touched> {
 
     let (before, after) = (parent.proto.spare_hosts(), s.proto.spare_hosts());
     if before != after {
-        let positions = |fifo: &[u8]| {
-            let mut pos = vec![None; n_hosts];
-            for (p, &h) in fifo.iter().enumerate() {
-                if pos[h as usize].replace(p).is_some() {
-                    return None;
-                }
-            }
-            Some(pos)
+        let positions = |fifo: &[u8], pos: &mut Vec<Option<usize>>| {
+            pos.clear();
+            pos.resize(n_hosts, None);
+            fifo.iter().enumerate().all(|(p, &h)| pos[h as usize].replace(p).is_none())
         };
-        let (was, is) = (positions(before)?, positions(after)?);
+        if !positions(before, &mut scr.was_at) || !positions(after, &mut scr.is_at) {
+            return None;
+        }
         let mut last = None;
         for &h in after {
-            match was[h as usize] {
+            match scr.was_at[h as usize] {
                 Some(p) if last > Some(p) => return None,
                 Some(p) => last = Some(p),
                 None => hit[h as usize] = true,
             }
         }
         for &h in before {
-            if is[h as usize].is_none() {
+            if scr.is_at[h as usize].is_none() {
                 hit[h as usize] = true;
             }
         }
     }
-    Some(Touched { machines: hit, slots })
+    Some(slots)
 }
 
 /// [`canonical_perm`] of `s`, a successor of the canonical representative
-/// `parent`, at a cost proportional to what the move changed. The
-/// parent's movable machines are in canonical order by construction
-/// (ascending ids: it is its own representative). A machine the move did
-/// not touch keeps its key, and the spare machines both keep only shift
-/// position together, so the untouched ones stay in the parent's order;
-/// each touched one is inserted by binary search under the same strict
-/// order. The rank sort is skipped where it cannot move anything: the
-/// machines kept their labels and no unit slot changed.
-pub(crate) fn canonical_perm_from(ctx: &Ctx, parent: &ProdState, s: &ProdState) -> Perm {
-    let Some(t) = touched(ctx, parent, s) else {
-        return canonical_perm(ctx, s);
+/// `parent`, into `scr.perm`, at a cost proportional to what the move
+/// changed. The parent's movable machines are in canonical order by
+/// construction (ascending ids: it is its own representative). A machine
+/// the move did not touch keeps its key, and the spare machines both keep
+/// only shift position together, so the untouched ones stay in the
+/// parent's order; each touched one is inserted by binary search under
+/// the same strict order. The rank sort is skipped where it cannot move
+/// anything: the machines kept their labels and no unit slot changed.
+pub(crate) fn canonical_perm_from(
+    ctx: &Ctx,
+    parent: &ProdState,
+    s: &ProdState,
+    scr: &mut CanonScratch,
+) {
+    let Some(slots) = touched(ctx, parent, s, scr) else {
+        return full_perm(ctx, s, scr);
     };
     let movable = &ctx.profile.movable;
-    let (mut order, moved): (Vec<usize>, Vec<usize>) =
-        movable.iter().partition(|&&h| !t.machines[h]);
-    if !moved.is_empty() {
-        let tables = HostTables::of(ctx, s);
-        for h in moved {
-            let at = order.partition_point(|&x| {
-                cmp_machines(ctx, s, &tables, x, h).then(x.cmp(&h)) == Ordering::Less
-            });
-            order.insert(at, h);
+    scr.order.clear();
+    scr.moved.clear();
+    for &h in movable {
+        if scr.hit[h] {
+            scr.moved.push(h);
+        } else {
+            scr.order.push(h);
         }
     }
-    let rank_sort = ctx.profile.rank_sym && (t.slots || order != *movable);
-    perm_of(ctx, s, &order, rank_sort)
+    if !scr.moved.is_empty() {
+        scr.tables.fill(ctx, s);
+        for &h in &scr.moved {
+            let at = scr.order.partition_point(|&x| {
+                cmp_machines(ctx, s, &scr.tables, x, h).then(x.cmp(&h)) == Ordering::Less
+            });
+            scr.order.insert(at, h);
+        }
+    }
+    let rank_sort = ctx.profile.rank_sym && (slots || scr.order != *movable);
+    perm_of(ctx, s, &scr.order, rank_sort, &mut scr.perm, &mut scr.keyed);
 }
 
-/// The permutation that renames the movable machines of `s`, listed in
-/// `order`, to the movable labels in ascending order, and — with
-/// `rank_sort` — sorts the rank slots by (phase, relabelled host,
-/// incarnation). Without it the rank map is the identity.
-fn perm_of(ctx: &Ctx, s: &ProdState, order: &[usize], rank_sort: bool) -> Perm {
+/// Writes into `perm` the permutation that renames the movable machines of
+/// `s`, listed in `order`, to the movable labels in ascending order, and —
+/// with `rank_sort` — sorts the rank slots by (phase, relabelled host,
+/// incarnation), keyed in `keyed`. Without it the rank map is the
+/// identity.
+fn perm_of(
+    ctx: &Ctx,
+    s: &ProdState,
+    order: &[usize],
+    rank_sort: bool,
+    perm: &mut Perm,
+    keyed: &mut Vec<((AbstractPhase, u8, u8), usize)>,
+) {
     let n_units = ctx.cfg.n_units();
-
-    let mut host_map: Vec<u8> = (0..ctx.cfg.n_hosts as u8).collect();
+    let host_map = &mut perm.hosts;
+    host_map.clear();
+    host_map.extend(0..ctx.cfg.n_hosts as u8);
     for (h, label) in order.iter().zip(&ctx.profile.movable) {
         host_map[*h] = *label as u8;
     }
 
-    let mut rank_map: Vec<u8> = (0..n_units as u8).collect();
+    let rank_map = &mut perm.ranks;
+    rank_map.clear();
+    rank_map.extend(0..n_units as u8);
     if rank_sort {
-        let mut keyed: Vec<((AbstractPhase, u8, u8), usize)> = (0..n_units)
-            .map(|r| {
-                let rk = s.proto.unit(r);
-                ((rk.phase, host_map[rk.host as usize], rk.incarnation), r)
-            })
-            .collect();
+        keyed.clear();
+        keyed.extend((0..n_units).map(|r| {
+            let rk = s.proto.unit(r);
+            ((rk.phase, host_map[rk.host as usize], rk.incarnation), r)
+        }));
         keyed.sort_unstable();
         for (new_id, (_, r)) in keyed.iter().enumerate() {
             rank_map[*r] = new_id as u8;
         }
     }
-
-    Perm { hosts: host_map, ranks: rank_map }
 }
 
 /// The canonical orbit representative of `s` and the permutation that maps
@@ -697,6 +799,7 @@ mod tests {
 
     use failmpi_backend::AbstractRank;
 
+    use super::super::engine::DriveScratch;
     use super::super::search::Explorer;
     use super::super::state::{insert_msg, SiteLog, VarVal};
     use super::super::world::AbstractWorld;
@@ -868,11 +971,11 @@ group G1[6] = ADVnodes;
     }
 
     /// Every unit slot of `w`, writable.
-    fn slots_mut(w: &mut AbstractWorld) -> &mut Vec<AbstractRank> {
+    fn slots_mut(w: &mut AbstractWorld) -> &mut [AbstractRank] {
         match w {
-            AbstractWorld::Vcl(v) => &mut v.ranks,
-            AbstractWorld::Ulfm(u) => &mut u.ranks,
-            AbstractWorld::Replica(r) => &mut r.units,
+            AbstractWorld::Vcl(v) => v.ranks.make_mut(),
+            AbstractWorld::Ulfm(u) => u.ranks.make_mut(),
+            AbstractWorld::Replica(r) => r.units.make_mut(),
         }
     }
 
@@ -910,7 +1013,9 @@ group G1[6] = ADVnodes;
             let spare = |edit: fn(&mut Vec<u8>)| {
                 let mut s = rep.clone();
                 if let AbstractWorld::Vcl(w) = &mut s.proto {
-                    edit(&mut w.free_hosts);
+                    let mut fifo = w.free_hosts.to_vec();
+                    edit(&mut fifo);
+                    w.free_hosts = fifo.into_iter().collect();
                 }
                 s
             };
@@ -972,28 +1077,30 @@ group G1[6] = ADVnodes;
         ) {
             with_sampled_state(which, backend, pick, |ctx, s| {
                 let (rep, _) = canonicalize(ctx, s);
-                for m in ctx.moves(&rep) {
-                    for micro in ctx.apply_move(&rep, &m, &mut SiteLog::new()) {
+                let mut scr = CanonScratch::default();
+                let (mut moves, mut micros) = (Vec::new(), Vec::new());
+                ctx.moves(&rep, &mut moves);
+                for m in &moves {
+                    let (log, drive) = (&mut SiteLog::new(), &mut DriveScratch::default());
+                    ctx.apply_move(&rep, m, log, drive, &mut micros);
+                    for micro in micros.drain(..) {
                         let st = &micro.st;
-                        let full = canonical_perm(ctx, st);
-                        prop_assert_eq!(canonical_perm_from(ctx, &rep, st), full);
+                        canonical_perm_from(ctx, &rep, st, &mut scr);
+                        prop_assert_eq!(&scr.perm, &canonical_perm(ctx, st));
                     }
                 }
                 for (what, parent, succ) in hand_built(ctx, &rep, seed) {
-                    let t = touched(ctx, &parent, &succ);
+                    let t = touched(ctx, &parent, &succ, &mut scr);
                     match what {
                         "spares reordered" => prop_assert!(t.is_none(), "{}", what),
                         "nothing" => prop_assert!(
-                            t.is_some_and(|t| !t.slots && !t.machines.contains(&true)),
+                            t == Some(false) && !scr.hit.contains(&true),
                             "{}", what
                         ),
                         _ => prop_assert!(t.is_some(), "{}", what),
                     }
-                    prop_assert_eq!(
-                        canonical_perm_from(ctx, &parent, &succ),
-                        canonical_perm(ctx, &succ),
-                        "{}", what
-                    );
+                    canonical_perm_from(ctx, &parent, &succ, &mut scr);
+                    prop_assert_eq!(&scr.perm, &canonical_perm(ctx, &succ), "{}", what);
                 }
                 Ok(())
             })?;
@@ -1019,7 +1126,8 @@ group G1[6] = ADVnodes;
                         .iter()
                         .map(|&h| (host_key(ctx, &s, h), h))
                         .collect();
-                    let tables = HostTables::of(ctx, &s);
+                    let mut tables = HostTables::default();
+                    tables.fill(ctx, &s);
                     for (key, h) in &keyed {
                         let tabled = (
                             (tables.hosted.run(*h).collect(), tables.spare_pos[*h]),
@@ -1039,7 +1147,9 @@ group G1[6] = ADVnodes;
                     }
                     keyed.sort();
                     let by_key: Vec<usize> = keyed.into_iter().map(|(_, h)| h).collect();
-                    prop_assert_eq!(machine_order(ctx, &s), by_key);
+                    let mut scr = CanonScratch::default();
+                    machine_order(ctx, &s, &mut scr);
+                    prop_assert_eq!(scr.order, by_key);
                 }
                 Ok(())
             })?;

@@ -10,9 +10,14 @@
 //! other choice path, depth first. The engine is immutable-`self` so
 //! frontier workers can share it across threads; the one mutation firing
 //! wants (halt-site bookkeeping for FC001/FC005) is threaded out as a
-//! [`SiteLog`] and applied by the sequential merge.
+//! [`SiteLog`] and applied by the sequential merge. What settling a step
+//! only needs while it runs — the work stack, the queues, the protocol
+//! events, the choice path, the leaves — lives in the worker's
+//! [`DriveScratch`] and is cleared, not freed, between steps.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 use failmpi_backend::vocab::AbstractModel;
 use failmpi_core::fire::{Domain, Fire, Input, Machine};
@@ -37,17 +42,15 @@ pub(crate) enum Pend {
     Fault(u8),
 }
 
-/// World-visible side effects of one instance firing.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct Effects {
-    /// `(from, to, msg)` sends, in emission order.
-    pub(crate) sends: Vec<(usize, usize, usize)>,
-    /// A `halt` executed while a process was controlled.
-    pub(crate) halted: bool,
+/// One outcome of feeding an instance: its state after, and its
+/// world-visible effects — the `(from, to, msg)` sends it emitted, in
+/// order, as a range of its [`Firing::sends`], and whether a `halt`
+/// executed while a process was controlled.
+struct Leaf {
+    st: InstState,
+    sends: Range<usize>,
+    halted: bool,
 }
-
-/// One outcome of feeding an instance: its state after, and the effects.
-type Leaf = (InstState, Effects);
 
 /// A choice path through the core's decision points: `(choice, arity)`
 /// per decision, in the order the core met them.
@@ -56,6 +59,48 @@ type Path = Vec<(usize, usize)>;
 /// A product state being settled: the state, its pending consequences,
 /// the faults injected so far, and the witness notes.
 type WorkItem = (ProdState, VecDeque<Pend>, u32, Vec<String>);
+
+/// What [`Ctx::outcomes`] works in: the choice path, the sends of every
+/// leaf, and the leaves past the first.
+#[derive(Default)]
+struct Firing {
+    path: Path,
+    sends: Vec<(u8, u8, u8)>,
+    forks: Vec<Leaf>,
+}
+
+impl Firing {
+    /// Whether two leaves of this firing are the same outcome.
+    fn same(&self, a: &Leaf, b: &Leaf) -> bool {
+        a.halted == b.halted
+            && self.sends[a.sends.clone()] == self.sends[b.sends.clone()]
+            && a.st == b.st
+    }
+}
+
+/// The buffers settling a product step reuses, one set per worker: all
+/// of them are empty between two calls of [`Ctx::drive`].
+#[derive(Default)]
+pub(crate) struct DriveScratch {
+    /// Work items being settled.
+    work: Vec<WorkItem>,
+    /// Emptied queues, handed to the next work item.
+    queues: Vec<VecDeque<Pend>>,
+    /// The events of the protocol step being applied.
+    pub(crate) evs: Vec<AbstractEvent>,
+    /// The firing of the automaton input being settled.
+    firing: Firing,
+    /// The breakpoint holder's firing, which outlives the settling of its
+    /// leaves.
+    held: Firing,
+}
+
+impl DriveScratch {
+    /// An empty queue: a spent one when there is one.
+    pub(crate) fn queue(&mut self) -> VecDeque<Pend> {
+        self.queues.pop().unwrap_or_default()
+    }
+}
 
 /// Everything successor generation reads: the compiled scenario, the
 /// deployment binding, and the symmetry profile. Shared read-only across
@@ -86,7 +131,10 @@ pub(crate) struct Ctx<'a> {
 struct Abs<'e, 'a> {
     ctx: &'e Ctx<'a>,
     inst: usize,
-    eff: Effects,
+    /// Where the sends go, `(from, to, msg)` in emission order.
+    sends: &'e mut Vec<(u8, u8, u8)>,
+    /// A `halt` executed while a process was controlled.
+    halted: bool,
     log: &'e mut SiteLog,
     /// The decisions of the path; one past its end takes option 0 and is
     /// appended.
@@ -164,7 +212,7 @@ impl Domain for Abs<'_, '_> {
     }
 
     fn send(&mut self, to: usize, msg: usize) {
-        self.eff.sends.push((self.inst, to, msg));
+        self.sends.push((self.inst as u8, to as u8, msg as u8));
     }
 
     fn control(ctl: &mut Control, proc: Option<()>) {
@@ -184,7 +232,7 @@ impl Domain for Abs<'_, '_> {
         if ctl.controlled {
             ctl.controlled = false;
             ctl.suspended = false;
-            self.eff.halted = true;
+            self.halted = true;
         }
     }
 
@@ -224,14 +272,16 @@ impl Ctx<'_> {
         &self.sc.classes[self.inst_class[inst]]
     }
 
-    /// The firing core over instance `inst`, along choice path `path`.
+    /// The firing core over instance `inst`, along choice path `path`,
+    /// sending into `sends`.
     fn fire<'e>(
         &'e self,
         inst: usize,
         log: &'e mut SiteLog,
         path: &'e mut Path,
+        sends: &'e mut Vec<(u8, u8, u8)>,
     ) -> Fire<'e, Abs<'e, 'e>> {
-        let dom = Abs { ctx: self, inst, eff: Effects::default(), log, path, depth: 0 };
+        let dom = Abs { ctx: self, inst, sends, halted: false, log, path, depth: 0 };
         Fire { class: self.class_of(inst), deployment: &self.deployment, dom }
     }
 
@@ -242,103 +292,119 @@ impl Ctx<'_> {
         let class = self.class_of(inst);
         let armed = vec![false; class.timer_names.len()];
         let mut m = Machine::new(class, Control { armed, controlled: false, suspended: false });
-        self.fire(inst, &mut SiteLog::new(), &mut Vec::new()).start(&mut m);
+        self.fire(inst, &mut SiteLog::new(), &mut Vec::new(), &mut Vec::new()).start(&mut m);
         m
     }
 
     /// Every outcome of feeding `input` to instance `inst` in state `st`:
-    /// the leaf of the first choice path, and the other leaves, duplicates
-    /// dropped, when the core met a decision point.
+    /// the leaf of the first choice path, returned, and the other leaves,
+    /// duplicates dropped, in `f.forks` when the core met a decision
+    /// point. Every leaf's sends are in `f.sends`.
     fn outcomes(
         &self,
         inst: usize,
         st: &InstState,
         input: AIn,
         log: &mut SiteLog,
-    ) -> (Leaf, Vec<Leaf>) {
-        let mut run = |path: &mut Path| {
+        f: &mut Firing,
+    ) -> Leaf {
+        f.path.clear();
+        f.sends.clear();
+        f.forks.clear();
+        let mut run = |f: &mut Firing| {
             let mut m = st.clone();
-            let mut fire = self.fire(inst, log, path);
+            let start = f.sends.len();
+            let mut fire = self.fire(inst, log, &mut f.path, &mut f.sends);
             fire.feed(&mut m, input);
-            (m, fire.dom.eff)
+            let halted = fire.dom.halted;
+            Leaf { st: m, sends: start..f.sends.len(), halted }
         };
-        let mut path = Vec::new();
-        let first = run(&mut path);
-        let mut forks: Vec<Leaf> = Vec::new();
-        while next_path(&mut path) {
-            let leaf = run(&mut path);
-            if leaf != first && !forks.contains(&leaf) {
-                forks.push(leaf);
+        let first = run(f);
+        while next_path(&mut f.path) {
+            let leaf = run(f);
+            if f.same(&leaf, &first) || f.forks.iter().any(|k| f.same(k, &leaf)) {
+                f.sends.truncate(leaf.sends.start);
+            } else {
+                f.forks.push(leaf);
             }
         }
-        (first, forks)
+        first
     }
 
     // -- world-level step application --------------------------------------
 
     /// Applies one protocol step to `s` and queues the automaton inputs
-    /// its events raise; returns the events.
+    /// its events raise; leaves the events in `evs`.
     pub(crate) fn proto_step(
         &self,
         s: &mut ProdState,
         step: AbstractStep,
         q: &mut VecDeque<Pend>,
-    ) -> Vec<AbstractEvent> {
-        let mut evs = Vec::new();
-        s.proto.apply(step, &mut evs);
-        self.enqueue_events(q, &evs);
-        evs
+        evs: &mut Vec<AbstractEvent>,
+    ) {
+        evs.clear();
+        s.proto.apply(step, evs);
+        self.enqueue_events(q, evs);
     }
 
     /// The breakpoint step: `holder`'s debugger holds `rank`'s process
     /// just before `localMPI_setCommand`; the scenario decides whether the
-    /// call proceeds.
+    /// call proceeds. Appends the settled branches of each of the holder's
+    /// outcomes to `out`, each outcome's sorted on its own.
     pub(crate) fn breakpoint_step(
         &self,
         s: &ProdState,
         rank: u8,
         holder: usize,
         log: &mut SiteLog,
-    ) -> Vec<Micro> {
-        let mut out = Vec::new();
+        scr: &mut DriveScratch,
+        out: &mut Vec<Micro>,
+    ) {
         let input = AIn::Breakpoint((), None);
-        let (first, forks) = self.outcomes(holder, &s.insts[holder], input, log);
-        for (ist2, eff) in std::iter::once(first).chain(forks) {
+        let first = self.outcomes(holder, &s.insts[holder], input, log, &mut scr.held);
+        // Settling a leaf fires other automata, so the holder's firing
+        // leaves the scratch until its leaves are settled.
+        let mut held = std::mem::take(&mut scr.held);
+        for leaf in std::iter::once(first).chain(held.forks.drain(..)) {
             let mut s2 = s.clone();
-            s2.insts[holder] = Inst::new(ist2);
-            for (from, to, msg) in &eff.sends {
-                insert_msg(&mut s2.msgs, (*from as u8, *to as u8, *msg as u8));
+            s2.insts[holder] = Inst::new(leaf.st);
+            for &m in &held.sends[leaf.sends] {
+                insert_msg(&mut s2.msgs, m);
             }
-            let mut q = VecDeque::new();
+            let mut q = scr.queue();
             let mut notes = Vec::new();
-            if eff.halted {
+            if leaf.halted {
                 // Killed at the breakpoint: the rank dies registered,
                 // before acking the command.
                 q.push_back(Pend::Fault(rank));
             } else {
                 // Released: the call completes.
-                self.proto_step(&mut s2, AbstractStep::Ready(rank), &mut q);
+                self.proto_step(&mut s2, AbstractStep::Ready(rank), &mut q, &mut scr.evs);
                 notes.push("released".to_string());
             }
-            out.extend(self.drive(s2, q, notes, log));
+            self.drive(s2, q, notes, log, scr, out);
         }
-        out
+        scr.held = held;
     }
 
     /// Processes a queue of pending consequences to completion, branching
-    /// as the automata branch. Returns the settled micro-states.
+    /// as the automata branch. Appends the settled micro-states to `out`,
+    /// sorted and deduplicated among themselves.
     pub(crate) fn drive(
         &self,
         st: ProdState,
         queue: VecDeque<Pend>,
         notes: Vec<String>,
         log: &mut SiteLog,
-    ) -> Vec<Micro> {
-        let mut out = Vec::new();
-        let mut work = vec![(st, queue, 0u32, notes)];
-        while let Some((mut s, mut q, f, mut notes)) = work.pop() {
+        scr: &mut DriveScratch,
+        out: &mut Vec<Micro>,
+    ) {
+        let start = out.len();
+        scr.work.push((st, queue, 0u32, notes));
+        while let Some((mut s, mut q, f, mut notes)) = scr.work.pop() {
             let Some(p) = q.pop_front() else {
                 out.push(Micro { st: s, faults: f, notes });
+                scr.queues.push(q);
                 continue;
             };
             match p {
@@ -346,53 +412,65 @@ impl Ctx<'_> {
                     if !s.proto.unit_live(r as usize) {
                         // The process died between the halt decision and
                         // this point (cascaded recovery) — nothing to kill.
-                        work.push((s, q, f, notes));
+                        scr.work.push((s, q, f, notes));
                         continue;
                     }
                     let phase = s.proto.unit(r as usize).phase;
                     let during = s.proto.recovery_active();
-                    let desc = s.proto.unit_desc(r as usize);
-                    let evs = self.proto_step(&mut s, AbstractStep::Fault(r), &mut q);
-                    notes.push(format!(
-                        "fault kills {desc} ({}{})",
-                        phase_name(phase),
-                        if during { ", during recovery" } else { "" }
-                    ));
-                    for e in &evs {
+                    let mut note = String::from("fault kills ");
+                    s.proto.unit_desc(r as usize, &mut note);
+                    let during = if during { ", during recovery" } else { "" };
+                    let _ = write!(note, " ({}{during})", phase_name(phase));
+                    notes.push(note);
+                    self.proto_step(&mut s, AbstractStep::Fault(r), &mut q, &mut scr.evs);
+                    for e in &scr.evs {
                         if let AbstractEvent::RankLost { rank } = e {
                             notes.push(s.proto.lost_note(*rank));
                         }
                     }
-                    work.push((s, q, f + 1, notes));
+                    scr.work.push((s, q, f + 1, notes));
                 }
                 Pend::In { inst, input } => {
                     // Only a genuine fork pays for a copy of the state.
-                    let (first, forks) = self.outcomes(inst, &s.insts[inst], input, log);
-                    for leaf in forks {
-                        let item = (s.clone(), q.clone(), f, notes.clone());
-                        work.push(self.absorb(inst, leaf, item));
+                    let first = self.outcomes(inst, &s.insts[inst], input, log, &mut scr.firing);
+                    for leaf in scr.firing.forks.drain(..) {
+                        let mut q2 = scr.queues.pop().unwrap_or_default();
+                        q2.extend(q.iter().cloned());
+                        let item = (s.clone(), q2, f, notes.clone());
+                        scr.work.push(self.absorb(inst, leaf, &scr.firing.sends, item));
                     }
-                    work.push(self.absorb(inst, first, (s, q, f, notes)));
+                    let item = self.absorb(inst, first, &scr.firing.sends, (s, q, f, notes));
+                    scr.work.push(item);
                 }
             }
         }
-        out.sort_by(|a, b| (&a.st, a.faults, &a.notes).cmp(&(&b.st, b.faults, &b.notes)));
-        out.dedup_by(|a, b| a.st == b.st && a.faults == b.faults);
-        out
+        // Sort what this call settled and drop, as `Vec::dedup_by` would,
+        // each branch that repeats the last one kept.
+        out[start..].sort_by(|a, b| (&a.st, a.faults, &a.notes).cmp(&(&b.st, b.faults, &b.notes)));
+        let mut kept = start;
+        for k in start..out.len() {
+            let last = kept.checked_sub(1).filter(|&j| j >= start).map(|j| &out[j]);
+            if !last.is_some_and(|l| l.st == out[k].st && l.faults == out[k].faults) {
+                out.swap(kept, k);
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 
     /// Work item `(s, q, faults, notes)` with instance `inst` settled in
-    /// `leaf`: its state replaced, its sends in flight, and a halt queued
-    /// as a fault on the rank its machine hosts.
-    fn absorb(&self, inst: usize, (ist, eff): Leaf, item: WorkItem) -> WorkItem {
+    /// `leaf`, whose sends are in `sends`: its state replaced, its sends
+    /// in flight, and a halt queued as a fault on the rank its machine
+    /// hosts.
+    fn absorb(&self, inst: usize, leaf: Leaf, sends: &[(u8, u8, u8)], item: WorkItem) -> WorkItem {
         let (mut s, mut q, f, mut notes) = item;
-        if *s.insts[inst] != ist {
-            s.insts[inst] = Inst::new(ist);
+        if *s.insts[inst] != leaf.st {
+            s.insts[inst] = Inst::new(leaf.st);
         }
-        for (from, to, msg) in &eff.sends {
-            insert_msg(&mut s.msgs, (*from as u8, *to as u8, *msg as u8));
+        for &m in &sends[leaf.sends] {
+            insert_msg(&mut s.msgs, m);
         }
-        if eff.halted {
+        if leaf.halted {
             match self.inst_host[inst].and_then(|h| s.proto.live_rank_on_host(h)) {
                 Some(r) => q.push_back(Pend::Fault(r)),
                 None => notes.push(format!(
@@ -554,7 +632,13 @@ group G1[3] = Echo;
         /// The first observable of `inst` on which `leaf` disagrees with
         /// the runtime's step `ran`, if any. Off the exact regime, a `Top`
         /// variable agrees with every value.
-        fn disagreement(&self, inst: usize, leaf: &Leaf, ran: &Step, exact: bool) -> Option<String> {
+        fn disagreement(
+            &self,
+            inst: usize,
+            leaf: &(InstState, Step),
+            ran: &Step,
+            exact: bool,
+        ) -> Option<String> {
             let (st, eff) = leaf;
             let m = self.rt.machine(inst);
             let inbox: Vec<(usize, usize)> =
@@ -567,7 +651,7 @@ group G1[3] = Echo;
             let timer = (st.ctl.armed.iter().enumerate())
                 .find(|(slot, armed)| **armed && !self.pending.contains_key(&(inst, *slot)));
             let checks = [
-                ((&eff.sends, eff.halted) != (&ran.0, ran.1)).then(|| "effects".to_string()),
+                (eff != ran).then(|| "effects".to_string()),
                 (st.node as usize != m.node).then(|| "node".to_string()),
                 var.map(|(slot, (v, c))| format!("variable {slot} ({v:?} vs {c})")),
                 (inbox != m.inbox).then(|| format!("inbox ({inbox:?} vs {:?})", m.inbox)),
@@ -630,12 +714,19 @@ group G1[3] = Echo;
                 (AIn::Probe(slot, value), FailInput::Probe { instance: inst, probe: slot, value })
             }
         };
-        let (first, forks) = ctx.outcomes(inst, &abs[inst], ain, &mut SiteLog::new());
-        assert!(!exact || forks.is_empty(), "{ain:?} forked in the exact regime");
+        let mut f = Firing::default();
+        let first = ctx.outcomes(inst, &abs[inst], ain, &mut SiteLog::new(), &mut f);
+        assert!(!exact || f.forks.is_empty(), "{ain:?} forked in the exact regime");
         let acts = con.rt.feed(cin.clone(), &mut con.rng);
         let concrete = con.absorb(inst, acts);
 
-        let mut leaves: Vec<Leaf> = std::iter::once(first).chain(forks).collect();
+        let widen = |l: Leaf| {
+            let widen = |&(a, b, c): &(u8, u8, u8)| (a as usize, b as usize, c as usize);
+            let sends = f.sends[l.sends].iter().map(widen);
+            (l.st, (sends.collect(), l.halted))
+        };
+        let mut leaves: Vec<(InstState, Step)> =
+            std::iter::once(first).chain(f.forks.drain(..)).map(widen).collect();
         let why: Vec<Option<String>> =
             leaves.iter().map(|l| con.disagreement(inst, l, &concrete, exact)).collect();
         match why.iter().position(Option::is_none) {

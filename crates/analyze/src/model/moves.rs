@@ -1,17 +1,19 @@
 //! Product moves: which are enabled ([`Ctx::moves`]), how they read
 //! ([`Ctx::label_of`]), what they do ([`Ctx::apply_move`]), and one full
-//! state expansion ([`Ctx::expand`]) — the surface [`super::por`],
-//! [`super::canon`], [`super::frontier`] and the witness replay call.
+//! state expansion ([`Ctx::expand`]) in a worker's [`Scratch`] — the
+//! surface [`super::por`], [`super::canon`], [`super::frontier`] and the
+//! witness replay call.
 
-use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 use failmpi_backend::vocab::AbstractModel;
 use failmpi_core::lang::compile::Guard;
 use failmpi_mpichv::AbstractStep;
 
-use super::engine::{AIn, Ctx, Pend};
+use super::canon::{self, CanonScratch};
+use super::engine::{AIn, Ctx, DriveScratch, Pend};
+use super::por::{self, PorScratch};
 use super::state::{Expansion, Micro, MoveKind, ProdState, SiteLog, Succ};
-use super::{canon, por};
 
 impl Ctx<'_> {
     /// Whether any controller suspends the process of `rank` (a
@@ -44,9 +46,10 @@ impl Ctx<'_> {
             .any(|t| matches!(t.guard, Guard::Before(_)))
     }
 
-    /// Every enabled product move of `s`, in canonical enumeration order.
-    pub(crate) fn moves(&self, s: &ProdState) -> Vec<MoveKind> {
-        let mut out = Vec::new();
+    /// Every enabled product move of `s`, in canonical enumeration order,
+    /// into `out`, which is cleared first.
+    pub(crate) fn moves(&self, s: &ProdState, out: &mut Vec<MoveKind>) {
+        out.clear();
 
         // Fast: message deliveries (multiset duplicates collapse).
         let mut seen_msg = None;
@@ -104,54 +107,75 @@ impl Ctx<'_> {
                 out.push(MoveKind::WaveCommit);
             }
         }
-        out
     }
 
     /// The human-readable step label of `m` taken from `s`.
     pub(crate) fn label_of(&self, s: &ProdState, m: &MoveKind) -> String {
-        match m {
-            MoveKind::Deliver { from, to, msg } => format!(
-                "deliver {} {} -> {}",
-                self.sc.messages[*msg as usize],
-                self.deployment.name(*from as usize),
-                self.deployment.name(*to as usize)
-            ),
-            MoveKind::Register(r) => format!("register {}", s.proto.unit_desc(*r as usize)),
-            MoveKind::Ready(r) => format!("ready {}", s.proto.unit_desc(*r as usize)),
-            MoveKind::Breakpoint { rank, holder } => format!(
-                "breakpoint before set-command: {} held by {}",
-                s.proto.unit_desc(*rank as usize),
-                self.deployment.name(*holder)
-            ),
-            MoveKind::Spawn(r) => format!(
-                "spawn {} on host {}",
-                s.proto.unit_desc(*r as usize),
-                s.proto.unit(*r as usize).host
-            ),
-            MoveKind::StopClosure(r) => format!("stop-closure rank {r}"),
-            MoveKind::Timer { inst, slot } => format!(
-                "timer {} at {}",
-                self.class_of(*inst).timer_names[*slot],
-                self.deployment.name(*inst)
-            ),
-            MoveKind::WaveStart => "checkpoint wave starts".to_string(),
-            MoveKind::WaveCommit => "checkpoint wave commits".to_string(),
-        }
+        let mut out = String::new();
+        self.write_label(s, m, &mut out);
+        out
     }
 
-    /// Applies one enabled move, returning its settled micro-branches.
-    /// `m` must come from [`Ctx::moves`] on `s` (or be transported there
-    /// by a permutation): the protocol steps assert enabledness.
-    pub(crate) fn apply_move(&self, s: &ProdState, m: &MoveKind, log: &mut SiteLog) -> Vec<Micro> {
+    /// Appends [`Ctx::label_of`] to `out`.
+    fn write_label(&self, s: &ProdState, m: &MoveKind, out: &mut String) {
+        let name = |i: usize| self.deployment.name(i);
+        let _ = match *m {
+            MoveKind::Deliver { from, to, msg } => write!(
+                out,
+                "deliver {} {} -> {}",
+                self.sc.messages[msg as usize],
+                name(from as usize),
+                name(to as usize)
+            ),
+            MoveKind::Register(r) => {
+                out.push_str("register ");
+                s.proto.unit_desc(r as usize, out);
+                Ok(())
+            }
+            MoveKind::Ready(r) => {
+                out.push_str("ready ");
+                s.proto.unit_desc(r as usize, out);
+                Ok(())
+            }
+            MoveKind::Breakpoint { rank, holder } => {
+                out.push_str("breakpoint before set-command: ");
+                s.proto.unit_desc(rank as usize, out);
+                write!(out, " held by {}", name(holder))
+            }
+            MoveKind::Spawn(r) => {
+                out.push_str("spawn ");
+                s.proto.unit_desc(r as usize, out);
+                write!(out, " on host {}", s.proto.unit(r as usize).host)
+            }
+            MoveKind::StopClosure(r) => write!(out, "stop-closure rank {r}"),
+            MoveKind::Timer { inst, slot } => {
+                write!(out, "timer {} at {}", self.class_of(inst).timer_names[slot], name(inst))
+            }
+            MoveKind::WaveStart => write!(out, "checkpoint wave starts"),
+            MoveKind::WaveCommit => write!(out, "checkpoint wave commits"),
+        };
+    }
+
+    /// Applies one enabled move, appending its settled micro-branches to
+    /// `out`. `m` must come from [`Ctx::moves`] on `s` (or be transported
+    /// there by a permutation): the protocol steps assert enabledness.
+    pub(crate) fn apply_move(
+        &self,
+        s: &ProdState,
+        m: &MoveKind,
+        log: &mut SiteLog,
+        scr: &mut DriveScratch,
+        out: &mut Vec<Micro>,
+    ) {
         if let MoveKind::Breakpoint { rank, holder } = *m {
-            return self.breakpoint_step(s, rank, holder, log);
+            return self.breakpoint_step(s, rank, holder, log, scr, out);
         }
         let mut s2 = s.clone();
-        let mut q = VecDeque::new();
+        let mut q = scr.queue();
         // A move starts at the protocol (a step is applied and its events
         // queued) or at an automaton (an input is queued).
         if let Some(step) = m.protocol_step() {
-            self.proto_step(&mut s2, step, &mut q);
+            self.proto_step(&mut s2, step, &mut q, &mut scr.evs);
         } else if let MoveKind::Deliver { from, to, msg } = *m {
             let i = s2
                 .msgs
@@ -164,42 +188,55 @@ impl Ctx<'_> {
         } else if let MoveKind::Timer { inst, slot } = *m {
             q.push_back(Pend::In { inst, input: AIn::Timer(slot, ()) });
         }
-        self.drive(s2, q, Vec::new(), log)
+        self.drive(s2, q, Vec::new(), log, scr, out)
     }
 
-    /// One full expansion: every branch of every enabled move, then
-    /// (reduce mode) the ample filter and orbit canonicalization, then the
-    /// scramble hook and the canonical sort/dedup that makes generation
-    /// order immaterial. The sort is on `(label, state, faults, notes)`
-    /// and the dedup on `(label, state, faults)`: where branches of one
-    /// move converge, the survivor carries the smallest notes — which is
-    /// the branch the witness replay picks.
-    pub(crate) fn expand(&self, s: &ProdState) -> Expansion {
+    /// One full expansion, in the worker's `scr`: every branch of every
+    /// enabled move, then (reduce mode) the ample filter and orbit
+    /// canonicalization, then the scramble hook and the canonical
+    /// sort/dedup that makes generation order immaterial. The sort is on
+    /// `(label, state, faults, notes)` and the dedup on `(label, state,
+    /// faults)`: where branches of one move converge, the survivor carries
+    /// the smallest notes — which is the branch the witness replay picks.
+    /// Each move's label is rendered once, into `scr`; a successor's
+    /// [`Succ::label`] reads it there until `scr` expands another state.
+    pub(crate) fn expand(&self, s: &ProdState, scr: &mut Scratch) -> Expansion {
         let mut log = SiteLog::new();
-        let mut succs = Vec::new();
-        for m in self.moves(s) {
-            let label = self.label_of(s, &m);
-            for micro in self.apply_move(s, &m, &mut log) {
-                succs.push(Succ { label: label.clone(), kind: m.clone(), micro, perm: None });
-            }
+        scr.labels.clear();
+        self.moves(s, &mut scr.moves);
+        // Every move settles in at least one branch.
+        let mut succs = Vec::with_capacity(scr.moves.len());
+        for m in &scr.moves {
+            let start = scr.labels.len() as u32;
+            self.write_label(s, m, &mut scr.labels);
+            let label = (start, scr.labels.len() as u32);
+            self.apply_move(s, m, &mut log, &mut scr.drive, &mut scr.micros);
+            let branch = |micro| Succ { label, kind: *m, micro, perm: None };
+            succs.extend(scr.micros.drain(..).map(branch));
         }
+        let mut perms = Vec::new();
         let mut por_pruned = 0;
         let mut orbit_hits = 0;
         if self.cfg.reduce {
             let before = succs.len();
-            succs = por::ample_filter(self, s, succs);
-            por_pruned = before - succs.len();
+            por::ample_filter(self, s, &mut succs, &mut scr.por, &mut scr.drive);
+            let kept = succs.len();
+            por_pruned = before - kept;
             // `s` is interned, so it is a canonical representative.
             for succ in &mut succs {
-                let perm = canon::canonical_perm_from(self, s, &succ.micro.st);
-                debug_assert_eq!(perm, canon::canonical_perm(self, &succ.micro.st));
-                if !perm.is_identity() {
-                    let rep = perm.apply_state(self, &succ.micro.st);
-                    if rep != succ.micro.st {
+                let canon = &mut scr.canon;
+                canon::canonical_perm_from(self, s, &succ.micro.st, canon);
+                debug_assert_eq!(canon.perm, canon::canonical_perm(self, &succ.micro.st));
+                if !canon.perm.is_identity() {
+                    if perms.is_empty() {
+                        let row = canon.perm.hosts.len() + canon.perm.ranks.len();
+                        perms.reserve_exact(kept * row);
+                    }
+                    succ.perm = Some(perms.len() as u32);
+                    canon.perm.write_flat(&mut perms);
+                    if canon.perm.relabel(self, &mut succ.micro.st, &mut canon.relabel) {
                         orbit_hits += 1;
                     }
-                    succ.micro.st = rep;
-                    succ.perm = Some(perm);
                 }
             }
         }
@@ -214,13 +251,165 @@ impl Ctx<'_> {
                 succs.swap(i, (rng as usize) % (i + 1));
             }
         }
+        let label = |x: &Succ| scr.label(x);
         succs.sort_by(|a, b| {
-            (&a.label, &a.micro.st, a.micro.faults, &a.micro.notes)
-                .cmp(&(&b.label, &b.micro.st, b.micro.faults, &b.micro.notes))
+            (label(a), &a.micro.st, a.micro.faults, &a.micro.notes)
+                .cmp(&(label(b), &b.micro.st, b.micro.faults, &b.micro.notes))
         });
         succs.dedup_by(|a, b| {
-            a.label == b.label && a.micro.st == b.micro.st && a.micro.faults == b.micro.faults
+            label(a) == label(b) && a.micro.st == b.micro.st && a.micro.faults == b.micro.faults
         });
-        Expansion { succs, log, por_pruned, orbit_hits }
+        Expansion { succs, perms, log, por_pruned, orbit_hits }
+    }
+}
+
+/// Everything one frontier worker reuses from one expansion to the next:
+/// the enabled moves, the rendered labels, the settled branches of the
+/// move being applied, and the buffers of settling, the ample filter and
+/// canonicalisation. Each is cleared, never freed, between uses.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub(crate) moves: Vec<MoveKind>,
+    /// The labels of the last expansion's moves, back to back.
+    labels: String,
+    pub(crate) micros: Vec<Micro>,
+    pub(crate) drive: DriveScratch,
+    canon: CanonScratch,
+    por: PorScratch,
+}
+
+impl Scratch {
+    /// The label of `succ`, a successor of the last state this scratch
+    /// expanded.
+    pub(crate) fn label(&self, succ: &Succ) -> &str {
+        &self.labels[succ.label.0 as usize..succ.label.1 as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! A worker's scratch carries nothing from one expansion into the
+    //! next: expanding a state in a scratch that has expanded other states
+    //! — of the same exploration or of another backend's — yields what a
+    //! fresh scratch yields.
+
+    use std::sync::OnceLock;
+
+    use failmpi_backend::BackendKind;
+    use failmpi_core::compile;
+    use failmpi_core::lang::compile::Scenario;
+    use proptest::prelude::*;
+    use proptest::test_runner::Config;
+
+    use super::super::canon::Perm;
+    use super::super::search::Explorer;
+    use super::super::ModelCheckConfig;
+    use super::*;
+
+    const FIG10: &str = include_str!("../../../core/scenarios/fig10_state_sync.fail");
+    const FIG8: &str = include_str!("../../../core/scenarios/fig8_synchronized.fail");
+
+    /// The `model_check_grid25` shapes: `(source, backend, ranks, reduce)`.
+    const GRID25: [(&str, BackendKind, usize, bool); 6] = [
+        (FIG10, BackendKind::Vcl, 9, true),
+        (FIG10, BackendKind::Vcl, 16, true),
+        (FIG8, BackendKind::Vcl, 25, true),
+        (FIG10, BackendKind::Vcl, 4, false),
+        (FIG10, BackendKind::Ulfm, 25, true),
+        (FIG10, BackendKind::Replica, 9, true),
+    ];
+
+    /// A shape's compiled scenario, its configuration (budget-bounded, so
+    /// the sample is the exploration's first states), and the states that
+    /// bounded exploration interned.
+    struct Shape {
+        sc: Scenario,
+        cfg: ModelCheckConfig,
+        states: Vec<ProdState>,
+    }
+
+    fn shape(k: usize) -> &'static Shape {
+        static SHAPES: [OnceLock<Shape>; 6] = [const { OnceLock::new() }; 6];
+        SHAPES[k].get_or_init(|| {
+            let (src, backend, n_ranks, reduce) = GRID25[k];
+            let sc = compile(src).expect("builtin compiles");
+            let cfg = ModelCheckConfig {
+                backend,
+                n_ranks,
+                n_hosts: n_ranks + 1,
+                budget: 120,
+                params: vec![("T".to_string(), 2), ("N".to_string(), 5)],
+                reduce,
+                permute_seed: reduce.then_some(7),
+                ..ModelCheckConfig::default()
+            };
+            let states = {
+                let mut ex = Explorer::new(&sc, &cfg, &[]);
+                ex.run();
+                ex.states().to_vec()
+            };
+            Shape { sc, cfg, states }
+        })
+    }
+
+    /// One successor as observed: label, move, state, faults, notes and
+    /// permutation.
+    type Seen = (String, MoveKind, ProdState, u32, Vec<String>, Option<Perm>);
+
+    /// Everything an expansion produced, read while its scratch still
+    /// holds the labels.
+    fn observe(ctx: &Ctx, exp: Expansion, scr: &Scratch) -> (Vec<Seen>, SiteLog, usize, usize) {
+        let (n_hosts, n_units) = (ctx.cfg.n_hosts, ctx.cfg.n_units());
+        let succs = (exp.succs.iter())
+            .map(|x| {
+                let perm = exp.perm(x.perm, n_hosts, n_units);
+                let m = &x.micro;
+                (scr.label(x).to_string(), x.kind, m.st.clone(), m.faults, m.notes.clone(), perm)
+            })
+            .collect();
+        (succs, exp.log, exp.por_pruned, exp.orbit_hits)
+    }
+
+    proptest! {
+        #![proptest_config(Config::with_cases(12))]
+
+        /// Up to 24 sampled states of one shape, each expanded in a fresh
+        /// scratch and then all in one shared scratch, in a shuffled
+        /// order, every one after a state of another shape.
+        #[test]
+        fn a_reused_scratch_leaks_nothing(
+            which in 0usize..GRID25.len(),
+            other in 1usize..GRID25.len(),
+            picks in proptest::collection::vec(any::<usize>(), 1..24),
+            seed in any::<u64>(),
+        ) {
+            let (a, b) = (shape(which), shape((which + other) % GRID25.len()));
+            let ex_a = Explorer::new(&a.sc, &a.cfg, &[]);
+            let ex_b = Explorer::new(&b.sc, &b.cfg, &[]);
+            let fresh: Vec<_> = (picks.iter())
+                .map(|p| {
+                    let mut scr = Scratch::default();
+                    let exp = ex_a.ctx.expand(&a.states[p % a.states.len()], &mut scr);
+                    observe(&ex_a.ctx, exp, &scr)
+                })
+                .collect();
+
+            let mut order: Vec<usize> = (0..picks.len()).collect();
+            let mut rng = seed.max(1);
+            for i in (1..order.len()).rev() {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                order.swap(i, (rng as usize) % (i + 1));
+            }
+            let mut shared = Scratch::default();
+            for (k, &i) in order.iter().enumerate() {
+                let noise = &b.states[(picks[i] ^ k) % b.states.len()];
+                ex_b.ctx.expand(noise, &mut shared);
+                let exp = ex_a.ctx.expand(&a.states[picks[i] % a.states.len()], &mut shared);
+                let seen = observe(&ex_a.ctx, exp, &shared);
+                prop_assert!(seen == fresh[i], "state {} of shape {}", picks[i], which);
+            }
+        }
     }
 }

@@ -53,58 +53,87 @@
 //! scenario shape exploits the gap, a case there fails and these
 //! conditions must be tightened until it passes again.
 
-use std::cell::OnceCell;
+use std::ops::Range;
 
 use failmpi_backend::vocab::AbstractModel;
 
-use super::engine::Ctx;
-use super::state::{MoveKind, ProdState, SiteLog, Succ};
+use super::engine::{Ctx, DriveScratch};
+use super::state::{Micro, MoveKind, ProdState, SiteLog, Succ};
 
-/// The enabled moves of each menu branch's end state, computed on first
-/// use: a candidate's own menu is read once per other kind and a branch's
-/// once per candidate, so each is worth keeping for the whole expansion.
-struct Menus<'a> {
-    ctx: &'a Ctx<'a>,
+/// The ample filter's buffers, kept by a worker from one expansion to the
+/// next: the menu's kinds as runs of successors, the enabled moves after
+/// each successor (computed on first use: a candidate's own menu is read
+/// once per other kind and a branch's once per candidate), and the two
+/// probe orders' branches.
+#[derive(Default)]
+pub(crate) struct PorScratch {
+    groups: Vec<(usize, usize)>,
+    menu_ready: Vec<bool>,
+    menus: Vec<Vec<MoveKind>>,
+    after_alpha: Vec<Micro>,
+    after_beta: Vec<Micro>,
+}
+
+/// What the commutation checks of one expansion read and reuse.
+struct Probe<'a, 'c> {
+    ctx: &'a Ctx<'c>,
     succs: &'a [Succ],
-    after: Vec<OnceCell<Vec<MoveKind>>>,
+    por: &'a mut PorScratch,
+    drive: &'a mut DriveScratch,
 }
 
-impl Menus<'_> {
+impl Probe<'_, '_> {
     /// Whether `kind` is enabled after branch `k`.
-    fn enables(&self, k: usize, kind: &MoveKind) -> bool {
-        self.after[k]
-            .get_or_init(|| self.ctx.moves(&self.succs[k].micro.st))
-            .contains(kind)
+    fn enables(&mut self, k: usize, kind: &MoveKind) -> bool {
+        if !self.por.menu_ready[k] {
+            self.ctx.moves(&self.succs[k].micro.st, &mut self.por.menus[k]);
+            self.por.menu_ready[k] = true;
+        }
+        self.por.menus[k].contains(kind)
     }
 }
 
-/// Returns the successor list to actually expand: either `succs`
-/// unchanged, or — when the ample conditions hold — only the single
-/// branch of the first qualifying candidate move.
-pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, mut succs: Vec<Succ>) -> Vec<Succ> {
+/// Narrows `succs` to the successors to actually expand: all of them, or
+/// — when the ample conditions hold — only the single branch of the first
+/// qualifying candidate move.
+pub(crate) fn ample_filter(
+    ctx: &Ctx,
+    s: &ProdState,
+    succs: &mut Vec<Succ>,
+    por: &mut PorScratch,
+    drive: &mut DriveScratch,
+) {
     if succs.len() < 2 {
-        return succs;
+        return;
     }
-    // Group the menu by kind, in enumeration order. A kind with several
-    // branches (a breakpoint's halt/release race, a wave fault's victim
-    // choice) cannot anchor the ample set, but it does not forbid one:
-    // a deterministic candidate may still commute with it branchwise.
-    // Groups hold branch indices into `succs`.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
+    // Group the menu by kind, in enumeration order: each move's branches
+    // are one run. A kind with several branches (a breakpoint's
+    // halt/release race, a wave fault's victim choice) cannot anchor the
+    // ample set, but it does not forbid one: a deterministic candidate may
+    // still commute with it branchwise. Groups are index ranges of
+    // `succs`.
+    por.groups.clear();
     for (k, sc) in succs.iter().enumerate() {
-        match groups.iter_mut().find(|g| succs[g[0]].kind == sc.kind) {
-            Some(g) => g.push(k),
-            None => groups.push(vec![k]),
+        match por.groups.last_mut() {
+            Some(g) if succs[g.0].kind == sc.kind => g.1 = k + 1,
+            _ => por.groups.push((k, k + 1)),
         }
     }
-    if groups.len() < 2 {
-        return succs;
+    debug_assert!(
+        (por.groups.iter().enumerate())
+            .all(|(i, g)| por.groups[..i].iter().all(|h| succs[h.0].kind != succs[g.0].kind)),
+        "one run per enabled move"
+    );
+    if por.groups.len() < 2 {
+        return;
     }
-    let menus = Menus {
-        ctx,
-        succs: &succs,
-        after: succs.iter().map(|_| OnceCell::new()).collect(),
-    };
+    por.menu_ready.clear();
+    por.menu_ready.resize(succs.len(), false);
+    if por.menus.len() < succs.len() {
+        por.menus.resize_with(succs.len(), Vec::new);
+    }
+    let groups = std::mem::take(&mut por.groups);
+    let mut probe = Probe { ctx, succs, por, drive };
     // The first single-branch invisible candidate that commutes with
     // every other enabled kind anchors the ample set. Forcing it first
     // can insert steps a minimal freeze path would have left pending —
@@ -112,16 +141,18 @@ pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, mut succs: Vec<Succ>) -> Ve
     // strips those again, so the reported (faults, steps) cost still
     // matches the unreduced exploration.
     let ample = groups.iter().find(|g| {
-        g.len() == 1
-            && candidate(ctx, s, &succs[g[0]])
+        g.1 - g.0 == 1
+            && candidate(ctx, s, &succs[g.0])
             && groups
                 .iter()
-                .filter(|g2| g2[0] != g[0])
-                .all(|g2| commutes_kind(&menus, s, g[0], g2))
+                .filter(|g2| g2.0 != g.0)
+                .all(|&(b0, b1)| commutes_kind(&mut probe, s, g.0, b0..b1))
     });
-    match ample.map(|g| g[0]) {
-        Some(k) => vec![succs.swap_remove(k)],
-        None => succs,
+    let ample = ample.map(|g| g.0);
+    probe.por.groups = groups;
+    if let Some(k) = ample {
+        succs.swap(0, k);
+        succs.truncate(1);
     }
 }
 
@@ -164,12 +195,13 @@ fn pure_delivery(s: &ProdState, succ: &Succ, triple: (u8, u8, u8)) -> bool {
         return false;
     }
     // msgs must be exactly s.msgs minus the delivered triple (no sends).
-    let mut expect = s.msgs.clone();
-    let Some(i) = expect.iter().position(|x| *x == triple) else {
+    let Some(i) = s.msgs.iter().position(|x| *x == triple) else {
         return false;
     };
-    expect.remove(i);
-    m.st.msgs == expect
+    let (before, after) = (&s.msgs[..i], &s.msgs[i + 1..]);
+    m.st.msgs.len() == before.len() + after.len()
+        && m.st.msgs[..i] == *before
+        && m.st.msgs[i..] == *after
 }
 
 /// Whether the step from `s` to `s2` left every instance's
@@ -192,17 +224,17 @@ fn invisible(ctx: &Ctx, s: &ProdState, s2: &ProdState) -> bool {
 /// branch, and both orders converge branch by branch. Decided from the
 /// protocol where it vouches for the pair, by firing both orders
 /// otherwise.
-fn commutes_kind(menus: &Menus, s: &ProdState, alpha_at: usize, betas: &[usize]) -> bool {
-    if vouched(menus, s, alpha_at, betas) {
+fn commutes_kind(probe: &mut Probe, s: &ProdState, alpha_at: usize, betas: Range<usize>) -> bool {
+    if vouched(probe.succs, s, alpha_at, betas.clone()) {
         debug_assert!(
-            probed(menus, alpha_at, betas),
+            probed(probe, alpha_at, betas.clone()),
             "structural commutation the probe refutes: {:?} × {:?}",
-            menus.succs[alpha_at].kind,
-            menus.succs[betas[0]].kind
+            probe.succs[alpha_at].kind,
+            probe.succs[betas.start].kind
         );
         return true;
     }
-    probed(menus, alpha_at, betas)
+    probed(probe, alpha_at, betas)
 }
 
 /// Whether the pair commutes without firing the engine: the candidate is
@@ -215,9 +247,9 @@ fn commutes_kind(menus: &Menus, s: &ProdState, alpha_at: usize, betas: &[usize])
 /// machine, and without a fault or a note none of them halted. So both
 /// orders fire the same automaton inputs on the same instance states,
 /// and the protocol's own commutation does the rest.
-fn vouched(menus: &Menus, s: &ProdState, alpha_at: usize, betas: &[usize]) -> bool {
-    let alpha = &menus.succs[alpha_at];
-    let beta = &menus.succs[betas[0]].kind;
+fn vouched(succs: &[Succ], s: &ProdState, alpha_at: usize, betas: Range<usize>) -> bool {
+    let alpha = &succs[alpha_at];
+    let beta = &succs[betas.start].kind;
     // A candidate with a protocol step is a `Register` or a `Ready`.
     let (Some(a), Some(b)) = (alpha.kind.protocol_step(), beta.protocol_step()) else {
         return false;
@@ -229,41 +261,45 @@ fn vouched(menus: &Menus, s: &ProdState, alpha_at: usize, betas: &[usize]) -> bo
     host(u) != host(v)
         && s.proto.independent(a, b)
         && alpha.micro.st.insts == s.insts
-        && betas.iter().all(|&k| {
-            let m = &menus.succs[k].micro;
-            m.faults == 0 && m.notes.is_empty()
-        })
+        && succs[betas].iter().all(|b| b.micro.faults == 0 && b.micro.notes.is_empty())
 }
 
 /// [`commutes_kind`] by firing the engine in both orders.
-fn probed(menus: &Menus, alpha_at: usize, betas: &[usize]) -> bool {
-    let ctx = menus.ctx;
-    let alpha = &menus.succs[alpha_at];
-    let beta_kind = &menus.succs[betas[0]].kind;
+fn probed(probe: &mut Probe, alpha_at: usize, betas: Range<usize>) -> bool {
+    let ctx = probe.ctx;
+    let succs = probe.succs;
+    let alpha = &succs[alpha_at];
+    let beta_kind = &succs[betas.start].kind;
     // Enabledness must survive the other move — `apply_move` is only
     // defined for enabled moves, so probe the menus first.
-    if !menus.enables(alpha_at, beta_kind) {
+    if !probe.enables(alpha_at, beta_kind) {
         return false;
     }
     // The probe states are never interned; their halt logs are discarded
     // (the branches were already proven not to halt from `s`).
-    let mut scratch = SiteLog::new();
-    let after_alpha = ctx.apply_move(&alpha.micro.st, beta_kind, &mut scratch);
-    if after_alpha.len() != betas.len() {
-        return false;
-    }
-    betas.iter().zip(&after_alpha).all(|(&b_at, ab)| {
-        let b = &menus.succs[b_at];
-        if ab.faults != b.micro.faults || ab.notes != b.micro.notes {
-            return false;
-        }
-        if !menus.enables(b_at, &alpha.kind) {
-            return false;
-        }
-        let ba = ctx.apply_move(&b.micro.st, &alpha.kind, &mut scratch);
-        let [y] = ba.as_slice() else {
-            return false;
-        };
-        y.faults == 0 && y.notes.is_empty() && y.st == ab.st
-    })
+    let mut log = SiteLog::new();
+    let mut after_alpha = std::mem::take(&mut probe.por.after_alpha);
+    let mut ba = std::mem::take(&mut probe.por.after_beta);
+    ctx.apply_move(&alpha.micro.st, beta_kind, &mut log, probe.drive, &mut after_alpha);
+    let commutes = after_alpha.len() == betas.len()
+        && betas.zip(&after_alpha).all(|(b_at, ab)| {
+            let b = &succs[b_at];
+            if ab.faults != b.micro.faults || ab.notes != b.micro.notes {
+                return false;
+            }
+            if !probe.enables(b_at, &alpha.kind) {
+                return false;
+            }
+            ba.clear();
+            ctx.apply_move(&b.micro.st, &alpha.kind, &mut log, probe.drive, &mut ba);
+            let [y] = ba.as_slice() else {
+                return false;
+            };
+            y.faults == 0 && y.notes.is_empty() && y.st == ab.st
+        });
+    after_alpha.clear();
+    ba.clear();
+    probe.por.after_alpha = after_alpha;
+    probe.por.after_beta = ba;
+    commutes
 }

@@ -250,13 +250,17 @@ impl Explorer<'_> {
     /// One finding describes the pathology.
     fn livelock(&self) -> Option<Diagnostic> {
         let n = self.states.len();
-        // Iterative Tarjan.
+        // Iterative Tarjan. The components are kept back to back in
+        // `members`, in the order they complete, with their ends in
+        // `ends`; `comp` is each state's component.
         let mut index_of = vec![u32::MAX; n];
         let mut low = vec![0u32; n];
         let mut on_stack = vec![false; n];
         let mut stack: Vec<u32> = Vec::new();
         let mut next_index = 0u32;
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
+        let mut members: Vec<u32> = Vec::with_capacity(n);
+        let mut ends: Vec<usize> = Vec::new();
+        let mut comp = vec![0u32; n];
         let mut call: Vec<(u32, usize)> = Vec::new();
         for root in 0..n as u32 {
             if index_of[root as usize] != u32::MAX {
@@ -269,9 +273,8 @@ impl Explorer<'_> {
             stack.push(root);
             on_stack[root as usize] = true;
             while let Some((v, ei)) = call.pop() {
-                if ei < self.edges[v as usize].len() {
+                if let Some(&(w, _)) = self.edges(v).get(ei) {
                     call.push((v, ei + 1));
-                    let (w, _) = self.edges[v as usize][ei];
                     if index_of[w as usize] == u32::MAX {
                         index_of[w as usize] = next_index;
                         low[w as usize] = next_index;
@@ -284,16 +287,16 @@ impl Explorer<'_> {
                     }
                 } else {
                     if low[v as usize] == index_of[v as usize] {
-                        let mut scc = Vec::new();
                         loop {
                             let w = stack.pop().expect("tarjan stack");
                             on_stack[w as usize] = false;
-                            scc.push(w);
+                            comp[w as usize] = ends.len() as u32;
+                            members.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        sccs.push(scc);
+                        ends.push(members.len());
                     }
                     if let Some((u, _)) = call.last() {
                         let lu = low[*u as usize].min(low[v as usize]);
@@ -302,13 +305,16 @@ impl Explorer<'_> {
                 }
             }
         }
-        let livelocked = sccs.iter().find(|scc| {
-            let cyclic = scc.len() > 1 || self.edges[scc[0] as usize].iter().any(|(w, _)| *w == scc[0]);
-            let members: HashSet<u32> = scc.iter().copied().collect();
-            let has_fault = scc.iter().any(|&v| {
-                self.edges[v as usize].iter().any(|(w, fault)| *fault && members.contains(w))
-            });
-            cyclic && has_fault && !scc.iter().any(|&v| self.all_running[v as usize])
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let livelocked = starts.zip(&ends).map(|(a, &b)| &members[a..b]).find(|scc| {
+            let cyclic = scc.len() > 1 || self.edges(scc[0]).iter().any(|(w, _)| *w == scc[0]);
+            if !cyclic {
+                return false;
+            }
+            let k = comp[scc[0] as usize];
+            let has_fault = (scc.iter())
+                .any(|&v| self.edges(v).iter().any(|&(w, fault)| fault && comp[w as usize] == k));
+            has_fault && !scc.iter().any(|&v| self.all_running[v as usize])
         })?;
         Some(Diagnostic::new(
             Severity::Warning,

@@ -16,6 +16,7 @@ use failmpi_mpi::{Op, Program};
 use super::canon::{self, Perm};
 use super::engine::Ctx;
 use super::frontier;
+use super::moves::Scratch;
 use super::state::{
     Expansion, HaltSite, Inst, MoveKind, PassThrough, ProdState, SiteLog, StateHasher,
 };
@@ -56,7 +57,11 @@ pub(crate) struct Explorer<'a> {
     pub(super) dist: Vec<(u32, u32)>,
     /// The one parent table, for both modes (`None` at the root).
     pub(super) parent: Vec<Option<TreeEdge>>,
-    pub(super) edges: Vec<Vec<(u32, bool)>>,
+    /// Every expanded state's out-edges `(successor, faulty)`, back to
+    /// back: a state is expanded once, so its edges are one run.
+    edge_list: Vec<(u32, bool)>,
+    /// Each state's run of `edge_list` (empty until expanded).
+    edge_run: Vec<(u32, u32)>,
     pub(super) expanded: Vec<bool>,
     pub(super) all_running: Vec<bool>,
     /// Cost-layered worklist: `(faults, steps)` → state ids in insertion
@@ -74,6 +79,8 @@ pub(crate) struct Explorer<'a> {
     pub(super) init_perm: Perm,
     pub(super) orbit_hits: usize,
     pub(super) por_pruned: usize,
+    /// One expansion scratch per frontier worker, kept across layers.
+    scratch: Vec<Scratch>,
 }
 
 fn note_sites(sites: &mut [HaltSite], log: SiteLog) {
@@ -171,7 +178,8 @@ impl<'a> Explorer<'a> {
             hash_mask: u64::MAX,
             dist: Vec::new(),
             parent: Vec::new(),
-            edges: Vec::new(),
+            edge_list: Vec::new(),
+            edge_run: Vec::new(),
             expanded: Vec::new(),
             all_running: Vec::new(),
             buckets: BTreeMap::new(),
@@ -182,6 +190,7 @@ impl<'a> Explorer<'a> {
             init_perm: Perm::identity(cfg.n_hosts, cfg.n_units()),
             orbit_hits: 0,
             por_pruned: 0,
+            scratch: (0..cfg.threads.max(1)).map(|_| Scratch::default()).collect(),
         }
     }
 
@@ -203,6 +212,13 @@ impl<'a> Explorer<'a> {
         &self.states
     }
 
+    /// The out-edges `(successor, faulty)` of state `id`, in successor
+    /// order; none until it is expanded.
+    pub(super) fn edges(&self, id: u32) -> &[(u32, bool)] {
+        let (start, end) = self.edge_run[id as usize];
+        &self.edge_list[start as usize..end as usize]
+    }
+
     fn intern(&mut self, s: ProdState) -> u32 {
         let mut h = StateHasher::default();
         s.hash(&mut h);
@@ -222,7 +238,7 @@ impl<'a> Explorer<'a> {
         self.states.push(s);
         self.dist.push((u32::MAX, u32::MAX));
         self.parent.push(None);
-        self.edges.push(Vec::new());
+        self.edge_run.push((0, 0));
         self.expanded.push(false);
         id
     }
@@ -239,7 +255,6 @@ impl<'a> Explorer<'a> {
         self.dist[id as usize] = (0, 0);
         self.buckets.insert((0, 0), vec![id]);
 
-        let threads = self.ctx.cfg.threads.max(1);
         while let Some((cost, layer)) = self.buckets.pop_first() {
             // Every successor of this layer costs strictly more (steps+1),
             // so expansion can neither add to the layer nor change which
@@ -251,7 +266,7 @@ impl<'a> Explorer<'a> {
                 !ex.expanded[id as usize] && cost <= ex.dist[id as usize]
             };
             let todo: Vec<u32> = layer.iter().copied().filter(|&id| fresh(self, id)).collect();
-            let exps = frontier::expand_layer(&self.ctx, &self.states, &todo, threads);
+            let exps = frontier::expand_layer(&self.ctx, &self.states, &todo, &mut self.scratch);
             let mut exp_it = exps.into_iter();
             for (k, &id) in layer.iter().enumerate() {
                 if !fresh(self, id) {
@@ -278,7 +293,7 @@ impl<'a> Explorer<'a> {
     /// Returns whether the exploration stops here: a freeze was found, or
     /// the budget ran out with work (`tail`, or any bucket entry, stale or
     /// not — the heap kept superseded entries until popped) still pending.
-    fn absorb(&mut self, id: u32, cost: (u32, u32), exp: Expansion, tail: &[u32]) -> bool {
+    fn absorb(&mut self, id: u32, cost: (u32, u32), mut exp: Expansion, tail: &[u32]) -> bool {
         self.expanded[id as usize] = true;
         self.n_expanded += 1;
         let proto = &self.states[id as usize].proto;
@@ -288,7 +303,7 @@ impl<'a> Explorer<'a> {
             self.freeze = Some((id, proto.freeze_reason().to_string()));
             return true;
         }
-        note_sites(&mut self.sites, exp.log);
+        note_sites(&mut self.sites, std::mem::take(&mut exp.log));
         self.orbit_hits += exp.orbit_hits;
         self.por_pruned += exp.por_pruned;
         if exp.succs.is_empty() && !self.all_running[id as usize] {
@@ -296,17 +311,21 @@ impl<'a> Explorer<'a> {
             self.freeze = Some((id, why.to_string()));
             return true;
         }
-        for succ in exp.succs {
+        let (n_hosts, n_units) = (self.ctx.cfg.n_hosts, self.ctx.cfg.n_units());
+        let start = self.edge_list.len() as u32;
+        for succ in std::mem::take(&mut exp.succs) {
             let nid = self.intern(succ.micro.st);
-            self.edges[id as usize].push((nid, succ.micro.faults > 0));
+            self.edge_list.push((nid, succ.micro.faults > 0));
             let cand = (cost.0 + succ.micro.faults, cost.1 + 1);
             if cand < self.dist[nid as usize] {
                 self.dist[nid as usize] = cand;
                 let (kind, faults) = (succ.kind, succ.micro.faults);
-                self.parent[nid as usize] = Some(TreeEdge { parent: id, kind, faults, perm: succ.perm });
+                let perm = exp.perm(succ.perm, n_hosts, n_units);
+                self.parent[nid as usize] = Some(TreeEdge { parent: id, kind, faults, perm });
                 self.buckets.entry(cand).or_default().push(nid);
             }
         }
+        self.edge_run[id as usize] = (start, self.edge_list.len() as u32);
         self.budget_hit = self.n_expanded >= self.ctx.cfg.budget
             && (!tail.is_empty() || self.buckets.values().any(|b| !b.is_empty()));
         self.budget_hit

@@ -154,7 +154,7 @@ pub(crate) struct HaltSite {
 /// One enabled product step, structurally. Instance and rank identities
 /// are frame-relative: [`Perm::apply_move`] transports a move between a
 /// state and its orbit representative.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MoveKind {
     Deliver { from: u8, to: u8, msg: u8 },
     Register(u8),
@@ -186,21 +186,34 @@ impl MoveKind {
 /// One labelled successor branch.
 #[derive(Clone, Debug)]
 pub(crate) struct Succ {
-    pub(crate) label: String,
+    /// The move's label: a byte range of the labels of the
+    /// [`super::moves::Scratch`] that expanded the parent.
+    pub(crate) label: (u32, u32),
     pub(crate) kind: MoveKind,
     pub(crate) micro: Micro,
-    /// Raw-frame → canonical-frame permutation; `None` is the identity
-    /// (always, when not reducing).
-    pub(crate) perm: Option<Perm>,
+    /// Where the raw-frame → canonical-frame permutation starts in
+    /// [`Expansion::perms`]; `None` is the identity (always, when not
+    /// reducing).
+    pub(crate) perm: Option<u32>,
 }
 
 /// Everything one state expansion produced, computed purely so frontier
 /// workers can run it in parallel.
 pub(crate) struct Expansion {
     pub(crate) succs: Vec<Succ>,
+    /// The successors' non-identity permutations, back to back, each as
+    /// [`Perm::write_flat`] writes it.
+    pub(crate) perms: Vec<u8>,
     pub(crate) log: SiteLog,
     pub(crate) por_pruned: usize,
     pub(crate) orbit_hits: usize,
+}
+
+impl Expansion {
+    /// The permutation a successor's [`Succ::perm`] points at.
+    pub(crate) fn perm(&self, at: Option<u32>, n_hosts: usize, n_units: usize) -> Option<Perm> {
+        at.map(|at| Perm::from_flat(&self.perms[at as usize..], n_hosts, n_units))
+    }
 }
 
 /// The interning hash: one multiply-rotate round per field the derived

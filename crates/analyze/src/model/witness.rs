@@ -9,8 +9,11 @@
 //! only here. Without reduction every permutation is the identity and the
 //! replay retraces the stored tree edge for edge.
 
+use std::fmt::Write as _;
+
 use failmpi_backend::vocab::AbstractModel;
 
+use super::moves::Scratch;
 use super::search::Explorer;
 use super::state::{MoveKind, ProdState, SiteLog};
 use super::Witness;
@@ -24,9 +27,12 @@ impl Explorer<'_> {
     /// Whether `s` satisfies either freeze predicate the exploration
     /// stops on: a lost rank in the protocol model, or no enabled step
     /// short of the all-running state.
-    fn frozen(&self, s: &ProdState) -> bool {
-        s.proto.lost_rank().is_some()
-            || (self.ctx.moves(s).is_empty() && !s.proto.all_running())
+    fn frozen(&self, s: &ProdState, scr: &mut Scratch) -> bool {
+        if s.proto.lost_rank().is_some() {
+            return true;
+        }
+        self.ctx.moves(s, &mut scr.moves);
+        scr.moves.is_empty() && !s.proto.all_running()
     }
 
     /// Replays `path` concretely from the initial state. Succeeds only
@@ -34,29 +40,36 @@ impl Explorer<'_> {
     /// still exists with the recorded fault count. Every branch
     /// `apply_move` returns is a real successor, so any successful replay
     /// is a valid full-graph path; the caller's frozen-end check decides
-    /// whether it is a witness. Returns the rendered step labels and the
-    /// final state.
-    fn replay(&self, path: &[PathStep]) -> Option<(Vec<String>, ProdState)> {
+    /// whether it is a witness. Returns the final state, and renders the
+    /// step labels into `labels` when given.
+    fn replay(
+        &self,
+        path: &[PathStep],
+        scr: &mut Scratch,
+        mut labels: Option<&mut Vec<String>>,
+    ) -> Option<ProdState> {
         let mut u = self.init_raw.clone();
-        let mut labels = Vec::with_capacity(path.len());
         for (m, faults, branch) in path {
-            if !self.ctx.moves(&u).contains(m) {
+            self.ctx.moves(&u, &mut scr.moves);
+            if !scr.moves.contains(m) {
                 return None;
             }
-            let label = self.ctx.label_of(&u, m);
-            let micros = self.ctx.apply_move(&u, m, &mut SiteLog::new());
-            let micro = micros.into_iter().nth(*branch)?;
+            scr.micros.clear();
+            self.ctx.apply_move(&u, m, &mut SiteLog::new(), &mut scr.drive, &mut scr.micros);
+            let micro = scr.micros.drain(..).nth(*branch)?;
             if micro.faults != *faults {
                 return None;
             }
-            labels.push(if micro.notes.is_empty() {
-                label
-            } else {
-                format!("{label} [{}]", micro.notes.join("; "))
-            });
+            if let Some(labels) = labels.as_deref_mut() {
+                let mut label = self.ctx.label_of(&u, m);
+                if !micro.notes.is_empty() {
+                    let _ = write!(label, " [{}]", micro.notes.join("; "));
+                }
+                labels.push(label);
+            }
             u = micro.st;
         }
-        Some((labels, u))
+        Some(u)
     }
 
     /// The stored tree path to `id` as a concrete schedule. `sigma` maps
@@ -64,7 +77,7 @@ impl Explorer<'_> {
     /// each edge's raw→canonical permutation composes in. Where several
     /// branches of a move reach the expected state, the one with the
     /// smallest notes is the one the expansion's dedup kept.
-    fn concrete_path(&self, id: u32) -> Vec<PathStep> {
+    fn concrete_path(&self, id: u32, scr: &mut Scratch) -> Vec<PathStep> {
         let mut chain = vec![id];
         let mut cur = id;
         while let Some(edge) = &self.parent[cur as usize] {
@@ -83,7 +96,9 @@ impl Explorer<'_> {
                 sigma = pi.invert().then(&sigma);
             }
             let expected = sigma.apply_state(&self.ctx, &self.states[nid as usize]);
-            let micros = self.ctx.apply_move(&u, &cm, &mut SiteLog::new());
+            let micros = &mut scr.micros;
+            micros.clear();
+            self.ctx.apply_move(&u, &cm, &mut SiteLog::new(), &mut scr.drive, micros);
             let branch = (0..micros.len())
                 .filter(|&b| micros[b].st == expected && micros[b].faults == edge.faults)
                 .min_by_key(|&b| &micros[b].notes)
@@ -108,7 +123,7 @@ impl Explorer<'_> {
     /// pending at the freeze; this strips them again. The result is a
     /// valid full-graph path, so its (faults, steps) cost never undercuts
     /// the true minimum.
-    fn minimize(&self, mut path: Vec<PathStep>) -> Vec<PathStep> {
+    fn minimize(&self, mut path: Vec<PathStep>, scr: &mut Scratch) -> Vec<PathStep> {
         loop {
             let mut improved = false;
             let mut i = 0;
@@ -116,7 +131,7 @@ impl Explorer<'_> {
                 if path[i].1 == 0 {
                     let mut trial = path.clone();
                     trial.remove(i);
-                    if self.replay(&trial).is_some_and(|(_, end)| self.frozen(&end)) {
+                    if self.replay(&trial, scr, None).is_some_and(|end| self.frozen(&end, scr)) {
                         path = trial;
                         improved = true;
                         continue;
@@ -133,13 +148,16 @@ impl Explorer<'_> {
     /// The minimal fault schedule reaching freeze state `id`, and the
     /// concrete state it ends in. Only a reduced search can have padded
     /// the stored path (see [`Self::minimize`]), so only it is minimized.
+    /// The replays share one scratch of their own.
     pub(super) fn witness(&self, id: u32) -> (Witness, ProdState) {
-        let mut path = self.concrete_path(id);
+        let mut scr = Scratch::default();
+        let mut path = self.concrete_path(id, &mut scr);
         if self.ctx.cfg.reduce {
-            path = self.minimize(path);
+            path = self.minimize(path, &mut scr);
         }
-        let (steps, end) = self.replay(&path).expect("a concrete path replays");
-        debug_assert!(self.frozen(&end));
+        let mut steps = Vec::with_capacity(path.len());
+        let end = self.replay(&path, &mut scr, Some(&mut steps)).expect("a concrete path replays");
+        debug_assert!(self.frozen(&end, &mut scr));
         (Witness { steps, faults: self.dist[id as usize].0 as usize }, end)
     }
 }
@@ -186,7 +204,8 @@ mod tests {
                     };
                     let (witness, end) = ex.witness(id);
                     let at = format!("{name} under {backend}, reduce={reduce}");
-                    assert!(ex.frozen(&end), "{at}: the replay does not end frozen");
+                    let frozen = ex.frozen(&end, &mut Scratch::default());
+                    assert!(frozen, "{at}: the replay does not end frozen");
                     let (faults, depth) = ex.dist[id as usize];
                     assert_eq!(witness.faults, faults as usize, "{at}");
                     if reduce {

@@ -112,8 +112,8 @@ impl AbstractModel for AbstractWorld {
     fn spare_hosts(&self) -> &[u8] {
         on_model!(self, m => m.spare_hosts())
     }
-    fn unit_desc(&self, u: usize) -> String {
-        on_model!(self, m => m.unit_desc(u))
+    fn unit_desc(&self, u: usize, out: &mut String) {
+        on_model!(self, m => m.unit_desc(u, out))
     }
     fn independent(&self, a: AbstractStep, b: AbstractStep) -> bool {
         on_model!(self, m => m.independent(a, b))

@@ -22,7 +22,7 @@ const STEPS: usize = 160;
 /// Every step enabled in `m`: the protocol's own, a fault on each live
 /// unit, and the wave steps where the model opens or commits one.
 fn enabled<M: AbstractModel>(m: &M) -> Vec<AbstractStep> {
-    let mut out = m.protocol_steps();
+    let mut out: Vec<AbstractStep> = m.protocol_steps().collect();
     let live = (0..m.n_units()).filter(|&u| m.unit_live(u));
     out.extend(live.map(|u| AbstractStep::Fault(u as u8)));
     if m.all_running() && m.wave_startable() {

@@ -52,7 +52,7 @@ pub use kind::BackendKind;
 pub use trace::{Hook, InstrumentedFn, VclEvent};
 pub use traffic::TrafficStats;
 pub use vocab::{
-    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
+    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, Slots, EPOCH_CAP, INCARNATION_CAP,
     WAVE_CAP,
 };
 

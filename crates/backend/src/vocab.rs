@@ -14,10 +14,21 @@
 //! model supplies its slot table, its reading of liveness, its steady
 //! state and its transitions; everything derivable from the slot table is
 //! provided. The boot-ladder transitions ([`spawn`], [`register`],
-//! [`ack_ready`]) and the slot side of relabelling ([`relabel_slots`]) are
-//! free functions over `&[AbstractRank]` rather than a wrapper state type,
-//! because each model's own field layout feeds its derived `Hash` — the
-//! persisted state digest.
+//! [`ack_ready`]) and the table side of relabelling ([`relabel_slots`],
+//! [`relabel_hosts`]) are free functions over a model's tables rather
+//! than a wrapper state type, because each model's own field layout feeds
+//! its derived `Hash` — the persisted state digest.
+//!
+//! A model keeps its tables in [`Slots`]: a successor state shares its
+//! parent's tables until it writes one, so copying a model whose tables a
+//! step does not touch (a FAIL-plane step, to the protocol) costs
+//! reference-count increments, not allocations.
+
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Saturation cap for the abstract epoch counter (recoveries so far).
 pub const EPOCH_CAP: u8 = 8;
@@ -173,9 +184,75 @@ pub enum AbstractEvent {
     },
 }
 
+/// A model's table (its unit slots, a spare-machine FIFO), shared between
+/// a state and the states copied from it and copied on first write
+/// ([`Slots::make_mut`]).
+///
+/// `Eq`, `Ord`, `Hash` and `Debug` are the slice's — a model deriving
+/// them over a `Slots` field reads exactly as it did over a `Vec` there —
+/// and equality and order answer from the shared allocation first.
+#[derive(Clone)]
+pub struct Slots<T>(Arc<[T]>);
+
+impl<T: Clone> Slots<T> {
+    /// The table, writable: copied first if another state shares it.
+    pub fn make_mut(&mut self) -> &mut [T] {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl<T> Deref for Slots<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T> FromIterator<T> for Slots<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Slots<T> {
+        Slots(iter.into_iter().collect())
+    }
+}
+
+impl<T: PartialEq> PartialEq for Slots<T> {
+    fn eq(&self, other: &Slots<T>) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+    }
+}
+
+impl<T: Eq> Eq for Slots<T> {}
+
+impl<T: Ord> Ord for Slots<T> {
+    fn cmp(&self, other: &Slots<T>) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
+}
+
+impl<T: Ord> PartialOrd for Slots<T> {
+    fn partial_cmp(&self, other: &Slots<T>) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T: Hash> Hash for Slots<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Slots<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
 /// `n` slots launching on hosts `0..n`, incarnation 0 — every model's
 /// initial slot table.
-pub fn launch_slots(n: usize) -> Vec<AbstractRank> {
+pub fn launch_slots(n: usize) -> Slots<AbstractRank> {
     (0..n)
         .map(|s| AbstractRank {
             phase: AbstractPhase::Launched,
@@ -264,9 +341,9 @@ pub trait AbstractModel: Sized {
         &[]
     }
 
-    /// How unit `u` reads in witness labels and fault notes.
-    fn unit_desc(&self, u: usize) -> String {
-        format!("rank {u}")
+    /// Appends how unit `u` reads in witness labels and fault notes.
+    fn unit_desc(&self, u: usize, out: &mut String) {
+        let _ = write!(out, "rank {u}");
     }
 
     /// Number of process units (= ranks, plus the protocol's stand-ins).
@@ -290,19 +367,17 @@ pub trait AbstractModel: Sized {
     /// phase only relaunch-based protocols ever enter). Wave steps and
     /// faults are the explorer's business: waves are quiescent-only and
     /// faults come from the FAIL side.
-    fn protocol_steps(&self) -> Vec<AbstractStep> {
-        let mut out = Vec::new();
-        for (i, r) in self.slots().iter().enumerate() {
+    fn protocol_steps(&self) -> impl Iterator<Item = AbstractStep> + '_ {
+        self.slots().iter().enumerate().filter_map(|(i, r)| {
             let i = i as u8;
             match r.phase {
-                AbstractPhase::Launched => out.push(AbstractStep::Spawn(i)),
-                AbstractPhase::Booted => out.push(AbstractStep::Register(i)),
-                AbstractPhase::Registered => out.push(AbstractStep::Ready(i)),
-                AbstractPhase::Stopping => out.push(AbstractStep::StopClosure(i)),
-                _ => {}
+                AbstractPhase::Launched => Some(AbstractStep::Spawn(i)),
+                AbstractPhase::Booted => Some(AbstractStep::Register(i)),
+                AbstractPhase::Registered => Some(AbstractStep::Ready(i)),
+                AbstractPhase::Stopping => Some(AbstractStep::StopClosure(i)),
+                _ => None,
             }
-        }
-        out
+        })
     }
 
     /// Whether `a` and `b` commute wherever both are enabled: either one
@@ -378,15 +453,36 @@ pub fn ack_ready(slots: &mut [AbstractRank], s: u8) {
 
 /// Relabels machines and slots (the orbit action): `host_map[h]` is the
 /// new label of host `h`, `slot_map[s]` the new index of slot `s` (both
-/// must be permutations).
-pub fn relabel_slots(slots: &[AbstractRank], host_map: &[u8], slot_map: &[u8]) -> Vec<AbstractRank> {
+/// must be permutations). A table the relabelling leaves as it is stays
+/// shared.
+pub fn relabel_slots(
+    slots: &Slots<AbstractRank>,
+    host_map: &[u8],
+    slot_map: &[u8],
+) -> Slots<AbstractRank> {
     debug_assert_eq!(slot_map.len(), slots.len());
-    let mut out = slots.to_vec();
+    let fixed = |(s, r): (usize, &AbstractRank)| {
+        slot_map[s] as usize == s && host_map[r.host as usize] == r.host
+    };
+    if slots.iter().enumerate().all(fixed) {
+        return slots.clone();
+    }
+    let mut out = Slots(Arc::from(&**slots));
+    let table = out.make_mut();
     for (s, old) in slots.iter().enumerate() {
-        out[slot_map[s] as usize] = AbstractRank {
+        table[slot_map[s] as usize] = AbstractRank {
             host: host_map[old.host as usize],
             ..*old
         };
     }
     out
+}
+
+/// Relabels the machines a FIFO lists, keeping its order. A FIFO the
+/// relabelling leaves as it is stays shared.
+pub fn relabel_hosts(hosts: &Slots<u8>, host_map: &[u8]) -> Slots<u8> {
+    if hosts.iter().all(|&h| host_map[h as usize] == h) {
+        return hosts.clone();
+    }
+    hosts.iter().map(|&h| host_map[h as usize]).collect()
 }

@@ -23,7 +23,7 @@ use crate::config::DispatcherMode;
 // and is re-exported here so existing paths keep working.
 use failmpi_backend::vocab::{self, AbstractModel};
 pub use failmpi_backend::{
-    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
+    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, Slots, EPOCH_CAP, INCARNATION_CAP,
     WAVE_CAP,
 };
 
@@ -32,10 +32,10 @@ pub use failmpi_backend::{
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AbstractVcl {
     /// Per-rank slots.
-    pub ranks: Vec<AbstractRank>,
+    pub ranks: Slots<AbstractRank>,
     /// Spare machines, in dispatcher order (FIFO reassignment: the victim
     /// takes the first spare, its old machine rejoins the back).
-    pub free_hosts: Vec<u8>,
+    pub free_hosts: Slots<u8>,
     /// Whether a stop/relaunch recovery is in flight.
     pub recovery_active: bool,
     /// Recoveries so far, saturating at [`EPOCH_CAP`].
@@ -67,19 +67,21 @@ impl AbstractVcl {
 
     /// Relaunch `rank` in place: new process incarnation, ssh issued.
     fn relaunch(&mut self, rank: usize) {
-        self.ranks[rank].phase = AbstractPhase::Launched;
-        self.ranks[rank].incarnation =
-            (self.ranks[rank].incarnation + 1).min(INCARNATION_CAP);
+        let slot = &mut self.ranks.make_mut()[rank];
+        slot.phase = AbstractPhase::Launched;
+        slot.incarnation = (slot.incarnation + 1).min(INCARNATION_CAP);
     }
 
     /// Move `rank` to the first spare machine (its old machine rejoins the
     /// pool), mirroring `Dispatcher::reassign_machine`.
     fn reassign_machine(&mut self, rank: usize) {
         if !self.free_hosts.is_empty() {
-            let spare = self.free_hosts.remove(0);
-            let old = self.ranks[rank].host;
-            self.ranks[rank].host = spare;
-            self.free_hosts.push(old);
+            let fifo = self.free_hosts.make_mut();
+            let spare = fifo[0];
+            fifo.rotate_left(1);
+            let slot = &mut self.ranks.make_mut()[rank];
+            fifo[fifo.len() - 1] = slot.host;
+            slot.host = spare;
         }
     }
 
@@ -103,7 +105,7 @@ impl AbstractVcl {
                 | AbstractPhase::Done => {
                     // Terminate ordered; the process stays alive until its
                     // stop closure (the straggler window).
-                    self.ranks[r].phase = AbstractPhase::Stopping;
+                    self.ranks.make_mut()[r].phase = AbstractPhase::Stopping;
                 }
                 AbstractPhase::Booted => {
                     // A stale pre-registration process: its epoch is
@@ -160,7 +162,7 @@ impl AbstractVcl {
                     // ======== THE HISTORICAL DISPATCHER BUG ========
                     match self.mode {
                         DispatcherMode::Historical => {
-                            self.ranks[r].phase = AbstractPhase::Lost;
+                            self.ranks.make_mut()[r].phase = AbstractPhase::Lost;
                             events.push(AbstractEvent::RankLost { rank: r as u8 });
                         }
                         DispatcherMode::Fixed => {
@@ -228,11 +230,7 @@ impl AbstractModel for AbstractVcl {
     fn relabel(&self, host_map: &[u8], rank_map: &[u8]) -> AbstractVcl {
         AbstractVcl {
             ranks: vocab::relabel_slots(&self.ranks, host_map, rank_map),
-            free_hosts: self
-                .free_hosts
-                .iter()
-                .map(|&h| host_map[h as usize])
-                .collect(),
+            free_hosts: vocab::relabel_hosts(&self.free_hosts, host_map),
             recovery_active: self.recovery_active,
             epoch: self.epoch,
             committed_waves: self.committed_waves,
@@ -243,17 +241,14 @@ impl AbstractModel for AbstractVcl {
 
     fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
         match step {
-            AbstractStep::Spawn(r) => vocab::spawn(&mut self.ranks, r, events),
-            AbstractStep::Register(r) => vocab::register(&mut self.ranks, r),
+            AbstractStep::Spawn(r) => vocab::spawn(self.ranks.make_mut(), r, events),
+            AbstractStep::Register(r) => vocab::register(self.ranks.make_mut(), r),
             AbstractStep::Ready(r) => {
-                vocab::ack_ready(&mut self.ranks, r);
-                if self
-                    .ranks
-                    .iter()
-                    .all(|k| k.phase == AbstractPhase::Ready)
-                {
+                let ranks = self.ranks.make_mut();
+                vocab::ack_ready(ranks, r);
+                if ranks.iter().all(|k| k.phase == AbstractPhase::Ready) {
                     // start_run: broadcast, recovery over.
-                    for k in &mut self.ranks {
+                    for k in ranks {
                         k.phase = AbstractPhase::Running;
                     }
                     self.recovery_active = false;
@@ -298,7 +293,7 @@ mod tests {
     fn boot(m: &mut AbstractVcl) {
         let mut e = ev();
         loop {
-            let steps = m.protocol_steps();
+            let steps: Vec<AbstractStep> = m.protocol_steps().collect();
             if steps.is_empty() {
                 break;
             }
@@ -365,7 +360,7 @@ mod tests {
     fn boot_partial(m: &mut AbstractVcl) {
         let mut e = ev();
         for _ in 0..64 {
-            let steps = m.protocol_steps();
+            let steps: Vec<AbstractStep> = m.protocol_steps().collect();
             if steps.is_empty() {
                 break;
             }

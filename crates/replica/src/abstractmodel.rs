@@ -15,16 +15,18 @@
 //! away); simultaneous pair deaths are still covered because the explorer
 //! interleaves the two faults in both orders.
 
+use std::fmt::Write as _;
+
 use failmpi_backend::vocab::{self, AbstractModel};
 use failmpi_backend::{
-    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP, INCARNATION_CAP,
+    AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, Slots, EPOCH_CAP, INCARNATION_CAP,
 };
 
 /// The abstract replication protocol state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AbstractReplica {
     /// Process units: primaries `0..n_ranks`, then replicas.
-    pub units: Vec<AbstractRank>,
+    pub units: Slots<AbstractRank>,
     /// Number of primary slots.
     pub n_ranks: u8,
     /// Promotions so far, saturating at [`EPOCH_CAP`].
@@ -65,22 +67,23 @@ impl AbstractReplica {
                     self.units[ru].phase,
                     AbstractPhase::Done | AbstractPhase::Lost
                 );
+            let units = self.units.make_mut();
             if usable {
                 self.epoch = (self.epoch + 1).min(EPOCH_CAP);
                 events.push(AbstractEvent::EpochBumped(self.epoch));
-                self.units[u] = AbstractRank {
-                    phase: self.units[ru].phase,
-                    host: self.units[ru].host,
-                    incarnation: (self.units[u].incarnation + 1).min(INCARNATION_CAP),
+                units[u] = AbstractRank {
+                    phase: units[ru].phase,
+                    host: units[ru].host,
+                    incarnation: (units[u].incarnation + 1).min(INCARNATION_CAP),
                 };
-                self.units[ru].phase = AbstractPhase::Done;
+                units[ru].phase = AbstractPhase::Done;
             } else {
-                self.units[u].phase = AbstractPhase::Lost;
+                units[u].phase = AbstractPhase::Lost;
                 events.push(AbstractEvent::RankLost { rank: u as u8 });
             }
         } else {
             // Replica death: the shadowed rank merely loses protection.
-            self.units[u].phase = AbstractPhase::Done;
+            self.units.make_mut()[u].phase = AbstractPhase::Done;
         }
     }
 }
@@ -130,11 +133,11 @@ impl AbstractModel for AbstractReplica {
     }
 
     /// Ranks keep the "rank N" spelling; replica shadows name their rank.
-    fn unit_desc(&self, u: usize) -> String {
-        match u.checked_sub(self.n_ranks as usize) {
-            Some(j) => format!("replica[{j}] of rank {j}"),
-            None => format!("rank {u}"),
-        }
+    fn unit_desc(&self, u: usize, out: &mut String) {
+        let _ = match u.checked_sub(self.n_ranks as usize) {
+            Some(j) => write!(out, "replica[{j}] of rank {j}"),
+            None => write!(out, "rank {u}"),
+        };
     }
 
     /// Unit permutations must respect the primary/replica pairing; the
@@ -150,15 +153,16 @@ impl AbstractModel for AbstractReplica {
 
     fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
         match step {
-            AbstractStep::Spawn(u) => vocab::spawn(&mut self.units, u, events),
-            AbstractStep::Register(u) => vocab::register(&mut self.units, u),
+            AbstractStep::Spawn(u) => vocab::spawn(self.units.make_mut(), u, events),
+            AbstractStep::Register(u) => vocab::register(self.units.make_mut(), u),
             AbstractStep::Ready(u) => {
-                vocab::ack_ready(&mut self.units, u);
+                let units = self.units.make_mut();
+                vocab::ack_ready(units, u);
                 // A unit starts computing once every other live slot is at
                 // least Ready: the initial start barrier, and — because a
                 // promoted unit rejoining a Running fleet also satisfies
                 // it — the bar-free rejoin after a failover.
-                let can_run = self.units.iter().all(|k| {
+                let can_run = units.iter().all(|k| {
                     matches!(
                         k.phase,
                         AbstractPhase::Ready
@@ -168,7 +172,7 @@ impl AbstractModel for AbstractReplica {
                     )
                 });
                 if can_run {
-                    for k in &mut self.units {
+                    for k in units {
                         if k.phase == AbstractPhase::Ready {
                             k.phase = AbstractPhase::Running;
                         }
@@ -192,7 +196,7 @@ mod tests {
     fn boot(m: &mut AbstractReplica) {
         let mut e = Vec::new();
         for _ in 0..64 {
-            let steps = m.protocol_steps();
+            let steps: Vec<AbstractStep> = m.protocol_steps().collect();
             if steps.is_empty() {
                 break;
             }

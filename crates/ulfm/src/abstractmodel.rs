@@ -15,13 +15,13 @@
 //! here.
 
 use failmpi_backend::vocab::{self, AbstractModel};
-use failmpi_backend::{AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, EPOCH_CAP};
+use failmpi_backend::{AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, Slots, EPOCH_CAP};
 
 /// The abstract ULFM protocol state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AbstractUlfm {
     /// Per-rank slots (host assignments never change — no relaunch).
-    pub ranks: Vec<AbstractRank>,
+    pub ranks: Slots<AbstractRank>,
     /// Whether an `agree`/`shrink` exchange is in flight.
     pub recovery_active: bool,
     /// Completed shrinks, saturating at [`EPOCH_CAP`].
@@ -53,13 +53,14 @@ impl AbstractUlfm {
             rank: r as u8,
             during_recovery: self.recovery_active,
         });
-        self.ranks[r].phase = AbstractPhase::Done;
+        let ranks = self.ranks.make_mut();
+        ranks[r].phase = AbstractPhase::Done;
         if !self.recovery_active {
             self.recovery_active = true;
             self.epoch = (self.epoch + 1).min(EPOCH_CAP);
             events.push(AbstractEvent::EpochBumped(self.epoch));
         }
-        for k in &mut self.ranks {
+        for k in ranks {
             if matches!(k.phase, AbstractPhase::Running | AbstractPhase::Ready) {
                 k.phase = AbstractPhase::Registered;
             }
@@ -109,18 +110,18 @@ impl AbstractModel for AbstractUlfm {
     /// and wave steps are never enabled (there is no checkpoint scheduler).
     fn apply(&mut self, step: AbstractStep, events: &mut Vec<AbstractEvent>) {
         match step {
-            AbstractStep::Spawn(r) => vocab::spawn(&mut self.ranks, r, events),
-            AbstractStep::Register(r) => vocab::register(&mut self.ranks, r),
+            AbstractStep::Spawn(r) => vocab::spawn(self.ranks.make_mut(), r, events),
+            AbstractStep::Register(r) => vocab::register(self.ranks.make_mut(), r),
             AbstractStep::Ready(r) => {
-                vocab::ack_ready(&mut self.ranks, r);
-                let live_ready = self
-                    .ranks
+                let ranks = self.ranks.make_mut();
+                vocab::ack_ready(ranks, r);
+                let live_ready = ranks
                     .iter()
                     .filter(|k| k.phase != AbstractPhase::Done)
                     .all(|k| k.phase == AbstractPhase::Ready);
                 if live_ready {
                     // The shrunken communicator (re)starts.
-                    for k in &mut self.ranks {
+                    for k in ranks {
                         if k.phase != AbstractPhase::Done {
                             k.phase = AbstractPhase::Running;
                         }
@@ -145,7 +146,7 @@ mod tests {
     fn boot(m: &mut AbstractUlfm) {
         let mut e = Vec::new();
         for _ in 0..64 {
-            let steps = m.protocol_steps();
+            let steps: Vec<AbstractStep> = m.protocol_steps().collect();
             if steps.is_empty() {
                 break;
             }
@@ -206,7 +207,7 @@ mod tests {
         let mut e = Vec::new();
         m.apply(AbstractStep::Fault(0), &mut e);
         m.apply(AbstractStep::Fault(1), &mut e);
-        assert!(m.protocol_steps().is_empty());
+        assert_eq!(m.protocol_steps().next(), None);
         assert!(!m.all_running());
         assert_eq!(m.live_rank_on_host(0), None);
     }
