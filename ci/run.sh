@@ -53,11 +53,9 @@ stage_static() {
     target/release/failck --builtin --strict
     target/release/failck --builtin --format json > "$OUT/failck-report.json"
     target/release/failck --strict crates/core/scenarios/*.fail
-    # Every scenario on disk compiles (the FCI compiler step), to a summary
-    # and to Rust source.
+    # Every scenario on disk compiles (the FCI compiler step).
     for f in crates/core/scenarios/*.fail; do
         target/release/failck --compile "$f" > /dev/null
-        target/release/failck --compile "$f" --emit-rust > /dev/null
     done
 
     # failck must flag the seeded-defect fixture.

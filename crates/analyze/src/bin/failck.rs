@@ -20,9 +20,8 @@
 //! itself a finding (SP001).
 //!
 //! `--compile FILE` is the FAIL compiler step on its own: it prints a
-//! summary of the compiled automata, or with `--emit-rust` the generated
-//! Rust source. A scenario that does not compile is the FA000 finding
-//! `failck FILE` reports for it (exit 1).
+//! summary of the compiled automata. A scenario that does not compile is
+//! the FA000 finding `failck FILE` reports for it (exit 1).
 
 use std::process::ExitCode;
 
@@ -32,7 +31,6 @@ use failmpi_analyze::{
     model_check_source, read_findings, BackendKind, CodeCount, FindingsError, ModelCheckConfig,
     Report, SrcLintConfig,
 };
-use failmpi_core::lang::codegen;
 use failmpi_core::{compile, Deployment, Scenario};
 use serde::Serialize;
 
@@ -45,7 +43,6 @@ struct Options {
     budget: Option<usize>,
     findings: Option<String>,
     compile: Option<String>,
-    emit_rust: bool,
     src: bool,
     reduce: bool,
     threads: Option<usize>,
@@ -57,7 +54,7 @@ struct Options {
 const USAGE: &str = "usage: failck [FILES...] [--builtin] [--format human|json] [--strict]
               [--model-check] [--backend vcl|ulfm|replica] [--budget N]
               [--reduce] [--threads N] [--ranks N] [--hosts N]
-              [--findings FILE] [--src [PATH...]] [--compile FILE [--emit-rust]]
+              [--findings FILE] [--src [PATH...]] [--compile FILE]
 
 modes (one exit-code matrix: 0 clean, 1 findings, 2 usage/I-O error):
   FILES...            lint FAIL scenario sources (FA codes)
@@ -67,8 +64,7 @@ modes (one exit-code matrix: 0 clean, 1 findings, 2 usage/I-O error):
   --src [PATH...]     lint the workspace's own Rust source (SD/SU);
                       PATHs are .rs files or directories, default `.`
   --compile FILE      compile one scenario (the FCI compiler step) and
-                      summarise its automata; --emit-rust prints the
-                      generated Rust instead. A scenario that does not
+                      summarise its automata. A scenario that does not
                       compile is an FA000 finding (1)
 
 examples:
@@ -80,7 +76,7 @@ examples:
   failck --findings findings.json        # gate a fuzz findings file
   failck --src .                         # determinism lints, whole tree
   failck --src crates/mpichv --strict --format json
-  failck --compile fig.fail --emit-rust  # the scenario as Rust source";
+  failck --compile fig.fail              # the compiled automata";
 
 const FLAGS: &[Flag] = &[
     Flag::Switch("--builtin"),
@@ -88,7 +84,6 @@ const FLAGS: &[Flag] = &[
     Flag::Switch("--strict"),
     Flag::Switch("--model-check"),
     Flag::Switch("--reduce"),
-    Flag::Switch("--emit-rust"),
     Flag::Value("--budget", COUNT),
     Flag::Value("--threads", COUNT),
     Flag::Value("--ranks", COUNT),
@@ -110,7 +105,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         budget: args.flag("--budget", count)?,
         findings: args.value("--findings").map(str::to_string),
         compile: args.value("--compile").map(str::to_string),
-        emit_rust: args.switch("--emit-rust"),
         src: args.switch("--src"),
         reduce: args.switch("--reduce"),
         threads: args.flag("--threads", count)?,
@@ -135,9 +129,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     } else if opts.files.is_empty() && !opts.builtin {
         return Err("nothing to check: give FILES, --builtin, --findings, --src or --compile".into());
-    }
-    if opts.emit_rust && opts.compile.is_none() {
-        return Err("--emit-rust needs --compile FILE".into());
     }
     if opts.src && opts.files.is_empty() {
         opts.files.push(".".to_string());
@@ -242,13 +233,8 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-/// `--compile` of a scenario that compiles: its generated Rust source with
-/// `--emit-rust`, else a summary of its automata.
-fn print_compiled(path: &str, scenario: &Scenario, emit_rust: bool) {
-    if emit_rust {
-        print!("{}", codegen::generate(scenario));
-        return;
-    }
+/// `--compile` of a scenario that compiles: a summary of its automata.
+fn print_compiled(path: &str, scenario: &Scenario) {
     println!("scenario: {path}");
     println!(
         "params:   {}",
@@ -293,7 +279,7 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         // reports it: an FA000 finding, rendered below.
         match compile(&read(path)?) {
             Ok(scenario) => {
-                print_compiled(path, &scenario, opts.emit_rust);
+                print_compiled(path, &scenario);
                 return Ok(ExitCode::SUCCESS);
             }
             Err(e) => reports.push(Report::new(path.clone(), vec![compile_error_diag(&e)])),

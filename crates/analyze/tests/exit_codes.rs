@@ -258,7 +258,6 @@ fn malformed_input_never_panics() {
         (vec![&fig10, "--frobnicate"], 2, "unknown argument `--frobnicate`"),
         (vec![], 2, "nothing to check"),
         (vec!["--findings", &fig10, "--src"], 2, "--findings is a standalone mode: drop --src"),
-        (vec!["--emit-rust", &fig10], 2, "--emit-rust needs --compile"),
         // Paths that cannot be read as what they are given as.
         (vec!["/nonexistent/x.fail"], 2, "cannot read"),
         (vec![dir_path], 2, "cannot read"),
@@ -319,15 +318,6 @@ fn compile_summarises_the_paper_scenarios() {
     }
 }
 
-#[test]
-fn compile_emits_rust() {
-    let fig10 = scenario("fig10_state_sync.fail");
-    let (code, stdout, _) = failck(&["--compile", &fig10, "--emit-rust"]);
-    assert_eq!(code, Some(0));
-    assert!(stdout.contains("pub fn build_scenario() -> Scenario"));
-    assert!(stdout.contains("Guard::Before(\"localMPI_setCommand\""));
-}
-
 /// A scenario that does not compile is the FA000 finding `failck FILE`
 /// reports for it, byte for byte: exit 1, the position on stdout.
 #[test]
@@ -383,15 +373,15 @@ fn compile_exit_codes_on_malformed_input() {
         (vec!["--help"], 0, "usage: failck "),
         (vec![&fig5, "-h"], 0, "--compile FILE"),
         (vec![&fig5, "--emit-c"], 2, "unknown argument `--emit-c`"),
-        (vec![&fig5, "--emit-rust", "extra"], 2, "--compile is a standalone mode: drop `extra`"),
+        (vec![&fig5, "extra"], 2, "--compile is a standalone mode: drop `extra`"),
         (vec![&fig5, "--model-check"], 2, "--compile is a standalone mode: drop --model-check"),
-        (vec!["--emit-rust"], 2, "cannot read `--emit-rust`"),
+        (vec!["--reduce"], 2, "cannot read `--reduce`"),
         (vec!["/nonexistent/x.fail"], 2, "cannot read `/nonexistent/x.fail`: "),
         (vec![dir_path], 2, "cannot read"),
         (vec![&binary], 2, "cannot read"),
         (vec![&nul], 1, "nul.fail:1: error[FA000]"),
         (vec![&empty], 0, "deployment: none declared"),
-        (vec![&truncated, "--emit-rust"], 1, "truncated.fail:1: error[FA000]"),
+        (vec![&truncated], 1, "truncated.fail:1: error[FA000]"),
         (vec![&huge], 1, "huge.fail:1: error[FA000]"),
         // Both used to abort with `stack overflow` (SIGABRT).
         (vec![&parens], 1, &format!("parens.fail:2: {too_deep}")),

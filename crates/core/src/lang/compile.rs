@@ -2,9 +2,7 @@
 //!
 //! This is the moral equivalent of the FCI compiler (paper Sec. 2.2), which
 //! turned FAIL scenarios into C++ automata sources; here the output is a
-//! [`Scenario`] value interpreted by [`crate::FailRuntime`] (and
-//! [`super::codegen`] can additionally emit Rust source for it, mirroring
-//! the paper's generation step).
+//! [`Scenario`] value interpreted by [`crate::FailRuntime`].
 
 use std::collections::HashMap;
 use std::fmt;

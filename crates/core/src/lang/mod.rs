@@ -41,7 +41,6 @@
 //! `failmpi-experiments::figures::delay`).
 
 pub mod ast;
-pub mod codegen;
 pub mod compile;
 pub mod lexer;
 pub mod parser;

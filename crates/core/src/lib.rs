@@ -13,8 +13,8 @@
 //!   (`halt`, `stop`, `continue`), assign variables and `goto` other nodes.
 //!   See [`lang`] for the full grammar.
 //! * **The FCI/FAIL-MPI compiler** — [`compile`] turns source text into an
-//!   executable [`Scenario`]; [`lang::codegen`] mirrors the paper's
-//!   source-generation step by emitting Rust that rebuilds the same tables.
+//!   executable [`Scenario`], interpreted directly where the paper's
+//!   compiler generated C++ sources.
 //! * **The injection runtime** — [`FailRuntime`] executes one automaton
 //!   instance per cluster machine (plus free-standing coordinators like the
 //!   paper's `P1`). It is host-agnostic: the embedding world feeds it

@@ -26,6 +26,11 @@
 //! bug. The scenario fuzzer (`failmpi-fuzz`) leans on exactly this
 //! two-mode contract as its oracle, so both modes are exercised end-to-end
 //! here.
+//!
+//! Every static × dynamic comparison is built from two legs, both owned
+//! here and shared with the fuzzer: the static leg [`model_check`] at a
+//! [`CheckShape`], and the dynamic leg [`probe`], one smoke run of a
+//! (backend, dispatcher) pair.
 
 use failmpi_analyze::{
     model_check_source, ModelCheckConfig, ModelSummary, Report, StaticVerdict,
@@ -35,7 +40,7 @@ use failmpi_mpichv::DispatcherMode;
 use failmpi_workloads::BtClass;
 
 use crate::figures::{self, DELAY_SRC, FIG10_SRC, FIG5_SRC, FIG7_SRC, FIG8_SRC};
-use crate::harness::{run, ExperimentSpec, InjectionSpec, Observe};
+use crate::harness::{run, ExperimentSpec, InjectionSpec, LintMode, Observe};
 use crate::robustness::outcome_class;
 
 /// One scenario's static verdict next to its dynamic seed sweep, both
@@ -177,8 +182,9 @@ pub fn verdicts_agree(static_verdict: StaticVerdict, any_dynamic_buggy: bool) ->
     }
 }
 
-/// Model-checks `src` with the scenario's `params` at `shape`.
-fn model_check(src: &str, params: &[(&str, i64)], shape: CheckShape) -> ModelSummary {
+/// The static leg: model-checks `src` with the scenario's `params` at
+/// `shape`.
+pub fn model_check(src: &str, params: &[(&str, i64)], shape: CheckShape) -> ModelSummary {
     let cfg = ModelCheckConfig {
         backend: shape.backend,
         mode: shape.mode,
@@ -190,6 +196,46 @@ fn model_check(src: &str, params: &[(&str, i64)], shape: CheckShape) -> ModelSum
         ..ModelCheckConfig::default()
     };
     model_check_source(src, &cfg).summary
+}
+
+/// One run of the dynamic leg.
+#[derive(Clone, Debug)]
+pub struct DynRun {
+    /// Experiment seed.
+    pub seed: u64,
+    /// Classifier outcome class (`completed`/`non-terminating`/`buggy`).
+    pub class: &'static str,
+    /// Schedule fingerprint of the run.
+    pub fingerprint: u64,
+}
+
+/// The spec the dynamic leg runs: the smoke deployment of
+/// [`smoke_spec_for`] on `backend`, with the lint gate off because the
+/// static leg has already analysed the scenario.
+pub fn probe_spec(
+    src: &str,
+    machine: &str,
+    params: &[(&str, i64)],
+    seed: u64,
+    backend: BackendKind,
+    mode: DispatcherMode,
+) -> ExperimentSpec {
+    let mut spec = smoke_spec_for(src, machine, params, seed, mode).with_backend(backend);
+    if let Some(inj) = spec.injection.as_mut() {
+        inj.lint = LintMode::Off;
+    }
+    spec
+}
+
+/// The dynamic leg: one run of a [`probe_spec`]. `Err` is the harness's
+/// refusal of the spec.
+pub fn probe(spec: &ExperimentSpec) -> Result<DynRun, Report> {
+    let record = run(spec, Observe::default())?.record;
+    Ok(DynRun {
+        seed: spec.seed,
+        class: outcome_class(&record.outcome),
+        fingerprint: record.fingerprint,
+    })
 }
 
 /// Crosschecks one scenario source: its static verdict at `shape` next to
@@ -207,10 +253,8 @@ pub fn crosscheck_one(
     let dynamic: Vec<(u64, &'static str)> = seeds
         .iter()
         .map(|&seed| {
-            let spec = smoke_spec_for(src, machine, params, seed, shape.mode)
-                .with_backend(shape.backend);
-            let out = run(&spec, Observe::default())?;
-            Ok((seed, outcome_class(&out.record.outcome)))
+            let r = probe(&probe_spec(src, machine, params, seed, shape.backend, shape.mode))?;
+            Ok((r.seed, r.class))
         })
         .collect::<Result<_, Report>>()?;
     let any_buggy = dynamic.iter().any(|(_, c)| *c == "buggy");

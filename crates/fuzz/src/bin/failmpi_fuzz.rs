@@ -122,7 +122,6 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
             budget: opts.budget,
             config,
             minimize_family: opts.minimize_family,
-            ..FuzzOptions::default()
         };
         let outcome = run_fuzz(&fuzz_opts);
         if let Some(dir) = &opts.corpus {

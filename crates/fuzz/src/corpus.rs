@@ -1,8 +1,8 @@
 //! On-disk corpus format and the replay regression check.
 //!
 //! A corpus directory holds one `.fail` file per entry plus a
-//! `corpus.json` manifest pinning every entry's static verdicts (both
-//! dispatcher modes) and per-seed dynamic outcome classes. Replay
+//! `corpus.json` manifest pinning, per view of [`VIEWS`], every entry's
+//! static verdict and per-seed dynamic outcome classes. Replay
 //! re-evaluates each entry and reports any drift from the pinned values
 //! as FZ004 errors — the regression contract of the checked-in corpus.
 //!
@@ -10,7 +10,6 @@
 //! and verdict names are semantic and portable, while state digests and
 //! schedule fingerprints are only stable within one build.
 
-use std::collections::BTreeSet;
 use std::path::{Component, Path};
 
 use failmpi_analyze::{Diagnostic, Report, Severity};
@@ -18,10 +17,20 @@ use serde::Serialize;
 use serde_json::Value;
 
 use crate::gen::Candidate;
-use crate::oracle::{evaluate, evaluate_all, Evaluation, FuzzConfig};
+use crate::oracle::{evaluate, Evaluation, FuzzConfig, Role, View, VIEWS};
+
+/// One view's pins.
+#[derive(Clone, Debug)]
+pub struct Pins {
+    /// Pinned static verdict (manifest field `static_<view>`).
+    pub verdict: String,
+    /// Pinned `(seed, outcome class)` probes (manifest field
+    /// `dynamic_<view>`).
+    pub probes: Vec<(u64, String)>,
+}
 
 /// One manifest entry.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CorpusEntry {
     /// Candidate name (also the stem of its `.fail` file).
     pub name: String,
@@ -33,29 +42,66 @@ pub struct CorpusEntry {
     pub machine_class: String,
     /// Smoke-scale parameter overrides.
     pub params: Vec<(String, i64)>,
-    /// Pinned static verdict, historical dispatcher.
-    pub static_historical: String,
-    /// Pinned static verdict, fixed dispatcher.
-    pub static_fixed: String,
-    /// Pinned `(seed, outcome class)` probes, historical dispatcher.
-    pub dynamic_historical: Vec<(u64, String)>,
-    /// Pinned `(seed, outcome class)` probes, fixed dispatcher.
-    pub dynamic_fixed: Vec<(u64, String)>,
-    /// Pinned static verdict of the ULFM abstract model. Empty in
-    /// manifests written before the backend axis existed; replay skips
-    /// empty pins.
-    pub static_ulfm: String,
-    /// Pinned `(seed, outcome class)` probes through the ULFM runtime.
-    pub dynamic_ulfm: Vec<(u64, String)>,
-    /// Pinned static verdict of the replication abstract model (empty =
-    /// unpinned, as for `static_ulfm`).
-    pub static_replica: String,
-    /// Pinned `(seed, outcome class)` probes through the replication
-    /// runtime.
-    pub dynamic_replica: Vec<(u64, String)>,
+    /// One entry per [`VIEWS`] row, in table order.
+    pub pins: Vec<Pins>,
     /// The behavioural novelty key that earned the slot (documentation;
     /// digests inside are build-specific and not re-checked on replay).
     pub coverage_key: String,
+}
+
+impl CorpusEntry {
+    /// The pins of the view named `name`. Panics on a name not in
+    /// [`VIEWS`].
+    pub fn view(&self, name: &str) -> &Pins {
+        let at = VIEWS.iter().position(|v| v.name == name);
+        &self.pins[at.unwrap_or_else(|| panic!("no view named {name}"))]
+    }
+}
+
+/// A view's two manifest fields.
+fn fields(view: &View) -> [String; 2] {
+    [format!("static_{}", view.name), format!("dynamic_{}", view.name)]
+}
+
+impl Serialize for CorpusEntry {
+    fn serialize_json(&self, out: &mut String) {
+        let mut members: Vec<(String, &dyn Serialize)> = vec![
+            ("name".into(), &self.name),
+            ("file".into(), &self.file),
+            ("origin".into(), &self.origin),
+            ("machine_class".into(), &self.machine_class),
+            ("params".into(), &self.params),
+        ];
+        // The manifest's member order predates the view table: the
+        // contract views' verdicts, then their probes, then each other
+        // view's pair.
+        let (contract, others): (Vec<_>, Vec<_>) =
+            VIEWS.iter().zip(&self.pins).partition(|(v, _)| v.role == Role::Contract);
+        for (view, pins) in &contract {
+            let [verdict, _] = fields(view);
+            members.push((verdict, &pins.verdict));
+        }
+        for (view, pins) in &contract {
+            let [_, probes] = fields(view);
+            members.push((probes, &pins.probes));
+        }
+        for (view, pins) in &others {
+            let [verdict, probes] = fields(view);
+            members.push((verdict, &pins.verdict));
+            members.push((probes, &pins.probes));
+        }
+        members.push(("coverage_key".into(), &self.coverage_key));
+        out.push('{');
+        for (k, (key, value)) in members.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            serde::write_json_str(out, key);
+            out.push(':');
+            value.serialize_json(out);
+        }
+        out.push('}');
+    }
 }
 
 /// The manifest file name inside a corpus directory.
@@ -63,34 +109,20 @@ pub const MANIFEST: &str = "corpus.json";
 
 /// Builds a manifest entry from a candidate and its evaluation.
 pub fn entry_of(cand: &Candidate, ev: &Evaluation, coverage_key: &str) -> CorpusEntry {
-    let dyn_pin = |runs: &[crate::oracle::DynRun]| -> Vec<(u64, String)> {
-        runs.iter()
-            .map(|r| (r.seed, r.class.to_string()))
-            .collect()
-    };
-    let backend = |kind: failmpi_backend::BackendKind| {
-        ev.backends
-            .iter()
-            .find(|b| b.backend == kind)
-            .map(|b| (b.summary.verdict.to_string(), dyn_pin(&b.dynamic)))
-            .unwrap_or_default()
-    };
-    let (static_ulfm, dynamic_ulfm) = backend(failmpi_backend::BackendKind::Ulfm);
-    let (static_replica, dynamic_replica) = backend(failmpi_backend::BackendKind::Replica);
     CorpusEntry {
         name: cand.name.clone(),
         file: format!("{}.fail", cand.name),
         origin: cand.origin.clone(),
         machine_class: cand.machine_class.clone(),
         params: cand.params.clone(),
-        static_historical: ev.static_h.verdict.to_string(),
-        static_fixed: ev.static_f.verdict.to_string(),
-        dynamic_historical: dyn_pin(&ev.dynamic_h),
-        dynamic_fixed: dyn_pin(&ev.dynamic_f),
-        static_ulfm,
-        dynamic_ulfm,
-        static_replica,
-        dynamic_replica,
+        pins: ev
+            .views
+            .iter()
+            .map(|v| Pins {
+                verdict: v.summary.verdict.to_string(),
+                probes: v.dynamic.iter().map(|r| (r.seed, r.class.to_string())).collect(),
+            })
+            .collect(),
         coverage_key: coverage_key.to_string(),
     }
 }
@@ -114,26 +146,6 @@ fn str_field(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
         .and_then(Value::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("{ctx}: missing string field `{key}`"))
-}
-
-/// Like [`str_field`] but tolerant of the field being absent — manifests
-/// written before the backend axis carry no per-backend pins.
-fn opt_str_field(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
-    match v.get(key) {
-        None => Ok(String::new()),
-        Some(f) => f
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("{ctx}: non-string field `{key}`")),
-    }
-}
-
-/// Like [`pin_list`] but tolerant of the field being absent.
-fn opt_pin_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u64, String)>, String> {
-    if v.get(key).is_none() {
-        return Ok(Vec::new());
-    }
-    pin_list(v, key, ctx)
 }
 
 /// `v` as a `u64` when it is an integer a `u64` holds. The JSON reader
@@ -204,14 +216,16 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(CorpusEntry, String)>, String> {
             origin: str_field(row, "origin", &ctx)?,
             machine_class: str_field(row, "machine_class", &ctx)?,
             params,
-            static_historical: str_field(row, "static_historical", &ctx)?,
-            static_fixed: str_field(row, "static_fixed", &ctx)?,
-            dynamic_historical: pin_list(row, "dynamic_historical", &ctx)?,
-            dynamic_fixed: pin_list(row, "dynamic_fixed", &ctx)?,
-            static_ulfm: opt_str_field(row, "static_ulfm", &ctx)?,
-            dynamic_ulfm: opt_pin_list(row, "dynamic_ulfm", &ctx)?,
-            static_replica: opt_str_field(row, "static_replica", &ctx)?,
-            dynamic_replica: opt_pin_list(row, "dynamic_replica", &ctx)?,
+            pins: VIEWS
+                .iter()
+                .map(|view| {
+                    let [verdict, probes] = fields(view);
+                    Ok(Pins {
+                        verdict: str_field(row, &verdict, &ctx)?,
+                        probes: pin_list(row, &probes, &ctx)?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
             coverage_key: str_field(row, "coverage_key", &ctx)?,
         };
         let src_path = dir.join(&file);
@@ -250,48 +264,23 @@ pub(crate) fn drift(entry: &CorpusEntry, ev: Result<Evaluation, Report>) -> Vec<
         Ok(ev) => ev,
         Err(refusal) => return refusal.diagnostics,
     };
-
-    // (view, verdict, pin) and (view, pins, probes); the per-backend pins
-    // only when the manifest carries them (a pre-backend manifest has
-    // empty ones).
-    let mut statics = vec![
-        ("historical", ev.static_h.verdict, &entry.static_historical),
-        ("fixed", ev.static_f.verdict, &entry.static_fixed),
-    ];
-    let mut dynamics = vec![
-        ("historical", &entry.dynamic_historical, &ev.dynamic_h),
-        ("fixed", &entry.dynamic_fixed, &ev.dynamic_f),
-    ];
-    for be in &ev.backends {
-        let (static_pin, dyn_pins) = match be.backend {
-            failmpi_backend::BackendKind::Ulfm => (&entry.static_ulfm, &entry.dynamic_ulfm),
-            failmpi_backend::BackendKind::Replica => {
-                (&entry.static_replica, &entry.dynamic_replica)
-            }
-            failmpi_backend::BackendKind::Vcl => continue,
-        };
-        if !static_pin.is_empty() {
-            statics.push((be.backend.name(), be.summary.verdict, static_pin));
-        }
-        if !dyn_pins.is_empty() {
-            dynamics.push((be.backend.name(), dyn_pins, &be.dynamic));
-        }
-    }
-
+    let views = || ev.views.iter().zip(&entry.pins);
     let mut drift = Vec::new();
-    for (view, verdict, pinned) in statics {
-        if verdict.to_string() != *pinned {
+    for (v, pins) in views() {
+        if v.summary.verdict.to_string() != pins.verdict {
             drift.push(format!(
-                "static verdict ({view}) is {verdict}, pinned {pinned}"
+                "static verdict ({}) is {}, pinned {}",
+                v.view.name, v.summary.verdict, pins.verdict
             ));
         }
     }
-    for (view, pins, runs) in dynamics {
-        let ran: Vec<(u64, &str)> = runs.iter().map(|r| (r.seed, r.class)).collect();
-        let pinned: Vec<(u64, &str)> = pins.iter().map(|(s, c)| (*s, c.as_str())).collect();
+    for (v, pins) in views() {
+        let ran: Vec<(u64, &str)> = v.dynamic.iter().map(|r| (r.seed, r.class)).collect();
+        let pinned: Vec<(u64, &str)> = pins.probes.iter().map(|(s, c)| (*s, c.as_str())).collect();
         if ran != pinned {
             drift.push(format!(
-                "dynamic probes ({view}) are [{}], pinned [{}]",
+                "dynamic probes ({}) are [{}], pinned [{}]",
+                v.view.name,
                 probe_note(&ran),
                 probe_note(&pinned)
             ));
@@ -322,39 +311,9 @@ fn probe_note(probes: &[(u64, &str)]) -> String {
         .join(" ")
 }
 
-/// Freeze fingerprints of every corpus entry, recomputed by replaying the
-/// entries — the fuzzer's known-freeze set. (Fingerprints are not stored
-/// in the manifest because they are build-specific.)
-pub fn known_freeze_fingerprints(
-    entries: &[(CorpusEntry, String)],
-    cfg: &FuzzConfig,
-) -> BTreeSet<u64> {
-    // An entry the harness refuses froze nothing; `replay_entry` reports
-    // the refusal.
-    let cands: Vec<Candidate> = entries
-        .iter()
-        .map(|(entry, source)| candidate_of(entry, source))
-        .collect();
-    evaluate_all(&cands, cfg)
-        .into_iter()
-        .filter_map(Result::ok)
-        .flat_map(|ev| ev.freeze_fingerprints())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A one-entry manifest over `e1.fail` with every field present; each
-    /// `{field}` placeholder is a JSON value.
-    const MANIFEST_TEMPLATE: &str = r#"[{"name": {name}, "file": {file}, "origin": {origin},
-        "machine_class": {machine_class}, "params": {params},
-        "static_historical": {static_historical}, "static_fixed": {static_fixed},
-        "dynamic_historical": {dynamic_historical}, "dynamic_fixed": {dynamic_fixed},
-        "static_ulfm": {static_ulfm}, "dynamic_ulfm": {dynamic_ulfm},
-        "static_replica": {static_replica}, "dynamic_replica": {dynamic_replica},
-        "coverage_key": {coverage_key}}]"#;
 
     /// Every field with a valid value, and whether it is a string (else a
     /// list of pairs).
@@ -399,14 +358,22 @@ mod tests {
         "2.5",
     ];
 
+    /// A one-entry manifest over `e1.fail` with `field` set to `value`, or
+    /// left out when `value` is `None`, and every other field valid.
+    fn manifest(field: &str, value: Option<&str>) -> String {
+        let members: Vec<String> = FIELDS
+            .iter()
+            .filter_map(|&(name, valid, _)| {
+                let v = if name == field { value? } else { valid };
+                Some(format!("{name:?}: {v}"))
+            })
+            .collect();
+        format!("[{{{}}}]", members.join(", "))
+    }
+
     /// The manifest with `field` set to `value` (and the rest valid).
     fn manifest_with(field: &str, value: &str) -> String {
-        let mut doc = MANIFEST_TEMPLATE.to_string();
-        for (name, valid, _) in FIELDS {
-            let v = if name == field { value } else { valid };
-            doc = doc.replace(&format!("{{{name}}}"), v);
-        }
-        doc
+        manifest(field, Some(value))
     }
 
     /// This process' corpus directory for the test tagged `tag`.
@@ -431,10 +398,22 @@ mod tests {
         assert_eq!(load("template", ok.as_bytes()), Ok(1));
         let (entry, _) = load_corpus(&dir("template")).expect("loads").remove(0);
         assert_eq!(entry.params, [("X".to_string(), 4), ("N".to_string(), -2)]);
-        assert_eq!(entry.dynamic_historical, [(1, "a".into()), (2, "b".into())]);
-        assert_eq!(entry.static_replica, "freezes");
+        assert_eq!(entry.view("historical").probes, [(1, "a".into()), (2, "b".into())]);
+        assert_eq!(entry.view("replica").verdict, "freezes");
+        // Written back member for member, in the manifest's order.
+        let written = serde_json::to_string(&[&entry]).expect("serializes");
+        assert_eq!(written, ok.replace(' ', ""));
         let big_seed = manifest_with("dynamic_fixed", r#"[[9007199254740992, "a"]]"#);
         assert_eq!(load("big-seed", big_seed.as_bytes()), Ok(1));
+    }
+
+    #[test]
+    fn a_missing_field_is_refused_naming_it() {
+        for (name, _, _) in FIELDS {
+            let result = load("missing", manifest(name, None).as_bytes());
+            let err = result.expect_err(name);
+            assert!(err.contains(&format!("`{name}`")), "{name}: {err}");
+        }
     }
 
     proptest::proptest! {

@@ -5,7 +5,8 @@
 //! inventing instrumentation: the model checker's interned-state digest
 //! (static shape of the product under both dispatcher variants), the
 //! verdict pair, the per-seed dynamic outcome classes, and the schedule
-//! fingerprints of any frozen probe (the freeze family signal).
+//! fingerprints of any frozen probe (the freeze family signal). It reads
+//! the contract views only; the other backends' pins ride in the manifest.
 
 use std::collections::BTreeSet;
 
@@ -13,28 +14,26 @@ use crate::oracle::Evaluation;
 
 /// Canonical, order-stable novelty key of an evaluation.
 pub fn key_of(ev: &Evaluation) -> String {
-    let dyn_part = |runs: &[crate::oracle::DynRun]| {
-        runs.iter()
-            .map(|r| r.class)
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let freeze = ev
-        .freeze_fingerprints()
-        .iter()
-        .map(|fp| format!("{fp:016x}"))
+    let mut fps: Vec<u64> = ev
+        .contract()
+        .flat_map(|v| &v.dynamic)
+        .filter(|r| r.class == "buggy")
+        .map(|r| r.fingerprint)
+        .collect();
+    fps.sort_unstable();
+    fps.dedup();
+    let freeze = fps.iter().map(|fp| format!("{fp:016x}")).collect::<Vec<_>>().join(",");
+    let digests = ev.contract().map(|v| format!("{:016x}", v.summary.state_digest));
+    let verdicts = ev.contract().map(|v| v.summary.verdict.to_string());
+    let classes = ev
+        .contract()
+        .map(|v| v.dynamic.iter().map(|r| r.class).collect::<Vec<_>>().join(","));
+    digests
+        .chain(verdicts)
+        .chain(classes)
+        .chain([freeze])
         .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{:016x}|{:016x}|{}|{}|{}|{}|{}",
-        ev.static_h.state_digest,
-        ev.static_f.state_digest,
-        ev.static_h.verdict,
-        ev.static_f.verdict,
-        dyn_part(&ev.dynamic_h),
-        dyn_part(&ev.dynamic_f),
-        freeze
-    )
+        .join("|")
 }
 
 /// The set of behaviours seen so far.

@@ -11,13 +11,22 @@
 //!             │        │  FA-lint validity filter               │
 //!             │        ▼                                        │
 //!             │  evaluate: model checker  ×  dynamic harness   │
-//!             │           (historical and fixed dispatcher)    │
+//!             │    per view: vcl historical, vcl fixed,        │
+//!             │              ulfm, replica                     │
 //!             │        │                                        │
 //!             │        ├─ novel behaviour? ──► corpus           │
-//!             │        └─ findings (FZ001/FZ002) ──► minimize,  │
+//!             │        │   (pins per view)                      │
+//!             │        └─ findings (FZ001–FZ008) ──► minimize,  │
 //!             │                                     narrate     │
 //!             └────────────────────────────────────────────────┘
 //! ```
+//!
+//! The views are one table, [`oracle::VIEWS`]: a (backend, dispatcher)
+//! pair per row, each with its role. The two Vcl views run the escalation
+//! ladder and are held to the FZ001/FZ007 contract; the ULFM and replica
+//! views feed FZ008. Every view is evaluated on the two legs of
+//! `failmpi_experiments::crosscheck` (the model check and the smoke
+//! probe), and a corpus entry pins every view's verdict and probes.
 //!
 //! Finding codes (consumed by `failck --findings`):
 //!
@@ -36,6 +45,9 @@
 //!   realized even after escalation — one extra seed per step of the
 //!   minimal abstract witness, capped by `escalate_cap` (the abstraction's
 //!   over-approximate direction; the converse is the FZ001 error).
+//! * **FZ008** (info) — backend divergence: a ULFM or replica view's
+//!   probes freeze where the historical Vcl view's survive, or the
+//!   reverse.
 //!
 //! Determinism contract: `failmpi-fuzz --seed S --budget N` twice produces
 //! byte-identical corpus and findings JSON — all randomness flows from one
@@ -55,9 +67,6 @@ pub mod gen;
 pub mod minimize;
 pub mod oracle;
 
-use std::collections::BTreeSet;
-use std::path::PathBuf;
-
 use failmpi_analyze::Report;
 use serde::Serialize;
 
@@ -65,7 +74,7 @@ pub use corpus::{candidate_of, entry_of, load_corpus, replay_entry, write_corpus
 pub use coverage::{key_of, Coverage};
 pub use gen::{passes_filter, Candidate, Generator};
 pub use minimize::minimize;
-pub use oracle::{evaluate, evaluate_all, findings_for, Evaluation, FuzzConfig};
+pub use oracle::{evaluate, evaluate_all, findings_for, Evaluation, FuzzConfig, VIEWS};
 
 /// Raw generation attempts per accepted candidate before the slot is
 /// forfeited (keeps a pathological seed from spinning).
@@ -84,9 +93,6 @@ pub struct FuzzOptions {
     /// findings are always minimized, rediscoveries are expected and only
     /// minimized on request — the EXPERIMENTS.md walkthrough).
     pub minimize_family: bool,
-    /// Known freeze fingerprints (from a replayed corpus); freezes that
-    /// replay one are corpus behaviour, not findings.
-    pub known_freeze_fps: BTreeSet<u64>,
 }
 
 impl Default for FuzzOptions {
@@ -96,7 +102,6 @@ impl Default for FuzzOptions {
             budget: 30,
             config: FuzzConfig::default(),
             minimize_family: false,
-            known_freeze_fps: BTreeSet::new(),
         }
     }
 }
@@ -163,7 +168,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
             corpus.push((entry_of(cand, &ev, &key), cand.source.clone()));
         }
 
-        let mut findings = findings_for(&ev, &opts.known_freeze_fps);
+        let mut findings = findings_for(&ev);
         if findings.is_empty() {
             continue;
         }
@@ -179,7 +184,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
                     ..cand.clone()
                 };
                 let findings = match evaluate(&probe, &opts.config) {
-                    Ok(ev) => findings_for(&ev, &opts.known_freeze_fps),
+                    Ok(ev) => findings_for(&ev),
                     Err(refusal) => refusal.diagnostics,
                 };
                 let mut codes: Vec<&str> = findings.iter().map(|d| d.code).collect();
@@ -262,9 +267,4 @@ pub fn run_replay(
         },
         reports,
     )
-}
-
-/// Where the checked-in seed corpus lives, relative to the repo root.
-pub fn default_corpus_dir() -> PathBuf {
-    PathBuf::from("tests/fixtures/fuzz")
 }

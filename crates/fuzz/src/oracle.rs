@@ -1,6 +1,7 @@
 //! The differential oracle: every candidate runs through the static model
-//! checker *and* the dynamic harness, under both dispatcher variants, and
-//! the disagreements/novelties become FZ-coded findings.
+//! checker *and* the dynamic harness under every (backend, dispatcher)
+//! view of [`VIEWS`], on the two legs `failmpi_experiments::crosscheck`
+//! owns, and the disagreements/novelties become FZ-coded findings.
 //!
 //! | code | severity | meaning |
 //! |------|----------|---------|
@@ -18,16 +19,11 @@
 //! under a `survives` verdict means the abstraction dropped a behaviour,
 //! and that is the FZ001 error.
 
-use std::collections::BTreeSet;
-
-use failmpi_analyze::{
-    model_check_source, Diagnostic, ModelCheckConfig, ModelSummary, Report, Severity,
-    StaticVerdict,
-};
+use failmpi_analyze::{Diagnostic, ModelSummary, Report, Severity, StaticVerdict};
 use failmpi_backend::BackendKind;
-use failmpi_experiments::robustness::outcome_class;
-use failmpi_experiments::harness::{self, Observe};
-use failmpi_experiments::{smoke_spec_for, tracesink, verdicts_agree, LintMode};
+use failmpi_experiments::crosscheck::{self, CheckShape, DynRun};
+use failmpi_experiments::harness::{self, ExperimentSpec, Observe};
+use failmpi_experiments::{tracesink, verdicts_agree};
 use failmpi_mpichv::DispatcherMode;
 
 use crate::gen::Candidate;
@@ -35,7 +31,7 @@ use crate::gen::Candidate;
 /// Oracle knobs.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
-    /// Dynamic seeds each candidate is probed with, per dispatcher mode.
+    /// Dynamic seeds each candidate is probed with, per view.
     pub probe_seeds: Vec<u64>,
     /// Model-checker exploration budget per candidate (smaller than the
     /// failck default: mutants with unbounded counters go `unknown`, which
@@ -60,33 +56,69 @@ impl Default for FuzzConfig {
     }
 }
 
-/// One dynamic probe run.
-#[derive(Clone, Debug)]
-pub struct DynRun {
-    /// Experiment seed.
-    pub seed: u64,
-    /// Classifier outcome class (`completed`/`non-terminating`/`buggy`).
-    pub class: &'static str,
-    /// Schedule fingerprint of the run.
-    pub fingerprint: u64,
+/// What the oracle holds a view to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// A Vcl dispatcher variant: an unrealized static freeze runs the
+    /// escalation ladder, and the view is held to the FZ001/FZ007
+    /// agreement contract.
+    Contract,
+    /// Another protocol backend: its base probes are compared with the
+    /// historical view's (FZ008).
+    Divergence,
 }
 
-/// One alternate protocol backend's view of a candidate: the static
-/// verdict of its abstract model next to the same probe seeds run through
-/// its runtime. The Vcl view lives in the historical/fixed fields of
-/// [`Evaluation`]; these rows cover the non-Vcl backends.
-#[derive(Clone, Debug)]
-pub struct BackendEval {
-    /// The protocol backend probed.
+/// One (backend, dispatcher) pair every candidate is evaluated under: a
+/// model check of the backend's abstract model next to the probe seeds
+/// run through its runtime.
+#[derive(Clone, Copy, Debug)]
+pub struct View {
+    /// The view's name in findings, and in its two corpus manifest fields
+    /// `static_<name>` and `dynamic_<name>`.
+    pub name: &'static str,
+    /// Protocol backend.
     pub backend: BackendKind,
-    /// Model-check summary of this backend's abstract model.
+    /// Dispatcher variant (a Vcl concept; the other backends run the
+    /// historical default).
+    pub mode: DispatcherMode,
+    /// What the findings hold the view to.
+    pub role: Role,
+}
+
+/// Every view, in evaluation, findings and manifest order. A new backend
+/// is one row here plus its two manifest fields.
+pub const VIEWS: [View; 4] = [
+    View::new("historical", BackendKind::Vcl, DispatcherMode::Historical, Role::Contract),
+    View::new("fixed", BackendKind::Vcl, DispatcherMode::Fixed, Role::Contract),
+    View::new("ulfm", BackendKind::Ulfm, DispatcherMode::Historical, Role::Divergence),
+    View::new("replica", BackendKind::Replica, DispatcherMode::Historical, Role::Divergence),
+];
+
+impl View {
+    const fn new(
+        name: &'static str,
+        backend: BackendKind,
+        mode: DispatcherMode,
+        role: Role,
+    ) -> View {
+        View { name, backend, mode, role }
+    }
+}
+
+/// One view's observations of a candidate.
+#[derive(Clone, Debug)]
+pub struct ViewEval {
+    /// The [`VIEWS`] row.
+    pub view: View,
+    /// Model-check summary of the view's abstract model.
     pub summary: ModelSummary,
-    /// Dynamic probes through this backend's runtime.
+    /// Dynamic probes: the base seeds, then a contract view's escalation
+    /// ladder.
     pub dynamic: Vec<DynRun>,
 }
 
-impl BackendEval {
-    /// Whether any probe froze under this backend.
+impl ViewEval {
+    /// Whether any probe froze under this view.
     pub fn buggy(&self) -> bool {
         self.dynamic.iter().any(|r| r.class == "buggy")
     }
@@ -95,129 +127,70 @@ impl BackendEval {
 /// Everything both oracles observed about one candidate.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
-    /// Model-check summary under the historical (paper-bug) dispatcher.
-    pub static_h: ModelSummary,
-    /// Model-check summary under the fixed dispatcher.
-    pub static_f: ModelSummary,
-    /// Dynamic probes under the historical dispatcher.
-    pub dynamic_h: Vec<DynRun>,
-    /// Dynamic probes under the fixed dispatcher.
-    pub dynamic_f: Vec<DynRun>,
+    /// One entry per [`VIEWS`] row, in table order.
+    pub views: Vec<ViewEval>,
     /// Whether a frozen historical run matches the causal-trace
     /// dispatcher-bug pattern (the Fig. 10 family classifier).
     pub fig10_family: bool,
     /// Causal narration of the first frozen historical run, when any.
     pub narration: Option<String>,
-    /// The alternate protocol backends' views (ULFM, replication) — the
-    /// differential oracle's third axis next to the dispatcher modes.
-    pub backends: Vec<BackendEval>,
 }
 
 impl Evaluation {
-    /// Whether any historical probe froze.
-    pub fn h_buggy(&self) -> bool {
-        self.dynamic_h.iter().any(|r| r.class == "buggy")
-    }
-
-    /// Whether any fixed-dispatcher probe froze.
-    pub fn f_buggy(&self) -> bool {
-        self.dynamic_f.iter().any(|r| r.class == "buggy")
-    }
-
-    /// Fingerprints of every frozen probe, both modes, sorted.
-    pub fn freeze_fingerprints(&self) -> Vec<u64> {
-        let mut fps: Vec<u64> = self
-            .dynamic_h
+    /// The view named `name`. Panics on a name not in [`VIEWS`].
+    pub fn view(&self, name: &str) -> &ViewEval {
+        self.views
             .iter()
-            .chain(&self.dynamic_f)
-            .filter(|r| r.class == "buggy")
-            .map(|r| r.fingerprint)
-            .collect();
-        fps.sort_unstable();
-        fps.dedup();
-        fps
+            .find(|v| v.view.name == name)
+            .unwrap_or_else(|| panic!("no view named {name}"))
+    }
+
+    /// The views held to the agreement contract.
+    pub fn contract(&self) -> impl Iterator<Item = &ViewEval> {
+        self.views.iter().filter(|v| v.view.role == Role::Contract)
     }
 }
 
-fn probe(
-    cand: &Candidate,
-    seed: u64,
-    mode: DispatcherMode,
-    backend: BackendKind,
-) -> Result<DynRun, Report> {
-    let params: Vec<(&str, i64)> = cand.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let mut spec = smoke_spec_for(&cand.source, &cand.machine_class, &params, seed, mode)
-        .with_backend(backend);
-    // The generator already FA-filtered the source; the gate would only
-    // re-lint it (and spam stderr once per distinct mutant).
-    if let Some(inj) = spec.injection.as_mut() {
-        inj.lint = LintMode::Off;
-    }
-    let record = harness::run(&spec, Observe::default())?.record;
-    Ok(DynRun {
-        seed,
-        class: outcome_class(&record.outcome),
-        fingerprint: record.fingerprint,
-    })
+fn params(cand: &Candidate) -> Vec<(&str, i64)> {
+    cand.params.iter().map(|(k, v)| (k.as_str(), *v)).collect()
 }
 
-/// The four model checks of one candidate: the Vcl model under both
-/// dispatcher modes, then the ULFM and replication models (historical
-/// mode). The first half of [`evaluate`], on the calling thread.
-#[derive(Debug)]
-pub struct Statics {
-    historical: ModelSummary,
-    fixed: ModelSummary,
-    ulfm: ModelSummary,
-    replica: ModelSummary,
+/// The dynamic leg's spec of `cand` under `view`.
+fn spec(cand: &Candidate, view: &View, seed: u64) -> ExperimentSpec {
+    let (src, machine) = (&cand.source, &cand.machine_class);
+    crosscheck::probe_spec(src, machine, &params(cand), seed, view.backend, view.mode)
 }
 
-/// Runs the four model checks of `cand`.
-pub fn statics(cand: &Candidate, cfg: &FuzzConfig) -> Statics {
-    let check = |mode, backend| {
-        let mc = ModelCheckConfig {
-            backend,
-            params: cand.params.clone(),
-            mode,
-            budget: cfg.model_budget,
-            ..ModelCheckConfig::default()
-        };
-        model_check_source(&cand.source, &mc).summary
-    };
-    Statics {
-        historical: check(DispatcherMode::Historical, BackendKind::Vcl),
-        fixed: check(DispatcherMode::Fixed, BackendKind::Vcl),
-        ulfm: check(DispatcherMode::Historical, BackendKind::Ulfm),
-        replica: check(DispatcherMode::Historical, BackendKind::Replica),
-    }
+/// The model check of `cand` under every view, in table order. The first
+/// half of [`evaluate`], on the calling thread.
+pub fn statics(cand: &Candidate, cfg: &FuzzConfig) -> Vec<ModelSummary> {
+    let params = params(cand);
+    VIEWS
+        .iter()
+        .map(|view| {
+            let shape = CheckShape {
+                backend: view.backend,
+                budget: cfg.model_budget,
+                ..CheckShape::checker_default(view.mode)
+            };
+            crosscheck::model_check(&cand.source, &params, shape)
+        })
+        .collect()
 }
 
-/// The base probe seeds of one candidate through every runtime: Vcl under
-/// both dispatcher modes, then ULFM and replication (historical mode).
-/// The second half of [`evaluate`], on the probe lane.
-#[derive(Debug)]
-pub struct Probes {
-    historical: Vec<DynRun>,
-    fixed: Vec<DynRun>,
-    ulfm: Vec<DynRun>,
-    replica: Vec<DynRun>,
-}
-
-/// Runs the base probe seeds of `cand` on every backend. `Err` is the
-/// harness's refusal of the first probe it will not run.
-pub fn probes(cand: &Candidate, cfg: &FuzzConfig) -> Result<Probes, Report> {
-    let base = |mode, backend| {
-        cfg.probe_seeds
-            .iter()
-            .map(|&seed| probe(cand, seed, mode, backend))
-            .collect::<Result<Vec<_>, _>>()
-    };
-    Ok(Probes {
-        historical: base(DispatcherMode::Historical, BackendKind::Vcl)?,
-        fixed: base(DispatcherMode::Fixed, BackendKind::Vcl)?,
-        ulfm: base(DispatcherMode::Historical, BackendKind::Ulfm)?,
-        replica: base(DispatcherMode::Historical, BackendKind::Replica)?,
-    })
+/// The base probe seeds of `cand` under every view, in table order. The
+/// second half of [`evaluate`], on the probe lane. `Err` is the harness's
+/// refusal of the first probe it will not run.
+pub fn probes(cand: &Candidate, cfg: &FuzzConfig) -> Result<Vec<Vec<DynRun>>, Report> {
+    VIEWS
+        .iter()
+        .map(|view| {
+            cfg.probe_seeds
+                .iter()
+                .map(|&seed| crosscheck::probe(&spec(cand, view, seed)))
+                .collect()
+        })
+        .collect()
 }
 
 /// A statically reachable freeze deserves a fair shot at concrete
@@ -231,7 +204,7 @@ pub fn probes(cand: &Candidate, cfg: &FuzzConfig) -> Result<Probes, Report> {
 fn escalate(
     cand: &Candidate,
     cfg: &FuzzConfig,
-    mode: DispatcherMode,
+    view: &View,
     summary: &ModelSummary,
     mut runs: Vec<DynRun>,
 ) -> Result<Vec<DynRun>, Report> {
@@ -244,7 +217,7 @@ fn escalate(
     let from = runs.iter().map(|r| r.seed).max().unwrap_or(0) + 1;
     let to = (from + extra as u64).saturating_sub(1).min(cfg.escalate_cap);
     for seed in from..=to {
-        let run = probe(cand, seed, mode, BackendKind::Vcl)?;
+        let run = crosscheck::probe(&spec(cand, view, seed))?;
         let hit = run.class == "buggy";
         runs.push(run);
         if hit {
@@ -293,75 +266,48 @@ pub fn evaluate_all(cands: &[Candidate], cfg: &FuzzConfig) -> Vec<Result<Evaluat
     })
 }
 
-/// The last step of [`evaluate`]: the escalation ladder, the causal
-/// narration of the first frozen historical run, and the assembly. `Err`
-/// is the harness's refusal of an escalation or narration run.
+/// The last step of [`evaluate`]: the escalation ladder of each contract
+/// view, the causal narration of the first frozen historical run, and the
+/// assembly. `statics` and `probes` are in [`VIEWS`] order. `Err` is the
+/// harness's refusal of an escalation or narration run.
 pub fn settle(
     cand: &Candidate,
     cfg: &FuzzConfig,
-    statics: Statics,
-    probes: Probes,
+    statics: Vec<ModelSummary>,
+    probes: Vec<Vec<DynRun>>,
 ) -> Result<Evaluation, Report> {
-    let static_h = statics.historical;
-    let static_f = statics.fixed;
-    let dynamic_h =
-        escalate(cand, cfg, DispatcherMode::Historical, &static_h, probes.historical)?;
-    let dynamic_f = escalate(cand, cfg, DispatcherMode::Fixed, &static_f, probes.fixed)?;
+    // The other backends run no escalation ladder: they hunt divergence,
+    // not realization, and the corpus pins exactly their base seeds.
+    let views = VIEWS
+        .iter()
+        .zip(statics)
+        .zip(probes)
+        .map(|((&view, summary), base)| {
+            let dynamic = match view.role {
+                Role::Contract => escalate(cand, cfg, &view, &summary, base)?,
+                Role::Divergence => base,
+            };
+            Ok(ViewEval { view, summary, dynamic })
+        })
+        .collect::<Result<_, Report>>()?;
+    let mut ev = Evaluation {
+        views,
+        fig10_family: false,
+        narration: None,
+    };
 
     // Classify frozen historical runs against the paper's dispatcher-bug
     // pattern via the causal trace — the family discriminator that keeps
     // expected Fig. 10 rediscoveries out of the error findings.
-    let (fig10_family, narration) = match dynamic_h.iter().find(|r| r.class == "buggy") {
-        Some(run) => {
-            let params: Vec<(&str, i64)> =
-                cand.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-            let mut spec = smoke_spec_for(
-                &cand.source,
-                &cand.machine_class,
-                &params,
-                run.seed,
-                DispatcherMode::Historical,
-            );
-            if let Some(inj) = spec.injection.as_mut() {
-                inj.lint = LintMode::Off;
-            }
-            let traced = harness::run(&spec, Observe { causal: true, ..Observe::default() })?;
-            let trace = tracesink::trace_file_of(&cand.name, run.seed, &traced);
-            let ex = failmpi_trace::explain::explain(&trace);
-            (
-                ex.dispatcher_bug,
-                Some(failmpi_trace::explain::render(&trace)),
-            )
-        }
-        None => (false, None),
-    };
-
-    // The non-Vcl backends: one static check of each backend's abstract
-    // model plus the base probe seeds through its runtime. No escalation
-    // ladder — the backend axis hunts divergence, not realization, and
-    // the corpus pins exactly these seeds.
-    let backends = vec![
-        BackendEval {
-            backend: BackendKind::Ulfm,
-            summary: statics.ulfm,
-            dynamic: probes.ulfm,
-        },
-        BackendEval {
-            backend: BackendKind::Replica,
-            summary: statics.replica,
-            dynamic: probes.replica,
-        },
-    ];
-
-    Ok(Evaluation {
-        static_h,
-        static_f,
-        dynamic_h,
-        dynamic_f,
-        fig10_family,
-        narration,
-        backends,
-    })
+    let historical = ev.view("historical");
+    if let Some(run) = historical.dynamic.iter().find(|r| r.class == "buggy") {
+        let spec = spec(cand, &historical.view, run.seed);
+        let traced = harness::run(&spec, Observe { causal: true, ..Observe::default() })?;
+        let trace = tracesink::trace_file_of(&cand.name, run.seed, &traced);
+        ev.fig10_family = failmpi_trace::explain::explain(&trace).dispatcher_bug;
+        ev.narration = Some(failmpi_trace::explain::render(&trace));
+    }
+    Ok(ev)
 }
 
 fn dyn_note(runs: &[DynRun]) -> String {
@@ -371,20 +317,16 @@ fn dyn_note(runs: &[DynRun]) -> String {
         .join(" ")
 }
 
-/// Converts an evaluation into FZ diagnostics. `known_freeze_fps` holds
-/// the freeze fingerprints already pinned by the corpus: a freeze that
-/// replays a known fingerprint is corpus behaviour, not a finding.
-pub fn findings_for(ev: &Evaluation, known_freeze_fps: &BTreeSet<u64>) -> Vec<Diagnostic> {
+/// Converts an evaluation into FZ diagnostics.
+pub fn findings_for(ev: &Evaluation) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
-    for (mode, summary, buggy, runs) in [
-        ("historical", &ev.static_h, ev.h_buggy(), &ev.dynamic_h),
-        ("fixed", &ev.static_f, ev.f_buggy(), &ev.dynamic_f),
-    ] {
-        if verdicts_agree(summary.verdict, buggy) {
+    for v in ev.contract() {
+        let (mode, runs) = (v.view.name, &v.dynamic);
+        if verdicts_agree(v.summary.verdict, v.buggy()) {
             continue;
         }
-        match summary.verdict {
+        match v.summary.verdict {
             // A concrete freeze under a `survives` verdict: the
             // abstraction dropped a behaviour. Never excusable.
             StaticVerdict::Survives => out.push(Diagnostic::new(
@@ -419,38 +361,35 @@ pub fn findings_for(ev: &Evaluation, known_freeze_fps: &BTreeSet<u64>) -> Vec<Di
 
     // Any freeze that concretely survives the dispatcher fix is by
     // construction not the paper's stale-entry defect: a novel bug.
-    if ev.f_buggy() {
+    let (historical, fixed) = (ev.view("historical"), ev.view("fixed"));
+    if fixed.buggy() {
         out.push(Diagnostic::new(
             Severity::Error,
             "FZ002",
             0,
             format!(
                 "freeze survives the fixed dispatcher (static {}, probes [{}])",
-                ev.static_f.verdict,
-                dyn_note(&ev.dynamic_f)
+                fixed.summary.verdict,
+                dyn_note(&fixed.dynamic)
             ),
             "not the known Fig. 10 stale-entry defect — the repaired \
              recovery protocol itself wedges on this scenario",
         ));
-    } else if ev.h_buggy() {
-        let fps = ev.freeze_fingerprints();
-        let all_known = fps.iter().all(|fp| known_freeze_fps.contains(fp));
+    } else if historical.buggy() {
         if ev.fig10_family {
-            if !all_known {
-                out.push(Diagnostic::new(
-                    Severity::Warning,
-                    "FZ003",
-                    0,
-                    format!(
-                        "fig10-family freeze rediscovered under the historical \
-                         dispatcher (probes [{}])",
-                        dyn_note(&ev.dynamic_h)
-                    ),
-                    "the causal trace matches the paper's stale-dispatcher-entry \
-                     pattern and the fixed dispatcher survives it — the known \
-                     defect, not a new finding",
-                ));
-            }
+            out.push(Diagnostic::new(
+                Severity::Warning,
+                "FZ003",
+                0,
+                format!(
+                    "fig10-family freeze rediscovered under the historical \
+                     dispatcher (probes [{}])",
+                    dyn_note(&historical.dynamic)
+                ),
+                "the causal trace matches the paper's stale-dispatcher-entry \
+                 pattern and the fixed dispatcher survives it — the known \
+                 defect, not a new finding",
+            ));
         } else {
             out.push(Diagnostic::new(
                 Severity::Error,
@@ -460,7 +399,7 @@ pub fn findings_for(ev: &Evaluation, known_freeze_fps: &BTreeSet<u64>) -> Vec<Di
                     "novel freeze family under the historical dispatcher: the \
                      causal trace does not match the stale-entry pattern \
                      (probes [{}])",
-                    dyn_note(&ev.dynamic_h)
+                    dyn_note(&historical.dynamic)
                 ),
                 "a freeze with a different root cause than the paper's \
                  dispatcher bug — walk the causal narration",
@@ -473,22 +412,24 @@ pub fn findings_for(ev: &Evaluation, known_freeze_fps: &BTreeSet<u64>) -> Vec<Di
     // suite's raw material (a Vcl-only freeze localizes the dispatcher
     // bug; a backend-only freeze exposes that protocol's own failure
     // mode), not a defect in itself.
-    for be in &ev.backends {
-        if be.buggy() != ev.h_buggy() {
-            let (frozen, surviving) = if ev.h_buggy() {
-                ("vcl".to_string(), be.backend.name().to_string())
+    for v in ev.views.iter().filter(|v| v.view.role == Role::Divergence) {
+        if v.buggy() != historical.buggy() {
+            let (frozen, surviving) = if historical.buggy() {
+                (historical, v)
             } else {
-                (be.backend.name().to_string(), "vcl".to_string())
+                (v, historical)
             };
             out.push(Diagnostic::new(
                 Severity::Info,
                 "FZ008",
                 0,
                 format!(
-                    "backend divergence: freezes under {frozen} but survives \
-                     under {surviving} (static {}, probes [{}])",
-                    be.summary.verdict,
-                    dyn_note(&be.dynamic)
+                    "backend divergence: freezes under {} but survives \
+                     under {} (static {}, probes [{}])",
+                    frozen.view.backend.name(),
+                    surviving.view.backend.name(),
+                    v.summary.verdict,
+                    dyn_note(&v.dynamic)
                 ),
                 "the scenario separates the recovery protocols — a vcl-only \
                  freeze localizes the dispatcher bug, a backend-only freeze \

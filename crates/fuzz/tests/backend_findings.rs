@@ -2,10 +2,10 @@
 //! the ULFM and replication models/runtimes, and a concrete divergence
 //! from the Vcl view surfaces as the informational FZ008 finding.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use failmpi_fuzz::{candidate_of, evaluate, findings_for, load_corpus, FuzzConfig};
+use failmpi_fuzz::oracle::Role;
+use failmpi_fuzz::{candidate_of, evaluate, findings_for, load_corpus, FuzzConfig, VIEWS};
 
 fn corpus_dir() -> PathBuf {
     // The seed corpus lives with the facade's replay suite; the oracle
@@ -21,20 +21,26 @@ fn fig10_reproducer_diverges_under_ulfm_and_reports_fz008() {
         .find(|(e, _)| e.name == "min-fig10-stale-entry")
         .expect("minimized reproducer present");
     let cfg = FuzzConfig {
-        probe_seeds: entry.dynamic_historical.iter().map(|(s, _)| *s).collect(),
+        probe_seeds: entry.view("historical").probes.iter().map(|(s, _)| *s).collect(),
         ..FuzzConfig::default()
     };
     let ev = evaluate(&candidate_of(entry, source), &cfg).expect("corpus entries run");
 
     // The dispatcher bug freezes the Vcl probes; both alternate backends
     // are evaluated and at least ULFM completes the same campaign.
-    assert!(ev.h_buggy(), "reproducer no longer freezes under Vcl");
-    assert_eq!(ev.backends.len(), 2);
-    let ulfm = &ev.backends[0];
-    assert_eq!(ulfm.backend.name(), "ulfm");
+    assert!(ev.view("historical").buggy(), "reproducer no longer freezes under Vcl");
+    assert_eq!(ev.views.len(), VIEWS.len());
+    let alternates: Vec<&str> = ev
+        .views
+        .iter()
+        .filter(|v| v.view.role == Role::Divergence)
+        .map(|v| v.view.backend.name())
+        .collect();
+    assert_eq!(alternates, ["ulfm", "replica"]);
+    let ulfm = ev.view("ulfm");
     assert!(!ulfm.buggy(), "reproducer freezes under ULFM too: {ulfm:?}");
 
-    let findings = findings_for(&ev, &BTreeSet::new());
+    let findings = findings_for(&ev);
     let fz008: Vec<_> = findings.iter().filter(|d| d.code == "FZ008").collect();
     assert!(
         fz008
@@ -54,11 +60,11 @@ fn non_divergent_entries_report_no_fz008() {
         .find(|(e, _)| e.name.contains("delay_injection"))
         .expect("a delay mutant is pinned");
     let cfg = FuzzConfig {
-        probe_seeds: entry.dynamic_historical.iter().map(|(s, _)| *s).collect(),
+        probe_seeds: entry.view("historical").probes.iter().map(|(s, _)| *s).collect(),
         ..FuzzConfig::default()
     };
     let ev = evaluate(&candidate_of(entry, source), &cfg).expect("corpus entries run");
-    let findings = findings_for(&ev, &BTreeSet::new());
+    let findings = findings_for(&ev);
     assert!(
         findings.iter().all(|d| d.code != "FZ008"),
         "spurious FZ008 on a uniform scenario: {findings:?}"

@@ -137,6 +137,8 @@ fn malformed_input_exits_two_and_never_panics() {
             r#"[{{"name": "e1", "file": "{file}", "origin": "test", "machine_class": "ADVnodes",
                 "params": [["X", {x}]], "static_historical": "survives", "static_fixed": "survives",
                 "dynamic_historical": [[1, "completed"]], "dynamic_fixed": [[1, "completed"]],
+                "static_ulfm": "survives", "dynamic_ulfm": [[1, "completed"]],
+                "static_replica": "survives", "dynamic_replica": [[1, "completed"]],
                 "coverage_key": "k"}}]"#
         )
     };

@@ -67,7 +67,7 @@ fn run_fuzz_inline(opts: &FuzzOptions) -> [String; 4] {
         if coverage.observe(&key) {
             corpus.push((entry_of(&cand, &ev, &key), cand.source.clone()));
         }
-        let mut findings = findings_for(&ev, &opts.known_freeze_fps);
+        let mut findings = findings_for(&ev);
         if findings.is_empty() {
             continue;
         }

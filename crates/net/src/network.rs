@@ -99,11 +99,6 @@ impl<P> Network<P> {
         (0..n).map(|_| self.add_host()).collect()
     }
 
-    /// Number of machines.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Starts a process on `host`. Process ids are never reused, so a stale
     /// id from a previous incarnation can never alias a new process.
     pub fn spawn_process(&mut self, host: HostId) -> ProcId {
@@ -172,14 +167,6 @@ impl<P> Network<P> {
         }
         self.listeners.insert((host, port), proc);
         true
-    }
-
-    /// Removes `proc`'s listener on `port`, if it owns one.
-    pub fn unlisten(&mut self, proc: ProcId, port: Port) {
-        let host = self.host_of(proc);
-        if self.listeners.get(&(host, port)) == Some(&proc) {
-            self.listeners.remove(&(host, port));
-        }
     }
 
     fn one_way(&self, same_host: bool) -> failmpi_sim::SimDuration {
@@ -413,11 +400,6 @@ impl<P> Network<P> {
     /// a caller on the per-event path wants).
     pub fn drain_events(&mut self) -> std::vec::Drain<'_, (SimTime, NetEvent<P>)> {
         self.out.drain(..)
-    }
-
-    /// Number of produced-but-not-yet-taken events (diagnostic).
-    pub fn pending_out(&self) -> usize {
-        self.out.len()
     }
 }
 

@@ -1,14 +1,12 @@
 //! The FCI compiler pipeline as a library: parse a FAIL scenario, inspect
 //! the compiled automata, run the static analyzer over them (what the
-//! `failck` binary does), emit the generated Rust source (the paper's
-//! "compiler generates C++ sources" step), and dry-run the automaton
-//! against synthetic events without any cluster.
+//! `failck` binary does), and dry-run the automaton against synthetic
+//! events without any cluster.
 //!
 //! ```sh
 //! cargo run --release --example scenario_compile
 //! ```
 
-use failmpi::core::lang::codegen;
 use failmpi::prelude::*;
 use failmpi::sim::SimRng;
 
@@ -72,16 +70,6 @@ fn main() {
         failmpi::analyze::check_source(broken),
     );
     print!("{}", report.render_human());
-
-    // The code-generation step (what FCI shipped to every machine).
-    let generated = codegen::generate(&scenario);
-    println!(
-        "\n== generated Rust (first 12 lines of {} total) ==",
-        generated.lines().count()
-    );
-    for line in generated.lines().take(12) {
-        println!("{line}");
-    }
 
     // Deploy and dry-run against synthetic events — no cluster needed.
     let deployment = Deployment::from_suggested(&scenario).expect("deploys");

@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use failmpi::fuzz::{load_corpus, replay_entry, FuzzConfig};
+use failmpi::fuzz::{load_corpus, replay_entry, FuzzConfig, VIEWS};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fuzz")
@@ -38,7 +38,8 @@ fn corpus_is_wide_enough_and_well_formed() {
             entry.name
         );
         assert!(
-            !entry.dynamic_historical.is_empty() && !entry.dynamic_fixed.is_empty(),
+            !entry.view("historical").probes.is_empty()
+                && !entry.view("fixed").probes.is_empty(),
             "{}: entry pins no dynamic probes",
             entry.name
         );
@@ -48,7 +49,7 @@ fn corpus_is_wide_enough_and_well_formed() {
     // historical dispatcher freezes on, and scenarios everything survives.
     let frozen = entries
         .iter()
-        .filter(|(e, _)| e.dynamic_historical.iter().any(|(_, c)| c == "buggy"))
+        .filter(|(e, _)| e.view("historical").probes.iter().any(|(_, c)| c == "buggy"))
         .count();
     assert!(frozen >= 1, "no pinned historical freeze in the corpus");
     assert!(
@@ -88,46 +89,47 @@ fn a_shifted_seed_or_an_extra_pin_is_drift() {
     let cfg = FuzzConfig::default();
     assert!(replay_entry(entry, source, &cfg).is_empty());
 
-    let mut shifted = entry.clone();
-    shifted.dynamic_historical[1].0 += 1;
-    let mut extra = entry.clone();
-    extra.dynamic_fixed.push((3, "completed".into()));
-    let mut extra_backend = entry.clone();
-    extra_backend.dynamic_ulfm.push((3, "completed".into()));
-    for tampered in [shifted, extra, extra_backend] {
-        let codes: Vec<&str> = replay_entry(&tampered, source, &cfg)
-            .iter()
-            .map(|d| d.code)
-            .collect();
-        assert_eq!(codes, ["FZ004"], "{tampered:?}");
+    // Per view: a shifted seed, an extra pin, and a flipped static
+    // verdict, each one FZ004 naming that view.
+    for (at, view) in VIEWS.iter().enumerate() {
+        let mut shifted = entry.clone();
+        shifted.pins[at].probes[1].0 += 1;
+        let mut extra = entry.clone();
+        extra.pins[at].probes.push((3, "completed".into()));
+        let mut flipped = entry.clone();
+        let verdict = &mut flipped.pins[at].verdict;
+        *verdict = if verdict == "survives" { "freezes" } else { "survives" }.into();
+        for tampered in [shifted, extra, flipped] {
+            let drift = replay_entry(&tampered, source, &cfg);
+            let codes: Vec<&str> = drift.iter().map(|d| d.code).collect();
+            assert_eq!(codes, ["FZ004"], "{tampered:?}");
+            let named = format!("({})", view.name);
+            assert!(drift[0].message.contains(&named), "{}: {}", view.name, drift[0].message);
+        }
     }
 }
 
 #[test]
 fn corpus_pins_the_backend_axis() {
-    // Every entry carries the per-backend pins (the manifest was
-    // regenerated when the backend axis landed), and the corpus preserves
+    // Every entry carries the per-backend pins (the reader refuses an
+    // entry without them), and the corpus preserves
     // the cross-backend differential: at least one entry must freeze
     // under the historical Vcl dispatcher while ULFM's abstract model
     // proves the same scenario survivable — the FZ008 divergence the
     // fuzzer's oracle hunts, pinned as data.
     let entries = load_corpus(&corpus_dir()).expect("seed corpus loads");
     for (entry, _) in &entries {
-        assert!(
-            !entry.static_ulfm.is_empty() && !entry.static_replica.is_empty(),
-            "{}: entry pins no backend verdicts",
-            entry.name
-        );
-        assert!(
-            !entry.dynamic_ulfm.is_empty() && !entry.dynamic_replica.is_empty(),
-            "{}: entry pins no backend probes",
-            entry.name
-        );
+        for view in ["ulfm", "replica"] {
+            let pins = entry.view(view);
+            assert!(!pins.verdict.is_empty(), "{}: entry pins no {view} verdict", entry.name);
+            assert!(!pins.probes.is_empty(), "{}: entry pins no {view} probes", entry.name);
+        }
     }
     let divergent = entries
         .iter()
         .filter(|(e, _)| {
-            e.dynamic_historical.iter().any(|(_, c)| c == "buggy") && e.static_ulfm == "survives"
+            e.view("historical").probes.iter().any(|(_, c)| c == "buggy")
+                && e.view("ulfm").verdict == "survives"
         })
         .count();
     assert!(
@@ -146,7 +148,7 @@ fn minimized_fig10_reproducer_is_pinned() {
         .iter()
         .find(|(e, _)| e.name == "min-fig10-stale-entry")
         .expect("minimized reproducer present in the corpus");
-    assert_eq!(entry.static_historical, "freezes");
-    assert!(entry.dynamic_historical.iter().any(|(_, c)| c == "buggy"));
-    assert!(entry.dynamic_fixed.iter().all(|(_, c)| c != "buggy"));
+    assert_eq!(entry.view("historical").verdict, "freezes");
+    assert!(entry.view("historical").probes.iter().any(|(_, c)| c == "buggy"));
+    assert!(entry.view("fixed").probes.iter().all(|(_, c)| c != "buggy"));
 }
