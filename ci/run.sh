@@ -248,6 +248,10 @@ stage_backend() {
     target/release/soak --runs 25 --backend "$be" \
         --metrics "$OUT/soak-$be-b.metrics.json" > /dev/null
     cmp "$OUT/soak-$be-a.metrics.json" "$OUT/soak-$be-b.metrics.json"
+    # Every backend reports its lifecycle through the chassis's ledger.
+    for key in lifecycle.failures_detected lifecycle.recoveries_started net.traffic.app_bytes; do
+        grep -q "\"$key\"" "$OUT/soak-$be-a.metrics.json" || die "soak-$be metrics lack $key"
+    done
 
     # The same scenario file, three protocol-explainable answers: Vcl
     # freezes (stale dispatcher entry), ULFM survives (no relaunch window

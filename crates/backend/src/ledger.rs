@@ -1,9 +1,13 @@
-//! Run-scoped MPICH-Vcl metrics, driven by the trace-event stream.
+//! The lifecycle ledger: every backend's lifecycle counts, read off the
+//! shared [`VclEvent`] records as they enter the runtime.
 //!
-//! [`VclMetrics`] observes every [`VclEvent`] *before* it reaches the
-//! [`failmpi_sim::TraceLog`] (see `Facilities::trace`), so the counters
-//! provably agree with trace-derived counts (there is a property test on
-//! exactly that) without ever reading the log.
+//! [`crate::Chassis::record`] is the one way a lifecycle record enters a
+//! runtime: the [`Ledger`] observes it *before* the trace log stores it,
+//! so the counters provably agree with trace-derived counts (a property
+//! test holds every backend to exactly that) and stay correct when trace
+//! capture is off. The `ProtocolBackend` answers `epoch`,
+//! `committed_wave`, `recoveries_started`, `waves_committed` and
+//! `max_progress` are read from here, for every backend alike.
 //!
 //! Everything here is a function of the simulated schedule: virtual-time
 //! histograms and monotonic counters only, safe for deterministic
@@ -13,27 +17,26 @@ use std::collections::BTreeMap;
 
 use failmpi_obs::{Counter, Histogram, MetricsSnapshot};
 use failmpi_sim::SimTime;
-use failmpi_mpi::OpStats;
 
-use crate::trace::VclEvent;
+use crate::VclEvent;
 
-/// Metrics registry owned by one [`crate::Cluster`].
+/// Lifecycle counts of one runtime, owned by its [`crate::Chassis`].
 #[derive(Clone, Debug, Default)]
-pub struct VclMetrics {
+pub(crate) struct Ledger {
     /// Daemons launched (initial + every relaunch).
     pub daemons_spawned: Counter,
-    /// Daemons that completed registration with the dispatcher.
+    /// Daemons that completed registration.
     pub daemons_registered: Counter,
-    /// `StartRun` broadcasts (epoch 0 plus one per completed recovery).
+    /// Run starts (epoch 0 plus one per completed restart).
     pub runs_started: Counter,
     /// Ranks that resumed from an image (or started fresh) after a run
-    /// start.
+    /// start or a recovery.
     pub ranks_resumed: Counter,
     /// Application progress markers observed.
     pub app_progress_events: Counter,
     /// Highest application iteration reached by any rank.
     pub max_progress: u32,
-    /// Checkpoint waves started by the scheduler.
+    /// Checkpoint waves started.
     pub waves_started: Counter,
     /// Local checkpoints completed (per rank, per wave).
     pub local_checkpoints: Counter,
@@ -41,7 +44,7 @@ pub struct VclMetrics {
     pub waves_committed: Counter,
     /// Wave start→commit durations, in virtual microseconds.
     pub wave_commit_micros: Histogram,
-    /// Failures the dispatcher detected.
+    /// Failures the runtime detected.
     pub failures_detected: Counter,
     /// …of which during an ongoing recovery (the Fig. 10 bug window).
     pub failures_during_recovery: Counter,
@@ -49,8 +52,6 @@ pub struct VclMetrics {
     pub detection_micros: Histogram,
     /// Recoveries started (epoch bumps).
     pub recoveries_started: Counter,
-    /// Deepest epoch reached (recovery depth; 0 = no recovery).
-    pub max_epoch: u32,
     /// Recovery start→run-restart durations, in virtual microseconds
     /// (the final attempt per restart when recoveries nest).
     pub recovery_micros: Histogram,
@@ -60,26 +61,21 @@ pub struct VclMetrics {
     pub ranks_finalized: Counter,
     /// Job completions observed (0 or 1).
     pub jobs_completed: Counter,
-    /// Faults injected into this cluster (FAIL `halt` actions applied).
-    pub faults_injected: Counter,
 
-    /// MPI op counts harvested from daemon incarnations that were
-    /// replaced; add the live vnodes' stats for the full picture (see
-    /// [`crate::Cluster::mpi_ops`]).
-    pub(crate) retired_ops: OpStats,
-
+    /// Epoch of the latest `RecoveryStarted` (0 = no recovery yet).
+    pub epoch: u32,
+    /// Wave of the latest `WaveCommitted`.
+    pub committed_wave: Option<u32>,
     /// Wave → start instant, for the commit-duration histogram.
     open_waves: BTreeMap<u32, SimTime>,
-    /// The latest recovery start `(epoch, instant)` not yet closed by a
-    /// `RunStarted`.
-    open_recovery: Option<(u32, SimTime)>,
+    /// The latest recovery start not yet closed by a `RunStarted`.
+    open_recovery: Option<SimTime>,
     /// Rank → last death instant, for detector latency.
     pending_deaths: BTreeMap<u32, SimTime>,
 }
 
-impl VclMetrics {
-    /// Observes one trace event at `now`. Called for *every* event, before
-    /// (and regardless of whether) the trace log stores it.
+impl Ledger {
+    /// Observes one lifecycle record at `now`.
     pub fn observe(&mut self, now: SimTime, kind: &VclEvent) {
         match kind {
             VclEvent::DaemonSpawned { .. } => self.daemons_spawned.inc(),
@@ -87,7 +83,7 @@ impl VclMetrics {
             VclEvent::RunStarted { epoch } => {
                 self.runs_started.inc();
                 if *epoch > 0 {
-                    if let Some((_, t0)) = self.open_recovery.take() {
+                    if let Some(t0) = self.open_recovery.take() {
                         self.recovery_micros.record((now - t0).as_micros());
                     }
                 }
@@ -104,6 +100,7 @@ impl VclMetrics {
             VclEvent::LocalCheckpointDone { .. } => self.local_checkpoints.inc(),
             VclEvent::WaveCommitted { wave } => {
                 self.waves_committed.inc();
+                self.committed_wave = Some(*wave);
                 if let Some(t0) = self.open_waves.remove(wave) {
                     self.wave_commit_micros.record((now - t0).as_micros());
                 }
@@ -123,8 +120,8 @@ impl VclMetrics {
             }
             VclEvent::RecoveryStarted { epoch } => {
                 self.recoveries_started.inc();
-                self.max_epoch = self.max_epoch.max(*epoch);
-                self.open_recovery = Some((*epoch, now));
+                self.epoch = *epoch;
+                self.open_recovery = Some(now);
             }
             VclEvent::LaunchRetried { .. } => self.launch_retries.inc(),
             VclEvent::RankFinalized { .. } => self.ranks_finalized.inc(),
@@ -134,48 +131,47 @@ impl VclMetrics {
 
     /// Notes that `rank`'s daemon died at `now`; the next
     /// `FailureDetected` for the rank closes the detector-latency sample.
-    pub(crate) fn note_daemon_death(&mut self, now: SimTime, rank: u32) {
+    pub fn note_daemon_death(&mut self, now: SimTime, rank: u32) {
         self.pending_deaths.insert(rank, now);
     }
 
-    /// Counts one injected fault (`halt` applied to this cluster).
-    pub(crate) fn note_fault_injected(&mut self) {
-        self.faults_injected.inc();
-    }
-
-    /// Folds a replaced daemon incarnation's MPI op counts in.
-    pub(crate) fn retire_ops(&mut self, ops: &OpStats) {
-        self.retired_ops.merge(ops);
-    }
-
-    /// Writes the `mpichv.*` counters and histograms into `snap`.
+    /// Writes the `lifecycle.*` counters and histograms into `snap`.
     pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        snap.set_counter("mpichv.daemons_spawned", self.daemons_spawned.get());
-        snap.set_counter("mpichv.daemons_registered", self.daemons_registered.get());
-        snap.set_counter("mpichv.runs_started", self.runs_started.get());
-        snap.set_counter("mpichv.ranks_resumed", self.ranks_resumed.get());
-        snap.set_counter(
-            "mpichv.app_progress_events",
-            self.app_progress_events.get(),
-        );
-        snap.set_counter("mpichv.max_progress", self.max_progress as u64);
-        snap.set_counter("mpichv.waves_started", self.waves_started.get());
-        snap.set_counter("mpichv.local_checkpoints", self.local_checkpoints.get());
-        snap.set_counter("mpichv.waves_committed", self.waves_committed.get());
-        snap.set_counter("mpichv.failures_detected", self.failures_detected.get());
-        snap.set_counter(
-            "mpichv.failures_during_recovery",
-            self.failures_during_recovery.get(),
-        );
-        snap.set_counter("mpichv.recoveries_started", self.recoveries_started.get());
-        snap.set_counter("mpichv.max_epoch", self.max_epoch as u64);
-        snap.set_counter("mpichv.launch_retries", self.launch_retries.get());
-        snap.set_counter("mpichv.ranks_finalized", self.ranks_finalized.get());
-        snap.set_counter("mpichv.jobs_completed", self.jobs_completed.get());
-        snap.set_counter("mpichv.faults_injected", self.faults_injected.get());
-        snap.set_histogram("mpichv.wave_commit_micros", &self.wave_commit_micros);
-        snap.set_histogram("mpichv.recovery_micros", &self.recovery_micros);
-        snap.set_histogram("mpichv.detection_micros", &self.detection_micros);
+        let counters = [
+            ("lifecycle.daemons_spawned", self.daemons_spawned.get()),
+            (
+                "lifecycle.daemons_registered",
+                self.daemons_registered.get(),
+            ),
+            ("lifecycle.runs_started", self.runs_started.get()),
+            ("lifecycle.ranks_resumed", self.ranks_resumed.get()),
+            (
+                "lifecycle.app_progress_events",
+                self.app_progress_events.get(),
+            ),
+            ("lifecycle.max_progress", u64::from(self.max_progress)),
+            ("lifecycle.waves_started", self.waves_started.get()),
+            ("lifecycle.local_checkpoints", self.local_checkpoints.get()),
+            ("lifecycle.waves_committed", self.waves_committed.get()),
+            ("lifecycle.failures_detected", self.failures_detected.get()),
+            (
+                "lifecycle.failures_during_recovery",
+                self.failures_during_recovery.get(),
+            ),
+            (
+                "lifecycle.recoveries_started",
+                self.recoveries_started.get(),
+            ),
+            ("lifecycle.launch_retries", self.launch_retries.get()),
+            ("lifecycle.ranks_finalized", self.ranks_finalized.get()),
+            ("lifecycle.jobs_completed", self.jobs_completed.get()),
+        ];
+        for (name, value) in counters {
+            snap.set_counter(name, value);
+        }
+        snap.set_histogram("lifecycle.wave_commit_micros", &self.wave_commit_micros);
+        snap.set_histogram("lifecycle.recovery_micros", &self.recovery_micros);
+        snap.set_histogram("lifecycle.detection_micros", &self.detection_micros);
     }
 }
 
@@ -191,7 +187,7 @@ mod tests {
 
     #[test]
     fn wave_durations_pair_start_with_commit() {
-        let mut m = VclMetrics::default();
+        let mut m = Ledger::default();
         m.observe(t(10), &VclEvent::WaveStarted { wave: 1 });
         m.observe(t(13), &VclEvent::WaveCommitted { wave: 1 });
         // A commit without a start records no duration.
@@ -204,7 +200,7 @@ mod tests {
 
     #[test]
     fn detection_latency_pairs_death_with_detection() {
-        let mut m = VclMetrics::default();
+        let mut m = Ledger::default();
         m.note_daemon_death(t(5), 3);
         m.observe(
             t(6),
@@ -231,19 +227,19 @@ mod tests {
 
     #[test]
     fn recovery_length_closes_on_run_start() {
-        let mut m = VclMetrics::default();
+        let mut m = Ledger::default();
         m.observe(t(0), &VclEvent::RunStarted { epoch: 0 });
         assert_eq!(m.recovery_micros.count(), 0, "epoch 0 is not a recovery");
         m.observe(t(100), &VclEvent::RecoveryStarted { epoch: 1 });
         m.observe(t(140), &VclEvent::RunStarted { epoch: 1 });
         assert_eq!(m.recovery_micros.count(), 1);
         assert_eq!(m.recovery_micros.sum(), 40_000_000);
-        assert_eq!(m.max_epoch, 1);
+        assert_eq!(m.epoch, 1);
     }
 
     #[test]
     fn progress_tracks_maximum() {
-        let mut m = VclMetrics::default();
+        let mut m = Ledger::default();
         for (rank, iter) in [(0, 3), (1, 7), (0, 5)] {
             m.observe(
                 t(1),
@@ -259,7 +255,7 @@ mod tests {
 
     #[test]
     fn contribute_emits_stable_key_set() {
-        let mut m = VclMetrics::default();
+        let mut m = Ledger::default();
         m.observe(
             t(0),
             &VclEvent::DaemonSpawned {
@@ -270,7 +266,7 @@ mod tests {
         );
         let mut a = MetricsSnapshot::new();
         m.contribute(&mut a);
-        let empty = VclMetrics::default();
+        let empty = Ledger::default();
         let mut b = MetricsSnapshot::new();
         empty.contribute(&mut b);
         // The schema (key set) must not depend on what happened.
@@ -282,7 +278,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(keys(&a), keys(&b));
-        assert_eq!(a.counter("mpichv.daemons_spawned"), 1);
-        assert_eq!(b.counter("mpichv.daemons_spawned"), 0);
+        assert_eq!(a.counter("lifecycle.daemons_spawned"), 1);
+        assert_eq!(b.counter("lifecycle.daemons_spawned"), 0);
     }
 }

@@ -16,8 +16,10 @@
 //!   shrink-and-continue ([`BackendKind::Ulfm`], `failmpi-ulfm`), and
 //!   replication-failover ([`BackendKind::Replica`], `failmpi-replica`).
 //! * [`Chassis`] — the state behind that surface (outbox, hooks, lifecycle
-//!   trace, breakpoint table, traffic ledger), owned once by every runtime;
-//!   the trait's hand-off methods are provided over it.
+//!   trace, lifecycle ledger, breakpoint table, traffic ledger), owned once
+//!   by every runtime; the trait's hand-off methods and lifecycle answers
+//!   are provided over it, and [`Chassis::contribute`] writes the
+//!   `lifecycle.*` and `net.traffic.*` metrics of every backend.
 //! * [`light`] — the one runtime skeleton behind every dispatcher-less
 //!   backend: [`light::LightRuntime`] owns the process table, op-streams,
 //!   boot/init/breakpoint ladder and process-control surface and
@@ -42,6 +44,7 @@
 
 mod chassis;
 mod kind;
+mod ledger;
 pub mod light;
 mod trace;
 mod traffic;
@@ -150,7 +153,7 @@ pub trait ProtocolBackend {
     fn kind(&self) -> BackendKind;
 
     /// The runtime's chassis: the state every method below down to
-    /// [`ProtocolBackend::traffic`] is provided over.
+    /// [`ProtocolBackend::max_progress`] is provided over.
     fn chassis(&self) -> &Chassis<Self::Event>;
 
     /// The chassis, mutably.
@@ -199,6 +202,34 @@ pub trait ProtocolBackend {
         self.chassis().traffic
     }
 
+    /// Current execution epoch: 0, then the epoch of the latest
+    /// `RecoveryStarted` record (+1 per recovery).
+    fn epoch(&self) -> u32 {
+        self.chassis().ledger.epoch
+    }
+
+    /// The wave of the latest `WaveCommitted` record (`None` before the
+    /// first commit, and always for protocols without checkpoint waves —
+    /// the probe then never fires).
+    fn committed_wave(&self) -> Option<u32> {
+        self.chassis().ledger.committed_wave
+    }
+
+    /// Recoveries started so far (shrinks, promotions, restart waves).
+    fn recoveries_started(&self) -> u64 {
+        self.chassis().ledger.recoveries_started.get()
+    }
+
+    /// Checkpoint waves committed so far.
+    fn waves_committed(&self) -> u64 {
+        self.chassis().ledger.waves_committed.get()
+    }
+
+    /// Highest application iteration any rank reported.
+    fn max_progress(&self) -> u32 {
+        self.chassis().ledger.max_progress
+    }
+
     /// Handles one event at `now`.
     fn dispatch(&mut self, now: SimTime, ev: Self::Event);
 
@@ -219,15 +250,6 @@ pub trait ProtocolBackend {
 
     /// Number of compute machines.
     fn n_compute_hosts(&self) -> usize;
-
-    /// The last committed checkpoint wave (`None` for protocols without
-    /// checkpoint waves, the default — the probe then never fires).
-    fn committed_wave(&self) -> Option<u32> {
-        None
-    }
-
-    /// Current execution epoch (0 = initial, +1 per recovery).
-    fn epoch(&self) -> u32;
 
     /// Timeline track of an event (for trace export).
     fn event_track(&self, ev: &Self::Event) -> u32;
@@ -255,19 +277,8 @@ pub trait ProtocolBackend {
     /// Short stable kind label of an event (profiling buckets).
     fn event_kind(&self, ev: &Self::Event) -> &'static str;
 
-    /// Recoveries started so far (shrinks, promotions, restart waves).
-    fn recoveries_started(&self) -> u64;
-
-    /// Checkpoint waves committed so far (0 for protocols without
-    /// checkpoint waves, the default).
-    fn waves_committed(&self) -> u64 {
-        0
-    }
-
-    /// Highest application iteration any rank reported.
-    fn max_progress(&self) -> u32;
-
-    /// Folds the backend's metrics into a snapshot.
+    /// Folds the backend's own metrics into a snapshot: everything beyond
+    /// what [`Chassis::contribute`] reports for every backend.
     fn contribute_metrics(&self, snap: &mut MetricsSnapshot);
 }
 

@@ -197,7 +197,8 @@ pub trait RecoveryPolicy: Sized {
     /// the policy had waiting on it.
     fn unit_changed(rt: &mut LightRuntime<Self>, now: SimTime, unit: usize, change: UnitChange);
 
-    /// Folds the runtime's metrics into a snapshot.
+    /// Folds the policy's own counters into a snapshot (the lifecycle
+    /// counts are the chassis's).
     fn contribute_metrics(rt: &LightRuntime<Self>, snap: &mut MetricsSnapshot);
 }
 
@@ -211,14 +212,13 @@ pub struct LightRuntime<P: RecoveryPolicy> {
     pub streams: Vec<OpStream>,
     /// The recovery policy's own state.
     pub policy: P,
-    /// Outbox, hooks, lifecycle trace, breakpoints and traffic ledger.
+    /// Outbox, hooks, lifecycle trace and ledger, breakpoints and traffic
+    /// ledger.
     pub chassis: Chassis<LightEv<P::Done>>,
     cfg: BackendConfig,
     seed: u64,
     started: bool,
     complete: bool,
-    epoch: u32,
-    max_progress: u32,
 }
 
 /// Deterministic per-op jitter: splitmix64 finalizer over the op identity.
@@ -272,8 +272,6 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
             seed,
             started: false,
             complete: false,
-            epoch: 0,
-            max_progress: 0,
         }
     }
 
@@ -292,15 +290,15 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         self.chassis.emit(at, ev);
     }
 
-    /// Appends a lifecycle trace record.
+    /// Records a lifecycle event (see [`Chassis::record`]).
     pub fn record(&mut self, now: SimTime, ev: VclEvent) {
-        self.chassis.trace.record(now, ev);
+        self.chassis.record(now, ev);
     }
 
-    /// Opens a new execution epoch and records the recovery start.
+    /// Opens a new execution epoch by recording the recovery start.
     pub fn begin_recovery(&mut self, now: SimTime) {
-        self.epoch += 1;
-        self.record(now, VclEvent::RecoveryStarted { epoch: self.epoch });
+        let epoch = self.epoch() + 1;
+        self.record(now, VclEvent::RecoveryStarted { epoch });
     }
 
     /// The live unit behind `proc` (`ProcId(u)` is unit `u`).
@@ -361,7 +359,7 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         self.units[u].registered = true;
         self.chassis.traffic.control_bytes += INIT_CONTROL_BYTES;
         failmpi_obs::prof::copy(P::NAMES.control_hop, INIT_CONTROL_BYTES);
-        let (rank, epoch) = (self.rank_of_unit(u), self.epoch);
+        let (rank, epoch) = (self.rank_of_unit(u), self.epoch());
         self.record(now, VclEvent::DaemonRegistered { rank, epoch });
         P::unit_changed(self, now, u, UnitChange::Registered);
         self.maybe_start(now);
@@ -380,7 +378,8 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
             return;
         }
         self.started = true;
-        self.record(now, VclEvent::RunStarted { epoch: self.epoch });
+        let epoch = self.epoch();
+        self.record(now, VclEvent::RunStarted { epoch });
         for s in 0..self.streams.len() {
             if !P::stream_lost(self, s) {
                 self.start_stream(now, s, false);
@@ -415,7 +414,6 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
         }
         self.streams[s].ops_done += 1;
         let iter = self.streams[s].ops_done;
-        self.max_progress = self.max_progress.max(iter);
         self.chassis.traffic.app_bytes += OP_APP_BYTES;
         failmpi_obs::prof::copy(P::NAMES.op_hop, OP_APP_BYTES);
         P::op_extra_traffic(self, s);
@@ -564,10 +562,6 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         self.cfg.n_compute_hosts
     }
 
-    fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
     fn event_track(&self, ev: &Self::Event) -> u32 {
         match ev {
             LightEv::Detect { .. } | LightEv::RecoveryDone(_) => 0,
@@ -614,14 +608,6 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
             LightEv::RecoveryDone(_) => 4,
         };
         P::NAMES.event_kinds[i]
-    }
-
-    fn recoveries_started(&self) -> u64 {
-        u64::from(self.epoch) // every recovery opens exactly one epoch
-    }
-
-    fn max_progress(&self) -> u32 {
-        self.max_progress
     }
 
     fn contribute_metrics(&self, snap: &mut MetricsSnapshot) {

@@ -1,7 +1,7 @@
 //! The chassis contract, from outside the crate: a backend that writes
 //! only the required methods gets the FAIL-daemon hand-off — causal
 //! stamping, event and hook draining, breakpoints, trace and traffic —
-//! from the provided ones.
+//! and the lifecycle answers and metrics from the provided ones.
 
 use failmpi_backend::{BackendKind, Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
 use failmpi_net::{HostId, ProcId};
@@ -26,7 +26,7 @@ impl ProtocolBackend for Fake {
     fn chassis(&self) -> &Chassis<Tick> { &self.0 }
     fn chassis_mut(&mut self) -> &mut Chassis<Tick> { &mut self.0 }
     fn dispatch(&mut self, now: SimTime, _: Tick) {
-        self.0.trace.record(now, VclEvent::JobComplete);
+        self.0.record(now, VclEvent::JobComplete);
         self.0.hooks.push(Hook::OnLoad { host: HostId(0), proc: ProcId(0) });
         self.0.emit(now, Tick);
     }
@@ -36,15 +36,12 @@ impl ProtocolBackend for Fake {
     fn fail_continue(&mut self, _: SimTime, _: ProcId) {}
     fn compute_host(&self, i: usize) -> HostId { HostId(i as u16) }
     fn n_compute_hosts(&self) -> usize { 1 }
-    fn epoch(&self) -> u32 { 0 }
     fn event_track(&self, _: &Tick) -> u32 { 0 }
     fn n_tracks(&self) -> u32 { 1 }
     fn track_names(&self) -> Vec<String> { vec!["fake".into()] }
     fn pack_event(&self, _: &Tick) -> Label { Label::new(1, [0; 3]) }
     fn render_label(_: Label) -> String { "tick".into() }
     fn event_kind(&self, _: &Tick) -> &'static str { "tick" }
-    fn recoveries_started(&self) -> u64 { 0 }
-    fn max_progress(&self) -> u32 { 0 }
     fn contribute_metrics(&self, _: &mut MetricsSnapshot) {}
 }
 
@@ -83,8 +80,20 @@ fn chassis_behaviours_are_provided_over_the_required_methods() {
     b.clear_breakpoints(ProcId(3));
     assert!(!b.chassis().armed(ProcId(3), func));
 
-    // The ledger is read through `traffic`; wave questions default to "none".
+    // The traffic ledger is read through `traffic`; the lifecycle answers
+    // come from the records, and a run without waves has none.
     b.chassis_mut().traffic.control_bytes = 9;
     assert_eq!(b.traffic().total(), 9);
     assert_eq!((b.committed_wave(), b.waves_committed()), (None, 0));
+    assert_eq!(
+        (b.epoch(), b.recoveries_started(), b.max_progress()),
+        (0, 0, 0)
+    );
+
+    // The chassis reports what it holds: every record reached the ledger,
+    // the ones the trace handed over included.
+    let mut snap = MetricsSnapshot::new();
+    b.chassis().contribute(&mut snap);
+    assert_eq!(snap.counter("lifecycle.jobs_completed"), 102);
+    assert_eq!(snap.counter("net.traffic.control_bytes"), 9);
 }

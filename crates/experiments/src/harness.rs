@@ -75,12 +75,6 @@ pub struct InjectionSpec {
     pub machine_class: String,
     /// Parameter overrides (the paper's `X`, `N`, `T`).
     pub params: Vec<(String, i64)>,
-    /// Base latency of FAIL messages between daemons.
-    pub fail_latency: SimDuration,
-    /// Upper bound of the uniform extra latency per FAIL message. This
-    /// jitter decides the fault-vs-registration race behind the partial
-    /// bugginess of Fig. 9.
-    pub fail_jitter_max: SimDuration,
     /// Pre-run static-analysis gating for this scenario.
     pub lint: LintMode,
     /// Whether a statically-predicted freeze is the *point* of this sweep
@@ -104,8 +98,6 @@ impl InjectionSpec {
             adversary_class: adversary.to_string(),
             machine_class: machine.to_string(),
             params: Vec::new(),
-            fail_latency: SimDuration::from_millis(4),
-            fail_jitter_max: SimDuration::from_millis(7),
             lint: LintMode::Warn,
             expect_freeze: false,
             backend: BackendKind::Vcl,
@@ -356,20 +348,23 @@ enum ProbeKind {
 }
 
 impl ProbeKind {
-    fn of_name(name: &str) -> Option<ProbeKind> {
-        match name {
-            "committed_wave" => Some(ProbeKind::CommittedWave),
-            "epoch" => Some(ProbeKind::Epoch),
-            _ => None,
-        }
-    }
+    /// Every probe the harness feeds, by its scenario name.
+    const NAMED: [(&'static str, ProbeKind); 2] = [
+        ("committed_wave", ProbeKind::CommittedWave),
+        ("epoch", ProbeKind::Epoch),
+    ];
 }
+
+/// Base latency of FAIL messages between daemons.
+const FAIL_LATENCY: SimDuration = SimDuration::from_millis(4);
+/// Upper bound of the uniform extra latency per FAIL message. This jitter
+/// decides the fault-vs-registration race behind the partial bugginess of
+/// Fig. 9.
+const FAIL_JITTER_MAX: SimDuration = SimDuration::from_millis(7);
 
 struct FailSide {
     rt: FailRuntime,
     rng: SimRng,
-    latency: SimDuration,
-    jitter_max: SimDuration,
     host_instance: BTreeMap<HostId, usize>,
     halts: u32,
     /// `(instance, var slot, kind, last pushed value)` per declared probe.
@@ -411,13 +406,9 @@ impl<C: ProtocolBackend> World<C> {
         for a in actions {
             match a {
                 FailAction::SendMsg { from, to, msg } => {
-                    let jitter = SimDuration::from_micros(
-                        fail.rng.below(fail.jitter_max.as_micros().max(1)),
-                    );
-                    sched.at(
-                        now + fail.latency + jitter,
-                        WEv::FailMsg { from, to, msg },
-                    );
+                    let jitter =
+                        SimDuration::from_micros(fail.rng.below(FAIL_JITTER_MAX.as_micros()));
+                    sched.at(now + FAIL_LATENCY + jitter, WEv::FailMsg { from, to, msg });
                 }
                 FailAction::ArmTimer {
                     instance,
@@ -868,9 +859,8 @@ fn build_fail_side(
         .map_err(|e| refused(failmpi_analyze::deploy_error_diag(&e)))?;
     let mut probes = Vec::new();
     for instance in 0..rt.len() {
-        for kind_name in ["committed_wave", "epoch"] {
-            if let Some(slot) = rt.probe_slot(instance, kind_name) {
-                let kind = ProbeKind::of_name(kind_name).expect("known name");
+        for (name, kind) in ProbeKind::NAMED {
+            if let Some(slot) = rt.probe_slot(instance, name) {
                 probes.push((instance, slot, kind, 0i64));
             }
         }
@@ -878,8 +868,6 @@ fn build_fail_side(
     Ok(FailSide {
         rt,
         rng: SimRng::new(seed).derive(0xFA11),
-        latency: inj.fail_latency,
-        jitter_max: inj.fail_jitter_max,
         host_instance,
         halts: 0,
         probes,
@@ -984,6 +972,7 @@ fn drive<C: ProtocolBackend>(
 
     let mut metrics = MetricsSnapshot::new();
     metrics.set_backend(spec.backend.name());
+    cluster.chassis().contribute(&mut metrics);
     cluster.contribute_metrics(&mut metrics);
     metrics.set_counter("sim.events_handled", events);
     metrics.set_counter("sim.queue_depth_hwm", queue_hwm as u64);

@@ -5,12 +5,16 @@
 //! `#[test]` per backend, so a regression names the offending protocol
 //! directly (`determinism_double_run::ulfm`, …).
 
+mod recount;
+
+use std::collections::BTreeSet;
+
 use failmpi_backend::BackendKind;
 use failmpi_experiments::robustness::outcome_class;
 use failmpi_experiments::{
     run, run_one, run_one_with_trace, smoke_spec_for, ExperimentSpec, LintMode, Observe,
 };
-use failmpi_mpichv::{DispatcherMode, VclEvent};
+use failmpi_mpichv::DispatcherMode;
 
 /// Expands each `fn body(backend: BackendKind)` into a module with one
 /// `#[test]` per protocol backend.
@@ -96,39 +100,32 @@ for_each_backend! {
 
     fn metrics_agree_with_trace_recount(backend: BackendKind) {
         // Every backend narrates its lifecycle in the shared `VclEvent`
-        // vocabulary (the classifier's input). The counters it contributes
-        // must equal the counts recomputed from that trace — the
-        // cross-layer consistency the Vcl-only property test checks in
-        // depth, here held to uniformly.
-        let (faults_key, progress_key) = match backend {
-            BackendKind::Vcl => ("mpichv.failures_detected", "mpichv.max_progress"),
-            BackendKind::Ulfm => ("ulfm.faults_detected", "ulfm.max_progress"),
-            BackendKind::Replica => ("replica.faults_detected", "replica.max_progress"),
-        };
+        // vocabulary (the classifier's input). The `lifecycle.*` counters
+        // and the record's answers must equal the counts recomputed from
+        // that trace — the property test's check, here on the campaign.
         for seed in [1u64, 2, 3] {
             let spec = campaign(backend, seed);
             let (record, entries) = run_one_with_trace(&spec);
-            let mut detected = 0u64;
-            let mut recoveries = 0u64;
-            let mut committed = 0u64;
-            let mut max_progress = 0u64;
-            for e in &entries {
-                match &e.kind {
-                    VclEvent::FailureDetected { .. } => detected += 1,
-                    VclEvent::RecoveryStarted { .. } => recoveries += 1,
-                    VclEvent::WaveCommitted { .. } => committed += 1,
-                    VclEvent::AppProgress { iter, .. } => {
-                        max_progress = max_progress.max(u64::from(*iter));
-                    }
-                    _ => {}
-                }
-            }
             let tag = format!("{backend}/seed{seed}");
-            assert_eq!(record.metrics.counter(faults_key), detected, "{tag}");
-            assert_eq!(record.recoveries as u64, recoveries, "{tag}");
-            assert_eq!(record.waves_committed as u64, committed, "{tag}");
-            assert_eq!(record.metrics.counter(progress_key), max_progress, "{tag}");
-            assert_eq!(u64::from(record.max_progress), max_progress, "{tag}");
+            let recount = recount::recount(&entries);
+            for (&key, &expected) in &recount {
+                assert_eq!(record.metrics.counters.get(key), Some(&expected), "{tag}: {key}");
+            }
+            assert_eq!(
+                record.recoveries as u64,
+                recount["lifecycle.recoveries_started"],
+                "{tag}"
+            );
+            assert_eq!(
+                record.waves_committed as u64,
+                recount["lifecycle.waves_committed"],
+                "{tag}"
+            );
+            assert_eq!(
+                u64::from(record.max_progress),
+                recount["lifecycle.max_progress"],
+                "{tag}"
+            );
             assert_eq!(
                 record.metrics.counter("harness.faults_injected"),
                 u64::from(record.faults_injected),
@@ -139,6 +136,29 @@ for_each_backend! {
                 record.events,
                 "{tag}"
             );
+        }
+    }
+
+    fn chassis_key_sets_are_one_across_backends(backend: BackendKind) {
+        // Whatever the chassis holds is reported once, for every backend:
+        // the `lifecycle.*` and `net.traffic.*` key sets never depend on
+        // the protocol (or on what happened in the run).
+        let expected: BTreeSet<&str> = recount::recount(&[])
+            .into_keys()
+            .chain(recount::HISTOGRAMS)
+            .chain(recount::TRAFFIC)
+            .collect();
+        for seed in [1u64, 2] {
+            let record = run_one(&campaign(backend, seed));
+            let keys: BTreeSet<&str> = record
+                .metrics
+                .counters
+                .keys()
+                .chain(record.metrics.histograms.keys())
+                .map(String::as_str)
+                .filter(|k| k.starts_with("lifecycle.") || k.starts_with("net.traffic."))
+                .collect();
+            assert_eq!(keys, expected, "{backend}/seed{seed}");
         }
     }
 

@@ -33,7 +33,7 @@ fn metrics_json_is_byte_identical_across_double_runs() {
             "{name}: sim.events_handled disagrees with the engine's count"
         );
         assert!(
-            a.metrics.counter("mpichv.daemons_spawned") > 0,
+            a.metrics.counter("lifecycle.daemons_spawned") > 0,
             "{name}: an empty snapshot would pass byte-identity vacuously"
         );
     }

@@ -266,7 +266,7 @@ impl Cluster {
         if let Some(old) = self.vnodes[rank.0 as usize].take() {
             // The replaced incarnation's MPI op counts would vanish with
             // the slot; fold them into the run totals first.
-            ctx.metrics.retire_ops(&old.ops);
+            ctx.retired_ops.merge(&old.ops);
             if ctx.net.is_alive(old.proc) {
                 let (p, h) = (old.proc, old.host);
                 ctx.net.kill(ctx.now, p);
@@ -345,7 +345,7 @@ impl Cluster {
         // Pre-registration death: the dispatcher's ssh notices the launch
         // failure (there is no control stream whose closure could tell it).
         let registered = self.dispatcher.is_registered(rank);
-        ctx.metrics.note_daemon_death(ctx.now, rank.0);
+        ctx.chassis.note_daemon_death(ctx.now, rank.0);
         ctx.net.kill(ctx.now, proc);
         self.role_of.remove(proc.0);
         ctx.chassis.disarm(proc);
@@ -445,7 +445,7 @@ impl Cluster {
     /// Aggregated MPI op counts: every replaced daemon incarnation plus
     /// all incarnations still holding their rank slot (alive or dead).
     pub fn mpi_ops(&self) -> failmpi_mpi::OpStats {
-        let mut total = self.ctx.metrics.retired_ops;
+        let mut total = self.ctx.retired_ops;
         for v in self.vnodes.iter().flatten() {
             total.merge(&v.ops);
         }
@@ -482,7 +482,7 @@ impl ProtocolBackend for Cluster {
     /// Silent: the injecting daemon performed the kill, so no lifecycle
     /// hook.
     fn fail_halt(&mut self, now: SimTime, proc: ProcId) {
-        self.ctx.at(now).metrics.note_fault_injected();
+        self.ctx.now = now;
         self.kill_daemon(proc, None);
         self.flush();
     }
@@ -519,14 +519,6 @@ impl ProtocolBackend for Cluster {
 
     fn n_compute_hosts(&self) -> usize {
         self.ctx.addrs.compute_hosts.len()
-    }
-
-    fn committed_wave(&self) -> Option<u32> {
-        self.scheduler.committed()
-    }
-
-    fn epoch(&self) -> u32 {
-        self.dispatcher.epoch()
     }
 
     /// The component lane the event is delivered to: dispatcher,
@@ -577,26 +569,11 @@ impl ProtocolBackend for Cluster {
         ev.kind_str()
     }
 
-    fn recoveries_started(&self) -> u64 {
-        self.ctx.metrics.recoveries_started.get()
-    }
-
-    fn waves_committed(&self) -> u64 {
-        self.ctx.metrics.waves_committed.get()
-    }
-
-    fn max_progress(&self) -> u32 {
-        self.ctx.metrics.max_progress
-    }
-
-    /// Writes this deployment's full metric set — `mpichv.*` lifecycle
-    /// counters and virtual-time histograms, `mpi.*` op counts, `net.*`
-    /// channel counters and `net.traffic.*` byte classes — into `snap`.
-    /// Everything written is a function of the simulated schedule, so
-    /// same-seed runs produce byte-identical snapshots.
+    /// Writes this deployment's own metrics — `mpi.*` op counts and
+    /// `net.*` channel counters — into `snap`. Everything written is a
+    /// function of the simulated schedule, so same-seed runs produce
+    /// byte-identical snapshots.
     fn contribute_metrics(&self, snap: &mut failmpi_obs::MetricsSnapshot) {
-        self.ctx.metrics.contribute(snap);
-
         let ops = self.mpi_ops();
         snap.set_counter("mpi.sends", ops.sends.get());
         snap.set_counter("mpi.recvs", ops.recvs.get());
@@ -621,13 +598,6 @@ impl ProtocolBackend for Cluster {
         snap.set_counter("net.deliveries", net.deliveries.get());
         snap.set_counter("net.gate_buffered", net.gate_buffered.get());
         snap.set_counter("net.gate_dropped", net.gate_dropped.get());
-
-        snap.set_counter("net.traffic.app_bytes", self.ctx.chassis.traffic.app_bytes);
-        snap.set_counter("net.traffic.ckpt_bytes", self.ctx.chassis.traffic.ckpt_bytes);
-        snap.set_counter(
-            "net.traffic.control_bytes",
-            self.ctx.chassis.traffic.control_bytes,
-        );
     }
 }
 

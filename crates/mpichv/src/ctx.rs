@@ -6,11 +6,10 @@ use std::collections::HashMap;
 use failmpi_backend::Chassis;
 use failmpi_net::{ConnId, HostId, Network, ProcId};
 use failmpi_sim::{SimDuration, SimRng, SimTime};
-use failmpi_mpi::{Interp, Rank};
+use failmpi_mpi::{Interp, OpStats, Rank};
 
 use crate::config::VclConfig;
 use crate::event::Ev;
-use crate::metrics::VclMetrics;
 use crate::trace::VclEvent;
 use crate::wire::Wire;
 
@@ -61,8 +60,10 @@ pub(crate) struct Facilities {
     pub cmds: Vec<Cmd>,
     pub disk: DiskStore,
     pub rng: SimRng,
-    /// Run-scoped metrics registry (fed from the trace-event stream).
-    pub metrics: VclMetrics,
+    /// MPI op counts harvested from daemon incarnations that were
+    /// replaced; add the live vnodes' stats for the full picture (see
+    /// [`crate::Cluster::mpi_ops`]).
+    pub retired_ops: OpStats,
 }
 
 impl Facilities {
@@ -77,7 +78,7 @@ impl Facilities {
             cmds: Vec::new(),
             disk: DiskStore::default(),
             rng,
-            metrics: VclMetrics::default(),
+            retired_ops: OpStats::default(),
         }
     }
 
@@ -109,11 +110,10 @@ impl Facilities {
         self.chassis.emit(self.now + delay, ev);
     }
 
-    /// Records a trace event at the current instant. Metrics observe the
-    /// event first, so counters stay correct when trace capture is off.
+    /// Records a lifecycle event at the current instant (see
+    /// [`Chassis::record`]).
     pub fn trace(&mut self, kind: VclEvent) {
-        self.metrics.observe(self.now, &kind);
-        self.chassis.trace.record(self.now, kind);
+        self.chassis.record(self.now, kind);
     }
 }
 

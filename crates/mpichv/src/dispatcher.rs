@@ -150,11 +150,6 @@ impl Dispatcher {
         epoch == self.epoch_of(rank) && self.states[rank.0 as usize] == RankState::Starting
     }
 
-    /// The current execution epoch.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
     /// Whether the job finished (all ranks finalized, shutdown sent).
     pub fn job_complete(&self) -> bool {
         self.job_complete

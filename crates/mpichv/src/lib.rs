@@ -39,7 +39,6 @@ mod cluster;
 mod config;
 mod ctx;
 mod dense;
-mod metrics;
 mod dispatcher;
 mod event;
 mod scheduler;
@@ -53,7 +52,6 @@ mod wire;
 pub use abstractmodel::{AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, AbstractVcl};
 pub use cluster::{run_standalone, Cluster, ClusterModel};
 pub use ctx::TrafficStats;
-pub use metrics::VclMetrics;
 pub use config::{CheckpointStyle, DispatcherMode, VProtocol, VclConfig};
 pub use event::Ev;
 pub use trace::{Hook, InstrumentedFn, VclEvent};

@@ -32,8 +32,6 @@ pub(crate) struct CkptScheduler {
     next_wave: u32,
     /// The wave currently collecting acknowledgements.
     in_progress: Option<(u32, HashSet<Rank>)>,
-    /// The last globally complete wave.
-    committed: Option<u32>,
 }
 
 impl CkptScheduler {
@@ -46,7 +44,6 @@ impl CkptScheduler {
             daemon_conns: BTreeSet::new(),
             next_wave: 1,
             in_progress: None,
-            committed: None,
         }
     }
 
@@ -112,18 +109,12 @@ impl CkptScheduler {
             };
             if complete {
                 self.in_progress = None;
-                self.committed = Some(wave);
                 for conn in self.server_conns.clone().into_iter().flatten() {
                     ctx.send(conn, self.proc, Wire::WaveCommit { wave });
                 }
                 ctx.trace(VclEvent::WaveCommitted { wave });
             }
         }
-    }
-
-    /// The last complete wave (diagnostic).
-    pub fn committed(&self) -> Option<u32> {
-        self.committed
     }
 
     /// Whether a wave is currently collecting acks.
@@ -142,6 +133,19 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// The last wave the scheduler recorded as globally committed.
+    fn committed(w: &Facilities) -> Option<u32> {
+        w.chassis
+            .trace()
+            .entries()
+            .iter()
+            .rev()
+            .find_map(|e| match e.kind {
+                VclEvent::WaveCommitted { wave } => Some(wave),
+                _ => None,
+            })
     }
 
     fn scheduler(w: &Facilities, n_ranks: u32) -> CkptScheduler {
@@ -182,12 +186,12 @@ mod tests {
         s.on_tick(w.at(t(30)));
         s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, w.at(t(31)));
         s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(31)));
-        assert_eq!(s.committed(), None, "commit before the last ack");
+        assert_eq!(committed(&w), None, "commit before the last ack");
         // Duplicate acks from the same rank must not count twice.
         s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(32)));
-        assert_eq!(s.committed(), None, "duplicate ack counted");
+        assert_eq!(committed(&w), None, "duplicate ack counted");
         s.on_msg(Wire::WaveAck { rank: Rank(2), wave: 1 }, w.at(t(33)));
-        assert_eq!(s.committed(), Some(1));
+        assert_eq!(committed(&w), Some(1));
         assert!(!s.wave_in_progress());
     }
 
@@ -201,7 +205,7 @@ mod tests {
         s.on_tick(w.at(t(60)));
         s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, w.at(t(61)));
         s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(61)));
-        assert_eq!(s.committed(), Some(1));
+        assert_eq!(committed(&w), Some(1));
         // Only now can the next tick open wave 2.
         s.on_tick(w.at(t(90)));
         assert!(s.wave_in_progress());
@@ -214,16 +218,16 @@ mod tests {
         s.on_tick(w.at(t(30)));
         s.on_msg(Wire::WaveAck { rank: Rank(0), wave: 1 }, w.at(t(31)));
         s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 1 }, w.at(t(31)));
-        assert_eq!(s.committed(), Some(1));
+        assert_eq!(committed(&w), Some(1));
         s.on_tick(w.at(t(60)));
         assert!(s.wave_in_progress());
         // A daemon dies mid-wave: the wave aborts, the commit survives.
         s.on_closed(conns[0]);
         assert!(!s.wave_in_progress());
-        assert_eq!(s.committed(), Some(1));
+        assert_eq!(committed(&w), Some(1));
         // Stale acks from the aborted wave are ignored.
         s.on_msg(Wire::WaveAck { rank: Rank(1), wave: 2 }, w.at(t(62)));
-        assert_eq!(s.committed(), Some(1));
+        assert_eq!(committed(&w), Some(1));
     }
 
     #[test]
@@ -233,6 +237,6 @@ mod tests {
         let (mut s, _) = sched_with_conns(&mut w, 2);
         s.on_tick(w.at(t(30)));
         assert!(!s.wave_in_progress());
-        assert_eq!(s.committed(), None);
+        assert_eq!(committed(&w), None);
     }
 }

@@ -11,7 +11,17 @@ use crate::histogram::{Histogram, HistogramSnapshot};
 ///
 /// v2: snapshots carry the active protocol `backend` tag, and merging
 /// snapshots from two different backends is rejected.
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v3: every backend reports its lifecycle under one `lifecycle.*` key
+/// set (15 counters, 3 histograms) plus `net.traffic.*`. Vcl's
+/// `mpichv.X` lifecycle keys became `lifecycle.X`, and `mpichv.max_epoch`
+/// and `mpichv.faults_injected` are gone (duplicates of
+/// `lifecycle.recoveries_started` and `harness.faults_injected`). ULFM's
+/// and replication's `*.faults_detected`, `*.max_progress`,
+/// `ulfm.recoveries` and `replica.promotions` became
+/// `lifecycle.failures_detected`, `lifecycle.max_progress` and
+/// `lifecycle.recoveries_started`; `*.epoch` is gone.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// One run's deterministic metrics: named counters and named virtual-time
 /// histograms.
@@ -147,7 +157,7 @@ mod tests {
         b.set_counter("a.y", 2);
         b.set_counter("b.x", 1);
         assert_eq!(a.to_json(), b.to_json());
-        assert!(a.to_json().contains("\"schema_version\":2"));
+        assert!(a.to_json().contains("\"schema_version\":3"));
         assert!(a.to_json().contains("\"backend\":\"\""));
     }
 

@@ -69,7 +69,6 @@ struct Protection {
 pub struct Failover {
     ranks: Vec<Protection>,
     n_replicas: u32,
-    faults_detected: Counter,
     /// Ranks whose executor died with no usable replica.
     pub ranks_lost: Counter,
     replicas_lost: Counter,
@@ -181,7 +180,6 @@ impl RecoveryPolicy for Failover {
         {
             return;
         }
-        rt.policy.faults_detected.inc();
         if replica_died {
             rt.policy.replicas_lost.inc();
         }
@@ -280,12 +278,8 @@ impl RecoveryPolicy for Failover {
 
     fn contribute_metrics(rt: &LightRuntime<Failover>, snap: &mut MetricsSnapshot) {
         let p = &rt.policy;
-        snap.set_counter("replica.faults_detected", p.faults_detected.get());
-        snap.set_counter("replica.promotions", rt.recoveries_started());
         snap.set_counter("replica.ranks_lost", p.ranks_lost.get());
         snap.set_counter("replica.replicas_lost", p.replicas_lost.get());
         snap.set_counter("replica.n_replicas", p.n_replicas as u64);
-        snap.set_counter("replica.max_progress", rt.max_progress() as u64);
-        snap.set_counter("replica.epoch", rt.epoch() as u64);
     }
 }

@@ -51,7 +51,6 @@ pub struct Shrink {
     pending_victims: Vec<u32>,
     /// Ranks shrunk out of the communicator by a completed agreement.
     shrunk: Vec<bool>,
-    faults_detected: Counter,
     shrinks: Counter,
     ranks_shrunk: Counter,
     agree_rounds: Counter,
@@ -128,7 +127,6 @@ impl RecoveryPolicy for Shrink {
         if rt.units[v].alive || rt.policy.shrunk[v] || rt.policy.pending_victims.contains(&victim) {
             return;
         }
-        rt.policy.faults_detected.inc();
         rt.record(
             now,
             VclEvent::FailureDetected {
@@ -226,13 +224,9 @@ impl RecoveryPolicy for Shrink {
 
     fn contribute_metrics(rt: &LightRuntime<Shrink>, snap: &mut MetricsSnapshot) {
         let p = &rt.policy;
-        snap.set_counter("ulfm.faults_detected", p.faults_detected.get());
-        snap.set_counter("ulfm.recoveries", rt.recoveries_started());
         snap.set_counter("ulfm.shrinks", p.shrinks.get());
         snap.set_counter("ulfm.ranks_shrunk", p.ranks_shrunk.get());
         snap.set_counter("ulfm.agree_rounds", p.agree_rounds.get());
         snap.set_counter("ulfm.ops_redistributed", p.ops_redistributed.get());
-        snap.set_counter("ulfm.max_progress", rt.max_progress() as u64);
-        snap.set_counter("ulfm.epoch", rt.epoch() as u64);
     }
 }
