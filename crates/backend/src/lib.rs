@@ -262,17 +262,12 @@ pub trait ProtocolBackend {
     fn track_names(&self) -> Vec<String>;
 
     /// One-line human description of an event, packed: what the causal
-    /// log stores per event.
+    /// log stores per event and the journal renders.
     fn pack_event(&self, ev: &Self::Event) -> Label;
 
     /// The text of a label [`ProtocolBackend::pack_event`] produced — the
     /// one place the backend's event descriptions are spelled.
     fn render_label(label: Label) -> String;
-
-    /// One-line human description of an event.
-    fn describe_event(&self, ev: &Self::Event) -> String {
-        Self::render_label(self.pack_event(ev))
-    }
 
     /// Short stable kind label of an event (profiling buckets).
     fn event_kind(&self, ev: &Self::Event) -> &'static str;

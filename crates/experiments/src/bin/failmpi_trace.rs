@@ -38,7 +38,7 @@ use failmpi_analyze::cli::{self, Args, Flag};
 use failmpi_backend::BackendKind;
 use failmpi_experiments::figures;
 use failmpi_experiments::harness::{self, InjectionSpec, Observe};
-use failmpi_experiments::timeline::{render as render_timeline, TimelineOptions};
+use failmpi_experiments::timeline::render as render_timeline;
 use failmpi_experiments::tracesink::TraceExport;
 use failmpi_mpichv::VclConfig;
 use failmpi_obs::render::{self, SortBy};
@@ -272,11 +272,7 @@ fn timeline(args: &[String]) -> Result<(), String> {
     };
     let traced = harness::run(&spec, observe)
         .map_err(|report| format!("cannot run {path}:\n{}", report.render_human().trim_end()))?;
-    let options = TimelineOptions {
-        collapse_progress: true,
-        lifecycle: args.switch("--lifecycle"),
-    };
-    print!("{}", render_timeline(&traced, options));
+    print!("{}", render_timeline(&traced, args.switch("--lifecycle")));
     let record = &traced.record;
     println!(
         "\nverdict: {:?} ({} faults injected, {} recoveries, {} waves committed)",

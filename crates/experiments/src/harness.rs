@@ -16,7 +16,7 @@ use failmpi_ulfm::Shrink;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::{MetricsSnapshot, RunProfile, WallProfile};
 use failmpi_sim::{
-    CausalLog, Engine, EventLabel, Fingerprint, FingerprintEvent, JournalEntry, Label, Model,
+    CausalLog, Engine, Fingerprint, FingerprintEvent, JournalEntry, Label, Model,
     Scheduler, SimDuration, SimRng, SimTime, TieBreak, TraceEntry,
 };
 use failmpi_mpi::Program;
@@ -307,31 +307,13 @@ enum WEv<E> {
 const FAIL_TIMER_LABEL: u16 = 0xFA00;
 const FAIL_MSG_LABEL: u16 = 0xFA01;
 
-/// The text of an injection-side event's description. Arguments are as
-/// wide as the FAIL runtime's indices; the causal log packs them when they
-/// fit a [`Label`] and stores this text when they do not.
-fn fail_label_text(code: u16, [a, b, c]: [u64; 3]) -> String {
-    match code {
-        FAIL_TIMER_LABEL => format!("fail-timer i{a} t{b}"),
-        FAIL_MSG_LABEL => format!("fail-msg {a}->{b} m{c}"),
-        _ => unreachable!("not an injection-side label code: {code:#x}"),
-    }
-}
-
-impl<E> WEv<E> {
-    /// Label code and arguments of an injection-side event, or (`Err`) the
-    /// backend event inside.
-    fn fail_label(&self) -> Result<(u16, [u64; 3]), &E> {
-        match *self {
-            WEv::C(ref e) => Err(e),
-            WEv::FailTimer { instance, timer, .. } => {
-                Ok((FAIL_TIMER_LABEL, [instance as u64, timer as u64, 0]))
-            }
-            WEv::FailMsg { from, to, msg } => {
-                Ok((FAIL_MSG_LABEL, [from as u64, to as u64, msg as u64]))
-            }
-        }
-    }
+/// Narrows a FAIL runtime index for a [`Label`]. Checked: instances
+/// number at most 65 537 (one per `HostId(u16)` plus `P1`), and timer and
+/// message ids index the compiled scenario, so an index that does not fit
+/// is a corrupted one.
+fn narrow_index(index: usize) -> u32 {
+    u32::try_from(index)
+        .unwrap_or_else(|_| panic!("FAIL index {index} does not fit a 32-bit label argument"))
 }
 
 /// Host-readable application state exposed as FAIL `probe` variables — the
@@ -596,28 +578,25 @@ impl<C: ProtocolBackend> Model for World<C> {
         }
     }
 
-    fn describe_event(&self, event: &WEv<C::Event>) -> String {
-        match event.fail_label() {
-            Err(e) => self.cluster.describe_event(e),
-            Ok((code, args)) => fail_label_text(code, args),
-        }
-    }
-
-    fn pack_event(&self, event: &WEv<C::Event>) -> EventLabel {
-        match event.fail_label() {
-            Err(e) => EventLabel::Packed(self.cluster.pack_event(e)),
-            Ok((code, args)) => Label::narrow(code, args).map_or_else(
-                || EventLabel::Text(fail_label_text(code, args)),
-                EventLabel::Packed,
+    fn pack_event(&self, event: &WEv<C::Event>) -> Label {
+        match *event {
+            WEv::C(ref e) => self.cluster.pack_event(e),
+            WEv::FailTimer { instance, timer, .. } => Label::new(
+                FAIL_TIMER_LABEL,
+                [narrow_index(instance), narrow_index(timer), 0],
+            ),
+            WEv::FailMsg { from, to, msg } => Label::new(
+                FAIL_MSG_LABEL,
+                [narrow_index(from), narrow_index(to), narrow_index(msg)],
             ),
         }
     }
 
     fn render_label(label: Label) -> String {
+        let [a, b, c] = label.args;
         match label.code {
-            FAIL_TIMER_LABEL | FAIL_MSG_LABEL => {
-                fail_label_text(label.code, label.args.map(u64::from))
-            }
+            FAIL_TIMER_LABEL => format!("fail-timer i{a} t{b}"),
+            FAIL_MSG_LABEL => format!("fail-msg {a}->{b} m{c}"),
             _ => C::render_label(label),
         }
     }
@@ -1029,15 +1008,10 @@ mod tests {
     use failmpi_replica::PromoteDone;
     use failmpi_ulfm::ShrinkDone;
 
-    /// `ev`'s description is `text` (recorded from `describe_event` at the
-    /// commit before labels packed) by both routes: rendered directly, and
-    /// packed for the causal log then rendered on read.
+    /// `ev` packs to a label that renders as `text` (each event's text as
+    /// recorded before labels packed).
     fn assert_label<C: ProtocolBackend>(world: &World<C>, ev: WEv<C::Event>, text: &str) {
-        assert_eq!(world.describe_event(&ev), text);
-        match world.pack_event(&ev) {
-            EventLabel::Packed(label) => assert_eq!(World::<C>::render_label(label), text),
-            EventLabel::Text(stored) => panic!("`{stored}` did not pack"),
-        }
+        assert_eq!(World::<C>::render_label(world.pack_event(&ev)), text);
     }
 
     #[test]
@@ -1142,12 +1116,12 @@ mod tests {
         let timer = |instance| WEv::FailTimer { instance, timer: 2, gen: 1 << 40 };
         assert_label(&world, timer(31), "fail-timer i31 t2");
         assert_label(&ulfm, WEv::FailMsg { from: 0, to: 17, msg: 4 }, "fail-msg 0->17 m4");
-        // An index too wide for a packed label is stored as text.
-        let wide = (1usize << 32) + 5;
-        let stored = EventLabel::Text("fail-timer i4294967301 t2".to_string());
-        assert_eq!(world.pack_event(&timer(wide)), stored);
-        assert_eq!(world.describe_event(&timer(wide)), "fail-timer i4294967301 t2");
-        let stored = EventLabel::Text("fail-msg 1->2 m4294967301".to_string());
-        assert_eq!(replica.pack_event(&WEv::FailMsg { from: 1, to: 2, msg: wide }), stored);
+    }
+
+    #[test]
+    fn fail_indices_narrow_checked() {
+        assert_eq!(narrow_index(u32::MAX as usize), u32::MAX);
+        let caught = std::panic::catch_unwind(|| narrow_index((1usize << 32) + 5));
+        assert!(caught.is_err(), "an index past 32 bits narrowed");
     }
 }

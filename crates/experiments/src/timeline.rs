@@ -11,24 +11,6 @@ use failmpi_mpichv::VclEvent;
 
 use crate::harness::RunArtifacts;
 
-/// Rendering options.
-#[derive(Clone, Copy, Debug)]
-pub struct TimelineOptions {
-    /// Collapse consecutive `AppProgress` records into `iter a..b` ranges.
-    pub collapse_progress: bool,
-    /// Skip per-daemon spawn/registration noise.
-    pub lifecycle: bool,
-}
-
-impl Default for TimelineOptions {
-    fn default() -> Self {
-        TimelineOptions {
-            collapse_progress: true,
-            lifecycle: false,
-        }
-    }
-}
-
 fn flush_progress(
     out: &mut String,
     pending: &mut Option<(f64, f64, u32, u32)>,
@@ -46,42 +28,43 @@ fn flush_progress(
     }
 }
 
-/// Renders the run's lifecycle trace as a timeline. When the run was made
-/// with [`crate::harness::Observe::causal`] on, each failure line carries
-/// its immediate cause from the happens-before log (the engine event
-/// whose handling detected the failure).
-pub fn render(run: &RunArtifacts, opts: TimelineOptions) -> String {
+/// Renders the run's lifecycle trace as a timeline, consecutive
+/// `AppProgress` records collapsed into `iter a..b` ranges. `lifecycle`
+/// keeps the per-daemon spawn, registration and resume lines, which are
+/// skipped otherwise. When the run was made with
+/// [`crate::harness::Observe::causal`] on, each failure line carries its
+/// immediate cause from the happens-before log (the engine event whose
+/// handling detected the failure).
+pub fn render(run: &RunArtifacts, lifecycle: bool) -> String {
     let mut out = String::new();
     let mut pending: Option<(f64, f64, u32, u32)> = None;
     for entry in &run.trace {
         let (at, kind) = (&entry.at, &entry.kind);
         let t = at.as_secs_f64();
-        if opts.collapse_progress {
-            if let VclEvent::AppProgress { iter, .. } = kind {
-                pending = Some(match pending {
-                    None => (t, t, *iter, *iter),
-                    Some((t0, _, lo, hi)) => (t0, t, lo.min(*iter), hi.max(*iter)),
-                });
-                continue;
-            }
+        if let VclEvent::AppProgress { iter, .. } = kind {
+            pending = Some(match pending {
+                None => (t, t, *iter, *iter),
+                Some((t0, _, lo, hi)) => (t0, t, lo.min(*iter), hi.max(*iter)),
+            });
+            continue;
         }
         flush_progress(&mut out, &mut pending);
         let line = match kind {
             VclEvent::DaemonSpawned { rank, epoch, host } => {
-                if !opts.lifecycle {
+                if !lifecycle {
                     continue;
                 }
                 format!("spawn         rank {rank} epoch {epoch} on {host:?}")
             }
             VclEvent::DaemonRegistered { rank, epoch } => {
-                if !opts.lifecycle {
+                if !lifecycle {
                     continue;
                 }
                 format!("register      rank {rank} epoch {epoch}")
             }
             VclEvent::RunStarted { epoch } => format!("run start     epoch {epoch}"),
             VclEvent::RankResumed { rank, from_wave } => {
-                if !opts.lifecycle {
+                if !lifecycle {
                     continue;
                 }
                 match from_wave {
@@ -89,9 +72,7 @@ pub fn render(run: &RunArtifacts, opts: TimelineOptions) -> String {
                     None => format!("resume        rank {rank} from scratch"),
                 }
             }
-            VclEvent::AppProgress { rank, iter } => {
-                format!("progress      rank {rank} iter {iter}")
-            }
+            VclEvent::AppProgress { .. } => unreachable!("progress is collapsed above"),
             VclEvent::WaveStarted { wave } => format!("wave start    #{wave}"),
             VclEvent::LocalCheckpointDone { .. } => continue,
             VclEvent::WaveCommitted { wave } => format!("wave commit   #{wave}"),
@@ -119,7 +100,7 @@ pub fn render(run: &RunArtifacts, opts: TimelineOptions) -> String {
                 format!("ssh retry     rank {rank} epoch {epoch} (died unregistered)")
             }
             VclEvent::RankFinalized { rank } => {
-                if !opts.lifecycle {
+                if !lifecycle {
                     continue;
                 }
                 format!("finalize      rank {rank}")
@@ -169,7 +150,7 @@ mod tests {
     #[test]
     fn clean_timeline_reads_start_to_complete() {
         let out = run(&spec(1), Observe::default()).expect("runs");
-        let text = render(&out, TimelineOptions::default());
+        let text = render(&out, false);
         assert!(text.contains("run start     epoch 0"), "{text}");
         assert!(text.contains("wave commit"), "{text}");
         assert!(text.contains("JOB COMPLETE"), "{text}");
@@ -188,7 +169,7 @@ mod tests {
         );
         let out = run(&s, Observe::default()).expect("runs");
         assert!(out.record.outcome.is_buggy());
-        let text = render(&out, TimelineOptions::default());
+        let text = render(&out, false);
         assert!(text.contains("** during recovery: the bug window **"), "{text}");
         assert!(text.contains("did not complete"), "{text}");
         assert!(!text.contains("JOB COMPLETE"), "{text}");
@@ -203,14 +184,8 @@ mod tests {
                 .with_param("N", 5),
         );
         let out = run(&s, Observe::default()).expect("runs");
-        let with = render(
-            &out,
-            TimelineOptions {
-                collapse_progress: true,
-                lifecycle: true,
-            },
-        );
-        let without = render(&out, TimelineOptions::default());
+        let with = render(&out, true);
+        let without = render(&out, false);
         assert!(with.contains("spawn"), "{with}");
         assert!(with.lines().count() > without.lines().count());
     }

@@ -162,6 +162,28 @@ for_each_backend! {
         }
     }
 
+    fn journal_and_causal_log_label_every_event_alike(backend: BackendKind) {
+        // Every event packs one label: the journal renders it as the run
+        // goes, the causal log stores it and renders on read. Both cover
+        // every handled event, agree on each, and leave none undescribed.
+        let observe = Observe {
+            journal: true,
+            causal: true,
+            ..Observe::default()
+        };
+        let out = run(&campaign(backend, 1), observe).expect("the campaign runs");
+        assert!(out.record.faults_injected > 0, "{backend}: the campaign must inject");
+        let journal = out.journal.expect("journal requested");
+        let events = usize::try_from(out.record.events).expect("fits");
+        assert_eq!(journal.len(), events, "{backend}");
+        assert_eq!(out.causal.len(), events, "{backend}");
+        for (i, (entry, node)) in journal.iter().zip(out.causal.nodes()).enumerate() {
+            assert_eq!(node.id.0, i as u64, "{backend}");
+            assert_eq!(entry.label, node.label, "{backend}: event {i}");
+            assert!(!node.label.is_empty(), "{backend}: event {i} ({}) has no label", node.kind);
+        }
+    }
+
     fn every_builtin_reaches_a_classified_outcome(backend: BackendKind) {
         // The acceptance floor: each backend runs every runnable builtin
         // to a classification — no panics, no unclassifiable outcomes.

@@ -196,8 +196,8 @@ fn malformed_profiles() -> Vec<(String, i32, &'static str)> {
         ("truncated.json", good.as_bytes()[..good.len() / 2].to_vec(), 2, "invalid JSON"),
         ("empty-object.json", b"{}".to_vec(), 2, "schema_version"),
         ("array-rooted.json", b"[1, 2, 3]".to_vec(), 2, "not a JSON object"),
-        // Saturates; nothing indexes by it.
-        ("huge-number.json", huge.into_bytes(), 0, ""),
+        // Past 2^64: refused, not saturated to `u64::MAX`.
+        ("huge-number.json", huge.into_bytes(), 2, "non-integer field `events`"),
         ("negative.json", good.replacen("\"events\": 0", "\"events\": -5", 1).into_bytes(), 2, "non-integer field `events`"),
         ("infinite.json", good.replacen("\"events\": 0", "\"events\": 1e999", 1).into_bytes(), 2, "non-integer field `events`"),
         ("binary.json", (0..=255u8).cycle().take(1024).collect(), 2, "cannot read"),

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 
 use failmpi_experiments::harness::{run_one_traced, ExperimentSpec, InjectionSpec, Workload};
 use failmpi_experiments::figures::FIG5_SRC;
-use failmpi_experiments::timeline::{render, TimelineOptions};
+use failmpi_experiments::timeline::render;
 use failmpi_sim::{SimDuration, SimTime};
 use failmpi_mpichv::VclConfig;
 use failmpi_workloads::BtClass;
@@ -72,7 +72,7 @@ fn check_golden(name: &str, actual: &str) {
 #[test]
 fn collapsed_progress_timeline_matches_golden() {
     let traced = run_one_traced(&spec(7));
-    let text = render(&traced, TimelineOptions::default());
+    let text = render(&traced, false);
     assert!(text.contains("JOB COMPLETE"), "{text}");
     check_golden("timeline_collapsed.txt", &text);
 }
@@ -84,13 +84,7 @@ fn collapsed_progress_timeline_matches_golden() {
 fn lifecycle_timeline_matches_golden() {
     let traced = run_one_traced(&faulty_spec(7));
     assert!(traced.record.faults_injected > 0, "scenario must inject");
-    let text = render(
-        &traced,
-        TimelineOptions {
-            collapse_progress: true,
-            lifecycle: true,
-        },
-    );
+    let text = render(&traced, true);
     assert!(text.contains("spawn"), "{text}");
     assert!(
         text.contains("[cause: "),

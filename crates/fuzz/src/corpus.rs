@@ -148,20 +148,6 @@ fn str_field(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
         .ok_or_else(|| format!("{ctx}: missing string field `{key}`"))
 }
 
-/// `v` as a `u64` when it is an integer a `u64` holds. The JSON reader
-/// keeps numbers as `f64`, whose `as` casts saturate: 1e20 would be read
-/// as `u64::MAX`. (`u64::MAX as f64` is 2^64, the first value past it.)
-fn exact_u64(v: &Value) -> Option<u64> {
-    let n = v.as_f64()?;
-    (n.fract() == 0.0 && (0.0..u64::MAX as f64).contains(&n)).then_some(n as u64)
-}
-
-/// Like [`exact_u64`], for an `i64` (the range -2^63..2^63).
-fn exact_i64(v: &Value) -> Option<i64> {
-    let n = v.as_f64()?;
-    (n.fract() == 0.0 && (i64::MIN as f64..i64::MAX as f64).contains(&n)).then_some(n as i64)
-}
-
 fn pin_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u64, String)>, String> {
     let arr = v
         .get(key)
@@ -169,7 +155,7 @@ fn pin_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u64, String)>, Strin
         .ok_or_else(|| format!("{ctx}: missing array field `{key}`"))?;
     arr.iter()
         .map(|pair| {
-            let seed = exact_u64(&pair[0]).ok_or_else(|| format!("{ctx}: bad seed in `{key}`"))?;
+            let seed = pair[0].as_u64().ok_or_else(|| format!("{ctx}: bad seed in `{key}`"))?;
             let class = pair[1]
                 .as_str()
                 .ok_or_else(|| format!("{ctx}: bad class in `{key}`"))?;
@@ -206,7 +192,7 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(CorpusEntry, String)>, String> {
                 let k = pair[0]
                     .as_str()
                     .ok_or_else(|| format!("{ctx}: bad param name"))?;
-                let v = exact_i64(&pair[1]).ok_or_else(|| format!("{ctx}: bad param value"))?;
+                let v = pair[1].as_i64().ok_or_else(|| format!("{ctx}: bad param value"))?;
                 Ok((k.to_string(), v))
             })
             .collect::<Result<Vec<_>, String>>()?;

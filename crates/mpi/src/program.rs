@@ -48,20 +48,6 @@ impl Op {
             _ => None,
         }
     }
-
-    /// Whether executing this op can block the rank indefinitely. Only the
-    /// blocking receive can (sends are eager/buffered in this model).
-    pub fn is_blocking(&self) -> bool {
-        matches!(self, Op::Recv { .. })
-    }
-
-    /// Payload bytes this op puts on the wire (sends only).
-    pub fn payload_bytes(&self) -> u64 {
-        match self {
-            Op::Send { bytes, .. } => *bytes,
-            _ => 0,
-        }
-    }
 }
 
 /// A program described as the loop it is: `trips` repetitions of `trip`,
@@ -435,10 +421,6 @@ pub(crate) mod tests {
         assert_eq!(comm[0].0, 1);
         assert_eq!(comm[0].1.peer(), Some((Rank(2), Tag(5))));
         assert_eq!(comm[1].1.peer(), Some((Rank(3), Tag(6))));
-        assert!(!comm[0].1.is_blocking());
-        assert!(comm[1].1.is_blocking());
-        assert_eq!(comm[0].1.payload_bytes(), 64);
-        assert_eq!(comm[1].1.payload_bytes(), 0);
         assert_eq!(Op::Finalize.peer(), None);
     }
 

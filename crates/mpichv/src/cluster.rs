@@ -601,37 +601,6 @@ impl ProtocolBackend for Cluster {
     }
 }
 
-/// [`Model`] wrapper running a cluster without fault injection.
-pub struct ClusterModel {
-    /// The wrapped deployment.
-    pub cluster: Cluster,
-}
-
-impl Model for ClusterModel {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        self.cluster.set_event_cause(sched.current_event());
-        self.cluster.dispatch(now, ev);
-        for (t, e) in self.cluster.drain_outputs() {
-            sched.at(t, e);
-        }
-        self.cluster.ctx.chassis.hooks.clear(); // nobody is injecting
-    }
-
-    fn finished(&self) -> bool {
-        self.cluster.is_complete()
-    }
-
-    fn event_kind(&self, event: &Ev) -> &'static str {
-        event.kind_str()
-    }
-
-    fn event_track(&self, event: &Ev) -> u32 {
-        self.cluster.event_track(event)
-    }
-}
-
 /// Runs a deployment with no fault injection until completion or
 /// `deadline`; returns the engine outcome and the final cluster state.
 pub fn run_standalone(
@@ -640,6 +609,28 @@ pub fn run_standalone(
     seed: u64,
     deadline: SimTime,
 ) -> (RunOutcome, SimTime, Cluster) {
+    /// [`Model`] wrapper running a cluster without fault injection.
+    struct ClusterModel {
+        cluster: Cluster,
+    }
+
+    impl Model for ClusterModel {
+        type Event = Ev;
+
+        fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
+            self.cluster.set_event_cause(sched.current_event());
+            self.cluster.dispatch(now, ev);
+            for (t, e) in self.cluster.drain_outputs() {
+                sched.at(t, e);
+            }
+            self.cluster.ctx.chassis.hooks.clear(); // nobody is injecting
+        }
+
+        fn finished(&self) -> bool {
+            self.cluster.is_complete()
+        }
+    }
+
     let mut cluster = Cluster::new(cfg, programs, seed);
     let initial = cluster.take_outputs();
     let mut engine = Engine::new(ClusterModel { cluster });

@@ -50,7 +50,7 @@ mod vnode;
 mod wire;
 
 pub use abstractmodel::{AbstractEvent, AbstractPhase, AbstractRank, AbstractStep, AbstractVcl};
-pub use cluster::{run_standalone, Cluster, ClusterModel};
+pub use cluster::{run_standalone, Cluster};
 pub use ctx::TrafficStats;
 pub use config::{CheckpointStyle, DispatcherMode, VProtocol, VclConfig};
 pub use event::Ev;

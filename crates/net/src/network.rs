@@ -131,16 +131,6 @@ impl<P> Network<P> {
         self.procs[proc.0 as usize].host
     }
 
-    /// Live processes currently on `host`.
-    pub fn procs_on_host(&self, host: HostId) -> Vec<ProcId> {
-        self.procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.alive && p.host == host)
-            .map(|(i, _)| ProcId(i as u32))
-            .collect()
-    }
-
     /// The other endpoint of `conn`, from `proc`'s perspective.
     pub fn peer_of(&self, conn: ConnId, proc: ProcId) -> Option<ProcId> {
         let c = self.conns.get(conn.0 as usize)?;
@@ -650,14 +640,15 @@ mod tests {
     }
 
     #[test]
-    fn procs_on_host_reflects_life_cycle() {
+    fn spawned_procs_live_on_their_host_until_killed() {
         let mut net: Net = Network::new(NetConfig::default());
         let h = net.add_host();
         let a = net.spawn_process(h);
         let b = net.spawn_process(h);
-        assert_eq!(net.procs_on_host(h), vec![a, b]);
+        assert_eq!((net.host_of(a), net.host_of(b)), (h, h));
+        assert!(net.is_alive(a) && net.is_alive(b));
         net.kill(t(0), a);
-        assert_eq!(net.procs_on_host(h), vec![b]);
+        assert!(!net.is_alive(a) && net.is_alive(b));
     }
 
     #[test]

@@ -354,6 +354,15 @@ mod tests {
     }
 
     #[test]
+    fn a_count_past_u64_is_refused_not_saturated() {
+        let json = sample().to_json();
+        let wide = json.replace("\"runs\":1,", "\"runs\":1e20,");
+        assert_ne!(wide, json);
+        let err = RunProfile::from_json(&wide).unwrap_err();
+        assert_eq!(err, "missing or non-integer field `runs`");
+    }
+
+    #[test]
     fn merge_is_commutative() {
         let a = sample();
         let mut b = sample();

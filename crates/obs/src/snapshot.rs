@@ -74,11 +74,6 @@ impl MetricsSnapshot {
         self.counters.insert(name.to_string(), value);
     }
 
-    /// Adds `value` to counter `name`, creating it at zero if absent.
-    pub fn add_counter(&mut self, name: &str, value: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += value;
-    }
-
     /// The value of counter `name`, `0` when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -212,7 +207,8 @@ mod tests {
         let mut s = MetricsSnapshot::new();
         assert_eq!(s.counter("missing"), 0);
         s.set_counter("x", 0);
-        s.add_counter("x", 4);
+        assert_eq!(s.counter("x"), 0);
+        s.set_counter("x", 4);
         assert_eq!(s.counter("x"), 4);
         assert!(s.to_json().contains("\"x\":4"));
     }

@@ -76,11 +76,6 @@ impl WallProfile {
     pub fn bins(&self) -> impl Iterator<Item = (&'static str, WallBin)> + '_ {
         self.bins.iter().map(|(&k, &b)| (k, b))
     }
-
-    /// Total wall nanoseconds across all bins.
-    pub fn total_nanos(&self) -> u64 {
-        self.bins.values().map(|b| b.nanos).sum()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,6 @@ mod tests {
         assert!(start.is_none());
         p.record("x", start);
         assert_eq!(p.bins().count(), 0);
-        assert_eq!(p.total_nanos(), 0);
     }
 
     #[test]
@@ -110,6 +104,7 @@ mod tests {
         let bins: BTreeMap<_, _> = p.bins().collect();
         assert_eq!(bins["a"].count, 2);
         assert_eq!(bins["b"].count, 1);
-        assert!(p.total_nanos() >= 15);
+        assert!(bins["a"].nanos >= 10);
+        assert_eq!(bins["b"].nanos, 5);
     }
 }

@@ -33,8 +33,10 @@ impl std::fmt::Display for EventId {
 }
 
 /// An event's one-line description before it is text: which of its
-/// vocabulary's formats applies, and the numbers to put in it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// vocabulary's formats applies, and the numbers to put in it. The
+/// default, code 0 with zero arguments, is what a model that does not
+/// describe its events packs (see [`crate::Model::pack_event`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Label {
     /// Format code, private to the vocabulary that packed it. Nested
     /// vocabularies (a network event inside a cluster event inside a
@@ -50,15 +52,6 @@ impl Label {
     pub fn new(code: u16, args: [u32; 3]) -> Label {
         Label { code, args }
     }
-
-    /// A label whose arguments are wider than the packed form: `None`
-    /// when one does not fit (the caller then stores the text itself, see
-    /// [`EventLabel::Text`]).
-    pub fn narrow(code: u16, args: [u64; 3]) -> Option<Label> {
-        let [a, b, c] = args;
-        let fit = |v: u64| u32::try_from(v).ok();
-        Some(Label::new(code, [fit(a)?, fit(b)?, fit(c)?]))
-    }
 }
 
 /// An event vocabulary whose one-line descriptions pack into [`Label`]s.
@@ -69,21 +62,6 @@ pub trait PackLabel {
 
     /// The text of a label [`PackLabel::pack`] produced.
     fn render(label: Label) -> String;
-
-    /// This event's description as text.
-    fn label(&self) -> String {
-        Self::render(self.pack())
-    }
-}
-
-/// What [`crate::Model::pack_event`] hands the log for one event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventLabel {
-    /// Rendered on read by [`crate::Model::render_label`].
-    Packed(Label),
-    /// Stored verbatim in the log's side table: models without a packed
-    /// vocabulary, and events whose arguments do not fit a [`Label`].
-    Text(String),
 }
 
 /// One node of the happens-before DAG: a handled event plus the edge back
@@ -102,8 +80,9 @@ pub struct CausalNode {
     pub seq: u64,
     /// Static event-kind label (from [`crate::Model::event_kind`]).
     pub kind: &'static str,
-    /// Human-readable description (what [`crate::Model::describe_event`]
-    /// says of the event).
+    /// Human-readable description: the [`Label`]
+    /// [`crate::Model::pack_event`] packed, rendered by
+    /// [`crate::Model::render_label`].
     pub label: String,
     /// Display track (vnode / service lane) the event belongs to (from
     /// [`crate::Model::event_track`]).
@@ -112,9 +91,6 @@ pub struct CausalNode {
 
 /// `Record::cause` of an externally scheduled event.
 const NO_CAUSE: u32 = u32::MAX;
-/// `Record::code` of a label stored in the text side table, `args[0]`
-/// being its index there.
-const TEXT_CODE: u16 = u16::MAX;
 
 /// What the log stores per event. The event's id is the log's first id
 /// plus the record's position.
@@ -180,8 +156,6 @@ pub struct CausalLog {
     first: u64,
     /// The distinct kind strings seen, indexed by `Record::kind`.
     kinds: Vec<&'static str>,
-    /// Labels stored verbatim (see [`EventLabel::Text`]).
-    texts: Vec<String>,
     render: fn(Label) -> String,
     enabled: bool,
 }
@@ -218,7 +192,6 @@ impl CausalLog {
             records: Records::default(),
             first: 0,
             kinds: Vec::new(),
-            texts: Vec::new(),
             render,
             enabled: true,
         }
@@ -246,31 +219,20 @@ impl CausalLog {
         at: SimTime,
         seq: u64,
         kind: &'static str,
-        label: EventLabel,
+        label: Label,
         track: u32,
     ) {
         // The id this record gets must itself be storable as a cause.
         narrow_id(self.id_at(self.records.len()));
-        let (code, args) = match label {
-            EventLabel::Packed(l) => {
-                assert_ne!(l.code, TEXT_CODE, "label code {TEXT_CODE} is the log's own");
-                (l.code, l.args)
-            }
-            EventLabel::Text(text) => {
-                let slot = u32::try_from(self.texts.len()).expect("fewer texts than records");
-                self.texts.push(text);
-                (TEXT_CODE, [slot, 0, 0])
-            }
-        };
         let kind = self.kind_index(kind);
         self.records.push(Record {
             at,
             seq,
             cause: cause.map_or(NO_CAUSE, narrow_id),
-            args,
+            args: label.args,
             track: u16::try_from(track).expect("more than 65 535 display tracks"),
             kind,
-            code,
+            code: label.code,
         });
     }
 
@@ -292,11 +254,7 @@ impl CausalLog {
             at: r.at,
             seq: r.seq,
             kind: self.kinds[usize::from(r.kind)],
-            label: if r.code == TEXT_CODE {
-                self.texts[r.args[0] as usize].clone()
-            } else {
-                (self.render)(Label::new(r.code, r.args))
-            },
+            label: (self.render)(Label::new(r.code, r.args)),
             track: u32::from(r.track),
         }
     }
@@ -377,10 +335,15 @@ impl CausalLog {
 mod tests {
     use super::*;
 
-    /// A toy vocabulary: code 1 is `n<arg0>`.
+    /// A toy vocabulary: code 1 is `n<arg0>`, code 2 `odd <arg0>`, and
+    /// the default label is empty.
     fn render(l: Label) -> String {
-        assert_eq!(l.code, 1);
-        format!("n{}", l.args[0])
+        match l.code {
+            0 => String::new(),
+            1 => format!("n{}", l.args[0]),
+            2 => format!("odd {}", l.args[0]),
+            code => panic!("no format {code}"),
+        }
     }
 
     fn push(log: &mut CausalLog, cause: Option<u64>, at_s: u64) {
@@ -390,7 +353,7 @@ mod tests {
             SimTime::from_secs(at_s),
             u64::from(id),
             "k",
-            EventLabel::Packed(Label::new(1, [id, 0, 0])),
+            Label::new(1, [id, 0, 0]),
             0,
         );
     }
@@ -460,23 +423,15 @@ mod tests {
     }
 
     #[test]
-    fn text_labels_come_back_verbatim_beside_packed_ones() {
+    fn every_format_renders_through_the_one_renderer() {
         let mut log = CausalLog::enabled(render);
         let at = SimTime::ZERO;
-        log.push(None, at, 0, "a", EventLabel::Text("first".to_string()), 7);
-        log.push(
-            None,
-            at,
-            1,
-            "b",
-            EventLabel::Packed(Label::new(1, [9, 0, 0])),
-            7,
-        );
-        log.push(None, at, 2, "a", EventLabel::Text(String::new()), 7);
+        log.push(None, at, 0, "a", Label::new(2, [3, 0, 0]), 7);
+        log.push(None, at, 1, "b", Label::new(1, [9, 0, 0]), 7);
+        log.push(None, at, 2, "a", Label::default(), 7);
         let seen: Vec<(&str, String)> = log.nodes().map(|n| (n.kind, n.label)).collect();
-        let expected = [("a", "first"), ("b", "n9"), ("a", "")].map(|(k, l)| (k, l.to_string()));
+        let expected = [("a", "odd 3"), ("b", "n9"), ("a", "")].map(|(k, l)| (k, l.to_string()));
         assert_eq!(seen, expected);
-        assert_eq!(log.texts.len(), 2);
     }
 
     #[test]
@@ -489,7 +444,7 @@ mod tests {
             SimTime::from_secs(1),
             1,
             elsewhere,
-            EventLabel::Text(String::new()),
+            Label::default(),
             0,
         );
         assert_eq!(log.kinds, ["k"]);
@@ -504,11 +459,6 @@ mod tests {
             let caught = std::panic::catch_unwind(|| narrow_id(EventId(too_wide)));
             assert!(caught.is_err(), "{too_wide} narrowed");
         }
-        assert_eq!(
-            Label::narrow(3, [1, 2, u64::from(u32::MAX)]),
-            Some(Label::new(3, [1, 2, u32::MAX]))
-        );
-        assert_eq!(Label::narrow(3, [1, 1 << 32, 0]), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use failmpi_obs::WallProfile;
 
-use crate::causal::{CausalLog, EventId, EventLabel, Label};
+use crate::causal::{CausalLog, EventId, Label};
 use crate::fingerprint::{Fingerprint, JournalEntry};
 use crate::queue::{EventQueue, TieBreak};
 use crate::time::{SimDuration, SimTime};
@@ -36,26 +36,21 @@ pub trait Model {
         let _ = (event, fp);
     }
 
-    /// A human-readable one-line description of `event`, used by the
-    /// fingerprint journal to label divergence reports. The default is
-    /// empty (journals still localize divergence by time/seq/digest).
-    fn describe_event(&self, event: &Self::Event) -> String {
+    /// `event`'s one-line description, packed: what the happens-before
+    /// log stores per event (see [`Engine::enable_causal_trace`]) and, once
+    /// rendered by [`Model::render_label`], what the fingerprint journal
+    /// labels divergence reports with. Only consulted while one of the two
+    /// is on. The default is the empty [`Label::default`], which the
+    /// default `render_label` renders as `""` (journals still localize
+    /// divergence by time/seq/digest).
+    fn pack_event(&self, event: &Self::Event) -> Label {
         let _ = event;
-        String::new()
+        Label::default()
     }
 
-    /// What the happens-before log stores as `event`'s description (see
-    /// [`Engine::enable_causal_trace`]). A model whose vocabulary packs
-    /// returns [`EventLabel::Packed`] and defines
-    /// [`Model::render_label`] so that rendering the packed label gives
-    /// [`Model::describe_event`]'s text; the default stores that text
-    /// itself.
-    fn pack_event(&self, event: &Self::Event) -> EventLabel {
-        EventLabel::Text(self.describe_event(event))
-    }
-
-    /// The text of a label [`Model::pack_event`] packed; the log calls it
-    /// when a node is read. Never called under the default `pack_event`.
+    /// The text of a label [`Model::pack_event`] packed — the one place a
+    /// vocabulary's descriptions are spelled. The log calls it when a node
+    /// is read, the journal once per handled event. The default is empty.
     fn render_label(label: Label) -> String {
         let _ = label;
         String::new()
@@ -186,17 +181,6 @@ impl<M: Model> Engine<M> {
         self.event_budget = budget;
     }
 
-    /// Replaces the same-instant tie-break policy, re-keying any pending
-    /// events (see [`TieBreak`]).
-    pub fn set_tie_break(&mut self, tie_break: TieBreak) {
-        self.queue.set_tie_break(tie_break);
-    }
-
-    /// The active same-instant tie-break policy.
-    pub fn tie_break(&self) -> TieBreak {
-        self.queue.tie_break()
-    }
-
     /// The streaming run fingerprint: an incremental 64-bit digest over
     /// every handled event's `(time, seq, payload)` triple. Two runs of
     /// the same model and seed must report the same value; a mismatch is a
@@ -214,13 +198,9 @@ impl<M: Model> Engine<M> {
         }
     }
 
-    /// The captured journal (empty unless
-    /// [`Engine::enable_fingerprint_journal`] was called before running).
-    pub fn fingerprint_journal(&self) -> &[JournalEntry] {
-        self.journal.as_deref().unwrap_or(&[])
-    }
-
-    /// Consumes the captured journal, leaving journaling enabled.
+    /// Consumes the captured journal (empty unless
+    /// [`Engine::enable_fingerprint_journal`] was called before running),
+    /// leaving journaling enabled.
     pub fn take_fingerprint_journal(&mut self) -> Vec<JournalEntry> {
         match self.journal.take() {
             Some(j) => {
@@ -340,12 +320,19 @@ impl<M: Model> Engine<M> {
         self.model.fingerprint_event(&ev, &mut ev_fp);
         let digest = ev_fp.value();
         self.fingerprint.write_u64(digest);
+        // One packed label serves both records: the journal renders it
+        // now, the log stores it and renders on read.
+        let label = if self.journal.is_some() || self.causal.is_enabled() {
+            self.model.pack_event(&ev)
+        } else {
+            Label::default()
+        };
         if let Some(journal) = self.journal.as_mut() {
             journal.push(JournalEntry {
                 at_micros: at.as_micros(),
                 seq,
                 digest,
-                label: self.model.describe_event(&ev),
+                label: M::render_label(label),
             });
         }
         let started = self.profile.maybe_start();
@@ -356,14 +343,8 @@ impl<M: Model> Engine<M> {
             ""
         };
         if self.causal.is_enabled() {
-            self.causal.push(
-                cause,
-                at,
-                seq,
-                kind,
-                self.model.pack_event(&ev),
-                self.model.event_track(&ev),
-            );
+            self.causal
+                .push(cause, at, seq, kind, label, self.model.event_track(&ev));
         }
         self.sched.now = at;
         self.sched.current = Some(id);
@@ -388,23 +369,6 @@ impl<M: Model> Engine<M> {
             if self.model.finished() {
                 return RunOutcome::Finished;
             }
-            if self.handled >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            if !self.step(deadline) {
-                return if self.queue.is_empty() {
-                    RunOutcome::Quiescent
-                } else {
-                    RunOutcome::DeadlineReached
-                };
-            }
-        }
-    }
-
-    /// Runs ignoring [`Model::finished`], until quiescence or deadline.
-    /// Handy for unit tests of sub-components.
-    pub fn run_to_quiescence(&mut self, deadline: SimTime) -> RunOutcome {
-        loop {
             if self.handled >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
@@ -600,15 +564,18 @@ mod tests {
         e.enable_fingerprint_journal();
         e.schedule(SimTime::ZERO, 8);
         e.run(SimTime::MAX);
-        let journal = e.fingerprint_journal();
+        let journal = e.take_fingerprint_journal();
         assert_eq!(journal.len() as u64, e.events_handled());
         // Entries are in handling order: non-decreasing times.
         for w in journal.windows(2) {
             assert!(w[1].at_micros >= w[0].at_micros);
         }
-        let taken = e.take_fingerprint_journal();
-        assert_eq!(taken.len() as u64, e.events_handled());
-        assert!(e.fingerprint_journal().is_empty());
+        // The model describes nothing: every label is the empty default.
+        assert!(journal.iter().all(|j| j.label.is_empty()));
+        // Journaling stays on: the next events land in a fresh journal.
+        e.schedule(SimTime::from_secs(9), 1);
+        e.run(SimTime::MAX);
+        assert_eq!(e.take_fingerprint_journal().len(), 1);
     }
 
     #[test]
@@ -725,7 +692,8 @@ mod tests {
         assert!(e.causal_log().is_enabled());
     }
 
-    /// Even events pack (`e<n>`), odd ones go to the log as text (`odd <n>`).
+    /// Even events pack as format 1 (`e<n>`), odd ones as format 2
+    /// (`odd <n>`).
     struct Halving;
     impl Model for Halving {
         type Event = u32;
@@ -734,15 +702,15 @@ mod tests {
                 sched.immediate(ev / 2);
             }
         }
-        fn pack_event(&self, ev: &u32) -> EventLabel {
-            if ev.is_multiple_of(2) {
-                EventLabel::Packed(Label::new(1, [*ev, 0, 0]))
-            } else {
-                EventLabel::Text(format!("odd {ev}"))
-            }
+        fn pack_event(&self, ev: &u32) -> Label {
+            let code = if ev.is_multiple_of(2) { 1 } else { 2 };
+            Label::new(code, [*ev, 0, 0])
         }
         fn render_label(l: Label) -> String {
-            format!("e{}", l.args[0])
+            match l.code {
+                1 => format!("e{}", l.args[0]),
+                _ => format!("odd {}", l.args[0]),
+            }
         }
     }
 
@@ -750,10 +718,14 @@ mod tests {
     fn causal_labels_render_through_the_model_and_survive_a_take() {
         let mut e = Engine::new(Halving);
         e.enable_causal_trace();
+        e.enable_fingerprint_journal();
         e.schedule(SimTime::ZERO, 12);
         e.run(SimTime::MAX);
         let labels = |log: &CausalLog| log.nodes().map(|n| n.label).collect::<Vec<_>>();
         assert_eq!(labels(&e.take_causal_log()), ["e12", "e6", "odd 3", "odd 1"]);
+        // The journal renders the same packed labels.
+        let journal: Vec<String> = e.take_fingerprint_journal().into_iter().map(|j| j.label).collect();
+        assert_eq!(journal, ["e12", "e6", "odd 3", "odd 1"]);
         // The log left behind renders with the same model, and its ids go on
         // from where the taken one stopped.
         e.schedule(SimTime::from_secs(1), 2);
@@ -762,22 +734,6 @@ mod tests {
         let ids: Vec<u64> = e.causal_log().nodes().map(|n| n.id.0).collect();
         assert_eq!(ids, [4, 5]);
         e.causal_log().check_invariants().expect("well-formed");
-    }
-
-    #[test]
-    fn tie_break_policy_is_settable_and_visible() {
-        let mut e = engine();
-        assert_eq!(e.tie_break(), crate::TieBreak::Fifo);
-        e.set_tie_break(crate::TieBreak::Seeded(7));
-        assert_eq!(e.tie_break(), crate::TieBreak::Seeded(7));
-        let e2 = Engine::with_tie_break(
-            Echo {
-                seen: Vec::new(),
-                finish_at: None,
-            },
-            crate::TieBreak::Seeded(7),
-        );
-        assert_eq!(e2.tie_break(), crate::TieBreak::Seeded(7));
     }
 
     #[test]

@@ -128,8 +128,10 @@ pub struct JournalEntry {
     pub seq: u64,
     /// Digest of this event alone (time + seq + payload fold).
     pub digest: u64,
-    /// Human-readable event description (from [`crate::Model::describe_event`];
-    /// empty when the model does not override it).
+    /// Human-readable event description: the label
+    /// [`crate::Model::pack_event`] packed, rendered by
+    /// [`crate::Model::render_label`] — the text the causal log gives the
+    /// same event. Empty when the model does not override them.
     pub label: String,
 }
 

@@ -44,7 +44,7 @@
 //!
 //! let mut engine = Engine::new(Counter { fired: 0 });
 //! engine.schedule(SimTime::ZERO, Tick);
-//! engine.run_to_quiescence(SimTime::from_secs(1_000));
+//! engine.run(SimTime::from_secs(1_000));
 //! assert_eq!(engine.model().fired, 10);
 //! assert_eq!(engine.now(), SimTime::from_secs(9));
 //! ```
@@ -60,7 +60,7 @@ mod rng;
 mod time;
 mod trace;
 
-pub use causal::{CausalLog, CausalNode, EventId, EventLabel, Label, PackLabel};
+pub use causal::{CausalLog, CausalNode, EventId, Label, PackLabel};
 pub use engine::{Engine, Model, RunOutcome, Scheduler};
 pub use fingerprint::{Fingerprint, FingerprintEvent, JournalEntry};
 pub use queue::{EventQueue, TieBreak};

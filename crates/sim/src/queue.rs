@@ -2,8 +2,8 @@
 //!
 //! A thin wrapper over [`BinaryHeap`] that (a) inverts the ordering so the
 //! *earliest* event pops first and (b) breaks virtual-time ties by a
-//! configurable [`TieBreak`] policy, making the pop order total and
-//! deterministic regardless of the payload type.
+//! [`TieBreak`] policy fixed when the queue is made, making the pop order
+//! total and deterministic regardless of the payload type.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -101,28 +101,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The active tie-break policy.
-    pub fn tie_break(&self) -> TieBreak {
-        self.tie_break
-    }
-
-    /// Replaces the tie-break policy, re-keying any pending entries so the
-    /// whole run behaves as if the queue had been created with it.
-    pub fn set_tie_break(&mut self, tie_break: TieBreak) {
-        self.tie_break = tie_break;
-        if self.heap.is_empty() {
-            return;
-        }
-        let entries: Vec<Scheduled<E>> = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .map(|mut s| {
-                s.key = self.key_for(s.seq);
-                s
-            })
-            .collect();
-    }
-
     fn key_for(&self, seq: u64) -> u64 {
         match self.tie_break {
             TieBreak::Fifo => seq,
@@ -180,11 +158,6 @@ impl<E> EventQueue<E> {
     /// `true` when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever pushed (diagnostic counter).
-    pub fn pushed_total(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -249,16 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn pushed_total_counts_all() {
-        let mut q = EventQueue::new();
-        for i in 0..17u64 {
-            q.push(SimTime::from_micros(i), i);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.pushed_total(), 17);
-    }
-
-    #[test]
     fn seeded_tie_break_permutes_but_preserves_time_order() {
         let t = SimTime::from_secs(7);
         let mut fifo = Vec::new();
@@ -295,22 +258,5 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43), "distinct seeds should (here) differ");
-    }
-
-    #[test]
-    fn set_tie_break_rekeys_pending_entries() {
-        let t = SimTime::from_secs(3);
-        // Build two queues with the same pushes: one seeded from birth, one
-        // switched after pushing. They must pop identically.
-        let mut switched = EventQueue::new();
-        let mut born = EventQueue::with_tie_break(TieBreak::Seeded(9));
-        for i in 0..40u32 {
-            switched.push(t, i);
-            born.push(t, i);
-        }
-        switched.set_tie_break(TieBreak::Seeded(9));
-        let a: Vec<u32> = std::iter::from_fn(|| switched.pop().map(|(_, e)| e)).collect();
-        let b: Vec<u32> = std::iter::from_fn(|| born.pop().map(|(_, e)| e)).collect();
-        assert_eq!(a, b);
     }
 }

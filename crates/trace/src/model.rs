@@ -500,6 +500,14 @@ mod tests {
     }
 
     #[test]
+    fn a_seed_past_u64_is_refused_not_saturated() {
+        let json = sample().to_json();
+        let wide = json.replace("\"seed\": 7,", "\"seed\": 1e20,");
+        assert_ne!(wide, json);
+        assert_eq!(TraceFile::from_json(&wide), Err("missing seed".to_string()));
+    }
+
+    #[test]
     fn version_mismatch_is_rejected() {
         let json = sample().to_json().replace(
             "\"schema_version\": 1",
