@@ -276,15 +276,17 @@ stage_backend() {
             ;;
     esac
 
-    # A causal trace through the generic harness, exported for Perfetto. A
-    # same-seed re-run must write a byte-identical trace: every backend's
-    # event labels reach the file. One thread, because `--trace-out`
+    # A causal trace and a deep profile through the generic harness, the
+    # trace exported for Perfetto. A same-seed re-run must write a
+    # byte-identical trace and profile: every backend's event labels,
+    # lanes and kinds reach the files. One thread, because `--trace-out`
     # claims the first run to start.
     target/release/figure fig5 --smoke --threads 1 --backend "$be" \
-        --trace-out "$OUT/trace-$be.json" > /dev/null
+        --trace-out "$OUT/trace-$be.json" --profile "$OUT/profile-$be.json" > /dev/null
     target/release/figure fig5 --smoke --threads 1 --backend "$be" \
-        --trace-out "$OUT/trace-$be-b.json" > /dev/null
+        --trace-out "$OUT/trace-$be-b.json" --profile "$OUT/profile-$be-b.json" > /dev/null
     cmp "$OUT/trace-$be.json" "$OUT/trace-$be-b.json"
+    cmp "$OUT/profile-$be.json" "$OUT/profile-$be-b.json"
     target/release/failmpi-trace export "$OUT/trace-$be.json" \
         --out "$OUT/trace-$be.perfetto.json"
 

@@ -85,7 +85,8 @@ const FLAGS: &[Flag] = &[
     Flag::Switch("--model-check"),
     Flag::Switch("--reduce"),
     Flag::Value("--budget", COUNT),
-    Flag::Value("--threads", COUNT),
+    // One OS thread per worker per frontier layer.
+    Flag::Count("--threads", 256),
     Flag::Value("--ranks", COUNT),
     Flag::Value("--hosts", COUNT),
     Flag::Value("--backend", "vcl|ulfm|replica"),
@@ -107,7 +108,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         compile: args.value("--compile").map(str::to_string),
         src: args.switch("--src"),
         reduce: args.switch("--reduce"),
-        threads: args.flag("--threads", count)?,
+        threads: args.count("--threads")?,
         ranks: args.flag("--ranks", count)?,
         hosts: args.flag("--hosts", count)?,
         backend: args.parsed("--backend")?.unwrap_or(BackendKind::Vcl),

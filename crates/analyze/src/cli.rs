@@ -19,12 +19,18 @@ pub enum Flag {
     /// Takes the next argument as its value; the second field says what
     /// that value must be (`--runs needs a number >= 1`).
     Value(&'static str, &'static str),
+    /// Takes a count from 1 to the second field, the flag's ceiling: a
+    /// count the binary turns into that many threads, seeds or runs held
+    /// at once must not ask for more than the machine has
+    /// (`--runs needs a number >= 1 and <= 10000`). Read with
+    /// [`Args::count`].
+    Count(&'static str, usize),
 }
 
 impl Flag {
     fn name(&self) -> &'static str {
         match self {
-            Flag::Switch(name) | Flag::Value(name, _) => name,
+            Flag::Switch(name) | Flag::Value(name, _) | Flag::Count(name, _) => name,
         }
     }
 }
@@ -65,7 +71,9 @@ impl<'a> Args<'a> {
             let value = match table.iter().find(|f| f.name() == a) {
                 None => return Err(format!("unknown argument `{a}`")),
                 Some(Flag::Switch(_)) => "",
-                Some(Flag::Value(..)) => args.next().ok_or_else(|| parsed.needs(a))?,
+                Some(Flag::Value(..) | Flag::Count(..)) => {
+                    args.next().ok_or_else(|| parsed.needs(a))?
+                }
             };
             parsed.values.entry(a).or_default().push(value);
         }
@@ -74,11 +82,11 @@ impl<'a> Args<'a> {
 
     /// The diagnostic for `flag`'s missing or unusable value.
     fn needs(&self, flag: &str) -> String {
-        let what = self.table.iter().find_map(|f| match f {
-            Flag::Value(name, what) if *name == flag => Some(*what),
-            _ => None,
-        });
-        format!("{flag} needs {}", what.unwrap_or("a value"))
+        match self.table.iter().find(|f| f.name() == flag) {
+            Some(Flag::Value(_, what)) => format!("{flag} needs {what}"),
+            Some(Flag::Count(_, max)) => format!("{flag} needs {COUNT} and <= {max}"),
+            _ => format!("{flag} needs a value"),
+        }
     }
 
     /// The positionals, in order.
@@ -120,6 +128,20 @@ impl<'a> Args<'a> {
         self.value(flag)
             .map(|v| parse(v).ok_or_else(|| self.needs(flag)))
             .transpose()
+    }
+
+    /// The value of the [`Flag::Count`] `flag`: a [`count`] no larger than
+    /// the ceiling its table entry gives.
+    pub fn count(&self, flag: &str) -> Result<Option<usize>, String> {
+        let max = self
+            .table
+            .iter()
+            .find_map(|f| match *f {
+                Flag::Count(name, max) if name == flag => Some(max),
+                _ => None,
+            })
+            .expect("a Flag::Count of this table");
+        self.flag(flag, |v| count(v).filter(|&n| n <= max))
     }
 
     /// [`Args::flag`] through the value type's [`FromStr`].
@@ -188,6 +210,7 @@ mod tests {
     const TABLE: &[Flag] = &[
         Flag::Switch("--smoke"),
         Flag::Value("--runs", COUNT),
+        Flag::Count("--threads", 8),
         Flag::Value("--param", "NAME=VALUE"),
         Flag::Value("--out", "a path"),
     ];
@@ -260,6 +283,23 @@ mod tests {
             Err("needs a file".to_string())
         );
         assert_eq!(args.none(), Ok(()));
+    }
+
+    #[test]
+    fn a_count_flag_is_refused_past_its_ceiling() {
+        let count_of = |argv: &[&str]| {
+            let argv = strings(argv);
+            let args = Args::parse(&argv, TABLE).map_err(|e| e.to_string())?;
+            args.count("--threads")
+        };
+        let needs = Err("--threads needs a number >= 1 and <= 8".to_string());
+        assert_eq!(count_of(&[]), Ok(None));
+        assert_eq!(count_of(&["--threads", "1"]), Ok(Some(1)));
+        assert_eq!(count_of(&["--threads", "8"]), Ok(Some(8)));
+        assert_eq!(count_of(&["--threads", "9"]), needs);
+        assert_eq!(count_of(&["--threads", "0"]), needs);
+        assert_eq!(count_of(&["--threads", "18446744073709551615"]), needs);
+        assert_eq!(count_of(&["--threads"]), needs);
     }
 
     /// `--help` wins over anything else on the line, a bad flag before it

@@ -250,6 +250,10 @@ fn malformed_input_never_panics() {
         (vec![&fig10, "--threads"], 2, &threads),
         (vec![&fig10, "--threads", "x"], 2, &threads),
         ([&mc[..], &["--threads", "0"]].concat(), 2, &threads),
+        // One OS thread per worker: past the ceiling is refused before a
+        // worker is set up.
+        ([&mc[..], &["--threads", "18446744073709551615"]].concat(), 2, "--threads needs a number >= 1 and <= 256"),
+        ([&mc[..], &["--threads", "257"]].concat(), 2, "--threads needs a number >= 1 and <= 256"),
         ([&mc[..], &["--ranks"]].concat(), 2, &ranks),
         ([&mc[..], &["--ranks", "0"]].concat(), 2, &ranks),
         ([&mc[..], &["--ranks", "4", "--hosts", "1"]].concat(), 2, "--hosts 1 is fewer than --ranks 4"),

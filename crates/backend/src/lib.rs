@@ -59,9 +59,11 @@ pub use vocab::{
     WAVE_CAP,
 };
 
-use failmpi_net::{HostId, ProcId};
+use failmpi_net::{HostId, ProcId, MAX_HOSTS};
 use failmpi_obs::MetricsSnapshot;
-use failmpi_sim::{EventId, FingerprintEvent, Label, SimDuration, SimTime, TraceEntry, TraceLog};
+use failmpi_sim::{
+    EventDesc, EventId, FingerprintEvent, Label, SimDuration, SimTime, TraceEntry, TraceLog,
+};
 
 /// Shared sizing and timing knobs for the non-Vcl backends (the Vcl
 /// runtime keeps its richer `VclConfig`). Constructed from the harness's
@@ -103,10 +105,17 @@ impl BackendConfig {
         }
     }
 
-    /// Validates the shape (at least one rank, enough hosts).
+    /// Validates the shape (at least one rank, enough hosts, no more
+    /// than the network holds).
     pub fn validate(&self) -> Result<(), String> {
         if self.n_ranks == 0 {
             return Err("n_ranks must be >= 1".into());
+        }
+        if self.n_compute_hosts > MAX_HOSTS {
+            return Err(format!(
+                "{} compute hosts exceed the network's {MAX_HOSTS}",
+                self.n_compute_hosts
+            ));
         }
         if self.n_compute_hosts < self.n_ranks as usize {
             return Err(format!(
@@ -148,9 +157,6 @@ impl BackendConfig {
 pub trait ProtocolBackend {
     /// The backend's internal event alphabet.
     type Event: FingerprintEvent + std::fmt::Debug;
-
-    /// Which protocol this is (names metrics keys, witnesses, findings).
-    fn kind(&self) -> BackendKind;
 
     /// The runtime's chassis: the state every method below down to
     /// [`ProtocolBackend::max_progress`] is provided over.
@@ -251,26 +257,19 @@ pub trait ProtocolBackend {
     /// Number of compute machines.
     fn n_compute_hosts(&self) -> usize;
 
-    /// Timeline track of an event (for trace export).
-    fn event_track(&self, ev: &Self::Event) -> u32;
-
-    /// Number of timeline tracks (`track_names().len()`, without the
-    /// allocation).
-    fn n_tracks(&self) -> u32;
-
-    /// Track display names, indexed by [`ProtocolBackend::event_track`].
+    /// Track display names, indexed by [`EventDesc::track`].
     fn track_names(&self) -> Vec<String>;
 
-    /// One-line human description of an event, packed: what the causal
-    /// log stores per event and the journal renders.
-    fn pack_event(&self, ev: &Self::Event) -> Label;
+    /// What the engine's instruments record of an event (the harness's
+    /// `Model::describe` forwards it): its stable kind (profiling bucket),
+    /// its one-line description packed (what the causal log stores and the
+    /// journal renders), and its timeline track (an index into
+    /// [`ProtocolBackend::track_names`]).
+    fn describe(&self, ev: &Self::Event) -> EventDesc;
 
-    /// The text of a label [`ProtocolBackend::pack_event`] produced — the
-    /// one place the backend's event descriptions are spelled.
+    /// The text of a label [`ProtocolBackend::describe`] packed — the one
+    /// place the backend's event descriptions are spelled.
     fn render_label(label: Label) -> String;
-
-    /// Short stable kind label of an event (profiling buckets).
-    fn event_kind(&self, ev: &Self::Event) -> &'static str;
 
     /// Folds the backend's own metrics into a snapshot: everything beyond
     /// what [`Chassis::contribute`] reports for every backend.
@@ -297,5 +296,12 @@ mod tests {
         let mut c = BackendConfig::small(1, 1);
         c.n_ranks = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn compute_hosts_fit_the_network() {
+        assert!(BackendConfig::small(4, MAX_HOSTS).validate().is_ok());
+        let err = BackendConfig::small(4, MAX_HOSTS + 1).validate().unwrap_err();
+        assert_eq!(err, "65537 compute hosts exceed the network's 65536");
     }
 }

@@ -15,9 +15,11 @@ use std::fmt;
 use failmpi_mpi::Rank;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::MetricsSnapshot;
-use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel, SimDuration, SimTime};
+use failmpi_sim::{
+    EventDesc, Fingerprint, FingerprintEvent, Label, PackLabel, SimDuration, SimTime,
+};
 
-use crate::{BackendConfig, BackendKind, Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
+use crate::{BackendConfig, Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
 
 /// Nominal application payload per op (face-exchange analogue).
 const OP_APP_BYTES: u64 = 4096;
@@ -122,8 +124,6 @@ impl<D: FingerprintEvent> FingerprintEvent for LightEv<D> {
 
 /// The stable strings a policy's runtime is known by.
 pub struct PolicyNames {
-    /// Which protocol the policy implements.
-    pub kind: BackendKind,
     /// Event-kind labels (profiling buckets) for `Boot`, `Init`, `OpDone`,
     /// `Detect` and `RecoveryDone`, in that order.
     pub event_kinds: [&'static str; 5],
@@ -162,7 +162,7 @@ pub trait RecoveryPolicy: Sized {
     /// own events use 16 to 19).
     type Done: FingerprintEvent + PackLabel + fmt::Debug;
 
-    /// The runtime's kind, event-kind, track and hop names.
+    /// The runtime's event-kind, track and hop names.
     const NAMES: PolicyNames;
     /// Stream constant of the per-op jitter (keeps the protocols'
     /// schedules decorrelated at equal seeds).
@@ -439,10 +439,6 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
 impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
     type Event = LightEv<P::Done>;
 
-    fn kind(&self) -> BackendKind {
-        P::NAMES.kind
-    }
-
     fn chassis(&self) -> &Chassis<Self::Event> {
         &self.chassis
     }
@@ -562,29 +558,22 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         self.cfg.n_compute_hosts
     }
 
-    fn event_track(&self, ev: &Self::Event) -> u32 {
-        match ev {
-            LightEv::Detect { .. } | LightEv::RecoveryDone(_) => 0,
-            LightEv::Boot { .. } | LightEv::Init { .. } | LightEv::OpDone { .. } => 1,
-        }
-    }
-
-    fn n_tracks(&self) -> u32 {
-        2
-    }
-
     fn track_names(&self) -> Vec<String> {
         P::NAMES.tracks.map(String::from).to_vec()
     }
 
-    fn pack_event(&self, ev: &Self::Event) -> Label {
-        match ev {
-            LightEv::Boot { unit } => Label::new(16, [*unit, 0, 0]),
-            LightEv::Init { unit } => Label::new(17, [*unit, 0, 0]),
-            LightEv::OpDone { rank, gen } => Label::new(18, [*rank, *gen, 0]),
-            LightEv::Detect { unit } => Label::new(19, [*unit, 0, 0]),
-            LightEv::RecoveryDone(done) => done.pack(),
-        }
+    /// Processes' own events go on the process lane; failure handling on
+    /// the runtime lane.
+    fn describe(&self, ev: &Self::Event) -> EventDesc {
+        let [boot, init, op_done, detect, recovery_done] = P::NAMES.event_kinds;
+        let (kind, label, track) = match ev {
+            LightEv::Boot { unit } => (boot, Label::new(16, [*unit, 0, 0]), 1),
+            LightEv::Init { unit } => (init, Label::new(17, [*unit, 0, 0]), 1),
+            LightEv::OpDone { rank, gen } => (op_done, Label::new(18, [*rank, *gen, 0]), 1),
+            LightEv::Detect { unit } => (detect, Label::new(19, [*unit, 0, 0]), 0),
+            LightEv::RecoveryDone(done) => (recovery_done, done.pack(), 0),
+        };
+        EventDesc { kind, label, track }
     }
 
     fn render_label(label: Label) -> String {
@@ -597,17 +586,6 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
             19 => format!("detect failure of {noun} {a}"),
             _ => P::Done::render(label),
         }
-    }
-
-    fn event_kind(&self, ev: &Self::Event) -> &'static str {
-        let i = match ev {
-            LightEv::Boot { .. } => 0,
-            LightEv::Init { .. } => 1,
-            LightEv::OpDone { .. } => 2,
-            LightEv::Detect { .. } => 3,
-            LightEv::RecoveryDone(_) => 4,
-        };
-        P::NAMES.event_kinds[i]
     }
 
     fn contribute_metrics(&self, snap: &mut MetricsSnapshot) {

@@ -3,10 +3,10 @@
 //! stamping, event and hook draining, breakpoints, trace and traffic —
 //! and the lifecycle answers and metrics from the provided ones.
 
-use failmpi_backend::{BackendKind, Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
+use failmpi_backend::{Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::MetricsSnapshot;
-use failmpi_sim::{EventId, Fingerprint, FingerprintEvent, Label, SimTime};
+use failmpi_sim::{EventDesc, EventId, Fingerprint, FingerprintEvent, Label, SimTime};
 
 #[derive(Debug, PartialEq)]
 struct Tick;
@@ -22,7 +22,6 @@ struct Fake(Chassis<Tick>);
 #[rustfmt::skip]
 impl ProtocolBackend for Fake {
     type Event = Tick;
-    fn kind(&self) -> BackendKind { BackendKind::Vcl }
     fn chassis(&self) -> &Chassis<Tick> { &self.0 }
     fn chassis_mut(&mut self) -> &mut Chassis<Tick> { &mut self.0 }
     fn dispatch(&mut self, now: SimTime, _: Tick) {
@@ -36,12 +35,11 @@ impl ProtocolBackend for Fake {
     fn fail_continue(&mut self, _: SimTime, _: ProcId) {}
     fn compute_host(&self, i: usize) -> HostId { HostId(i as u16) }
     fn n_compute_hosts(&self) -> usize { 1 }
-    fn event_track(&self, _: &Tick) -> u32 { 0 }
-    fn n_tracks(&self) -> u32 { 1 }
     fn track_names(&self) -> Vec<String> { vec!["fake".into()] }
-    fn pack_event(&self, _: &Tick) -> Label { Label::new(1, [0; 3]) }
+    fn describe(&self, _: &Tick) -> EventDesc {
+        EventDesc { kind: "tick", label: Label::new(1, [0; 3]), track: 0 }
+    }
     fn render_label(_: Label) -> String { "tick".into() }
-    fn event_kind(&self, _: &Tick) -> &'static str { "tick" }
     fn contribute_metrics(&self, _: &mut MetricsSnapshot) {}
 }
 

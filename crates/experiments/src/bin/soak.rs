@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use serde::Serialize;
 
-use failmpi_analyze::cli::{self, count, Args, Flag, COUNT};
+use failmpi_analyze::cli::{self, Args, Flag};
 use failmpi_experiments::robustness::{
     det_run, fault_free_smoke_spec, fig10_stress_spec, perturb,
 };
@@ -83,7 +83,7 @@ const USAGE: &str = "usage: soak [--runs N] [--seed S] [--backend vcl|ulfm|repli
                      [--json PATH] [--metrics PATH] [--trace-out PATH] [--profile PATH]";
 
 const FLAGS: &[Flag] = &[
-    Flag::Value("--runs", COUNT),
+    Flag::Count("--runs", failmpi_experiments::cli::MAX_RUNS),
     Flag::Value("--seed", "a number"),
     Flag::Value("--backend", "vcl|ulfm|replica"),
     Flag::Value("--json", "a path"),
@@ -96,7 +96,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
     let args = Args::parse(args, FLAGS)?;
     args.none()?;
     Ok(Options {
-        runs: args.flag("--runs", count)?.unwrap_or(25),
+        runs: args.count("--runs")?.unwrap_or(25),
         seed: args.parsed("--seed")?.unwrap_or(0x50AC),
         backend: args.parsed("--backend")?.unwrap_or(failmpi_backend::BackendKind::Vcl),
         json: args.value("--json").map(str::to_string),

@@ -1,6 +1,6 @@
 //! Argument handling of the `figure` binary.
 
-use failmpi_analyze::cli::{count, Args, Flag, COUNT};
+use failmpi_analyze::cli::{Args, Flag};
 use failmpi_backend::BackendKind;
 
 use crate::figures::Common;
@@ -13,10 +13,14 @@ pub const USAGE: &str = "[--smoke] [--runs N] [--threads N] [--json PATH] \
                          [--lint off|warn|strict] [--expect-freeze] \
                          [--backend vcl|ulfm|replica]";
 
+/// The most runs per point `figure --runs` and `soak --runs` take: each
+/// run's spec is held in memory before the sweep starts.
+pub const MAX_RUNS: usize = 10_000;
+
 /// What each of the [`USAGE`] flags takes.
 pub const FLAGS: &[Flag] = &[
     Flag::Switch("--smoke"),
-    Flag::Value("--runs", COUNT),
+    Flag::Count("--runs", MAX_RUNS),
     Flag::Value("--threads", "a number"),
     Flag::Value("--json", "a path"),
     telemetry::METRICS_FLAG,
@@ -57,7 +61,7 @@ impl Options {
     pub fn from_args(args: &Args) -> Result<Options, String> {
         Ok(Options {
             smoke: args.switch("--smoke"),
-            runs: args.flag("--runs", count)?,
+            runs: args.count("--runs")?,
             threads: args.parsed("--threads")?,
             json: args.value("--json").map(str::to_string),
             telemetry: Outputs::from_args(args),

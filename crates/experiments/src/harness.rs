@@ -16,7 +16,7 @@ use failmpi_ulfm::Shrink;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::{MetricsSnapshot, RunProfile, WallProfile};
 use failmpi_sim::{
-    CausalLog, Engine, Fingerprint, FingerprintEvent, JournalEntry, Label, Model,
+    CausalLog, Engine, EventDesc, Fingerprint, FingerprintEvent, JournalEntry, Label, Model,
     Scheduler, SimDuration, SimRng, SimTime, TieBreak, TraceEntry,
 };
 use failmpi_mpi::Program;
@@ -360,6 +360,9 @@ struct FailSide {
 struct World<C: ProtocolBackend> {
     cluster: C,
     fail: Option<FailSide>,
+    /// The FAIL-MPI injection side's display track: the lane after every
+    /// cluster lane (only the causal log reads it).
+    fail_track: u32,
 }
 
 fn func_name(f: InstrumentedFn) -> &'static str {
@@ -578,17 +581,24 @@ impl<C: ProtocolBackend> Model for World<C> {
         }
     }
 
-    fn pack_event(&self, event: &WEv<C::Event>) -> Label {
-        match *event {
-            WEv::C(ref e) => self.cluster.pack_event(e),
-            WEv::FailTimer { instance, timer, .. } => Label::new(
+    fn describe(&self, event: &WEv<C::Event>) -> EventDesc {
+        let (kind, code, args) = match *event {
+            WEv::C(ref e) => return self.cluster.describe(e),
+            WEv::FailTimer { instance, timer, .. } => (
+                "fail_timer",
                 FAIL_TIMER_LABEL,
                 [narrow_index(instance), narrow_index(timer), 0],
             ),
-            WEv::FailMsg { from, to, msg } => Label::new(
+            WEv::FailMsg { from, to, msg } => (
+                "fail_msg",
                 FAIL_MSG_LABEL,
                 [narrow_index(from), narrow_index(to), narrow_index(msg)],
             ),
+        };
+        EventDesc {
+            kind,
+            label: Label::new(code, args),
+            track: self.fail_track,
         }
     }
 
@@ -598,23 +608,6 @@ impl<C: ProtocolBackend> Model for World<C> {
             FAIL_TIMER_LABEL => format!("fail-timer i{a} t{b}"),
             FAIL_MSG_LABEL => format!("fail-msg {a}->{b} m{c}"),
             _ => C::render_label(label),
-        }
-    }
-
-    fn event_kind(&self, event: &WEv<C::Event>) -> &'static str {
-        match event {
-            WEv::C(e) => self.cluster.event_kind(e),
-            WEv::FailTimer { .. } => "fail_timer",
-            WEv::FailMsg { .. } => "fail_msg",
-        }
-    }
-
-    fn event_track(&self, event: &WEv<C::Event>) -> u32 {
-        match event {
-            WEv::C(e) => self.cluster.event_track(e),
-            // The FAIL-MPI injection side gets its own lane, after every
-            // cluster lane.
-            WEv::FailTimer { .. } | WEv::FailMsg { .. } => self.cluster.n_tracks(),
         }
     }
 }
@@ -877,7 +870,20 @@ fn drive<C: ProtocolBackend>(
     let causal = observe.causal || owed.trace;
     let run_profile = observe.run_profile || owed.profile;
 
-    let mut engine = Engine::with_tie_break(World { cluster, fail }, spec.tie_break);
+    // The FAIL-MPI injection side gets its own lane after every cluster
+    // lane.
+    let mut track_names = Vec::new();
+    if causal {
+        track_names = cluster.track_names();
+        track_names.push("fail-mpi".to_string());
+    }
+    let fail_track = track_names.len().saturating_sub(1) as u32;
+    let world = World {
+        cluster,
+        fail,
+        fail_track,
+    };
+    let mut engine = Engine::with_tie_break(world, spec.tie_break);
     if observe.journal {
         engine.enable_fingerprint_journal();
     }
@@ -937,7 +943,9 @@ fn drive<C: ProtocolBackend>(
     let wall_profile = engine.profile().clone();
     let journal = observe.journal.then(|| engine.take_fingerprint_journal());
     let causal_log = engine.take_causal_log();
-    let World { mut cluster, fail } = engine.into_model();
+    let World {
+        mut cluster, fail, ..
+    } = engine.into_model();
     let trace = cluster.take_trace();
     let outcome = classify_entries(
         &trace,
@@ -958,13 +966,6 @@ fn drive<C: ProtocolBackend>(
     metrics.set_counter("sim.end_micros", end.as_micros());
     metrics.set_counter("harness.faults_injected", u64::from(faults_injected));
 
-    // The FAIL-MPI injection side gets its own lane after every cluster
-    // lane (matching `Model::event_track` on the world).
-    let mut track_names = Vec::new();
-    if causal {
-        track_names = cluster.track_names();
-        track_names.push("fail-mpi".to_string());
-    }
     let artifacts = RunArtifacts {
         record: RunRecord {
             outcome,
@@ -1008,10 +1009,10 @@ mod tests {
     use failmpi_replica::PromoteDone;
     use failmpi_ulfm::ShrinkDone;
 
-    /// `ev` packs to a label that renders as `text` (each event's text as
-    /// recorded before labels packed).
+    /// `ev` is described by a label that renders as `text` (each event's
+    /// text as recorded before labels packed).
     fn assert_label<C: ProtocolBackend>(world: &World<C>, ev: WEv<C::Event>, text: &str) {
-        assert_eq!(World::<C>::render_label(world.pack_event(&ev)), text);
+        assert_eq!(World::<C>::render_label(world.describe(&ev).label), text);
     }
 
     #[test]
@@ -1078,6 +1079,7 @@ mod tests {
         let world = World {
             cluster: Cluster::new(spec.cluster.clone(), programs_for(&spec), spec.seed),
             fail: None,
+            fail_track: 0,
         };
         for (ev, text) in net {
             assert_label(&world, WEv::C(Ev::Net(ev)), text);
@@ -1099,6 +1101,7 @@ mod tests {
         let ulfm = World {
             cluster: LightRuntime::<Shrink>::new(cfg.clone(), vec![1; 4], 1),
             fail: None,
+            fail_track: 0,
         };
         for (ev, text) in light(ShrinkDone { round: 8 }, "rank", "shrink round 8 agreed") {
             assert_label(&ulfm, WEv::C(ev), &text);
@@ -1106,6 +1109,7 @@ mod tests {
         let replica = World {
             cluster: LightRuntime::<Failover>::new(cfg, vec![1; 4], 1),
             fail: None,
+            fail_track: 0,
         };
         let promoted = PromoteDone { rank: 2, gen: 3 };
         for (ev, text) in light(promoted, "unit", "promotion of rank 2 complete (gen 3)") {

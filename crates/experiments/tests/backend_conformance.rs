@@ -7,7 +7,7 @@
 
 mod recount;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use failmpi_backend::BackendKind;
 use failmpi_experiments::robustness::outcome_class;
@@ -163,13 +163,16 @@ for_each_backend! {
     }
 
     fn journal_and_causal_log_label_every_event_alike(backend: BackendKind) {
-        // Every event packs one label: the journal renders it as the run
-        // goes, the causal log stores it and renders on read. Both cover
-        // every handled event, agree on each, and leave none undescribed.
+        // Every event is described once: the journal renders its label as
+        // the run goes, the causal log stores label, kind and lane and
+        // renders on read, and both profiles bin the event under its kind.
+        // All four cover every handled event, agree on each, and leave
+        // none undescribed.
         let observe = Observe {
             journal: true,
+            wall_profile: true,
             causal: true,
-            ..Observe::default()
+            run_profile: true,
         };
         let out = run(&campaign(backend, 1), observe).expect("the campaign runs");
         assert!(out.record.faults_injected > 0, "{backend}: the campaign must inject");
@@ -177,11 +180,28 @@ for_each_backend! {
         let events = usize::try_from(out.record.events).expect("fits");
         assert_eq!(journal.len(), events, "{backend}");
         assert_eq!(out.causal.len(), events, "{backend}");
+        let fail_lane = out.track_names.len() - 1;
+        assert_eq!(out.track_names[fail_lane], "fail-mpi", "{backend}");
+        let mut per_kind: BTreeMap<&str, u64> = BTreeMap::new();
         for (i, (entry, node)) in journal.iter().zip(out.causal.nodes()).enumerate() {
             assert_eq!(node.id.0, i as u64, "{backend}");
             assert_eq!(entry.label, node.label, "{backend}: event {i}");
             assert!(!node.label.is_empty(), "{backend}: event {i} ({}) has no label", node.kind);
+            let track = node.track as usize;
+            assert!(track < out.track_names.len(), "{backend}: event {i} on lane {track}");
+            if matches!(node.kind, "fail_timer" | "fail_msg") {
+                assert_eq!(track, fail_lane, "{backend}: event {i} ({})", node.kind);
+            }
+            *per_kind.entry(node.kind).or_default() += 1;
         }
+        assert!(per_kind.contains_key("fail_timer"), "{backend}: {per_kind:?}");
+        let wall: BTreeMap<&str, u64> =
+            out.wall_profile.bins().map(|(kind, bin)| (kind, bin.count)).collect();
+        assert_eq!(wall, per_kind, "{backend}: wall profile bins");
+        let profile = out.run_profile.expect("profile requested");
+        let deep: BTreeMap<&str, u64> =
+            profile.alloc.iter().map(|(kind, bin)| (kind.as_str(), bin.events)).collect();
+        assert_eq!(deep, per_kind, "{backend}: deep profile kinds");
     }
 
     fn every_builtin_reaches_a_classified_outcome(backend: BackendKind) {

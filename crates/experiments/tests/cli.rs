@@ -69,9 +69,11 @@ fn figure_and_soak_exit_codes() {
     let cannot_write = "cannot write /nonexistent/out.json: ";
     let strict = ["--lint", "strict", "--backend"];
     let runs_zero = "--runs needs a number >= 1";
+    let runs_ceiling = "--runs needs a number >= 1 and <= 10000";
+    let u64_max = "18446744073709551615";
     let figures = "table1|fig5|";
     // (binary, arguments, exit code, needle, needle is on stdout)
-    let cases: [(&str, Vec<&str>, i32, &str, bool); 24] = [
+    let cases: [(&str, Vec<&str>, i32, &str, bool); 28] = [
         (figure_exe, [&fig5[..], &strict, &["ulfm"]].concat(), 2, "error[FC003]", false),
         (figure_exe, [&fig5[..], &strict, &["replica"]].concat(), 2, "error[FC003]", false),
         (figure_exe, [&fig5[..], &["--json", missing]].concat(), 2, cannot_write, false),
@@ -91,6 +93,12 @@ fn figure_and_soak_exit_codes() {
         // table or a soak `PASS`.
         (figure_exe, vec!["fig5", "--smoke", "--runs", "0"], 2, runs_zero, false),
         (soak_exe, vec!["--runs", "0"], 2, runs_zero, false),
+        // Every run's spec or seed is held at once: a count past the
+        // ceiling is refused before anything is allocated for it.
+        (figure_exe, vec!["fig5", "--smoke", "--threads", "1", "--runs", u64_max], 2, runs_ceiling, false),
+        (figure_exe, vec!["fig5", "--smoke", "--runs", "10001"], 2, runs_ceiling, false),
+        (soak_exe, vec!["--runs", u64_max], 2, runs_ceiling, false),
+        (soak_exe, vec!["--runs", "10001"], 2, runs_ceiling, false),
         (soak_exe, vec!["--bogus"], 2, "unknown argument `--bogus`", false),
         (soak_exe, vec!["extra"], 2, "unknown argument `extra`", false),
         (soak_exe, vec!["--seed", "-1"], 2, "--seed needs a number", false),

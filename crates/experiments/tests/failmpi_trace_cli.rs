@@ -244,18 +244,23 @@ fn a_written_slice_loads() {
 /// Input `timeline` cannot run is a diagnostic and exit status 2, never a
 /// panic: a scenario that does not compile, a machine class the scenario
 /// does not declare, a random group index that can leave the machines
-/// deployed. (The rank-count rows are in the table above.)
+/// deployed, a square rank count whose deployment has more machines than
+/// a network holds, on the Vcl and on a light backend. (The other
+/// rank-count rows are in the table above.)
 #[test]
 fn timeline_rejects_what_it_cannot_run_without_panicking() {
     let garbage = file("garbage.fail", "daemon { this is not FAIL \u{0} }".as_bytes());
     let fig5 = scenario("fig5_frequency");
-    let cases: [(&[&str], &str); 3] = [
+    let too_many = "error[FB000]: workload does not deploy: 65541 machines exceed the network's 65536";
+    let cases: [(&[&str], &str); 5] = [
         (&[&garbage], "FA000"),
         (
             &[&fig5, "--param", "N=99", "--param", "X=2", "--ranks", "4"],
             "daemon `ADV1`, line 12: index range [0, 99] into group `G1` leaves its 6 deployed",
         ),
         (&[&fig5, "--machines", "NoSuchClass"], "unknown daemon `NoSuchClass`"),
+        (&[&fig5, "--ranks", "65536"], too_many),
+        (&[&fig5, "--ranks", "65536", "--backend", "ulfm"], too_many),
     ];
     for (args, needle) in cases {
         let out = failmpi_trace(&[&["timeline"], args].concat());

@@ -39,7 +39,8 @@ const USAGE: &str = "usage: failmpi-fuzz [--seed N] [--budget N] [--probe-seeds 
 const FLAGS: &[Flag] = &[
     Flag::Value("--seed", "a number from 0 to 2^64-1"),
     Flag::Value("--budget", COUNT),
-    Flag::Value("--probe-seeds", COUNT),
+    // Every candidate is probed under each seed.
+    Flag::Count("--probe-seeds", 1000),
     Flag::Value("--corpus", "a directory"),
     Flag::Value("--findings", "a path"),
     Flag::Value("--replay", "a directory"),
@@ -55,7 +56,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         seed: args.parsed("--seed")?.unwrap_or(1),
         // Zero candidates is no campaign: refused, not reported as a pass.
         budget: args.flag("--budget", count)?.unwrap_or(30),
-        probe_seeds: args.flag("--probe-seeds", count)?.unwrap_or(2),
+        probe_seeds: args.count("--probe-seeds")?.unwrap_or(2),
         corpus: path("--corpus"),
         findings: path("--findings"),
         replay: path("--replay"),

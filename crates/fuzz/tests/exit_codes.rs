@@ -44,6 +44,10 @@ fn usage_errors_exit_two() {
         (vec!["--budget", "0"], "--budget needs a number >= 1"),
         (vec!["--format", "xml"], "--format needs human|json"),
         (vec!["--probe-seeds", "0"], "--probe-seeds needs a number >= 1"),
+        // Every candidate is probed under each seed, all of them listed up
+        // front: past the ceiling is refused, not allocated.
+        (vec!["--probe-seeds", "18446744073709551615"], "--probe-seeds needs a number >= 1 and <= 1000"),
+        (vec!["--probe-seeds", "1001"], "--probe-seeds needs a number >= 1 and <= 1000"),
         (vec!["--replay", "x", "--corpus", "y"], "--replay cannot be combined with --corpus"),
         (vec!["--replay", "x", "--minimize-family"], "--replay cannot be combined with --minimize-family"),
     ] {

@@ -8,10 +8,11 @@
 
 use std::sync::Arc;
 
-use failmpi_backend::{BackendKind, Chassis, ProtocolBackend};
+use failmpi_backend::{Chassis, ProtocolBackend};
 use failmpi_net::{CloseReason, Gated, HostId, NetEvent, Network, ProcId};
 use failmpi_sim::{
-    Engine, EventId, Label, Model, PackLabel, RunOutcome, Scheduler, SimDuration, SimRng, SimTime,
+    Engine, EventDesc, EventId, Label, Model, PackLabel, RunOutcome, Scheduler, SimDuration, SimRng,
+    SimTime,
 };
 use failmpi_mpi::{Program, Rank};
 
@@ -456,10 +457,6 @@ impl Cluster {
 impl ProtocolBackend for Cluster {
     type Event = Ev;
 
-    fn kind(&self) -> BackendKind {
-        BackendKind::Vcl
-    }
-
     fn chassis(&self) -> &Chassis<Ev> {
         &self.ctx.chassis
     }
@@ -521,30 +518,6 @@ impl ProtocolBackend for Cluster {
         self.ctx.addrs.compute_hosts.len()
     }
 
-    /// The component lane the event is delivered to: dispatcher,
-    /// scheduler, one lane per checkpoint server, one lane per rank, then a
-    /// catch-all for retired incarnations.
-    fn event_track(&self, ev: &Ev) -> u32 {
-        match ev {
-            Ev::Net(net) => self.track_of_proc(net.recipient()),
-            Ev::SchedTick => 1,
-            Ev::ServerWriteDone { server, .. } => 2 + *server as u32,
-            // Launch outcomes are the dispatcher's ssh noticing.
-            Ev::SpawnDaemon { rank, .. } | Ev::LaunchFailed { rank, .. } => self.rank_track(rank.0),
-            Ev::ComputeDone { rank, .. }
-            | Ev::RestoreDone { rank, .. }
-            | Ev::DiskLoaded { rank, .. }
-            | Ev::SelfCkpt { rank, .. }
-            | Ev::BootConnect { rank, .. }
-            | Ev::DaemonExit { rank, .. }
-            | Ev::RetryPeerConnect { rank, .. } => self.rank_track(rank.0),
-        }
-    }
-
-    fn n_tracks(&self) -> u32 {
-        3 + self.ctx.cfg.n_ckpt_servers as u32 + self.ctx.cfg.n_ranks
-    }
-
     fn track_names(&self) -> Vec<String> {
         let mut names = vec!["dispatcher".to_string(), "ckpt-scheduler".to_string()];
         for i in 0..self.ctx.cfg.n_ckpt_servers {
@@ -557,16 +530,42 @@ impl ProtocolBackend for Cluster {
         names
     }
 
-    fn pack_event(&self, ev: &Ev) -> Label {
-        ev.pack()
+    /// The event's kind, its label (codes 16 to 26, rendered by
+    /// [`Ev::render`]; a network event packs its own), and the component
+    /// lane it is delivered to: dispatcher, scheduler, one lane per
+    /// checkpoint server, one lane per rank, then a catch-all for retired
+    /// incarnations. Launch outcomes are the dispatcher's ssh noticing,
+    /// on the launched rank's lane.
+    fn describe(&self, ev: &Ev) -> EventDesc {
+        let of_rank = |kind, code, rank: &Rank, arg: u32| {
+            (kind, Label::new(code, [rank.0, arg, 0]), self.rank_track(rank.0))
+        };
+        let (kind, label, track) = match ev {
+            Ev::Net(net) => (net.kind_str(), net.pack(), self.track_of_proc(net.recipient())),
+            Ev::SchedTick => ("sched_tick", Label::new(17, [0; 3]), 1),
+            Ev::ServerWriteDone { server, rank, wave, .. } => {
+                let label = Label::new(19, [rank.0, *wave, 0]);
+                ("server_write_done", label, 2 + *server as u32)
+            }
+            Ev::ComputeDone { rank, .. } => of_rank("compute_done", 16, rank, 0),
+            Ev::SpawnDaemon { rank, .. } => of_rank("spawn_daemon", 18, rank, 0),
+            Ev::RestoreDone { rank, .. } => of_rank("restore_done", 20, rank, 0),
+            Ev::DiskLoaded { rank, .. } => of_rank("disk_loaded", 21, rank, 0),
+            Ev::LaunchFailed { rank, .. } => of_rank("launch_failed", 22, rank, 0),
+            Ev::SelfCkpt { rank, .. } => of_rank("self_ckpt", 23, rank, 0),
+            Ev::BootConnect { rank, .. } => of_rank("boot_connect", 24, rank, 0),
+            Ev::DaemonExit { rank, normal, .. } => {
+                of_rank("daemon_exit", 25, rank, u32::from(*normal))
+            }
+            Ev::RetryPeerConnect { rank, peer, .. } => {
+                of_rank("retry_peer_connect", 26, rank, peer.0)
+            }
+        };
+        EventDesc { kind, label, track }
     }
 
     fn render_label(label: Label) -> String {
         Ev::render(label)
-    }
-
-    fn event_kind(&self, ev: &Ev) -> &'static str {
-        ev.kind_str()
     }
 
     /// Writes this deployment's own metrics — `mpi.*` op counts and

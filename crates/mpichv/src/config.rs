@@ -1,6 +1,6 @@
 //! Runtime configuration for the MPICH-Vcl cluster.
 
-use failmpi_net::NetConfig;
+use failmpi_net::{NetConfig, MAX_HOSTS};
 use failmpi_sim::SimDuration;
 
 /// Dispatcher implementation variant.
@@ -168,6 +168,15 @@ impl VclConfig {
         if self.n_ckpt_servers == 0 {
             return Err("need at least one checkpoint server".into());
         }
+        // The dispatcher's and the scheduler's machines, the servers', and
+        // the compute hosts.
+        let hosts = self
+            .n_compute_hosts
+            .saturating_add(self.n_ckpt_servers)
+            .saturating_add(2);
+        if hosts > MAX_HOSTS {
+            return Err(format!("{hosts} machines exceed the network's {MAX_HOSTS}"));
+        }
         if self.checkpoint_period.is_zero() {
             return Err("checkpoint period must be positive".into());
         }
@@ -221,6 +230,19 @@ mod tests {
             ..VclConfig::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn the_whole_deployment_fits_the_network() {
+        let at_most = |n_compute_hosts| VclConfig {
+            n_compute_hosts,
+            ..VclConfig::default()
+        };
+        // Two service machines and two servers beside the compute hosts.
+        assert!(at_most(MAX_HOSTS - 4).validate().is_ok());
+        let err = at_most(MAX_HOSTS - 3).validate().unwrap_err();
+        assert_eq!(err, "65537 machines exceed the network's 65536");
+        assert!(at_most(usize::MAX).validate().is_err());
     }
 
     #[test]

@@ -157,51 +157,11 @@ impl FingerprintEvent for Ev {
 }
 
 impl Ev {
-    /// A static kind label, for per-event-kind handler profiling
-    /// (`failmpi_sim::Model::event_kind`).
-    pub fn kind_str(&self) -> &'static str {
-        match self {
-            Ev::Net(net) => net.kind_str(),
-            Ev::ComputeDone { .. } => "compute_done",
-            Ev::SchedTick => "sched_tick",
-            Ev::SpawnDaemon { .. } => "spawn_daemon",
-            Ev::ServerWriteDone { .. } => "server_write_done",
-            Ev::RestoreDone { .. } => "restore_done",
-            Ev::DiskLoaded { .. } => "disk_loaded",
-            Ev::LaunchFailed { .. } => "launch_failed",
-            Ev::SelfCkpt { .. } => "self_ckpt",
-            Ev::BootConnect { .. } => "boot_connect",
-            Ev::DaemonExit { .. } => "daemon_exit",
-            Ev::RetryPeerConnect { .. } => "retry_peer_connect",
-        }
-    }
-}
-
-/// The short human label of divergence reports and causal-trace nodes (the
-/// `Debug` form is too verbose for checkpoint images, which embed whole
-/// snapshots). Codes 16 to 26; a network event keeps its own.
-impl PackLabel for Ev {
-    fn pack(&self) -> Label {
-        let of_rank = |code, rank: &Rank| Label::new(code, [rank.0, 0, 0]);
-        match self {
-            Ev::Net(net) => net.pack(),
-            Ev::ComputeDone { rank, .. } => of_rank(16, rank),
-            Ev::SchedTick => Label::new(17, [0; 3]),
-            Ev::SpawnDaemon { rank, .. } => of_rank(18, rank),
-            Ev::ServerWriteDone { rank, wave, .. } => Label::new(19, [rank.0, *wave, 0]),
-            Ev::RestoreDone { rank, .. } => of_rank(20, rank),
-            Ev::DiskLoaded { rank, .. } => of_rank(21, rank),
-            Ev::LaunchFailed { rank, .. } => of_rank(22, rank),
-            Ev::SelfCkpt { rank, .. } => of_rank(23, rank),
-            Ev::BootConnect { rank, .. } => of_rank(24, rank),
-            Ev::DaemonExit { rank, normal, .. } => {
-                Label::new(25, [rank.0, u32::from(*normal), 0])
-            }
-            Ev::RetryPeerConnect { rank, peer, .. } => Label::new(26, [rank.0, peer.0, 0]),
-        }
-    }
-
-    fn render(label: Label) -> String {
+    /// The text of an event's short human label, packed by
+    /// `Cluster::describe` (the `Debug` form is too verbose for checkpoint
+    /// images, which embed whole snapshots). Codes 16 to 26; a network
+    /// event keeps its own.
+    pub fn render(label: Label) -> String {
         let [a, b, _] = label.args;
         match label.code {
             16 => format!("compute-done r{a}"),

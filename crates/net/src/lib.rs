@@ -53,4 +53,4 @@ mod types;
 pub use config::NetConfig;
 pub use network::{Gated, Network};
 pub use stats::NetStats;
-pub use types::{CloseReason, ConnId, HostId, NetEvent, Port, ProcId};
+pub use types::{CloseReason, ConnId, HostId, NetEvent, Port, ProcId, MAX_HOSTS};

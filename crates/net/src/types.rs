@@ -8,6 +8,9 @@ use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u16);
 
+/// The most machines one network holds: every [`HostId`] there is.
+pub const MAX_HOSTS: usize = 1 << 16;
+
 /// A (unix) process running on some host. Ids are never reused within a
 /// simulation, so a `ProcId` also identifies one *incarnation* of a task.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -3,7 +3,7 @@
 //! shared [`LightRuntime`] skeleton.
 
 use failmpi_backend::light::{LightEv, LightRuntime, PolicyNames, RecoveryPolicy, UnitChange};
-use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend, VclEvent};
+use failmpi_backend::{BackendConfig, ProtocolBackend, VclEvent};
 use failmpi_mpi::Rank;
 use failmpi_obs::{Counter, MetricsSnapshot};
 use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel, SimTime};
@@ -126,7 +126,6 @@ impl RecoveryPolicy for Failover {
     type Done = PromoteDone;
 
     const NAMES: PolicyNames = PolicyNames {
-        kind: BackendKind::Replica,
         event_kinds: [
             "repl.boot",
             "repl.init",

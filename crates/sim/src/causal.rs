@@ -35,7 +35,7 @@ impl std::fmt::Display for EventId {
 /// An event's one-line description before it is text: which of its
 /// vocabulary's formats applies, and the numbers to put in it. The
 /// default, code 0 with zero arguments, is what a model that does not
-/// describe its events packs (see [`crate::Model::pack_event`]).
+/// describe its events gives (see [`crate::Model::describe`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Label {
     /// Format code, private to the vocabulary that packed it. Nested
@@ -51,6 +51,32 @@ impl Label {
     /// A label of format `code`.
     pub fn new(code: u16, args: [u32; 3]) -> Label {
         Label { code, args }
+    }
+}
+
+/// Everything the engine's instruments ask of one handled event, answered
+/// once per event by [`crate::Model::describe`]: the journal renders its
+/// `label`, the wall and deep profiles bin it under its `kind`, and the
+/// causal log stores all three.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventDesc {
+    /// Short stable kind (profiling bucket, causal-node kind).
+    pub kind: &'static str,
+    /// The one-line description, packed.
+    pub label: Label,
+    /// Display track (vnode / service lane) of the causal node.
+    pub track: u32,
+}
+
+impl Default for EventDesc {
+    /// What a model that describes nothing gives: kind `"event"`, the
+    /// empty label, track 0.
+    fn default() -> Self {
+        EventDesc {
+            kind: "event",
+            label: Label::default(),
+            track: 0,
+        }
     }
 }
 
@@ -78,14 +104,13 @@ pub struct CausalNode {
     pub at: SimTime,
     /// Queue sequence number (push order; tie-break input).
     pub seq: u64,
-    /// Static event-kind label (from [`crate::Model::event_kind`]).
+    /// Static event-kind label ([`EventDesc::kind`]).
     pub kind: &'static str,
-    /// Human-readable description: the [`Label`]
-    /// [`crate::Model::pack_event`] packed, rendered by
+    /// Human-readable description: [`EventDesc::label`], rendered by
     /// [`crate::Model::render_label`].
     pub label: String,
-    /// Display track (vnode / service lane) the event belongs to (from
-    /// [`crate::Model::event_track`]).
+    /// Display track (vnode / service lane) the event belongs to
+    /// ([`EventDesc::track`]).
     pub track: u32,
 }
 
@@ -212,27 +237,20 @@ impl CausalLog {
         EventId(self.first + index as u64)
     }
 
-    /// Appends the next handled event, which gets the next id.
-    pub(crate) fn push(
-        &mut self,
-        cause: Option<EventId>,
-        at: SimTime,
-        seq: u64,
-        kind: &'static str,
-        label: Label,
-        track: u32,
-    ) {
+    /// Appends the next handled event, which gets the next id, as its
+    /// model described it.
+    pub(crate) fn push(&mut self, cause: Option<EventId>, at: SimTime, seq: u64, desc: EventDesc) {
         // The id this record gets must itself be storable as a cause.
         narrow_id(self.id_at(self.records.len()));
-        let kind = self.kind_index(kind);
+        let kind = self.kind_index(desc.kind);
         self.records.push(Record {
             at,
             seq,
             cause: cause.map_or(NO_CAUSE, narrow_id),
-            args: label.args,
-            track: u16::try_from(track).expect("more than 65 535 display tracks"),
+            args: desc.label.args,
+            track: u16::try_from(desc.track).expect("more than 65 535 display tracks"),
             kind,
-            code: label.code,
+            code: desc.label.code,
         });
     }
 
@@ -346,15 +364,17 @@ mod tests {
         }
     }
 
+    fn desc(kind: &'static str, label: Label, track: u32) -> EventDesc {
+        EventDesc { kind, label, track }
+    }
+
     fn push(log: &mut CausalLog, cause: Option<u64>, at_s: u64) {
         let id = log.len() as u32;
         log.push(
             cause.map(EventId),
             SimTime::from_secs(at_s),
             u64::from(id),
-            "k",
-            Label::new(1, [id, 0, 0]),
-            0,
+            desc("k", Label::new(1, [id, 0, 0]), 0),
         );
     }
 
@@ -426,9 +446,9 @@ mod tests {
     fn every_format_renders_through_the_one_renderer() {
         let mut log = CausalLog::enabled(render);
         let at = SimTime::ZERO;
-        log.push(None, at, 0, "a", Label::new(2, [3, 0, 0]), 7);
-        log.push(None, at, 1, "b", Label::new(1, [9, 0, 0]), 7);
-        log.push(None, at, 2, "a", Label::default(), 7);
+        log.push(None, at, 0, desc("a", Label::new(2, [3, 0, 0]), 7));
+        log.push(None, at, 1, desc("b", Label::new(1, [9, 0, 0]), 7));
+        log.push(None, at, 2, desc("a", Label::default(), 7));
         let seen: Vec<(&str, String)> = log.nodes().map(|n| (n.kind, n.label)).collect();
         let expected = [("a", "odd 3"), ("b", "n9"), ("a", "")].map(|(k, l)| (k, l.to_string()));
         assert_eq!(seen, expected);
@@ -439,14 +459,7 @@ mod tests {
         let mut log = CausalLog::enabled(render);
         let elsewhere: &'static str = String::from("k").leak();
         push(&mut log, None, 1);
-        log.push(
-            None,
-            SimTime::from_secs(1),
-            1,
-            elsewhere,
-            Label::default(),
-            0,
-        );
+        log.push(None, SimTime::from_secs(1), 1, desc(elsewhere, Label::default(), 0));
         assert_eq!(log.kinds, ["k"]);
         assert!(log.nodes().all(|n| n.kind == "k"));
     }

@@ -2,7 +2,7 @@
 
 use failmpi_obs::WallProfile;
 
-use crate::causal::{CausalLog, EventId, Label};
+use crate::causal::{CausalLog, EventDesc, EventId, Label};
 use crate::fingerprint::{Fingerprint, JournalEntry};
 use crate::queue::{EventQueue, TieBreak};
 use crate::time::{SimDuration, SimTime};
@@ -36,42 +36,26 @@ pub trait Model {
         let _ = (event, fp);
     }
 
-    /// `event`'s one-line description, packed: what the happens-before
-    /// log stores per event (see [`Engine::enable_causal_trace`]) and, once
-    /// rendered by [`Model::render_label`], what the fingerprint journal
-    /// labels divergence reports with. Only consulted while one of the two
-    /// is on. The default is the empty [`Label::default`], which the
-    /// default `render_label` renders as `""` (journals still localize
-    /// divergence by time/seq/digest).
-    fn pack_event(&self, event: &Self::Event) -> Label {
+    /// What the engine's instruments record of `event`: its kind (the
+    /// wall and deep profiles' bucket), its one-line description packed
+    /// into a [`Label`] (the journal renders it, the happens-before log
+    /// stores it), and its display track (the log's per-actor lane). One
+    /// call per handled event feeds all four instruments, and only while
+    /// one of them is on (see [`Engine::enable_fingerprint_journal`],
+    /// [`Engine::enable_profiling`], [`Engine::enable_causal_trace`] and
+    /// `failmpi_obs::prof`). The default, [`EventDesc::default`], is kind
+    /// `"event"`, the empty label and track 0.
+    fn describe(&self, event: &Self::Event) -> EventDesc {
         let _ = event;
-        Label::default()
+        EventDesc::default()
     }
 
-    /// The text of a label [`Model::pack_event`] packed — the one place a
+    /// The text of a label [`Model::describe`] packed — the one place a
     /// vocabulary's descriptions are spelled. The log calls it when a node
     /// is read, the journal once per handled event. The default is empty.
     fn render_label(label: Label) -> String {
         let _ = label;
         String::new()
-    }
-
-    /// A short static label classifying `event` for the per-event-kind
-    /// wall-clock handler profile (see [`Engine::enable_profiling`]).
-    /// Only consulted while profiling is on; the default lumps every
-    /// event under `"event"`.
-    fn event_kind(&self, event: &Self::Event) -> &'static str {
-        let _ = event;
-        "event"
-    }
-
-    /// The display track (vnode / service lane) `event` belongs to, used
-    /// by the happens-before log to group nodes into per-actor timelines
-    /// (see [`Engine::enable_causal_trace`]). Only consulted while causal
-    /// tracing is on; the default puts everything on track 0.
-    fn event_track(&self, event: &Self::Event) -> u32 {
-        let _ = event;
-        0
     }
 }
 
@@ -224,8 +208,8 @@ impl<M: Model> Engine<M> {
         self.queue_hwm
     }
 
-    /// Starts attributing wall-clock handler time to
-    /// [`Model::event_kind`] labels. Off by default — a disabled profile
+    /// Starts attributing wall-clock handler time to the kinds
+    /// [`Model::describe`] gives. Off by default — a disabled profile
     /// costs one branch per event; enabled it costs two `Instant::now`
     /// calls per event, so only the bench pipeline turns it on.
     pub fn enable_profiling(&mut self) {
@@ -320,40 +304,39 @@ impl<M: Model> Engine<M> {
         self.model.fingerprint_event(&ev, &mut ev_fp);
         let digest = ev_fp.value();
         self.fingerprint.write_u64(digest);
-        // One packed label serves both records: the journal renders it
-        // now, the log stores it and renders on read.
-        let label = if self.journal.is_some() || self.causal.is_enabled() {
-            self.model.pack_event(&ev)
+        // One description serves every instrument: the journal renders its
+        // label now, the log stores it and renders on read, both profiles
+        // bin the handler under its kind.
+        let deep = failmpi_obs::prof::is_enabled();
+        let desc = if self.journal.is_some()
+            || self.profile.is_enabled()
+            || deep
+            || self.causal.is_enabled()
+        {
+            self.model.describe(&ev)
         } else {
-            Label::default()
+            EventDesc::default()
         };
         if let Some(journal) = self.journal.as_mut() {
             journal.push(JournalEntry {
                 at_micros: at.as_micros(),
                 seq,
                 digest,
-                label: M::render_label(label),
+                label: M::render_label(desc.label),
             });
         }
-        let started = self.profile.maybe_start();
-        let deep = failmpi_obs::prof::is_enabled();
-        let kind = if started.is_some() || deep || self.causal.is_enabled() {
-            self.model.event_kind(&ev)
-        } else {
-            ""
-        };
         if self.causal.is_enabled() {
-            self.causal
-                .push(cause, at, seq, kind, label, self.model.event_track(&ev));
+            self.causal.push(cause, at, seq, desc);
         }
+        let started = self.profile.maybe_start();
         self.sched.now = at;
         self.sched.current = Some(id);
         // Deep-profiling scope: attributes the allocation delta of the
         // handler *and* the scheduling it triggers (queue push-back) to
         // this event kind, and roots the span tree at the kind.
-        let scope = if deep { failmpi_obs::prof::event(kind) } else { None };
+        let scope = if deep { failmpi_obs::prof::event(desc.kind) } else { None };
         self.model.handle(at, ev, &mut self.sched);
-        self.profile.record(kind, started);
+        self.profile.record(desc.kind, started);
         for (t, e) in self.sched.pending.drain(..) {
             self.queue.push_caused(t, e, Some(id));
         }
@@ -614,11 +597,11 @@ mod tests {
         impl Model for Labeled {
             type Event = u32;
             fn handle(&mut self, _: SimTime, _: u32, _: &mut Scheduler<u32>) {}
-            fn event_kind(&self, ev: &u32) -> &'static str {
-                if ev.is_multiple_of(2) {
-                    "even"
-                } else {
-                    "odd"
+            fn describe(&self, ev: &u32) -> EventDesc {
+                let kind = if ev.is_multiple_of(2) { "even" } else { "odd" };
+                EventDesc {
+                    kind,
+                    ..EventDesc::default()
                 }
             }
         }
@@ -702,9 +685,12 @@ mod tests {
                 sched.immediate(ev / 2);
             }
         }
-        fn pack_event(&self, ev: &u32) -> Label {
+        fn describe(&self, ev: &u32) -> EventDesc {
             let code = if ev.is_multiple_of(2) { 1 } else { 2 };
-            Label::new(code, [*ev, 0, 0])
+            EventDesc {
+                label: Label::new(code, [*ev, 0, 0]),
+                ..EventDesc::default()
+            }
         }
         fn render_label(l: Label) -> String {
             match l.code {

@@ -129,7 +129,7 @@ pub struct JournalEntry {
     /// Digest of this event alone (time + seq + payload fold).
     pub digest: u64,
     /// Human-readable event description: the label
-    /// [`crate::Model::pack_event`] packed, rendered by
+    /// [`crate::Model::describe`] packed, rendered by
     /// [`crate::Model::render_label`] — the text the causal log gives the
     /// same event. Empty when the model does not override them.
     pub label: String,

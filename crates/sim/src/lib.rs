@@ -60,7 +60,7 @@ mod rng;
 mod time;
 mod trace;
 
-pub use causal::{CausalLog, CausalNode, EventId, Label, PackLabel};
+pub use causal::{CausalLog, CausalNode, EventDesc, EventId, Label, PackLabel};
 pub use engine::{Engine, Model, RunOutcome, Scheduler};
 pub use fingerprint::{Fingerprint, FingerprintEvent, JournalEntry};
 pub use queue::{EventQueue, TieBreak};

@@ -2,7 +2,7 @@
 //! [`LightRuntime`] skeleton.
 
 use failmpi_backend::light::{LightEv, LightRuntime, PolicyNames, RecoveryPolicy, UnitChange};
-use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend, VclEvent};
+use failmpi_backend::{BackendConfig, ProtocolBackend, VclEvent};
 use failmpi_mpi::Rank;
 use failmpi_obs::{Counter, MetricsSnapshot};
 use failmpi_sim::{Fingerprint, FingerprintEvent, Label, PackLabel, SimTime};
@@ -96,7 +96,6 @@ impl RecoveryPolicy for Shrink {
     type Done = ShrinkDone;
 
     const NAMES: PolicyNames = PolicyNames {
-        kind: BackendKind::Ulfm,
         event_kinds: [
             "ulfm.boot",
             "ulfm.init",
