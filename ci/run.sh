@@ -314,8 +314,19 @@ stage_backend() {
     cmp "$OUT/fig10-causal.json" "$OUT/fig10-causal-b.json"
     target/release/failmpi-trace export "$OUT/fig10-causal.json" \
         --out "$OUT/fig10-perfetto.json"
+    # The one divergence finder: the same-seed pair agrees node for node
+    # and digest for digest, another seed diverges.
+    target/release/failmpi-trace diff "$OUT/fig10-causal.json" "$OUT/fig10-causal-b.json" \
+        | tee "$OUT/fig10-diff-same.txt"
+    grep -q "no causal divergence" "$OUT/fig10-diff-same.txt"
+    target/release/failmpi-trace timeline crates/core/scenarios/fig10_state_sync.fail \
+        --machines ADVG1 --param T=2 --param N=5 --seed 3 \
+        --trace-out "$OUT/fig10-causal-seed3.json" > /dev/null
+    target/release/failmpi-trace diff "$OUT/fig10-causal.json" "$OUT/fig10-causal-seed3.json" \
+        > "$OUT/fig10-diff-seed3.txt"
+    grep -q "first causal divergence" "$OUT/fig10-diff-seed3.txt"
 
-    # The paper-scale trace (25 MB, streamed) is deterministic and
+    # The paper-scale trace (29 MB, streamed) is deterministic and
     # explainable; the two copies are not kept as artifacts.
     target/release/figure fig5 --runs 1 --threads 1 \
         --trace-out "$OUT/fig5-paper-a.json" > /dev/null
@@ -331,10 +342,10 @@ stage_backend() {
     # has a dangling cause and an undeclared track, its failure mark an
     # anchor that is not in the file.
     cat > "$OUT/corrupt-trace.json" << 'JSON'
-{"schema_version": 1, "name": "x", "seed": 1, "outcome": "buggy (frozen)",
+{"schema_version": 2, "name": "x", "seed": 1, "outcome": "buggy (frozen)",
  "end_micros": 90000000, "tracks": [],
- "nodes": [{"id": 0, "cause": 5, "t_us": 10, "seq": 0, "kind": "net.closed",
-            "label": "net.closed pid3 (PeerDied)", "track": 9}],
+ "nodes": [{"id": 0, "cause": 5, "t_us": 10, "seq": 0, "digest": 1,
+            "kind": "net.closed", "label": "net.closed pid3 (PeerDied)", "track": 9}],
  "marks": [{"node": 77, "t_us": 10, "kind": "failure_detected", "label": "f",
             "rank": 0, "epoch": 1, "wave": null, "during_recovery": true}]}
 JSON

@@ -703,7 +703,7 @@ group G1[3] = Echo;
                 // The product raises a breakpoint only at a controller
                 // whose process is attached.
                 let Some(proc) = controlled else { return };
-                let func = "localMPI_setCommand".to_string();
+                let func = failmpi_backend::InstrumentedFn::LocalMpiSetCommand.name().to_string();
                 (AIn::Breakpoint((), None), FailInput::Breakpoint { instance: inst, proc, func })
             }
             _ => {

@@ -262,8 +262,8 @@ pub trait ProtocolBackend {
 
     /// What the engine's instruments record of an event (the harness's
     /// `Model::describe` forwards it): its stable kind (profiling bucket),
-    /// its one-line description packed (what the causal log stores and the
-    /// journal renders), and its timeline track (an index into
+    /// its one-line description packed (what the causal log stores), and
+    /// its timeline track (an index into
     /// [`ProtocolBackend::track_names`]).
     fn describe(&self, ev: &Self::Event) -> EventDesc;
 

@@ -107,6 +107,24 @@ pub enum InstrumentedFn {
     LocalMpiSetCommand,
 }
 
+impl InstrumentedFn {
+    /// Every instrumentable function.
+    pub const ALL: [InstrumentedFn; 1] = [InstrumentedFn::LocalMpiSetCommand];
+
+    /// The name a FAIL scenario's `before(name)` calls this function by —
+    /// the one place each name is spelled.
+    pub fn name(self) -> &'static str {
+        match self {
+            InstrumentedFn::LocalMpiSetCommand => "localMPI_setCommand",
+        }
+    }
+
+    /// The function `before(name)` names, if any.
+    pub fn from_name(name: &str) -> Option<InstrumentedFn> {
+        Self::ALL.into_iter().find(|f| f.name() == name)
+    }
+}
+
 /// Lifecycle and breakpoint events exposed to the fault-injection layer
 /// (the FAIL-MPI daemon interface of paper Sec. 4).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -25,12 +25,11 @@ use serde::Serialize;
 
 use failmpi_analyze::cli::{self, Args, Flag};
 use failmpi_experiments::robustness::{
-    det_run, fault_free_smoke_spec, fig10_stress_spec, perturb,
+    check_determinism, det_run, fault_free_smoke_spec, fig10_stress_spec, perturb,
 };
 use failmpi_experiments::telemetry::{self, Outputs};
 use failmpi_experiments::ExperimentSpec;
 use failmpi_mpichv::DispatcherMode;
-use failmpi_testkit::check_determinism;
 
 failmpi_experiments::install_alloc_profiler!();
 

@@ -21,7 +21,8 @@ pub const MAX_RUNS: usize = 10_000;
 pub const FLAGS: &[Flag] = &[
     Flag::Switch("--smoke"),
     Flag::Count("--runs", MAX_RUNS),
-    Flag::Value("--threads", "a number"),
+    // One OS thread per worker: the ceiling `failck --threads` has.
+    Flag::Count("--threads", 256),
     Flag::Value("--json", "a path"),
     telemetry::METRICS_FLAG,
     telemetry::TRACE_OUT_FLAG,
@@ -38,7 +39,7 @@ pub struct Options {
     pub smoke: bool,
     /// Override the per-point run count.
     pub runs: Option<usize>,
-    /// Override the worker-thread count.
+    /// Override the worker-thread count (unset: all cores).
     pub threads: Option<usize>,
     /// Write the figure data as JSON to this path.
     pub json: Option<String>,
@@ -62,7 +63,7 @@ impl Options {
         Ok(Options {
             smoke: args.switch("--smoke"),
             runs: args.count("--runs")?,
-            threads: args.parsed("--threads")?,
+            threads: args.count("--threads")?,
             json: args.value("--json").map(str::to_string),
             telemetry: Outputs::from_args(args),
             lint: args.flag("--lint", LintMode::parse)?,

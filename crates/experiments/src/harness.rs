@@ -10,14 +10,15 @@ use std::sync::{Mutex, OnceLock};
 use failmpi_analyze::{ModelCheckConfig, Report, StaticVerdict};
 use failmpi_backend::light::LightRuntime;
 use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend};
-use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime};
+use failmpi_core::lang::compile::Guard;
+use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime, RuntimeError, Scenario};
 use failmpi_replica::Failover;
 use failmpi_ulfm::Shrink;
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::{MetricsSnapshot, RunProfile, WallProfile};
 use failmpi_sim::{
-    CausalLog, Engine, EventDesc, Fingerprint, FingerprintEvent, JournalEntry, Label, Model,
-    Scheduler, SimDuration, SimRng, SimTime, TieBreak, TraceEntry,
+    CausalLog, Engine, EventDesc, Fingerprint, FingerprintEvent, Label, Model, Scheduler,
+    SimDuration, SimRng, SimTime, TieBreak, TraceEntry,
 };
 use failmpi_mpi::Program;
 use failmpi_mpichv::{Cluster, Hook, InstrumentedFn, TrafficStats, VclConfig, VclEvent};
@@ -365,19 +366,6 @@ struct World<C: ProtocolBackend> {
     fail_track: u32,
 }
 
-fn func_name(f: InstrumentedFn) -> &'static str {
-    match f {
-        InstrumentedFn::LocalMpiSetCommand => "localMPI_setCommand",
-    }
-}
-
-fn func_of_name(name: &str) -> Option<InstrumentedFn> {
-    match name {
-        "localMPI_setCommand" => Some(InstrumentedFn::LocalMpiSetCommand),
-        _ => None,
-    }
-}
-
 impl<C: ProtocolBackend> World<C> {
     fn apply(
         &mut self,
@@ -414,7 +402,8 @@ impl<C: ProtocolBackend> World<C> {
                     self.cluster.fail_continue(now, ProcId(proc as u32));
                 }
                 FailAction::ArmBreakpoint { proc, func } => {
-                    if let Some(f) = func_of_name(&func) {
+                    // `build_fail_side` refused every name the table lacks.
+                    if let Some(f) = InstrumentedFn::from_name(&func) {
                         self.cluster.arm_breakpoint(ProcId(proc as u32), f);
                     }
                 }
@@ -497,7 +486,7 @@ impl<C: ProtocolBackend> World<C> {
                         .map(|&i| FailInput::Breakpoint {
                             instance: i,
                             proc: proc.0 as u64,
-                            func: func_name(func).to_string(),
+                            func: func.name().to_string(),
                         }),
                 };
                 if let Some(input) = input {
@@ -651,15 +640,13 @@ fn check_deploys(spec: &ExperimentSpec) -> Result<(), Report> {
 /// off is the plain run every sweep uses.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Observe {
-    /// The per-event fingerprint journal (expensive: the determinism
-    /// harness only asks for it after a mismatch).
-    pub journal: bool,
     /// Per-event-kind handler wall times. Wall-clock data: never mixed
     /// into the deterministic [`RunRecord::metrics`] snapshot.
     pub wall_profile: bool,
     /// The happens-before DAG: every engine event records the event that
-    /// scheduled it, and every [`VclEvent`] the engine event it was
-    /// emitted under — the input to `failmpi-trace`.
+    /// scheduled it and its fingerprint digest, and every [`VclEvent`] the
+    /// engine event it was emitted under — the input to `failmpi-trace`,
+    /// and what the determinism harness diffs after a mismatch.
     pub causal: bool,
     /// The deterministic [`RunProfile`] of a `failmpi_obs::prof` context
     /// around the run (what `--profile` merges).
@@ -674,8 +661,6 @@ pub struct RunArtifacts {
     /// The lifecycle trace in the shared [`VclEvent`] vocabulary — the
     /// classifier's input.
     pub trace: Vec<TraceEntry<VclEvent>>,
-    /// `Some` under [`Observe::journal`].
-    pub journal: Option<Vec<JournalEntry>>,
     /// Empty unless [`Observe::wall_profile`].
     pub wall_profile: WallProfile,
     /// Disabled unless [`Observe::causal`]; `trace` entries are anchored
@@ -800,7 +785,8 @@ fn backend_runtime_inputs(spec: &ExperimentSpec) -> (BackendConfig, Vec<u32>) {
 /// Builds the FAIL deployment of Fig. 3 — the coordinator `P1` plus one
 /// controller per compute machine (`G1`) — against any backend's host
 /// roster, and wires up every declared probe the harness knows how to
-/// feed. `Err` when the scenario fails its lint gate, does not compile or
+/// feed. `Err` when the scenario does not compile, names a breakpoint
+/// (`before(name)`) that is no [`InstrumentedFn`], fails its lint gate or
 /// does not deploy.
 fn build_fail_side(
     inj: &InjectionSpec,
@@ -810,6 +796,13 @@ fn build_fail_side(
     let refused = |d| Report::new("injection scenario", vec![d]);
     let scenario = compile(&inj.scenario_src)
         .map_err(|e| refused(failmpi_analyze::compile_error_diag(&e)))?;
+    if let Some(unknown) = unknown_breakpoint(&scenario) {
+        let why = RuntimeError(format!(
+            "`before({unknown})` names no instrumentable function (known: {})",
+            InstrumentedFn::ALL.map(InstrumentedFn::name).join(", ")
+        ));
+        return Err(refused(failmpi_analyze::deploy_error_diag(&why)));
+    }
     lint_injection(inj)?;
     let mut deployment = Deployment::new();
     deployment
@@ -844,6 +837,18 @@ fn build_fail_side(
         halts: 0,
         probes,
     })
+}
+
+/// The first `before(name)` guard of `scenario` whose name is no
+/// [`InstrumentedFn`]: a breakpoint that could never be armed.
+fn unknown_breakpoint(scenario: &Scenario) -> Option<&str> {
+    let nodes = scenario.classes.iter().flat_map(|c| &c.nodes);
+    nodes
+        .flat_map(|n| &n.transitions)
+        .find_map(|t| match &t.guard {
+            Guard::Before(f) if InstrumentedFn::from_name(f).is_none() => Some(f.as_str()),
+            _ => None,
+        })
 }
 
 /// Drives a constructed backend under the spec's scenario, tie-break,
@@ -884,9 +889,6 @@ fn drive<C: ProtocolBackend>(
         fail_track,
     };
     let mut engine = Engine::with_tie_break(world, spec.tie_break);
-    if observe.journal {
-        engine.enable_fingerprint_journal();
-    }
     if observe.wall_profile {
         engine.enable_profiling();
     }
@@ -941,7 +943,6 @@ fn drive<C: ProtocolBackend>(
     let events = engine.events_handled();
     let queue_hwm = engine.queue_depth_hwm();
     let wall_profile = engine.profile().clone();
-    let journal = observe.journal.then(|| engine.take_fingerprint_journal());
     let causal_log = engine.take_causal_log();
     let World {
         mut cluster, fail, ..
@@ -980,7 +981,6 @@ fn drive<C: ProtocolBackend>(
             metrics,
         },
         trace,
-        journal,
         wall_profile,
         causal: causal_log,
         track_names,

@@ -152,7 +152,7 @@ pub fn trace_file_of(name: &str, seed: u64, run: &RunArtifacts) -> TraceFile {
 
 /// The exported trace of one run, kept as the run left it — the packed
 /// causal log beside the frame — and rendered node by node as it is
-/// written: a paper-scale trace is 25 MB of JSON over a 9 MB log.
+/// written: a paper-scale trace is 29 MB of JSON over a 9 MB log.
 #[derive(Clone, Debug)]
 pub struct TraceExport {
     pub(crate) frame: TraceFile,

@@ -162,30 +162,25 @@ for_each_backend! {
         }
     }
 
-    fn journal_and_causal_log_label_every_event_alike(backend: BackendKind) {
-        // Every event is described once: the journal renders its label as
-        // the run goes, the causal log stores label, kind and lane and
-        // renders on read, and both profiles bin the event under its kind.
-        // All four cover every handled event, agree on each, and leave
-        // none undescribed.
+    fn causal_log_and_profiles_describe_every_event_alike(backend: BackendKind) {
+        // Every event is described once: the causal log stores label, kind
+        // and lane and renders on read, and both profiles bin the event
+        // under its kind. All three cover every handled event, agree on
+        // each, and leave none undescribed.
         let observe = Observe {
-            journal: true,
             wall_profile: true,
             causal: true,
             run_profile: true,
         };
         let out = run(&campaign(backend, 1), observe).expect("the campaign runs");
         assert!(out.record.faults_injected > 0, "{backend}: the campaign must inject");
-        let journal = out.journal.expect("journal requested");
         let events = usize::try_from(out.record.events).expect("fits");
-        assert_eq!(journal.len(), events, "{backend}");
         assert_eq!(out.causal.len(), events, "{backend}");
         let fail_lane = out.track_names.len() - 1;
         assert_eq!(out.track_names[fail_lane], "fail-mpi", "{backend}");
         let mut per_kind: BTreeMap<&str, u64> = BTreeMap::new();
-        for (i, (entry, node)) in journal.iter().zip(out.causal.nodes()).enumerate() {
+        for (i, node) in out.causal.nodes().enumerate() {
             assert_eq!(node.id.0, i as u64, "{backend}");
-            assert_eq!(entry.label, node.label, "{backend}: event {i}");
             assert!(!node.label.is_empty(), "{backend}: event {i} ({}) has no label", node.kind);
             let track = node.track as usize;
             assert!(track < out.track_names.len(), "{backend}: event {i} on lane {track}");

@@ -70,10 +70,11 @@ fn figure_and_soak_exit_codes() {
     let strict = ["--lint", "strict", "--backend"];
     let runs_zero = "--runs needs a number >= 1";
     let runs_ceiling = "--runs needs a number >= 1 and <= 10000";
+    let threads_ceiling = "--threads needs a number >= 1 and <= 256";
     let u64_max = "18446744073709551615";
     let figures = "table1|fig5|";
     // (binary, arguments, exit code, needle, needle is on stdout)
-    let cases: [(&str, Vec<&str>, i32, &str, bool); 28] = [
+    let cases: [(&str, Vec<&str>, i32, &str, bool); 29] = [
         (figure_exe, [&fig5[..], &strict, &["ulfm"]].concat(), 2, "error[FC003]", false),
         (figure_exe, [&fig5[..], &strict, &["replica"]].concat(), 2, "error[FC003]", false),
         (figure_exe, [&fig5[..], &["--json", missing]].concat(), 2, cannot_write, false),
@@ -97,6 +98,8 @@ fn figure_and_soak_exit_codes() {
         // ceiling is refused before anything is allocated for it.
         (figure_exe, vec!["fig5", "--smoke", "--threads", "1", "--runs", u64_max], 2, runs_ceiling, false),
         (figure_exe, vec!["fig5", "--smoke", "--runs", "10001"], 2, runs_ceiling, false),
+        // One OS thread per worker: refused past the ceiling, not started.
+        (figure_exe, vec!["fig5", "--smoke", "--threads", u64_max], 2, threads_ceiling, false),
         (soak_exe, vec!["--runs", u64_max], 2, runs_ceiling, false),
         (soak_exe, vec!["--runs", "10001"], 2, runs_ceiling, false),
         (soak_exe, vec!["--bogus"], 2, "unknown argument `--bogus`", false),

@@ -8,11 +8,10 @@
 
 use failmpi_backend::BackendKind;
 use failmpi_experiments::robustness::{
-    det_run, fig10_stress_spec, perturb, scenario_suite,
+    assert_deterministic, det_run, fig10_stress_spec, perturb, scenario_suite,
 };
 use failmpi_mpichv::DispatcherMode;
 use failmpi_sim::TieBreak;
-use failmpi_testkit::assert_deterministic;
 
 /// Every figure scenario double-runs with identical fingerprints, under
 /// two different experiment seeds.
@@ -29,7 +28,7 @@ fn every_scenario_is_deterministic() {
 }
 
 /// The light backends run through the same driver: `det_run` double-runs
-/// them too, and hands back the per-event journal when asked.
+/// them too, and hands back the run's causal trace when asked.
 #[test]
 fn every_scenario_is_deterministic_on_the_light_backends() {
     for backend in [BackendKind::Ulfm, BackendKind::Replica] {
@@ -39,10 +38,10 @@ fn every_scenario_is_deterministic_on_the_light_backends() {
                 det_run(&spec, capture)
             });
             assert_ne!(fp, 0, "{name}/{backend}: degenerate fingerprint");
-            let journaled = det_run(&spec, true).expect("spec runs");
-            assert_eq!(journaled.fingerprint, fp);
-            let journal = journaled.journal.expect("capture returns the journal");
-            assert_eq!(journal.len() as u64, journaled.events, "{name}/{backend}");
+            let captured = det_run(&spec, true).expect("spec runs");
+            assert_eq!(captured.fingerprint, fp);
+            let trace = captured.trace.expect("capture returns the trace");
+            assert_eq!(trace.nodes.len() as u64, captured.events, "{name}/{backend}");
         }
     }
 }

@@ -17,17 +17,17 @@ use failmpi_trace::TraceFile;
 /// MPICH-Vcl dispatcher bug the paper isolated": its only node has a
 /// dangling cause and sits on a track the file does not declare, and its
 /// failure mark is anchored to a node that is not there.
-const CORRUPT: &str = r#"{"schema_version": 1, "name": "x", "seed": 1,
+const CORRUPT: &str = r#"{"schema_version": 2, "name": "x", "seed": 1,
   "outcome": "buggy (frozen)", "end_micros": 90000000, "tracks": [],
-  "nodes": [{"id": 0, "cause": 5, "t_us": 10, "seq": 0, "kind": "net.closed",
+  "nodes": [{"id": 0, "cause": 5, "t_us": 10, "seq": 0, "digest": 1, "kind": "net.closed",
              "label": "net.closed pid3 (PeerDied)", "track": 9}],
   "marks": [{"node": 77, "t_us": 10, "kind": "failure_detected", "label": "f",
              "rank": 0, "epoch": 1, "wave": null, "during_recovery": true}]}"#;
 
 /// Well-formed but for the mark's anchor.
-const DANGLING_MARK: &str = r#"{"schema_version": 1, "name": "x", "seed": 1,
+const DANGLING_MARK: &str = r#"{"schema_version": 2, "name": "x", "seed": 1,
   "outcome": "completed", "end_micros": 1, "tracks": ["a"],
-  "nodes": [{"id": 0, "cause": null, "t_us": 0, "seq": 0, "kind": "k",
+  "nodes": [{"id": 0, "cause": null, "t_us": 0, "seq": 0, "digest": 1, "kind": "k",
              "label": "l", "track": 0}],
   "marks": [{"node": 77, "t_us": 0, "kind": "job_complete", "label": "done",
              "rank": null, "epoch": null, "wave": null, "during_recovery": false}]}"#;
@@ -218,12 +218,12 @@ fn malformed_profiles() -> Vec<(String, i32, &'static str)> {
 fn a_written_slice_loads() {
     let node = |id: u64, cause: &str| {
         format!(
-            r#"{{"id": {id}, "cause": {cause}, "t_us": {id}, "seq": {id}, "kind": "k", "label": "n{id}", "track": 0}}"#
+            r#"{{"id": {id}, "cause": {cause}, "t_us": {id}, "seq": {id}, "digest": {id}, "kind": "k", "label": "n{id}", "track": 0}}"#
         )
     };
     let nodes = [node(0, "null"), node(1, "null"), node(2, "0")].join(", ");
     let doc = format!(
-        r#"{{"schema_version": 1, "name": "c", "seed": 1, "outcome": "completed", "end_micros": 2,
+        r#"{{"schema_version": 2, "name": "c", "seed": 1, "outcome": "completed", "end_micros": 2,
             "tracks": ["a"], "nodes": [{nodes}], "marks": []}}"#
     );
     let full = file("chain.json", doc.as_bytes());
@@ -252,7 +252,12 @@ fn timeline_rejects_what_it_cannot_run_without_panicking() {
     let garbage = file("garbage.fail", "daemon { this is not FAIL \u{0} }".as_bytes());
     let fig5 = scenario("fig5_frequency");
     let too_many = "error[FB000]: workload does not deploy: 65541 machines exceed the network's 65536";
-    let cases: [(&[&str], &str); 5] = [
+    let fig10 = std::fs::read_to_string(scenario("fig10_state_sync")).expect("fig10 scenario");
+    let misspelled = fig10.replace("before(localMPI_setCommand)", "before(localMPI_setCommnd)");
+    assert_ne!(misspelled, fig10);
+    let misspelled = file("fig10_misspelled.fail", misspelled.as_bytes());
+    let fig10_args = ["--machines", "ADVG1", "--param", "T=2", "--param", "N=5"];
+    let cases: [(&[&str], &str); 6] = [
         (&[&garbage], "FA000"),
         (
             &[&fig5, "--param", "N=99", "--param", "X=2", "--ranks", "4"],
@@ -261,6 +266,12 @@ fn timeline_rejects_what_it_cannot_run_without_panicking() {
         (&[&fig5, "--machines", "NoSuchClass"], "unknown daemon `NoSuchClass`"),
         (&[&fig5, "--ranks", "65536"], too_many),
         (&[&fig5, "--ranks", "65536", "--backend", "ulfm"], too_many),
+        // A breakpoint no backend raises would never be armed: refused.
+        (
+            &[&[&misspelled[..]], &fig10_args[..]].concat(),
+            "error[FA011]: scenario does not deploy: `before(localMPI_setCommnd)` \
+             names no instrumentable function (known: localMPI_setCommand)",
+        ),
     ];
     for (args, needle) in cases {
         let out = failmpi_trace(&[&["timeline"], args].concat());

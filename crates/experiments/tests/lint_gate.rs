@@ -50,16 +50,19 @@ fn strict_run_surfaces_the_report_instead_of_running() {
 }
 
 /// Whatever the lint mode, a scenario that does not compile or does not
-/// deploy — `FAIL_RANDOM(0, N)` picking past the machines included —
-/// comes back as a report: `run` never unwinds on bad input.
+/// deploy — `FAIL_RANDOM(0, N)` picking past the machines included, and a
+/// `before(name)` no backend raises — comes back as a report: `run` never
+/// unwinds on bad input, and never runs a breakpoint that cannot be armed.
 #[test]
 fn undeployable_scenarios_come_back_as_reports() {
+    let misspelled = FIG10_SRC.replace("before(localMPI_setCommand)", "before(localMPI_setCommnd)");
     let cases = [
         ("daemon ADV1 { node 1: ?x -> goto 7; }", "ADV1", "ADVnodes", None, "FA000"),
         (FIG5_SRC, "ADV1", "NoSuchClass", None, "FA011"),
         (FIG5_SRC, "NoSuchClass", "ADVnodes", None, "FA011"),
         (FIG5_SRC, "ADV1", "ADVnodes", Some(("NoSuchParam", 1)), "FA011"),
         (FIG5_SRC, "ADV1", "ADVnodes", Some(("N", 99)), "FA011"),
+        (&misspelled, "ADV1", "ADVG1", Some(("N", 3)), "FA011"),
     ];
     for mode in [LintMode::Off, LintMode::Warn, LintMode::Strict] {
         for (src, adversary, machines, param, code) in cases {

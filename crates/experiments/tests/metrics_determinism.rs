@@ -8,10 +8,9 @@
 //! deterministic first, so a metrics divergence can never hide behind a
 //! schedule divergence.
 
-use failmpi_experiments::robustness::{det_run, scenario_suite};
+use failmpi_experiments::robustness::{assert_deterministic, det_run, scenario_suite};
 use failmpi_experiments::run_one;
 use failmpi_sim::TieBreak;
-use failmpi_testkit::assert_deterministic;
 
 /// Same-seed double runs of every builtin scenario serialize to the same
 /// metrics JSON, byte for byte.

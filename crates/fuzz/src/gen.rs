@@ -7,6 +7,7 @@
 //! same candidate stream byte for byte (sources are pretty-printed from
 //! the AST, never patched textually).
 
+use failmpi_backend::InstrumentedFn;
 use failmpi_core::lang::ast::{
     ActionAst, DaemonAst, DestAst, ExprAst, GroupAst, InstanceAst, NodeAst, ParamAst,
     ProbeDeclAst, ScenarioAst, TimerDeclAst, TransitionAst, VarDeclAst,
@@ -572,7 +573,7 @@ impl Generator {
                     always: Vec::new(),
                     timers: Vec::new(),
                     transitions: vec![tr(
-                        G::Before("localMPI_setCommand".to_string()),
+                        G::Before(InstrumentedFn::LocalMpiSetCommand.name().to_string()),
                         vec![ActionAst::Halt, ActionAst::Goto(5)],
                     )],
                     line: 0,

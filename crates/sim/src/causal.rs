@@ -11,10 +11,15 @@
 //! still threads cause ids through the queue — a single `u64` copied per
 //! push — but records nothing. When enabled it stores one packed, `Copy`
 //! record per event: a [`Label`] (format code plus three integers) in
-//! place of the label's text, an index in place of the kind string. Text
-//! exists only in what a reader asks for: [`CausalLog::nodes`],
-//! [`CausalLog::node`] and [`CausalLog::chain_to_root`] materialise
-//! [`CausalNode`]s through the renderer the model handed the log.
+//! place of the label's text, an index in place of the kind string, and
+//! the event's fingerprint digest. Text exists only in what a reader asks
+//! for: [`CausalLog::nodes`], [`CausalLog::node`] and
+//! [`CausalLog::chain_to_root`] materialise [`CausalNode`]s through the
+//! renderer the model handed the log.
+//!
+//! The log is also the determinism journal: two same-seed runs agree node
+//! for node, digest for digest, and the first node where they do not is
+//! where a leak entered the schedule (`failmpi_trace::diff`).
 
 use crate::time::SimTime;
 
@@ -55,9 +60,8 @@ impl Label {
 }
 
 /// Everything the engine's instruments ask of one handled event, answered
-/// once per event by [`crate::Model::describe`]: the journal renders its
-/// `label`, the wall and deep profiles bin it under its `kind`, and the
-/// causal log stores all three.
+/// once per event by [`crate::Model::describe`]: the wall and deep
+/// profiles bin it under its `kind`, and the causal log stores all three.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventDesc {
     /// Short stable kind (profiling bucket, causal-node kind).
@@ -104,6 +108,10 @@ pub struct CausalNode {
     pub at: SimTime,
     /// Queue sequence number (push order; tie-break input).
     pub seq: u64,
+    /// The low 32 bits of this event's fingerprint digest (time, seq and
+    /// the payload [`crate::Model::fingerprint_event`] folds): what tells
+    /// apart two events that agree on every other field.
+    pub digest: u32,
     /// Static event-kind label ([`EventDesc::kind`]).
     pub kind: &'static str,
     /// Human-readable description: [`EventDesc::label`], rendered by
@@ -117,13 +125,14 @@ pub struct CausalNode {
 /// `Record::cause` of an externally scheduled event.
 const NO_CAUSE: u32 = u32::MAX;
 
-/// What the log stores per event. The event's id is the log's first id
-/// plus the record's position.
+/// What the log stores per event: 40 bytes. The event's id is the log's
+/// first id plus the record's position.
 #[derive(Clone, Copy, Debug)]
 struct Record {
     at: SimTime,
-    seq: u64,
+    seq: u32,
     cause: u32,
+    digest: u32,
     args: [u32; 3],
     track: u16,
     kind: u16,
@@ -201,6 +210,13 @@ fn narrow_id(id: EventId) -> u32 {
     }
 }
 
+/// Narrows a queue sequence number for storage. Checked, like an id: a
+/// run pushes little more than it handles.
+fn narrow_seq(seq: u64) -> u32 {
+    u32::try_from(seq)
+        .unwrap_or_else(|_| panic!("queue seq {seq} does not fit the causal log's 32-bit seqs"))
+}
+
 impl CausalLog {
     /// Creates a disabled (no-op) log.
     pub fn disabled() -> Self {
@@ -238,15 +254,24 @@ impl CausalLog {
     }
 
     /// Appends the next handled event, which gets the next id, as its
-    /// model described it.
-    pub(crate) fn push(&mut self, cause: Option<EventId>, at: SimTime, seq: u64, desc: EventDesc) {
+    /// model described it; `digest` is its fingerprint digest, of which
+    /// the log keeps the low 32 bits.
+    pub(crate) fn push(
+        &mut self,
+        cause: Option<EventId>,
+        at: SimTime,
+        seq: u64,
+        digest: u64,
+        desc: EventDesc,
+    ) {
         // The id this record gets must itself be storable as a cause.
         narrow_id(self.id_at(self.records.len()));
         let kind = self.kind_index(desc.kind);
         self.records.push(Record {
             at,
-            seq,
+            seq: narrow_seq(seq),
             cause: cause.map_or(NO_CAUSE, narrow_id),
+            digest: digest as u32,
             args: desc.label.args,
             track: u16::try_from(desc.track).expect("more than 65 535 display tracks"),
             kind,
@@ -270,7 +295,8 @@ impl CausalLog {
             id: self.id_at(index),
             cause: (r.cause != NO_CAUSE).then_some(EventId(u64::from(r.cause))),
             at: r.at,
-            seq: r.seq,
+            seq: u64::from(r.seq),
+            digest: r.digest,
             kind: self.kinds[usize::from(r.kind)],
             label: (self.render)(Label::new(r.code, r.args)),
             track: u32::from(r.track),
@@ -374,6 +400,7 @@ mod tests {
             cause.map(EventId),
             SimTime::from_secs(at_s),
             u64::from(id),
+            u64::from(id) << 32 | u64::from(!id),
             desc("k", Label::new(1, [id, 0, 0]), 0),
         );
     }
@@ -386,8 +413,8 @@ mod tests {
     }
 
     #[test]
-    fn a_record_stays_within_48_bytes() {
-        assert!(std::mem::size_of::<Record>() <= 48);
+    fn a_record_stays_within_40_bytes() {
+        assert!(std::mem::size_of::<Record>() <= 40);
     }
 
     #[test]
@@ -413,12 +440,13 @@ mod tests {
         assert_eq!(labels, ["n0", "n1"]);
         let n = log.node(EventId(1)).expect("recorded");
         assert_eq!(
-            (n.id, n.cause, n.at, n.seq, n.kind, n.track),
+            (n.id, n.cause, n.at, n.seq, n.digest, n.kind, n.track),
             (
                 EventId(1),
                 Some(EventId(0)),
                 SimTime::from_secs(3),
                 1,
+                !1,
                 "k",
                 0
             )
@@ -446,9 +474,9 @@ mod tests {
     fn every_format_renders_through_the_one_renderer() {
         let mut log = CausalLog::enabled(render);
         let at = SimTime::ZERO;
-        log.push(None, at, 0, desc("a", Label::new(2, [3, 0, 0]), 7));
-        log.push(None, at, 1, desc("b", Label::new(1, [9, 0, 0]), 7));
-        log.push(None, at, 2, desc("a", Label::default(), 7));
+        log.push(None, at, 0, 0, desc("a", Label::new(2, [3, 0, 0]), 7));
+        log.push(None, at, 1, 0, desc("b", Label::new(1, [9, 0, 0]), 7));
+        log.push(None, at, 2, 0, desc("a", Label::default(), 7));
         let seen: Vec<(&str, String)> = log.nodes().map(|n| (n.kind, n.label)).collect();
         let expected = [("a", "odd 3"), ("b", "n9"), ("a", "")].map(|(k, l)| (k, l.to_string()));
         assert_eq!(seen, expected);
@@ -459,7 +487,8 @@ mod tests {
         let mut log = CausalLog::enabled(render);
         let elsewhere: &'static str = String::from("k").leak();
         push(&mut log, None, 1);
-        log.push(None, SimTime::from_secs(1), 1, desc(elsewhere, Label::default(), 0));
+        let at = SimTime::from_secs(1);
+        log.push(None, at, 1, 0, desc(elsewhere, Label::default(), 0));
         assert_eq!(log.kinds, ["k"]);
         assert!(log.nodes().all(|n| n.kind == "k"));
     }
@@ -479,6 +508,14 @@ mod tests {
     fn a_cause_that_does_not_fit_is_refused() {
         let mut log = CausalLog::enabled(render);
         push(&mut log, Some(1 << 40), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_seq_that_does_not_fit_is_refused() {
+        let mut log = CausalLog::enabled(render);
+        let desc = desc("k", Label::default(), 0);
+        log.push(None, SimTime::ZERO, 1 << 32, 0, desc);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use failmpi_obs::WallProfile;
 
 use crate::causal::{CausalLog, EventDesc, EventId, Label};
-use crate::fingerprint::{Fingerprint, JournalEntry};
+use crate::fingerprint::Fingerprint;
 use crate::queue::{EventQueue, TieBreak};
 use crate::time::{SimDuration, SimTime};
 
@@ -38,13 +38,12 @@ pub trait Model {
 
     /// What the engine's instruments record of `event`: its kind (the
     /// wall and deep profiles' bucket), its one-line description packed
-    /// into a [`Label`] (the journal renders it, the happens-before log
-    /// stores it), and its display track (the log's per-actor lane). One
-    /// call per handled event feeds all four instruments, and only while
-    /// one of them is on (see [`Engine::enable_fingerprint_journal`],
-    /// [`Engine::enable_profiling`], [`Engine::enable_causal_trace`] and
-    /// `failmpi_obs::prof`). The default, [`EventDesc::default`], is kind
-    /// `"event"`, the empty label and track 0.
+    /// into a [`Label`] (the happens-before log stores it), and its
+    /// display track (the log's per-actor lane). One call per handled
+    /// event feeds all three instruments, and only while one of them is
+    /// on (see [`Engine::enable_profiling`], [`Engine::enable_causal_trace`]
+    /// and `failmpi_obs::prof`). The default, [`EventDesc::default`], is
+    /// kind `"event"`, the empty label and track 0.
     fn describe(&self, event: &Self::Event) -> EventDesc {
         let _ = event;
         EventDesc::default()
@@ -52,7 +51,7 @@ pub trait Model {
 
     /// The text of a label [`Model::describe`] packed — the one place a
     /// vocabulary's descriptions are spelled. The log calls it when a node
-    /// is read, the journal once per handled event. The default is empty.
+    /// is read. The default is empty.
     fn render_label(label: Label) -> String {
         let _ = label;
         String::new()
@@ -121,7 +120,6 @@ pub struct Engine<M: Model> {
     handled: u64,
     event_budget: u64,
     fingerprint: Fingerprint,
-    journal: Option<Vec<JournalEntry>>,
     queue_hwm: usize,
     profile: WallProfile,
     causal: CausalLog,
@@ -148,7 +146,6 @@ impl<M: Model> Engine<M> {
             handled: 0,
             event_budget: Self::DEFAULT_EVENT_BUDGET,
             fingerprint: Fingerprint::new(),
-            journal: None,
             queue_hwm: 0,
             profile: WallProfile::disabled(),
             causal: CausalLog::disabled(),
@@ -171,28 +168,6 @@ impl<M: Model> Engine<M> {
     /// determinism leak. Cheap enough to be always on.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint.value()
-    }
-
-    /// Starts capturing one [`JournalEntry`] per handled event (used by
-    /// the determinism harness to localize a divergence; costs memory
-    /// proportional to events handled, so off by default).
-    pub fn enable_fingerprint_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Vec::new());
-        }
-    }
-
-    /// Consumes the captured journal (empty unless
-    /// [`Engine::enable_fingerprint_journal`] was called before running),
-    /// leaving journaling enabled.
-    pub fn take_fingerprint_journal(&mut self) -> Vec<JournalEntry> {
-        match self.journal.take() {
-            Some(j) => {
-                self.journal = Some(Vec::new());
-                j
-            }
-            None => Vec::new(),
-        }
     }
 
     /// Schedules an initial event from outside the model.
@@ -224,9 +199,11 @@ impl<M: Model> Engine<M> {
     }
 
     /// Starts recording the happens-before DAG: one node per handled
-    /// event, each linked to the event that scheduled it. Costs one packed
-    /// record per event (see [`CausalLog`]), so off by default; with it
-    /// off, cause bookkeeping is a single `u64` copy per push.
+    /// event, each linked to the event that scheduled it and carrying the
+    /// event's fingerprint digest, so two logs localize where two runs'
+    /// schedules first differ. Costs one packed record per event (see
+    /// [`CausalLog`]), so off by default; with it off, cause bookkeeping
+    /// is a single `u64` copy per push.
     pub fn enable_causal_trace(&mut self) {
         if !self.causal.is_enabled() {
             self.causal = self.fresh_causal_log();
@@ -304,29 +281,17 @@ impl<M: Model> Engine<M> {
         self.model.fingerprint_event(&ev, &mut ev_fp);
         let digest = ev_fp.value();
         self.fingerprint.write_u64(digest);
-        // One description serves every instrument: the journal renders its
-        // label now, the log stores it and renders on read, both profiles
-        // bin the handler under its kind.
+        // One description serves every instrument: the log stores it (with
+        // the digest) and renders on read, both profiles bin the handler
+        // under its kind.
         let deep = failmpi_obs::prof::is_enabled();
-        let desc = if self.journal.is_some()
-            || self.profile.is_enabled()
-            || deep
-            || self.causal.is_enabled()
-        {
+        let desc = if self.profile.is_enabled() || deep || self.causal.is_enabled() {
             self.model.describe(&ev)
         } else {
             EventDesc::default()
         };
-        if let Some(journal) = self.journal.as_mut() {
-            journal.push(JournalEntry {
-                at_micros: at.as_micros(),
-                seq,
-                digest,
-                label: M::render_label(desc.label),
-            });
-        }
         if self.causal.is_enabled() {
-            self.causal.push(cause, at, seq, desc);
+            self.causal.push(cause, at, seq, digest, desc);
         }
         let started = self.profile.maybe_start();
         self.sched.now = at;
@@ -542,23 +507,22 @@ mod tests {
     }
 
     #[test]
-    fn journal_captures_each_event_once() {
+    fn causal_nodes_carry_each_events_digest() {
+        // `Echo` folds no payload: an event's digest is its time and seq.
         let mut e = engine();
-        e.enable_fingerprint_journal();
+        e.enable_causal_trace();
         e.schedule(SimTime::ZERO, 8);
         e.run(SimTime::MAX);
-        let journal = e.take_fingerprint_journal();
-        assert_eq!(journal.len() as u64, e.events_handled());
-        // Entries are in handling order: non-decreasing times.
-        for w in journal.windows(2) {
-            assert!(w[1].at_micros >= w[0].at_micros);
+        let mut run = crate::Fingerprint::new();
+        for n in e.causal_log().nodes() {
+            let mut ev = crate::Fingerprint::new();
+            ev.write_u64(n.at.as_micros());
+            ev.write_u64(n.seq);
+            assert_eq!(n.digest, ev.value() as u32, "node {}", n.id);
+            run.write_u64(ev.value());
         }
-        // The model describes nothing: every label is the empty default.
-        assert!(journal.iter().all(|j| j.label.is_empty()));
-        // Journaling stays on: the next events land in a fresh journal.
-        e.schedule(SimTime::from_secs(9), 1);
-        e.run(SimTime::MAX);
-        assert_eq!(e.take_fingerprint_journal().len(), 1);
+        assert_eq!(e.causal_log().len() as u64, e.events_handled());
+        assert_eq!(run.value(), e.fingerprint());
     }
 
     #[test]
@@ -704,14 +668,10 @@ mod tests {
     fn causal_labels_render_through_the_model_and_survive_a_take() {
         let mut e = Engine::new(Halving);
         e.enable_causal_trace();
-        e.enable_fingerprint_journal();
         e.schedule(SimTime::ZERO, 12);
         e.run(SimTime::MAX);
         let labels = |log: &CausalLog| log.nodes().map(|n| n.label).collect::<Vec<_>>();
         assert_eq!(labels(&e.take_causal_log()), ["e12", "e6", "odd 3", "odd 1"]);
-        // The journal renders the same packed labels.
-        let journal: Vec<String> = e.take_fingerprint_journal().into_iter().map(|j| j.label).collect();
-        assert_eq!(journal, ["e12", "e6", "odd 3", "odd 1"]);
         // The log left behind renders with the same model, and its ids go on
         // from where the taken one stopped.
         e.schedule(SimTime::from_secs(1), 2);

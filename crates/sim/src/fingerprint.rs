@@ -115,26 +115,6 @@ pub trait FingerprintEvent {
     fn fold(&self, fp: &mut Fingerprint);
 }
 
-/// One journal record: the position and digest of a single handled event.
-///
-/// Captured by [`crate::Engine`] when journaling is enabled; the testkit's
-/// determinism harness diffs two journals to locate the first divergent
-/// event of a non-deterministic pair of runs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JournalEntry {
-    /// Virtual time the event was handled at, in microseconds.
-    pub at_micros: u64,
-    /// Queue sequence number of the popped entry.
-    pub seq: u64,
-    /// Digest of this event alone (time + seq + payload fold).
-    pub digest: u64,
-    /// Human-readable event description: the label
-    /// [`crate::Model::describe`] packed, rendered by
-    /// [`crate::Model::render_label`] — the text the causal log gives the
-    /// same event. Empty when the model does not override them.
-    pub label: String,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

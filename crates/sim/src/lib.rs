@@ -62,7 +62,7 @@ mod trace;
 
 pub use causal::{CausalLog, CausalNode, EventDesc, EventId, Label, PackLabel};
 pub use engine::{Engine, Model, RunOutcome, Scheduler};
-pub use fingerprint::{Fingerprint, FingerprintEvent, JournalEntry};
+pub use fingerprint::{Fingerprint, FingerprintEvent};
 pub use queue::{EventQueue, TieBreak};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

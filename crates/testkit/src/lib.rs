@@ -1,17 +1,13 @@
-//! # failmpi-testkit — determinism verification & schedule perturbation
+//! # failmpi-testkit — schedule perturbation
 //!
 //! The whole FAIL-MPI reproduction rests on one claim: the discrete-event
 //! simulator is deterministic and replayable, so the fault/recovery races
 //! it exhibits (the paper's Figs. 5–11, the dispatcher bug) are protocol
-//! behaviour, not simulator noise. This crate turns that claim into a
-//! continuously tested property:
+//! behaviour, not simulator noise. The double-run half of that check —
+//! same seed, same schedule, and a first divergent event when not — lives
+//! in `failmpi_experiments::robustness`, beside the harness it runs. This
+//! crate holds the other half:
 //!
-//! * [`assert_deterministic`] / [`check_determinism`] — the **double-run
-//!   harness**: execute a scenario twice with identical inputs and compare
-//!   streaming fingerprints (see [`failmpi_sim::Engine::fingerprint`]).
-//!   On mismatch, the scenario is re-run with full journal capture and the
-//!   report pinpoints the *first divergent event* — which is where a
-//!   `HashMap`-iteration or wall-clock leak entered the schedule.
 //! * [`perturbation`] — the **schedule-perturbation fuzzer**: sweep
 //!   [`failmpi_sim::TieBreak::Seeded`] seeds to permute same-instant event
 //!   order (causality-preserving, turmoil-style) and check that declared
@@ -21,10 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod determinism;
 pub mod perturbation;
 
-pub use determinism::{
-    assert_deterministic, check_determinism, DetRun, Divergence, DivergencePoint,
-};
 pub use perturbation::{perturbation_seeds, sweep, PerturbationOutcome, PerturbationReport};

@@ -1,10 +1,13 @@
-//! First-causal-divergence comparison of two traces.
+//! First-causal-divergence comparison of two traces — the workspace's one
+//! divergence finder.
 //!
-//! The testkit's fingerprint journal localizes *schedule* divergence; this
-//! is its causal complement: compare two exported traces node by node in
-//! handling order and report the first node whose identity *or cause edge*
-//! differs — i.e. the first point where the two runs' happens-before DAGs
-//! disagree, with the shared causal history leading up to it.
+//! Compare two traces node by node in handling order and report the first
+//! node whose identity, payload digest *or cause edge* differs — the first
+//! point where the two runs' schedules or happens-before DAGs disagree,
+//! with the shared causal history leading up to it. `failmpi-trace diff`
+//! prints [`render`]'s report for two files, and the double-run
+//! determinism harness (`failmpi_experiments::robustness`) prints the same
+//! report for two same-seed runs whose fingerprints differ.
 
 use std::fmt::Write;
 
@@ -23,8 +26,8 @@ pub struct Divergence {
     pub b: Option<Node>,
 }
 
-fn node_identity(n: &Node) -> (u64, u64, &str, &str, u32, Option<u64>) {
-    (n.t_us, n.seq, &n.kind, &n.label, n.track, n.cause)
+fn node_identity(n: &Node) -> (u64, u64, u32, &str, &str, u32, Option<u64>) {
+    (n.t_us, n.seq, n.digest, &n.kind, &n.label, n.track, n.cause)
 }
 
 /// Finds the first causal divergence, if any.
@@ -52,13 +55,14 @@ pub fn first_divergence(a: &TraceFile, b: &TraceFile) -> Option<Divergence> {
 fn describe(n: &Option<Node>) -> String {
     match n {
         Some(n) => format!(
-            "{:>10.3}s seq {:<6} [track {}] {:<18} {} (cause: {})",
+            "{:>10.3}s seq {:<6} [track {}] {:<18} {} (cause: {}, digest {:08x})",
             n.t_us as f64 / 1e6,
             n.seq,
             n.track,
             n.kind,
             n.label,
             n.cause.map_or("none".to_string(), |c| format!("#{c}")),
+            n.digest,
         ),
         None => "(run ended — no event at this position)".to_string(),
     }
@@ -76,7 +80,8 @@ pub fn render(a: &TraceFile, b: &TraceFile) -> String {
     let Some(div) = first_divergence(a, b) else {
         writeln!(
             out,
-            "no causal divergence: {} nodes identical (kind, label, time, seq, track, cause)",
+            "no causal divergence: {} nodes identical \
+             (kind, label, time, seq, digest, track, cause)",
             a.nodes.len()
         )
         .unwrap();
@@ -119,6 +124,7 @@ mod tests {
                     cause: (i as u64).checked_sub(1),
                     t_us: i as u64 * 10,
                     seq: i as u64,
+                    digest: i as u32,
                     kind: "k".to_string(),
                     label: l.to_string(),
                     track: 0,
@@ -151,6 +157,18 @@ mod tests {
         b.nodes[2].cause = Some(0);
         let d = first_divergence(&a, &b).expect("diverges");
         assert_eq!(d.index, 2);
+    }
+
+    #[test]
+    fn a_payload_difference_is_found_by_its_digest() {
+        let a = trace(&["x", "y", "z"]);
+        let mut b = a.clone();
+        b.nodes[1].digest ^= 1;
+        let d = first_divergence(&a, &b).expect("diverges");
+        assert_eq!(d.index, 1);
+        let report = render(&a, &b);
+        assert!(report.contains("digest 00000001"), "{report}");
+        assert!(report.contains("digest 00000000"), "{report}");
     }
 
     #[test]

@@ -262,6 +262,7 @@ mod tests {
                 cause: i.checked_sub(1),
                 t_us: i * 1000,
                 seq: i,
+                digest: 0,
                 kind: "k".to_string(),
                 label: format!("ev{i}"),
                 track: 0,
@@ -326,6 +327,7 @@ mod tests {
                 cause: i.checked_sub(1),
                 t_us: i,
                 seq: i,
+                digest: 0,
                 kind: "k".to_string(),
                 label: format!("ev{i}"),
                 track: 0,

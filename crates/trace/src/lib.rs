@@ -20,8 +20,9 @@
 //!   a frozen run and narrate it — reproduces the paper's dispatcher-bug
 //!   isolation (fault → recovery wave → stale dispatcher entry) on the
 //!   Fig. 10 scenario.
-//! - [`diff`]: first causal divergence between two traces (the causal
-//!   complement of the testkit's fingerprint-journal divergence).
+//! - [`diff`]: first causal divergence between two traces, payload
+//!   digests included — also what the double-run determinism harness
+//!   localizes a fingerprint mismatch with.
 //! - [`slice`] / [`filter`]: ancestor-cone extraction and flat selection.
 //!
 //! The `failmpi-trace` binary (in `failmpi-experiments`) exposes all of

@@ -5,8 +5,10 @@
 //! the event that scheduled it) plus the semantic [`Mark`]s (MPICH-Vcl
 //! lifecycle records — failures, recoveries, waves — each anchored to the
 //! node it was emitted under). Serialization is hand-rolled with a fixed
-//! field order so same-seed runs export byte-identical JSON (the
-//! determinism property the testkit checks).
+//! field order so same-seed runs export byte-identical JSON.
+//!
+//! Schema history: version 2 added each node's `digest`; version 1 files
+//! are refused.
 
 use std::borrow::Borrow;
 use std::io;
@@ -14,7 +16,7 @@ use std::io;
 use failmpi_sim::CausalNode;
 
 /// Version tag of the trace-file schema (`schema_version` field).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One engine event in the happens-before DAG.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,6 +30,10 @@ pub struct Node {
     pub t_us: u64,
     /// Queue sequence number (push order).
     pub seq: u64,
+    /// The low 32 bits of the event's fingerprint digest: two nodes that
+    /// agree on everything else but carried different payloads differ
+    /// here.
+    pub digest: u32,
     /// Static event kind (e.g. `net.delivered`, `fail_timer`).
     pub kind: String,
     /// Human-readable one-liner.
@@ -43,6 +49,7 @@ impl From<CausalNode> for Node {
             cause: n.cause.map(|c| c.0),
             t_us: n.at.as_micros(),
             seq: n.seq,
+            digest: n.digest,
             kind: n.kind.to_string(),
             label: n.label,
             track: n.track,
@@ -207,11 +214,12 @@ impl TraceFile {
             write!(
                 w,
                 "{separator}    {{\"id\": {}, \"cause\": {}, \"t_us\": {}, \"seq\": {}, \
-                 \"kind\": {}, \"label\": {}, \"track\": {}}}",
+                 \"digest\": {}, \"kind\": {}, \"label\": {}, \"track\": {}}}",
                 n.id,
                 opt_num(n.cause),
                 n.t_us,
                 n.seq,
+                n.digest,
                 escape(&n.kind),
                 escape(&n.label),
                 n.track,
@@ -286,6 +294,11 @@ impl TraceFile {
                 cause: n.get("cause").and_then(|x| x.as_u64()),
                 t_us: n.get("t_us").and_then(|x| x.as_u64()).ok_or("node t_us")?,
                 seq: n.get("seq").and_then(|x| x.as_u64()).ok_or("node seq")?,
+                digest: n
+                    .get("digest")
+                    .and_then(|x| x.as_u64())
+                    .and_then(|d| u32::try_from(d).ok())
+                    .ok_or("node digest must be an integer below 2^32")?,
                 kind: n
                     .get("kind")
                     .and_then(|x| x.as_str())
@@ -361,6 +374,7 @@ mod tests {
                     cause: None,
                     t_us: 0,
                     seq: 0,
+                    digest: 0x9e37_79b9,
                     kind: "fail_timer".to_string(),
                     label: "fail-timer i0 t0".to_string(),
                     track: 1,
@@ -370,6 +384,7 @@ mod tests {
                     cause: Some(0),
                     t_us: 100,
                     seq: 1,
+                    digest: 7,
                     kind: "net.closed".to_string(),
                     label: "net.closed pid3 (PeerDied)".to_string(),
                     track: 0,
@@ -509,10 +524,21 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let json = sample().to_json().replace(
-            "\"schema_version\": 1",
-            "\"schema_version\": 99",
+        for old in [1, 99] {
+            let json = sample().to_json().replace(
+                "\"schema_version\": 2",
+                &format!("\"schema_version\": {old}"),
+            );
+            assert!(TraceFile::from_json(&json).is_err(), "version {old}");
+        }
+    }
+
+    #[test]
+    fn a_digest_past_32_bits_is_refused() {
+        let json = sample().to_json().replace("\"digest\": 7,", "\"digest\": 4294967296,");
+        assert_eq!(
+            TraceFile::from_json(&json),
+            Err("node digest must be an integer below 2^32".to_string())
         );
-        assert!(TraceFile::from_json(&json).is_err());
     }
 }

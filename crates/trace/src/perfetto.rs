@@ -135,6 +135,7 @@ mod tests {
                     cause: None,
                     t_us: 0,
                     seq: 0,
+                    digest: 0,
                     kind: "k".to_string(),
                     label: "l0".to_string(),
                     track: 0,
@@ -144,6 +145,7 @@ mod tests {
                     cause: Some(0),
                     t_us: 5,
                     seq: 1,
+                    digest: 0,
                     kind: "k".to_string(),
                     label: "l1".to_string(),
                     track: 1,
@@ -153,6 +155,7 @@ mod tests {
                     cause: Some(1),
                     t_us: 6,
                     seq: 2,
+                    digest: 0,
                     kind: "k".to_string(),
                     label: "l2".to_string(),
                     track: 1,

@@ -101,6 +101,7 @@ mod tests {
             cause,
             t_us: id * 10,
             seq: id,
+            digest: 0,
             kind: kind.to_string(),
             label: format!("ev{id}"),
             track,
