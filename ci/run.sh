@@ -66,6 +66,17 @@ stage_static() {
         > "$OUT/broken.json" || [ $? -eq 1 ]
     grep -q '"FA008"' "$OUT/broken.json"
 
+    # ... and a breakpoint no backend raises: Fig. 10 with the injection
+    # point misspelled.
+    sed 's/before(localMPI_setCommand)/before(localMPI_setCommnd)/' \
+        crates/core/scenarios/fig10_state_sync.fail > "$OUT/fig10-misspelled.fail"
+    if target/release/failck --strict "$OUT/fig10-misspelled.fail"; then
+        die "failck passed a breakpoint on no instrumentable function"
+    fi
+    target/release/failck --format json "$OUT/fig10-misspelled.fail" \
+        > "$OUT/fig10-misspelled.json" || [ $? -eq 1 ]
+    grep -q '"FA012"' "$OUT/fig10-misspelled.json"
+
     # The dispatcher bug: failck must predict the Fig. 10 freeze before
     # any run, with the minimal fault-schedule witness, and fail the lint.
     if target/release/failck --model-check \

@@ -17,6 +17,7 @@
 //! | FA009 | error    | `?msg` guard that no other daemon can ever satisfy |
 //! | FA010 | error    | constant group index outside the declared group bounds |
 //! | FA011 | error    | the scenario does not deploy under the run's classes, parameters and machines (wrapped [`RuntimeError`]) |
+//! | FA012 | error    | `before(name)` names no instrumentable function ([`InstrumentedFn`]) |
 //!
 //! FA008/FA009 are the static shadow of a scenario *freeze*: a daemon
 //! parked forever in a node whose only exits wait for traffic that cannot
@@ -26,6 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use failmpi_backend::InstrumentedFn;
 use failmpi_core::lang::ast::BinOp;
 use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Guard, Scenario};
 use failmpi_core::{CompileError, RuntimeError};
@@ -69,9 +71,40 @@ pub fn deploy_error_diag(e: &RuntimeError) -> Diagnostic {
     )
 }
 
+/// FA012: every `before(name)` guard whose name is no [`InstrumentedFn`]
+/// — a breakpoint no backend can ever arm. The harness refuses a run on
+/// these findings whatever its lint mode.
+pub fn check_breakpoints(s: &Scenario) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for class in &s.classes {
+        for node in &class.nodes {
+            for t in &node.transitions {
+                let Guard::Before(f) = &t.guard else { continue };
+                if InstrumentedFn::from_name(f).is_none() {
+                    out.push(Diagnostic::new(
+                        Severity::Error,
+                        "FA012",
+                        t.line,
+                        format!(
+                            "class `{}`, node {}: `before({f})` names no instrumentable \
+                             function — the breakpoint can never be armed",
+                            class.name, node.label
+                        ),
+                        format!(
+                            "the instrumentable functions are: {}",
+                            InstrumentedFn::ALL.map(InstrumentedFn::name).join(", ")
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Runs every scenario pass and returns the (unsorted) findings.
 pub fn analyze_scenario(s: &Scenario) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+    let mut out = check_breakpoints(s);
     for class in &s.classes {
         check_reachability(class, &mut out);
         check_guard_conditions(s, class, &mut out);

@@ -95,6 +95,17 @@ fn fa010_group_index_out_of_bounds() {
 }
 
 #[test]
+fn fa012_breakpoint_on_no_instrumentable_function() {
+    let src = "daemon A {\n  node 1:\n    onload -> goto 2;\n  node 2:\n    before(MPI_Snd) -> halt, goto 2;\n}\n";
+    assert_eq!(f1(src), ("FA012", 5, Severity::Error));
+    let d = &check_source(src)[0];
+    assert!(d.message.contains("`before(MPI_Snd)`"), "{}", d.message);
+    assert!(d.help.ends_with("localMPI_setCommand"), "{}", d.help);
+    let fine = src.replace("MPI_Snd", "localMPI_setCommand");
+    assert_eq!(findings(&fine), vec![]);
+}
+
+#[test]
 fn message_passes_skipped_without_deployment_sugar() {
     // Same shape as the FA009 fixture, minus the sugar: a bare class
     // fragment does not pin down who talks to whom, so nothing fires.

@@ -68,6 +68,33 @@ fn errors_exit_one_in_both_formats() {
     assert_eq!(failck(&[&f, "--format", "json"]).0, Some(1));
 }
 
+/// A `before(name)` no backend raises is an FA012 error under every output
+/// mode, not a breakpoint silently never armed; the paper's spelling is
+/// clean.
+#[test]
+fn misspelled_breakpoint_is_an_error_finding() {
+    let fig10 = scenario("fig10_state_sync.fail");
+    let src = std::fs::read_to_string(&fig10).expect("fig10 scenario");
+    let misspelled = src.replace("before(localMPI_setCommand)", "before(localMPI_setCommnd)");
+    assert_ne!(misspelled, src);
+    let dir = std::env::temp_dir().join("failck-breakpoint-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("fig10_misspelled.fail");
+    std::fs::write(&path, misspelled).expect("write");
+    let bad = path.to_str().unwrap();
+    for args in [&[bad][..], &[bad, "--strict"], &[bad, "--format", "json"]] {
+        let (code, stdout, stderr) = failck(args);
+        assert_eq!(code, Some(1), "{args:?}: {stdout}{stderr}");
+        assert!(stdout.contains("FA012"), "{args:?}: {stdout}");
+        assert!(stdout.contains("localMPI_setCommnd"), "{args:?}: {stdout}");
+    }
+    for args in [&[&fig10[..]][..], &[&fig10, "--strict"], &[&fig10, "--format", "json"]] {
+        let (code, stdout, _) = failck(args);
+        assert_eq!(code, Some(0), "{args:?}: {stdout}");
+        assert!(!stdout.contains("FA012"), "{args:?}: {stdout}");
+    }
+}
+
 #[test]
 fn warnings_fail_only_under_strict() {
     // The FC001 fixture's unreachable nodes draw FA001 warnings but no

@@ -8,8 +8,8 @@
 //! * [`ProtocolBackend`] — the runtime contract: world construction hands
 //!   the harness an event-driven deterministic machine; the harness feeds
 //!   events back via [`ProtocolBackend::dispatch`], injects faults through
-//!   the process-control surface (`fail_halt` / `fail_stop` /
-//!   `fail_continue` / breakpoints), and observes lifecycle [`Hook`]s,
+//!   the process-control surface ([`ProtocolBackend::fail`] with a
+//!   [`Signal`], breakpoints), and observes lifecycle [`Hook`]s,
 //!   the shared [`VclEvent`] trace vocabulary, probes, and metrics.
 //! * [`BackendKind`] — the closed set of implemented protocols:
 //!   rollback-recovery ([`BackendKind::Vcl`], `failmpi-mpichv`),
@@ -127,6 +127,18 @@ impl BackendConfig {
     }
 }
 
+/// The process-control verbs of a FAIL daemon (paper Sec. 4), as its
+/// debugger delivers them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Signal {
+    /// Kills the process (the FAIL `halt` action).
+    Halt,
+    /// Suspends the process (`stop`, SIGSTOP semantics).
+    Stop,
+    /// Resumes the process (`continue`, also releasing a breakpoint hold).
+    Continue,
+}
+
 /// The runtime contract every fault-tolerance protocol implements to be
 /// strained by the FAIL harness.
 ///
@@ -242,20 +254,13 @@ pub trait ProtocolBackend {
     /// Whether the job ran to completion.
     fn is_complete(&self) -> bool;
 
-    /// Kills a controlled process (the FAIL `halt` action).
-    fn fail_halt(&mut self, now: SimTime, proc: ProcId);
+    /// Delivers a FAIL daemon's process-control verb to a controlled
+    /// process. A `proc` that is dead or was never spawned is left alone.
+    fn fail(&mut self, now: SimTime, proc: ProcId, signal: Signal);
 
-    /// Suspends a controlled process (`stop`, SIGSTOP semantics).
-    fn fail_stop(&mut self, now: SimTime, proc: ProcId);
-
-    /// Resumes a controlled process (`continue`).
-    fn fail_continue(&mut self, now: SimTime, proc: ProcId);
-
-    /// The `i`-th compute machine (FAIL daemons deploy per machine).
-    fn compute_host(&self, i: usize) -> HostId;
-
-    /// Number of compute machines.
-    fn n_compute_hosts(&self) -> usize;
+    /// The compute machines, in roster order (FAIL daemons deploy one
+    /// per machine: `G1[i]` controls the `i`-th).
+    fn compute_hosts(&self) -> &[HostId];
 
     /// Track display names, indexed by [`EventDesc::track`].
     fn track_names(&self) -> Vec<String>;

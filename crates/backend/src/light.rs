@@ -19,7 +19,7 @@ use failmpi_sim::{
     EventDesc, Fingerprint, FingerprintEvent, Label, PackLabel, SimDuration, SimTime,
 };
 
-use crate::{BackendConfig, Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
+use crate::{BackendConfig, Chassis, Hook, InstrumentedFn, ProtocolBackend, Signal, VclEvent};
 
 /// Nominal application payload per op (face-exchange analogue).
 const OP_APP_BYTES: u64 = 4096;
@@ -215,6 +215,8 @@ pub struct LightRuntime<P: RecoveryPolicy> {
     /// Outbox, hooks, lifecycle trace and ledger, breakpoints and traffic
     /// ledger.
     pub chassis: Chassis<LightEv<P::Done>>,
+    /// The compute machines, `HostId(0..n_compute_hosts)`.
+    hosts: Vec<HostId>,
     cfg: BackendConfig,
     seed: u64,
     started: bool,
@@ -268,6 +270,7 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
             streams,
             policy,
             chassis,
+            hosts: (0..cfg.n_compute_hosts).map(|i| HostId(i as u16)).collect(),
             cfg,
             seed,
             started: false,
@@ -299,12 +302,6 @@ impl<P: RecoveryPolicy> LightRuntime<P> {
     pub fn begin_recovery(&mut self, now: SimTime) {
         let epoch = self.epoch() + 1;
         self.record(now, VclEvent::RecoveryStarted { epoch });
-    }
-
-    /// The live unit behind `proc` (`ProcId(u)` is unit `u`).
-    fn live_unit(&self, proc: ProcId) -> Option<usize> {
-        let u = proc.0 as usize;
-        self.units.get(u).is_some_and(|st| st.alive).then_some(u)
     }
 
     fn rank_of_unit(&self, u: usize) -> Rank {
@@ -500,62 +497,56 @@ impl<P: RecoveryPolicy> ProtocolBackend for LightRuntime<P> {
         self.complete
     }
 
-    fn fail_halt(&mut self, now: SimTime, proc: ProcId) {
-        let Some(u) = self.live_unit(proc) else {
+    /// `ProcId(u)` is unit `u`; a dead one is left alone.
+    fn fail(&mut self, now: SimTime, proc: ProcId, signal: Signal) {
+        let u = proc.0 as usize;
+        if !self.units.get(u).is_some_and(|st| st.alive) {
             return;
-        };
-        let st = &mut self.units[u];
-        st.alive = false;
-        st.suspended = false;
-        st.held = false;
-        st.resume_init = false;
-        self.emit(now + self.cfg.detect_delay, LightEv::Detect { unit: u as u32 });
-        P::unit_changed(self, now, u, UnitChange::Halted);
-    }
-
-    fn fail_stop(&mut self, _now: SimTime, proc: ProcId) {
-        if let Some(u) = self.live_unit(proc) {
-            self.units[u].suspended = true;
+        }
+        match signal {
+            Signal::Halt => {
+                let st = &mut self.units[u];
+                st.alive = false;
+                st.suspended = false;
+                st.held = false;
+                st.resume_init = false;
+                self.emit(now + self.cfg.detect_delay, LightEv::Detect { unit: u as u32 });
+                P::unit_changed(self, now, u, UnitChange::Halted);
+            }
+            Signal::Stop => self.units[u].suspended = true,
+            Signal::Continue => {
+                self.units[u].suspended = false;
+                if self.units[u].held {
+                    self.units[u].held = false;
+                    self.complete_init(now, u);
+                }
+                if self.units[u].resume_init {
+                    self.units[u].resume_init = false;
+                    self.complete_init(now, u);
+                }
+                // Resume the op-stream this unit executes, if owed.
+                let s = u % self.streams.len();
+                let st = &self.streams[s];
+                if st.exec_unit as usize == u
+                    && st.resume_op
+                    && self.started
+                    && !st.finished
+                    && !st.op_in_flight
+                    && !P::stream_lost(self, s)
+                    && !P::stream_blocked(self, s)
+                {
+                    self.streams[s].resume_op = false;
+                    self.streams[s].gen += 1;
+                    self.schedule_op(now, s);
+                }
+                P::unit_changed(self, now, u, UnitChange::Continued);
+            }
         }
     }
 
-    fn fail_continue(&mut self, now: SimTime, proc: ProcId) {
-        let Some(u) = self.live_unit(proc) else {
-            return;
-        };
-        self.units[u].suspended = false;
-        if self.units[u].held {
-            self.units[u].held = false;
-            self.complete_init(now, u);
-        }
-        if self.units[u].resume_init {
-            self.units[u].resume_init = false;
-            self.complete_init(now, u);
-        }
-        // Resume the op-stream this unit executes, if owed.
-        let s = u % self.streams.len();
-        let st = &self.streams[s];
-        if st.exec_unit as usize == u
-            && st.resume_op
-            && self.started
-            && !st.finished
-            && !st.op_in_flight
-            && !P::stream_lost(self, s)
-            && !P::stream_blocked(self, s)
-        {
-            self.streams[s].resume_op = false;
-            self.streams[s].gen += 1;
-            self.schedule_op(now, s);
-        }
-        P::unit_changed(self, now, u, UnitChange::Continued);
-    }
-
-    fn compute_host(&self, i: usize) -> HostId {
-        HostId(i as u16)
-    }
-
-    fn n_compute_hosts(&self) -> usize {
-        self.cfg.n_compute_hosts
+    /// `HostId(i)` is the `i`-th machine.
+    fn compute_hosts(&self) -> &[HostId] {
+        &self.hosts
     }
 
     fn track_names(&self) -> Vec<String> {

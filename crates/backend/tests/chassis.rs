@@ -3,7 +3,7 @@
 //! stamping, event and hook draining, breakpoints, trace and traffic —
 //! and the lifecycle answers and metrics from the provided ones.
 
-use failmpi_backend::{Chassis, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
+use failmpi_backend::{Chassis, Hook, InstrumentedFn, ProtocolBackend, Signal, VclEvent};
 use failmpi_net::{HostId, ProcId};
 use failmpi_obs::MetricsSnapshot;
 use failmpi_sim::{EventDesc, EventId, Fingerprint, FingerprintEvent, Label, SimTime};
@@ -30,11 +30,8 @@ impl ProtocolBackend for Fake {
         self.0.emit(now, Tick);
     }
     fn is_complete(&self) -> bool { false }
-    fn fail_halt(&mut self, _: SimTime, _: ProcId) {}
-    fn fail_stop(&mut self, _: SimTime, _: ProcId) {}
-    fn fail_continue(&mut self, _: SimTime, _: ProcId) {}
-    fn compute_host(&self, i: usize) -> HostId { HostId(i as u16) }
-    fn n_compute_hosts(&self) -> usize { 1 }
+    fn fail(&mut self, _: SimTime, _: ProcId, _: Signal) {}
+    fn compute_hosts(&self) -> &[HostId] { &[HostId(0)] }
     fn track_names(&self) -> Vec<String> { vec!["fake".into()] }
     fn describe(&self, _: &Tick) -> EventDesc {
         EventDesc { kind: "tick", label: Label::new(1, [0; 3]), track: 0 }

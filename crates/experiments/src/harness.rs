@@ -9,9 +9,8 @@ use std::sync::{Mutex, OnceLock};
 
 use failmpi_analyze::{ModelCheckConfig, Report, StaticVerdict};
 use failmpi_backend::light::LightRuntime;
-use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend};
-use failmpi_core::lang::compile::Guard;
-use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime, RuntimeError, Scenario};
+use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend, Signal};
+use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime};
 use failmpi_replica::Failover;
 use failmpi_ulfm::Shrink;
 use failmpi_net::{HostId, ProcId};
@@ -391,15 +390,17 @@ impl<C: ProtocolBackend> World<C> {
                 } => {
                     sched.at(now + delay, WEv::FailTimer { instance, timer, gen });
                 }
-                FailAction::Halt { proc } => {
-                    fail.halts += 1;
-                    self.cluster.fail_halt(now, ProcId(proc as u32));
-                }
-                FailAction::Stop { proc } => {
-                    self.cluster.fail_stop(now, ProcId(proc as u32));
-                }
-                FailAction::Continue { proc } | FailAction::ReleaseBreakpoint { proc } => {
-                    self.cluster.fail_continue(now, ProcId(proc as u32));
+                FailAction::Halt { proc }
+                | FailAction::Stop { proc }
+                | FailAction::Continue { proc }
+                | FailAction::ReleaseBreakpoint { proc } => {
+                    let signal = match a {
+                        FailAction::Halt { .. } => Signal::Halt,
+                        FailAction::Stop { .. } => Signal::Stop,
+                        _ => Signal::Continue,
+                    };
+                    fail.halts += u32::from(signal == Signal::Halt);
+                    self.cluster.fail(now, ProcId(proc as u32), signal);
                 }
                 FailAction::ArmBreakpoint { proc, func } => {
                     // `build_fail_side` refused every name the table lacks.
@@ -458,41 +459,26 @@ impl<C: ProtocolBackend> World<C> {
                 let Some(fail) = self.fail.as_mut() else {
                     continue;
                 };
-                let input = match h {
-                    Hook::OnLoad { host, proc } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::OnLoad {
-                            instance: i,
-                            proc: proc.0 as u64,
-                        }),
-                    Hook::OnExit { host, proc } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::OnExit {
-                            instance: i,
-                            proc: proc.0 as u64,
-                        }),
-                    Hook::OnError { host, proc } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::OnError {
-                            instance: i,
-                            proc: proc.0 as u64,
-                        }),
-                    Hook::Breakpoint { host, proc, func } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::Breakpoint {
-                            instance: i,
-                            proc: proc.0 as u64,
-                            func: func.name().to_string(),
-                        }),
+                let (Hook::OnLoad { host, proc }
+                | Hook::OnExit { host, proc }
+                | Hook::OnError { host, proc }
+                | Hook::Breakpoint { host, proc, .. }) = h;
+                let Some(&instance) = fail.host_instance.get(&host) else {
+                    continue;
                 };
-                if let Some(input) = input {
-                    let acts = fail.rt.feed(input, &mut fail.rng);
-                    self.apply(now, acts, sched);
-                }
+                let proc = proc.0 as u64;
+                let input = match h {
+                    Hook::OnLoad { .. } => FailInput::OnLoad { instance, proc },
+                    Hook::OnExit { .. } => FailInput::OnExit { instance, proc },
+                    Hook::OnError { .. } => FailInput::OnError { instance, proc },
+                    Hook::Breakpoint { func, .. } => FailInput::Breakpoint {
+                        instance,
+                        proc,
+                        func: func.name().to_string(),
+                    },
+                };
+                let acts = fail.rt.feed(input, &mut fail.rng);
+                self.apply(now, acts, sched);
             }
         }
     }
@@ -796,12 +782,9 @@ fn build_fail_side(
     let refused = |d| Report::new("injection scenario", vec![d]);
     let scenario = compile(&inj.scenario_src)
         .map_err(|e| refused(failmpi_analyze::compile_error_diag(&e)))?;
-    if let Some(unknown) = unknown_breakpoint(&scenario) {
-        let why = RuntimeError(format!(
-            "`before({unknown})` names no instrumentable function (known: {})",
-            InstrumentedFn::ALL.map(InstrumentedFn::name).join(", ")
-        ));
-        return Err(refused(failmpi_analyze::deploy_error_diag(&why)));
+    let unknown = failmpi_analyze::check_breakpoints(&scenario);
+    if !unknown.is_empty() {
+        return Err(Report::new("injection scenario", unknown));
     }
     lint_injection(inj)?;
     let mut deployment = Deployment::new();
@@ -839,18 +822,6 @@ fn build_fail_side(
     })
 }
 
-/// The first `before(name)` guard of `scenario` whose name is no
-/// [`InstrumentedFn`]: a breakpoint that could never be armed.
-fn unknown_breakpoint(scenario: &Scenario) -> Option<&str> {
-    let nodes = scenario.classes.iter().flat_map(|c| &c.nodes);
-    nodes
-        .flat_map(|n| &n.transitions)
-        .find_map(|t| match &t.guard {
-            Guard::Before(f) if InstrumentedFn::from_name(f).is_none() => Some(f.as_str()),
-            _ => None,
-        })
-}
-
 /// Drives a constructed backend under the spec's scenario, tie-break,
 /// timeout and classification, with the instruments `observe` and the
 /// telemetry sink ask for.
@@ -860,12 +831,7 @@ fn drive<C: ProtocolBackend>(
     cluster: C,
 ) -> Result<RunArtifacts, Report> {
     let fail = match &spec.injection {
-        Some(inj) => {
-            let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
-                .map(|i| cluster.compute_host(i))
-                .collect();
-            Some(build_fail_side(inj, spec.seed, &hosts)?)
-        }
+        Some(inj) => Some(build_fail_side(inj, spec.seed, cluster.compute_hosts())?),
         None => None,
     };
     // A `--trace-out` sink claims exactly one run per invocation; the

@@ -9,12 +9,18 @@ mod recount;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use failmpi_backend::BackendKind;
+use failmpi_backend::light::LightRuntime;
+use failmpi_backend::{BackendConfig, BackendKind, Hook, ProtocolBackend, Signal};
+use failmpi_experiments::harness::programs_for;
 use failmpi_experiments::robustness::outcome_class;
 use failmpi_experiments::{
     run, run_one, run_one_with_trace, smoke_spec_for, ExperimentSpec, LintMode, Observe,
 };
-use failmpi_mpichv::DispatcherMode;
+use failmpi_mpichv::{Cluster, DispatcherMode};
+use failmpi_net::ProcId;
+use failmpi_replica::Failover;
+use failmpi_sim::{Engine, Fingerprint, FingerprintEvent, Model, Scheduler, SimDuration, SimTime};
+use failmpi_ulfm::Shrink;
 
 /// Expands each `fn body(backend: BackendKind)` into a module with one
 /// `#[test]` per protocol backend.
@@ -199,6 +205,29 @@ for_each_backend! {
         assert_eq!(deep, per_kind, "{backend}: deep profile kinds");
     }
 
+    fn process_control_spares_the_dead_and_the_unspawned(backend: BackendKind) {
+        // The FAIL daemon's verbs reach whatever `ProcId` a scenario
+        // names: on a process that died or never existed, each is a no-op
+        // that leaves the schedule as it was. The machine roster is the
+        // configured one, each machine once.
+        let spec = campaign(backend, 3);
+        let (n_hosts, seed) = (spec.cluster.n_compute_hosts, spec.seed);
+        let programs = programs_for(&spec);
+        let ops: Vec<u32> = programs.iter().map(|p| p.progress_marks().max(1) as u32).collect();
+        let cfg = BackendConfig::small(spec.cluster.n_ranks, n_hosts);
+        match backend {
+            BackendKind::Vcl => seam_contract(backend, n_hosts, || {
+                Cluster::new(spec.cluster.clone(), programs.clone(), seed)
+            }),
+            BackendKind::Ulfm => seam_contract(backend, n_hosts, || {
+                LightRuntime::<Shrink>::new(cfg.clone(), ops.clone(), seed)
+            }),
+            BackendKind::Replica => seam_contract(backend, n_hosts, || {
+                LightRuntime::<Failover>::new(cfg.clone(), ops.clone(), seed)
+            }),
+        }
+    }
+
     fn every_builtin_reaches_a_classified_outcome(backend: BackendKind) {
         // The acceptance floor: each backend runs every runnable builtin
         // to a classification — no panics, no unclassifiable outcomes.
@@ -215,4 +244,95 @@ for_each_backend! {
             );
         }
     }
+}
+
+/// One backend under the engine and nothing else: the first process to
+/// load is halted on the spot, and five `Poke`s follow it 250 ms apart.
+/// With `poke` on, each delivers every [`Signal`] to that corpse and to
+/// processes never spawned; with it off, a `Poke` does nothing.
+struct Bare<C: ProtocolBackend> {
+    c: C,
+    poke: bool,
+    corpse: Option<ProcId>,
+    pokes: u32,
+}
+
+enum BareEv<E> {
+    Backend(E),
+    Poke,
+}
+
+impl<C: ProtocolBackend> Model for Bare<C> {
+    type Event = BareEv<C::Event>;
+
+    fn handle(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<Self::Event>) {
+        match ev {
+            BareEv::Backend(e) => self.c.dispatch(now, e),
+            BareEv::Poke => {
+                self.pokes += 1;
+                let corpse = self.corpse.expect("poked after the halt");
+                if self.poke {
+                    for proc in [corpse, ProcId(4096), ProcId(u32::MAX)] {
+                        for signal in [Signal::Halt, Signal::Stop, Signal::Continue] {
+                            self.c.fail(now, proc, signal);
+                        }
+                    }
+                }
+            }
+        }
+        for hook in self.c.take_hooks() {
+            if let (None, Hook::OnLoad { proc, .. }) = (self.corpse, hook) {
+                self.corpse = Some(proc);
+                self.c.fail(now, proc, Signal::Halt);
+                for k in 1..=5 {
+                    sched.at(now + SimDuration::from_millis(250 * k), BareEv::Poke);
+                }
+            }
+        }
+        for (at, e) in self.c.drain_outputs() {
+            sched.at(at, BareEv::Backend(e));
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.c.is_complete()
+    }
+
+    fn fingerprint_event(&self, ev: &Self::Event, fp: &mut Fingerprint) {
+        if let BareEv::Backend(e) = ev {
+            e.fold(fp);
+        }
+    }
+}
+
+/// Runs a fresh backend from `make` under [`Bare`]; the schedule
+/// fingerprint, the event count and the `Poke`s handled.
+fn bare_run<C: ProtocolBackend>(make: &impl Fn() -> C, poke: bool) -> (u64, u64, u32) {
+    let mut c = make();
+    let boot: Vec<_> = c.drain_outputs().collect();
+    let mut engine = Engine::new(Bare {
+        c,
+        poke,
+        corpse: None,
+        pokes: 0,
+    });
+    for (at, e) in boot {
+        engine.schedule(at, BareEv::Backend(e));
+    }
+    engine.run(SimTime::from_secs(3600));
+    (engine.fingerprint(), engine.events_handled(), engine.model().pokes)
+}
+
+/// The seam's process-control and roster contract for one backend.
+fn seam_contract<C: ProtocolBackend>(backend: BackendKind, n_hosts: usize, make: impl Fn() -> C) {
+    let quiet = bare_run(&make, false);
+    let poked = bare_run(&make, true);
+    assert_eq!(quiet.2, 5, "{backend}: the run ended before every poke");
+    assert_eq!(quiet, poked, "{backend}: a signal to a dead process moved the schedule");
+
+    let c = make();
+    let hosts = c.compute_hosts();
+    assert_eq!(hosts.len(), n_hosts, "{backend}");
+    let distinct: BTreeSet<_> = hosts.iter().collect();
+    assert_eq!(distinct.len(), n_hosts, "{backend}: a machine listed twice");
 }

@@ -269,8 +269,9 @@ fn timeline_rejects_what_it_cannot_run_without_panicking() {
         // A breakpoint no backend raises would never be armed: refused.
         (
             &[&[&misspelled[..]], &fig10_args[..]].concat(),
-            "error[FA011]: scenario does not deploy: `before(localMPI_setCommnd)` \
-             names no instrumentable function (known: localMPI_setCommand)",
+            "error[FA012]: class `ADVG1`, node 4: `before(localMPI_setCommnd)` \
+             names no instrumentable function — the breakpoint can never be armed\n    \
+             help: the instrumentable functions are: localMPI_setCommand",
         ),
     ];
     for (args, needle) in cases {

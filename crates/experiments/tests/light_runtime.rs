@@ -4,7 +4,7 @@
 //! replication's `Failover`, then each policy's own recovery behaviour.
 
 use failmpi_backend::light::{LightEv, LightRuntime, RecoveryPolicy};
-use failmpi_backend::{BackendConfig, Hook, InstrumentedFn, ProtocolBackend, VclEvent};
+use failmpi_backend::{BackendConfig, Hook, InstrumentedFn, ProtocolBackend, Signal, VclEvent};
 use failmpi_net::ProcId;
 use failmpi_replica::Failover;
 use failmpi_sim::SimTime;
@@ -71,11 +71,11 @@ const BP: InstrumentedFn = InstrumentedFn::LocalMpiSetCommand;
 
 fn stop_before_init_defers_registration<P: RecoveryPolicy>(mut d: Driver<P>) {
     d.drive(SimTime::from_millis(500)); // unit 0 booted, init pending
-    d.c.fail_stop(SimTime::from_millis(500), ProcId(0));
+    d.c.fail(SimTime::from_millis(500), ProcId(0), Signal::Stop);
     d.drive(secs(10));
     assert!(!d.c.units[0].registered && d.c.units[0].resume_init);
     assert!(!d.c.started(), "an unregistered live unit blocks the start");
-    d.c.fail_continue(secs(10), ProcId(0));
+    d.c.fail(secs(10), ProcId(0), Signal::Continue);
     assert!(d.c.units[0].registered && !d.c.units[0].resume_init);
     assert!(d.c.started());
     d.drive(END);
@@ -95,7 +95,7 @@ fn breakpoint_holds_the_start_barrier<P: RecoveryPolicy>(mut d: Driver<P>) {
         }
     )));
     assert!(!d.c.started(), "held unit blocks the start barrier");
-    d.c.fail_continue(secs(10), ProcId(0));
+    d.c.fail(secs(10), ProcId(0), Signal::Continue);
     assert!(!d.c.units[0].held && d.c.started());
     d.drive(END);
     assert!(d.c.is_complete());
@@ -104,12 +104,12 @@ fn breakpoint_holds_the_start_barrier<P: RecoveryPolicy>(mut d: Driver<P>) {
 fn halt_clears_control_state_and_schedules_one_detect<P: RecoveryPolicy>(mut d: Driver<P>) {
     d.c.arm_breakpoint(ProcId(0), BP);
     d.drive(SimTime::from_millis(600)); // unit 1 booted, init pending
-    d.c.fail_stop(SimTime::from_millis(600), ProcId(1));
+    d.c.fail(SimTime::from_millis(600), ProcId(1), Signal::Stop);
     d.drive(secs(5));
     assert!(d.c.units[0].held);
     assert!(d.c.units[1].suspended && d.c.units[1].resume_init);
     for u in [0u32, 1] {
-        d.c.fail_halt(secs(5), ProcId(u));
+        d.c.fail(secs(5), ProcId(u), Signal::Halt);
         let st = &d.c.units[u as usize];
         assert!(!st.alive && !st.suspended && !st.held && !st.resume_init);
         let due = secs(5) + d.c.cfg().detect_delay;
@@ -118,9 +118,9 @@ fn halt_clears_control_state_and_schedules_one_detect<P: RecoveryPolicy>(mut d: 
             [(t, LightEv::Detect { unit })] if *t == due && *unit == u
         ));
         // A corpse cannot be halted, stopped or continued again.
-        d.c.fail_halt(secs(5), ProcId(u));
-        d.c.fail_stop(secs(5), ProcId(u));
-        d.c.fail_continue(secs(5), ProcId(u));
+        d.c.fail(secs(5), ProcId(u), Signal::Halt);
+        d.c.fail(secs(5), ProcId(u), Signal::Stop);
+        d.c.fail(secs(5), ProcId(u), Signal::Continue);
         assert!(d.c.drain_outputs().len() == 0 && !d.c.units[u as usize].suspended);
     }
 }
@@ -149,11 +149,11 @@ fn stopped_op_completes_after_continue_with_a_fresh_generation<P: RecoveryPolicy
     mut d: Driver<P>,
 ) {
     d.drive(secs(3));
-    d.c.fail_stop(secs(3), ProcId(0));
+    d.c.fail(secs(3), ProcId(0), Signal::Stop);
     d.drive(secs(10));
     let frozen = d.c.streams[0].clone();
     assert!(!frozen.op_in_flight && frozen.resume_op && !frozen.finished);
-    d.c.fail_continue(secs(10), ProcId(0));
+    d.c.fail(secs(10), ProcId(0), Signal::Continue);
     let st = &d.c.streams[0];
     assert!(st.op_in_flight && !st.resume_op);
     assert_eq!((st.gen, st.ops_done), (frozen.gen + 1, frozen.ops_done));
@@ -164,7 +164,7 @@ fn stopped_op_completes_after_continue_with_a_fresh_generation<P: RecoveryPolicy
 fn same_seed_double_run_is_equal<P: RecoveryPolicy>(d: Driver<P>) {
     let run = |mut d: Driver<P>| {
         d.drive(secs(3));
-        d.c.fail_halt(secs(3), ProcId(1));
+        d.c.fail(secs(3), ProcId(1), Signal::Halt);
         let end = d.drive(END);
         (
             end,
@@ -254,7 +254,7 @@ fn ulfm_single_fault_shrinks_and_survives() {
     let mut d = ulfm(3, 4);
     // Boot everyone, then kill rank 1 mid-run.
     d.drive(secs(3));
-    d.c.fail_halt(secs(3), ProcId(1));
+    d.c.fail(secs(3), ProcId(1), Signal::Halt);
     d.drive(END);
     assert!(d.c.is_complete(), "survivors absorb the victim's work");
     assert_eq!(d.c.recoveries_started(), 1);
@@ -268,8 +268,8 @@ fn ulfm_single_fault_shrinks_and_survives() {
 fn ulfm_killing_everyone_freezes() {
     let mut d = ulfm(2, 4);
     d.drive(secs(3));
-    d.c.fail_halt(secs(3), ProcId(0));
-    d.c.fail_halt(secs(3), ProcId(1));
+    d.c.fail(secs(3), ProcId(0), Signal::Halt);
+    d.c.fail(secs(3), ProcId(1), Signal::Halt);
     d.drive(END);
     assert!(!d.c.is_complete(), "no survivors: permanently silent");
     assert!(d.queue.is_empty(), "nothing left scheduled");
@@ -279,13 +279,13 @@ fn ulfm_killing_everyone_freezes() {
 fn ulfm_suspended_survivor_blocks_agreement_until_resume() {
     let mut d = ulfm(3, 4);
     d.drive(secs(3));
-    d.c.fail_stop(secs(3), ProcId(2));
-    d.c.fail_halt(secs(3), ProcId(1));
+    d.c.fail(secs(3), ProcId(2), Signal::Stop);
+    d.c.fail(secs(3), ProcId(1), Signal::Halt);
     // Detection fires but the shrink cannot be agreed.
     d.drive(secs(30));
     assert!(d.c.policy.recovery_active);
     assert!(d.c.policy.agree_deferred);
-    d.c.fail_continue(secs(30), ProcId(2));
+    d.c.fail(secs(30), ProcId(2), Signal::Continue);
     d.drive(END);
     assert!(d.c.is_complete());
 }
@@ -295,7 +295,7 @@ fn ulfm_double_run_is_deterministic() {
     let run = || {
         let mut d = ulfm(4, 5);
         d.drive(secs(4));
-        d.c.fail_halt(secs(4), ProcId(2));
+        d.c.fail(secs(4), ProcId(2), Signal::Halt);
         let end = d.drive(END);
         (end, d.c.max_progress(), d.c.epoch(), d.c.trace().len())
     };
@@ -308,7 +308,7 @@ fn ulfm_breakpoint_holds_init_until_continue() {
     d.c.arm_breakpoint(ProcId(0), BP);
     d.drive(secs(10));
     assert!(!d.c.started(), "held rank blocks the start barrier");
-    d.c.fail_continue(secs(10), ProcId(0));
+    d.c.fail(secs(10), ProcId(0), Signal::Continue);
     d.drive(END);
     assert!(d.c.is_complete());
 }
@@ -340,7 +340,7 @@ fn replica_fault_free_run_completes_with_sync_traffic() {
 fn replica_protected_primary_death_is_masked_by_promotion() {
     let mut d = partial();
     d.drive(secs(3));
-    d.c.fail_halt(secs(3), ProcId(0));
+    d.c.fail(secs(3), ProcId(0), Signal::Halt);
     d.drive(END);
     assert!(d.c.is_complete(), "the replica takes over mid-stream");
     assert_eq!(d.c.recoveries_started(), 1);
@@ -355,7 +355,7 @@ fn replica_protected_primary_death_is_masked_by_promotion() {
 fn replica_unprotected_primary_death_freezes() {
     let mut d = partial();
     d.drive(secs(3));
-    d.c.fail_halt(secs(3), ProcId(2));
+    d.c.fail(secs(3), ProcId(2), Signal::Halt);
     d.drive(END);
     assert!(
         !d.c.is_complete(),
@@ -368,8 +368,8 @@ fn replica_unprotected_primary_death_freezes() {
 fn replica_primary_plus_replica_pair_death_freezes() {
     let mut d = partial();
     d.drive(secs(3));
-    d.c.fail_halt(secs(3), ProcId(0));
-    d.c.fail_halt(secs(3), ProcId(3));
+    d.c.fail(secs(3), ProcId(0), Signal::Halt);
+    d.c.fail(secs(3), ProcId(3), Signal::Halt);
     d.drive(END);
     assert!(
         !d.c.is_complete(),
@@ -381,16 +381,16 @@ fn replica_primary_plus_replica_pair_death_freezes() {
 fn replica_death_alone_is_harmless_but_unprotects() {
     let mut d = partial();
     d.drive(secs(3));
-    d.c.fail_halt(secs(3), ProcId(4));
+    d.c.fail(secs(3), ProcId(4), Signal::Halt);
     d.drive(END);
     assert!(d.c.is_complete());
     assert_eq!(d.c.recoveries_started(), 0);
     // ... but a later primary death can no longer be masked.
     let mut d = partial();
     d.drive(secs(3));
-    d.c.fail_halt(secs(3), ProcId(4));
+    d.c.fail(secs(3), ProcId(4), Signal::Halt);
     d.drive(secs(4));
-    d.c.fail_halt(secs(4), ProcId(1));
+    d.c.fail(secs(4), ProcId(1), Signal::Halt);
     d.drive(END);
     assert!(!d.c.is_complete());
 }
@@ -400,7 +400,7 @@ fn replica_double_run_is_deterministic() {
     let run = || {
         let mut d = partial();
         d.drive(secs(3));
-        d.c.fail_halt(secs(3), ProcId(0));
+        d.c.fail(secs(3), ProcId(0), Signal::Halt);
         let end = d.drive(END);
         (end, d.c.max_progress(), d.c.epoch(), d.c.trace().len())
     };

@@ -62,7 +62,7 @@ fn undeployable_scenarios_come_back_as_reports() {
         (FIG5_SRC, "NoSuchClass", "ADVnodes", None, "FA011"),
         (FIG5_SRC, "ADV1", "ADVnodes", Some(("NoSuchParam", 1)), "FA011"),
         (FIG5_SRC, "ADV1", "ADVnodes", Some(("N", 99)), "FA011"),
-        (&misspelled, "ADV1", "ADVG1", Some(("N", 3)), "FA011"),
+        (&misspelled, "ADV1", "ADVG1", Some(("N", 3)), "FA012"),
     ];
     for mode in [LintMode::Off, LintMode::Warn, LintMode::Strict] {
         for (src, adversary, machines, param, code) in cases {
@@ -76,6 +76,23 @@ fn undeployable_scenarios_come_back_as_reports() {
             let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
             assert!(codes.contains(&code), "{mode:?} {adversary}/{machines}: got {codes:?}");
         }
+    }
+}
+
+/// A misspelled breakpoint is refused with exactly the diagnostic `failck`
+/// reports for the file, whatever the lint mode.
+#[test]
+fn misspelled_breakpoint_is_refused_with_the_static_diagnostic() {
+    let misspelled = FIG10_SRC.replace("before(localMPI_setCommand)", "before(localMPI_setCommnd)");
+    let expected = failmpi_analyze::check_source(&misspelled);
+    let codes: Vec<_> = expected.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["FA012"]);
+    for mode in [LintMode::Off, LintMode::Warn, LintMode::Strict] {
+        let inj = InjectionSpec::new(&misspelled, "ADV1", "ADVG1").with_param("N", 3);
+        let mut spec = miniature(14);
+        spec.injection = Some(inj.with_lint(mode));
+        let report = run(&spec, Observe::default()).expect_err("must refuse");
+        assert_eq!(report.diagnostics, expected, "{mode:?}");
     }
 }
 

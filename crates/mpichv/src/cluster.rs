@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use failmpi_backend::{Chassis, ProtocolBackend};
+use failmpi_backend::{Chassis, ProtocolBackend, Signal};
 use failmpi_net::{CloseReason, Gated, HostId, NetEvent, Network, ProcId};
 use failmpi_sim::{
     Engine, EventDesc, EventId, Label, Model, PackLabel, RunOutcome, Scheduler, SimDuration, SimRng,
@@ -166,7 +166,7 @@ impl Cluster {
         let ctx = &mut self.ctx;
         if ctx.net.is_suspended(proc) {
             match ev {
-                // Noted, for `fail_continue` to replay the wake-up.
+                // Noted, for `Signal::Continue` to replay the wake-up.
                 Ev::ComputeDone { gen, .. } => return v.on_compute_done_suspended(gen),
                 // The exit was already ordered; the signal does not undo it.
                 Ev::DaemonExit { .. } => {}
@@ -476,46 +476,41 @@ impl ProtocolBackend for Cluster {
         self.dispatcher.job_complete()
     }
 
-    /// Silent: the injecting daemon performed the kill, so no lifecycle
-    /// hook.
-    fn fail_halt(&mut self, now: SimTime, proc: ProcId) {
-        self.ctx.now = now;
-        self.kill_daemon(proc, None);
-        self.flush();
-    }
-
-    fn fail_stop(&mut self, _now: SimTime, proc: ProcId) {
-        self.ctx.net.suspend(proc);
-    }
-
-    /// Flushes buffered inbound events, releases a breakpoint hold, and
-    /// re-arms pending compute.
-    fn fail_continue(&mut self, now: SimTime, proc: ProcId) {
-        let ctx = self.ctx.at(now);
-        for ev in ctx.net.resume(proc) {
-            ctx.chassis.emit(now, Ev::Net(ev));
-        }
-        if let Some(&Role::Daemon(r)) = self.role_of.get(proc.0) {
-            if let Some(v) = vnode_at(&mut self.vnodes, Rank(r), proc) {
-                if v.held_at_set_command {
-                    v.do_set_command(ctx);
+    /// `Halt` is silent: the injecting daemon performed the kill, so no
+    /// lifecycle hook. `Continue` flushes buffered inbound events,
+    /// releases a breakpoint hold, and re-arms pending compute.
+    fn fail(&mut self, now: SimTime, proc: ProcId, signal: Signal) {
+        match signal {
+            Signal::Halt => {
+                self.ctx.now = now;
+                self.kill_daemon(proc, None);
+                self.flush();
+            }
+            Signal::Stop => self.ctx.net.suspend(proc),
+            Signal::Continue => {
+                let ctx = self.ctx.at(now);
+                for ev in ctx.net.resume(proc) {
+                    ctx.chassis.emit(now, Ev::Net(ev));
                 }
-                if v.pending_wake {
-                    v.pending_wake = false;
-                    v.pump(ctx);
+                if let Some(&Role::Daemon(r)) = self.role_of.get(proc.0) {
+                    if let Some(v) = vnode_at(&mut self.vnodes, Rank(r), proc) {
+                        if v.held_at_set_command {
+                            v.do_set_command(ctx);
+                        }
+                        if v.pending_wake {
+                            v.pending_wake = false;
+                            v.pump(ctx);
+                        }
+                    }
                 }
+                self.flush();
             }
         }
-        self.flush();
     }
 
-    /// The paper's `G1[i]`.
-    fn compute_host(&self, i: usize) -> HostId {
-        self.ctx.addrs.compute_hosts[i]
-    }
-
-    fn n_compute_hosts(&self) -> usize {
-        self.ctx.addrs.compute_hosts.len()
+    /// The paper's `G1`: `G1[i]` is the `i`-th.
+    fn compute_hosts(&self) -> &[HostId] {
+        &self.ctx.addrs.compute_hosts
     }
 
     fn track_names(&self) -> Vec<String> {

@@ -26,8 +26,8 @@
 //! per-rank checkpoints and single-rank restarts — and **Vdummy** — no
 //! fault tolerance, the restart-from-scratch baseline.
 //!
-//! The crate exposes a process-control surface (`fail_halt` / `fail_stop` /
-//! `fail_continue` / breakpoints) plus lifecycle [`Hook`]s — exactly the
+//! The crate exposes a process-control surface (`fail` with a `Signal`,
+//! breakpoints) plus lifecycle [`Hook`]s — exactly the
 //! interface the FAIL-MPI middleware needs; the wiring of the two lives in
 //! `failmpi-experiments`.
 

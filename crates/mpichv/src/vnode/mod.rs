@@ -569,7 +569,7 @@ impl VNode {
     }
 
     /// A compute phase ended while the process was suspended (SIGSTOP):
-    /// note the wake-up for `fail_continue` to replay.
+    /// note the wake-up for `Signal::Continue` to replay.
     pub fn on_compute_done_suspended(&mut self, gen: u64) {
         if gen == self.busy_gen && self.phase == Phase::Running {
             self.busy = false;

@@ -8,7 +8,7 @@ use failmpi_mpichv::{
     run_standalone, CheckpointStyle, Cluster, DispatcherMode, Ev, Hook, InstrumentedFn,
     VclConfig, VclEvent,
 };
-use failmpi_backend::ProtocolBackend;
+use failmpi_backend::{ProtocolBackend, Signal};
 use failmpi_net::{HostId, ProcId};
 use failmpi_sim::{Engine, Model, RunOutcome, Scheduler, SimDuration, SimTime};
 use failmpi_mpi::Program;
@@ -20,7 +20,7 @@ fn secs(s: u64) -> SimTime {
 
 /// A scripted injection harness: reacts to cluster hooks and to scheduled
 /// probe points, standing in for the FAIL middleware in these tests.
-struct TestWorld<F: FnMut(&mut Cluster, SimTime, Signal, &mut State)> {
+struct TestWorld<F: FnMut(&mut Cluster, SimTime, Cue, &mut State)> {
     cluster: Cluster,
     script: F,
     state: State,
@@ -37,7 +37,7 @@ struct State {
     counter: u32,
 }
 
-enum Signal {
+enum Cue {
     Hook(Hook),
     Probe(u32),
 }
@@ -47,14 +47,14 @@ enum TEv {
     Probe(u32),
 }
 
-impl<F: FnMut(&mut Cluster, SimTime, Signal, &mut State)> Model for TestWorld<F> {
+impl<F: FnMut(&mut Cluster, SimTime, Cue, &mut State)> Model for TestWorld<F> {
     type Event = TEv;
 
     fn handle(&mut self, now: SimTime, ev: TEv, sched: &mut Scheduler<TEv>) {
         match ev {
             TEv::C(ev) => self.cluster.dispatch(now, ev),
             TEv::Probe(k) => {
-                (self.script)(&mut self.cluster, now, Signal::Probe(k), &mut self.state);
+                (self.script)(&mut self.cluster, now, Cue::Probe(k), &mut self.state);
             }
         }
         loop {
@@ -73,7 +73,7 @@ impl<F: FnMut(&mut Cluster, SimTime, Signal, &mut State)> Model for TestWorld<F>
                     }
                     Hook::Breakpoint { .. } => {}
                 }
-                (self.script)(&mut self.cluster, now, Signal::Hook(h), &mut self.state);
+                (self.script)(&mut self.cluster, now, Cue::Hook(h), &mut self.state);
             }
         }
         for (t, e) in self.cluster.take_outputs() {
@@ -87,7 +87,7 @@ impl<F: FnMut(&mut Cluster, SimTime, Signal, &mut State)> Model for TestWorld<F>
 }
 
 /// Runs a cluster under a script; returns (outcome, end time, cluster).
-fn run_scripted<F: FnMut(&mut Cluster, SimTime, Signal, &mut State)>(
+fn run_scripted<F: FnMut(&mut Cluster, SimTime, Cue, &mut State)>(
     cfg: VclConfig,
     programs: Vec<Arc<Program>>,
     seed: u64,
@@ -177,10 +177,10 @@ fn single_failure_recovers_and_completes() {
         &[(secs(2), 0)],
         secs(300),
         |cluster, now, sig, st| {
-            if let Signal::Probe(0) = sig {
-                let host = cluster.compute_host(0);
+            if let Cue::Probe(0) = sig {
+                let host = cluster.compute_hosts()[0];
                 if let Some(&proc) = st.on_host.get(&host) {
-                    cluster.fail_halt(now, proc);
+                    cluster.fail(now, proc, Signal::Halt);
                     st.on_host.remove(&host);
                 }
             }
@@ -224,10 +224,10 @@ fn failure_before_first_wave_restarts_from_scratch() {
         &[(secs(2), 0)],
         secs(300),
         |cluster, now, sig, st| {
-            if let Signal::Probe(0) = sig {
-                let host = cluster.compute_host(1);
+            if let Cue::Probe(0) = sig {
+                let host = cluster.compute_hosts()[1];
                 if let Some(&proc) = st.on_host.get(&host) {
-                    cluster.fail_halt(now, proc);
+                    cluster.fail(now, proc, Signal::Halt);
                 }
             }
         },
@@ -261,22 +261,22 @@ fn run_second_fault_at_set_command(mode: DispatcherMode, seed: u64) -> (RunOutco
         &[(secs(2), 0)],
         secs(120),
         |cluster, now, sig, st| match sig {
-            Signal::Probe(0) => {
-                let host = cluster.compute_host(0);
+            Cue::Probe(0) => {
+                let host = cluster.compute_hosts()[0];
                 if let Some(&proc) = st.on_host.get(&host) {
-                    cluster.fail_halt(now, proc);
+                    cluster.fail(now, proc, Signal::Halt);
                     st.counter = st.loads; // remember fleet size at fault 1
                 }
             }
             // First respawn after fault 1: arm the breakpoint.
-            Signal::Hook(Hook::OnLoad { proc, .. })
+            Cue::Hook(Hook::OnLoad { proc, .. })
                 if st.counter != 0 && st.loads == st.counter + 1 =>
             {
                 cluster.arm_breakpoint(proc, InstrumentedFn::LocalMpiSetCommand);
             }
-            Signal::Hook(Hook::Breakpoint { proc, .. }) => {
+            Cue::Hook(Hook::Breakpoint { proc, .. }) => {
                 // Held right after registration: inject the second fault.
-                cluster.fail_halt(now, proc);
+                cluster.fail(now, proc, Signal::Halt);
             }
             _ => {}
         },
@@ -367,15 +367,15 @@ fn stop_and_continue_preserve_the_run() {
         &[(secs(2), 0), (secs(3), 1)],
         secs(300),
         |cluster, now, sig, st| match sig {
-            Signal::Probe(0) => {
-                let host = cluster.compute_host(2);
+            Cue::Probe(0) => {
+                let host = cluster.compute_hosts()[2];
                 if let Some(&proc) = st.on_host.get(&host) {
-                    cluster.fail_stop(now, proc);
+                    cluster.fail(now, proc, Signal::Stop);
                     st.counter = proc.0;
                 }
             }
-            Signal::Probe(1) => {
-                cluster.fail_continue(now, ProcId(st.counter));
+            Cue::Probe(1) => {
+                cluster.fail(now, ProcId(st.counter), Signal::Continue);
             }
             _ => {}
         },
@@ -398,14 +398,16 @@ fn repeated_failures_keep_recovering() {
         &probes,
         secs(300),
         |cluster, now, sig, st| {
-            if let Signal::Probe(0) = sig {
+            if let Cue::Probe(0) = sig {
                 // Kill whichever machine currently hosts a daemon.
-                let host = (0..cluster.n_compute_hosts())
-                    .map(|i| cluster.compute_host(i))
+                let host = cluster
+                    .compute_hosts()
+                    .iter()
+                    .copied()
                     .find(|h| st.on_host.contains_key(h));
                 if let Some(h) = host {
                     let proc = st.on_host[&h];
-                    cluster.fail_halt(now, proc);
+                    cluster.fail(now, proc, Signal::Halt);
                     st.on_host.remove(&h);
                 }
             }
@@ -453,12 +455,14 @@ fn retention_bounds_hold_during_long_runs_with_failures() {
         &probes,
         secs(300),
         |cluster, now, sig, st| {
-            if let Signal::Probe(0) = sig {
-                let host = (0..cluster.n_compute_hosts())
-                    .map(|i| cluster.compute_host(i))
+            if let Cue::Probe(0) = sig {
+                let host = cluster
+                    .compute_hosts()
+                    .iter()
+                    .copied()
                     .find(|h| st.on_host.contains_key(h));
                 if let Some(h) = host {
-                    cluster.fail_halt(now, st.on_host[&h]);
+                    cluster.fail(now, st.on_host[&h], Signal::Halt);
                     st.on_host.remove(&h);
                 }
             }
@@ -501,10 +505,10 @@ fn keepalive_style_detection_delays_recovery() {
             &[(secs(2), 0)],
             secs(300),
             |cluster, now, sig, st| {
-                if let Signal::Probe(0) = sig {
-                    let host = cluster.compute_host(0);
+                if let Cue::Probe(0) = sig {
+                    let host = cluster.compute_hosts()[0];
                     if let Some(&proc) = st.on_host.get(&host) {
-                        cluster.fail_halt(now, proc);
+                        cluster.fail(now, proc, Signal::Halt);
                     }
                 }
             },
@@ -538,19 +542,19 @@ fn rapid_double_kill_exercises_launch_retry() {
         &[(secs(2), 0)],
         secs(300),
         |cluster, now, sig, st| match sig {
-            Signal::Probe(0) => {
-                let host = cluster.compute_host(0);
+            Cue::Probe(0) => {
+                let host = cluster.compute_hosts()[0];
                 if let Some(&proc) = st.on_host.get(&host) {
-                    cluster.fail_halt(now, proc);
+                    cluster.fail(now, proc, Signal::Halt);
                     st.counter = st.loads;
                 }
             }
             // Snipe the first respawn immediately — guaranteed to be
             // before its (≥ sub-millisecond) registration handshake.
-            Signal::Hook(Hook::OnLoad { proc, .. })
+            Cue::Hook(Hook::OnLoad { proc, .. })
                 if st.counter != 0 && st.loads == st.counter + 1 =>
             {
-                cluster.fail_halt(now, proc);
+                cluster.fail(now, proc, Signal::Halt);
             }
             _ => {}
         },
@@ -585,26 +589,26 @@ fn suspension_during_restore_is_survived() {
         &[(secs(2), 0), (secs(3), 1)],
         secs(300),
         |cluster, now, sig, st| match sig {
-            Signal::Probe(0) => {
-                let host = cluster.compute_host(0);
+            Cue::Probe(0) => {
+                let host = cluster.compute_hosts()[0];
                 if let Some(&proc) = st.on_host.get(&host) {
-                    cluster.fail_halt(now, proc);
+                    cluster.fail(now, proc, Signal::Halt);
                     st.counter = st.loads;
                 }
             }
             // Freeze the first respawned daemon right at load…
-            Signal::Hook(Hook::OnLoad { proc, .. })
+            Cue::Hook(Hook::OnLoad { proc, .. })
                 if st.counter != 0 && st.loads == st.counter + 1 =>
             {
-                cluster.fail_stop(now, proc);
+                cluster.fail(now, proc, Signal::Stop);
                 st.counter = 0;
                 // remember which pid to resume
                 st.loads += 1000;
                 st.counter = proc.0;
             }
             // …and release it a second later.
-            Signal::Probe(1) if st.loads >= 1000 => {
-                cluster.fail_continue(now, ProcId(st.counter));
+            Cue::Probe(1) if st.loads >= 1000 => {
+                cluster.fail(now, ProcId(st.counter), Signal::Continue);
             }
             _ => {}
         },
@@ -646,10 +650,10 @@ fn v2_single_failure_restarts_only_the_victim() {
         &[(secs(2), 0)],
         secs(300),
         |cluster, now, sig, st| {
-            if let Signal::Probe(0) = sig {
-                let host = cluster.compute_host(0);
+            if let Cue::Probe(0) = sig {
+                let host = cluster.compute_hosts()[0];
                 if let Some(&proc) = st.on_host.get(&host) {
-                    cluster.fail_halt(now, proc);
+                    cluster.fail(now, proc, Signal::Halt);
                 }
             }
         },
@@ -696,12 +700,14 @@ fn v2_survives_fault_frequencies_that_starve_vcl() {
             &probes,
             secs(120),
             |cluster, now, sig, st| {
-                if let Signal::Probe(0) = sig {
-                    let host = (0..cluster.n_compute_hosts())
-                        .map(|i| cluster.compute_host(i))
+                if let Cue::Probe(0) = sig {
+                    let host = cluster
+                        .compute_hosts()
+                        .iter()
+                        .copied()
                         .find(|h| st.on_host.contains_key(h));
                     if let Some(h) = host {
-                        cluster.fail_halt(now, st.on_host[&h]);
+                        cluster.fail(now, st.on_host[&h], Signal::Halt);
                         st.on_host.remove(&h);
                     }
                 }
@@ -748,12 +754,14 @@ fn v2_restart_preserves_application_semantics() {
         &[(secs(2), 0), (secs(4), 0)],
         secs(300),
         |cluster, now, sig, st| {
-            if let Signal::Probe(0) = sig {
-                let host = (0..cluster.n_compute_hosts())
-                    .map(|i| cluster.compute_host(i))
+            if let Cue::Probe(0) = sig {
+                let host = cluster
+                    .compute_hosts()
+                    .iter()
+                    .copied()
                     .find(|h| st.on_host.contains_key(h));
                 if let Some(h) = host {
-                    cluster.fail_halt(now, st.on_host[&h]);
+                    cluster.fail(now, st.on_host[&h], Signal::Halt);
                     st.on_host.remove(&h);
                 }
             }
