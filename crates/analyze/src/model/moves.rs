@@ -362,7 +362,8 @@ mod tests {
         let (n_hosts, n_units) = (ctx.cfg.n_hosts, ctx.cfg.n_units());
         let succs = (exp.succs.iter())
             .map(|x| {
-                let perm = exp.perm(x.perm, n_hosts, n_units);
+                let row = |at: u32| &exp.perms[at as usize..];
+                let perm = x.perm.map(|at| Perm::from_flat(row(at), n_hosts, n_units));
                 let m = &x.micro;
                 (scr.label(x).to_string(), x.kind, m.st.clone(), m.faults, m.notes.clone(), perm)
             })

@@ -34,8 +34,9 @@ pub(super) struct TreeEdge {
     pub(super) kind: MoveKind,
     /// Faults the branch injected.
     pub(super) faults: u32,
-    /// Raw→canonical permutation of the successor; `None` is the identity.
-    pub(super) perm: Option<Perm>,
+    /// Where the successor's raw→canonical permutation starts in
+    /// [`Explorer::perms`]; `None` is the identity.
+    pub(super) perm: Option<u32>,
 }
 
 pub(crate) struct Explorer<'a> {
@@ -57,6 +58,17 @@ pub(crate) struct Explorer<'a> {
     pub(super) dist: Vec<(u32, u32)>,
     /// The one parent table, for both modes (`None` at the root).
     pub(super) parent: Vec<Option<TreeEdge>>,
+    /// The tree edges' non-identity permutations, back to back, each as
+    /// [`Perm::write_flat`] writes it. A row a cheaper edge supersedes
+    /// stays, unreferenced.
+    perms: Vec<u8>,
+    /// Every distinct instance value an interned state holds, once: an
+    /// interned state's instances are these allocations, so states that
+    /// agree on an instance share it and compare it by pointer.
+    inst_table: HashSet<Inst, BuildHasherDefault<StateHasher>>,
+    /// Whether [`Self::intern`] shares instances through `inst_table`;
+    /// off only in the test that checks sharing changes nothing.
+    share_insts: bool,
     /// Every expanded state's out-edges `(successor, faulty)`, back to
     /// back: a state is expanded once, so its edges are one run.
     edge_list: Vec<(u32, bool)>,
@@ -178,6 +190,9 @@ impl<'a> Explorer<'a> {
             hash_mask: u64::MAX,
             dist: Vec::new(),
             parent: Vec::new(),
+            perms: Vec::new(),
+            inst_table: HashSet::default(),
+            share_insts: true,
             edge_list: Vec::new(),
             edge_run: Vec::new(),
             expanded: Vec::new(),
@@ -212,6 +227,13 @@ impl<'a> Explorer<'a> {
         &self.states
     }
 
+    /// The raw→canonical permutation of a tree edge; `None` is the
+    /// identity.
+    pub(super) fn edge_perm(&self, edge: &TreeEdge) -> Option<Perm> {
+        let (n_hosts, n_units) = (self.ctx.cfg.n_hosts, self.ctx.cfg.n_units());
+        edge.perm.map(|at| Perm::from_flat(&self.perms[at as usize..], n_hosts, n_units))
+    }
+
     /// The out-edges `(successor, faulty)` of state `id`, in successor
     /// order; none until it is expanded.
     pub(super) fn edges(&self, id: u32) -> &[(u32, bool)] {
@@ -219,7 +241,7 @@ impl<'a> Explorer<'a> {
         &self.edge_list[start as usize..end as usize]
     }
 
-    fn intern(&mut self, s: ProdState) -> u32 {
+    fn intern(&mut self, mut s: ProdState) -> u32 {
         let mut h = StateHasher::default();
         s.hash(&mut h);
         let hash = h.finish() & self.hash_mask;
@@ -230,6 +252,16 @@ impl<'a> Explorer<'a> {
                 return at;
             }
             at = self.same_hash[at as usize];
+        }
+        if self.share_insts {
+            for inst in &mut s.insts {
+                match self.inst_table.get(inst) {
+                    Some(shared) => *inst = shared.clone(),
+                    None => {
+                        self.inst_table.insert(inst.clone());
+                    }
+                }
+            }
         }
         let id = self.states.len() as u32;
         self.all_running.push(s.proto.all_running());
@@ -311,7 +343,7 @@ impl<'a> Explorer<'a> {
             self.freeze = Some((id, why.to_string()));
             return true;
         }
-        let (n_hosts, n_units) = (self.ctx.cfg.n_hosts, self.ctx.cfg.n_units());
+        let row = self.ctx.cfg.n_hosts + self.ctx.cfg.n_units();
         let start = self.edge_list.len() as u32;
         for succ in std::mem::take(&mut exp.succs) {
             let nid = self.intern(succ.micro.st);
@@ -320,7 +352,11 @@ impl<'a> Explorer<'a> {
             if cand < self.dist[nid as usize] {
                 self.dist[nid as usize] = cand;
                 let (kind, faults) = (succ.kind, succ.micro.faults);
-                let perm = exp.perm(succ.perm, n_hosts, n_units);
+                let perm = succ.perm.map(|at| {
+                    let at = at as usize;
+                    self.perms.extend_from_slice(&exp.perms[at..at + row]);
+                    (self.perms.len() - row) as u32
+                });
                 self.parent[nid as usize] = Some(TreeEdge { parent: id, kind, faults, perm });
                 self.buckets.entry(cand).or_default().push(nid);
             }
@@ -400,6 +436,7 @@ fn comm_closure(programs: &[Arc<Program>], n_ranks: usize) -> Vec<Vec<u32>> {
 mod tests {
     use failmpi_core::compile;
 
+    use super::super::state::InstState;
     use super::*;
 
     /// With every state hashing to the same value the index degenerates
@@ -424,6 +461,40 @@ mod tests {
                 format!("{:?}", colliding.diagnostics),
                 format!("{:?}", normal.diagnostics)
             );
+        }
+    }
+
+    /// Interning shares instances: after a run, any two interned
+    /// instances with equal content are one allocation, the run holds
+    /// far fewer allocations than one that bypasses the instance table,
+    /// and the two agree on every state, the summary and the diagnostics.
+    #[test]
+    fn interned_instances_with_equal_content_share_one_allocation() {
+        let sc = compile(include_str!("../../../core/scenarios/fig10_state_sync.fail"))
+            .expect("builtin compiles");
+        let allocations = |ex: &Explorer| {
+            let insts = ex.states.iter().flat_map(|s| &s.insts);
+            insts.map(|i| &**i as *const InstState).collect::<HashSet<_>>().len()
+        };
+        let values = |ex: &Explorer| {
+            let insts = ex.states.iter().flat_map(|s| &s.insts);
+            insts.collect::<HashSet<_, BuildHasherDefault<StateHasher>>>().len()
+        };
+        for reduce in [false, true] {
+            let cfg = ModelCheckConfig { reduce, ..ModelCheckConfig::default() };
+            let mut shared = Explorer::new(&sc, &cfg, &[]);
+            let mut bypassed = Explorer { share_insts: false, ..Explorer::new(&sc, &cfg, &[]) };
+            shared.run();
+            bypassed.run();
+            let n = values(&shared);
+            assert_eq!(allocations(&shared), n, "reduce={reduce}: one Arc per value");
+            assert_eq!(shared.inst_table.len(), n, "reduce={reduce}");
+            assert!(allocations(&bypassed) > 4 * n, "reduce={reduce}");
+            assert!(bypassed.inst_table.is_empty());
+            assert!(shared.states == bypassed.states, "reduce={reduce}");
+            let (shared, bypassed) = (shared.finish(), bypassed.finish());
+            assert_eq!(shared.summary, bypassed.summary, "reduce={reduce}");
+            assert_eq!(format!("{:?}", shared.diagnostics), format!("{:?}", bypassed.diagnostics));
         }
     }
 }

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use failmpi_backend::AbstractStep;
 use failmpi_core::fire::Machine;
 
-use super::canon::Perm;
 use super::world::AbstractWorld;
 
 /// Magnitude cap for abstract variable values: a counter that strays past
@@ -152,8 +151,8 @@ pub(crate) struct HaltSite {
 }
 
 /// One enabled product step, structurally. Instance and rank identities
-/// are frame-relative: [`Perm::apply_move`] transports a move between a
-/// state and its orbit representative.
+/// are frame-relative: [`super::canon::Perm::apply_move`] transports a
+/// move between a state and its orbit representative.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MoveKind {
     Deliver { from: u8, to: u8, msg: u8 },
@@ -202,18 +201,11 @@ pub(crate) struct Succ {
 pub(crate) struct Expansion {
     pub(crate) succs: Vec<Succ>,
     /// The successors' non-identity permutations, back to back, each as
-    /// [`Perm::write_flat`] writes it.
+    /// [`super::canon::Perm::write_flat`] writes it.
     pub(crate) perms: Vec<u8>,
     pub(crate) log: SiteLog,
     pub(crate) por_pruned: usize,
     pub(crate) orbit_hits: usize,
-}
-
-impl Expansion {
-    /// The permutation a successor's [`Succ::perm`] points at.
-    pub(crate) fn perm(&self, at: Option<u32>, n_hosts: usize, n_units: usize) -> Option<Perm> {
-        at.map(|at| Perm::from_flat(&self.perms[at as usize..], n_hosts, n_units))
-    }
 }
 
 /// The interning hash: one multiply-rotate round per field the derived

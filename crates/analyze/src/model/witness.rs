@@ -92,7 +92,7 @@ impl Explorer<'_> {
         for &nid in &chain[1..] {
             let edge = self.parent[nid as usize].as_ref().expect("tree edge");
             let cm = sigma.apply_move(&self.ctx, &edge.kind);
-            if let Some(pi) = &edge.perm {
+            if let Some(pi) = self.edge_perm(edge) {
                 sigma = pi.invert().then(&sigma);
             }
             let expected = sigma.apply_state(&self.ctx, &self.states[nid as usize]);

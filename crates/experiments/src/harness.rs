@@ -7,10 +7,10 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
-use failmpi_analyze::{ModelCheckConfig, Report, StaticVerdict};
+use failmpi_analyze::{Diagnostic, ModelCheckConfig, Report, StaticVerdict};
 use failmpi_backend::light::LightRuntime;
 use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend, Signal};
-use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime};
+use failmpi_core::{compile, Deployment, FailAction, FailInput, FailRuntime, Scenario};
 use failmpi_replica::Failover;
 use failmpi_ulfm::Shrink;
 use failmpi_net::{HostId, ProcId};
@@ -131,13 +131,28 @@ pub fn lint_injection(inj: &InjectionSpec) -> Result<(), Report> {
     if inj.lint == LintMode::Off {
         return Ok(());
     }
-    let mut diags = failmpi_analyze::check_source(&inj.scenario_src);
+    match compile(&inj.scenario_src) {
+        Ok(sc) => lint_scenario(inj, Some(&sc), failmpi_analyze::analyze_scenario(&sc)),
+        Err(e) => lint_scenario(inj, None, vec![failmpi_analyze::compile_error_diag(&e)]),
+    }
+}
+
+/// [`lint_injection`]'s gate over findings already made: the scenario
+/// passes' over `sc`, or the compile error when there is no `sc`.
+fn lint_scenario(
+    inj: &InjectionSpec,
+    sc: Option<&Scenario>,
+    mut diags: Vec<Diagnostic>,
+) -> Result<(), Report> {
+    if inj.lint == LintMode::Off {
+        return Ok(());
+    }
     // Strict mode additionally model-checks the scenario: a sweep whose
     // every run is statically known to freeze can only burn its timeout
     // budget, so the gate refuses it unless the spec opts in with
     // `expect_freeze` (the Fig. 10/11 reproductions do).
-    if inj.lint == LintMode::Strict && !inj.expect_freeze {
-        let r = cached_model_check(inj);
+    if let Some(sc) = sc.filter(|_| inj.lint == LintMode::Strict && !inj.expect_freeze) {
+        let r = cached_model_check(inj, sc);
         if r.summary.verdict == StaticVerdict::Freezes {
             // FC003 is Error-level: folding it in makes the strict check
             // below refuse the run.
@@ -155,10 +170,10 @@ pub fn lint_injection(inj: &InjectionSpec) -> Result<(), Report> {
     Ok(())
 }
 
-/// Model-checks a spec's scenario, memoized per (source, params) — sweeps
-/// rerun the same spec thousands of times and the exploration, while
-/// fast, is not free.
-fn cached_model_check(inj: &InjectionSpec) -> failmpi_analyze::ModelCheckResult {
+/// Model-checks a spec's compiled scenario, memoized per (source,
+/// params, backend) — sweeps rerun the same spec thousands of times and
+/// the exploration, while fast, is not free.
+fn cached_model_check(inj: &InjectionSpec, sc: &Scenario) -> failmpi_analyze::ModelCheckResult {
     static CACHE: OnceLock<Mutex<HashMap<u64, failmpi_analyze::ModelCheckResult>>> =
         OnceLock::new();
     let mut h = DefaultHasher::new();
@@ -179,7 +194,7 @@ fn cached_model_check(inj: &InjectionSpec) -> failmpi_analyze::ModelCheckResult 
         backend: inj.backend,
         ..ModelCheckConfig::default()
     };
-    let r = failmpi_analyze::model_check_source(&inj.scenario_src, &cfg);
+    let r = failmpi_analyze::model_check_scenario(sc, &cfg);
     let mut guard = cache.lock().expect("model-check cache lock");
     guard.entry(key).or_insert(r).clone()
 }
@@ -782,11 +797,18 @@ fn build_fail_side(
     let refused = |d| Report::new("injection scenario", vec![d]);
     let scenario = compile(&inj.scenario_src)
         .map_err(|e| refused(failmpi_analyze::compile_error_diag(&e)))?;
-    let unknown = failmpi_analyze::check_breakpoints(&scenario);
+    // FA012 refuses the run in every lint mode; the other passes run
+    // only when the lint does.
+    let diags = if inj.lint == LintMode::Off {
+        failmpi_analyze::check_breakpoints(&scenario)
+    } else {
+        failmpi_analyze::analyze_scenario(&scenario)
+    };
+    let (unknown, diags): (Vec<_>, Vec<_>) = diags.into_iter().partition(|d| d.code == "FA012");
     if !unknown.is_empty() {
         return Err(Report::new("injection scenario", unknown));
     }
-    lint_injection(inj)?;
+    lint_scenario(inj, Some(&scenario), diags)?;
     let mut deployment = Deployment::new();
     deployment
         .add_instance("P1", &inj.adversary_class)

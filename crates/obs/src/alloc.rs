@@ -10,6 +10,10 @@
 //!   `GlobalAlloc` wrapper around [`std::alloc::System`] that bumps the
 //!   thread-local counters on every allocation. Binaries opt in with
 //!   `#[global_allocator]`; library and test builds never pay for it.
+//! * [`PeakAlloc`] — the same feature. [`CountingAlloc`] plus the
+//!   process-wide live heap bytes and their peak ([`peak_live_bytes`],
+//!   [`reset_peak_live_bytes`]), for tests that pin memory; every
+//!   allocation and free pays two atomic operations more.
 //!
 //! The counters are plain thread-local `Cell`s: the simulator runs one
 //! experiment per thread, so per-thread counts are exactly per-run counts
@@ -109,7 +113,90 @@ mod counting {
 }
 
 #[cfg(feature = "alloc-profile")]
+mod peak {
+    use std::alloc::{GlobalAlloc, Layout};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    use super::CountingAlloc;
+
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    /// [`CountingAlloc`] that also tracks the bytes allocated and not yet
+    /// freed, process-wide, and their peak. Allocation sizes are the
+    /// program's, so both are deterministic for a fixed binary on one
+    /// thread. Install per test binary:
+    ///
+    /// ```ignore
+    /// #[global_allocator]
+    /// static ALLOC: failmpi_obs::PeakAlloc = failmpi_obs::PeakAlloc;
+    /// ```
+    pub struct PeakAlloc;
+
+    /// The most live heap bytes at once since the last
+    /// [`reset_peak_live_bytes`]; `0` unless [`PeakAlloc`] is installed.
+    pub fn peak_live_bytes() -> usize {
+        PEAK.load(Relaxed)
+    }
+
+    /// Restarts the peak at the live heap bytes now, which it returns.
+    pub fn reset_peak_live_bytes() -> usize {
+        let live = LIVE.load(Relaxed);
+        PEAK.store(live, Relaxed);
+        live
+    }
+
+    fn grow(bytes: usize) {
+        let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+        PEAK.fetch_max(live, Relaxed);
+    }
+
+    // SAFETY: pure pass-through to `CountingAlloc`, itself a pass-through
+    // to `System`; the extra work is atomic arithmetic, which never
+    // allocates or unwinds.
+    unsafe impl GlobalAlloc for PeakAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: the caller's `layout`, forwarded unmodified.
+            let ptr = unsafe { CountingAlloc.alloc(layout) };
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            // SAFETY: `ptr` came from this allocator with this `layout`
+            // (caller contract), so from `CountingAlloc`.
+            unsafe { CountingAlloc.dealloc(ptr, layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: as for `alloc`.
+            let ptr = unsafe { CountingAlloc.alloc_zeroed(layout) };
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            // SAFETY: the caller's realloc contract, forwarded unmodified;
+            // `ptr` came from `CountingAlloc` as in `dealloc`.
+            let new = unsafe { CountingAlloc.realloc(ptr, layout, new_size) };
+            if !new.is_null() {
+                LIVE.fetch_sub(layout.size(), Relaxed);
+                grow(new_size);
+            }
+            new
+        }
+    }
+}
+
+#[cfg(feature = "alloc-profile")]
 pub use counting::CountingAlloc;
+#[cfg(feature = "alloc-profile")]
+pub use peak::{peak_live_bytes, reset_peak_live_bytes, PeakAlloc};
 
 #[cfg(test)]
 mod tests {
@@ -122,5 +209,28 @@ mod tests {
         let (a1, b1) = alloc_counters();
         assert_eq!(a1 - a0, 3);
         assert_eq!(b1 - b0, 100);
+    }
+
+    #[cfg(feature = "alloc-profile")]
+    #[test]
+    fn peak_alloc_tracks_live_bytes_and_their_peak() {
+        use std::alloc::{GlobalAlloc, Layout};
+        let small = Layout::from_size_align(4096, 8).expect("valid layout");
+        let large = Layout::from_size_align(8192, 8).expect("valid layout");
+        let base = reset_peak_live_bytes();
+        // SAFETY: non-zero sizes; each block is freed once, under the
+        // layout it was last (re)allocated with.
+        unsafe {
+            let p = PeakAlloc.alloc(small);
+            assert!(!p.is_null());
+            assert_eq!(peak_live_bytes(), base + 4096);
+            let q = PeakAlloc.realloc(p, small, 8192);
+            assert!(!q.is_null());
+            assert_eq!(peak_live_bytes(), base + 8192);
+            PeakAlloc.dealloc(q, large);
+        }
+        assert_eq!(peak_live_bytes(), base + 8192, "a free leaves the peak");
+        assert_eq!(reset_peak_live_bytes(), base, "every byte came back");
+        assert_eq!(peak_live_bytes(), base);
     }
 }

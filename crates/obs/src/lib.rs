@@ -56,7 +56,7 @@ mod wall;
 
 pub use alloc::alloc_counters;
 #[cfg(feature = "alloc-profile")]
-pub use alloc::CountingAlloc;
+pub use alloc::{peak_live_bytes, reset_peak_live_bytes, CountingAlloc, PeakAlloc};
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use profile::{
