@@ -222,12 +222,14 @@ stage_perf() {
     # (≈ 8.3 MB peak); a second model-checker exploration in flight, as a
     # pool of candidate workers would hold, is 11 MB or more.
     rss_gate fuzz_campaign 10
-    # The six explorations keep each distinct instance value once and the
-    # tree edges' permutations in one arena (≈ 13.9 MB peak); an owned
-    # permutation on every tree edge again reads ≈ 15.5 MB and crosses
-    # the gate. Per-successor copies of interned instance values read
-    # 14.3-15.1 MB here; `search::tests` asserts that sharing directly.
-    rss_gate model_check_grid25 15
+    # The six explorations' states hold a 4-byte handle per instance into
+    # one table of distinct instance values, and the tree edges'
+    # permutations sit in one arena (≈ 12.3 MB peak). One `Arc` per
+    # instance per state again, even with equal values shared, reads
+    # ≈ 14.0 MB and crosses the gate; an owned permutation on every tree
+    # edge on top of that read ≈ 15.5 MB. `search::tests` asserts directly
+    # that each distinct value has one id.
+    rss_gate model_check_grid25 13.5
 
     # A same-seed double run writes a byte-identical profile.
     target/release/figure fig11 --smoke --profile "$OUT/run-a.profile.json" > /dev/null

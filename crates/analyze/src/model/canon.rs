@@ -48,7 +48,7 @@ use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Scenario};
 use failmpi_mpichv::AbstractPhase;
 
 use super::engine::Ctx;
-use super::state::{Inst, InstState, MoveKind, ProdState};
+use super::state::{Inst, InstState, InstTable, MoveKind, ProdState, Vals};
 use super::ModelCheckConfig;
 
 /// A product-state relabelling: `hosts[h]` is machine `h`'s new id,
@@ -60,11 +60,11 @@ pub(crate) struct Perm {
     pub(crate) ranks: Vec<u8>,
 }
 
-/// What [`Perm::relabel`] works in: the instances by their new place,
-/// and the in-flight messages as they were.
+/// What [`Perm::relabel`] works in: the instances and the in-flight
+/// messages as they were.
 #[derive(Default)]
 pub(crate) struct Relabel {
-    insts: Vec<Option<Inst>>,
+    insts: Vec<Inst>,
     msgs: Vec<(u8, u8, u8)>,
 }
 
@@ -132,36 +132,48 @@ impl Perm {
         }
     }
 
-    /// The relabelled product state.
-    pub(crate) fn apply_state(&self, ctx: &Ctx, s: &ProdState) -> ProdState {
+    /// The relabelled product state; a value the table lacks goes to
+    /// `pending`.
+    pub(crate) fn apply_state(
+        &self,
+        ctx: &Ctx,
+        pending: &mut InstTable,
+        s: &ProdState,
+    ) -> ProdState {
         let mut out = s.clone();
-        self.relabel(ctx, &mut out, &mut Relabel::default());
+        self.relabel(ctx, pending, &mut out, &mut Relabel::default());
         out
     }
 
     /// Relabels `s` in place, working in `buf`; returns whether that
-    /// changed it. An instance keeps its allocation unless its inbox names
-    /// a sender the relabelling moves, and a protocol table the
-    /// relabelling leaves as it is stays shared.
-    pub(crate) fn relabel(&self, ctx: &Ctx, s: &mut ProdState, buf: &mut Relabel) -> bool {
-        let sender_moves = |e: &(u8, u8)| self.moves_sender(ctx, e);
+    /// changed it. An instance keeps its handle unless its inbox names a
+    /// sender the relabelling moves (the relabelled value is interned
+    /// through `pending`), and a protocol table the relabelling leaves as
+    /// it is stays shared.
+    pub(crate) fn relabel(
+        &self,
+        ctx: &Ctx,
+        pending: &mut InstTable,
+        s: &mut ProdState,
+        buf: &mut Relabel,
+    ) -> bool {
+        let vals = ctx.vals(pending);
         let mut changed = (s.insts.iter().enumerate())
-            .any(|(i, inst)| !self.relabels_to(ctx, inst, &s.insts[self.map_inst(ctx, i)]));
+            .any(|(i, &inst)| !self.relabels_to(ctx, vals, inst, s.insts[self.map_inst(ctx, i)]));
         buf.insts.clear();
-        buf.insts.resize_with(s.insts.len(), || None);
-        for (i, inst) in s.insts.drain(..).enumerate() {
-            let inst = if inst.inbox.iter().any(sender_moves) {
-                let mut st = InstState::clone(&inst);
+        buf.insts.extend_from_slice(&s.insts);
+        for (i, &inst) in buf.insts.iter().enumerate() {
+            let moved = ctx.vals(pending)[inst].inbox.iter().any(|e| self.moves_sender(ctx, e));
+            s.insts[self.map_inst(ctx, i)] = if moved {
+                let mut st = ctx.vals(pending)[inst].clone();
                 for e in &mut st.inbox {
                     e.0 = self.map_inst(ctx, e.0 as usize) as u8;
                 }
-                Inst::new(st)
+                ctx.table.intern_pending(pending, st)
             } else {
                 inst
             };
-            buf.insts[self.map_inst(ctx, i)] = Some(inst);
         }
-        s.insts.extend(buf.insts.drain(..).map(|i| i.expect("a permutation fills every place")));
 
         buf.msgs.clear();
         buf.msgs.extend_from_slice(&s.msgs);
@@ -184,11 +196,12 @@ impl Perm {
     }
 
     /// Whether relabelling instance `a` yields `b`.
-    fn relabels_to(&self, ctx: &Ctx, a: &Inst, b: &Inst) -> bool {
-        if !a.inbox.iter().any(|e| self.moves_sender(ctx, e)) {
+    fn relabels_to(&self, ctx: &Ctx, vals: Vals, a: Inst, b: Inst) -> bool {
+        let Machine { node, vars, inbox, ctl } = &vals[a];
+        if !inbox.iter().any(|e| self.moves_sender(ctx, e)) {
             return a == b;
         }
-        let Machine { node, vars, inbox, ctl } = &**a;
+        let b = &vals[b];
         let relabelled = |&(from, msg): &(u8, u8)| (self.map_inst(ctx, from as usize) as u8, msg);
         *node == b.node
             && *vars == b.vars
@@ -498,10 +511,17 @@ fn inbox_codes<'a>(
 
 /// Machine `a` against machine `b` in state `s` — the order documented at
 /// the top of this section, over borrowed data.
-fn cmp_machines(ctx: &Ctx, s: &ProdState, t: &HostTables, a: usize, b: usize) -> Ordering {
+fn cmp_machines(
+    ctx: &Ctx,
+    vals: Vals,
+    s: &ProdState,
+    t: &HostTables,
+    a: usize,
+    b: usize,
+) -> Ordering {
     for g in 0..ctx.n_groups {
         let base = ctx.n_suggested + g * ctx.cfg.n_hosts;
-        let (x, y): (&InstState, &InstState) = (&s.insts[base + a], &s.insts[base + b]);
+        let (x, y) = (&vals[s.insts[base + a]], &vals[s.insts[base + b]]);
         let ord = x
             .node
             .cmp(&y.node)
@@ -545,13 +565,13 @@ pub(crate) struct CanonScratch {
 
 /// Puts the movable machines of `s` in canonical order, in `scr.order`;
 /// ties keep machine-id order.
-fn machine_order(ctx: &Ctx, s: &ProdState, scr: &mut CanonScratch) {
+fn machine_order(ctx: &Ctx, vals: Vals, s: &ProdState, scr: &mut CanonScratch) {
     scr.order.clear();
     scr.order.extend_from_slice(&ctx.profile.movable);
     if !scr.order.is_empty() {
         scr.tables.fill(ctx, s);
         let tables = &scr.tables;
-        scr.order.sort_by(|&a, &b| cmp_machines(ctx, s, tables, a, b).then(a.cmp(&b)));
+        scr.order.sort_by(|&a, &b| cmp_machines(ctx, vals, s, tables, a, b).then(a.cmp(&b)));
     }
 }
 
@@ -561,20 +581,20 @@ fn machine_order(ctx: &Ctx, s: &ProdState, scr: &mut CanonScratch) {
 /// (phase, relabelled host, incarnation). Any deterministic sort yields a
 /// sound representative — it is some member of the orbit — and determinism
 /// makes the interned set canonical.
-pub(crate) fn canonical_perm(ctx: &Ctx, s: &ProdState) -> Perm {
+pub(crate) fn canonical_perm(ctx: &Ctx, vals: Vals, s: &ProdState) -> Perm {
     let mut scr = CanonScratch::default();
-    full_perm(ctx, s, &mut scr);
+    full_perm(ctx, vals, s, &mut scr);
     scr.perm
 }
 
 /// [`canonical_perm`] into `scr.perm`.
-fn full_perm(ctx: &Ctx, s: &ProdState, scr: &mut CanonScratch) {
-    machine_order(ctx, s, scr);
+fn full_perm(ctx: &Ctx, vals: Vals, s: &ProdState, scr: &mut CanonScratch) {
+    machine_order(ctx, vals, s, scr);
     perm_of(ctx, s, &scr.order, ctx.profile.rank_sym, &mut scr.perm, &mut scr.keyed);
 }
 
 /// Marks in `scr.hit` the machines `s`'s key may differ on from
-/// `parent`'s: a group member that is not the parent's allocation, a unit
+/// `parent`'s: a group member whose value changed, a unit
 /// slot that changed (its old and its new host), a spare-FIFO membership
 /// that changed, an in-flight message added or removed (both endpoints'
 /// machines). Returns whether any unit slot changed, or `None` when the
@@ -593,7 +613,7 @@ fn touched(ctx: &Ctx, parent: &ProdState, s: &ProdState, scr: &mut CanonScratch)
     };
 
     for (i, (a, b)) in parent.insts.iter().zip(&s.insts).enumerate().skip(ctx.n_suggested) {
-        if !a.same(b) {
+        if a != b {
             mark(i as u8);
         }
     }
@@ -673,12 +693,13 @@ fn touched(ctx: &Ctx, parent: &ProdState, s: &ProdState, scr: &mut CanonScratch)
 /// anything: the machines kept their labels and no unit slot changed.
 pub(crate) fn canonical_perm_from(
     ctx: &Ctx,
+    vals: Vals,
     parent: &ProdState,
     s: &ProdState,
     scr: &mut CanonScratch,
 ) {
     let Some(slots) = touched(ctx, parent, s, scr) else {
-        return full_perm(ctx, s, scr);
+        return full_perm(ctx, vals, s, scr);
     };
     let movable = &ctx.profile.movable;
     scr.order.clear();
@@ -694,7 +715,7 @@ pub(crate) fn canonical_perm_from(
         scr.tables.fill(ctx, s);
         for &h in &scr.moved {
             let at = scr.order.partition_point(|&x| {
-                cmp_machines(ctx, s, &scr.tables, x, h).then(x.cmp(&h)) == Ordering::Less
+                cmp_machines(ctx, vals, s, &scr.tables, x, h).then(x.cmp(&h)) == Ordering::Less
             });
             scr.order.insert(at, h);
         }
@@ -741,13 +762,13 @@ fn perm_of(
 }
 
 /// The canonical orbit representative of `s` and the permutation that maps
-/// `s` onto it.
-pub(crate) fn canonicalize(ctx: &Ctx, s: &ProdState) -> (ProdState, Perm) {
-    let perm = canonical_perm(ctx, s);
+/// `s` onto it; a value the table lacks goes to `pending`.
+pub(crate) fn canonicalize(ctx: &Ctx, pending: &mut InstTable, s: &ProdState) -> (ProdState, Perm) {
+    let perm = canonical_perm(ctx, ctx.vals(pending), s);
     if perm.is_identity() {
         (s.clone(), perm)
     } else {
-        (perm.apply_state(ctx, s), perm)
+        (perm.apply_state(ctx, pending, s), perm)
     }
 }
 
@@ -862,10 +883,10 @@ group G1[6] = ADVnodes;
         ranks: Vec<u8>,
     }
 
-    fn host_key(ctx: &Ctx, s: &ProdState, h: usize) -> HostKey {
+    fn host_key(ctx: &Ctx, vals: Vals, s: &ProdState, h: usize) -> HostKey {
         let members = (0..ctx.n_groups)
             .map(|g| {
-                let st = &s.insts[ctx.n_suggested + g * ctx.cfg.n_hosts + h];
+                let st = &vals[s.insts[ctx.n_suggested + g * ctx.cfg.n_hosts + h]];
                 (
                     st.node,
                     st.vars.clone(),
@@ -896,17 +917,19 @@ group G1[6] = ADVnodes;
         HostKey { members, proto: s.proto.host_key(h as u8), msgs, ranks }
     }
 
-    /// Runs `check` on the context and one state, picked by `pick`, of a
-    /// bounded exploration of source `which` under `backend`. Each
-    /// exploration runs once per process; its states are kept.
+    /// Runs `check` on the context, a fresh drive scratch — whose pending
+    /// list every state the check builds shares — and one state, picked by
+    /// `pick`, of a bounded exploration of source `which` under `backend`.
+    /// Each exploration runs once per process; its states and instance
+    /// table are kept.
     fn with_sampled_state(
         which: usize,
         backend: usize,
         pick: usize,
-        check: impl FnOnce(&Ctx, &ProdState) -> Result<(), TestCaseError>,
+        check: impl FnOnce(&Ctx, &mut DriveScratch, &ProdState) -> Result<(), TestCaseError>,
     ) -> Result<(), TestCaseError> {
-        static SAMPLES: [[OnceLock<Vec<ProdState>>; 3]; 3] =
-            [const { [const { OnceLock::new() }; 3] }; 3];
+        type Sample = (Vec<ProdState>, InstTable);
+        static SAMPLES: [[OnceLock<Sample>; 3]; 3] = [const { [const { OnceLock::new() }; 3] }; 3];
         let sc = compile(SOURCES[which]).expect("builtin compiles");
         let cfg = ModelCheckConfig {
             backend: BACKENDS[backend],
@@ -915,13 +938,14 @@ group G1[6] = ADVnodes;
             budget: 2_000,
             ..ModelCheckConfig::default()
         };
-        let states = SAMPLES[which][backend].get_or_init(|| {
+        let (states, table) = SAMPLES[which][backend].get_or_init(|| {
             let mut ex = Explorer::new(&sc, &cfg, &[]);
             ex.run();
-            ex.states().to_vec()
+            (ex.states().to_vec(), ex.ctx.table)
         });
-        let ex = Explorer::new(&sc, &cfg, &[]);
-        check(&ex.ctx, &states[pick % states.len()])
+        let mut ex = Explorer::new(&sc, &cfg, &[]);
+        ex.ctx.table = table.clone();
+        check(&ex.ctx, &mut DriveScratch::default(), &states[pick % states.len()])
     }
 
     /// `s` with the in-flight multiset and — each with even odds — the
@@ -930,7 +954,7 @@ group G1[6] = ADVnodes;
     /// member's instead. The result need not be reachable: the machine
     /// order is defined on any state, and levelled fields make machines
     /// tie on their leading ones.
-    fn scrambled(ctx: &Ctx, s: &ProdState, seed: u64) -> ProdState {
+    fn scrambled(ctx: &Ctx, pending: &mut InstTable, s: &ProdState, seed: u64) -> ProdState {
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
         let mut below = move |n: usize| {
             rng ^= rng << 13;
@@ -942,8 +966,8 @@ group G1[6] = ADVnodes;
         let [vars, inbox, armed, flags] = [(); 4].map(|()| below(2) == 0);
         let mut out = s.clone();
         for i in ctx.n_suggested..n_insts {
-            let first = &s.insts[i - (i - ctx.n_suggested) % ctx.cfg.n_hosts];
-            let mut st = InstState::clone(first);
+            let first = s.insts[i - (i - ctx.n_suggested) % ctx.cfg.n_hosts];
+            let mut st = ctx.vals(pending)[first].clone();
             if vars {
                 for v in &mut st.vars {
                     *v = [VarVal::Known(0), VarVal::Known(1), VarVal::Top][below(3)];
@@ -961,7 +985,7 @@ group G1[6] = ADVnodes;
                 st.ctl.controlled = below(2) == 0;
                 st.ctl.suspended = below(2) == 0;
             }
-            out.insts[i] = Inst::new(st);
+            out.insts[i] = ctx.table.intern_pending(pending, st);
         }
         out.msgs = (0..below(6))
             .map(|_| (below(n_insts) as u8, below(n_insts) as u8, below(2) as u8))
@@ -987,6 +1011,7 @@ group G1[6] = ADVnodes;
     /// successors need not be reachable.
     fn hand_built(
         ctx: &Ctx,
+        pending: &mut InstTable,
         rep: &ProdState,
         seed: u64,
     ) -> Vec<(&'static str, ProdState, ProdState)> {
@@ -997,7 +1022,7 @@ group G1[6] = ADVnodes;
 
         let mut added = rep.clone();
         insert_msg(&mut added.msgs, (member(a), member(b), 0));
-        let (holding, _) = canonicalize(ctx, &added);
+        let (holding, _) = canonicalize(ctx, pending, &added);
         let mut removed = holding.clone();
         removed.msgs.remove((seed >> 16) as usize % removed.msgs.len());
         out.push(("message added", rep.clone(), added));
@@ -1042,9 +1067,11 @@ group G1[6] = ADVnodes;
             pick in any::<usize>(),
             seed in any::<u64>(),
         ) {
-            with_sampled_state(which, backend, pick, |ctx, s| {
-                let moved = seeded_perm(ctx, seed).apply_state(ctx, s);
-                prop_assert_eq!(canonicalize(ctx, &moved).0, canonicalize(ctx, s).0);
+            with_sampled_state(which, backend, pick, |ctx, drive, s| {
+                let pending = &mut drive.pending;
+                let moved = seeded_perm(ctx, seed).apply_state(ctx, pending, s);
+                let (from_moved, _) = canonicalize(ctx, pending, &moved);
+                prop_assert_eq!(from_moved, canonicalize(ctx, pending, s).0);
                 Ok(())
             })?;
         }
@@ -1056,9 +1083,9 @@ group G1[6] = ADVnodes;
             backend in 0usize..3,
             pick in any::<usize>(),
         ) {
-            with_sampled_state(which, backend, pick, |ctx, s| {
-                let (rep, _) = canonicalize(ctx, s);
-                let (again, perm) = canonicalize(ctx, &rep);
+            with_sampled_state(which, backend, pick, |ctx, drive, s| {
+                let (rep, _) = canonicalize(ctx, &mut drive.pending, s);
+                let (again, perm) = canonicalize(ctx, &mut drive.pending, &rep);
                 prop_assert!(perm.is_identity(), "{:?}", perm);
                 prop_assert_eq!(again, rep);
                 Ok(())
@@ -1075,21 +1102,22 @@ group G1[6] = ADVnodes;
             pick in any::<usize>(),
             seed in any::<u64>(),
         ) {
-            with_sampled_state(which, backend, pick, |ctx, s| {
-                let (rep, _) = canonicalize(ctx, s);
+            with_sampled_state(which, backend, pick, |ctx, drive, s| {
+                let (rep, _) = canonicalize(ctx, &mut drive.pending, s);
                 let mut scr = CanonScratch::default();
                 let (mut moves, mut micros) = (Vec::new(), Vec::new());
-                ctx.moves(&rep, &mut moves);
+                ctx.moves(ctx.vals(&drive.pending), &rep, &mut moves);
                 for m in &moves {
-                    let (log, drive) = (&mut SiteLog::new(), &mut DriveScratch::default());
-                    ctx.apply_move(&rep, m, log, drive, &mut micros);
+                    ctx.apply_move(&rep, m, &mut SiteLog::new(), drive, &mut micros);
+                    let vals = ctx.vals(&drive.pending);
                     for micro in micros.drain(..) {
                         let st = &micro.st;
-                        canonical_perm_from(ctx, &rep, st, &mut scr);
-                        prop_assert_eq!(&scr.perm, &canonical_perm(ctx, st));
+                        canonical_perm_from(ctx, vals, &rep, st, &mut scr);
+                        prop_assert_eq!(&scr.perm, &canonical_perm(ctx, vals, st));
                     }
                 }
-                for (what, parent, succ) in hand_built(ctx, &rep, seed) {
+                for (what, parent, succ) in hand_built(ctx, &mut drive.pending, &rep, seed) {
+                    let vals = ctx.vals(&drive.pending);
                     let t = touched(ctx, &parent, &succ, &mut scr);
                     match what {
                         "spares reordered" => prop_assert!(t.is_none(), "{}", what),
@@ -1099,8 +1127,8 @@ group G1[6] = ADVnodes;
                         ),
                         _ => prop_assert!(t.is_some(), "{}", what),
                     }
-                    canonical_perm_from(ctx, &parent, &succ, &mut scr);
-                    prop_assert_eq!(&scr.perm, &canonical_perm(ctx, &succ), "{}", what);
+                    canonical_perm_from(ctx, vals, &parent, &succ, &mut scr);
+                    prop_assert_eq!(&scr.perm, &canonical_perm(ctx, vals, &succ), "{}", what);
                 }
                 Ok(())
             })?;
@@ -1117,14 +1145,17 @@ group G1[6] = ADVnodes;
             pick in any::<usize>(),
             seed in any::<u64>(),
         ) {
-            with_sampled_state(which, backend, pick, |ctx, s| {
-                let moved = seeded_perm(ctx, seed).apply_state(ctx, s);
-                for s in [s.clone(), scrambled(ctx, &moved, seed), moved] {
+            with_sampled_state(which, backend, pick, |ctx, drive, s| {
+                let pending = &mut drive.pending;
+                let moved = seeded_perm(ctx, seed).apply_state(ctx, pending, s);
+                let scrambled = scrambled(ctx, pending, &moved, seed);
+                let vals = ctx.vals(pending);
+                for s in [s.clone(), scrambled, moved] {
                     let mut keyed: Vec<(HostKey, usize)> = ctx
                         .profile
                         .movable
                         .iter()
-                        .map(|&h| (host_key(ctx, &s, h), h))
+                        .map(|&h| (host_key(ctx, vals, &s, h), h))
                         .collect();
                     let mut tables = HostTables::default();
                     tables.fill(ctx, &s);
@@ -1139,7 +1170,7 @@ group G1[6] = ADVnodes;
                     for (ka, a) in &keyed {
                         for (kb, b) in &keyed {
                             prop_assert_eq!(
-                                cmp_machines(ctx, &s, &tables, *a, *b),
+                                cmp_machines(ctx, vals, &s, &tables, *a, *b),
                                 ka.cmp(kb),
                                 "machines {} and {}", a, b
                             );
@@ -1148,7 +1179,7 @@ group G1[6] = ADVnodes;
                     keyed.sort();
                     let by_key: Vec<usize> = keyed.into_iter().map(|(_, h)| h).collect();
                     let mut scr = CanonScratch::default();
-                    machine_order(ctx, &s, &mut scr);
+                    machine_order(ctx, vals, &s, &mut scr);
                     prop_assert_eq!(scr.order, by_key);
                 }
                 Ok(())

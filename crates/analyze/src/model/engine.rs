@@ -27,7 +27,7 @@ use failmpi_mpichv::{AbstractEvent, AbstractStep};
 
 use super::canon::SymmetryProfile;
 use super::state::{
-    insert_msg, Control, Inst, InstState, Micro, ProdState, SiteLog, VarVal, VAR_CAP,
+    insert_msg, Control, InstState, InstTable, Micro, ProdState, SiteLog, Vals, VarVal, VAR_CAP,
 };
 use super::ModelCheckConfig;
 
@@ -93,6 +93,10 @@ pub(crate) struct DriveScratch {
     /// The breakpoint holder's firing, which outlives the settling of its
     /// leaves.
     held: Firing,
+    /// The instance values this worker's states hold that the explorer's
+    /// table lacks (see [`InstTable::intern_pending`]); [`Ctx::expand`]
+    /// hands them on in its [`super::state::Expansion`], leaving it empty.
+    pub(crate) pending: InstTable,
 }
 
 impl DriveScratch {
@@ -103,8 +107,9 @@ impl DriveScratch {
 }
 
 /// Everything successor generation reads: the compiled scenario, the
-/// deployment binding, and the symmetry profile. Shared read-only across
-/// frontier worker threads.
+/// deployment binding, the symmetry profile and the instance table.
+/// Shared read-only across frontier worker threads; only the search,
+/// between layers, adds to the table.
 pub(crate) struct Ctx<'a> {
     pub(crate) sc: &'a Scenario,
     pub(crate) cfg: &'a ModelCheckConfig,
@@ -125,6 +130,8 @@ pub(crate) struct Ctx<'a> {
     pub(crate) n_suggested: usize,
     pub(crate) n_groups: usize,
     pub(crate) profile: SymmetryProfile,
+    /// Every instance value an interned state holds, once.
+    pub(crate) table: InstTable,
 }
 
 /// The checker's domain over one instance, along one choice path.
@@ -272,6 +279,19 @@ impl Ctx<'_> {
         &self.sc.classes[self.inst_class[inst]]
     }
 
+    /// Resolves the handles of the table and of `pending`.
+    pub(crate) fn vals<'s>(&'s self, pending: &'s InstTable) -> Vals<'s> {
+        self.table.vals(pending.values())
+    }
+
+    /// Sets instance `inst` of `s` to `st`; its handle changes only when
+    /// its value does.
+    fn put(&self, pending: &mut InstTable, s: &mut ProdState, inst: usize, st: InstState) {
+        if self.vals(pending)[s.insts[inst]] != st {
+            s.insts[inst] = self.table.intern_pending(pending, st);
+        }
+    }
+
     /// The firing core over instance `inst`, along choice path `path`,
     /// sending into `sends`.
     fn fire<'e>(
@@ -361,13 +381,14 @@ impl Ctx<'_> {
         out: &mut Vec<Micro>,
     ) {
         let input = AIn::Breakpoint((), None);
-        let first = self.outcomes(holder, &s.insts[holder], input, log, &mut scr.held);
+        let st = &self.vals(&scr.pending)[s.insts[holder]];
+        let first = self.outcomes(holder, st, input, log, &mut scr.held);
         // Settling a leaf fires other automata, so the holder's firing
         // leaves the scratch until its leaves are settled.
         let mut held = std::mem::take(&mut scr.held);
         for leaf in std::iter::once(first).chain(held.forks.drain(..)) {
             let mut s2 = s.clone();
-            s2.insts[holder] = Inst::new(leaf.st);
+            self.put(&mut scr.pending, &mut s2, holder, leaf.st);
             for &m in &held.sends[leaf.sends] {
                 insert_msg(&mut s2.msgs, m);
             }
@@ -432,21 +453,28 @@ impl Ctx<'_> {
                 }
                 Pend::In { inst, input } => {
                     // Only a genuine fork pays for a copy of the state.
-                    let first = self.outcomes(inst, &s.insts[inst], input, log, &mut scr.firing);
+                    let st = &self.vals(&scr.pending)[s.insts[inst]];
+                    let first = self.outcomes(inst, st, input, log, &mut scr.firing);
+                    let sends = &scr.firing.sends;
                     for leaf in scr.firing.forks.drain(..) {
                         let mut q2 = scr.queues.pop().unwrap_or_default();
                         q2.extend(q.iter().cloned());
                         let item = (s.clone(), q2, f, notes.clone());
-                        scr.work.push(self.absorb(inst, leaf, &scr.firing.sends, item));
+                        scr.work.push(self.absorb(&mut scr.pending, inst, leaf, sends, item));
                     }
-                    let item = self.absorb(inst, first, &scr.firing.sends, (s, q, f, notes));
+                    let item = self.absorb(&mut scr.pending, inst, first, sends, (s, q, f, notes));
                     scr.work.push(item);
                 }
             }
         }
         // Sort what this call settled and drop, as `Vec::dedup_by` would,
         // each branch that repeats the last one kept.
-        out[start..].sort_by(|a, b| (&a.st, a.faults, &a.notes).cmp(&(&b.st, b.faults, &b.notes)));
+        let vals = self.vals(&scr.pending);
+        out[start..].sort_by(|a, b| {
+            (a.st.cmp_values(&b.st, vals))
+                .then(a.faults.cmp(&b.faults))
+                .then_with(|| a.notes.cmp(&b.notes))
+        });
         let mut kept = start;
         for k in start..out.len() {
             let last = kept.checked_sub(1).filter(|&j| j >= start).map(|j| &out[j]);
@@ -459,14 +487,20 @@ impl Ctx<'_> {
     }
 
     /// Work item `(s, q, faults, notes)` with instance `inst` settled in
-    /// `leaf`, whose sends are in `sends`: its state replaced, its sends
+    /// `leaf`, whose sends are in `sends`: its value replaced (a new value
+    /// interned through `pending`), its sends
     /// in flight, and a halt queued as a fault on the rank its machine
     /// hosts.
-    fn absorb(&self, inst: usize, leaf: Leaf, sends: &[(u8, u8, u8)], item: WorkItem) -> WorkItem {
+    fn absorb(
+        &self,
+        pending: &mut InstTable,
+        inst: usize,
+        leaf: Leaf,
+        sends: &[(u8, u8, u8)],
+        item: WorkItem,
+    ) -> WorkItem {
         let (mut s, mut q, f, mut notes) = item;
-        if *s.insts[inst] != leaf.st {
-            s.insts[inst] = Inst::new(leaf.st);
-        }
+        self.put(pending, &mut s, inst, leaf.st);
         for &m in &sends[leaf.sends] {
             insert_msg(&mut s.msgs, m);
         }
@@ -749,8 +783,8 @@ group G1[3] = Echo;
         let params = vec![("N".to_string(), n)];
         let cfg = ModelCheckConfig { n_hosts: N_HOSTS, params, ..ModelCheckConfig::default() };
         let ex = Explorer::new(&sc, &cfg, &[]);
-        let mut abs: Vec<InstState> =
-            ex.init_raw.insts.iter().map(|i| InstState::clone(i)).collect();
+        let vals = ex.ctx.table.vals(&[]);
+        let mut abs: Vec<InstState> = ex.init_raw.insts.iter().map(|&i| vals[i].clone()).collect();
 
         // The same deployment, concretely.
         let n_param = sc.param_names.iter().any(|p| p == "N").then_some(("N", n));

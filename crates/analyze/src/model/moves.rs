@@ -13,27 +13,33 @@ use failmpi_mpichv::AbstractStep;
 use super::canon::{self, CanonScratch};
 use super::engine::{AIn, Ctx, DriveScratch, Pend};
 use super::por::{self, PorScratch};
-use super::state::{Expansion, Micro, MoveKind, ProdState, SiteLog, Succ};
+use super::state::{Expansion, Micro, MoveKind, ProdState, SiteLog, Succ, Vals};
 
 impl Ctx<'_> {
     /// Whether any controller suspends the process of `rank` (a
     /// `stop`-suspended process neither registers nor acks commands).
-    fn rank_suspended(&self, s: &ProdState, rank: usize) -> bool {
+    fn rank_suspended(&self, vals: Vals, s: &ProdState, rank: usize) -> bool {
         let h = s.proto.unit(rank).host as usize;
-        self.controllers[h]
-            .iter()
-            .any(|&c| s.insts[c].ctl.controlled && s.insts[c].ctl.suspended)
+        self.controllers[h].iter().any(|&c| {
+            let ctl = &vals[s.insts[c]].ctl;
+            ctl.controlled && ctl.suspended
+        })
     }
 
     /// The first controller holding an armed breakpoint over `rank`'s
     /// process (its current node arms one and the process is attached) —
     /// it intercepts the rank's ready step.
-    pub(crate) fn breakpoint_holder(&self, s: &ProdState, rank: usize) -> Option<usize> {
+    pub(crate) fn breakpoint_holder(
+        &self,
+        vals: Vals,
+        s: &ProdState,
+        rank: usize,
+    ) -> Option<usize> {
         let h = s.proto.unit(rank).host as usize;
-        self.controllers[h]
-            .iter()
-            .copied()
-            .find(|&c| s.insts[c].ctl.controlled && self.breakpoint_armed(c, s.insts[c].node))
+        self.controllers[h].iter().copied().find(|&c| {
+            let st = &vals[s.insts[c]];
+            st.ctl.controlled && self.breakpoint_armed(c, st.node)
+        })
     }
 
     /// Whether instance `i`'s node `node` arms a `before(...)` breakpoint
@@ -48,7 +54,7 @@ impl Ctx<'_> {
 
     /// Every enabled product move of `s`, in canonical enumeration order,
     /// into `out`, which is cleared first.
-    pub(crate) fn moves(&self, s: &ProdState, out: &mut Vec<MoveKind>) {
+    pub(crate) fn moves(&self, vals: Vals, s: &ProdState, out: &mut Vec<MoveKind>) {
         out.clear();
 
         // Fast: message deliveries (multiset duplicates collapse).
@@ -64,14 +70,14 @@ impl Ctx<'_> {
         // Fast: register / ready (they race the FAIL plane).
         for step in s.proto.protocol_steps() {
             match step {
-                AbstractStep::Register(r) if !self.rank_suspended(s, r as usize) => {
+                AbstractStep::Register(r) if !self.rank_suspended(vals, s, r as usize) => {
                     out.push(MoveKind::Register(r));
                 }
                 AbstractStep::Ready(r) => {
-                    if self.rank_suspended(s, r as usize) {
+                    if self.rank_suspended(vals, s, r as usize) {
                         continue;
                     }
-                    match self.breakpoint_holder(s, r as usize) {
+                    match self.breakpoint_holder(vals, s, r as usize) {
                         Some(c) => out.push(MoveKind::Breakpoint { rank: r, holder: c }),
                         None => out.push(MoveKind::Ready(r)),
                     }
@@ -93,8 +99,8 @@ impl Ctx<'_> {
 
         // Quiescent: scenario timers and checkpoint waves.
         if s.msgs.is_empty() && s.proto.all_running() {
-            for (inst, ist) in s.insts.iter().enumerate() {
-                for (slot, armed) in ist.ctl.armed.iter().enumerate() {
+            for (inst, &ist) in s.insts.iter().enumerate() {
+                for (slot, armed) in vals[ist].ctl.armed.iter().enumerate() {
                     if *armed {
                         out.push(MoveKind::Timer { inst, slot });
                     }
@@ -191,19 +197,21 @@ impl Ctx<'_> {
         self.drive(s2, q, Vec::new(), log, scr, out)
     }
 
-    /// One full expansion, in the worker's `scr`: every branch of every
-    /// enabled move, then (reduce mode) the ample filter and orbit
-    /// canonicalization, then the scramble hook and the canonical
-    /// sort/dedup that makes generation order immaterial. The sort is on
-    /// `(label, state, faults, notes)` and the dedup on `(label, state,
-    /// faults)`: where branches of one move converge, the survivor carries
-    /// the smallest notes — which is the branch the witness replay picks.
-    /// Each move's label is rendered once, into `scr`; a successor's
-    /// [`Succ::label`] reads it there until `scr` expands another state.
+    /// One full expansion of interned state `s`, in the worker's `scr`:
+    /// every branch of every enabled move, then (reduce mode) the ample
+    /// filter and orbit canonicalization, then the scramble hook and the
+    /// canonical sort/dedup that makes generation order immaterial. The
+    /// sort is on `(label, state values, faults, notes)` and the dedup on
+    /// `(label, state, faults)`: where branches of one move converge, the
+    /// survivor carries the smallest notes — which is the branch the
+    /// witness replay picks. Each move's label is rendered once, into
+    /// `scr`; a successor's [`Succ::label`] reads it there until `scr`
+    /// expands another state. The values the table lacks leave in
+    /// [`Expansion::pending`].
     pub(crate) fn expand(&self, s: &ProdState, scr: &mut Scratch) -> Expansion {
         let mut log = SiteLog::new();
         scr.labels.clear();
-        self.moves(s, &mut scr.moves);
+        self.moves(self.table.vals(&[]), s, &mut scr.moves);
         // Every move settles in at least one branch.
         let mut succs = Vec::with_capacity(scr.moves.len());
         for m in &scr.moves {
@@ -224,9 +232,10 @@ impl Ctx<'_> {
             por_pruned = before - kept;
             // `s` is interned, so it is a canonical representative.
             for succ in &mut succs {
-                let canon = &mut scr.canon;
-                canon::canonical_perm_from(self, s, &succ.micro.st, canon);
-                debug_assert_eq!(canon.perm, canon::canonical_perm(self, &succ.micro.st));
+                let (canon, pending) = (&mut scr.canon, &mut scr.drive.pending);
+                let vals = self.vals(pending);
+                canon::canonical_perm_from(self, vals, s, &succ.micro.st, canon);
+                debug_assert_eq!(canon.perm, canon::canonical_perm(self, vals, &succ.micro.st));
                 if !canon.perm.is_identity() {
                     if perms.is_empty() {
                         let row = canon.perm.hosts.len() + canon.perm.ranks.len();
@@ -234,7 +243,7 @@ impl Ctx<'_> {
                     }
                     succ.perm = Some(perms.len() as u32);
                     canon.perm.write_flat(&mut perms);
-                    if canon.perm.relabel(self, &mut succ.micro.st, &mut canon.relabel) {
+                    if canon.perm.relabel(self, pending, &mut succ.micro.st, &mut canon.relabel) {
                         orbit_hits += 1;
                     }
                 }
@@ -252,14 +261,19 @@ impl Ctx<'_> {
             }
         }
         let label = |x: &Succ| scr.label(x);
+        let vals = self.vals(&scr.drive.pending);
         succs.sort_by(|a, b| {
-            (label(a), &a.micro.st, a.micro.faults, &a.micro.notes)
-                .cmp(&(label(b), &b.micro.st, b.micro.faults, &b.micro.notes))
+            (label(a).cmp(label(b)))
+                .then_with(|| a.micro.st.cmp_values(&b.micro.st, vals))
+                .then(a.micro.faults.cmp(&b.micro.faults))
+                .then_with(|| a.micro.notes.cmp(&b.micro.notes))
         });
         succs.dedup_by(|a, b| {
             label(a) == label(b) && a.micro.st == b.micro.st && a.micro.faults == b.micro.faults
         });
-        Expansion { succs, perms, log, por_pruned, orbit_hits }
+        let pending = scr.drive.pending.take_values();
+        let pending_base = self.table.len();
+        Expansion { succs, perms, pending, pending_base, log, por_pruned, orbit_hits }
     }
 }
 
@@ -291,8 +305,10 @@ mod tests {
     //! A worker's scratch carries nothing from one expansion into the
     //! next: expanding a state in a scratch that has expanded other states
     //! — of the same exploration or of another backend's — yields what a
-    //! fresh scratch yields.
+    //! fresh scratch yields. And the instance handles agree with the
+    //! values behind them wherever order, equality or the digest is read.
 
+    use std::hash::{Hash, Hasher};
     use std::sync::OnceLock;
 
     use failmpi_backend::BackendKind;
@@ -303,7 +319,9 @@ mod tests {
 
     use super::super::canon::Perm;
     use super::super::search::Explorer;
-    use super::super::ModelCheckConfig;
+    use super::super::state::{InstState, InstTable};
+    use super::super::world::AbstractWorld;
+    use super::super::{Fnv1a, ModelCheckConfig};
     use super::*;
 
     const FIG10: &str = include_str!("../../../core/scenarios/fig10_state_sync.fail");
@@ -321,11 +339,12 @@ mod tests {
 
     /// A shape's compiled scenario, its configuration (budget-bounded, so
     /// the sample is the exploration's first states), and the states that
-    /// bounded exploration interned.
+    /// bounded exploration interned with the table their handles index.
     struct Shape {
         sc: Scenario,
         cfg: ModelCheckConfig,
         states: Vec<ProdState>,
+        table: InstTable,
     }
 
     fn shape(k: usize) -> &'static Shape {
@@ -343,32 +362,71 @@ mod tests {
                 permute_seed: reduce.then_some(7),
                 ..ModelCheckConfig::default()
             };
-            let states = {
+            let (states, table) = {
                 let mut ex = Explorer::new(&sc, &cfg, &[]);
                 ex.run();
-                ex.states().to_vec()
+                (ex.states().to_vec(), ex.ctx.table)
             };
-            Shape { sc, cfg, states }
+            Shape { sc, cfg, states, table }
         })
+    }
+
+    /// An explorer over shape `sh` whose table resolves the sampled states.
+    fn explorer(sh: &Shape) -> Explorer<'_> {
+        let mut ex = Explorer::new(&sh.sc, &sh.cfg, &[]);
+        ex.ctx.table = sh.table.clone();
+        ex
+    }
+
+    /// A state with its values in place of its handles: the layout whose
+    /// derived order and hash stream are the frozen ones.
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Plain {
+        insts: Vec<InstState>,
+        msgs: Vec<(u8, u8, u8)>,
+        proto: AbstractWorld,
+    }
+
+    fn plain(vals: Vals, s: &ProdState) -> Plain {
+        let insts = s.insts.iter().map(|&i| vals[i].clone()).collect();
+        Plain { insts, msgs: s.msgs.clone(), proto: s.proto.clone() }
     }
 
     /// One successor as observed: label, move, state, faults, notes and
     /// permutation.
-    type Seen = (String, MoveKind, ProdState, u32, Vec<String>, Option<Perm>);
+    type Seen = (String, MoveKind, Plain, u32, Vec<String>, Option<Perm>);
 
     /// Everything an expansion produced, read while its scratch still
     /// holds the labels.
     fn observe(ctx: &Ctx, exp: Expansion, scr: &Scratch) -> (Vec<Seen>, SiteLog, usize, usize) {
         let (n_hosts, n_units) = (ctx.cfg.n_hosts, ctx.cfg.n_units());
+        let vals = ctx.table.vals(&exp.pending);
         let succs = (exp.succs.iter())
             .map(|x| {
                 let row = |at: u32| &exp.perms[at as usize..];
                 let perm = x.perm.map(|at| Perm::from_flat(row(at), n_hosts, n_units));
-                let m = &x.micro;
-                (scr.label(x).to_string(), x.kind, m.st.clone(), m.faults, m.notes.clone(), perm)
+                let (m, label) = (&x.micro, scr.label(x).to_string());
+                (label, x.kind, plain(vals, &m.st), m.faults, m.notes.clone(), perm)
             })
             .collect();
         (succs, exp.log, exp.por_pruned, exp.orbit_hits)
+    }
+
+    fn digest(f: impl FnOnce(&mut Fnv1a)) -> u64 {
+        let mut h = Fnv1a::new();
+        f(&mut h);
+        h.finish()
+    }
+
+    /// A seeded Fisher–Yates shuffle.
+    fn shuffle<T>(items: &mut [T], seed: u64) {
+        let mut rng = seed.max(1);
+        for i in (1..items.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            items.swap(i, (rng as usize) % (i + 1));
+        }
     }
 
     proptest! {
@@ -385,8 +443,7 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let (a, b) = (shape(which), shape((which + other) % GRID25.len()));
-            let ex_a = Explorer::new(&a.sc, &a.cfg, &[]);
-            let ex_b = Explorer::new(&b.sc, &b.cfg, &[]);
+            let (ex_a, ex_b) = (explorer(a), explorer(b));
             let fresh: Vec<_> = (picks.iter())
                 .map(|p| {
                     let mut scr = Scratch::default();
@@ -396,13 +453,7 @@ mod tests {
                 .collect();
 
             let mut order: Vec<usize> = (0..picks.len()).collect();
-            let mut rng = seed.max(1);
-            for i in (1..order.len()).rev() {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                order.swap(i, (rng as usize) % (i + 1));
-            }
+            shuffle(&mut order, seed);
             let mut shared = Scratch::default();
             for (k, &i) in order.iter().enumerate() {
                 let noise = &b.states[(picks[i] ^ k) % b.states.len()];
@@ -410,6 +461,64 @@ mod tests {
                 let exp = ex_a.ctx.expand(&a.states[picks[i] % a.states.len()], &mut shared);
                 let seen = observe(&ex_a.ctx, exp, &shared);
                 prop_assert!(seen == fresh[i], "state {} of shape {}", picks[i], which);
+            }
+        }
+
+        /// Up to 12 sampled states of one shape. Among them, and among
+        /// each one's successors, two handles vectors are equal exactly
+        /// when the values are, `cmp_values` is the values' derived order
+        /// and `hash_values` digests what the values' derived `Hash`
+        /// does. Each expansion's successors are the values' sorted and
+        /// deduplicated sequence: its output with every successor doubled,
+        /// shuffled, sorted on `(label, values, faults, notes)` and
+        /// deduplicated on `(label, values, faults)` is its output again.
+        /// Its pending values are distinct and none is in the table.
+        #[test]
+        fn handles_agree_with_values(
+            which in 0usize..GRID25.len(),
+            picks in proptest::collection::vec(any::<usize>(), 1..12),
+            seed in any::<u64>(),
+        ) {
+            let sh = shape(which);
+            let ex = explorer(sh);
+            let agree = |vals: Vals, states: &[&ProdState]| -> Result<(), TestCaseError> {
+                for &a in states {
+                    let pa = plain(vals, a);
+                    let stream = digest(|h| a.hash_values(vals, h));
+                    prop_assert_eq!(stream, digest(|h| pa.hash(h)));
+                    for &b in states {
+                        let pb = plain(vals, b);
+                        prop_assert_eq!(a == b, pa == pb);
+                        prop_assert_eq!(a.cmp_values(b, vals), pa.cmp(&pb));
+                    }
+                }
+                Ok(())
+            };
+            let sample: Vec<&ProdState> =
+                picks.iter().map(|p| &sh.states[p % sh.states.len()]).collect();
+            agree(ex.ctx.table.vals(&[]), &sample)?;
+
+            let mut scr = Scratch::default();
+            for s in sample {
+                let exp = ex.ctx.expand(s, &mut scr);
+                let pending = &exp.pending;
+                let distinct: std::collections::HashSet<&InstState> = pending.iter().collect();
+                prop_assert_eq!(distinct.len(), pending.len());
+                prop_assert!(pending.iter().all(|v| !ex.ctx.table.values().contains(v)));
+                let vals = ex.ctx.table.vals(pending);
+                let succs: Vec<&ProdState> = exp.succs.iter().map(|x| &x.micro.st).collect();
+                agree(vals, &succs)?;
+                let seen: Vec<(String, Plain, u32, Vec<String>)> = (exp.succs.iter())
+                    .map(|x| {
+                        let m = &x.micro;
+                        (scr.label(x).to_string(), plain(vals, &m.st), m.faults, m.notes.clone())
+                    })
+                    .collect();
+                let mut by_values: Vec<_> = seen.iter().chain(&seen).cloned().collect();
+                shuffle(&mut by_values, seed);
+                by_values.sort();
+                by_values.dedup_by(|a, b| (&a.0, &a.1, a.2) == (&b.0, &b.1, b.2));
+                prop_assert!(by_values == seen, "state of shape {}", which);
             }
         }
     }

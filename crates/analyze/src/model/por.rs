@@ -58,7 +58,7 @@ use std::ops::Range;
 use failmpi_backend::vocab::AbstractModel;
 
 use super::engine::{Ctx, DriveScratch};
-use super::state::{Micro, MoveKind, ProdState, SiteLog, Succ};
+use super::state::{Micro, MoveKind, ProdState, SiteLog, Succ, Vals};
 
 /// The ample filter's buffers, kept by a worker from one expansion to the
 /// next: the menu's kinds as runs of successors, the enabled moves after
@@ -86,7 +86,8 @@ impl Probe<'_, '_> {
     /// Whether `kind` is enabled after branch `k`.
     fn enables(&mut self, k: usize, kind: &MoveKind) -> bool {
         if !self.por.menu_ready[k] {
-            self.ctx.moves(&self.succs[k].micro.st, &mut self.por.menus[k]);
+            let vals = self.ctx.vals(&self.drive.pending);
+            self.ctx.moves(vals, &self.succs[k].micro.st, &mut self.por.menus[k]);
             self.por.menu_ready[k] = true;
         }
         self.por.menus[k].contains(kind)
@@ -142,7 +143,7 @@ pub(crate) fn ample_filter(
     // matches the unreduced exploration.
     let ample = groups.iter().find(|g| {
         g.1 - g.0 == 1
-            && candidate(ctx, s, &succs[g.0])
+            && candidate(ctx, ctx.vals(&probe.drive.pending), s, &succs[g.0])
             && groups
                 .iter()
                 .filter(|g2| g2.0 != g.0)
@@ -159,14 +160,14 @@ pub(crate) fn ample_filter(
 /// Whether `succ` may anchor an ample set: an invisible move whose
 /// effects cannot influence the freeze predicate or any other move's
 /// enabledness.
-fn candidate(ctx: &Ctx, s: &ProdState, succ: &Succ) -> bool {
+fn candidate(ctx: &Ctx, vals: Vals, s: &ProdState, succ: &Succ) -> bool {
     match succ.kind {
         MoveKind::Deliver { from, to, msg } => {
             // Exactly one in-flight message targets the receiver: a second
             // one (now or later) could observe the receiver's node change.
             s.msgs.iter().filter(|m| m.1 == to).count() == 1
                 && pure_delivery(s, succ, (from, to, msg))
-                && invisible(ctx, s, &succ.micro.st)
+                && invisible(ctx, vals, s, &succ.micro.st)
         }
         MoveKind::Register(r) | MoveKind::Ready(r) => {
             let m = &succ.micro;
@@ -180,8 +181,8 @@ fn candidate(ctx: &Ctx, s: &ProdState, succ: &Succ) -> bool {
                 && m.notes.is_empty()
                 && m.st.msgs == s.msgs
                 && m.st.proto.lost_rank() == s.proto.lost_rank()
-                && invisible(ctx, s, &m.st)
-                && ctx.breakpoint_holder(&m.st, r as usize).is_none()
+                && invisible(ctx, vals, s, &m.st)
+                && ctx.breakpoint_holder(vals, &m.st, r as usize).is_none()
         }
         _ => false,
     }
@@ -208,8 +209,9 @@ fn pure_delivery(s: &ProdState, succ: &Succ, triple: (u8, u8, u8)) -> bool {
 /// process-visible surface alone: controlled/suspended flags (read by
 /// `rank_suspended`) and the armed-breakpoint status of its current node
 /// (read by `breakpoint_holder`). Internal node changes are fine.
-fn invisible(ctx: &Ctx, s: &ProdState, s2: &ProdState) -> bool {
-    s.insts.iter().zip(&s2.insts).enumerate().all(|(i, (a, b))| {
+fn invisible(ctx: &Ctx, vals: Vals, s: &ProdState, s2: &ProdState) -> bool {
+    s.insts.iter().zip(&s2.insts).enumerate().all(|(i, (&a, &b))| {
+        let (a, b) = (&vals[a], &vals[b]);
         a.ctl.controlled == b.ctl.controlled
             && a.ctl.suspended == b.ctl.suspended
             && (a.node == b.node

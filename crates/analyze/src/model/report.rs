@@ -2,7 +2,7 @@
 //! graph ([`Explorer::finish`] consumes the explorer) and nothing else.
 
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 use failmpi_backend::vocab::AbstractModel;
 use failmpi_core::lang::compile::Action;
@@ -10,7 +10,7 @@ use failmpi_core::lang::compile::Action;
 use crate::diag::{Diagnostic, Severity};
 
 use super::search::Explorer;
-use super::state::ProdState;
+use super::world::AbstractWorld;
 use super::{Fnv1a, ModelCheckResult, ModelSummary, StaticVerdict};
 
 impl Explorer<'_> {
@@ -128,8 +128,9 @@ impl Explorer<'_> {
         }
 
         let mut digest = Fnv1a::new();
+        let vals = self.ctx.table.vals(&[]);
         for st in &self.states {
-            st.hash(&mut digest);
+            st.hash_values(vals, &mut digest);
         }
 
         ModelCheckResult {
@@ -180,8 +181,8 @@ impl Explorer<'_> {
 
     /// For the FC003 message: which surviving ranks the op-program
     /// communication skeleton says will block on the lost rank.
-    fn blocked_ranks_of(&self, s: &ProdState) -> String {
-        let Some(lost) = s.proto.lost_rank() else {
+    fn blocked_ranks_of(&self, proto: &AbstractWorld) -> String {
+        let Some(lost) = proto.lost_rank() else {
             return String::new();
         };
         let peers_by_rank = self.ctx.comm_peers.iter().take(self.ctx.cfg.n_ranks).enumerate();

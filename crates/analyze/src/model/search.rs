@@ -18,7 +18,7 @@ use super::engine::Ctx;
 use super::frontier;
 use super::moves::Scratch;
 use super::state::{
-    Expansion, HaltSite, Inst, MoveKind, PassThrough, ProdState, SiteLog, StateHasher,
+    Expansion, HaltSite, InstTable, MoveKind, PassThrough, ProdState, SiteLog, StateHasher,
 };
 use super::world::AbstractWorld;
 use super::ModelCheckConfig;
@@ -62,13 +62,6 @@ pub(crate) struct Explorer<'a> {
     /// [`Perm::write_flat`] writes it. A row a cheaper edge supersedes
     /// stays, unreferenced.
     perms: Vec<u8>,
-    /// Every distinct instance value an interned state holds, once: an
-    /// interned state's instances are these allocations, so states that
-    /// agree on an instance share it and compare it by pointer.
-    inst_table: HashSet<Inst, BuildHasherDefault<StateHasher>>,
-    /// Whether [`Self::intern`] shares instances through `inst_table`;
-    /// off only in the test that checks sharing changes nothing.
-    share_insts: bool,
     /// Every expanded state's out-edges `(successor, faulty)`, back to
     /// back: a state is expanded once, so its edges are one run.
     edge_list: Vec<(u32, bool)>,
@@ -166,7 +159,7 @@ impl<'a> Explorer<'a> {
         let comm_peers = comm_closure(programs, cfg.n_ranks);
         let profile = canon::profile_of(sc, &params, cfg, &comm_peers);
 
-        let ctx = Ctx {
+        let mut ctx = Ctx {
             sc,
             cfg,
             params,
@@ -179,8 +172,9 @@ impl<'a> Explorer<'a> {
             n_suggested,
             n_groups: sc.suggested.groups.len(),
             profile,
+            table: InstTable::default(),
         };
-        let init_raw = initial(&ctx);
+        let init_raw = initial(&mut ctx);
         Explorer {
             ctx,
             sites,
@@ -191,8 +185,6 @@ impl<'a> Explorer<'a> {
             dist: Vec::new(),
             parent: Vec::new(),
             perms: Vec::new(),
-            inst_table: HashSet::default(),
-            share_insts: true,
             edge_list: Vec::new(),
             edge_run: Vec::new(),
             expanded: Vec::new(),
@@ -241,7 +233,9 @@ impl<'a> Explorer<'a> {
         &self.edge_list[start as usize..end as usize]
     }
 
-    fn intern(&mut self, mut s: ProdState) -> u32 {
+    /// The id of `s`, whose handles are all the table's: the state's if
+    /// one is interned, else a new one.
+    fn intern(&mut self, s: ProdState) -> u32 {
         let mut h = StateHasher::default();
         s.hash(&mut h);
         let hash = h.finish() & self.hash_mask;
@@ -252,16 +246,6 @@ impl<'a> Explorer<'a> {
                 return at;
             }
             at = self.same_hash[at as usize];
-        }
-        if self.share_insts {
-            for inst in &mut s.insts {
-                match self.inst_table.get(inst) {
-                    Some(shared) => *inst = shared.clone(),
-                    None => {
-                        self.inst_table.insert(inst.clone());
-                    }
-                }
-            }
         }
         let id = self.states.len() as u32;
         self.all_running.push(s.proto.all_running());
@@ -277,7 +261,10 @@ impl<'a> Explorer<'a> {
 
     pub(crate) fn run(&mut self) {
         let root = if self.ctx.cfg.reduce {
-            let (root, p0) = canon::canonicalize(&self.ctx, &self.init_raw);
+            let mut pending = InstTable::default();
+            let (mut root, p0) = canon::canonicalize(&self.ctx, &mut pending, &self.init_raw);
+            let base = self.ctx.table.len();
+            self.ctx.table.adopt(base, pending.take_values(), [&mut root]);
             self.init_perm = p0;
             root
         } else {
@@ -343,6 +330,9 @@ impl<'a> Explorer<'a> {
             self.freeze = Some((id, why.to_string()));
             return true;
         }
+        let pending = std::mem::take(&mut exp.pending);
+        let succs = exp.succs.iter_mut().map(|x| &mut x.micro.st);
+        self.ctx.table.adopt(exp.pending_base, pending, succs);
         let row = self.ctx.cfg.n_hosts + self.ctx.cfg.n_units();
         let start = self.edge_list.len() as u32;
         for succ in std::mem::take(&mut exp.succs) {
@@ -369,16 +359,19 @@ impl<'a> Explorer<'a> {
 }
 
 /// The initial product state: every automaton started, the protocol
-/// model at launch.
-fn initial(ctx: &Ctx) -> ProdState {
-    let insts = (0..ctx.inst_class.len()).map(|i| Inst::new(ctx.start(i))).collect();
-    let s = ProdState { insts, msgs: Vec::new(), proto: AbstractWorld::new(ctx.cfg) };
+/// model at launch. Its values go into the table.
+fn initial(ctx: &mut Ctx) -> ProdState {
+    let insts = (0..ctx.inst_class.len()).map(|i| ctx.table.intern(ctx.start(i))).collect();
+    let mut s = ProdState { insts, msgs: Vec::new(), proto: AbstractWorld::new(ctx.cfg) };
     // Test hook: start from a seeded point of the initial state's machine
     // orbit. Canonicalization must erase the difference.
-    match ctx.cfg.permute_seed {
-        Some(seed) => canon::seeded_perm(ctx, seed).apply_state(ctx, &s),
-        None => s,
+    if let Some(seed) = ctx.cfg.permute_seed {
+        let mut pending = InstTable::default();
+        s = canon::seeded_perm(ctx, seed).apply_state(ctx, &mut pending, &s);
+        let base = ctx.table.len();
+        ctx.table.adopt(base, pending.take_values(), [&mut s]);
     }
+    s
 }
 
 /// Transitive closure of "exchanges messages with" over the op-programs —
@@ -436,7 +429,7 @@ fn comm_closure(programs: &[Arc<Program>], n_ranks: usize) -> Vec<Vec<u32>> {
 mod tests {
     use failmpi_core::compile;
 
-    use super::super::state::InstState;
+    use super::super::state::{Inst, InstState};
     use super::*;
 
     /// With every state hashing to the same value the index degenerates
@@ -464,37 +457,28 @@ mod tests {
         }
     }
 
-    /// Interning shares instances: after a run, any two interned
-    /// instances with equal content are one allocation, the run holds
-    /// far fewer allocations than one that bypasses the instance table,
-    /// and the two agree on every state, the summary and the diagnostics.
+    /// The instance table is hash-consed: after a run no two ids hold
+    /// equal values, every handle an interned state holds resolves in the
+    /// table, and every table value is held by an interned state. So each
+    /// distinct value has exactly one id, and the states share far fewer
+    /// values than they hold handles. Reduced and unreduced.
     #[test]
-    fn interned_instances_with_equal_content_share_one_allocation() {
+    fn each_instance_value_has_exactly_one_id() {
         let sc = compile(include_str!("../../../core/scenarios/fig10_state_sync.fail"))
             .expect("builtin compiles");
-        let allocations = |ex: &Explorer| {
-            let insts = ex.states.iter().flat_map(|s| &s.insts);
-            insts.map(|i| &**i as *const InstState).collect::<HashSet<_>>().len()
-        };
-        let values = |ex: &Explorer| {
-            let insts = ex.states.iter().flat_map(|s| &s.insts);
-            insts.collect::<HashSet<_, BuildHasherDefault<StateHasher>>>().len()
-        };
         for reduce in [false, true] {
             let cfg = ModelCheckConfig { reduce, ..ModelCheckConfig::default() };
-            let mut shared = Explorer::new(&sc, &cfg, &[]);
-            let mut bypassed = Explorer { share_insts: false, ..Explorer::new(&sc, &cfg, &[]) };
-            shared.run();
-            bypassed.run();
-            let n = values(&shared);
-            assert_eq!(allocations(&shared), n, "reduce={reduce}: one Arc per value");
-            assert_eq!(shared.inst_table.len(), n, "reduce={reduce}");
-            assert!(allocations(&bypassed) > 4 * n, "reduce={reduce}");
-            assert!(bypassed.inst_table.is_empty());
-            assert!(shared.states == bypassed.states, "reduce={reduce}");
-            let (shared, bypassed) = (shared.finish(), bypassed.finish());
-            assert_eq!(shared.summary, bypassed.summary, "reduce={reduce}");
-            assert_eq!(format!("{:?}", shared.diagnostics), format!("{:?}", bypassed.diagnostics));
+            let mut ex = Explorer::new(&sc, &cfg, &[]);
+            ex.run();
+            let (table, vals) = (ex.ctx.table.values(), ex.ctx.table.vals(&[]));
+            let distinct: HashSet<&InstState> = table.iter().collect();
+            assert_eq!(distinct.len(), table.len(), "reduce={reduce}: two ids hold one value");
+            let held: HashSet<Inst> = ex.states.iter().flat_map(|s| s.insts.clone()).collect();
+            let resolved: HashSet<&InstState> = held.iter().map(|&i| &vals[i]).collect();
+            assert_eq!(resolved.len(), held.len(), "reduce={reduce}");
+            assert_eq!(held.len(), table.len(), "reduce={reduce}: a value no state holds");
+            let handles = ex.states.len() * ex.init_raw.insts.len();
+            assert!(handles > 4 * table.len(), "reduce={reduce}: {handles} handles");
         }
     }
 }

@@ -6,9 +6,9 @@
 //! that hash stream is a persisted fuzzer coverage key.
 
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
-use std::ops::Deref;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Index;
 
 use failmpi_backend::AbstractStep;
 use failmpi_core::fire::Machine;
@@ -51,77 +51,188 @@ pub(crate) struct Control {
     pub(crate) suspended: bool,
 }
 
-/// One instance's state as a [`ProdState`] carries it: immutable and
-/// shared. A product step changes one instance (a fault cascade, a few),
-/// so a successor shares every other instance with its parent, and
-/// cloning, comparing or relabelling a state costs what changed rather
-/// than the deployment size.
+/// A handle to one FAIL-instance value: a position in the explorer's
+/// [`InstTable`], or, past its end, in the pending values of the
+/// expansion that created it. A product step changes one instance (a
+/// fault cascade, a few), so cloning, comparing or hashing a state costs
+/// a copy of its handles, not of the values behind them.
 ///
-/// `Eq`/`Ord` answer from pointer identity when they can and fall back to
-/// the content; `Hash` forwards to the content. The derived ordering and
-/// hash stream of [`ProdState`] are therefore exactly those of a plain
-/// `Vec<InstState>`.
-#[derive(Clone, Debug)]
-pub(crate) struct Inst(Arc<InstState>);
+/// The table and every pending list hold each value once and the
+/// pending list holds no value the table has, so within one table and
+/// one pending list two handles are equal exactly when their values are.
+/// The handle's numbering is free; [`ProdState::cmp_values`] and
+/// [`ProdState::hash_values`] read the values where order or the digest
+/// is observable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Inst(u32);
 
-impl Inst {
-    pub(crate) fn new(st: InstState) -> Inst {
-        Inst(Arc::new(st))
-    }
+const _: () = assert!(std::mem::size_of::<Inst>() == 4);
 
-    /// Whether both share one allocation. A successor re-allocates only
-    /// the instances its step changed, so `true` proves the content equal.
-    pub(crate) fn same(&self, other: &Inst) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
+/// Hash-consed instance values: each distinct value once, numbered in
+/// order of arrival. The explorer keeps one (in [`super::engine::Ctx`])
+/// and each frontier worker one per expansion for the values the table
+/// lacks, numbered on from the table's end.
+#[derive(Clone, Default)]
+pub(crate) struct InstTable {
+    values: Vec<InstState>,
+    /// A value's [`StateHasher`] value → the newest position carrying it.
+    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// The next-older position with the same hash value (`u32::MAX` ends
+    /// the chain).
+    same_hash: Vec<u32>,
 }
 
-impl Deref for Inst {
-    type Target = InstState;
-    fn deref(&self) -> &InstState {
-        &self.0
-    }
+fn value_hash(st: &InstState) -> u64 {
+    let mut h = StateHasher::default();
+    st.hash(&mut h);
+    h.finish()
 }
 
-impl PartialEq for Inst {
-    fn eq(&self, other: &Inst) -> bool {
-        self.same(other) || *self.0 == *other.0
+impl InstTable {
+    pub(crate) fn len(&self) -> u32 {
+        u32::try_from(self.values.len()).expect("instance values fit a 4-byte handle")
     }
-}
 
-impl Eq for Inst {}
+    /// Every value, in handle order.
+    pub(crate) fn values(&self) -> &[InstState] {
+        &self.values
+    }
 
-impl Ord for Inst {
-    fn cmp(&self, other: &Inst) -> Ordering {
-        if self.same(other) {
-            Ordering::Equal
-        } else {
-            self.0.cmp(&other.0)
+    /// The position of `st`, whose hash is `hash`, if the table has it.
+    fn find(&self, hash: u64, st: &InstState) -> Option<u32> {
+        let mut at = self.index.get(&hash).copied().unwrap_or(u32::MAX);
+        while at != u32::MAX {
+            if self.values[at as usize] == *st {
+                return Some(at);
+            }
+            at = self.same_hash[at as usize];
+        }
+        None
+    }
+
+    /// The position of `st`, added at the end if the table lacks it.
+    fn find_or_push(&mut self, hash: u64, st: InstState) -> u32 {
+        if let Some(at) = self.find(hash, &st) {
+            return at;
+        }
+        let at = self.len();
+        let head = self.index.insert(hash, at).unwrap_or(u32::MAX);
+        self.same_hash.push(head);
+        self.values.push(st);
+        at
+    }
+
+    /// The handle of `st` in this table, which gains it if new.
+    pub(crate) fn intern(&mut self, st: InstState) -> Inst {
+        Inst(self.find_or_push(value_hash(&st), st))
+    }
+
+    /// The handle of `st` in this table plus `pending`: the table's entry
+    /// if it has one, else `pending`'s, which gains it if new.
+    pub(crate) fn intern_pending(&self, pending: &mut InstTable, st: InstState) -> Inst {
+        let hash = value_hash(&st);
+        match self.find(hash, &st) {
+            Some(at) => Inst(at),
+            None => Inst(self.len() + pending.find_or_push(hash, st)),
+        }
+    }
+
+    /// Resolves this table's handles, and past its end those of the
+    /// pending values `pending` (none for an interned state's).
+    pub(crate) fn vals<'a>(&'a self, pending: &'a [InstState]) -> Vals<'a> {
+        Vals { table: &self.values, pending }
+    }
+
+    /// Empties the table and returns its values.
+    pub(crate) fn take_values(&mut self) -> Vec<InstState> {
+        self.index.clear();
+        self.same_hash.clear();
+        std::mem::take(&mut self.values)
+    }
+
+    /// Moves into the table the values of a pending list — handles from
+    /// `base` on, as [`Self::intern_pending`] issued them while the table
+    /// was `base` long — that `states` hold, and rewrites those handles
+    /// to the table's. A pending value no state holds is dropped.
+    pub(crate) fn adopt<'s>(
+        &mut self,
+        base: u32,
+        pending: Vec<InstState>,
+        states: impl IntoIterator<Item = &'s mut ProdState>,
+    ) {
+        if pending.is_empty() {
+            return;
+        }
+        let mut ids = vec![None; pending.len()];
+        let mut pending: Vec<Option<InstState>> = pending.into_iter().map(Some).collect();
+        for s in states {
+            for inst in s.insts.iter_mut().filter(|i| i.0 >= base) {
+                let k = (inst.0 - base) as usize;
+                *inst = *ids[k].get_or_insert_with(|| {
+                    self.intern(pending[k].take().expect("each pending value adopted once"))
+                });
+            }
         }
     }
 }
 
-impl PartialOrd for Inst {
-    fn partial_cmp(&self, other: &Inst) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Where a state's handles resolve: a table's values, then a pending
+/// list's.
+#[derive(Clone, Copy)]
+pub(crate) struct Vals<'a> {
+    table: &'a [InstState],
+    pending: &'a [InstState],
 }
 
-impl Hash for Inst {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+impl Index<Inst> for Vals<'_> {
+    type Output = InstState;
+    fn index(&self, inst: Inst) -> &InstState {
+        let at = inst.0 as usize;
+        match self.table.get(at) {
+            Some(st) => st,
+            None => &self.pending[at - self.table.len()],
+        }
     }
 }
 
 /// One product state: every FAIL instance, the in-flight message multiset,
-/// and the abstract protocol state.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// and the abstract protocol state. The derived `Eq` and `Hash` read the
+/// instance handles, so they hold only within one table and one pending
+/// list; the interning index, its confirmation and every state comparison
+/// inside one expansion are such.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct ProdState {
     pub(crate) insts: Vec<Inst>,
     /// Sorted multiset of in-flight FAIL messages `(from, to, msg)` —
     /// deliveries race, so order is not part of the state.
     pub(crate) msgs: Vec<(u8, u8, u8)>,
     pub(crate) proto: AbstractWorld,
+}
+
+impl ProdState {
+    /// The frozen state order: lexicographic over the instance values,
+    /// the in-flight messages and the protocol state, as a state holding
+    /// its values in a `Vec<InstState>` would derive it. Equal handles
+    /// are equal values, so only the first pair that differs is read.
+    pub(crate) fn cmp_values(&self, other: &ProdState, vals: Vals) -> Ordering {
+        let differ = self.insts.iter().zip(&other.insts).find(|(a, b)| a != b);
+        let insts = match differ {
+            Some((&a, &b)) => vals[a].cmp(&vals[b]),
+            None => self.insts.len().cmp(&other.insts.len()),
+        };
+        insts.then_with(|| self.msgs.cmp(&other.msgs)).then_with(|| self.proto.cmp(&other.proto))
+    }
+
+    /// The frozen hash stream, the state digest's: what a state holding
+    /// its values in a `Vec<InstState>` would derive.
+    pub(crate) fn hash_values<H: Hasher>(&self, vals: Vals, h: &mut H) {
+        h.write_usize(self.insts.len());
+        for &inst in &self.insts {
+            vals[inst].hash(h);
+        }
+        self.msgs.hash(h);
+        self.proto.hash(h);
+    }
 }
 
 pub(crate) fn insert_msg(msgs: &mut Vec<(u8, u8, u8)>, m: (u8, u8, u8)) {
@@ -203,6 +314,11 @@ pub(crate) struct Expansion {
     /// The successors' non-identity permutations, back to back, each as
     /// [`super::canon::Perm::write_flat`] writes it.
     pub(crate) perms: Vec<u8>,
+    /// The values the successors hold that the explorer's table lacked
+    /// while the layer ran, deduplicated: handle `pending_base + k` is
+    /// `pending[k]`. [`InstTable::adopt`] moves them into the table.
+    pub(crate) pending: Vec<InstState>,
+    pub(crate) pending_base: u32,
     pub(crate) log: SiteLog,
     pub(crate) por_pruned: usize,
     pub(crate) orbit_hits: usize,

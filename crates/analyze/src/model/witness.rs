@@ -16,6 +16,7 @@ use failmpi_backend::vocab::AbstractModel;
 use super::moves::Scratch;
 use super::search::Explorer;
 use super::state::{MoveKind, ProdState, SiteLog};
+use super::world::AbstractWorld;
 use super::Witness;
 
 /// One step of a concrete schedule: the move, the faults its branch
@@ -31,7 +32,7 @@ impl Explorer<'_> {
         if s.proto.lost_rank().is_some() {
             return true;
         }
-        self.ctx.moves(s, &mut scr.moves);
+        self.ctx.moves(self.ctx.vals(&scr.drive.pending), s, &mut scr.moves);
         scr.moves.is_empty() && !s.proto.all_running()
     }
 
@@ -50,7 +51,7 @@ impl Explorer<'_> {
     ) -> Option<ProdState> {
         let mut u = self.init_raw.clone();
         for (m, faults, branch) in path {
-            self.ctx.moves(&u, &mut scr.moves);
+            self.ctx.moves(self.ctx.vals(&scr.drive.pending), &u, &mut scr.moves);
             if !scr.moves.contains(m) {
                 return None;
             }
@@ -95,7 +96,8 @@ impl Explorer<'_> {
             if let Some(pi) = self.edge_perm(edge) {
                 sigma = pi.invert().then(&sigma);
             }
-            let expected = sigma.apply_state(&self.ctx, &self.states[nid as usize]);
+            let expected =
+                sigma.apply_state(&self.ctx, &mut scr.drive.pending, &self.states[nid as usize]);
             let micros = &mut scr.micros;
             micros.clear();
             self.ctx.apply_move(&u, &cm, &mut SiteLog::new(), &mut scr.drive, micros);
@@ -146,10 +148,12 @@ impl Explorer<'_> {
     }
 
     /// The minimal fault schedule reaching freeze state `id`, and the
-    /// concrete state it ends in. Only a reduced search can have padded
-    /// the stored path (see [`Self::minimize`]), so only it is minimized.
-    /// The replays share one scratch of their own.
-    pub(super) fn witness(&self, id: u32) -> (Witness, ProdState) {
+    /// protocol world of the concrete state it ends in. Only a reduced
+    /// search can have padded the stored path (see [`Self::minimize`]), so
+    /// only it is minimized. The replays share one scratch of their own;
+    /// the end state's instance handles resolve only through it, so just
+    /// its handle-free protocol world leaves this function.
+    pub(super) fn witness(&self, id: u32) -> (Witness, AbstractWorld) {
         let mut scr = Scratch::default();
         let mut path = self.concrete_path(id, &mut scr);
         if self.ctx.cfg.reduce {
@@ -157,8 +161,8 @@ impl Explorer<'_> {
         }
         let mut steps = Vec::with_capacity(path.len());
         let end = self.replay(&path, &mut scr, Some(&mut steps)).expect("a concrete path replays");
-        debug_assert!(self.frozen(&end, &mut scr));
-        (Witness { steps, faults: self.dist[id as usize].0 as usize }, end)
+        assert!(self.frozen(&end, &mut scr), "the witness replay does not end frozen");
+        (Witness { steps, faults: self.dist[id as usize].0 as usize }, end.proto)
     }
 }
 
@@ -173,7 +177,8 @@ mod tests {
 
     /// The one witness path, on every builtin × backend freeze at 4 ranks,
     /// unreduced and reduced: the replayed schedule ends in a state the
-    /// freeze predicate holds in, costs the faults the search found it at,
+    /// freeze predicate holds in (`witness` asserts it against the replay's
+    /// own scratch), costs the faults the search found it at,
     /// is the stored tree path itself without reduction and never longer
     /// than it with — and both modes agree on the `(faults, steps)` cost,
     /// the observable `tests/reduction.rs` compares from outside.
@@ -202,10 +207,8 @@ mod tests {
                     let Some((id, _)) = ex.freeze.clone() else {
                         continue; // survives, or too big to say unreduced
                     };
-                    let (witness, end) = ex.witness(id);
+                    let (witness, _) = ex.witness(id);
                     let at = format!("{name} under {backend}, reduce={reduce}");
-                    let frozen = ex.frozen(&end, &mut Scratch::default());
-                    assert!(frozen, "{at}: the replay does not end frozen");
                     let (faults, depth) = ex.dist[id as usize];
                     assert_eq!(witness.faults, faults as usize, "{at}");
                     if reduce {

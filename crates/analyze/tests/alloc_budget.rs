@@ -7,8 +7,8 @@
 //! expansion scratch, or a slot table that is copied instead of shared,
 //! crosses it. The peak of live heap bytes during each run, per interned
 //! state, must stay under the memory ceiling: the store's layout before
-//! it shared equal instance values and kept the tree edges' permutations
-//! in one arena crosses that on `vcl9`, `vcl16` and `vcl4_full`.
+//! equal instance values were kept once (a fresh instance allocation per
+//! changed instance per state) crosses that on every shape but `ulfm25`.
 
 use failmpi_analyze::{model_check_source, BackendKind, ModelCheckConfig};
 use failmpi_obs::{alloc_counters, peak_live_bytes, reset_peak_live_bytes};
@@ -25,27 +25,39 @@ const FIG8: &str = include_str!("../../core/scenarios/fig8_synchronized.fail");
 /// the most peak live heap bytes per interned state it may hold, each as
 /// `(release, debug)`.
 ///
-/// Each allocation ceiling is 1.5× the count measured when expansion
-/// moved to per-worker scratch buffers and shared slot tables: 30.1,
-/// 41.5, 82.5, 13.4, 64.6 and 18.8 (before that change: 132, 193, 418,
-/// 38, 289 and 91). With debug assertions every successor is
-/// canonicalised a second time from scratch and every structural
-/// commutation is probed, so a debug build has ceilings of its own: 1.5×
-/// 66.4, 99.3, 161.5, 13.4, 132.6 and 51.5.
+/// Each allocation ceiling is 1.5× the count measured when states began
+/// to hold 4-byte handles into one instance table instead of an `Arc`
+/// per instance: 23.8, 32.0, 68.6, 12.1, 54.3 and 13.4. With debug
+/// assertions every successor is canonicalised a second time from
+/// scratch and every structural commutation is probed, so a debug build
+/// has ceilings of its own: 1.5× 57.9, 85.3, 143.3, 12.1, 116.6 and 42.0.
 ///
 /// Each memory ceiling is 1.2× the peak live bytes per interned state
-/// measured when interning began to share equal instance values and the
-/// tree edges' permutations moved to one arena: 421, 527, 798, 380, 1188
-/// and 480 (debug: 422, 527, 815, 380, 1261 and 481). Before that change
-/// they were 546, 673, 923, 493, 1254 and 573.
+/// measured at the same change: 377, 454, 679, 354, 1057 and 447 (debug:
+/// 378, 454, 696, 354, 1114 and 447).
+///
+/// How the two figures came down, per shape, release (debug where it
+/// differs):
+///
+/// - before per-worker scratch buffers: 132, 193, 418, 38, 289 and 91
+///   allocations;
+/// - per-worker scratch, shared slot tables: 30.1, 41.5, 82.5, 13.4,
+///   64.6 and 18.8 allocations (66.4, 99.3, 161.5, 13.4, 132.6, 51.5);
+///   546, 673, 923, 493, 1254 and 573 bytes;
+/// - one `Arc` per distinct instance value, permutations in one arena:
+///   28.4, 39.7, 81.4, 13.4, 63.8 and 17.9 allocations (64.7, 97.5,
+///   160.4, 13.4, 131.8, 50.6); 421, 527, 798, 380, 1188 and 480 bytes
+///   (422, 527, 815, 380, 1261, 481);
+/// - a 4-byte handle per instance into one table of values: the figures
+///   above.
 type Shape = (&'static str, &'static str, BackendKind, usize, bool, (f64, f64), (f64, f64));
 const GRID25: [Shape; 6] = [
-    ("vcl9", FIG10, BackendKind::Vcl, 9, true, (45.0, 100.0), (506.0, 507.0)),
-    ("vcl16", FIG10, BackendKind::Vcl, 16, true, (62.0, 149.0), (633.0, 633.0)),
-    ("fig8_vcl25", FIG8, BackendKind::Vcl, 25, true, (124.0, 242.0), (958.0, 978.0)),
-    ("vcl4_full", FIG10, BackendKind::Vcl, 4, false, (20.0, 20.0), (456.0, 456.0)),
-    ("ulfm25", FIG10, BackendKind::Ulfm, 25, true, (97.0, 199.0), (1426.0, 1514.0)),
-    ("replica9", FIG10, BackendKind::Replica, 9, true, (28.0, 77.0), (576.0, 578.0)),
+    ("vcl9", FIG10, BackendKind::Vcl, 9, true, (35.7, 86.9), (453.0, 454.0)),
+    ("vcl16", FIG10, BackendKind::Vcl, 16, true, (48.0, 128.0), (545.0, 545.0)),
+    ("fig8_vcl25", FIG8, BackendKind::Vcl, 25, true, (102.9, 215.0), (815.0, 836.0)),
+    ("vcl4_full", FIG10, BackendKind::Vcl, 4, false, (18.2, 18.2), (425.0, 425.0)),
+    ("ulfm25", FIG10, BackendKind::Ulfm, 25, true, (81.5, 174.9), (1269.0, 1337.0)),
+    ("replica9", FIG10, BackendKind::Replica, 9, true, (20.1, 63.0), (537.0, 537.0)),
 ];
 
 /// Both ceilings in one test: the live-byte peak is process-wide, so no
